@@ -22,8 +22,7 @@ import json
 from .scalars import ZERO, ONE
 from .poly import parse_scalar
 from . import linalg
-from .linalg import (SpanBasis, mmul, madd, mscale, mid, mzeros, freeze,
-                     flatten, unflatten, mat_vec)
+from .linalg import SpanBasis, mmul, mid, freeze, flatten, unflatten
 
 
 class ApproxAlgebra:
@@ -181,9 +180,12 @@ def block_module(sizes, check=True):
 
 
 class ApproxModule:
-    """Module over an ApproxAlgebra: one action matrix per basis element."""
+    """Module over an ApproxAlgebra: one action matrix per basis element.
 
-    __slots__ = ("algebra", "dim", "mats")
+    The matrices are immutable, so their nonzero entries and the chain
+    idempotents' action matrices are computed on first use and kept."""
+
+    __slots__ = ("algebra", "dim", "mats", "_columns", "_idem")
 
     def __init__(self, algebra, dim, mats, check=True, require_unital=True):
         mats = tuple(freeze(m) for m in mats)
@@ -195,18 +197,33 @@ class ApproxModule:
         self.algebra = algebra
         self.dim = dim
         self.mats = mats
+        self._columns = None
+        self._idem = [None] * len(algebra.chain)
         if check:
             self.validate(require_unital=require_unital)
 
+    def columns(self):
+        """The nonzero entries of every action matrix, by column (see
+        _columns)."""
+        if self._columns is None:
+            self._columns = tuple(_columns(m) for m in self.mats)
+        return self._columns
+
     def act(self, coords):
-        out = mzeros(self.dim, self.dim)
-        for t, c in enumerate(coords):
-            if c:
-                out = madd(out, mscale(self.mats[t], c))
-        return out
+        """The action matrix of the element with the given coordinates,
+        summed over the nonzero entries of the basis actions."""
+        out = [[ZERO] * self.dim for _ in range(self.dim)]
+        for coeff, cols in zip(coords, self.columns()):
+            if coeff:
+                for c, col in enumerate(cols):
+                    for r, x in col:
+                        out[r][c] = out[r][c] + x * coeff
+        return freeze(out)
 
     def idem_mat(self, j):
-        return self.act(self.algebra.chain[j])
+        if self._idem[j] is None:
+            self._idem[j] = self.act(self.algebra.chain[j])
+        return self._idem[j]
 
     def validate(self, require_unital=True):
         A = self.algebra
@@ -278,16 +295,22 @@ class ApproxModule:
         return "ApproxModule(algebra dim=%d, dim=%d)" % (self.algebra.dim, self.dim)
 
 
-def _corner_span(M, j):
-    """Span of P_j . End(V) . P_j for the j-th chain idempotent."""
+def _corner_span(M, j1, j2):
+    """Span of P_{j1} . End(V) . P_{j2}: the products P_{j1} E_rc P_{j2}
+    over the matrix units E_rc, each the outer product of column r of
+    P_{j1} with row c of P_{j2}."""
     d = M.dim
-    P = M.idem_mat(j)
+    cols = _columns(M.idem_mat(j1))
+    rows = [[(k, y) for k, y in enumerate(row) if y] for row in M.idem_mat(j2)]
     sb = SpanBasis(d * d)
     for r in range(d):
         for c in range(d):
-            unit = [[ZERO] * d for _ in range(d)]
-            unit[r][c] = ONE
-            sb.add(flatten(mmul(mmul(P, freeze(unit)), P)))
+            if cols[r] and rows[c]:
+                flat = [ZERO] * (d * d)
+                for i, x in cols[r]:
+                    for k, y in rows[c]:
+                        flat[i * d + k] = x * y
+                sb.add(flat)
     return sb
 
 
@@ -299,19 +322,35 @@ def end_zero_basis(M):
     d = M.dim
     full = SpanBasis(d * d)
     for j in range(len(M.algebra.chain)):
-        for row in _corner_span(M, j).frozen_rows():
-            full.add(list(row))
-    top = _corner_span(M, len(M.algebra.chain) - 1)
+        for row in _corner_span(M, j, j).rows:
+            full.add(row)
+    top_j = len(M.algebra.chain) - 1
+    top = _corner_span(M, top_j, top_j)
     if not full.same_span(top):
         raise AssertionError("corner span computations disagree")
     return [unflatten(row, d, d) for row in full.frozen_rows()], full
 
 
-def _tuple_act(mat, w, n, d):
-    """Diagonal action of a matrix on a stacked vector of V^n."""
-    out = []
-    for b in range(n):
-        out.extend(mat_vec(mat, w[b * d:(b + 1) * d]))
+def _columns(mat):
+    """The nonzero entries of a square matrix by column: a list holding, for
+    each column c, the pairs (r, mat[r][c])."""
+    return [[(r, row[c]) for r, row in enumerate(mat) if row[c]]
+            for c in range(len(mat))]
+
+
+def _stacked(w, d):
+    """The nonzero entries of a stacked vector of V^n, whose blocks have
+    length d, as triples (block offset, index in block, entry)."""
+    return [(s - s % d, s % d, y) for s, y in enumerate(w) if y]
+
+
+def _tuple_act(cols, wnz, size):
+    """Diagonal action of a matrix, given by its _columns, on the stacked
+    vector of length `size` with nonzero entries `wnz` (see _stacked)."""
+    out = [ZERO] * size
+    for off, c, y in wnz:
+        for r, x in cols[c]:
+            out[off + r] = out[off + r] + x * y
     return out
 
 
@@ -334,9 +373,33 @@ class SharpResult:
         return self.member
 
 
+def _tuple_module(M, j, tuples):
+    """The stacked basis tuple u of V_j, its length n, the basis-element
+    actions on u, and the module W they span inside V^n (W contains u
+    because the corner idempotent fixes every u_i).  Built once per corner
+    index j and kept in `tuples`."""
+    if j not in tuples:
+        d = M.dim
+        basis = M.V_j(j).frozen_rows()
+        n = len(basis)
+        u = [x for b in basis for x in b]
+        unz = _stacked(u, d)
+        acts = [_tuple_act(cols, unz, n * d) for cols in M.columns()]
+        W = SpanBasis(n * d)
+        for w in acts:
+            W.add(w)
+        tuples[j] = (u, n, acts, W)
+    return tuples[j]
+
+
 def end_sharp_membership(M, phi):
     """Decide whether phi lies in the image of the algebra action; see the
     module docstring for the procedure."""
+    return _membership(M, phi, {})
+
+
+def _membership(M, phi, tuples):
+    """end_sharp_membership, taking the corner tuple modules from `tuples`."""
     phi = freeze(phi)
     d = M.dim
     corner_j = None
@@ -348,29 +411,20 @@ def end_sharp_membership(M, phi):
     if corner_j is None:
         raise ValueError("the endomorphism lies in no chain corner; "
                          "it cannot be an image element")
-    basis = M.V_j(corner_j).frozen_rows()
-    n = len(basis)
-    u = []
-    for b in basis:
-        u.extend(b)
+    u, n, acts, W = _tuple_module(M, corner_j, tuples)
     if n == 0:
         return SharpResult(True, witness=(ZERO,) * M.algebra.dim, j=corner_j,
                            tuple_vec=tuple(u))
-    # W = span of basis-element actions on the tuple; it contains u because
-    # the corner idempotent fixes every u_i
-    W = SpanBasis(n * d)
-    for t in range(M.algebra.dim):
-        W.add(_tuple_act(M.mats[t], u, n, d))
+    phi_cols = _columns(phi)
     for row in W.frozen_rows():
-        moved = _tuple_act(phi, list(row), n, d)
+        moved = _tuple_act(phi_cols, _stacked(row, d), n * d)
         if not W.contains(moved):
             return SharpResult(False, j=corner_j, tuple_vec=tuple(u),
                                submodule=W, escaped=(tuple(row), tuple(moved)))
     # recover a witness: solve phi.u = pi(a).u in the element coordinates,
     # then cut a down to the corner so the equality extends from V_j to V
-    cols = [_tuple_act(M.mats[t], u, n, d) for t in range(M.algebra.dim)]
-    rows = [[cols[t][s] for t in range(M.algebra.dim)] for s in range(n * d)]
-    sol = linalg.solve(rows, _tuple_act(phi, u, n, d))
+    rows = [[acts[t][s] for t in range(M.algebra.dim)] for s in range(n * d)]
+    sol = linalg.solve(rows, _tuple_act(phi_cols, _stacked(u, d), n * d))
     if sol is None:
         raise AssertionError("invariance held but no witness solves the system")
     alpha = M.algebra.chain[corner_j]
@@ -384,33 +438,37 @@ def end_sharp_space(M):
     """End^# as a subspace of End(V): elements of the corner span whose
     diagonal action preserves the module generated by the top basis tuple.
     Computed as one nullspace.  Returns (basis matrices, span)."""
-    corner_mats, _ = end_zero_basis(M)
+    sharp_mats, sharp, _ = _end_sharp(M, {})
+    return sharp_mats, sharp
+
+
+def _end_sharp(M, tuples):
+    """end_sharp_space, also returning the End(V)_0 span it is cut from and
+    taking the top corner's tuple module from `tuples`."""
+    corner_mats, end_zero = end_zero_basis(M)
     d = M.dim
-    basis = M.V_j(len(M.algebra.chain) - 1).frozen_rows()
-    n = len(basis)
-    u = []
-    for b in basis:
-        u.extend(b)
-    W = SpanBasis(n * d)
-    for t in range(M.algebra.dim):
-        W.add(_tuple_act(M.mats[t], u, n, d))
+    _, n, _, W = _tuple_module(M, len(M.algebra.chain) - 1, tuples)
     pivots = set(W.pivots)
     compl = [s for s in range(n * d) if s not in pivots]
+    corner_cols = [_columns(C) for C in corner_mats]
     rows = []
     for wrow in W.frozen_rows():
-        residues = [W._reduce(_tuple_act(C, list(wrow), n, d)) for C in corner_mats]
+        wnz = _stacked(wrow, d)
+        residues = [W._reduce(_tuple_act(cols, wnz, n * d)) for cols in corner_cols]
         for t in compl:
             rows.append([residues[s][t] for s in range(len(corner_mats))])
     if not rows:
         rows = [[ZERO] * len(corner_mats)]
     sharp = SpanBasis(d * d)
     for v in linalg.nullspace(rows, len(corner_mats)):
-        mat = mzeros(d, d)
+        flat = [ZERO] * (d * d)
         for s, c in enumerate(v):
             if c:
-                mat = madd(mat, mscale(corner_mats[s], c))
-        sharp.add(flatten(mat))
-    return [unflatten(r, d, d) for r in sharp.frozen_rows()], sharp
+                row = end_zero.rows[s]
+                for t in end_zero.supports[s]:
+                    flat[t] = flat[t] + row[t] * c
+        sharp.add(flat)
+    return [unflatten(r, d, d) for r in sharp.frozen_rows()], sharp, end_zero
 
 
 class CheckReport:
@@ -444,13 +502,14 @@ def double_commutant_check(M):
     element of a basis of End^#, which also recovers explicit witnesses.
     On failure the report carries a separating functional."""
     image = M.image_span()
-    sharp_mats, sharp = end_sharp_space(M)
+    tuples = {}
+    sharp_mats, sharp, end_zero = _end_sharp(M, tuples)
     d = M.dim
     dims = {
         "dim_V": d,
         "dim_image": len(image.rows),
         "dim_sharp": len(sharp.rows),
-        "dim_end_zero": len(end_zero_basis(M)[1].rows),
+        "dim_end_zero": len(end_zero.rows),
     }
     for row in image.frozen_rows():
         if not sharp.contains(list(row)):
@@ -458,7 +517,7 @@ def double_commutant_check(M):
                                witness={"kind": "image_not_in_sharp",
                                         "matrix": [str(c) for c in row]})
     for mat in sharp_mats:
-        res = end_sharp_membership(M, mat)
+        res = _membership(M, mat, tuples)
         if not res.member:
             func = _separating_functional(image, sharp, d)
             return CheckReport("double_commutant", "fail", dims,
@@ -496,13 +555,7 @@ def corner_identity_check(M, j1, j2):
     for t in range(A.dim):
         elem = A.mul(A.mul(A.chain[j1], A.basis_elem(t)), A.chain[j2])
         left.add(flatten(M.act(elem)))
-    P1, P2 = M.idem_mat(j1), M.idem_mat(j2)
-    corner = SpanBasis(d * d)
-    for r in range(d):
-        for c in range(d):
-            unit = [[ZERO] * d for _ in range(d)]
-            unit[r][c] = ONE
-            corner.add(flatten(mmul(mmul(P1, freeze(unit)), P2)))
+    corner = _corner_span(M, j1, j2)
     image = M.image_span()
     inter_rows = linalg.subspace_intersection(
         [list(r) for r in image.rows], [list(r) for r in corner.rows], d * d)
@@ -523,8 +576,9 @@ def generated_tuple_module(M, w, n):
     while frontier:
         new = []
         for v in frontier:
-            for t in range(M.algebra.dim):
-                moved = _tuple_act(M.mats[t], v, n, d)
+            vnz = _stacked(v, d)
+            for cols in M.columns():
+                moved = _tuple_act(cols, vnz, n * d)
                 if W.add(moved):
                     new.append(moved)
         frontier = new
@@ -545,9 +599,10 @@ def submodule_grid_check(M, phi, n, extra=()):
         w[s] = ONE
         grid.append(w)
     grid.extend(list(w) for w in extra)
+    phi_cols = _columns(phi)
     for w in grid:
         W = generated_tuple_module(M, w, n)
-        preserved = all(W.contains(_tuple_act(phi, list(row), n, d))
+        preserved = all(W.contains(_tuple_act(phi_cols, _stacked(row, d), n * d))
                         for row in W.frozen_rows())
         if not preserved:
             return tuple(w)

@@ -1,9 +1,14 @@
 """Exact linear algebra over Q(i).
 
 Matrices are tuples of tuples of Scalar (immutable once built); row vectors
-inside the elimination routines are plain lists.  Everything here is plain
-Gauss-Jordan with the pivot normalized to 1; no pivoting heuristics are
-needed since arithmetic is exact, and scanning order keeps results
+inside the elimination routines are plain lists.  Storage stays dense, but
+the matrices met in practice (matrix units, nilpotent actions) are mostly
+zeros, so the inner loops run over nonzero entries only: `mat_vec` and
+`mmul` collect the nonzero support of a vector or row once, `rref`
+eliminates along the support of the pivot row, and `SpanBasis` keeps the
+nonzero support of each echelon row next to the row.  Everything here is
+plain Gauss-Jordan with the pivot normalized to 1; no pivoting heuristics
+are needed since arithmetic is exact, and scanning order keeps results
 deterministic.
 """
 
@@ -27,53 +32,38 @@ def madd(a, b):
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def msub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mneg(a):
-    return tuple(tuple(-x for x in r) for r in a)
-
-
 def mscale(a, c):
     return tuple(tuple(x * c for x in r) for r in a)
 
 
+def _nonzeros(v):
+    """The (index, entry) pairs of the nonzero entries of v."""
+    return [(j, x) for j, x in enumerate(v) if x]
+
+
 def mmul(a, b):
-    """Matrix product with zero-row skipping; the action matrices are
-    nilpotent and mostly zeros, so this matters."""
+    """Matrix product over the nonzero entries of both factors; the action
+    matrices are nilpotent and mostly zeros, so this matters."""
     n = len(a)
-    inner = len(b)
-    if inner == 0:
+    if not b:
         return mzeros(n, 0)
     m = len(b[0])
+    bsupp = [None] * len(b)  # nonzeros of each row of b, found on first use
     out = []
-    for i in range(n):
-        arow = a[i]
+    for arow in a:
         acc = [ZERO] * m
-        for k in range(inner):
-            c = arow[k]
-            if not c:
-                continue
-            brow = b[k]
-            for j in range(m):
-                v = brow[j]
-                if v:
+        for k, c in enumerate(arow):
+            if c:
+                if bsupp[k] is None:
+                    bsupp[k] = _nonzeros(b[k])
+                for j, v in bsupp[k]:
                     acc[j] = acc[j] + c * v
         out.append(tuple(acc))
     return tuple(out)
 
 
-def mtranspose(a):
-    return tuple(zip(*a)) if a else ()
-
-
 def mat_is_zero(a):
     return all(not x for r in a for x in r)
-
-
-def mat_eq(a, b):
-    return a == b
 
 
 def flatten(a):
@@ -86,36 +76,22 @@ def unflatten(v, rows, cols):
 
 
 def mat_vec(a, v):
+    nz = _nonzeros(v)
     out = []
     for row in a:
         acc = ZERO
-        for x, y in zip(row, v):
-            if x and y:
+        for j, y in nz:
+            x = row[j]
+            if x:
                 acc = acc + x * y
         out.append(acc)
     return tuple(out)
 
 
-def vec_add(u, v):
-    return tuple(x + y for x, y in zip(u, v))
-
-
-def vec_sub(u, v):
-    return tuple(x - y for x, y in zip(u, v))
-
-
-def vec_scale(u, c):
-    return tuple(x * c for x in u)
-
-
-def vec_is_zero(u):
-    return not any(u)
-
-
 def rref(rows):
     """Reduced row echelon form.  Returns (rows, pivot_columns); zero rows
-    are dropped."""
-    work = [list(r) for r in rows]
+    are dropped (zero input rows before elimination starts)."""
+    work = [list(r) for r in rows if any(r)]
     nrows = len(work)
     ncols = len(work[0]) if work else 0
     pivots = []
@@ -129,12 +105,18 @@ def rref(rows):
         if pivot_row is None:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = work[r][col].inverse()
-        work[r] = [x * inv for x in work[r]]
+        prow = work[r]
+        # rows r.. vanish left of col, so the pivot row's support starts there
+        supp = [j for j in range(col, ncols) if prow[j]]
+        inv = prow[col].inverse()
+        for j in supp:
+            prow[j] = prow[j] * inv
         for i in range(nrows):
-            if i != r and work[i][col]:
-                c = work[i][col]
-                work[i] = [x - c * y for x, y in zip(work[i], work[r])]
+            row = work[i]
+            c = row[col]
+            if i != r and c:
+                for j in supp:
+                    row[j] = row[j] - c * prow[j]
         pivots.append(col)
         r += 1
         if r == nrows:
@@ -183,13 +165,17 @@ class SpanBasis:
 
     add() reports whether the span grew; coords() expresses a member in the
     current echelon rows.  Rows are kept fully reduced, so reduction below is
-    a single pass in pivot order.
+    a single pass in pivot order.  `supports[i]` lists the columns where
+    `rows[i]` is nonzero, ascending; reduction touches only those.  add()
+    replaces a row it changes by a new list, so a row once read is never
+    modified.
     """
 
     def __init__(self, ncols, rows=()):
         self.ncols = ncols
         self.rows = []
         self.pivots = []
+        self.supports = []
         for r in rows:
             self.add(r)
 
@@ -199,38 +185,42 @@ class SpanBasis:
 
     def _reduce(self, v, record=None):
         v = list(v)
-        for idx, (row, p) in enumerate(zip(self.rows, self.pivots)):
+        for idx, (row, p, supp) in enumerate(zip(self.rows, self.pivots,
+                                                 self.supports)):
             c = v[p]
             if c:
                 if record is not None:
                     record[idx] = c
-                for j in range(self.ncols):
-                    if row[j]:
-                        v[j] = v[j] - c * row[j]
+                for j in supp:
+                    v[j] = v[j] - c * row[j]
         return v
 
     def add(self, v):
         """Insert v; True iff the dimension grew."""
         v = self._reduce(v)
-        pivot = None
-        for j in range(self.ncols):
-            if v[j]:
-                pivot = j
-                break
-        if pivot is None:
+        supp = [j for j, x in enumerate(v) if x]
+        if not supp:
             return False
+        pivot = supp[0]
         inv = v[pivot].inverse()
-        v = [x * inv for x in v]
+        for j in supp:
+            v[j] = v[j] * inv
         # keep existing rows reduced against the new one
         for i, row in enumerate(self.rows):
             c = row[pivot]
             if c:
-                self.rows[i] = [x - c * y for x, y in zip(row, v)]
+                row = row[:]
+                for j in supp:
+                    row[j] = row[j] - c * v[j]
+                self.rows[i] = row
+                merged = sorted(set(self.supports[i]).union(supp))
+                self.supports[i] = [j for j in merged if row[j]]
         at = 0
         while at < len(self.pivots) and self.pivots[at] < pivot:
             at += 1
         self.rows.insert(at, v)
         self.pivots.insert(at, pivot)
+        self.supports.insert(at, supp)
         return True
 
     def contains(self, v):
@@ -254,13 +244,6 @@ class SpanBasis:
         return self.frozen_rows() == other.frozen_rows()
 
 
-def span_of(rows, ncols):
-    sb = SpanBasis(ncols)
-    for r in rows:
-        sb.add(r)
-    return sb
-
-
 def subspace_intersection(rows_a, rows_b, ncols):
     """Basis of (span of rows_a) intersect (span of rows_b)."""
     a = [r for r in rows_a if any(r)]
@@ -273,14 +256,12 @@ def subspace_intersection(rows_a, rows_b, ncols):
     cols = len(m)
     kernel_rows = [[m[t][j] for t in range(cols)] for j in range(ncols)]
     out = SpanBasis(ncols)
-    basis = []
     for vec in nullspace(kernel_rows, cols):
         comb = [ZERO] * ncols
         for t in range(len(a)):
             if vec[t]:
                 comb = [x + vec[t] * y for x, y in zip(comb, a[t])]
-        if any(comb) and out.add(comb):
-            basis.append(tuple(comb))
+        out.add(comb)
     return out.frozen_rows()
 
 

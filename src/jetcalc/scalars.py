@@ -14,8 +14,11 @@ from math import gcd
 
 
 def _mk(a, b, den):
-    # internal fast constructor, normalizes
-    if den < 0:
+    # internal fast constructor, normalizes; arithmetic and the parser build
+    # their Scalars here, so this is where a zero denominator is refused
+    if den <= 0:
+        if den == 0:
+            raise ZeroDivisionError("Scalar with zero denominator")
         a, b, den = -a, -b, -den
     g = gcd(gcd(a, b), den)
     if g > 1:
@@ -69,9 +72,9 @@ class Scalar:
         return self.a == other.a and self.b == other.b and self.den == other.den
 
     def __hash__(self):
-        if self.b == 0:
-            # align with hash of Fraction/int so mixed dict keys behave
-            return hash(Fraction(self.a, self.den))
+        if self.b == 0 and self.den == 1:
+            # equal to the int a, so hash like it
+            return hash(self.a)
         return hash((self.a, self.b, self.den))
 
     def key(self):

@@ -1,5 +1,6 @@
 """Command line driver: determinism, record shape, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -21,6 +22,24 @@ def test_verify_is_byte_identical_for_a_fixed_seed(tmp_path, capsys):
     capsys.readouterr()
     assert rc1 == rc2 == 0
     assert b1 == b2
+
+
+# SHA-256 of the `verify --seed N --json` report at the default tier.  The
+# report is pinned byte for byte: a change that moves a digest changes what
+# the verifier says and must state why.
+VERIFY_DIGESTS = {
+    0: "25b0464e7e7eee38b9e2c272fc75e18fba826fa3bcc2e0adefb5da9caed0f4c0",
+    1: "f3a948566e884d292e5540cfbdb4b56941de541ea3f2b7ac45f26ca323527400",
+    2: "6ddc687a8392f324b24752ed1c6db6d38344317c25ca2bc4ba07cb0186987af0",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(VERIFY_DIGESTS))
+def test_verify_report_matches_its_pinned_digest(tmp_path, capsys, seed):
+    rc, blob = run_verify(tmp_path, "v.jsonl", ["verify", "--seed", str(seed)])
+    capsys.readouterr()
+    assert rc == 0
+    assert hashlib.sha256(blob).hexdigest() == VERIFY_DIGESTS[seed]
 
 
 def test_different_seeds_give_different_instances(tmp_path, capsys):

@@ -2,8 +2,10 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
+from jetcalc.poly import parse_scalar
 from jetcalc.scalars import Scalar, ExpScalar, ZERO, ONE, sc
 
 
@@ -51,6 +53,28 @@ def test_normalization_and_hash():
     assert sc(Fraction(2, 4)) == sc(Fraction(1, 2))
     assert hash(sc(Fraction(2, 4))) == hash(sc(Fraction(1, 2)))
     assert Scalar(sc(3)) == sc(3)
+
+
+@given(scalars(), st.integers(min_value=1, max_value=5))
+def test_equal_scalars_hash_equal(a, k):
+    # the same value reached by a different route, unreduced on the way
+    b = (a * k + sc(0, k)) / k - sc(0, 1)
+    assert b == a and hash(b) == hash(a)
+
+
+@given(st.integers(min_value=-10**30, max_value=10**30))
+def test_integer_valued_scalars_hash_like_their_int(n):
+    assert sc(n) == n and hash(sc(n)) == hash(n)
+    assert hash(sc(Fraction(3 * n, 3))) == hash(n)
+
+
+@pytest.mark.parametrize("make", [lambda: Scalar(1) / 0,
+                                  lambda: sc(2, 3) / 0,
+                                  lambda: parse_scalar("1/0"),
+                                  lambda: parse_scalar("(1+i)/0")])
+def test_zero_denominators_are_refused(make):
+    with pytest.raises(ZeroDivisionError):
+        make()
 
 
 @given(scalars())
