@@ -22,7 +22,8 @@ import json
 from .scalars import ZERO, ONE
 from .poly import parse_scalar
 from . import linalg
-from .linalg import SpanBasis, mmul, mid, freeze, flatten, unflatten
+from .linalg import (SpanBasis, mmul, mid, freeze, flatten, unflatten,
+                     close_span)
 
 
 class ApproxAlgebra:
@@ -456,9 +457,9 @@ def _end_sharp(M, tuples):
         wnz = _stacked(wrow, d)
         residues = [W._reduce(_tuple_act(cols, wnz, n * d)) for cols in corner_cols]
         for t in compl:
-            rows.append([residues[s][t] for s in range(len(corner_mats))])
-    if not rows:
-        rows = [[ZERO] * len(corner_mats)]
+            row = [res[t] for res in residues]
+            if any(row):
+                rows.append(row)
     sharp = SpanBasis(d * d)
     for v in linalg.nullspace(rows, len(corner_mats)):
         flat = [ZERO] * (d * d)
@@ -532,10 +533,7 @@ def double_commutant_check(M):
 def _separating_functional(image, sharp, d):
     """A dual vector vanishing on the image but pairing nontrivially with
     some element of the sharp space."""
-    rows = [list(r) for r in image.rows]
-    if not rows:
-        rows = [[ZERO] * (d * d)]
-    for func in linalg.nullspace(rows, d * d):
+    for func in linalg.nullspace(image.rows, d * d):
         for srow in sharp.frozen_rows():
             val = sum((a * b for a, b in zip(func, srow)), ZERO)
             if val:
@@ -570,19 +568,12 @@ def corner_identity_check(M, j1, j2):
 def generated_tuple_module(M, w, n):
     """Smallest action-invariant subspace of V^n containing w."""
     d = M.dim
-    W = SpanBasis(n * d)
-    W.add(list(w))
-    frontier = [list(w)]
-    while frontier:
-        new = []
-        for v in frontier:
-            vnz = _stacked(v, d)
-            for cols in M.columns():
-                moved = _tuple_act(cols, vnz, n * d)
-                if W.add(moved):
-                    new.append(moved)
-        frontier = new
-    return W
+
+    def step(v):
+        vnz = _stacked(v, d)
+        return [_tuple_act(cols, vnz, n * d) for cols in M.columns()]
+
+    return close_span(SpanBasis(n * d), [list(w)], step)
 
 
 def submodule_grid_check(M, phi, n, extra=()):

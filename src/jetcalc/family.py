@@ -16,64 +16,45 @@ import json
 from .scalars import ZERO, ONE
 from .poly import ExpPoly, Vector, diff, parse_exppoly
 from . import linalg
-from .linalg import SpanBasis, mmul, mid, freeze, flatten, unflatten
+from .linalg import (SpanBasis, mmul, mid, freeze, flatten, unflatten,
+                     block_diag, close_span)
 from .jetfun import (MatPolyFamily, jet_family, iterated_block_derivative,
                      functional_to_diffop, diffop_to_module, frobenius)
 from .approxalg import ApproxAlgebra, end_sharp_membership
 
 
+def _cofactor(F, rows, cols):
+    """Determinant of the minor of F on the given row and column index
+    tuples, by expansion along its first row; 1 for the empty minor."""
+    if not rows:
+        return ExpPoly.const(F.nvars, ONE)
+    ent = F.entries
+    if len(rows) == 1:
+        return ent[rows[0]][cols[0]]
+    acc = ExpPoly.zero(F.nvars)
+    r0, rest = rows[0], rows[1:]
+    for t, c in enumerate(cols):
+        term = ent[r0][c] * _cofactor(F, rest, cols[:t] + cols[t + 1:])
+        acc = acc + (term if t % 2 == 0 else -term)
+    return acc
+
+
 def family_det(F):
     """Determinant of a square family by cofactor expansion."""
-    n = F.rows
-    if n != F.cols:
+    if F.rows != F.cols:
         raise ValueError("determinant of a non-square family")
-    ent = F.entries
-    if n == 0:
-        return ExpPoly.const(F.nvars, ONE)
-    if n == 1:
-        return ent[0][0]
-
-    def det(rows, cols):
-        if len(rows) == 1:
-            return ent[rows[0]][cols[0]]
-        acc = ExpPoly.zero(F.nvars)
-        r0 = rows[0]
-        rest = rows[1:]
-        for t, c in enumerate(cols):
-            minor = det(rest, cols[:t] + cols[t + 1:])
-            term = ent[r0][c] * minor
-            acc = acc + (term if t % 2 == 0 else -term)
-        return acc
-
-    return det(tuple(range(n)), tuple(range(n)))
+    idx = tuple(range(F.rows))
+    return _cofactor(F, idx, idx)
 
 
 def family_adjugate(F):
     """Adjugate of a square family: inverse times determinant."""
-    n = F.rows
-    ent = F.entries
-
-    def det(rows, cols):
-        if not rows:
-            return ExpPoly.const(F.nvars, ONE)
-        if len(rows) == 1:
-            return ent[rows[0]][cols[0]]
-        acc = ExpPoly.zero(F.nvars)
-        r0 = rows[0]
-        rest = rows[1:]
-        for t, c in enumerate(cols):
-            term = ent[r0][c] * det(rest, cols[:t] + cols[t + 1:])
-            acc = acc + (term if t % 2 == 0 else -term)
-        return acc
-
+    idx = tuple(range(F.rows))
     out = []
-    idx = tuple(range(n))
-    for r in range(n):
+    for r in idx:
         row = []
-        for c in range(n):
-            rows = idx[:c] + idx[c + 1:]
-            cols = idx[:r] + idx[r + 1:]
-            minor = det(rows, cols)
+        for c in idx:
+            minor = _cofactor(F, idx[:c] + idx[c + 1:], idx[:r] + idx[r + 1:])
             row.append(minor if (r + c) % 2 == 0 else -minor)
         out.append(row)
     return MatPolyFamily(F.nvars, out)
@@ -138,6 +119,8 @@ class RepFamily:
 
 def family_to_json(reps):
     reps = list(reps)
+    if not reps:
+        raise ValueError("a family needs at least one rep")
     nvars = reps[0].nvars
     out = {"nvars": nvars, "reps": []}
     for rep in reps:
@@ -151,9 +134,14 @@ def family_to_json(reps):
 def family_from_json(text):
     data = json.loads(text)
     nvars = data["nvars"]
+    if not data["reps"]:
+        raise ValueError("a family needs at least one rep")
     reps = []
     for rd in data["reps"]:
         dim = rd["dim"]
+        if not isinstance(dim, int) or dim < 1:
+            raise ValueError("rep %r has dimension %r; it must be a positive integer"
+                             % (rd["label"], dim))
         gens = []
         for flat in rd["generators"]:
             if len(flat) != dim * dim:
@@ -234,21 +222,6 @@ class BlockLayout:
         self.blocks = blocks
         self.total = off
 
-    def place(self, big, block_index, small):
-        _, _, off, size = self.blocks[block_index]
-        for r in range(size):
-            row = big[off + r]
-            srow = small[r]
-            for c in range(size):
-                row[off + c] = srow[c]
-
-
-def _block_diag(layout, per_block):
-    big = [[ZERO] * layout.total for _ in range(layout.total)]
-    for b, mat in enumerate(per_block):
-        layout.place(big, b, mat)
-    return freeze(big)
-
 
 class PiAssembly:
     """Word evaluator for the block-diagonal assembly: per block, the jet of
@@ -275,9 +248,8 @@ class PiAssembly:
 
     def letter_matrix(self, k):
         """Block-diagonal matrix of a single signed generator index."""
-        return _block_diag(self.layout,
-                           [self._letter_block(rep, p, k)
-                            for rep, p, _, _ in self.layout.blocks])
+        return block_diag([self._letter_block(rep, p, k)
+                           for rep, p, _, _ in self.layout.blocks])
 
     def value(self, word):
         """Block-diagonal matrix of a word; the empty word gives the
@@ -295,11 +267,8 @@ def assemble_pi(reps, points, E):
 def assemble_phi(cand, reps, points, E):
     """Exact block-diagonal matrix of a candidate over the same layout."""
     layout = BlockLayout(reps, points, E)
-    mats = []
-    for rep, p, _, _ in layout.blocks:
-        fam = jet_family(cand.component(rep), E)
-        mats.append(fam.evaluate_scalar(tuple(p.coords)))
-    return _block_diag(layout, mats)
+    return block_diag([jet_family(cand.component(rep), E).evaluate_scalar(tuple(p.coords))
+                       for rep, p, _, _ in layout.blocks])
 
 
 def spanned_algebra(reps, points, E):
@@ -314,17 +283,9 @@ def spanned_algebra(reps, points, E):
             raise ValueError("reps must share the generator alphabet")
     letter_mats = [asm.letter_matrix(k) for k in range(1, ngens + 1)]
     letter_mats += [asm.letter_matrix(-k) for k in range(1, ngens + 1)]
-    span = SpanBasis(total * total)
-    span.add(flatten(mid(total)))
-    frontier = [mid(total)]
-    while frontier:
-        new = []
-        for m in frontier:
-            for g in letter_mats:
-                prod = mmul(m, g)
-                if span.add(flatten(prod)):
-                    new.append(prod)
-        frontier = new
+    span = close_span(SpanBasis(total * total), [flatten(mid(total))],
+                      lambda v: [flatten(mmul(unflatten(v, total, total), g))
+                                 for g in letter_mats])
     mats = [unflatten(row, total, total) for row in span.frozen_rows()]
     return mats, span, asm
 
@@ -591,25 +552,11 @@ def invariance_check(cand, delta, reps, extra_vectors=()):
         phis.append(pf.evaluate_scalar(tuple(point.coords)))
         sizes.append(rep.dim * (2 ** len(etas)))
     total = sum(sizes)
-    offs = []
-    off = 0
-    for s in sizes:
-        offs.append(off)
-        off += s
-
-    def big(mats_per_block):
-        m = [[ZERO] * total for _ in range(total)]
-        for b, mat in enumerate(mats_per_block):
-            for r in range(sizes[b]):
-                for c in range(sizes[b]):
-                    if mat[r][c]:
-                        m[offs[b] + r][offs[b] + c] = mat[r][c]
-        return freeze(m)
-
+    offs = [sum(sizes[:b]) for b in range(len(sizes))]
     ngens = len(reps[0].generators)
-    gen_mats = [big([blocks[b][0][k] for b in range(len(blocks))]) for k in range(ngens)]
-    gen_mats += [big([blocks[b][1][k] for b in range(len(blocks))]) for k in range(ngens)]
-    phi = big(phis)
+    gen_mats = [block_diag([gm[k] for gm, _ in blocks]) for k in range(ngens)]
+    gen_mats += [block_diag([im[k] for _, im in blocks]) for k in range(ngens)]
+    phi = block_diag(phis)
 
     grid = []
     for s in range(total):
@@ -636,18 +583,11 @@ def invariance_check(cand, delta, reps, extra_vectors=()):
         grid.append([sum(xs, ZERO) for xs in zip(*run_vecs)])
     grid.extend(list(v) for v in extra_vectors)
 
+    def step(w):
+        return [linalg.mat_vec(g, w) for g in gen_mats]
+
     for v in grid:
-        W = SpanBasis(total)
-        W.add(v)
-        frontier = [list(v)]
-        while frontier:
-            new = []
-            for w in frontier:
-                for g in gen_mats:
-                    moved = linalg.mat_vec(g, w)
-                    if W.add(moved):
-                        new.append(moved)
-            frontier = new
+        W = close_span(SpanBasis(total), [v], step)
         for row in W.frozen_rows():
             if not W.contains(linalg.mat_vec(phi, list(row))):
                 return False

@@ -8,9 +8,8 @@ point is coverage of shapes, not bulk.
 from fractions import Fraction
 
 from .scalars import Scalar, ZERO, ONE
-from .poly import (Polynomial, ExpPoly, Vector, Covector, DiffOp,
-                   monomials_upto, zero_exps)
-from .linalg import mmul, mid, freeze
+from .poly import Polynomial, ExpPoly, Vector, Covector, DiffOp
+from .linalg import mmul, freeze
 from .localmod import (CofiniteIdeal, power_ideal, dual_number_ideal,
                        cyclic_quotient, dual_number_module, direct_sum,
                        tensor, FinMod)

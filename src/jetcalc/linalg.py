@@ -10,6 +10,11 @@ nonzero support of each echelon row next to the row.  Everything here is
 plain Gauss-Jordan with the pivot normalized to 1; no pivoting heuristics
 are needed since arithmetic is exact, and scanning order keeps results
 deterministic.
+
+Two routines carry ideas the other modules share: `close_span` closes a
+subspace under a set of generators (submodules, tuple modules, word
+algebras and invariance grids all use it), and `block_diag` builds every
+block-diagonal matrix (direct sums and the block assemblies).
 """
 
 from .scalars import ZERO, ONE
@@ -62,6 +67,22 @@ def mmul(a, b):
     return tuple(out)
 
 
+def block_diag(mats):
+    """Block-diagonal matrix with the square matrices `mats` down the
+    diagonal, in order."""
+    total = sum(len(m) for m in mats)
+    out = [[ZERO] * total for _ in range(total)]
+    off = 0
+    for m in mats:
+        for r, row in enumerate(m):
+            big = out[off + r]
+            for c, x in enumerate(row):
+                if x:
+                    big[off + c] = x
+        off += len(m)
+    return freeze(out)
+
+
 def mat_is_zero(a):
     return all(not x for r in a for x in r)
 
@@ -71,8 +92,7 @@ def flatten(a):
 
 
 def unflatten(v, rows, cols):
-    it = iter(v)
-    return tuple(tuple(next(it) for _ in range(cols)) for _ in range(rows))
+    return tuple(tuple(v[r * cols:(r + 1) * cols]) for r in range(rows))
 
 
 def mat_vec(a, v):
@@ -242,6 +262,16 @@ class SpanBasis:
         if self.dim != other.dim or self.pivots != other.pivots:
             return False
         return self.frozen_rows() == other.frozen_rows()
+
+
+def close_span(span, seeds, step):
+    """Close the SpanBasis `span` under `step`: add each seed, then add every
+    vector of step(v) for each v that grew the span, breadth first, until
+    nothing new appears.  Returns `span`."""
+    frontier = [v for v in seeds if span.add(v)]
+    while frontier:
+        frontier = [w for v in frontier for w in step(v) if span.add(w)]
+    return span
 
 
 def subspace_intersection(rows_a, rows_b, ncols):

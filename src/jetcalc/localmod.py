@@ -18,7 +18,8 @@ from .scalars import Scalar, ZERO, ONE
 from .poly import (Polynomial, DiffOp, Covector, monomials_upto,
                    monomials_of_degree, beta_factorial, zero_exps, parse_scalar)
 from . import linalg
-from .linalg import SpanBasis, mmul, madd, mscale, mid, mzeros, freeze
+from .linalg import (SpanBasis, mmul, madd, mscale, mid, mzeros, freeze,
+                     block_diag, close_span)
 
 
 class PolySpace:
@@ -299,12 +300,6 @@ class ModuleMap:
     def __call__(self, v):
         return linalg.mat_vec(self.matrix, v)
 
-    def compose(self, other):
-        """self after other."""
-        if other.target is not self.source and other.target != self.source:
-            raise ValueError("composition mismatch")
-        return ModuleMap(other.source, self.target, mmul(self.matrix, other.matrix), check=False)
-
     def is_invertible(self):
         return self.source.dim == self.target.dim and linalg.rank(list(map(list, self.matrix))) == self.source.dim
 
@@ -377,8 +372,6 @@ def annihilator_dual(ideal):
     for row in ideal.span.rows:
         p = ideal.space.from_vec(row)
         rows.append([p.terms.get(g, ZERO) * facts[t] for t, g in enumerate(gammas)])
-    if not rows:
-        rows = [[ZERO] * len(gammas)]
     basis = []
     for v in linalg.nullspace(rows, len(gammas)):
         basis.append(DiffOp(nvars, {g: c for g, c in zip(gammas, v) if c}))
@@ -391,20 +384,8 @@ def direct_sum(*mods):
     nvars = mods[0].nvars
     if any(m.nvars != nvars for m in mods):
         raise ValueError("arity mismatch in direct sum")
-    dim = sum(m.dim for m in mods)
     k = max(m.k for m in mods)
-    mats = []
-    for j in range(nvars):
-        big = [[ZERO] * dim for _ in range(dim)]
-        off = 0
-        for m in mods:
-            for a in range(m.dim):
-                row = m.mats[j][a]
-                for b in range(m.dim):
-                    if row[b]:
-                        big[off + a][off + b] = row[b]
-            off += m.dim
-        mats.append(freeze(big))
+    mats = [block_diag([m.mats[j] for m in mods]) for j in range(nvars)]
     return FinMod(nvars, k, mats, check=False)
 
 
@@ -455,21 +436,10 @@ class Submodule:
 
 def submodule_generated(E, vectors):
     """Smallest action-invariant subspace containing the vectors, with the
-    inclusion map.  Closure: keep applying the action generators to new
-    basis rows until the dimension stops growing."""
-    sb = SpanBasis(E.dim)
-    frontier = []
-    for v in vectors:
-        if sb.add(v):
-            frontier.append(list(v))
-    while frontier:
-        new = []
-        for v in frontier:
-            for j in range(E.nvars):
-                w = linalg.mat_vec(E.mats[j], v)
-                if sb.add(w):
-                    new.append(list(w))
-        frontier = new
+    inclusion map: the span of the vectors closed under the action
+    generators."""
+    sb = close_span(SpanBasis(E.dim), vectors,
+                    lambda v: [linalg.mat_vec(m, v) for m in E.mats])
     basis = sb.frozen_rows()
     d = len(basis)
     mats = []
@@ -535,8 +505,6 @@ def annihilator(E):
     cols = E.dim * E.dim
     # solve sum_g c_g * mat(g) = 0: kernel of the transposed coefficient matrix
     mat = [[rows[t][j] for t in range(len(gammas))] for j in range(cols)]
-    if not mat:
-        mat = [[ZERO] * len(gammas)]
     gens = []
     for v in linalg.nullspace(mat, len(gammas)):
         gens.append(Polynomial(nvars, {g: c for g, c in zip(gammas, v) if c}))

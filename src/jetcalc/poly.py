@@ -28,10 +28,6 @@ def zero_exps(nvars):
     return (0,) * nvars
 
 
-def monomial_degree(exps):
-    return sum(exps)
-
-
 def grlex_key(exps):
     # ascending graded lex: compare by total degree, then exponent tuple
     return (sum(exps), exps)
@@ -53,6 +49,36 @@ def monomials_upto(nvars, k):
 
 def monomials_of_degree(nvars, d):
     return [e for e in monomials_upto(nvars, d) if sum(e) == d]
+
+
+def _terms_add(t1, t2):
+    """Sum of two {key: coefficient} dicts; cancelled keys are dropped."""
+    t = dict(t1)
+    for e, c in t2.items():
+        s = t.get(e)
+        s = c if s is None else s + c
+        if s:
+            t[e] = s
+        else:
+            t.pop(e, None)
+    return t
+
+
+def _terms_mul(t1, t2):
+    """Product of two {exponents: coefficient} dicts: exponents add and
+    coefficients multiply; cancelled monomials are dropped."""
+    t = {}
+    for e1, c1 in t1.items():
+        for e2, c2 in t2.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            c = c1 * c2
+            s = t.get(e)
+            s = c if s is None else s + c
+            if s:
+                t[e] = s
+            else:
+                t.pop(e, None)
+    return t
 
 
 class Polynomial:
@@ -128,17 +154,9 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._same_arity(other)
-        t = dict(self.terms)
-        for e, c in other.terms.items():
-            s = t.get(e)
-            s = c if s is None else s + c
-            if s:
-                t[e] = s
-            else:
-                t.pop(e, None)
         out = object.__new__(Polynomial)
         out.nvars = self.nvars
-        out.terms = t
+        out.terms = _terms_add(self.terms, other.terms)
         return out
 
     __radd__ = __add__
@@ -172,20 +190,9 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._same_arity(other)
-        t = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                s = t.get(e)
-                s = c if s is None else s + c
-                if s:
-                    t[e] = s
-                else:
-                    t.pop(e, None)
         out = object.__new__(Polynomial)
         out.nvars = self.nvars
-        out.terms = t
+        out.terms = _terms_mul(self.terms, other.terms)
         return out
 
     __rmul__ = __mul__
@@ -205,9 +212,6 @@ class Polynomial:
     def truncate(self, k):
         """Drop all terms of total degree > k."""
         return Polynomial(self.nvars, {e: c for e, c in self.terms.items() if sum(e) <= k})
-
-    def homogeneous_part(self, d):
-        return Polynomial(self.nvars, {e: c for e, c in self.terms.items() if sum(e) == d})
 
     def evaluate(self, point):
         """Exact value at a point given as Vector or sequence of Scalars."""
@@ -297,8 +301,9 @@ def _rat(num, den):
     return str(num) if den == 1 else "%d/%d" % (num, den)
 
 
-class Vector:
-    """Point or direction in Q(i)^N."""
+class _Coords:
+    """A tuple of Scalars in Q(i)^N: the common body of Vector and Covector.
+    Equality is type-strict, so a Vector never equals a Covector."""
 
     __slots__ = ("coords",)
 
@@ -308,6 +313,52 @@ class Vector:
     @property
     def nvars(self):
         return len(self.coords)
+
+    def is_zero(self):
+        return not any(self.coords)
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.coords == other.coords
+
+    def __hash__(self):
+        return hash(self.coords)
+
+    def __add__(self, other):
+        return type(self)(tuple(a + b for a, b in zip(self.coords, other.coords)))
+
+    def __neg__(self):
+        return type(self)(tuple(-a for a in self.coords))
+
+    def scaled(self, c):
+        return type(self)(tuple(a * c for a in self.coords))
+
+    def __str__(self):
+        return ",".join(str(c) for c in self.coords)
+
+    __repr__ = __str__
+
+    @classmethod
+    def basis(cls, nvars, j):
+        return cls(tuple(ONE if t == j else ZERO for t in range(nvars)))
+
+    @classmethod
+    def zero(cls, nvars):
+        return cls((ZERO,) * nvars)
+
+    def as_diffop(self):
+        """The first-order operator with these coefficients: the directional
+        derivative along a Vector, or along a Covector's coordinates."""
+        nv = len(self.coords)
+        return DiffOp(nv, {tuple(1 if t == j else 0 for t in range(nv)): c
+                           for j, c in enumerate(self.coords) if c})
+
+
+class Vector(_Coords):
+    """Point or direction in Q(i)^N."""
+
+    __slots__ = ()
 
     def __len__(self):
         return len(self.coords)
@@ -318,64 +369,14 @@ class Vector:
     def __iter__(self):
         return iter(self.coords)
 
-    def is_zero(self):
-        return not any(self.coords)
-
-    def __eq__(self, other):
-        if not isinstance(other, Vector):
-            return NotImplemented
-        return self.coords == other.coords
-
-    def __hash__(self):
-        return hash(self.coords)
-
-    def __add__(self, other):
-        return Vector(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self):
-        return Vector(tuple(-a for a in self.coords))
-
     def __sub__(self, other):
         return self + (-other)
 
-    def scaled(self, c):
-        return Vector(tuple(a * c for a in self.coords))
 
-    def __str__(self):
-        return ",".join(str(c) for c in self.coords)
-
-    __repr__ = __str__
-
-    @classmethod
-    def basis(cls, nvars, j):
-        return cls(tuple(ONE if t == j else ZERO for t in range(nvars)))
-
-    @classmethod
-    def zero(cls, nvars):
-        return cls((ZERO,) * nvars)
-
-    def as_diffop(self):
-        """The vector as a first-order operator (directional derivative)."""
-        t = {}
-        for j, c in enumerate(self.coords):
-            if c:
-                e = [0] * len(self.coords)
-                e[j] = 1
-                t[tuple(e)] = c
-        return DiffOp(len(self.coords), t)
-
-
-class Covector:
+class Covector(_Coords):
     """Linear form on Q(i)^N."""
 
-    __slots__ = ("coords",)
-
-    def __init__(self, coords):
-        self.coords = tuple(c if isinstance(c, Scalar) else Scalar(c) for c in coords)
-
-    @property
-    def nvars(self):
-        return len(self.coords)
+    __slots__ = ()
 
     def __call__(self, v):
         """Pairing with a Vector, exact and bilinear."""
@@ -386,50 +387,11 @@ class Covector:
             total = total + a * b
         return total
 
-    def is_zero(self):
-        return not any(self.coords)
-
-    def __eq__(self, other):
-        if not isinstance(other, Covector):
-            return NotImplemented
-        return self.coords == other.coords
-
-    def __hash__(self):
-        return hash(self.coords)
-
-    def __add__(self, other):
-        return Covector(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self):
-        return Covector(tuple(-a for a in self.coords))
-
-    def scaled(self, c):
-        return Covector(tuple(a * c for a in self.coords))
-
     def as_polynomial(self):
         nv = len(self.coords)
         return Polynomial(nv, {e: c for e, c in
                                ((tuple(1 if t == j else 0 for t in range(nv)), self.coords[j])
                                 for j in range(nv)) if c})
-
-    def as_diffop(self):
-        """Directional derivative along this form."""
-        nv = len(self.coords)
-        return DiffOp(nv, {tuple(1 if t == j else 0 for t in range(nv)): c
-                           for j, c in enumerate(self.coords) if c})
-
-    def __str__(self):
-        return ",".join(str(c) for c in self.coords)
-
-    __repr__ = __str__
-
-    @classmethod
-    def basis(cls, nvars, j):
-        return cls(tuple(ONE if t == j else ZERO for t in range(nvars)))
-
-    @classmethod
-    def zero(cls, nvars):
-        return cls((ZERO,) * nvars)
 
 
 class DiffOp:
@@ -487,15 +449,7 @@ class DiffOp:
             return NotImplemented
         if self.nvars != other.nvars:
             raise ValueError("arity mismatch")
-        t = dict(self.terms)
-        for e, c in other.terms.items():
-            s = t.get(e)
-            s = c if s is None else s + c
-            if s:
-                t[e] = s
-            else:
-                t.pop(e, None)
-        return DiffOp(self.nvars, t)
+        return DiffOp(self.nvars, _terms_add(self.terms, other.terms))
 
     def __neg__(self):
         return DiffOp(self.nvars, {e: -c for e, c in self.terms.items()})
@@ -512,32 +466,9 @@ class DiffOp:
             return NotImplemented
         if self.nvars != other.nvars:
             raise ValueError("arity mismatch")
-        t = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                s = t.get(e)
-                s = c if s is None else s + c
-                if s:
-                    t[e] = s
-                else:
-                    t.pop(e, None)
-        return DiffOp(self.nvars, t)
+        return DiffOp(self.nvars, _terms_mul(self.terms, other.terms))
 
     __rmul__ = __mul__
-
-    def apply_to_covector(self, xi):
-        """u(xi): substitute the covector's coordinates for the X-variables.
-        For u = X^beta this is xi^beta."""
-        total = ZERO
-        for e, c in self.terms.items():
-            v = c
-            for x, p in zip(xi.coords, e):
-                for _ in range(p):
-                    v = v * x
-            total = total + v
-        return total
 
     def __str__(self):
         if not self.terms:
@@ -645,17 +576,9 @@ class ExpPoly:
             return NotImplemented
         if self.nvars != other.nvars:
             raise ValueError("arity mismatch")
-        t = dict(self.summands)
-        for key, p in other.summands.items():
-            s = t.get(key)
-            s = p if s is None else s + p
-            if s:
-                t[key] = s
-            else:
-                t.pop(key, None)
         out = object.__new__(ExpPoly)
         out.nvars = self.nvars
-        out.summands = t
+        out.summands = _terms_add(self.summands, other.summands)
         return out
 
     __radd__ = __add__
@@ -844,31 +767,6 @@ def coproduct(p, n):
             if pw:
                 term = term * sums[j] ** pw
         total = total + term
-    return total
-
-
-def tensor_factors(exps, n, N):
-    """Split an n*N exponent tuple into the n slot tuples."""
-    return tuple(exps[b * N:(b + 1) * N] for b in range(n))
-
-
-def taylor_coproduct(p):
-    """alpha_2^* computed the Taylor way: sum_beta d^beta p/beta! (x) xi^beta.
-    Returns the same 2N-variable polynomial as coproduct(p, 2); kept as an
-    independent route for cross-checking."""
-    N = p.nvars
-    big = 2 * N
-    total = Polynomial.zero(big)
-    d = p.degree()
-    for beta in monomials_upto(N, max(d, 0)):
-        q = p.deriv_multi(beta)
-        if not q:
-            continue
-        q = q * _inv_int(beta_factorial(beta))
-        term = {}
-        for e, c in q.terms.items():
-            term[tuple(e) + tuple(beta)] = c
-        total = total + Polynomial(big, term)
     return total
 
 

@@ -42,6 +42,15 @@ def test_verify_report_matches_its_pinned_digest(tmp_path, capsys, seed):
     assert hashlib.sha256(blob).hexdigest() == VERIFY_DIGESTS[seed]
 
 
+def test_verify_report_at_the_second_tier_matches_its_pinned_digest(tmp_path, capsys):
+    rc, blob = run_verify(tmp_path, "v.jsonl",
+                          ["verify", "--seed", "0", "--kmax", "3", "--dimmax", "8"])
+    capsys.readouterr()
+    assert rc == 0
+    assert hashlib.sha256(blob).hexdigest() == \
+        "79e66e98082092144a1ec1af32382c80354545c8a57418dd214cd1d9e995e5de"
+
+
 def test_different_seeds_give_different_instances(tmp_path, capsys):
     _, b1 = run_verify(tmp_path, "a.jsonl", ["jet", "--seed", "1"])
     _, b2 = run_verify(tmp_path, "b.jsonl", ["jet", "--seed", "2"])

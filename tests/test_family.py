@@ -58,6 +58,19 @@ def test_family_json_round_trip():
     assert all(a == b for a, b in zip(back[0].generators, rep.generators))
 
 
+def test_family_json_rejects_an_empty_family():
+    with pytest.raises(ValueError, match="at least one rep"):
+        family_from_json('{"nvars":1,"reps":[]}')
+    with pytest.raises(ValueError, match="at least one rep"):
+        family_to_json([])
+
+
+def test_family_json_rejects_a_zero_dimensional_rep():
+    text = '{"nvars":1,"reps":[{"label":"z","dim":0,"generators":[[]]}]}'
+    with pytest.raises(ValueError, match="positive integer"):
+        family_from_json(text)
+
+
 def test_assembled_words_multiply_and_cancel():
     rep = RepFamily("r", [UP, LOW])
     asm = assemble_pi([rep], [PT], E2)

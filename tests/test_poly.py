@@ -163,3 +163,23 @@ def test_monomial_enumeration_orders():
     assert ms[0] == (0, 0)
     assert set(monomials_of_degree(2, 2)) == {(2, 0), (1, 1), (0, 2)}
     assert len(monomials_upto(2, 2)) == 6
+
+
+@given(polys(), polys())
+def test_operators_add_and_multiply_like_polynomials(p, q):
+    u, v = DiffOp(2, p.terms), DiffOp(2, q.terms)
+    assert (u + v).terms == (p + q).terms
+    assert (u * v).terms == (p * q).terms
+
+
+def test_vectors_and_covectors_share_arithmetic_but_never_compare_equal():
+    coords = (sc(1), sc(-2))
+    v, xi = Vector(coords), Covector(coords)
+    assert v != xi and xi != v
+    assert hash(v) == hash(xi) == hash(coords)
+    assert isinstance(v + v, Vector) and isinstance(-xi, Covector)
+    assert (xi + xi.scaled(sc(2))).coords == (sc(3), sc(-6))
+    assert v - v == Vector.zero(2) and (v - v).is_zero()
+    assert str(v) == str(xi) == "1,-2"
+    assert v.as_diffop() == xi.as_diffop()
+    assert Covector.basis(2, 1)(v) == sc(-2)
