@@ -13,6 +13,7 @@ from .scalars import Scalar, ExpScalar, sc
 from .poly import (Polynomial, ExpPoly, Covector, Vector, DiffOp,
                    diff, pairing, translate, coproduct,
                    parse_poly, parse_exppoly, parse_scalar)
+from .linalg import CrossCheckError
 from .localmod import (CofiniteIdeal, FinMod, ModuleMap, power_ideal,
                        maximal_ideal, dual_number_ideal, cyclic_quotient,
                        dual_number_module, annihilator_dual, direct_sum,
@@ -38,6 +39,7 @@ __all__ = [
     "Polynomial", "ExpPoly", "Covector", "Vector", "DiffOp",
     "diff", "pairing", "translate", "coproduct",
     "parse_poly", "parse_exppoly", "parse_scalar",
+    "CrossCheckError",
     "CofiniteIdeal", "FinMod", "ModuleMap", "power_ideal",
     "maximal_ideal", "dual_number_ideal", "cyclic_quotient",
     "dual_number_module", "annihilator_dual", "direct_sum", "tensor",

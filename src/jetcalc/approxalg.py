@@ -22,8 +22,8 @@ import json
 from .scalars import ZERO, ONE
 from .poly import parse_scalar
 from . import linalg
-from .linalg import (SpanBasis, mmul, mid, freeze, flatten, unflatten,
-                     close_span)
+from .linalg import (SpanBasis, CrossCheckError, mmul, mid, freeze, flatten,
+                     unflatten, close_span)
 
 
 class ApproxAlgebra:
@@ -328,7 +328,7 @@ def end_zero_basis(M):
     top_j = len(M.algebra.chain) - 1
     top = _corner_span(M, top_j, top_j)
     if not full.same_span(top):
-        raise AssertionError("corner span computations disagree")
+        raise CrossCheckError("corner span computations disagree")
     return [unflatten(row, d, d) for row in full.frozen_rows()], full
 
 
@@ -424,15 +424,25 @@ def _membership(M, phi, tuples):
                                submodule=W, escaped=(tuple(row), tuple(moved)))
     # recover a witness: solve phi.u = pi(a).u in the element coordinates,
     # then cut a down to the corner so the equality extends from V_j to V
-    rows = [[acts[t][s] for t in range(M.algebra.dim)] for s in range(n * d)]
-    sol = linalg.solve(rows, _tuple_act(phi_cols, _stacked(u, d), n * d))
+    sol = linalg.solve(*_witness_system(
+        acts, _tuple_act(phi_cols, _stacked(u, d), n * d)))
     if sol is None:
-        raise AssertionError("invariance held but no witness solves the system")
+        raise CrossCheckError("invariance held but no witness solves the system")
     alpha = M.algebra.chain[corner_j]
     a = M.algebra.mul(M.algebra.mul(alpha, tuple(sol)), alpha)
     if M.act(a) != phi:
-        raise AssertionError("witness verification failed")
+        raise CrossCheckError("witness verification failed")
     return SharpResult(True, witness=a, j=corner_j, tuple_vec=tuple(u))
+
+
+def _witness_system(acts, rhs):
+    """The witness system sum_t x_t acts[t] = rhs as (rows, rhs), one row
+    per coordinate, leaving out the coordinates where every acts[t] and rhs
+    vanish: those rows read 0 = 0.  A zero row with a nonzero rhs stays, so
+    an inconsistent system stays inconsistent.  Some row always stays,
+    because the corner idempotent acts as the identity on u."""
+    keep = [s for s, b in enumerate(rhs) if b or any(a[s] for a in acts)]
+    return [[a[s] for a in acts] for s in keep], [rhs[s] for s in keep]
 
 
 def end_sharp_space(M):

@@ -18,7 +18,7 @@ import time
 
 from .scalars import Scalar, ZERO, ONE
 from .poly import Polynomial, ExpPoly, Vector, translate
-from .linalg import mid
+from .linalg import CrossCheckError, mid
 from .localmod import cyclic_quotient, maximal_ideal, dual_number_module
 from .jetfun import (jet, jet_family, block_derivative, functional_to_diffop,
                      diffop_to_module, kernel_alpha_bar, subquotient_lambdas,
@@ -67,6 +67,16 @@ class Suite:
         p, t = self.tally.get(check_id, (0, 0))
         self.tally[check_id] = (p + (1 if ok else 0), t + 1)
 
+    def check(self, check_id, statement, instance, fn):
+        """Record the verdict of fn(), which returns (ok, witness).  When
+        two internal routes disagree inside fn, the check fails with the
+        disagreement as its witness and the run goes on."""
+        try:
+            ok, witness = fn()
+        except CrossCheckError as exc:
+            ok, witness = False, _disagreement(exc)
+        self.record(check_id, statement, instance, ok, witness)
+
     @property
     def failed(self):
         return any(r["status"] == "fail" for r in self.records)
@@ -74,6 +84,10 @@ class Suite:
     def sorted_records(self):
         return sorted(self.records,
                       key=lambda r: (r["check_id"], r["instance_digest"]))
+
+
+def _disagreement(exc):
+    return {"cross_check": str(exc)}
 
 
 def _rng(cfg, tag):
@@ -137,9 +151,9 @@ def run_kernel(cfg, suite):
         inst = {"i": i, "lams": [str(l) for l in lams], "d": d}
         try:
             res = kernel_alpha_bar(lams, d)
-        except AssertionError:
+        except CrossCheckError as exc:
             suite.record("kernel.routes", "both kernel computations agree",
-                         inst, False)
+                         inst, False, witness=_disagreement(exc))
             continue
         suite.record("kernel.routes", "both kernel computations agree",
                      inst, True)
@@ -170,35 +184,44 @@ def run_dcomm(cfg, suite):
         alg, M = gen.rand_approx_module(rng, cfg.dimmax, junk_ok=True)
         inst = {"i": i, "alg_dim": alg.dim, "dim": M.dim,
                 "mats": [_mstr(m) for m in M.mats]}
-        rep = double_commutant_check(M)
-        suite.record("dcomm.main", "action image equals its double commutant",
-                     inst, rep.ok,
-                     witness=None if rep.ok else rep.to_dict())
+
+        def main_check():
+            rep = double_commutant_check(M)
+            return rep.ok, None if rep.ok else rep.to_dict()
+
+        suite.check("dcomm.main", "action image equals its double commutant",
+                    inst, main_check)
 
         phi = gen.rand_member_phi(rng, M)
-        res = end_sharp_membership(M, phi)
-        ok = res.member
-        if ok and res.witness is not None:
-            ok = M.act(res.witness) == phi
-        suite.record("dcomm.member",
-                     "action elements pass membership with a checked witness",
-                     {"i": i, "phi": _mstr(phi), "dim": M.dim}, ok)
+
+        def member_check():
+            res = end_sharp_membership(M, phi)
+            ok = res.member
+            if ok and res.witness is not None:
+                ok = M.act(res.witness) == phi
+            return ok, None
+
+        suite.check("dcomm.member",
+                    "action elements pass membership with a checked witness",
+                    {"i": i, "phi": _mstr(phi), "dim": M.dim}, member_check)
 
         n = max(1, len(M.V_j(len(alg.chain) - 1).rows))
         if M.dim * n <= 8:
-            bad = submodule_grid_check(M, phi, n)
-            suite.record("dcomm.grid",
-                         "members preserve every grid-generated submodule",
-                         {"i": i, "phi": _mstr(phi), "n": n}, bad is None,
-                         witness=None if bad is None
-                         else {"vector": [str(x) for x in bad]})
+            def grid_check():
+                bad = submodule_grid_check(M, phi, n)
+                return bad is None, (None if bad is None
+                                     else {"vector": [str(x) for x in bad]})
+
+            suite.check("dcomm.grid",
+                        "members preserve every grid-generated submodule",
+                        {"i": i, "phi": _mstr(phi), "n": n}, grid_check)
 
         j1 = rng.randrange(len(alg.chain))
         j2 = rng.randrange(len(alg.chain))
-        crep = corner_identity_check(M, j1, j2)
-        suite.record("dcomm.corner",
-                     "abstract corners act onto the concrete corners",
-                     {"i": i, "j1": j1, "j2": j2, "dim": M.dim}, crep.ok)
+        suite.check("dcomm.corner",
+                    "abstract corners act onto the concrete corners",
+                    {"i": i, "j1": j1, "j2": j2, "dim": M.dim},
+                    lambda: (corner_identity_check(M, j1, j2).ok, None))
 
 
 # --- membership / relation checks ---------------------------------------------
@@ -245,28 +268,36 @@ def run_pw(cfg, suite):
         if total > 8:
             E = _eval_module(1)
         cand, is_member = gen.rand_candidate(rng, reps, maxlen=cfg.words)
-        t = membership_triple(cand, reps, pts, E)
-        ok = t.unanimous and (t.member or not is_member)
-        suite.record("pw.triple", "the three membership tests agree",
-                     _inst_layout(reps, pts, E, {"i": i,
-                                                 "cand": cand.to_json(),
-                                                 "member": is_member}),
-                     ok, witness=None if ok else t.to_dict())
+
+        def triple():
+            t = membership_triple(cand, reps, pts, E)
+            ok = t.unanimous and (t.member or not is_member)
+            return ok, None if ok else t.to_dict()
+
+        suite.check("pw.triple", "the three membership tests agree",
+                    _inst_layout(reps, pts, E, {"i": i,
+                                                "cand": cand.to_json(),
+                                                "member": is_member}),
+                    triple)
 
         delta = []
         for rep in reps:
             for p in pts:
                 delta.extend([(rep.label, p, [])] * rep.dim)
         Ev = _eval_module(1)
-        tv = membership_triple(cand, reps, pts, Ev)
-        inv = invariance_check(cand, delta, reps)
-        ok2 = tv.unanimous and inv == tv.member
-        suite.record("pw.invariance",
-                     "delta-data invariance matches the membership verdict",
-                     _inst_layout(reps, pts, Ev, {"i": i,
-                                                  "cand": cand.to_json()}),
-                     ok2, witness=None if ok2 else
-                     {"invariance": inv, "triple": tv.to_dict()})
+
+        def invariance():
+            tv = membership_triple(cand, reps, pts, Ev)
+            inv = invariance_check(cand, delta, reps)
+            ok = tv.unanimous and inv == tv.member
+            return ok, (None if ok else
+                        {"invariance": inv, "triple": tv.to_dict()})
+
+        suite.check("pw.invariance",
+                    "delta-data invariance matches the membership verdict",
+                    _inst_layout(reps, pts, Ev, {"i": i,
+                                                 "cand": cand.to_json()}),
+                    invariance)
 
     for i in range(8):
         reps, pts, E, total = _rand_layout(rng, cfg)
@@ -302,35 +333,49 @@ def run_pw(cfg, suite):
             continue
         word_cand = PWCandidate.from_word(
             reps, gen.rand_word(rng, len(reps[0].generators), cfg.words))
-        verdict = relation_check(word_cand, dec.terms, reps)
-        suite.record("pw.relation",
-                     "relations certify and annihilate word candidates",
-                     inst, verdict.certified and verdict.holds is True)
-
         ident_term = RelationTerm(reps[0].label, mid(reps[0].dim), pts[0],
                                   gen.rand_diffop(rng, 1, 0))
-        bad = relation_check(word_cand, [ident_term], reps)
-        suite.record("pw.nonrelation",
-                     "a non-annihilating datum is flagged, not evaluated",
-                     inst, (not bad.certified) and bad.witness is not None)
+
+        def relation():
+            verdict = relation_check(word_cand, dec.terms, reps)
+            return verdict.certified and verdict.holds is True, None
+
+        def nonrelation():
+            bad = relation_check(word_cand, [ident_term], reps)
+            return (not bad.certified) and bad.witness is not None, None
+
+        suite.check("pw.relation",
+                    "relations certify and annihilate word candidates",
+                    inst, relation)
+        suite.check("pw.nonrelation",
+                    "a non-annihilating datum is flagged, not evaluated",
+                    inst, nonrelation)
 
     rf = gen.reducible_family(1)
     ec = gen.escaping_candidate(1)
     pt = Vector([Scalar(1)])
     E1 = _eval_module(1)
-    t = membership_triple(ec, [rf], [pt], E1)
-    inv = invariance_check(ec, [("R", pt, []), ("R", pt, [])], [rf])
+    delta = [("R", pt, []), ("R", pt, [])]
     good, _ = gen.rand_candidate(_rng(cfg, "pw-fixture"), [rf], member=True)
-    t2 = membership_triple(good, [rf], [pt], E1)
-    inv2 = invariance_check(good, [("R", pt, []), ("R", pt, [])], [rf])
-    suite.record("pw.fixture",
-                 "the reducible fixture rejects the escaping candidate",
-                 {"family": "reducible", "cand": ec.to_json()},
-                 t.unanimous and not t.member and not inv)
-    suite.record("pw.fixture",
-                 "the reducible fixture accepts word candidates",
-                 {"family": "reducible", "cand": good.to_json()},
-                 t2.unanimous and t2.member and inv2)
+
+    def verdicts(cand):
+        t = membership_triple(cand, [rf], [pt], E1)
+        return t.unanimous, t.member, invariance_check(cand, delta, [rf])
+
+    def rejects():
+        unanimous, member, inv = verdicts(ec)
+        return unanimous and not member and not inv, None
+
+    def accepts():
+        unanimous, member, inv = verdicts(good)
+        return unanimous and member and inv, None
+
+    suite.check("pw.fixture",
+                "the reducible fixture rejects the escaping candidate",
+                {"family": "reducible", "cand": ec.to_json()}, rejects)
+    suite.check("pw.fixture",
+                "the reducible fixture accepts word candidates",
+                {"family": "reducible", "cand": good.to_json()}, accepts)
 
 
 RUNNERS = {
@@ -370,6 +415,13 @@ def run_demo(cfg, suite):
     return out
 
 
+# Inclusive (lower, upper) bounds of the size flags.  The upper bounds are
+# the largest verify tier the project measures (--kmax 4 --nmax 3
+# --dimmax 12 --words 8, a few seconds); check time grows about like the
+# fifth power of the module dimension, so a larger run could take hours.
+SIZE_LIMITS = {"nmax": (1, 3), "kmax": (0, 4), "dimmax": (1, 12), "words": (0, 8)}
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="jetcalc",
@@ -378,14 +430,13 @@ def build_parser():
     ap.add_argument("--seed", type=int,
                     default=int(os.environ.get("JETCALC_SEED", "0")),
                     help="instance seed (default: JETCALC_SEED or 0)")
-    ap.add_argument("--nmax", type=int, default=2,
-                    help="max number of variables (default 2)")
-    ap.add_argument("--kmax", type=int, default=2,
-                    help="max jet order (default 2)")
-    ap.add_argument("--dimmax", type=int, default=5,
-                    help="max module dimension (default 5)")
-    ap.add_argument("--words", type=int, default=4,
-                    help="max word length (default 4)")
+    for name, default, what in (("nmax", 2, "max number of variables"),
+                                ("kmax", 2, "max jet order"),
+                                ("dimmax", 5, "max module dimension"),
+                                ("words", 4, "max word length")):
+        ap.add_argument("--" + name, type=int, default=default,
+                        help="%s, %d-%d (default %d)"
+                             % ((what,) + SIZE_LIMITS[name] + (default,)))
     ap.add_argument("--json", metavar="PATH",
                     help="write sorted JSON-lines records to PATH")
     ap.add_argument("command",
@@ -397,8 +448,10 @@ def build_parser():
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.nmax < 1 or args.kmax < 0 or args.dimmax < 1 or args.words < 0:
-        ap.error("size limits out of range")
+    for name, (lo, hi) in SIZE_LIMITS.items():
+        value = getattr(args, name)
+        if not lo <= value <= hi:
+            ap.error("--%s must lie in %d..%d, got %d" % (name, lo, hi, value))
 
     suite = Suite()
     t0 = time.monotonic()

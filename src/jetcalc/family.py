@@ -16,8 +16,8 @@ import json
 from .scalars import ZERO, ONE
 from .poly import ExpPoly, Vector, diff, parse_exppoly
 from . import linalg
-from .linalg import (SpanBasis, mmul, mid, freeze, flatten, unflatten,
-                     block_diag, close_span)
+from .linalg import (SpanBasis, CrossCheckError, mmul, mid, freeze, flatten,
+                     unflatten, block_diag, close_span)
 from .jetfun import (MatPolyFamily, jet_family, iterated_block_derivative,
                      functional_to_diffop, diffop_to_module, frobenius)
 from .approxalg import ApproxAlgebra, end_sharp_membership
@@ -273,8 +273,13 @@ def assemble_phi(cand, reps, points, E):
 
 def spanned_algebra(reps, points, E):
     """Basis of the span of all word images: start from the identity and
-    close under right multiplication by generators and inverses until the
-    dimension stabilizes.  Returns (matrices, span, assembly)."""
+    close under right multiplication by the generators until the dimension
+    stabilizes.  Returns (matrices, span, assembly).
+
+    The inverse letters are not needed.  Each letter matrix L is invertible,
+    so by Cayley-Hamilton L^-1 is a polynomial in L and lies in the unital
+    algebra the positive words span; that algebra is therefore the span of
+    all words, and its echelon basis is the same."""
     asm = assemble_pi(reps, points, E)
     total = asm.layout.total
     ngens = len(reps[0].generators) if reps else 0
@@ -282,7 +287,6 @@ def spanned_algebra(reps, points, E):
         if len(rep.generators) != ngens:
             raise ValueError("reps must share the generator alphabet")
     letter_mats = [asm.letter_matrix(k) for k in range(1, ngens + 1)]
-    letter_mats += [asm.letter_matrix(-k) for k in range(1, ngens + 1)]
     span = close_span(SpanBasis(total * total), [flatten(mid(total))],
                       lambda v: [flatten(mmul(unflatten(v, total, total), g))
                                  for g in letter_mats])
@@ -462,7 +466,7 @@ def relation_check(cand, terms, reps):
         direct = direct + term_value(t, cand.component(by_label[t.label]))
     packaged = frobenius(data.psi, assemble_phi(cand, data.reps, data.points, data.E))
     if direct != packaged:
-        raise AssertionError("relation evaluation routes disagree")
+        raise CrossCheckError("relation evaluation routes disagree")
     return RelationVerdict(True, holds=not direct)
 
 
@@ -503,13 +507,9 @@ def membership_triple(cand, reps, points, E):
     phi = assemble_phi(cand, reps, points, E)
     flat = list(flatten(phi))
 
-    rows = [list(r) for r in span.rows]
-    verdict_i = True
-    for func in linalg.nullspace(rows, total * total):
-        val = sum((a * b for a, b in zip(func, flat)), ZERO)
-        if val:
-            verdict_i = False
-            break
+    phi_nz = [(s, x) for s, x in enumerate(flat) if x]
+    verdict_i = not any(sum((func[s] * x for s, x in phi_nz), ZERO)
+                        for func in linalg.nullspace(span.rows, total * total))
 
     verdict_ii = span.contains(flat)
 
@@ -522,16 +522,11 @@ def membership_triple(cand, reps, points, E):
                         details={"sharp": res})
 
 
-def delta_block(rep, etas, point=None):
-    """Iterated doubled-space family for one delta component; evaluated
-    when a point is given."""
-    fams = [iterated_block_derivative(g, etas) for g in rep.generators]
-    invs = [iterated_block_derivative(g, etas) for g in rep.inverses]
-    if point is None:
-        return fams, invs
+def delta_block(fams, etas, point):
+    """The iterated doubled-space matrices of the given families for one
+    delta component (directions etas), evaluated at its point."""
     pt = tuple(point.coords)
-    return ([f.evaluate_scalar(pt) for f in fams],
-            [f.evaluate_scalar(pt) for f in invs])
+    return [iterated_block_derivative(f, etas).evaluate_scalar(pt) for f in fams]
 
 
 def invariance_check(cand, delta, reps, extra_vectors=()):
@@ -539,23 +534,25 @@ def invariance_check(cand, delta, reps, extra_vectors=()):
     representation over the data, generate a module from each grid vector
     (standard basis vectors, one stacked tuple per run of equal components,
     and any extras), and require the candidate's assembled block matrix to
-    preserve every one of them."""
+    preserve every one of them.  Each module is closed under the generators
+    alone: the doubled blocks are invertible, so (as in spanned_algebra)
+    their inverses lie in the unital algebra A the generators span, and v
+    generates A.v under either alphabet."""
     by_label = {rep.label: rep for rep in reps}
     blocks = []
     phis = []
     sizes = []
     for label, point, etas in delta:
         rep = by_label[label]
-        gmats, imats = delta_block(rep, etas, point)
-        blocks.append((gmats, imats))
-        pf = iterated_block_derivative(cand.component(rep), etas)
-        phis.append(pf.evaluate_scalar(tuple(point.coords)))
+        *gmats, pmat = delta_block(rep.generators + (cand.component(rep),),
+                                   etas, point)
+        blocks.append(gmats)
+        phis.append(pmat)
         sizes.append(rep.dim * (2 ** len(etas)))
     total = sum(sizes)
     offs = [sum(sizes[:b]) for b in range(len(sizes))]
     ngens = len(reps[0].generators)
-    gen_mats = [block_diag([gm[k] for gm, _ in blocks]) for k in range(ngens)]
-    gen_mats += [block_diag([im[k] for _, im in blocks]) for k in range(ngens)]
+    gen_mats = [block_diag([gm[k] for gm in blocks]) for k in range(ngens)]
     phi = block_diag(phis)
 
     grid = []
@@ -603,10 +600,10 @@ def intertwiner_graph_check(cand, delta_i, delta_j, T, reps):
     phis = []
     for label, point, etas in (delta_i, delta_j):
         rep = by_label[label]
-        g, iv = delta_block(rep, etas, point)
-        mats.append(g + iv)
-        pf = iterated_block_derivative(cand.component(rep), etas)
-        phis.append(pf.evaluate_scalar(tuple(point.coords)))
+        *gmats, pmat = delta_block(rep.generators + rep.inverses
+                                   + (cand.component(rep),), etas, point)
+        mats.append(gmats)
+        phis.append(pmat)
     T = freeze(T)
     for a, b in zip(mats[0], mats[1]):
         if mmul(T, a) != mmul(b, T):

@@ -20,7 +20,7 @@ from .poly import (Polynomial, ExpPoly, Covector, Vector, DiffOp, diff,
                    translate, coproduct, pairing, monomials_upto,
                    beta_factorial, zero_exps)
 from . import linalg
-from .linalg import SpanBasis, mmul
+from .linalg import SpanBasis, CrossCheckError, mmul
 from .localmod import (PolySpace, cyclic_quotient, dual_number_module,
                        power_ideal, direct_sum)
 
@@ -395,7 +395,7 @@ def kernel_alpha_bar(lams, d):
     for v in basis_b:
         sb.add(v)
     if not sa.same_span(sb):
-        raise AssertionError("kernel computations disagree")
+        raise CrossCheckError("kernel computations disagree")
 
     # canonical output: reduced rows in descending-grlex coordinates
     canon = SpanBasis(space.dim)

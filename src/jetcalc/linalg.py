@@ -20,6 +20,13 @@ block-diagonal matrix (direct sums and the block assemblies).
 from .scalars import ZERO, ONE
 
 
+class CrossCheckError(AssertionError):
+    """Two independent computations of the same exact result disagree (the
+    two kernel routes, the two End(V)_0 corner spans, the two relation
+    evaluations, or a recovered End^# witness).  Exact arithmetic leaves no
+    tolerance, so this is a defect, never a verdict about the input."""
+
+
 def freeze(rows):
     return tuple(tuple(r) for r in rows)
 

@@ -16,7 +16,9 @@ Text grammar (printer output round-trips through parse_exppoly bit-exactly):
     <covector> = comma-joined scalars
 
 ``^1`` is omitted, a bare coefficient term prints as ``(c)``, and a pure
-polynomial prints with no E[]/exp[] prefix.
+polynomial prints with no E[]/exp[] prefix.  The parser refuses an exponent
+above MAX_EXPONENT (``^<e>`` is expanded by repeated multiplication, so its
+cost grows with e) with a ValueError.
 """
 
 from math import factorial
@@ -784,6 +786,7 @@ def beta_factorial(beta):
 # --- text grammar ----------------------------------------------------------
 
 _TOKEN_CHARS = set("0123456789")
+MAX_EXPONENT = 256
 
 
 def _tokenize(text):
@@ -928,6 +931,9 @@ class _Parser:
             kindn, power = self.take()
             if kindn != "num":
                 raise ValueError("parse error: '^' must be followed by an integer")
+            if power > MAX_EXPONENT:
+                raise ValueError("exponent %d exceeds the limit %d"
+                                 % (power, MAX_EXPONENT))
             out = ExpPoly.const(self.nvars, ONE)
             for _ in range(power):
                 out = out * base

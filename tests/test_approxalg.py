@@ -1,9 +1,11 @@
 """Approximately unital algebras, their modules, and the double commutant."""
 
+import random
+
 import pytest
 
 from jetcalc.scalars import ZERO, ONE, sc
-from jetcalc import approxalg as aa
+from jetcalc import approxalg as aa, gen, linalg
 from jetcalc.linalg import mid
 
 
@@ -128,3 +130,25 @@ def test_algebra_axioms_are_enforced():
     bad_sc = {(0, 0): {0: ONE}, (1, 1): {1: ONE}}  # two orthogonal idempotents
     with pytest.raises(ValueError):
         aa.ApproxAlgebra(2, bad_sc, [(ONE, ZERO)])  # chain misses the second
+
+
+def test_witness_system_drops_only_rows_that_read_zero_equals_zero():
+    rng = random.Random(5)
+    for _ in range(20):
+        size, dim = 10, 4
+        live = set(rng.sample(range(size), 5))
+        acts = [[gen.rand_scalar(rng) if s in live else ZERO
+                 for s in range(size)] for _ in range(dim)]
+        x = [gen.rand_scalar(rng) for _ in range(dim)]
+        rhs = [sum((a[s] * c for a, c in zip(acts, x)), ZERO)
+               for s in range(size)]
+        full = [[a[s] for a in acts] for s in range(size)]
+        rows, b = aa._witness_system(acts, rhs)
+        assert len(rows) <= len(live)
+        assert all(any(r) or c for r, c in zip(rows, b))
+        assert linalg.solve(rows, b) == linalg.solve(full, rhs)
+        # a nonzero right-hand side where every action vanishes: refused
+        dead = min(set(range(size)) - live)
+        rhs[dead] = ONE
+        assert linalg.solve(full, rhs) is None
+        assert linalg.solve(*aa._witness_system(acts, rhs)) is None

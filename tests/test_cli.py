@@ -7,7 +7,9 @@ import sys
 
 import pytest
 
+from jetcalc import cli, family, linalg
 from jetcalc.cli import main
+from jetcalc.scalars import ONE
 
 
 def run_verify(tmp_path, name, argv):
@@ -49,6 +51,16 @@ def test_verify_report_at_the_second_tier_matches_its_pinned_digest(tmp_path, ca
     assert rc == 0
     assert hashlib.sha256(blob).hexdigest() == \
         "79e66e98082092144a1ec1af32382c80354545c8a57418dd214cd1d9e995e5de"
+
+
+def test_verify_report_at_the_third_tier_matches_its_pinned_digest(tmp_path, capsys):
+    rc, blob = run_verify(tmp_path, "v.jsonl",
+                          ["verify", "--seed", "0", "--kmax", "4", "--nmax", "3",
+                           "--dimmax", "12", "--words", "8"])
+    capsys.readouterr()
+    assert rc == 0
+    assert hashlib.sha256(blob).hexdigest() == \
+        "5b84fd67ba68eb0ea9b669c031101dbc1cdbb5cb0911cc7d86f554c11469d5e7"
 
 
 def test_different_seeds_give_different_instances(tmp_path, capsys):
@@ -107,6 +119,43 @@ def test_usage_errors_exit_with_code_two(capsys):
         main(["no-such-command"])
     assert e.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag, value", [("--nmax", 4), ("--kmax", 5),
+                                         ("--dimmax", 13), ("--words", 9),
+                                         ("--kmax", -1), ("--words", -1)])
+def test_size_flags_outside_their_bounds_are_usage_errors(capsys, monkeypatch,
+                                                          flag, value):
+    def refuse(cfg, suite):
+        raise AssertionError("an out-of-range run was started")
+
+    monkeypatch.setattr(cli, "RUNNERS", dict.fromkeys(cli.RUNNERS, refuse))
+    with pytest.raises(SystemExit) as e:
+        main(["verify", flag, str(value)])
+    assert e.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def _plus_one(fn):
+    return lambda *args: fn(*args) + ONE
+
+
+@pytest.mark.parametrize("command, owner, name, wrong, message", [
+    ("pw", family, "term_value", _plus_one(family.term_value),
+     "relation evaluation routes disagree"),
+    ("dcomm", linalg, "solve", lambda rows, rhs: None,
+     "invariance held but no witness solves the system"),
+])
+def test_a_cross_check_disagreement_is_a_failing_record(
+        tmp_path, capsys, monkeypatch, command, owner, name, wrong, message):
+    monkeypatch.setattr(owner, name, wrong)
+    rc, blob = run_verify(tmp_path, "v.jsonl", [command, "--seed", "0"])
+    capsys.readouterr()
+    assert rc == 1
+    failed = [json.loads(l) for l in blob.splitlines()
+              if json.loads(l)["status"] == "fail"]
+    assert failed
+    assert all(r["witness"] == {"cross_check": message} for r in failed)
 
 
 def test_console_script_matches_in_process_output(tmp_path):

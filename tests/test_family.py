@@ -1,10 +1,14 @@
 """Generator families, assembled word algebras, relations, and membership."""
 
+import random
+
 import pytest
 
+from jetcalc import gen
 from jetcalc.scalars import Scalar, ZERO, ONE, sc
 from jetcalc.poly import Vector, Covector, DiffOp, ExpPoly, parse_exppoly
-from jetcalc.linalg import mmul, mid, freeze
+from jetcalc.linalg import (SpanBasis, mmul, mid, freeze, flatten, unflatten,
+                            mat_vec, block_diag, close_span)
 from jetcalc.localmod import (cyclic_quotient, maximal_ideal, power_ideal,
                               dual_number_module)
 from jetcalc.jetfun import jet_family, frobenius, MatPolyFamily
@@ -14,7 +18,8 @@ from jetcalc.family import (RepFamily, PWCandidate, family_det,
                             RelationTerm, term_value, relation_to_functional,
                             functional_to_relation, relation_check,
                             membership_triple, invariance_check,
-                            intertwiner_graph_check, FunctionalData)
+                            intertwiner_graph_check, FunctionalData,
+                            delta_block)
 
 
 def fam(nvars, rows):
@@ -243,3 +248,54 @@ def test_intertwiner_graphs_pass_members_only():
     with pytest.raises(ValueError):
         intertwiner_graph_check(escape, d_ev, d_ev,
                                 freeze([[ZERO, ZERO], [ONE, ZERO]]), [upo])
+
+
+def random_layouts(seed, count):
+    """Seeded layouts: 1-2 reps of dim 1-3, 1-2 points, and the evaluation
+    or a dual-number module."""
+    rng = random.Random(seed)
+    for i in range(count):
+        reps = [gen.rand_repfamily(rng, label, 1, rng.randint(1, 3))
+                for label in "ab"[:rng.randint(1, 2)]]
+        pts = [gen.rand_point(rng, 1)]
+        q = gen.rand_point(rng, 1)
+        if rng.random() < 0.5 and q.coords != pts[0].coords:
+            pts.append(q)
+        E = E1 if i % 2 else dual_number_module(gen.rand_point(rng, 1, zero_ok=False))
+        yield rng, reps, pts, E
+
+
+def test_forward_letters_span_the_algebra_of_all_words():
+    for _, reps, pts, E in random_layouts(11, 12):
+        _, span, asm = spanned_algebra(reps, pts, E)
+        total = asm.layout.total
+        ngens = len(reps[0].generators)
+        letters = [asm.letter_matrix(k) for k in range(-ngens, ngens + 1) if k]
+        both = close_span(SpanBasis(total * total), [flatten(mid(total))],
+                          lambda v: [flatten(mmul(unflatten(v, total, total), g))
+                                     for g in letters])
+        assert span.same_span(both)
+        assert [list(r) for r in span.rows] == [list(r) for r in both.rows]
+
+
+def test_forward_letters_generate_the_invariance_modules():
+    for rng, reps, pts, _ in random_layouts(12, 12):
+        etas = [gen.rand_covector(rng, 1) for _ in range(rng.randint(0, 1))]
+        fwd, inv = [], []
+        for rep in reps:
+            for p in pts:
+                fwd.append(delta_block(rep.generators, etas, p))
+                inv.append(delta_block(rep.inverses, etas, p))
+        ngens = len(reps[0].generators)
+        gens = [block_diag([b[k] for b in fwd]) for k in range(ngens)]
+        letters = gens + [block_diag([b[k] for b in inv]) for k in range(ngens)]
+        total = len(gens[0])
+        vecs = [[ONE if s == t else ZERO for s in range(total)]
+                for t in range(total)]
+        vecs.append([gen.rand_scalar(rng) for _ in range(total)])
+        for v in vecs:
+            one = close_span(SpanBasis(total), [v],
+                             lambda w: [mat_vec(g, w) for g in gens])
+            two = close_span(SpanBasis(total), [v],
+                             lambda w: [mat_vec(g, w) for g in letters])
+            assert one.same_span(two)

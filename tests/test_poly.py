@@ -1,5 +1,6 @@
 """Polynomials, exponential polynomials, operators, and the pairing."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from jetcalc.scalars import Scalar, ExpScalar, ZERO, ONE, sc
@@ -183,3 +184,12 @@ def test_vectors_and_covectors_share_arithmetic_but_never_compare_equal():
     assert str(v) == str(xi) == "1,-2"
     assert v.as_diffop() == xi.as_diffop()
     assert Covector.basis(2, 1)(v) == sc(-2)
+
+
+def test_exponents_above_the_cap_are_refused():
+    from jetcalc.poly import MAX_EXPONENT
+    x1 = Polynomial(1, {(1,): ONE})
+    assert parse_poly("x1^%d" % MAX_EXPONENT, 1) == x1 ** MAX_EXPONENT
+    for text in ("(x1 + 1)^%d" % (MAX_EXPONENT + 1), "x1^200000"):
+        with pytest.raises(ValueError):
+            parse_exppoly(text, 1)
