@@ -23,7 +23,7 @@ from .scalars import ZERO, ONE
 from .poly import parse_scalar
 from . import linalg
 from .linalg import (SpanBasis, CrossCheckError, mmul, mid, freeze, flatten,
-                     unflatten, close_span)
+                     unflatten, close_span, square)
 
 
 class ApproxAlgebra:
@@ -286,10 +286,8 @@ class ApproxModule:
         chain = [[parse_scalar(s) for s in a] for a in data["idempotent_chain"]]
         alg = ApproxAlgebra(n, sc, chain, labels)
         dim = data["dim"]
-        mats = []
-        for flat in data["action"]:
-            scl = [parse_scalar(s) for s in flat]
-            mats.append(tuple(tuple(scl[r * dim + c] for c in range(dim)) for r in range(dim)))
+        mats = [square(flat, dim, parse_scalar, "action matrix %d" % t)
+                for t, flat in enumerate(data["action"])]
         return cls(alg, dim, mats)
 
     def __repr__(self):
@@ -530,7 +528,7 @@ def double_commutant_check(M):
     for mat in sharp_mats:
         res = _membership(M, mat, tuples)
         if not res.member:
-            func = _separating_functional(image, sharp, d)
+            func = _separating_functional(image, sharp)
             return CheckReport("double_commutant", "fail", dims,
                                witness={"kind": "sharp_not_in_image",
                                         "separating_functional": func})
@@ -540,10 +538,10 @@ def double_commutant_check(M):
     return CheckReport("double_commutant", "pass", dims)
 
 
-def _separating_functional(image, sharp, d):
+def _separating_functional(image, sharp):
     """A dual vector vanishing on the image but pairing nontrivially with
     some element of the sharp space."""
-    for func in linalg.nullspace(image.rows, d * d):
+    for func in image.nullspace():
         for srow in sharp.frozen_rows():
             val = sum((a * b for a, b in zip(func, srow)), ZERO)
             if val:
@@ -565,11 +563,8 @@ def corner_identity_check(M, j1, j2):
         left.add(flatten(M.act(elem)))
     corner = _corner_span(M, j1, j2)
     image = M.image_span()
-    inter_rows = linalg.subspace_intersection(
-        [list(r) for r in image.rows], [list(r) for r in corner.rows], d * d)
-    right = SpanBasis(d * d)
-    for r in inter_rows:
-        right.add(r)
+    right = SpanBasis(d * d, linalg.subspace_intersection(
+        image.rows, corner.rows, d * d))
     ok = left.same_span(right)
     dims = {"dim_left": len(left.rows), "dim_right": len(right.rows)}
     return CheckReport("corner_identity", "pass" if ok else "fail", dims)

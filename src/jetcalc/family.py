@@ -17,7 +17,7 @@ from .scalars import ZERO, ONE
 from .poly import ExpPoly, Vector, diff, parse_exppoly
 from . import linalg
 from .linalg import (SpanBasis, CrossCheckError, mmul, mid, freeze, flatten,
-                     unflatten, block_diag, close_span)
+                     unflatten, block_diag, close_span, square)
 from .jetfun import (MatPolyFamily, jet_family, iterated_block_derivative,
                      functional_to_diffop, diffop_to_module, frobenius)
 from .approxalg import ApproxAlgebra, end_sharp_membership
@@ -142,14 +142,10 @@ def family_from_json(text):
         if not isinstance(dim, int) or dim < 1:
             raise ValueError("rep %r has dimension %r; it must be a positive integer"
                              % (rd["label"], dim))
-        gens = []
-        for flat in rd["generators"]:
-            if len(flat) != dim * dim:
-                raise ValueError("generator of %r is not %dx%d"
-                                 % (rd["label"], dim, dim))
-            ents = [parse_exppoly(s, nvars) for s in flat]
-            gens.append(MatPolyFamily(nvars, [ents[r * dim:(r + 1) * dim]
-                                              for r in range(dim)]))
+        gens = [MatPolyFamily(nvars, square(
+                    flat, dim, lambda e: parse_exppoly(e, nvars),
+                    "generator %d of rep %r" % (g, rd["label"])))
+                for g, flat in enumerate(rd["generators"])]
         reps.append(RepFamily(rd["label"], gens))
     return reps
 
@@ -196,10 +192,9 @@ class PWCandidate:
         for label, flat in data["components"].items():
             if label not in dims:
                 raise ValueError("unknown rep label %r" % label)
-            d = dims[label]
-            ents = [parse_exppoly(s, nvars) for s in flat]
-            comps[label] = MatPolyFamily(nvars, [ents[r * d:(r + 1) * d]
-                                                 for r in range(d)])
+            comps[label] = MatPolyFamily(nvars, square(
+                flat, dims[label], lambda e: parse_exppoly(e, nvars),
+                "candidate component %r" % label))
         return cls(nvars, comps)
 
 
@@ -413,9 +408,8 @@ def functional_to_relation(data):
         for r in range(size):
             for c in range(size):
                 seen[off + r][off + c] = True
-        red, pivots = linalg.rref([list(r) for r in G])
-        for s, rrow in enumerate(red):
-            piv = pivots[s]
+        red = SpanBasis(d * d, G)
+        for rrow, piv in zip(red.rows, red.pivots):
             eta = [[G[i * E.dim + j][piv] for j in range(E.dim)]
                    for i in range(E.dim)]
             u = functional_to_diffop(E, freeze(eta))
@@ -509,7 +503,7 @@ def membership_triple(cand, reps, points, E):
 
     phi_nz = [(s, x) for s, x in enumerate(flat) if x]
     verdict_i = not any(sum((func[s] * x for s, x in phi_nz), ZERO)
-                        for func in linalg.nullspace(span.rows, total * total))
+                        for func in span.nullspace())
 
     verdict_ii = span.contains(flat)
 

@@ -1,30 +1,28 @@
 """Exact linear algebra over Q(i).
 
-Matrices are tuples of tuples of Scalar (immutable once built); row vectors
-inside the elimination routines are plain lists.  Storage stays dense, but
-the matrices met in practice (matrix units, nilpotent actions) are mostly
-zeros, so the inner loops run over nonzero entries only: `mat_vec` and
-`mmul` collect the nonzero support of a vector or row once, `rref`
-eliminates along the support of the pivot row, and `SpanBasis` keeps the
-nonzero support of each echelon row next to the row.  Everything here is
-plain Gauss-Jordan with the pivot normalized to 1; no pivoting heuristics
-are needed since arithmetic is exact, and scanning order keeps results
-deterministic.
+Matrices are tuples of tuples of Scalar; rows inside the elimination are
+plain lists.  Storage is dense, but the matrices met in practice (matrix
+units, nilpotent actions) are mostly zeros, so inner loops visit nonzero
+entries only, and `SpanBasis` keeps each echelon row's support beside it.
 
-Two routines carry ideas the other modules share: `close_span` closes a
-subspace under a set of generators (submodules, tuple modules, word
-algebras and invariance grids all use it), and `block_diag` builds every
-block-diagonal matrix (direct sums and the block assemblies).
+`SpanBasis` is the one elimination: row-at-a-time Gauss-Jordan to the
+reduced row echelon form (RREF), which is unique over exact arithmetic, so
+no pivoting heuristics are needed and every result is canonical.  `rank`,
+`nullspace`, `solve`, `mat_inverse` and `subspace_intersection` each read
+one SpanBasis.  Beside it, `close_span` closes a subspace under generators
+(submodules, tuple modules, word algebras, invariance grids) and
+`block_diag` builds every block-diagonal matrix.
 """
+
+from bisect import bisect_left
 
 from .scalars import ZERO, ONE
 
 
 class CrossCheckError(AssertionError):
-    """Two independent computations of the same exact result disagree (the
-    two kernel routes, the two End(V)_0 corner spans, the two relation
-    evaluations, or a recovered End^# witness).  Exact arithmetic leaves no
-    tolerance, so this is a defect, never a verdict about the input."""
+    """Two independent computations of one exact result disagree (kernel
+    routes, End(V)_0 corner spans, relation evaluations, or a recovered End^#
+    witness): a defect, never a verdict about the input."""
 
 
 def freeze(rows):
@@ -32,8 +30,7 @@ def freeze(rows):
 
 
 def mzeros(r, c):
-    row = (ZERO,) * c
-    return tuple(row for _ in range(r))
+    return ((ZERO,) * c,) * r
 
 
 def mid(n):
@@ -102,6 +99,15 @@ def unflatten(v, rows, cols):
     return tuple(tuple(v[r * cols:(r + 1) * cols]) for r in range(rows))
 
 
+def square(flat, d, parse, what):
+    """The d x d matrix of parse(e) for the row-major entry list `flat`;
+    a ValueError naming `what` unless flat holds exactly d*d entries."""
+    if len(flat) != d * d:
+        raise ValueError("%s has %d entries; a %dx%d matrix needs %d"
+                         % (what, len(flat), d, d, d * d))
+    return unflatten([parse(e) for e in flat], d, d)
+
+
 def mat_vec(a, v):
     nz = _nonzeros(v)
     out = []
@@ -115,61 +121,13 @@ def mat_vec(a, v):
     return tuple(out)
 
 
-def rref(rows):
-    """Reduced row echelon form.  Returns (rows, pivot_columns); zero rows
-    are dropped (zero input rows before elimination starts)."""
-    work = [list(r) for r in rows if any(r)]
-    nrows = len(work)
-    ncols = len(work[0]) if work else 0
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if work[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        prow = work[r]
-        # rows r.. vanish left of col, so the pivot row's support starts there
-        supp = [j for j in range(col, ncols) if prow[j]]
-        inv = prow[col].inverse()
-        for j in supp:
-            prow[j] = prow[j] * inv
-        for i in range(nrows):
-            row = work[i]
-            c = row[col]
-            if i != r and c:
-                for j in supp:
-                    row[j] = row[j] - c * prow[j]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return [work[i] for i in range(r)], pivots
-
-
 def rank(rows):
-    return len(rref(rows)[0])
+    return SpanBasis(len(rows[0]) if rows else 0, rows).dim
 
 
 def nullspace(rows, ncols):
-    """Basis of {x : A x = 0} for A given by rows; each basis vector has a 1
-    in one free column, deterministic order."""
-    red, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free = [j for j in range(ncols) if j not in pivot_set]
-    basis = []
-    for f in free:
-        v = [ZERO] * ncols
-        v[f] = ONE
-        for rrow, p in zip(red, pivots):
-            if rrow[f]:
-                v[p] = -rrow[f]
-        basis.append(tuple(v))
-    return basis
+    """Basis of {x : A x = 0} for A given by rows; see SpanBasis.nullspace."""
+    return SpanBasis(ncols, rows).nullspace()
 
 
 def solve(rows, rhs):
@@ -177,26 +135,33 @@ def solve(rows, rhs):
     if not rows:
         return () if not any(rhs) else None
     ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
+    red = SpanBasis(ncols + 1, [list(r) + [b] for r, b in zip(rows, rhs)])
+    if red.pivots and red.pivots[-1] == ncols:
+        return None  # inconsistent: pivot in the rhs column
     x = [ZERO] * ncols
-    for rrow, p in zip(red, pivots):
-        if p == ncols:
-            return None  # inconsistent: pivot in the rhs column
-        x[p] = rrow[ncols]
+    for row, p in zip(red.rows, red.pivots):
+        x[p] = row[ncols]
     return tuple(x)
+
+
+def mat_inverse(mat):
+    """Exact inverse; raises on singular input."""
+    n = len(mat)
+    red = SpanBasis(2 * n, [list(r) + list(e) for r, e in zip(mat, mid(n))])
+    if red.pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return freeze([row[n:] for row in red.rows])
 
 
 class SpanBasis:
     """Incrementally maintained RREF basis of a span of row vectors.
 
     add() reports whether the span grew; coords() expresses a member in the
-    current echelon rows.  Rows are kept fully reduced, so reduction below is
-    a single pass in pivot order.  `supports[i]` lists the columns where
-    `rows[i]` is nonzero, ascending; reduction touches only those.  add()
+    echelon rows; nullspace() reads the annihilator off them.  Rows stay
+    fully reduced, so reduction is one pass in pivot order, touching only
+    `supports[i]`, the ascending nonzero columns of `rows[i]`.  add()
     replaces a row it changes by a new list, so a row once read is never
-    modified.
-    """
+    modified."""
 
     def __init__(self, ncols, rows=()):
         self.ncols = ncols
@@ -242,9 +207,7 @@ class SpanBasis:
                 self.rows[i] = row
                 merged = sorted(set(self.supports[i]).union(supp))
                 self.supports[i] = [j for j in merged if row[j]]
-        at = 0
-        while at < len(self.pivots) and self.pivots[at] < pivot:
-            at += 1
+        at = bisect_left(self.pivots, pivot)
         self.rows.insert(at, v)
         self.pivots.insert(at, pivot)
         self.supports.insert(at, supp)
@@ -261,14 +224,25 @@ class SpanBasis:
             return None
         return tuple(record.get(i, ZERO) for i in range(len(self.rows)))
 
+    def nullspace(self):
+        """Basis of {x : row . x = 0 for every row}: for each free (non-pivot)
+        column f ascending, 1 at f and -rows[i][f] at pivots[i].  In RREF a
+        row's nonzeros off its pivot all lie in free columns."""
+        pivot_set = set(self.pivots)
+        vecs = {f: [ZERO] * f + [ONE] + [ZERO] * (self.ncols - f - 1)
+                for f in range(self.ncols) if f not in pivot_set}
+        for row, p, supp in zip(self.rows, self.pivots, self.supports):
+            for j in supp:
+                if j != p:
+                    vecs[j][p] = -row[j]
+        return [tuple(v) for v in vecs.values()]
+
     def frozen_rows(self):
         return freeze(self.rows)
 
     def same_span(self, other):
         """Equality of spans; RREF is canonical so row comparison suffices."""
-        if self.dim != other.dim or self.pivots != other.pivots:
-            return False
-        return self.frozen_rows() == other.frozen_rows()
+        return self.pivots == other.pivots and self.rows == other.rows
 
 
 def close_span(span, seeds, step):
@@ -282,57 +256,19 @@ def close_span(span, seeds, step):
 
 
 def subspace_intersection(rows_a, rows_b, ncols):
-    """Basis of (span of rows_a) intersect (span of rows_b)."""
-    a = [r for r in rows_a if any(r)]
-    b = [r for r in rows_b if any(r)]
-    if not a or not b:
-        return []
-    # kernel of M^T where M has the a-rows then b-rows:
-    # alpha . A + beta . B = 0  <=>  alpha . A = -beta . B in the intersection
-    m = a + b
-    cols = len(m)
-    kernel_rows = [[m[t][j] for t in range(cols)] for j in range(ncols)]
-    out = SpanBasis(ncols)
-    for vec in nullspace(kernel_rows, cols):
-        comb = [ZERO] * ncols
-        for t in range(len(a)):
-            if vec[t]:
-                comb = [x + vec[t] * y for x, y in zip(comb, a[t])]
-        out.add(comb)
-    return out.frozen_rows()
+    """RREF basis of (span of rows_a) intersect (span of rows_b), by
+    Zassenhaus: reduce the rows (a|a) and (b|0).  The combinations with a
+    zero left half are (c|c) - (c|0) = (0|c) for c in both spans, so the
+    rows pivoting in the right half are (0|c) for c an echelon basis."""
+    zero = [ZERO] * ncols
+    both = SpanBasis(2 * ncols, [list(a) + list(a) for a in rows_a]
+                     + [list(b) + zero for b in rows_b])
+    return freeze([row[ncols:] for row, p in zip(both.rows, both.pivots)
+                   if p >= ncols])
 
 
-def det(mat):
-    """Exact determinant by elimination (scalar entries)."""
-    n = len(mat)
-    work = [list(r) for r in mat]
-    total = ONE
-    for col in range(n):
-        pivot_row = None
-        for i in range(col, n):
-            if work[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return ZERO
-        if pivot_row != col:
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            total = -total
-        pv = work[col][col]
-        total = total * pv
-        inv = pv.inverse()
-        for i in range(col + 1, n):
-            if work[i][col]:
-                c = work[i][col] * inv
-                work[i] = [x - c * y for x, y in zip(work[i], work[col])]
-    return total
-
-
-def mat_inverse(mat):
-    """Exact inverse; raises on singular input."""
-    n = len(mat)
-    aug = [list(mat[i]) + [ONE if j == i else ZERO for j in range(n)] for i in range(n)]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return freeze([row[n:] for row in red])
+def rref(rows):
+    """(echelon rows, pivot columns) of the RREF of rows.  Unused in the
+    package; the benchmark's tracer (bench/layers.py) wraps it by name."""
+    red = SpanBasis(len(rows[0]) if rows else 0, rows)
+    return red.rows, red.pivots

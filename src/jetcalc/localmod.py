@@ -19,7 +19,7 @@ from .poly import (Polynomial, DiffOp, Covector, monomials_upto,
                    monomials_of_degree, beta_factorial, zero_exps, parse_scalar)
 from . import linalg
 from .linalg import (SpanBasis, mmul, madd, mscale, mid, mzeros, freeze,
-                     block_diag, close_span)
+                     block_diag, close_span, square)
 
 
 class PolySpace:
@@ -263,13 +263,8 @@ class FinMod:
     def from_json(cls, text):
         data = json.loads(text)
         nvars, k, dim = data["nvars"], data["k"], data["dim"]
-        mats = []
-        for flat in data["action"]:
-            if len(flat) != dim * dim:
-                raise ValueError("action matrix is not %dx%d" % (dim, dim))
-            scalars = [parse_scalar(s) for s in flat]
-            mats.append(tuple(tuple(scalars[i * dim + j] for j in range(dim))
-                              for i in range(dim)))
+        mats = [square(flat, dim, parse_scalar, "action matrix %d" % t)
+                for t, flat in enumerate(data["action"])]
         return cls(nvars, k, mats)
 
 

@@ -16,9 +16,11 @@ Text grammar (printer output round-trips through parse_exppoly bit-exactly):
     <covector> = comma-joined scalars
 
 ``^1`` is omitted, a bare coefficient term prints as ``(c)``, and a pure
-polynomial prints with no E[]/exp[] prefix.  The parser refuses an exponent
-above MAX_EXPONENT (``^<e>`` is expanded by repeated multiplication, so its
-cost grows with e) with a ValueError.
+polynomial prints with no E[]/exp[] prefix.  ``^<e>`` is expanded by
+repeated multiplication, so the parser bounds its work with a ValueError:
+it refuses an exponent above MAX_EXPONENT, and a step of the expansion whose
+(accumulator terms) x (base terms) exceeds MAX_POWER_WORK, so nested powers
+and powers of sums stay cheap to refuse.
 """
 
 from math import factorial
@@ -787,6 +789,12 @@ def beta_factorial(beta):
 
 _TOKEN_CHARS = set("0123456789")
 MAX_EXPONENT = 256
+# largest (accumulator terms) x (base terms) a step of `^` may multiply
+MAX_POWER_WORK = 4096
+
+
+def _nterms(e):
+    return sum(len(p.terms) for p in e.summands.values())
 
 
 def _tokenize(text):
@@ -935,7 +943,12 @@ class _Parser:
                 raise ValueError("exponent %d exceeds the limit %d"
                                  % (power, MAX_EXPONENT))
             out = ExpPoly.const(self.nvars, ONE)
+            nbase = _nterms(base)
             for _ in range(power):
+                work = _nterms(out) * nbase
+                if work > MAX_POWER_WORK:
+                    raise ValueError("'^%d' needs a %d-term product, over the "
+                                     "limit %d" % (power, work, MAX_POWER_WORK))
                 out = out * base
             return out
         return base

@@ -2,11 +2,14 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import jetcalc
 from jetcalc import cli, family, linalg
 from jetcalc.cli import main
 from jetcalc.scalars import ONE
@@ -160,10 +163,13 @@ def test_a_cross_check_disagreement_is_a_failing_record(
 
 def test_console_script_matches_in_process_output(tmp_path):
     out = tmp_path / "cli.jsonl"
+    # the child imports the same jetcalc as this process, installed or not
+    src = str(Path(jetcalc.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "jetcalc.cli", "jet", "--seed", "4",
          "--json", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     rc, blob = run_verify(tmp_path, "inproc.jsonl", ["jet", "--seed", "4"])
     assert rc == 0

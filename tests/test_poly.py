@@ -193,3 +193,26 @@ def test_exponents_above_the_cap_are_refused():
     for text in ("(x1 + 1)^%d" % (MAX_EXPONENT + 1), "x1^200000"):
         with pytest.raises(ValueError):
             parse_exppoly(text, 1)
+
+
+def test_powers_are_bounded_by_their_work(monkeypatch):
+    from jetcalc import poly
+    from jetcalc.poly import MAX_POWER_WORK
+    x1 = Polynomial(1, {(1,): ONE})
+    assert parse_poly("x1^256", 1) == x1 ** 256
+    assert parse_poly("(x1+1)^256", 1) == (x1 + Polynomial.const(1, ONE)) ** 256
+    # every product the parser forms stays within the bound, so the refused
+    # inputs fail before anything runs at their size
+    largest = []
+    mul = poly.ExpPoly.__mul__
+
+    def counted(a, b):
+        if isinstance(b, poly.ExpPoly):
+            largest.append(poly._nterms(a) * poly._nterms(b))
+        return mul(a, b)
+
+    monkeypatch.setattr(poly.ExpPoly, "__mul__", counted)
+    for text in ("((x1+1)^256)^256", "(x1+x2+x3+1)^256"):
+        with pytest.raises(ValueError, match="limit %d" % MAX_POWER_WORK):
+            parse_exppoly(text, 3)
+    assert largest and max(largest) <= MAX_POWER_WORK

@@ -1,10 +1,18 @@
-"""The routines every module shares: span closure and block-diagonal
-assembly in `linalg`."""
+"""The routines every module shares: span closure, block-diagonal
+assembly, and the square reshape behind the JSON loaders, in `linalg`."""
+
+import json
+import re
+from pathlib import Path
+
+import pytest
 
 from jetcalc import linalg
+from jetcalc.approxalg import ApproxModule, block_module
+from jetcalc.family import PWCandidate, family_from_json
 from jetcalc.linalg import SpanBasis, close_span, block_diag
-from jetcalc.localmod import (cyclic_quotient, power_ideal, dual_number_module,
-                              direct_sum)
+from jetcalc.localmod import (FinMod, cyclic_quotient, power_ideal,
+                              dual_number_module, direct_sum)
 from jetcalc.poly import Vector
 from jetcalc.scalars import ZERO, ONE, sc
 
@@ -65,3 +73,42 @@ def test_block_diag_agrees_with_direct_sum():
     assert S.dim == 2 * A.dim + B.dim
     for j in range(2):
         assert S.mats[j] == block_diag([A.mats[j], B.mats[j], A.mats[j]])
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def loader(kind):
+    """(load, valid text holding 2x2 matrices, the flat entry lists of the
+    parsed text, the name the loader gives the first of them)."""
+    family_text = (FIXTURES / "reducible_family.json").read_text()
+    if kind == "FinMod":
+        return (FinMod.from_json, dual_number_module(Vector((1,))).to_json(),
+                lambda d: d["action"], "action matrix 0")
+    if kind == "ApproxModule":
+        return (ApproxModule.from_json, block_module([2])[1].to_json(),
+                lambda d: d["action"], "action matrix 0")
+    if kind == "family":
+        return (family_from_json, family_text,
+                lambda d: d["reps"][0]["generators"], "generator 0 of rep 'R'")
+    reps = family_from_json(family_text)
+    return (lambda text: PWCandidate.from_json(text, reps),
+            (FIXTURES / "escaping_candidate.json").read_text(),
+            lambda d: list(d["components"].values()),
+            "candidate component 'R'")
+
+
+@pytest.mark.parametrize("extra", [1, -1], ids=["long", "short"])
+@pytest.mark.parametrize("kind", ["FinMod", "ApproxModule", "family", "candidate"])
+def test_loaders_refuse_a_matrix_of_the_wrong_length(kind, extra):
+    load, text, flats, what = loader(kind)
+    load(text)
+    data = json.loads(text)
+    flat = flats(data)[0]
+    if extra > 0:
+        flat.append(flat[0])
+    else:
+        flat.pop()
+    want = "%s has %d entries; a 2x2 matrix needs 4" % (what, 4 + extra)
+    with pytest.raises(ValueError, match=re.escape(want)):
+        load(json.dumps(data))
