@@ -15,6 +15,13 @@ generated by the single stacked tuple (u_1,..,u_n) inside V^n, and ask
 whether the diagonal action of phi preserves W.  That one module decides
 membership in the image of the algebra, and a witness element is recovered
 by a linear solve and re-verified exactly.
+
+The top idempotent alpha_m is the unit: each basis element e has some
+alpha_j e = e = e alpha_j, and alpha_j <= alpha_m gives alpha_m alpha_j =
+alpha_j, so alpha_m e = alpha_m alpha_j e = alpha_j e = e; alike on the
+right.  A top-corner witness therefore needs no cutting down by alpha_m, and
+the membership test reads no structure constants there; they are computed on
+first use (by mul, validate or to_json).
 """
 
 import json
@@ -28,18 +35,15 @@ from .linalg import (SpanBasis, CrossCheckError, mmul, mid, freeze, flatten,
 
 class ApproxAlgebra:
     """Associative algebra on a finite basis with sparse structure constants
-    and a distinguished increasing idempotent chain."""
+    and a distinguished increasing idempotent chain.  `sc` maps (i, j) to
+    the nonzero coordinates {t: c} of e_i e_j; given as a function returning
+    that dict, it runs on the first read of `sc`."""
 
-    __slots__ = ("dim", "sc", "chain", "labels")
+    __slots__ = ("dim", "_sc", "chain", "labels")
 
     def __init__(self, dim, sc, chain, labels=None, check=True, check_assoc=True):
         self.dim = dim
-        cleaned = {}
-        for key, row in sc.items():
-            row = {t: c for t, c in row.items() if c}
-            if row:
-                cleaned[key] = row
-        self.sc = cleaned
+        self._sc = sc if callable(sc) else lambda: sc
         self.chain = tuple(tuple(x for x in a) for a in chain)
         if labels is None:
             labels = tuple("e%d" % t for t in range(dim))
@@ -51,6 +55,13 @@ class ApproxAlgebra:
                 raise ValueError("chain element has wrong length")
         if check:
             self.validate(check_assoc=check_assoc)
+
+    @property
+    def sc(self):
+        if callable(self._sc):
+            self._sc = {key: {t: c for t, c in row.items() if c}
+                        for key, row in self._sc().items() if any(row.values())}
+        return self._sc
 
     def mul(self, x, y):
         """Product of two elements given by coordinates."""
@@ -99,62 +110,31 @@ class ApproxAlgebra:
         sizes = list(sizes)
         if not sizes:
             raise ValueError("need at least one block")
-        index = {}
-        labels = []
-        t = 0
-        for b, d in enumerate(sizes):
-            for r in range(d):
-                for c in range(d):
-                    index[(b, r, c)] = t
-                    labels.append("b%d:%d%d" % (b, r, c))
-                    t += 1
-        dim = t
-        sc = {}
-        for b, d in enumerate(sizes):
-            for r in range(d):
-                for c in range(d):
-                    i = index[(b, r, c)]
-                    for c2 in range(d):
-                        j = index[(b, c, c2)]
-                        sc[(i, j)] = {index[(b, r, c2)]: ONE}
-        chain = []
+        dim = sum(d * d for d in sizes)
+        labels, sc, chain = [], {}, []
         acc = [ZERO] * dim
+        base = 0  # unit (r, c) of block b is basis element base + r*d + c
         for b, d in enumerate(sizes):
             for r in range(d):
-                acc[index[(b, r, r)]] = ONE
+                for c in range(d):
+                    labels.append("b%d:%d%d" % (b, r, c))
+                    for c2 in range(d):
+                        sc[(base + r * d + c, base + c * d + c2)] = {base + r * d + c2: ONE}
+                acc[base + r * d + r] = ONE
             chain.append(tuple(acc))
+            base += d * d
         return cls(dim, sc, chain, labels, check=check, check_assoc=False)
 
     @classmethod
-    def from_matrix_basis(cls, mats, check=True):
-        """Algebra spanned by matrices (must be closed under product and
-        contain the identity); structure constants read off by expressing
-        products in the reduced basis.  Chain = the identity alone.
-        Returns the algebra together with its defining module."""
-        mats = [freeze(m) for m in mats]
+    def from_matrix_basis(cls, mats):
+        """Algebra spanned by matrices, which must be closed under product
+        and contain the identity: ApproxModule.from_span, checked.  Returns
+        the algebra together with its defining module."""
         n = len(mats[0])
-        sb = SpanBasis(n * n)
-        for m in mats:
-            sb.add(flatten(m))
-        # the algebra basis is the echelon basis of the span, so that
-        # coordinate vectors from the span line up with basis indices
-        basis_mats = [unflatten(row, n, n) for row in sb.frozen_rows()]
-        dim = len(basis_mats)
-        id_coords = sb.coords(flatten(mid(n)))
-        if id_coords is None:
-            raise ValueError("identity matrix is not in the span")
-        sc = {}
-        for i in range(dim):
-            for j in range(dim):
-                coords = sb.coords(flatten(mmul(basis_mats[i], basis_mats[j])))
-                if coords is None:
-                    raise ValueError("basis is not closed under products")
-                row = {t: c for t, c in enumerate(coords) if c}
-                if row:
-                    sc[(i, j)] = row
-        alg = cls(dim, sc, [tuple(id_coords)], check=check, check_assoc=False)
-        module = ApproxModule(alg, n, basis_mats, check=check)
-        return alg, module
+        module = ApproxModule.from_span(SpanBasis(n * n, map(flatten, mats)), n)
+        module.algebra.validate(check_assoc=False)
+        module.validate()
+        return module.algebra, module
 
     def __repr__(self):
         return "ApproxAlgebra(dim=%d, chain=%d)" % (self.dim, len(self.chain))
@@ -165,18 +145,15 @@ def block_module(sizes, check=True):
     returns (algebra, module)."""
     alg = ApproxAlgebra.from_blocks(sizes, check=check)
     dim = sum(sizes)
-    offsets = []
+    mats = []
     off = 0
     for d in sizes:
-        offsets.append(off)
-        off += d
-    mats = []
-    for b, d in enumerate(sizes):
-        for r in range(d):
-            for c in range(d):
+        for r in range(off, off + d):
+            for c in range(off, off + d):
                 m = [[ZERO] * dim for _ in range(dim)]
-                m[offsets[b] + r][offsets[b] + c] = ONE
+                m[r][c] = ONE
                 mats.append(m)
+        off += d
     return alg, ApproxModule(alg, dim, mats, check=check)
 
 
@@ -248,18 +225,11 @@ class ApproxModule:
 
     def image_span(self):
         """Row-reduced span of the action image inside End(V)."""
-        sb = SpanBasis(self.dim * self.dim)
-        for m in self.mats:
-            sb.add(flatten(m))
-        return sb
+        return SpanBasis(self.dim * self.dim, map(flatten, self.mats))
 
     def V_j(self, j):
         """Column space of the j-th chain idempotent."""
-        P = self.idem_mat(j)
-        sb = SpanBasis(self.dim)
-        for c in range(self.dim):
-            sb.add([P[r][c] for r in range(self.dim)])
-        return sb
+        return SpanBasis(self.dim, zip(*self.idem_mat(j)))
 
     def to_json(self):
         A = self.algebra
@@ -273,6 +243,33 @@ class ApproxModule:
             "dim": self.dim,
             "action": [[c.json_str() for c in flatten(m)] for m in self.mats],
         })
+
+    @classmethod
+    def from_span(cls, span, n):
+        """Unchecked defining module of the unital algebra of n x n matrices
+        whose flattenings `span` holds.  Its basis is the echelon rows, so
+        span coordinates are algebra coordinates; its chain is the identity.
+        The structure constants are read off the basis products on first
+        use, against the rows as they are now."""
+        rows = span.frozen_rows()
+        id_coords = span.coords(flatten(mid(n)))
+        if id_coords is None:
+            raise ValueError("identity matrix is not in the span")
+        mats = [unflatten(row, n, n) for row in rows]
+
+        def products():
+            basis = SpanBasis(n * n, rows)
+            sc = {}
+            for i, a in enumerate(mats):
+                for j, b in enumerate(mats):
+                    coords = basis.coords(flatten(mmul(a, b)))
+                    if coords is None:
+                        raise ValueError("basis is not closed under products")
+                    sc[(i, j)] = dict(enumerate(coords))
+            return sc
+
+        algebra = ApproxAlgebra(len(mats), products, [id_coords], check=False)
+        return cls(algebra, n, mats, check=False)
 
     @classmethod
     def from_json(cls, text):
@@ -426,8 +423,10 @@ def _membership(M, phi, tuples):
         acts, _tuple_act(phi_cols, _stacked(u, d), n * d)))
     if sol is None:
         raise CrossCheckError("invariance held but no witness solves the system")
-    alpha = M.algebra.chain[corner_j]
-    a = M.algebra.mul(M.algebra.mul(alpha, tuple(sol)), alpha)
+    a = tuple(sol)
+    if corner_j < len(M.algebra.chain) - 1:  # the top idempotent is the unit
+        alpha = M.algebra.chain[corner_j]
+        a = M.algebra.mul(M.algebra.mul(alpha, a), alpha)
     if M.act(a) != phi:
         raise CrossCheckError("witness verification failed")
     return SharpResult(True, witness=a, j=corner_j, tuple_vec=tuple(u))
@@ -589,12 +588,7 @@ def submodule_grid_check(M, phi, n, extra=()):
     d = M.dim
     if not end_sharp_membership(M, phi).member:
         return None
-    grid = []
-    for s in range(n * d):
-        w = [ZERO] * (n * d)
-        w[s] = ONE
-        grid.append(w)
-    grid.extend(list(w) for w in extra)
+    grid = list(mid(n * d)) + [list(w) for w in extra]
     phi_cols = _columns(phi)
     for w in grid:
         W = generated_tuple_module(M, w, n)

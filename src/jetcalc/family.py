@@ -20,7 +20,7 @@ from .linalg import (SpanBasis, CrossCheckError, mmul, mid, freeze, flatten,
                      unflatten, block_diag, close_span, square)
 from .jetfun import (MatPolyFamily, jet_family, iterated_block_derivative,
                      functional_to_diffop, diffop_to_module, frobenius)
-from .approxalg import ApproxAlgebra, end_sharp_membership
+from .approxalg import ApproxModule, end_sharp_membership
 
 
 def _cofactor(F, rows, cols):
@@ -495,8 +495,11 @@ class TripleResult:
 def membership_triple(cand, reps, points, E):
     """The three-way membership test for a candidate over a block layout:
     (i) the double annihilator of the span of word images, (ii) direct span
-    membership, (iii) the End^# test over the spanned algebra."""
-    mats, span, asm = spanned_algebra(reps, points, E)
+    membership, (iii) the End^# test over the spanned algebra.  Verdict
+    (iii) reuses the word span: its module's basis is the span's echelon
+    rows (ApproxModule.from_span), and it still closes its own tuple module
+    and solves for a witness."""
+    _, span, asm = spanned_algebra(reps, points, E)
     total = asm.layout.total
     phi = assemble_phi(cand, reps, points, E)
     flat = list(flatten(phi))
@@ -507,8 +510,7 @@ def membership_triple(cand, reps, points, E):
 
     verdict_ii = span.contains(flat)
 
-    alg, module = ApproxAlgebra.from_matrix_basis(mats, check=False)
-    res = end_sharp_membership(module, phi)
+    res = end_sharp_membership(ApproxModule.from_span(span, total), phi)
     verdict_iii = res.member
 
     dims = {"total": total, "dim_span": len(span.rows)}

@@ -18,9 +18,11 @@ Text grammar (printer output round-trips through parse_exppoly bit-exactly):
 ``^1`` is omitted, a bare coefficient term prints as ``(c)``, and a pure
 polynomial prints with no E[]/exp[] prefix.  ``^<e>`` is expanded by
 repeated multiplication, so the parser bounds its work with a ValueError:
-it refuses an exponent above MAX_EXPONENT, and a step of the expansion whose
-(accumulator terms) x (base terms) exceeds MAX_POWER_WORK, so nested powers
-and powers of sums stay cheap to refuse.
+it refuses an exponent above MAX_EXPONENT, and an input whose products
+(``*``, juxtaposition and each step of ``^``) form more than MAX_PARSE_WORK
+term pairs in all, counted as left terms x right terms before each product
+is formed.  Nested powers, powers of sums and long products of sums all
+stay cheap to refuse.
 """
 
 from math import factorial
@@ -789,8 +791,9 @@ def beta_factorial(beta):
 
 _TOKEN_CHARS = set("0123456789")
 MAX_EXPONENT = 256
-# largest (accumulator terms) x (base terms) a step of `^` may multiply
-MAX_POWER_WORK = 4096
+# most term pairs the products of one parse_exppoly call may form in all:
+# (x1+1)^256 forms 65,792 and parses, ((x1+1)^2)^256 forms 196,614
+MAX_PARSE_WORK = 1 << 17
 
 
 def _nterms(e):
@@ -848,6 +851,15 @@ class _Parser:
         self.toks = toks
         self.pos = 0
         self.nvars = nvars
+        self.work = 0  # term pairs formed so far, see MAX_PARSE_WORK
+
+    def mul(self, a, b):
+        """a * b, charged to the work budget before it is formed."""
+        self.work += _nterms(a) * _nterms(b)
+        if self.work > MAX_PARSE_WORK:
+            raise ValueError("parsing needs more term products than the "
+                             "limit %d" % MAX_PARSE_WORK)
+        return a * b
 
     def peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else (None, None)
@@ -885,7 +897,7 @@ class _Parser:
             kind, _ = self.peek()
             if kind == "*":
                 self.take()
-                total = total * self.parse_factor()
+                total = self.mul(total, self.parse_factor())
             elif kind == "/":
                 self.take()
                 kindn, val = self.take()
@@ -894,7 +906,7 @@ class _Parser:
                 total = total * _inv_int(val)
             elif kind in ("num", "imag", "var", "(", "exp", "unit"):
                 # juxtaposition, e.g. `3 i` inside a coefficient
-                total = total * self.parse_factor()
+                total = self.mul(total, self.parse_factor())
             else:
                 return total
 
@@ -943,13 +955,8 @@ class _Parser:
                 raise ValueError("exponent %d exceeds the limit %d"
                                  % (power, MAX_EXPONENT))
             out = ExpPoly.const(self.nvars, ONE)
-            nbase = _nterms(base)
             for _ in range(power):
-                work = _nterms(out) * nbase
-                if work > MAX_POWER_WORK:
-                    raise ValueError("'^%d' needs a %d-term product, over the "
-                                     "limit %d" % (power, work, MAX_POWER_WORK))
-                out = out * base
+                out = self.mul(out, base)
             return out
         return base
 

@@ -152,3 +152,23 @@ def test_witness_system_drops_only_rows_that_read_zero_equals_zero():
         rhs[dead] = ONE
         assert linalg.solve(full, rhs) is None
         assert linalg.solve(*aa._witness_system(acts, rhs)) is None
+
+
+def test_top_corner_witness_needs_no_cutting_down():
+    """The top chain idempotent is the algebra's unit, so a top-corner
+    witness (the solved coordinates themselves) equals alpha.sol.alpha, on
+    plain, skewed and junk-padded modules alike, and acts as phi."""
+    rng = random.Random(3)
+    kinds = set()
+    for _ in range(30):
+        alg, M = gen.rand_approx_module(rng, 6, junk_ok=True)
+        phi = gen.rand_member_phi(rng, M)
+        res = aa.end_sharp_membership(M, phi)
+        assert res.member and M.act(res.witness) == phi
+        if res.j == len(alg.chain) - 1:
+            top = alg.chain[-1]
+            assert alg.mul(alg.mul(top, res.witness), top) == res.witness
+            entries = sum(1 for m in M.mats for row in m for x in row if x)
+            kinds.add("junk" if not M.is_approx_unital()
+                      else "skewed" if entries > alg.dim else "plain")
+    assert kinds == {"plain", "skewed", "junk"}

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from jetcalc import gen
+from jetcalc import approxalg, family, gen, linalg
+from jetcalc.approxalg import ApproxAlgebra, ApproxModule
 from jetcalc.scalars import Scalar, ZERO, ONE, sc
 from jetcalc.poly import Vector, Covector, DiffOp, ExpPoly, parse_exppoly
 from jetcalc.linalg import (SpanBasis, mmul, mid, freeze, flatten, unflatten,
@@ -125,6 +126,63 @@ def test_membership_triple_with_jets_and_two_reps():
     below = PWCandidate(1, {"r": fam(1, [["0", "0"], ["x1", "0"]])})
     res2 = membership_triple(below, [repu2, rep1], [PT], E2)
     assert res2.unanimous and not res2.member
+
+
+def test_verdict_iii_forms_no_basis_products(monkeypatch):
+    """membership_triple multiplies matrices only to close the span (each
+    span element by each generator) and to find phi's corner (P.phi.P for
+    the one chain idempotent); it forms none of the dim_span^2 products of
+    basis matrices."""
+    calls = {"approxalg": 0, "family": 0}
+
+    def counter(name):
+        def counted(a, b):
+            calls[name] += 1
+            return linalg.mmul(a, b)
+        return counted
+
+    monkeypatch.setattr(approxalg, "mmul", counter("approxalg"))
+    monkeypatch.setattr(family, "mmul", counter("family"))
+    rep = RepFamily("r", [UP, LOW])
+    res = membership_triple(PWCandidate.from_word([rep], [1, -2]), [rep], [PT], E2)
+    dim = res.dims["dim_span"]
+    assert res.unanimous and res.member and dim >= 4
+    assert calls == {"approxalg": 2, "family": 2 * dim}
+
+
+def test_verdict_iii_module_matches_the_checked_matrix_basis_module():
+    """The module verdict (iii) builds from the word span has the basis and
+    unit of the checked from_matrix_basis module; its structure constants,
+    computed on first read, are the eager ones, and its JSON is the same."""
+    rng = random.Random(11)
+    seen = set()
+    for _ in range(8):
+        reps = [gen.rand_repfamily(rng, label, 1, rng.randint(1, 2))
+                for label in "ab"[:rng.randint(1, 2)]]
+        pts = [gen.rand_point(rng, 1)]
+        if rng.random() < 0.5:
+            q = gen.rand_point(rng, 1)
+            if q.coords != pts[0].coords:
+                pts.append(q)
+        E = E1 if rng.random() < 0.5 else dual_number_module(
+            gen.rand_point(rng, 1, zero_ok=False))
+        mats, span, asm = spanned_algebra(reps, pts, E)
+        total = asm.layout.total
+        seen.add((len(reps), len(pts), E.dim))
+        lazy = ApproxModule.from_span(span, total)
+        _, eager = ApproxAlgebra.from_matrix_basis(mats)
+        assert lazy.mats == eager.mats == tuple(mats)
+        assert lazy.algebra.chain == eager.algebra.chain
+        basis = SpanBasis(total * total, map(flatten, mats))
+        products = {}
+        for i, a in enumerate(mats):
+            for j, b in enumerate(mats):
+                coords = basis.coords(flatten(mmul(a, b)))
+                if any(coords):
+                    products[(i, j)] = {t: c for t, c in enumerate(coords) if c}
+        assert lazy.algebra.sc == products == eager.algebra.sc
+        assert lazy.to_json() == eager.to_json()
+    assert {k[0] for k in seen} == {k[1] for k in seen} == {k[2] for k in seen} == {1, 2}
 
 
 def test_relation_checks_certify_then_evaluate():

@@ -197,7 +197,7 @@ def test_exponents_above_the_cap_are_refused():
 
 def test_powers_are_bounded_by_their_work(monkeypatch):
     from jetcalc import poly
-    from jetcalc.poly import MAX_POWER_WORK
+    from jetcalc.poly import MAX_PARSE_WORK
     x1 = Polynomial(1, {(1,): ONE})
     assert parse_poly("x1^256", 1) == x1 ** 256
     assert parse_poly("(x1+1)^256", 1) == (x1 + Polynomial.const(1, ONE)) ** 256
@@ -213,6 +213,35 @@ def test_powers_are_bounded_by_their_work(monkeypatch):
 
     monkeypatch.setattr(poly.ExpPoly, "__mul__", counted)
     for text in ("((x1+1)^256)^256", "(x1+x2+x3+1)^256"):
-        with pytest.raises(ValueError, match="limit %d" % MAX_POWER_WORK):
+        with pytest.raises(ValueError, match="limit %d" % MAX_PARSE_WORK):
             parse_exppoly(text, 3)
-    assert largest and max(largest) <= MAX_POWER_WORK
+    assert largest and max(largest) <= MAX_PARSE_WORK
+
+
+def test_one_parse_budget_covers_every_product(monkeypatch):
+    """One parse_exppoly call forms at most MAX_PARSE_WORK term pairs over
+    all its products, whether from *, juxtaposition or ^.  The products are
+    counted, so a refused input never runs past the budget."""
+    from jetcalc import poly
+    from jetcalc.poly import MAX_PARSE_WORK
+    pairs = []
+    mul = poly.ExpPoly.__mul__
+
+    def counted(a, b):
+        if isinstance(b, poly.ExpPoly):
+            pairs.append(poly._nterms(a) * poly._nterms(b))
+            assert sum(pairs) <= MAX_PARSE_WORK, "parsed past the budget"
+        return mul(a, b)
+
+    monkeypatch.setattr(poly.ExpPoly, "__mul__", counted)
+    x1 = Polynomial(1, {(1,): ONE})
+    power = (x1 + Polynomial.const(1, ONE)) ** 256
+    assert parse_poly("(x1+1)^256", 1) == power
+    assert sum(pairs) == 65792
+    sum4 = "(x1+x2+x3+1)"
+    for text in ("((x1+1)^2)^256", "*".join([sum4] * 30), sum4 * 30):
+        pairs.clear()
+        with pytest.raises(ValueError, match="limit %d" % MAX_PARSE_WORK):
+            parse_exppoly(text, 3)
+    pairs.clear()
+    assert parse_poly("(x1+1)^256", 1) == power  # the budget is per call
