@@ -14,7 +14,8 @@ idempotent absorbing phi, a basis u_1..u_n of its image, the module W
 generated by the single stacked tuple (u_1,..,u_n) inside V^n, and ask
 whether the diagonal action of phi preserves W.  That one module decides
 membership in the image of the algebra, and a witness element is recovered
-by a linear solve and re-verified exactly.
+by a linear solve and re-verified exactly.  Vectors of V^n are sparse
+dicts, and a matrix acts on each length-d block of one by linalg.apply.
 
 The top idempotent alpha_m is the unit: each basis element e has some
 alpha_j e = e = e alpha_j, and alpha_j <= alpha_m gives alpha_m alpha_j =
@@ -30,7 +31,8 @@ from .scalars import ZERO, ONE
 from .poly import parse_scalar
 from . import linalg
 from .linalg import (SpanBasis, CrossCheckError, mmul, mid, freeze, flatten,
-                     unflatten, close_span, square)
+                     unflatten, close_span, square, sparse, dense, columns,
+                     apply)
 
 
 class ApproxAlgebra:
@@ -66,12 +68,9 @@ class ApproxAlgebra:
     def mul(self, x, y):
         """Product of two elements given by coordinates."""
         out = [ZERO] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
+        ynz = sparse(y).items()
+        for i, xi in sparse(x).items():
+            for j, yj in ynz:
                 row = self.sc.get((i, j))
                 if row:
                     f = xi * yj
@@ -160,10 +159,10 @@ def block_module(sizes, check=True):
 class ApproxModule:
     """Module over an ApproxAlgebra: one action matrix per basis element.
 
-    The matrices are immutable, so their nonzero entries and the chain
-    idempotents' action matrices are computed on first use and kept."""
+    The matrices are immutable, so their columns and the chain idempotents'
+    action matrices are computed on first use and kept."""
 
-    __slots__ = ("algebra", "dim", "mats", "_columns", "_idem")
+    __slots__ = ("algebra", "dim", "mats", "_cols", "_idem")
 
     def __init__(self, algebra, dim, mats, check=True, require_unital=True):
         mats = tuple(freeze(m) for m in mats)
@@ -175,27 +174,25 @@ class ApproxModule:
         self.algebra = algebra
         self.dim = dim
         self.mats = mats
-        self._columns = None
+        self._cols = None
         self._idem = [None] * len(algebra.chain)
         if check:
             self.validate(require_unital=require_unital)
 
     def columns(self):
-        """The nonzero entries of every action matrix, by column (see
-        _columns)."""
-        if self._columns is None:
-            self._columns = tuple(_columns(m) for m in self.mats)
-        return self._columns
+        """linalg.columns of every action matrix."""
+        if self._cols is None:
+            self._cols = tuple(columns(m) for m in self.mats)
+        return self._cols
 
     def act(self, coords):
         """The action matrix of the element with the given coordinates,
         summed over the nonzero entries of the basis actions."""
         out = [[ZERO] * self.dim for _ in range(self.dim)]
-        for coeff, cols in zip(coords, self.columns()):
-            if coeff:
-                for c, col in enumerate(cols):
-                    for r, x in col:
-                        out[r][c] = out[r][c] + x * coeff
+        for t, coeff in sparse(coords).items():
+            for c, col in enumerate(self.columns()[t]):
+                for r, x in col:
+                    out[r][c] = out[r][c] + x * coeff
         return freeze(out)
 
     def idem_mat(self, j):
@@ -252,7 +249,7 @@ class ApproxModule:
         The structure constants are read off the basis products on first
         use, against the rows as they are now."""
         rows = span.frozen_rows()
-        id_coords = span.coords(flatten(mid(n)))
+        id_coords = span.coords({i * (n + 1): ONE for i in range(n)})
         if id_coords is None:
             raise ValueError("identity matrix is not in the span")
         mats = [unflatten(row, n, n) for row in rows]
@@ -296,17 +293,12 @@ def _corner_span(M, j1, j2):
     over the matrix units E_rc, each the outer product of column r of
     P_{j1} with row c of P_{j2}."""
     d = M.dim
-    cols = _columns(M.idem_mat(j1))
-    rows = [[(k, y) for k, y in enumerate(row) if y] for row in M.idem_mat(j2)]
+    cols = columns(M.idem_mat(j1))
+    rows = [sparse(row).items() for row in M.idem_mat(j2)]
     sb = SpanBasis(d * d)
     for r in range(d):
         for c in range(d):
-            if cols[r] and rows[c]:
-                flat = [ZERO] * (d * d)
-                for i, x in cols[r]:
-                    for k, y in rows[c]:
-                        flat[i * d + k] = x * y
-                sb.add(flat)
+            sb.insert({i * d + k: x * y for i, x in cols[r] for k, y in rows[c]})
     return sb
 
 
@@ -319,35 +311,12 @@ def end_zero_basis(M):
     full = SpanBasis(d * d)
     for j in range(len(M.algebra.chain)):
         for row in _corner_span(M, j, j).rows:
-            full.add(row)
+            full.insert(row)
     top_j = len(M.algebra.chain) - 1
     top = _corner_span(M, top_j, top_j)
     if not full.same_span(top):
         raise CrossCheckError("corner span computations disagree")
     return [unflatten(row, d, d) for row in full.frozen_rows()], full
-
-
-def _columns(mat):
-    """The nonzero entries of a square matrix by column: a list holding, for
-    each column c, the pairs (r, mat[r][c])."""
-    return [[(r, row[c]) for r, row in enumerate(mat) if row[c]]
-            for c in range(len(mat))]
-
-
-def _stacked(w, d):
-    """The nonzero entries of a stacked vector of V^n, whose blocks have
-    length d, as triples (block offset, index in block, entry)."""
-    return [(s - s % d, s % d, y) for s, y in enumerate(w) if y]
-
-
-def _tuple_act(cols, wnz, size):
-    """Diagonal action of a matrix, given by its _columns, on the stacked
-    vector of length `size` with nonzero entries `wnz` (see _stacked)."""
-    out = [ZERO] * size
-    for off, c, y in wnz:
-        for r, x in cols[c]:
-            out[off + r] = out[off + r] + x * y
-    return out
 
 
 class SharpResult:
@@ -371,19 +340,19 @@ class SharpResult:
 
 def _tuple_module(M, j, tuples):
     """The stacked basis tuple u of V_j, its length n, the basis-element
-    actions on u, and the module W they span inside V^n (W contains u
-    because the corner idempotent fixes every u_i).  Built once per corner
-    index j and kept in `tuples`."""
+    actions on u (u and the actions as zero-free sparse vectors), and the
+    module W they span inside V^n (W contains u because the corner
+    idempotent fixes every u_i).  Built once per corner index j and kept in
+    `tuples`."""
     if j not in tuples:
         d = M.dim
-        basis = M.V_j(j).frozen_rows()
+        basis = M.V_j(j).rows
         n = len(basis)
-        u = [x for b in basis for x in b]
-        unz = _stacked(u, d)
-        acts = [_tuple_act(cols, unz, n * d) for cols in M.columns()]
+        u = {i * d + k: x for i, b in enumerate(basis) for k, x in b.items()}
+        acts = [sparse(apply(cols, u, d)) for cols in M.columns()]
         W = SpanBasis(n * d)
         for w in acts:
-            W.add(w)
+            W.insert(w)
         tuples[j] = (u, n, acts, W)
     return tuples[j]
 
@@ -408,19 +377,19 @@ def _membership(M, phi, tuples):
         raise ValueError("the endomorphism lies in no chain corner; "
                          "it cannot be an image element")
     u, n, acts, W = _tuple_module(M, corner_j, tuples)
+    tuple_vec = dense(u, n * d)
     if n == 0:
         return SharpResult(True, witness=(ZERO,) * M.algebra.dim, j=corner_j,
-                           tuple_vec=tuple(u))
-    phi_cols = _columns(phi)
-    for row in W.frozen_rows():
-        moved = _tuple_act(phi_cols, _stacked(row, d), n * d)
+                           tuple_vec=tuple_vec)
+    phi_cols = columns(phi)
+    for row in W.rows:
+        moved = apply(phi_cols, row, d)
         if not W.contains(moved):
-            return SharpResult(False, j=corner_j, tuple_vec=tuple(u),
-                               submodule=W, escaped=(tuple(row), tuple(moved)))
+            return SharpResult(False, j=corner_j, tuple_vec=tuple_vec, submodule=W,
+                               escaped=(dense(row, n * d), dense(moved, n * d)))
     # recover a witness: solve phi.u = pi(a).u in the element coordinates,
     # then cut a down to the corner so the equality extends from V_j to V
-    sol = linalg.solve(*_witness_system(
-        acts, _tuple_act(phi_cols, _stacked(u, d), n * d)))
+    sol = linalg.solve(*_witness_system(acts, sparse(apply(phi_cols, u, d))))
     if sol is None:
         raise CrossCheckError("invariance held but no witness solves the system")
     a = tuple(sol)
@@ -429,17 +398,18 @@ def _membership(M, phi, tuples):
         a = M.algebra.mul(M.algebra.mul(alpha, a), alpha)
     if M.act(a) != phi:
         raise CrossCheckError("witness verification failed")
-    return SharpResult(True, witness=a, j=corner_j, tuple_vec=tuple(u))
+    return SharpResult(True, witness=a, j=corner_j, tuple_vec=tuple_vec)
 
 
 def _witness_system(acts, rhs):
-    """The witness system sum_t x_t acts[t] = rhs as (rows, rhs), one row
-    per coordinate, leaving out the coordinates where every acts[t] and rhs
-    vanish: those rows read 0 = 0.  A zero row with a nonzero rhs stays, so
-    an inconsistent system stays inconsistent.  Some row always stays,
-    because the corner idempotent acts as the identity on u."""
-    keep = [s for s, b in enumerate(rhs) if b or any(a[s] for a in acts)]
-    return [[a[s] for a in acts] for s in keep], [rhs[s] for s in keep]
+    """The witness system sum_t x_t acts[t] = rhs of zero-free sparse vectors
+    as dense (rows, rhs), one row per coordinate where some acts[t] or rhs is
+    nonzero: the rows left out read 0 = 0.  A zero row with a nonzero rhs
+    stays, so an inconsistent system stays inconsistent.  Some row always
+    stays, because the corner idempotent acts as the identity on u."""
+    keep = sorted(set(rhs).union(*acts))
+    return ([[a.get(s, ZERO) for a in acts] for s in keep],
+            [rhs.get(s, ZERO) for s in keep])
 
 
 def end_sharp_space(M):
@@ -456,26 +426,20 @@ def _end_sharp(M, tuples):
     corner_mats, end_zero = end_zero_basis(M)
     d = M.dim
     _, n, _, W = _tuple_module(M, len(M.algebra.chain) - 1, tuples)
-    pivots = set(W.pivots)
-    compl = [s for s in range(n * d) if s not in pivots]
-    corner_cols = [_columns(C) for C in corner_mats]
+    corner_cols = [columns(C) for C in corner_mats]
     rows = []
-    for wrow in W.frozen_rows():
-        wnz = _stacked(wrow, d)
-        residues = [W._reduce(_tuple_act(cols, wnz, n * d)) for cols in corner_cols]
-        for t in compl:
-            row = [res[t] for res in residues]
-            if any(row):
-                rows.append(row)
+    for wrow in W.rows:
+        # a residue's keys are the non-pivot columns where it is nonzero
+        residues = [W._reduce(apply(cols, wrow, d)) for cols in corner_cols]
+        for t in sorted(set().union(*residues)):
+            rows.append([res.get(t, ZERO) for res in residues])
     sharp = SpanBasis(d * d)
     for v in linalg.nullspace(rows, len(corner_mats)):
-        flat = [ZERO] * (d * d)
-        for s, c in enumerate(v):
-            if c:
-                row = end_zero.rows[s]
-                for t in end_zero.supports[s]:
-                    flat[t] = flat[t] + row[t] * c
-        sharp.add(flat)
+        flat = {}
+        for s, c in sparse(v).items():
+            for t, x in end_zero.rows[s].items():
+                flat[t] = flat.get(t, ZERO) + x * c
+        sharp.insert(flat)
     return [unflatten(r, d, d) for r in sharp.frozen_rows()], sharp, end_zero
 
 
@@ -519,11 +483,11 @@ def double_commutant_check(M):
         "dim_sharp": len(sharp.rows),
         "dim_end_zero": len(end_zero.rows),
     }
-    for row in image.frozen_rows():
-        if not sharp.contains(list(row)):
+    for row in image.rows:
+        if not sharp.contains(row):
             return CheckReport("double_commutant", "fail", dims,
                                witness={"kind": "image_not_in_sharp",
-                                        "matrix": [str(c) for c in row]})
+                                        "matrix": [str(c) for c in dense(row, d * d)]})
     for mat in sharp_mats:
         res = _membership(M, mat, tuples)
         if not res.member:
@@ -541,11 +505,11 @@ def _separating_functional(image, sharp):
     """A dual vector vanishing on the image but pairing nontrivially with
     some element of the sharp space."""
     for func in image.nullspace():
-        for srow in sharp.frozen_rows():
-            val = sum((a * b for a, b in zip(func, srow)), ZERO)
+        for srow in sharp.rows:
+            val = sum((x * srow[s] for s, x in func.items() if s in srow), ZERO)
             if val:
-                return {"functional": [str(c) for c in func],
-                        "sharp_element": [str(c) for c in srow],
+                return {"functional": [str(c) for c in dense(func, image.ncols)],
+                        "sharp_element": [str(c) for c in dense(srow, sharp.ncols)],
                         "pairing": str(val)}
     return None
 
@@ -559,7 +523,7 @@ def corner_identity_check(M, j1, j2):
     left = SpanBasis(d * d)
     for t in range(A.dim):
         elem = A.mul(A.mul(A.chain[j1], A.basis_elem(t)), A.chain[j2])
-        left.add(flatten(M.act(elem)))
+        left.insert(flatten(M.act(elem)))
     corner = _corner_span(M, j1, j2)
     image = M.image_span()
     right = SpanBasis(d * d, linalg.subspace_intersection(
@@ -572,12 +536,8 @@ def corner_identity_check(M, j1, j2):
 def generated_tuple_module(M, w, n):
     """Smallest action-invariant subspace of V^n containing w."""
     d = M.dim
-
-    def step(v):
-        vnz = _stacked(v, d)
-        return [_tuple_act(cols, vnz, n * d) for cols in M.columns()]
-
-    return close_span(SpanBasis(n * d), [list(w)], step)
+    return close_span(SpanBasis(n * d), [w],
+                      lambda v: [apply(cols, v, d) for cols in M.columns()])
 
 
 def submodule_grid_check(M, phi, n, extra=()):
@@ -589,11 +549,10 @@ def submodule_grid_check(M, phi, n, extra=()):
     if not end_sharp_membership(M, phi).member:
         return None
     grid = list(mid(n * d)) + [list(w) for w in extra]
-    phi_cols = _columns(phi)
+    phi_cols = columns(phi)
     for w in grid:
         W = generated_tuple_module(M, w, n)
-        preserved = all(W.contains(_tuple_act(phi_cols, _stacked(row, d), n * d))
-                        for row in W.frozen_rows())
+        preserved = all(W.contains(apply(phi_cols, row, d)) for row in W.rows)
         if not preserved:
             return tuple(w)
     return None

@@ -14,10 +14,10 @@ generator (1-based), -i its inverse.
 import json
 
 from .scalars import ZERO, ONE
-from .poly import ExpPoly, Vector, diff, parse_exppoly
-from . import linalg
+from .poly import ExpPoly, Vector, diff, entry_parser
 from .linalg import (SpanBasis, CrossCheckError, mmul, mid, freeze, flatten,
-                     unflatten, block_diag, close_span, square)
+                     unflatten, block_diag, close_span, square, sparse,
+                     columns, apply)
 from .jetfun import (MatPolyFamily, jet_family, iterated_block_derivative,
                      functional_to_diffop, diffop_to_module, frobenius)
 from .approxalg import ApproxModule, end_sharp_membership
@@ -136,6 +136,7 @@ def family_from_json(text):
     nvars = data["nvars"]
     if not data["reps"]:
         raise ValueError("a family needs at least one rep")
+    parse = entry_parser(nvars)
     reps = []
     for rd in data["reps"]:
         dim = rd["dim"]
@@ -143,8 +144,7 @@ def family_from_json(text):
             raise ValueError("rep %r has dimension %r; it must be a positive integer"
                              % (rd["label"], dim))
         gens = [MatPolyFamily(nvars, square(
-                    flat, dim, lambda e: parse_exppoly(e, nvars),
-                    "generator %d of rep %r" % (g, rd["label"])))
+                    flat, dim, parse, "generator %d of rep %r" % (g, rd["label"])))
                 for g, flat in enumerate(rd["generators"])]
         reps.append(RepFamily(rd["label"], gens))
     return reps
@@ -188,13 +188,13 @@ class PWCandidate:
         data = json.loads(text)
         nvars = data["nvars"]
         dims = {rep.label: rep.dim for rep in reps}
+        parse = entry_parser(nvars)
         comps = {}
         for label, flat in data["components"].items():
             if label not in dims:
                 raise ValueError("unknown rep label %r" % label)
             comps[label] = MatPolyFamily(nvars, square(
-                flat, dims[label], lambda e: parse_exppoly(e, nvars),
-                "candidate component %r" % label))
+                flat, dims[label], parse, "candidate component %r" % label))
         return cls(nvars, comps)
 
 
@@ -281,10 +281,11 @@ def spanned_algebra(reps, points, E):
     for rep in reps[1:]:
         if len(rep.generators) != ngens:
             raise ValueError("reps must share the generator alphabet")
-    letter_mats = [asm.letter_matrix(k) for k in range(1, ngens + 1)]
+    # X g maps each row of X by g^T, and the columns of g^T are the rows of g
+    letter_cols = [columns(tuple(zip(*asm.letter_matrix(k))))
+                   for k in range(1, ngens + 1)]
     span = close_span(SpanBasis(total * total), [flatten(mid(total))],
-                      lambda v: [flatten(mmul(unflatten(v, total, total), g))
-                                 for g in letter_mats])
+                      lambda v: [apply(cols, v, total) for cols in letter_cols])
     mats = [unflatten(row, total, total) for row in span.frozen_rows()]
     return mats, span, asm
 
@@ -409,7 +410,7 @@ def functional_to_relation(data):
             for c in range(size):
                 seen[off + r][off + c] = True
         red = SpanBasis(d * d, G)
-        for rrow, piv in zip(red.rows, red.pivots):
+        for rrow, piv in zip(red.frozen_rows(), red.pivots):
             eta = [[G[i * E.dim + j][piv] for j in range(E.dim)]
                    for i in range(E.dim)]
             u = functional_to_diffop(E, freeze(eta))
@@ -502,10 +503,9 @@ def membership_triple(cand, reps, points, E):
     _, span, asm = spanned_algebra(reps, points, E)
     total = asm.layout.total
     phi = assemble_phi(cand, reps, points, E)
-    flat = list(flatten(phi))
+    flat = sparse(flatten(phi))
 
-    phi_nz = [(s, x) for s, x in enumerate(flat) if x]
-    verdict_i = not any(sum((func[s] * x for s, x in phi_nz), ZERO)
+    verdict_i = not any(sum((x * flat[s] for s, x in func.items() if s in flat), ZERO)
                         for func in span.nullspace())
 
     verdict_ii = span.contains(flat)
@@ -551,11 +551,7 @@ def invariance_check(cand, delta, reps, extra_vectors=()):
     gen_mats = [block_diag([gm[k] for gm in blocks]) for k in range(ngens)]
     phi = block_diag(phis)
 
-    grid = []
-    for s in range(total):
-        v = [ZERO] * total
-        v[s] = ONE
-        grid.append(v)
+    grid = [{s: ONE} for s in range(total)]
     # one stacked tuple per run of identical components (the per-block
     # decision vector), plus their concatenation, which correlates blocks
     run_start = 0
@@ -566,24 +562,21 @@ def invariance_check(cand, delta, reps, extra_vectors=()):
         if i == len(delta) or (i > run_start and key(delta[i]) != key(delta[run_start])):
             g = i - run_start
             b = sizes[run_start]
-            v = [ZERO] * total
-            for s in range(min(g, b)):
-                v[offs[run_start + s] + s] = ONE
+            v = {offs[run_start + s] + s: ONE for s in range(min(g, b))}
             grid.append(v)
             run_vecs.append(v)
             run_start = i
-    if len(run_vecs) > 1:
-        grid.append([sum(xs, ZERO) for xs in zip(*run_vecs)])
-    grid.extend(list(v) for v in extra_vectors)
+    if len(run_vecs) > 1:  # the runs lie in disjoint blocks
+        grid.append({s: x for v in run_vecs for s, x in v.items()})
+    grid.extend(extra_vectors)
 
-    def step(w):
-        return [linalg.mat_vec(g, w) for g in gen_mats]
-
+    gen_cols = [columns(g) for g in gen_mats]
+    phi_cols = columns(phi)
     for v in grid:
-        W = close_span(SpanBasis(total), [v], step)
-        for row in W.frozen_rows():
-            if not W.contains(linalg.mat_vec(phi, list(row))):
-                return False
+        W = close_span(SpanBasis(total), [v],
+                       lambda w: [apply(cols, w, total) for cols in gen_cols])
+        if not all(W.contains(apply(phi_cols, row, total)) for row in W.rows):
+            return False
     return True
 
 

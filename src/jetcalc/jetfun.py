@@ -405,7 +405,7 @@ def kernel_alpha_bar(lams, d):
             if c:
                 w[space.index[m]] = c
         canon.add(w)
-    basis = [space.from_vec(r) for r in canon.rows]
+    basis = [space.from_vec(r) for r in canon.frozen_rows()]
     return KernelResult(tuple(lams), d, basis, d < n + 1)
 
 

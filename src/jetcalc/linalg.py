@@ -1,15 +1,19 @@
 """Exact linear algebra over Q(i).
 
-Matrices are tuples of tuples of Scalar; rows inside the elimination are
-plain lists.  Storage is dense, but the matrices met in practice (matrix
-units, nilpotent actions) are mostly zeros, so inner loops visit nonzero
-entries only, and `SpanBasis` keeps each echelon row's support beside it.
+Matrices are tuples of tuples of Scalar.  Inside the span engine a vector is
+sparse: a dict {index: Scalar}, zero-free once `sparse` has read it, since
+the vectors met in practice (matrix units, nilpotent actions, stacked
+tuples) are mostly zeros.  `sparse` is the one place that finds the nonzeros
+of a vector; `dense` turns a dict back into a tuple at the edges (frozen
+rows, the module-level functions, JSON).  `apply` is the one matrix-vector
+action: it maps every block of a stacked vector by one matrix, given by its
+`columns`.
 
 `SpanBasis` is the one elimination: row-at-a-time Gauss-Jordan to the
 reduced row echelon form (RREF), which is unique over exact arithmetic, so
 no pivoting heuristics are needed and every result is canonical.  `rank`,
 `nullspace`, `solve`, `mat_inverse` and `subspace_intersection` each read
-one SpanBasis.  Beside it, `close_span` closes a subspace under generators
+one SpanBasis.  Beside it, `close_span` closes a subspace under linear maps
 (submodules, tuple modules, word algebras, invariance grids) and
 `block_diag` builds every block-diagonal matrix.
 """
@@ -23,6 +27,42 @@ class CrossCheckError(AssertionError):
     """Two independent computations of one exact result disagree (kernel
     routes, End(V)_0 corner spans, relation evaluations, or a recovered End^#
     witness): a defect, never a verdict about the input."""
+
+
+def sparse(v):
+    """The nonzero entries of a sequence, or of a dict that may hold zeros,
+    as a new dict {index: entry}."""
+    return {j: x for j, x in (v.items() if isinstance(v, dict) else enumerate(v)) if x}
+
+
+def dense(v, n):
+    """The length-n tuple of the sparse vector v."""
+    out = [ZERO] * n
+    for j, x in v.items():
+        out[j] = x
+    return tuple(out)
+
+
+def columns(mat):
+    """The nonzero entries of a matrix by column: for each column c, the
+    pairs (r, mat[r][c])."""
+    return [list(sparse(col).items()) for col in zip(*mat)]
+
+
+def apply(cols, v, d):
+    """The matrix with the given `columns` applied to every length-d block
+    of the sparse vector v, each image at its block's offset; with more than
+    one block the matrix must be square.  The dict returned may hold zeros
+    where terms cancel."""
+    out = {}
+    for s, y in v.items():
+        off, c = divmod(s, d)
+        off *= d
+        for r, x in cols[c]:
+            k = off + r
+            z = out.get(k)
+            out[k] = x * y if z is None else z + x * y
+    return out
 
 
 def freeze(rows):
@@ -45,11 +85,6 @@ def mscale(a, c):
     return tuple(tuple(x * c for x in r) for r in a)
 
 
-def _nonzeros(v):
-    """The (index, entry) pairs of the nonzero entries of v."""
-    return [(j, x) for j, x in enumerate(v) if x]
-
-
 def mmul(a, b):
     """Matrix product over the nonzero entries of both factors; the action
     matrices are nilpotent and mostly zeros, so this matters."""
@@ -61,12 +96,11 @@ def mmul(a, b):
     out = []
     for arow in a:
         acc = [ZERO] * m
-        for k, c in enumerate(arow):
-            if c:
-                if bsupp[k] is None:
-                    bsupp[k] = _nonzeros(b[k])
-                for j, v in bsupp[k]:
-                    acc[j] = acc[j] + c * v
+        for k, c in sparse(arow).items():
+            if bsupp[k] is None:
+                bsupp[k] = sparse(b[k]).items()
+            for j, v in bsupp[k]:
+                acc[j] = acc[j] + c * v
         out.append(tuple(acc))
     return tuple(out)
 
@@ -80,9 +114,8 @@ def block_diag(mats):
     for m in mats:
         for r, row in enumerate(m):
             big = out[off + r]
-            for c, x in enumerate(row):
-                if x:
-                    big[off + c] = x
+            for c, x in sparse(row).items():
+                big[off + c] = x
         off += len(m)
     return freeze(out)
 
@@ -109,16 +142,8 @@ def square(flat, d, parse, what):
 
 
 def mat_vec(a, v):
-    nz = _nonzeros(v)
-    out = []
-    for row in a:
-        acc = ZERO
-        for j, y in nz:
-            x = row[j]
-            if x:
-                acc = acc + x * y
-        out.append(acc)
-    return tuple(out)
+    """a v for a dense matrix and vector."""
+    return dense(apply(columns(a), sparse(v), len(v)), len(a)) if a else ()
 
 
 def rank(rows):
@@ -127,7 +152,7 @@ def rank(rows):
 
 def nullspace(rows, ncols):
     """Basis of {x : A x = 0} for A given by rows; see SpanBasis.nullspace."""
-    return SpanBasis(ncols, rows).nullspace()
+    return [dense(v, ncols) for v in SpanBasis(ncols, rows).nullspace()]
 
 
 def solve(rows, rhs):
@@ -138,10 +163,8 @@ def solve(rows, rhs):
     red = SpanBasis(ncols + 1, [list(r) + [b] for r, b in zip(rows, rhs)])
     if red.pivots and red.pivots[-1] == ncols:
         return None  # inconsistent: pivot in the rhs column
-    x = [ZERO] * ncols
-    for row, p in zip(red.rows, red.pivots):
-        x[p] = row[ncols]
-    return tuple(x)
+    return dense({p: row.get(ncols, ZERO) for row, p in zip(red.rows, red.pivots)},
+                 ncols)
 
 
 def mat_inverse(mat):
@@ -150,95 +173,109 @@ def mat_inverse(mat):
     red = SpanBasis(2 * n, [list(r) + list(e) for r, e in zip(mat, mid(n))])
     if red.pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return freeze([row[n:] for row in red.rows])
+    return freeze(row[n:] for row in red.frozen_rows())
+
+
+def _subtract(out, c, row, skip):
+    """out -= c * row in place over the keys of row other than `skip`,
+    keeping out zero-free; c and the entries of row are nonzero."""
+    for j, x in row.items():
+        if j != skip:
+            y = out.get(j)
+            if y is None:
+                out[j] = -(c * x)
+            else:
+                y = y - c * x
+                if y:
+                    out[j] = y
+                else:
+                    del out[j]
 
 
 class SpanBasis:
     """Incrementally maintained RREF basis of a span of row vectors.
 
-    add() reports whether the span grew; coords() expresses a member in the
-    echelon rows; nullspace() reads the annihilator off them.  Rows stay
-    fully reduced, so reduction is one pass in pivot order, touching only
-    `supports[i]`, the ascending nonzero columns of `rows[i]`.  add()
-    replaces a row it changes by a new list, so a row once read is never
-    modified."""
+    Each echelon row is a zero-free dict {column: Scalar} whose least key is
+    its pivot.  insert() reports whether the span grew; coords() expresses a
+    member in the echelon rows; nullspace() reads the annihilator off them.
+    In RREF a row is zero at every other pivot, so reducing a vector clears
+    each of its pivot entries with that pivot's row alone, in any order.
+    insert() replaces a row it changes by a new dict, so a row once read is
+    never modified."""
 
     def __init__(self, ncols, rows=()):
         self.ncols = ncols
         self.rows = []
         self.pivots = []
-        self.supports = []
+        self._row = {}  # pivot -> echelon row
         for r in rows:
-            self.add(r)
+            self.insert(r)
 
     @property
     def dim(self):
         return len(self.rows)
 
     def _reduce(self, v, record=None):
-        v = list(v)
-        for idx, (row, p, supp) in enumerate(zip(self.rows, self.pivots,
-                                                 self.supports)):
-            c = v[p]
-            if c:
-                if record is not None:
-                    record[idx] = c
-                for j in supp:
-                    v[j] = v[j] - c * row[j]
-        return v
+        """The residue of v (a dict that may hold zeros, or a sequence)
+        against the rows, as a new zero-free dict; `record` receives the
+        coefficient of each row used, by pivot."""
+        out = sparse(v)
+        for p in [p for p in out if p in self._row]:
+            c = out.pop(p)
+            if record is not None:
+                record[p] = c
+            _subtract(out, c, self._row[p], p)
+        return out
 
-    def add(self, v):
-        """Insert v; True iff the dimension grew."""
+    def insert(self, v):
+        """Insert v (as _reduce reads it); True iff the dimension grew."""
         v = self._reduce(v)
-        supp = [j for j, x in enumerate(v) if x]
-        if not supp:
+        if not v:
             return False
-        pivot = supp[0]
+        pivot = min(v)
         inv = v[pivot].inverse()
-        for j in supp:
-            v[j] = v[j] * inv
+        v = {j: x * inv for j, x in v.items()}
         # keep existing rows reduced against the new one
         for i, row in enumerate(self.rows):
-            c = row[pivot]
-            if c:
-                row = row[:]
-                for j in supp:
-                    row[j] = row[j] - c * v[j]
-                self.rows[i] = row
-                merged = sorted(set(self.supports[i]).union(supp))
-                self.supports[i] = [j for j in merged if row[j]]
+            c = row.get(pivot)
+            if c is not None:
+                row = {j: x for j, x in row.items() if j != pivot}
+                _subtract(row, c, v, pivot)
+                self.rows[i] = self._row[self.pivots[i]] = row
         at = bisect_left(self.pivots, pivot)
         self.rows.insert(at, v)
         self.pivots.insert(at, pivot)
-        self.supports.insert(at, supp)
+        self._row[pivot] = v
         return True
 
+    def add(self, v):
+        """insert() for a dense row, at the edges; the benchmark's tracer
+        (bench/layers.py) wraps it by name and reads its argument densely."""
+        return self.insert(v)
+
     def contains(self, v):
-        return not any(self._reduce(v))
+        return not self._reduce(v)
 
     def coords(self, v):
         """Coefficients of v against the echelon rows, or None if outside."""
         record = {}
-        residue = self._reduce(v, record)
-        if any(residue):
+        if self._reduce(v, record):
             return None
-        return tuple(record.get(i, ZERO) for i in range(len(self.rows)))
+        return tuple(record.get(p, ZERO) for p in self.pivots)
 
     def nullspace(self):
-        """Basis of {x : row . x = 0 for every row}: for each free (non-pivot)
-        column f ascending, 1 at f and -rows[i][f] at pivots[i].  In RREF a
-        row's nonzeros off its pivot all lie in free columns."""
-        pivot_set = set(self.pivots)
-        vecs = {f: [ZERO] * f + [ONE] + [ZERO] * (self.ncols - f - 1)
-                for f in range(self.ncols) if f not in pivot_set}
-        for row, p, supp in zip(self.rows, self.pivots, self.supports):
-            for j in supp:
+        """Basis of {x : row . x = 0 for every row}, as zero-free dicts: for
+        each free (non-pivot) column f ascending, 1 at f and -row[f] at the
+        pivot of each row.  In RREF a row's keys off its pivot are all free."""
+        vecs = {f: {f: ONE} for f in range(self.ncols) if f not in self._row}
+        for p, row in self._row.items():
+            for j, x in row.items():
                 if j != p:
-                    vecs[j][p] = -row[j]
-        return [tuple(v) for v in vecs.values()]
+                    vecs[j][p] = -x
+        return list(vecs.values())
 
     def frozen_rows(self):
-        return freeze(self.rows)
+        return tuple(dense(r, self.ncols) for r in self.rows)
 
     def same_span(self, other):
         """Equality of spans; RREF is canonical so row comparison suffices."""
@@ -246,12 +283,13 @@ class SpanBasis:
 
 
 def close_span(span, seeds, step):
-    """Close the SpanBasis `span` under `step`: add each seed, then add every
-    vector of step(v) for each v that grew the span, breadth first, until
-    nothing new appears.  Returns `span`."""
-    frontier = [v for v in seeds if span.add(v)]
+    """Close the SpanBasis `span` under `step`, which maps a sparse vector to
+    a list of sparse vectors: insert each seed (a sequence or dict), then
+    every vector of step(v) for each v that grew the span, breadth first,
+    until nothing new appears.  Returns `span`."""
+    frontier = [v for v in map(sparse, seeds) if span.insert(v)]
     while frontier:
-        frontier = [w for v in frontier for w in step(v) if span.add(w)]
+        frontier = [w for v in frontier for w in step(v) if span.insert(w)]
     return span
 
 
@@ -259,16 +297,17 @@ def subspace_intersection(rows_a, rows_b, ncols):
     """RREF basis of (span of rows_a) intersect (span of rows_b), by
     Zassenhaus: reduce the rows (a|a) and (b|0).  The combinations with a
     zero left half are (c|c) - (c|0) = (0|c) for c in both spans, so the
-    rows pivoting in the right half are (0|c) for c an echelon basis."""
-    zero = [ZERO] * ncols
-    both = SpanBasis(2 * ncols, [list(a) + list(a) for a in rows_a]
-                     + [list(b) + zero for b in rows_b])
-    return freeze([row[ncols:] for row, p in zip(both.rows, both.pivots)
-                   if p >= ncols])
+    rows pivoting in the right half are (0|c) for c an echelon basis.  The
+    rows may be sequences or dicts."""
+    both = SpanBasis(2 * ncols, rows_b)
+    for a in map(sparse, rows_a):
+        both.insert({**a, **{j + ncols: x for j, x in a.items()}})
+    return freeze(row[ncols:] for row, p in zip(both.frozen_rows(), both.pivots)
+                  if p >= ncols)
 
 
 def rref(rows):
     """(echelon rows, pivot columns) of the RREF of rows.  Unused in the
     package; the benchmark's tracer (bench/layers.py) wraps it by name."""
     red = SpanBasis(len(rows[0]) if rows else 0, rows)
-    return red.rows, red.pivots
+    return red.frozen_rows(), red.pivots

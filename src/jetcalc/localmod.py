@@ -19,7 +19,7 @@ from .poly import (Polynomial, DiffOp, Covector, monomials_upto,
                    monomials_of_degree, beta_factorial, zero_exps, parse_scalar)
 from . import linalg
 from .linalg import (SpanBasis, mmul, madd, mscale, mid, mzeros, freeze,
-                     block_diag, close_span, square)
+                     block_diag, close_span, square, dense, columns, apply)
 
 
 class PolySpace:
@@ -114,14 +114,14 @@ class CofiniteIdeal:
         if p.nvars != self.nvars:
             raise ValueError("arity mismatch")
         v = self.space.to_vec(p.truncate(self.k))
-        return self.space.from_vec(self.span._reduce(v))
+        return self.space.from_vec(dense(self.span._reduce(v), self.space.dim))
 
     def contains(self, p):
         return not self.normal_form(p)
 
     def reduced_basis(self):
         """The row-reduced polynomial basis of the ideal image in degrees <= k."""
-        return [self.space.from_vec(r) for r in self.span.rows]
+        return [self.space.from_vec(r) for r in self.span.frozen_rows()]
 
     def same(self, other):
         """Equality as ideals with the same certified k."""
@@ -364,7 +364,7 @@ def annihilator_dual(ideal):
     gammas = monomials_upto(nvars, k)
     facts = [beta_factorial(g) for g in gammas]
     rows = []
-    for row in ideal.span.rows:
+    for row in ideal.span.frozen_rows():
         p = ideal.space.from_vec(row)
         rows.append([p.terms.get(g, ZERO) * facts[t] for t, g in enumerate(gammas)])
     basis = []
@@ -433,13 +433,14 @@ def submodule_generated(E, vectors):
     """Smallest action-invariant subspace containing the vectors, with the
     inclusion map: the span of the vectors closed under the action
     generators."""
+    mcols = [columns(m) for m in E.mats]
     sb = close_span(SpanBasis(E.dim), vectors,
-                    lambda v: [linalg.mat_vec(m, v) for m in E.mats])
+                    lambda v: [apply(c, v, E.dim) for c in mcols])
     basis = sb.frozen_rows()
     d = len(basis)
     mats = []
-    for j in range(E.nvars):
-        cols = [sb.coords(linalg.mat_vec(E.mats[j], b)) for b in basis]
+    for mc in mcols:
+        cols = [sb.coords(apply(mc, b, E.dim)) for b in sb.rows]
         mats.append(tuple(tuple(cols[c][r] for c in range(d)) for r in range(d)))
     sub = FinMod(E.nvars, E.k, mats, check=False)
     incl = ModuleMap(sub, E, tuple(tuple(basis[c][r] for c in range(d)) for r in range(E.dim)),
@@ -455,12 +456,11 @@ def quotient_module(E, sub):
     elif isinstance(sub, SpanBasis):
         sb = sub
     else:
-        sb = SpanBasis(E.dim)
-        for v in sub:
-            sb.add(v)
+        sb = SpanBasis(E.dim, sub)
+    mcols = [columns(m) for m in E.mats]
     for row in sb.rows:
-        for j in range(E.nvars):
-            if not sb.contains(linalg.mat_vec(E.mats[j], row)):
+        for mc in mcols:
+            if not sb.contains(apply(mc, row, E.dim)):
                 raise ValueError("subspace is not invariant under the action")
     pivots = set(sb.pivots)
     comp = [t for t in range(E.dim) if t not in pivots]
@@ -468,22 +468,14 @@ def quotient_module(E, sub):
 
     def project(v):
         res = sb._reduce(v)
-        return tuple(res[t] for t in comp)
+        return tuple(res.get(t, ZERO) for t in comp)
 
     mats = []
-    for j in range(E.nvars):
-        cols = []
-        for t in comp:
-            e = [ZERO] * E.dim
-            e[t] = ONE
-            cols.append(project(linalg.mat_vec(E.mats[j], e)))
+    for mc in mcols:
+        cols = [project(apply(mc, {t: ONE}, E.dim)) for t in comp]
         mats.append(tuple(tuple(cols[c][r] for c in range(d)) for r in range(d)))
     quot = FinMod(E.nvars, E.k, mats, check=False)
-    proj_rows = []
-    for t in range(E.dim):
-        e = [ZERO] * E.dim
-        e[t] = ONE
-        proj_rows.append(project(e))
+    proj_rows = [project({t: ONE}) for t in range(E.dim)]
     proj = ModuleMap(E, quot, tuple(tuple(proj_rows[c][r] for c in range(E.dim))
                                     for r in range(d)), check=False)
     return quot, proj

@@ -21,8 +21,9 @@ repeated multiplication, so the parser bounds its work with a ValueError:
 it refuses an exponent above MAX_EXPONENT, and an input whose products
 (``*``, juxtaposition and each step of ``^``) form more than MAX_PARSE_WORK
 term pairs in all, counted as left terms x right terms before each product
-is formed.  Nested powers, powers of sums and long products of sums all
-stay cheap to refuse.
+is formed.  The entries of one file share that budget (`entry_parser`).
+Nested powers, powers of sums, long products of sums and many large entries
+all stay cheap to refuse.
 """
 
 from math import factorial
@@ -791,8 +792,9 @@ def beta_factorial(beta):
 
 _TOKEN_CHARS = set("0123456789")
 MAX_EXPONENT = 256
-# most term pairs the products of one parse_exppoly call may form in all:
-# (x1+1)^256 forms 65,792 and parses, ((x1+1)^2)^256 forms 196,614
+# most term pairs the products of one parse_exppoly call, or of all the
+# entries of one file, may form in all: (x1+1)^256 forms 65,792 and parses,
+# ((x1+1)^2)^256 forms 196,614
 MAX_PARSE_WORK = 1 << 17
 
 
@@ -847,11 +849,17 @@ class _Parser:
     directly in the ExpPoly algebra, so coefficients, monomials and
     exponential prefixes all go through one code path."""
 
-    def __init__(self, toks, nvars):
-        self.toks = toks
-        self.pos = 0
+    def __init__(self, nvars):
         self.nvars = nvars
-        self.work = 0  # term pairs formed so far, see MAX_PARSE_WORK
+        self.work = 0  # term pairs formed by every parse so far, see MAX_PARSE_WORK
+
+    def parse(self, text):
+        self.toks = _tokenize(text)
+        self.pos = 0
+        out = self.parse_expr()
+        if self.pos != len(self.toks):
+            raise ValueError("parse error: trailing input at token %d" % self.pos)
+        return out
 
     def mul(self, a, b):
         """a * b, charged to the work budget before it is formed."""
@@ -975,12 +983,14 @@ class _Parser:
 
 
 def parse_exppoly(text, nvars):
-    toks = _tokenize(text)
-    parser = _Parser(toks, nvars)
-    out = parser.parse_expr()
-    if parser.pos != len(toks):
-        raise ValueError("parse error: trailing input at token %d" % parser.pos)
-    return out
+    return _Parser(nvars).parse(text)
+
+
+def entry_parser(nvars):
+    """parse_exppoly(., nvars) for the entries of one file: all its calls
+    share one MAX_PARSE_WORK budget, so a file's load time stays bounded
+    however many entries it holds."""
+    return _Parser(nvars).parse
 
 
 def parse_poly(text, nvars):

@@ -7,6 +7,7 @@ import pytest
 from jetcalc.scalars import ZERO, ONE, sc
 from jetcalc import approxalg as aa, gen, linalg
 from jetcalc.linalg import mid
+from jetcalc.poly import parse_scalar
 
 
 def test_full_matrix_block_has_commutant_scalars():
@@ -143,7 +144,8 @@ def test_witness_system_drops_only_rows_that_read_zero_equals_zero():
         rhs = [sum((a[s] * c for a, c in zip(acts, x)), ZERO)
                for s in range(size)]
         full = [[a[s] for a in acts] for s in range(size)]
-        rows, b = aa._witness_system(acts, rhs)
+        sparse_acts = [linalg.sparse(a) for a in acts]
+        rows, b = aa._witness_system(sparse_acts, linalg.sparse(rhs))
         assert len(rows) <= len(live)
         assert all(any(r) or c for r, c in zip(rows, b))
         assert linalg.solve(rows, b) == linalg.solve(full, rhs)
@@ -151,7 +153,8 @@ def test_witness_system_drops_only_rows_that_read_zero_equals_zero():
         dead = min(set(range(size)) - live)
         rhs[dead] = ONE
         assert linalg.solve(full, rhs) is None
-        assert linalg.solve(*aa._witness_system(acts, rhs)) is None
+        assert linalg.solve(*aa._witness_system(sparse_acts,
+                                                linalg.sparse(rhs))) is None
 
 
 def test_top_corner_witness_needs_no_cutting_down():
@@ -172,3 +175,30 @@ def test_top_corner_witness_needs_no_cutting_down():
             kinds.add("junk" if not M.is_approx_unital()
                       else "skewed" if entries > alg.dim else "plain")
     assert kinds == {"plain", "skewed", "junk"}
+
+
+def test_separating_functional_kills_the_image_and_pairs_with_sharp():
+    """For hand-built spans image < sharp inside End(V), d = 2 and 3: the
+    functional has length d^2, annihilates every image row, and pairs with
+    the returned sharp element to the nonzero `pairing`; equal spans have
+    none."""
+    rng = random.Random(9)
+    for _ in range(20):
+        d = rng.choice((2, 3))
+        units = [linalg.flatten(mid(d))] + [
+            [gen.rand_scalar(rng) if rng.random() < 0.4 else ZERO
+             for _ in range(d * d)] for _ in range(d * d)]
+        k = rng.randint(1, d * d - 1)
+        image = linalg.SpanBasis(d * d, units[:k])
+        sharp = linalg.SpanBasis(d * d, units[:k + rng.randint(1, 3)])
+        assert sharp.dim > image.dim
+        assert aa._separating_functional(image, image) is None
+        func = aa._separating_functional(image, sharp)
+        f = [parse_scalar(c) for c in func["functional"]]
+        s = [parse_scalar(c) for c in func["sharp_element"]]
+        assert len(f) == len(s) == d * d
+        for row in image.frozen_rows():
+            assert not sum((x * y for x, y in zip(f, row)), ZERO)
+        assert sharp.contains(s)
+        pairing = sum((x * y for x, y in zip(f, s)), ZERO)
+        assert pairing and str(pairing) == func["pairing"]

@@ -101,10 +101,15 @@ def sympy_rref(rows, ncols):
             list(piv))
 
 
-def assert_supports_match(sb):
-    assert len(sb.supports) == len(sb.rows)
-    for row, supp in zip(sb.rows, sb.supports):
-        assert supp == [j for j, x in enumerate(row) if x]
+def assert_rows_are_sparse(sb):
+    """Every echelon row is a zero-free dict whose least key is its pivot."""
+    assert len(sb.pivots) == len(sb.rows)
+    for row, p in zip(sb.rows, sb.pivots):
+        assert isinstance(row, dict) and all(row.values()) and min(row) == p
+
+
+def echelon(sb):
+    return [list(r) for r in sb.frozen_rows()]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -113,7 +118,7 @@ def test_rank_and_rref_match_sympy(seed):
         ncols = len(rows[0])
         sb = SpanBasis(ncols, rows)
         assert linalg.rank(rows) == oracle(rows, ncols).rank() == sb.dim
-        assert (sb.rows, sb.pivots) == sympy_rref(rows, ncols)
+        assert (echelon(sb), sb.pivots) == sympy_rref(rows, ncols)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -173,13 +178,13 @@ def test_span_basis_is_the_rref_and_keeps_true_supports(seed):
         for i, r in enumerate(rows):
             grew = sb.add(r)
             assert grew == (linalg.rank(rows[:i + 1]) > linalg.rank(rows[:i]))
-            assert_supports_match(sb)
-        assert (sb.rows, sb.pivots) == sympy_rref(rows, ncols)
+            assert_rows_are_sparse(sb)
+        assert (echelon(sb), sb.pivots) == sympy_rref(rows, ncols)
         # a combination of the inputs is a member, and its coordinates
         # against the echelon rows rebuild it
         inside = combine([rand_scalar(rng) for _ in rows], rows, ncols)
         assert sb.contains(inside)
-        assert combine(sb.coords(inside), sb.rows, ncols) == inside
+        assert combine(sb.coords(inside), sb.frozen_rows(), ncols) == inside
         probe = [rand_scalar(rng) for _ in range(ncols)]
         assert (sb.coords(probe) is not None) == sb.contains(probe)
 
@@ -212,8 +217,71 @@ def test_rows_read_before_an_add_are_not_modified():
     one = Scalar(1)
     sb.add([one, one, ZERO])
     before = sb.rows[0]
-    snapshot = list(before)
+    snapshot = dict(before)
     sb.add([ZERO, one, one])  # reduces the first row against the new pivot
     assert before == snapshot
     assert sb.rows[0] != snapshot
-    assert_supports_match(sb)
+    assert_rows_are_sparse(sb)
+
+
+def dense_mat_vec(a, v):
+    """The dense matrix-vector arithmetic, row by row over every entry."""
+    return tuple(sum((x * y for x, y in zip(row, v)), ZERO) for row in a)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_apply_to_one_block_is_the_dense_matrix_vector_product(seed):
+    rng = random.Random(5000 + seed)
+    for a in matrices(seed):  # some of them non-square
+        ncols = len(a[0])
+        for kind in (dense_matrix, sparse_matrix):
+            v = kind(rng, 1, ncols)[0]
+            got = linalg.apply(linalg.columns(a), linalg.sparse(v), ncols)
+            assert linalg.dense(got, len(a)) == dense_mat_vec(a, v)
+            assert linalg.mat_vec(a, v) == dense_mat_vec(a, v)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_apply_to_n_blocks_is_the_block_diagonal_product(seed):
+    rng = random.Random(6000 + seed)
+    for m in square_matrices(seed):
+        d, n = len(m), rng.randint(1, 4)
+        for kind in (dense_matrix, sparse_matrix):
+            v = kind(rng, 1, n * d)[0]
+            got = linalg.apply(linalg.columns(m), linalg.sparse(v), d)
+            assert linalg.dense(got, n * d) == dense_mat_vec(
+                linalg.block_diag([m] * n), v)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_apply_by_the_transpose_is_right_multiplication(seed):
+    """Row r of X g is g^T applied to row r of X, so X g flattened is g^T
+    applied to every block of X flattened."""
+    rng = random.Random(7000 + seed)
+    for g in square_matrices(seed):
+        n = len(g)
+        for kind in (dense_matrix, sparse_matrix):
+            X = linalg.freeze(kind(rng, n, n))
+            gt = tuple(zip(*g))
+            got = linalg.apply(linalg.columns(gt), linalg.sparse(linalg.flatten(X)), n)
+            assert linalg.dense(got, n * n) == linalg.flatten(linalg.mmul(X, g))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_insert_ignores_explicit_zeros_and_keeps_rows_zero_free(seed):
+    """A dict with an explicit zero below its true pivot inserts exactly as
+    the dense vector adds."""
+    rng = random.Random(8000 + seed)
+    for rows in matrices(seed):
+        ncols = len(rows[0])
+        by_dict, by_add = SpanBasis(ncols), SpanBasis(ncols)
+        for r in rows:
+            v = linalg.sparse(r)
+            lead = min(v, default=ncols)
+            if lead:
+                v[rng.randrange(lead)] = ZERO
+            assert by_dict.insert(v) == by_add.add(r)
+            assert_rows_are_sparse(by_dict)
+        assert by_dict.pivots == by_add.pivots
+        assert by_dict.rows == by_add.rows
+        assert (echelon(by_dict), by_dict.pivots) == sympy_rref(rows, ncols)

@@ -1,19 +1,22 @@
 """The routines every module shares: span closure, block-diagonal
-assembly, and the square reshape behind the JSON loaders, in `linalg`."""
+assembly, and the square reshape and parse budget behind the JSON loaders;
+and the benchmark's tracer, which wraps them by name."""
 
+import importlib.util
 import json
 import re
 from pathlib import Path
 
 import pytest
 
-from jetcalc import linalg
+from jetcalc import approxalg, family, linalg, poly
+from jetcalc import gen  # noqa: F401  (the tracer wraps every function of gen)
 from jetcalc.approxalg import ApproxModule, block_module
 from jetcalc.family import PWCandidate, family_from_json
 from jetcalc.linalg import SpanBasis, close_span, block_diag
 from jetcalc.localmod import (FinMod, cyclic_quotient, power_ideal,
                               dual_number_module, direct_sum)
-from jetcalc.poly import Vector
+from jetcalc.poly import Vector, ExpPoly, MAX_PARSE_WORK
 from jetcalc.scalars import ZERO, ONE, sc
 
 
@@ -33,7 +36,7 @@ def test_close_span_of_a_jordan_block_is_its_krylov_span():
 
     def step(v):
         calls.append(v)
-        return [linalg.mat_vec(J, v)]
+        return [linalg.sparse(linalg.mat_vec(J, linalg.dense(v, 4)))]
 
     span = SpanBasis(4)
     assert close_span(span, [unit(4, 2), unit(4, 2)], step) is span
@@ -42,7 +45,8 @@ def test_close_span_of_a_jordan_block_is_its_krylov_span():
     # step runs once per vector that grew the span, never on the repeat
     assert len(calls) == 3
 
-    full = close_span(SpanBasis(4), [unit(4, 3)], lambda v: [linalg.mat_vec(J, v)])
+    full = close_span(SpanBasis(4), [unit(4, 3)],
+                      lambda v: [linalg.sparse(linalg.mat_vec(J, linalg.dense(v, 4)))])
     assert full.dim == 4
 
 
@@ -112,3 +116,72 @@ def test_loaders_refuse_a_matrix_of_the_wrong_length(kind, extra):
     want = "%s has %d entries; a 2x2 matrix needs 4" % (what, 4 + extra)
     with pytest.raises(ValueError, match=re.escape(want)):
         load(json.dumps(data))
+
+
+def test_a_loaded_file_has_one_parse_budget(monkeypatch):
+    """Every entry of one family or candidate file is charged to one
+    MAX_PARSE_WORK budget, counted over every ExpPoly product: entries that
+    each fit it but together do not are refused, and the fixtures load."""
+    reps = family_from_json((FIXTURES / "reducible_family.json").read_text())
+    PWCandidate.from_json((FIXTURES / "escaping_candidate.json").read_text(), reps)
+    pairs = []
+    mul = ExpPoly.__mul__
+
+    def counted(a, b):
+        if isinstance(b, ExpPoly):
+            pairs.append(poly._nterms(a) * poly._nterms(b))
+            assert sum(pairs) <= MAX_PARSE_WORK, "parsed past the budget"
+        return mul(a, b)
+
+    monkeypatch.setattr(ExpPoly, "__mul__", counted)
+    # parsing only: the generators' determinants form products of their own
+    monkeypatch.setattr(family, "RepFamily", lambda label, gens: gens)
+    big = "(x1+1)^256"  # 65,792 term pairs: one fits the budget, two do not
+
+    def family_text(*gens):
+        return json.dumps({"nvars": 1, "reps": [
+            {"label": "R", "dim": 2, "generators": [list(g) for g in gens]}]})
+
+    family_from_json(family_text(["1", big, "0", "1"]))
+    assert sum(pairs) == 65792
+    refused = [lambda: family_from_json(family_text(["1", big, "0", "1"],
+                                                    ["1", "0", big, "1"])),
+               lambda: PWCandidate.from_json(json.dumps(
+                   {"nvars": 1, "components": {"R": [big, "0", "0", big]}}), reps)]
+    for load in refused:
+        pairs.clear()
+        with pytest.raises(ValueError, match="limit %d" % MAX_PARSE_WORK):
+            load()
+
+
+def load_bench_layers():
+    path = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("bench_layers", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_tracer_wraps_the_library():
+    """The benchmark's tracer resolves every function it wraps by name, and
+    its probes read their arguments as dense rows: a traced
+    double_commutant_check and membership_triple run clean, and the dense
+    edge of SpanBasis (add, here from a cofinite ideal) is counted."""
+    tracer = load_bench_layers().Tracer()
+    tracer.install()
+    try:
+        _, M = block_module([1, 2])
+        report = approxalg.double_commutant_check(M)
+        reps = family_from_json((FIXTURES / "reducible_family.json").read_text())
+        cand = PWCandidate.from_json(
+            (FIXTURES / "escaping_candidate.json").read_text(), reps)
+        E = cyclic_quotient(power_ideal(1, 1)).module
+        triple = family.membership_triple(cand, reps, [Vector((sc(1),))], E)
+        metrics = tracer.metrics()
+    finally:
+        tracer.remove()
+    assert report.ok and triple.unanimous
+    assert tracer.calls["approxalg.double_commutant_check"] == 1
+    assert tracer.calls["family.membership_triple"] == 1
+    assert metrics["linalg.span_add.calls"][0] > 0
+    assert linalg.SpanBasis.add.__name__ == "add"  # the original is back
