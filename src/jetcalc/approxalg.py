@@ -159,10 +159,10 @@ def block_module(sizes, check=True):
 class ApproxModule:
     """Module over an ApproxAlgebra: one action matrix per basis element.
 
-    The matrices are immutable, so their columns and the chain idempotents'
-    action matrices are computed on first use and kept."""
+    The matrices are immutable, so their columns, the chain idempotents'
+    action matrices and the image span are computed on first use and kept."""
 
-    __slots__ = ("algebra", "dim", "mats", "_cols", "_idem")
+    __slots__ = ("algebra", "dim", "mats", "_cols", "_idem", "_image")
 
     def __init__(self, algebra, dim, mats, check=True, require_unital=True):
         mats = tuple(freeze(m) for m in mats)
@@ -176,6 +176,7 @@ class ApproxModule:
         self.mats = mats
         self._cols = None
         self._idem = [None] * len(algebra.chain)
+        self._image = None
         if check:
             self.validate(require_unital=require_unital)
 
@@ -221,8 +222,10 @@ class ApproxModule:
         return self.idem_mat(len(self.algebra.chain) - 1) == mid(self.dim)
 
     def image_span(self):
-        """Row-reduced span of the action image inside End(V)."""
-        return SpanBasis(self.dim * self.dim, map(flatten, self.mats))
+        """Row-reduced span of the action image inside End(V); read only."""
+        if self._image is None:
+            self._image = SpanBasis(self.dim * self.dim, map(flatten, self.mats))
+        return self._image
 
     def V_j(self, j):
         """Column space of the j-th chain idempotent."""
@@ -308,10 +311,8 @@ def end_zero_basis(M):
     alone, which contains the others since the chain increases) and
     cross-checked.  Returns (basis matrices, span)."""
     d = M.dim
-    full = SpanBasis(d * d)
-    for j in range(len(M.algebra.chain)):
-        for row in _corner_span(M, j, j).rows:
-            full.insert(row)
+    full = SpanBasis(d * d, [row for j in range(len(M.algebra.chain))
+                             for row in _corner_span(M, j, j).rows])
     top_j = len(M.algebra.chain) - 1
     top = _corner_span(M, top_j, top_j)
     if not full.same_span(top):
@@ -389,7 +390,8 @@ def _membership(M, phi, tuples):
                                escaped=(dense(row, n * d), dense(moved, n * d)))
     # recover a witness: solve phi.u = pi(a).u in the element coordinates,
     # then cut a down to the corner so the equality extends from V_j to V
-    sol = linalg.solve(*_witness_system(acts, sparse(apply(phi_cols, u, d))))
+    sol = linalg.solve(*_witness_system(acts, sparse(apply(phi_cols, u, d))),
+                       len(acts))
     if sol is None:
         raise CrossCheckError("invariance held but no witness solves the system")
     a = tuple(sol)
@@ -403,13 +405,15 @@ def _membership(M, phi, tuples):
 
 def _witness_system(acts, rhs):
     """The witness system sum_t x_t acts[t] = rhs of zero-free sparse vectors
-    as dense (rows, rhs), one row per coordinate where some acts[t] or rhs is
-    nonzero: the rows left out read 0 = 0.  A zero row with a nonzero rhs
-    stays, so an inconsistent system stays inconsistent.  Some row always
-    stays, because the corner idempotent acts as the identity on u."""
-    keep = sorted(set(rhs).union(*acts))
-    return ([[a.get(s, ZERO) for a in acts] for s in keep],
-            [rhs.get(s, ZERO) for s in keep])
+    as (rows, rhs), one zero-free row {t: acts[t][s]} per coordinate s where
+    some acts[t] or rhs is nonzero: the rows left out read 0 = 0.  An empty
+    row with a nonzero rhs stays, so an inconsistent system stays so.  Some
+    row always stays: the corner idempotent acts as the identity on u."""
+    rows = {s: {} for s in rhs}
+    for t, a in enumerate(acts):
+        for s, x in a.items():
+            rows.setdefault(s, {})[t] = x
+    return list(rows.values()), [rhs.get(s, ZERO) for s in rows]
 
 
 def end_sharp_space(M):
@@ -427,16 +431,18 @@ def _end_sharp(M, tuples):
     d = M.dim
     _, n, _, W = _tuple_module(M, len(M.algebra.chain) - 1, tuples)
     corner_cols = [columns(C) for C in corner_mats]
-    rows = []
+    rows = []  # x solves them iff sum_i x_i C_i maps every row of W into W
     for wrow in W.rows:
         # a residue's keys are the non-pivot columns where it is nonzero
-        residues = [W._reduce(apply(cols, wrow, d)) for cols in corner_cols]
-        for t in sorted(set().union(*residues)):
-            rows.append([res.get(t, ZERO) for res in residues])
+        by_key = {}
+        for i, cols in enumerate(corner_cols):
+            for t, x in W._reduce(apply(cols, wrow, d)).items():
+                by_key.setdefault(t, {})[i] = x
+        rows.extend(by_key.values())
     sharp = SpanBasis(d * d)
-    for v in linalg.nullspace(rows, len(corner_mats)):
+    for v in SpanBasis(len(corner_mats), rows).nullspace():
         flat = {}
-        for s, c in sparse(v).items():
+        for s, c in v.items():
             for t, x in end_zero.rows[s].items():
                 flat[t] = flat.get(t, ZERO) + x * c
         sharp.insert(flat)
@@ -552,7 +558,6 @@ def submodule_grid_check(M, phi, n, extra=()):
     phi_cols = columns(phi)
     for w in grid:
         W = generated_tuple_module(M, w, n)
-        preserved = all(W.contains(apply(phi_cols, row, d)) for row in W.rows)
-        if not preserved:
+        if not all(W.contains(apply(phi_cols, row, d)) for row in W.rows):
             return tuple(w)
     return None

@@ -6,8 +6,10 @@ and the three-way membership test that ties the span of word images, its
 double annihilator, and the End^# criterion together.
 
 Generators are unimodular (constant nonzero determinant), so their inverses
-are again polynomial families and every word evaluates to an exactly
-invertible matrix.  Words are lists of nonzero ints: +i is the i-th
+are again polynomial families, and every word evaluates to an exactly
+invertible matrix.  A generator's inverse is its adjugate over that
+constant; family_det_adj reads both off the characteristic polynomial,
+without division.  Words are lists of nonzero ints: +i is the i-th
 generator (1-based), -i its inverse.
 """
 
@@ -23,41 +25,59 @@ from .jetfun import (MatPolyFamily, jet_family, iterated_block_derivative,
 from .approxalg import ApproxModule, end_sharp_membership
 
 
-def _cofactor(F, rows, cols):
-    """Determinant of the minor of F on the given row and column index
-    tuples, by expansion along its first row; 1 for the empty minor."""
-    if not rows:
-        return ExpPoly.const(F.nvars, ONE)
-    ent = F.entries
-    if len(rows) == 1:
-        return ent[rows[0]][cols[0]]
-    acc = ExpPoly.zero(F.nvars)
-    r0, rest = rows[0], rows[1:]
-    for t, c in enumerate(cols):
-        term = ent[r0][c] * _cofactor(F, rest, cols[:t] + cols[t + 1:])
-        acc = acc + (term if t % 2 == 0 else -term)
-    return acc
-
-
-def family_det(F):
-    """Determinant of a square family by cofactor expansion."""
-    if F.rows != F.cols:
+def family_det_adj(F):
+    """(det F, adj F) of a square family, from the coefficients c_1..c_n of
+    det(xI - F) = x^n + c_1 x^(n-1) + ... + c_n by Berkowitz's recurrence,
+    which needs no division.  det F = (-1)^n c_n, and by Cayley-Hamilton
+    adj F = (-1)^(n-1) B with B = F^(n-1) + c_1 F^(n-2) + ... + c_(n-1) I,
+    formed by Horner from F + c_1 I.  Products skip zeros and ones."""
+    n = F.rows
+    if n != F.cols:
         raise ValueError("determinant of a non-square family")
-    idx = tuple(range(F.rows))
-    return _cofactor(F, idx, idx)
+    zero, one = ExpPoly.zero(F.nvars), ExpPoly.const(F.nvars, ONE)
+    # the nonzero entries of each row; an entry equal to 1 is `one` itself
+    rows = [{j: one if e == one else e for j, e in enumerate(row) if e}
+            for row in F.entries]
 
+    def mul(x, y):
+        return y if x is one else x if y is one else x * y
 
-def family_adjugate(F):
-    """Adjugate of a square family: inverse times determinant."""
-    idx = tuple(range(F.rows))
-    out = []
-    for r in idx:
-        row = []
-        for c in idx:
-            minor = _cofactor(F, idx[:c] + idx[c + 1:], idx[:r] + idx[r + 1:])
-            row.append(minor if (r + c) % 2 == 0 else -minor)
-        out.append(row)
-    return MatPolyFamily(F.nvars, out)
+    def vec_mat(v, M, keep=range(n)):
+        """The nonzero entries of v M in the columns `keep`, for a sparse
+        row v and sparse rows M."""
+        acc = {}
+        for r, x in v.items():
+            for j, y in M[r].items():
+                if j in keep:
+                    acc[j] = acc[j] + mul(x, y) if j in acc else mul(x, y)
+        return {j: x for j, x in acc.items() if x}
+
+    c = []  # c_1..c_k of the leading k x k block F_k
+    for k in range(n):
+        # bordered by row R and column C, F_(k+1) has the coefficients
+        # c_i - s_i - sum_j s_(i-j) c_j, where s = (F[k][k], RC, R F_k C, ...)
+        s, v = [rows[k].get(k, zero)], {j: x for j, x in rows[k].items() if j < k}
+        for m in range(k):  # v = R F_k^m
+            v = vec_mat(v, rows, range(k + 1) if m < k - 1 else (k,))
+            s.append(v.pop(k, zero))
+        t = list(s)
+        for i in range(k + 1):
+            for j in range(i):
+                if s[i - 1 - j] and c[j]:
+                    t[i] = t[i] + mul(s[i - 1 - j], c[j])
+        c = [c[i] - t[i] for i in range(k)] + [-t[k]]
+    B = [dict(row) for row in rows] if n > 1 else [{0: one}]
+    for k in range(1, n):
+        if k > 1:
+            B = [vec_mat(row, B) for row in rows]  # F B
+        if c[k - 1]:  # B + c_k I
+            for i, row in enumerate(B):
+                row[i] = row[i] + c[k - 1] if i in row else c[k - 1]
+                if not row[i]:
+                    del row[i]
+    adj = [[(row[j] if n % 2 else -row[j]) if j in row else zero
+            for j in range(n)] for row in B]
+    return (-c[-1] if n % 2 else c[-1]), MatPolyFamily(F.nvars, adj)
 
 
 class RepFamily:
@@ -76,16 +96,14 @@ class RepFamily:
         for g in generators:
             if g.nvars != nvars or g.rows != dim or g.cols != dim:
                 raise ValueError("generators must be square of equal size")
-            d = family_det(g)
+            d, adj = family_det_adj(g)
             if not d.is_polynomial():
                 raise ValueError("generator determinant must be polynomial")
             dp = d.pure()
             if dp.degree() != 0 or not dp:
                 raise ValueError("generator of %r is not unimodular "
                                  "(determinant %s)" % (label, dp))
-            c = dp.terms[(0,) * nvars]
-            inv = family_adjugate(g).scaled(c.inverse())
-            inverses.append(inv)
+            inverses.append(adj.scaled(dp.terms[(0,) * nvars].inverse()))
         self.label = label
         self.nvars = nvars
         self.dim = dim
@@ -117,18 +135,22 @@ class RepFamily:
                                                    len(self.generators))
 
 
+def _entry_strs(F):
+    """The entries of a family in row-major order, as JSON strings."""
+    return [str(e) for row in F.entries for e in row]
+
+
 def family_to_json(reps):
     reps = list(reps)
     if not reps:
         raise ValueError("a family needs at least one rep")
-    nvars = reps[0].nvars
-    out = {"nvars": nvars, "reps": []}
-    for rep in reps:
-        gens = []
-        for g in rep.generators:
-            gens.append([str(e) for row in g.entries for e in row])
-        out["reps"].append({"label": rep.label, "dim": rep.dim, "generators": gens})
-    return json.dumps(out)
+    return json.dumps({"nvars": reps[0].nvars, "reps": [
+        {"label": rep.label, "dim": rep.dim,
+         "generators": [_entry_strs(g) for g in rep.generators]} for rep in reps]})
+
+
+# the largest rep a family file may hold: the CLI's --dimmax ceiling
+MAX_REP_DIM = 12
 
 
 def family_from_json(text):
@@ -136,15 +158,16 @@ def family_from_json(text):
     nvars = data["nvars"]
     if not data["reps"]:
         raise ValueError("a family needs at least one rep")
+    for rd in data["reps"]:
+        dim = rd["dim"]
+        if type(dim) is not int or not 1 <= dim <= MAX_REP_DIM:  # not a JSON true
+            raise ValueError("rep %r has dimension %r; it must be a positive integer "
+                             "no larger than %d" % (rd["label"], dim, MAX_REP_DIM))
     parse = entry_parser(nvars)
     reps = []
     for rd in data["reps"]:
-        dim = rd["dim"]
-        if not isinstance(dim, int) or dim < 1:
-            raise ValueError("rep %r has dimension %r; it must be a positive integer"
-                             % (rd["label"], dim))
         gens = [MatPolyFamily(nvars, square(
-                    flat, dim, parse, "generator %d of rep %r" % (g, rd["label"])))
+                    flat, rd["dim"], parse, "generator %d of rep %r" % (g, rd["label"])))
                 for g, flat in enumerate(rd["generators"])]
         reps.append(RepFamily(rd["label"], gens))
     return reps
@@ -156,13 +179,10 @@ class PWCandidate:
     __slots__ = ("nvars", "components")
 
     def __init__(self, nvars, components):
+        if any(F.nvars != nvars for F in components.values()):
+            raise ValueError("component arity mismatch")
         self.nvars = nvars
-        comps = {}
-        for label, F in components.items():
-            if F.nvars != nvars:
-                raise ValueError("component arity mismatch")
-            comps[label] = F
-        self.components = comps
+        self.components = dict(components)
 
     @classmethod
     def from_word(cls, reps, word):
@@ -171,16 +191,13 @@ class PWCandidate:
         return cls(reps[0].nvars, {rep.label: rep.word_family(word) for rep in reps})
 
     def component(self, rep):
-        F = self.components.get(rep.label)
-        if F is None:
-            return MatPolyFamily.zero(self.nvars, rep.dim, rep.dim)
-        return F
+        if rep.label in self.components:
+            return self.components[rep.label]
+        return MatPolyFamily.zero(self.nvars, rep.dim, rep.dim)
 
     def to_json(self):
-        comps = {}
-        for label in sorted(self.components):
-            F = self.components[label]
-            comps[label] = [str(e) for row in F.entries for e in row]
+        comps = {label: _entry_strs(self.components[label])
+                 for label in sorted(self.components)}
         return json.dumps({"nvars": self.nvars, "components": comps})
 
     @classmethod
@@ -225,21 +242,17 @@ class PiAssembly:
     __slots__ = ("layout", "_letter_cache")
 
     def __init__(self, reps, points, E):
-        nvars = E.nvars
-        for rep in reps:
-            if rep.nvars != nvars:
-                raise ValueError("arity mismatch")
+        if any(rep.nvars != E.nvars for rep in reps):
+            raise ValueError("arity mismatch")
         self.layout = BlockLayout(reps, points, E)
         self._letter_cache = {}
 
     def _letter_block(self, rep, point, k):
         key = (rep.label, tuple(point.coords), k)
-        mat = self._letter_cache.get(key)
-        if mat is None:
+        if key not in self._letter_cache:
             fam = jet_family(rep.letter(k), self.layout.E)
-            mat = fam.evaluate_scalar(tuple(point.coords))
-            self._letter_cache[key] = mat
-        return mat
+            self._letter_cache[key] = fam.evaluate_scalar(tuple(point.coords))
+        return self._letter_cache[key]
 
     def letter_matrix(self, k):
         """Block-diagonal matrix of a single signed generator index."""
@@ -278,9 +291,8 @@ def spanned_algebra(reps, points, E):
     asm = assemble_pi(reps, points, E)
     total = asm.layout.total
     ngens = len(reps[0].generators) if reps else 0
-    for rep in reps[1:]:
-        if len(rep.generators) != ngens:
-            raise ValueError("reps must share the generator alphabet")
+    if any(len(rep.generators) != ngens for rep in reps):
+        raise ValueError("reps must share the generator alphabet")
     # X g maps each row of X by g^T, and the columns of g^T are the rows of g
     letter_cols = [columns(tuple(zip(*asm.letter_matrix(k))))
                    for k in range(1, ngens + 1)]
@@ -310,17 +322,12 @@ class RelationTerm:
 
 def term_value(term, fam):
     """<d_u F (lambda), psi> for an endomorphism-valued family F."""
-    dF = [[diff(term.u, e) for e in row] for row in fam.entries]
-    val = [[e.evaluate(tuple(term.point.coords)) for e in row] for row in dF]
-    acc = None
-    for r, row in enumerate(val):
-        for c, x in enumerate(row):
-            h = term.psi[r][c]
-            if h:
-                t = x * h
-                acc = t if acc is None else acc + t
-    if acc is None:
+    pt = tuple(term.point.coords)
+    terms = [diff(term.u, e).evaluate(pt) * h
+             for row, hrow in zip(fam.entries, term.psi) for e, h in zip(row, hrow) if h]
+    if not terms:
         return ZERO
+    acc = sum(terms[1:], terms[0])
     return acc.scalar() if hasattr(acc, "scalar") else acc
 
 
@@ -352,28 +359,21 @@ def relation_to_functional(terms, reps):
     sel_reps = [by_label[lb] for lb in used_labels]
     seen = {}
     for t in terms:
-        key = tuple(t.point.coords)
-        if key not in seen:
-            seen[key] = t.point
+        seen.setdefault(tuple(t.point.coords), t.point)
     points = [seen[k] for k in sorted(seen, key=lambda k: tuple(c.key() for c in k))]
     layout = BlockLayout(sel_reps, points, E)
     psi = [[ZERO] * layout.total for _ in range(layout.total)]
     for t, eta in zip(terms, funcs):
-        b = next(i for i, (rep, p, _, _) in enumerate(layout.blocks)
-                 if rep.label == t.label and p.coords == t.point.coords)
-        _, _, off, size = layout.blocks[b]
+        off = next(off for rep, p, off, _ in layout.blocks
+                   if rep.label == t.label and p.coords == t.point.coords)
         d = by_label[t.label].dim
-        for rE in range(E.dim):
-            for cE in range(E.dim):
-                h = eta[rE][cE]
-                if not h:
-                    continue
-                for rV in range(d):
-                    for cV in range(d):
-                        hv = t.psi[rV][cV]
-                        if hv:
-                            psi[off + rE * d + rV][off + cE * d + cV] = \
-                                psi[off + rE * d + rV][off + cE * d + cV] + h * hv
+        tpsi = [(rV, cV, hv) for rV, row in enumerate(t.psi)
+                for cV, hv in sparse(row).items()]
+        for rE, row in enumerate(eta):
+            for cE, h in sparse(row).items():
+                for rV, cV, hv in tpsi:
+                    r, c = off + rE * d + rV, off + cE * d + cV
+                    psi[r][c] = psi[r][c] + h * hv
     return FunctionalData(E, sel_reps, points, freeze(psi), layout)
 
 
@@ -394,21 +394,12 @@ def functional_to_relation(data):
     E = data.E
     psi = data.psi
     terms = []
-    seen = [[False] * layout.total for _ in range(layout.total)]
-    for rep, p, off, size in layout.blocks:
+    for rep, p, off, _ in layout.blocks:
         d = rep.dim
         # reshape the block as a (module-pair) x (rep-pair) matrix
-        G = []
-        for rE in range(E.dim):
-            for cE in range(E.dim):
-                row = []
-                for rV in range(d):
-                    for cV in range(d):
-                        row.append(psi[off + rE * d + rV][off + cE * d + cV])
-                G.append(row)
-        for r in range(size):
-            for c in range(size):
-                seen[off + r][off + c] = True
+        G = [[psi[off + rE * d + rV][off + cE * d + cV]
+              for rV in range(d) for cV in range(d)]
+             for rE in range(E.dim) for cE in range(E.dim)]
         red = SpanBasis(d * d, G)
         for rrow, piv in zip(red.frozen_rows(), red.pivots):
             eta = [[G[i * E.dim + j][piv] for j in range(E.dim)]
@@ -418,7 +409,10 @@ def functional_to_relation(data):
                 continue
             psi_mat = unflatten(rrow, d, d)
             terms.append(RelationTerm(rep.label, psi_mat, p, u))
-    cross = any(psi[r][c] and not seen[r][c]
+    # the blocks tile the diagonal, so an entry is off them iff its row
+    # and column lie in different blocks
+    block = [off for _, _, off, size in layout.blocks for _ in range(size)]
+    cross = any(psi[r][c] and block[r] != block[c]
                 for r in range(layout.total) for c in range(layout.total))
     return RelationDecomp(terms, cross)
 

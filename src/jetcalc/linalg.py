@@ -155,12 +155,12 @@ def nullspace(rows, ncols):
     return [dense(v, ncols) for v in SpanBasis(ncols, rows).nullspace()]
 
 
-def solve(rows, rhs):
-    """One solution x of A x = b, or None.  rows: list of rows of A."""
-    if not rows:
-        return () if not any(rhs) else None
-    ncols = len(rows[0])
-    red = SpanBasis(ncols + 1, [list(r) + [b] for r, b in zip(rows, rhs)])
+def solve(rows, rhs, ncols=None):
+    """One solution x of A x = b, or None.  rows: the rows of A, as
+    sequences, or as dicts when ncols gives the number of columns."""
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    red = SpanBasis(ncols + 1, [{**sparse(r), ncols: b} for r, b in zip(rows, rhs)])
     if red.pivots and red.pivots[-1] == ncols:
         return None  # inconsistent: pivot in the rhs column
     return dense({p: row.get(ncols, ZERO) for row, p in zip(red.rows, red.pivots)},

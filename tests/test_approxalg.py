@@ -62,6 +62,24 @@ def test_corner_identities_hold_blockwise():
     assert aa.corner_identity_check(M3, 0, 1).dims["dim_left"] == 1
 
 
+def test_image_span_is_built_once_and_checks_leave_it_unchanged():
+    """The module keeps its image span; the double-commutant and corner
+    checks read it without growing it, and it is the span of the flattened
+    action matrices."""
+    rng = random.Random(4)
+    for _ in range(6):
+        _, M = gen.rand_approx_module(rng, 5, junk_ok=True)
+        image = M.image_span()
+        before = image.frozen_rows()
+        aa.double_commutant_check(M)
+        last = len(M.algebra.chain) - 1
+        aa.corner_identity_check(M, last, last)
+        assert M.image_span() is image
+        assert image.frozen_rows() == before
+        fresh = linalg.SpanBasis(M.dim * M.dim, map(linalg.flatten, M.mats))
+        assert image.same_span(fresh)
+
+
 def test_end_zero_of_a_direct_sum_counts_blockwise_maps():
     _, M3 = aa.block_module([1, 2])
     mats3, span3 = aa.end_zero_basis(M3)
@@ -147,14 +165,14 @@ def test_witness_system_drops_only_rows_that_read_zero_equals_zero():
         sparse_acts = [linalg.sparse(a) for a in acts]
         rows, b = aa._witness_system(sparse_acts, linalg.sparse(rhs))
         assert len(rows) <= len(live)
-        assert all(any(r) or c for r, c in zip(rows, b))
-        assert linalg.solve(rows, b) == linalg.solve(full, rhs)
+        assert all(r or c for r, c in zip(rows, b))
+        assert linalg.solve(rows, b, dim) == linalg.solve(full, rhs)
         # a nonzero right-hand side where every action vanishes: refused
         dead = min(set(range(size)) - live)
         rhs[dead] = ONE
         assert linalg.solve(full, rhs) is None
         assert linalg.solve(*aa._witness_system(sparse_acts,
-                                                linalg.sparse(rhs))) is None
+                                                linalg.sparse(rhs)), dim) is None
 
 
 def test_top_corner_witness_needs_no_cutting_down():

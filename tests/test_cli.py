@@ -146,7 +146,7 @@ def _plus_one(fn):
 @pytest.mark.parametrize("command, owner, name, wrong, message", [
     ("pw", family, "term_value", _plus_one(family.term_value),
      "relation evaluation routes disagree"),
-    ("dcomm", linalg, "solve", lambda rows, rhs: None,
+    ("dcomm", linalg, "solve", lambda rows, rhs, ncols=None: None,
      "invariance held but no witness solves the system"),
 ])
 def test_a_cross_check_disagreement_is_a_failing_record(

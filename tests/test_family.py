@@ -1,26 +1,32 @@
 """Generator families, assembled word algebras, relations, and membership."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jetcalc import approxalg, family, gen, linalg
 from jetcalc.approxalg import ApproxAlgebra, ApproxModule
 from jetcalc.scalars import Scalar, ZERO, ONE, sc
-from jetcalc.poly import Vector, Covector, DiffOp, ExpPoly, parse_exppoly
+from jetcalc.poly import (Vector, Covector, DiffOp, ExpPoly, Polynomial,
+                          parse_exppoly, monomials_upto)
 from jetcalc.linalg import (SpanBasis, mmul, mid, freeze, flatten, unflatten,
                             mat_vec, block_diag, close_span, sparse, dense)
 from jetcalc.localmod import (cyclic_quotient, maximal_ideal, power_ideal,
                               dual_number_module)
 from jetcalc.jetfun import jet_family, frobenius, MatPolyFamily
-from jetcalc.family import (RepFamily, PWCandidate, family_det,
+from jetcalc.family import (RepFamily, PWCandidate, family_det_adj,
                             family_to_json, family_from_json,
                             assemble_pi, assemble_phi, spanned_algebra,
                             RelationTerm, term_value, relation_to_functional,
                             functional_to_relation, relation_check,
                             membership_triple, invariance_check,
                             intertwiner_graph_check, FunctionalData,
-                            delta_block)
+                            delta_block, MAX_REP_DIM)
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def fam(nvars, rows):
@@ -43,7 +49,7 @@ def test_generator_inverses_are_exact():
     assert rep.inverses[0] == fam(1, [["1", "-x1"], ["0", "1"]])
     assert rep.word_family([1, -1]) == MatPolyFamily.identity(1, 2)
     assert rep.word_family([1, 2]) == UP * LOW
-    assert family_det(UP * LOW * UP).pure().degree() == 0
+    assert family_det_adj(UP * LOW * UP)[0].pure().degree() == 0
 
 
 def test_non_unimodular_generators_are_rejected():
@@ -64,6 +70,45 @@ def test_family_json_round_trip():
     assert all(a == b for a, b in zip(back[0].generators, rep.generators))
 
 
+@st.composite
+def unimodular_families(draw):
+    """One to three reps sharing nvars, of dimension 1 to 5, each with one or
+    two generators that are products of up to four elementary families:
+    I + p E_ij off the diagonal, or I with one diagonal entry a unit."""
+    nvars = draw(st.integers(1, 2))
+    mons = monomials_upto(nvars, 2)
+    polys = st.builds(lambda pairs: ExpPoly.from_poly(Polynomial(nvars, dict(pairs))),
+                      st.lists(st.tuples(st.sampled_from(mons),
+                                         st.builds(sc, st.integers(-3, 3))),
+                               max_size=3))
+    units = st.sampled_from([sc(2), sc(-1), ONE / sc(3), Scalar(0, 1)])
+    reps = []
+    for label in "abc"[:draw(st.integers(1, 3))]:
+        d = draw(st.integers(1, 5))
+        gens = []
+        for _ in range(draw(st.integers(1, 2))):
+            g = MatPolyFamily.identity(nvars, d)
+            for _ in range(draw(st.integers(0, 4))):
+                i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+                ents = [list(row) for row in MatPolyFamily.identity(nvars, d).entries]
+                ents[i][j] = (ExpPoly.const(nvars, draw(units)) if i == j
+                              else draw(polys))
+                g = g * MatPolyFamily(nvars, ents)
+            gens.append(g)
+        reps.append(RepFamily(label, gens))
+    return reps
+
+
+@settings(max_examples=40, deadline=None)
+@given(unimodular_families())
+def test_family_json_round_trip_keeps_generators_and_inverses(reps):
+    back = family_from_json(family_to_json(reps))
+    assert [(r.label, r.dim) for r in back] == [(r.label, r.dim) for r in reps]
+    for a, b in zip(back, reps):
+        assert a.generators == b.generators
+        assert a.inverses == b.inverses
+
+
 def test_family_json_rejects_an_empty_family():
     with pytest.raises(ValueError, match="at least one rep"):
         family_from_json('{"nvars":1,"reps":[]}')
@@ -75,6 +120,156 @@ def test_family_json_rejects_a_zero_dimensional_rep():
     text = '{"nvars":1,"reps":[{"label":"z","dim":0,"generators":[[]]}]}'
     with pytest.raises(ValueError, match="positive integer"):
         family_from_json(text)
+
+
+def cofactor(F, rows, cols):
+    """Reference determinant of the minor of F on the given row and column
+    tuples: recursive expansion along its first row, O(n!) products."""
+    if not rows:
+        return ExpPoly.const(F.nvars, ONE)
+    acc = ExpPoly.zero(F.nvars)
+    for t, c in enumerate(cols):
+        term = F.entries[rows[0]][c] * cofactor(F, rows[1:], cols[:t] + cols[t + 1:])
+        acc = acc + (term if t % 2 == 0 else -term)
+    return acc
+
+
+def reference_det_adj(F):
+    idx = tuple(range(F.rows))
+    adj = [[cofactor(F, idx[:c] + idx[c + 1:], idx[:r] + idx[r + 1:])
+            * (1 if (r + c) % 2 == 0 else -1) for c in idx] for r in idx]
+    return cofactor(F, idx, idx), MatPolyFamily(F.nvars, adj)
+
+
+def square_families(rng, count, dmax=4):
+    """Seeded square families of size 1..dmax: unimodular products of
+    elementary families, the same plus random polynomials (not unimodular),
+    and matrices with exponential-polynomial entries, sparse and dense."""
+    for i in range(count):
+        d, nvars, kind = rng.randint(1, dmax), rng.randint(1, 2), i % 3
+        g = gen.rand_elementary_family(rng, nvars, d)
+        for _ in range(rng.randint(0, 3)):
+            g = g * gen.rand_elementary_family(rng, nvars, d)
+        if kind == 1:
+            g = g + MatPolyFamily(nvars, [[ExpPoly.from_poly(gen.rand_poly(
+                rng, nvars, 2, nterms=(0, 2))) for _ in range(d)] for _ in range(d)])
+        elif kind == 2:
+            g = MatPolyFamily(nvars, [[e + ExpPoly.exp(
+                [sc(rng.randint(-2, 2)) for _ in range(nvars)],
+                gen.rand_poly(rng, nvars, 1, nterms=(1, 2)))
+                if rng.random() < 0.4 else e for e in row] for row in g.entries])
+        yield g
+
+
+def test_det_adj_match_the_cofactor_expansion():
+    """Berkowitz's det and adjugate equal the cofactor expansion's on
+    unimodular, non-unimodular and exponential families of size <= 4, and
+    satisfy F adj F = adj F F = det F I and det(FG) = det F det G."""
+    rng = random.Random(8)
+    fams = list(square_families(rng, 90))
+    sizes, dets = set(), set()
+    for F in fams:
+        det, adj = family_det_adj(F)
+        assert (det, adj) == reference_det_adj(F)
+        scalar = MatPolyFamily.identity(F.nvars, F.rows).scaled(det)
+        assert F * adj == adj * F == scalar
+        sizes.add(F.rows)
+        dets.add("exponential" if not det.is_polynomial() else
+                 "unimodular" if det and det.pure().degree() == 0 else "other")
+    assert sizes == {1, 2, 3, 4}
+    assert dets == {"exponential", "unimodular", "other"}
+    for F in fams[:30]:
+        G = next(G for G in fams if (G.rows, G.nvars) == (F.rows, F.nvars))
+        assert (family_det_adj(F * G)[0]
+                == family_det_adj(F)[0] * family_det_adj(G)[0])
+
+
+def test_det_adj_refuses_a_non_square_family():
+    with pytest.raises(ValueError, match="non-square"):
+        family_det_adj(fam(1, [["1", "x1"]]))
+
+
+def product_budget(monkeypatch, budget):
+    """Count ExpPoly.__mul__ calls from here on, failing at once when more
+    than `budget` are made; returns the one-item count list."""
+    count = [0]
+    mul = ExpPoly.__mul__
+
+    def counted(a, b):
+        count[0] += 1
+        assert count[0] <= budget, "formed more than %d products" % budget
+        return mul(a, b)
+
+    monkeypatch.setattr(ExpPoly, "__mul__", counted)
+    return count
+
+
+def elementary_products(seed, d, factors, ngens=2):
+    rng = random.Random(seed)
+    gens = []
+    for _ in range(ngens):
+        g = gen.rand_elementary_family(rng, 1, d)
+        for _ in range(factors - 1):
+            g = g * gen.rand_elementary_family(rng, 1, d)
+        gens.append(g)
+    return gens
+
+
+def test_a_d7_rep_is_built_in_few_products(monkeypatch):
+    """Building and validating a 7 x 7 rep forms at most 2 * 7^4 products;
+    cofactor expansion formed tens of thousands."""
+    for seed in range(3):
+        gens = elementary_products(seed, 7, 4)
+        count = product_budget(monkeypatch, 2 * 7 ** 4)
+        rep = RepFamily("w", gens)
+        assert 0 < count[0] <= 2 * 7 ** 4
+        monkeypatch.undo()
+        assert all(g * gi == MatPolyFamily.identity(1, 7)
+                   for g, gi in zip(rep.generators, rep.inverses))
+
+
+def test_a_wide_rep_loads_in_few_products(monkeypatch):
+    """fixtures/wide_family.json holds one 10 x 10 rep whose two generators
+    are products of fourteen elementary families (elementary_products(10,
+    10, 14)); it loads in at most 2 * 10^4 products."""
+    text = (FIXTURES / "wide_family.json").read_text()
+    count = product_budget(monkeypatch, 2 * 10 ** 4)
+    (rep,) = family_from_json(text)
+    assert count[0] > 0
+    monkeypatch.undo()
+    assert rep.dim == 10
+    assert list(rep.generators) == elementary_products(10, 10, 14)
+
+
+def test_family_json_bounds_the_rep_dimension(monkeypatch):
+    """A rep above MAX_REP_DIM is refused, by name, before any entry is
+    parsed; a rep of MAX_REP_DIM loads in at most 2 * 12^4 products."""
+    parsed = []
+
+    def spying_parser(nvars):
+        def parse(text):  # fails at once where the bound is missing
+            parsed.append(text)
+            raise AssertionError("an entry was parsed")
+        return parse
+
+    n = MAX_REP_DIM
+    assert n == 12
+    ident = [["1" if r == c else "0" for c in range(n + 1)] for r in range(n + 1)]
+    text = json.dumps({"nvars": 1, "reps": [
+        {"label": "small", "dim": 1, "generators": [["2"]]},
+        {"label": "big", "dim": n + 1, "generators": [sum(ident, [])]}]})
+    monkeypatch.setattr(family, "entry_parser", spying_parser)
+    with pytest.raises(ValueError, match="'big' has dimension 13; .* no larger than 12"):
+        family_from_json(text)
+    with pytest.raises(ValueError, match="'big' has dimension True"):
+        family_from_json(text.replace('"dim": 13', '"dim": true'))
+    assert parsed == []
+    monkeypatch.undo()
+    wide = RepFamily("w", elementary_products(12, n, 6))
+    text = family_to_json([wide])
+    product_budget(monkeypatch, 2 * n ** 4)
+    (back,) = family_from_json(text)
+    assert back.generators == wide.generators
 
 
 def test_assembled_words_multiply_and_cancel():

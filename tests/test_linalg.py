@@ -156,6 +156,19 @@ def test_solve_finds_solutions_exactly_when_sympy_says_consistent(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
+def test_solve_reads_sparse_rows_given_the_column_count(seed):
+    """Zero-free dict rows with the column count solve as their dense rows
+    do, consistent or not, including rows that are empty."""
+    rng = random.Random(3000 + seed)
+    for rows in matrices(seed):
+        ncols = len(rows[0])
+        for rhs in (list(linalg.mat_vec(rows, [rand_scalar(rng) for _ in range(ncols)])),
+                    [rand_scalar(rng) for _ in rows]):
+            assert (linalg.solve([linalg.sparse(r) for r in rows], rhs, ncols)
+                    == linalg.solve(rows, rhs))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 def test_det_and_inverse_match_sympy(seed):
     for mat in square_matrices(seed):
         n = len(mat)
