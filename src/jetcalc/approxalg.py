@@ -34,6 +34,13 @@ from .linalg import (SpanBasis, CrossCheckError, mmul, mid, freeze, flatten,
                      unflatten, close_span, square, sparse, dense, columns,
                      apply)
 
+# the largest module a JSON file may hold, checked before any entry is
+# parsed: what gen.rand_approx_module draws at --dimmax 12 (four 3x3
+# blocks, so 36 algebra dimensions, plus 2 null dimensions); loading and
+# validating cost grows about 3x per module dimension
+MAX_MODULE_DIM = 14
+MAX_ALGEBRA_DIM = 36
+
 
 class ApproxAlgebra:
     """Associative algebra on a finite basis with sparse structure constants
@@ -276,13 +283,19 @@ class ApproxModule:
         data = json.loads(text)
         labels = data["basis"]
         n = len(labels)
+        dim = data["dim"]
+        if type(dim) is not int or not 0 <= dim <= MAX_MODULE_DIM:  # not a JSON true
+            raise ValueError("module dimension %r must be an integer from 0 to %d"
+                             % (dim, MAX_MODULE_DIM))
+        if n > MAX_ALGEBRA_DIM:
+            raise ValueError("algebra basis has %d elements; at most %d are read"
+                             % (n, MAX_ALGEBRA_DIM))
         sc = {}
         for key, row in data["structure_constants"].items():
             i, j = (int(x) for x in key.split(","))
             sc[(i, j)] = {int(t): parse_scalar(s) for t, s in row.items()}
         chain = [[parse_scalar(s) for s in a] for a in data["idempotent_chain"]]
         alg = ApproxAlgebra(n, sc, chain, labels)
-        dim = data["dim"]
         mats = [square(flat, dim, parse_scalar, "action matrix %d" % t)
                 for t, flat in enumerate(data["action"])]
         return cls(alg, dim, mats)

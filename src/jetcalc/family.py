@@ -20,7 +20,7 @@ from .poly import ExpPoly, Vector, diff, entry_parser
 from .linalg import (SpanBasis, CrossCheckError, mmul, mid, freeze, flatten,
                      unflatten, block_diag, close_span, square, sparse,
                      columns, apply)
-from .jetfun import (MatPolyFamily, jet_family, iterated_block_derivative,
+from .jetfun import (MatPolyFamily, jet_family_at, iterated_block_derivative,
                      functional_to_diffop, diffop_to_module, frobenius)
 from .approxalg import ApproxModule, end_sharp_membership
 
@@ -250,8 +250,7 @@ class PiAssembly:
     def _letter_block(self, rep, point, k):
         key = (rep.label, tuple(point.coords), k)
         if key not in self._letter_cache:
-            fam = jet_family(rep.letter(k), self.layout.E)
-            self._letter_cache[key] = fam.evaluate_scalar(tuple(point.coords))
+            self._letter_cache[key] = jet_family_at(rep.letter(k), self.layout.E, point)
         return self._letter_cache[key]
 
     def letter_matrix(self, k):
@@ -275,7 +274,7 @@ def assemble_pi(reps, points, E):
 def assemble_phi(cand, reps, points, E):
     """Exact block-diagonal matrix of a candidate over the same layout."""
     layout = BlockLayout(reps, points, E)
-    return block_diag([jet_family(cand.component(rep), E).evaluate_scalar(tuple(p.coords))
+    return block_diag([jet_family_at(cand.component(rep), E, p)
                        for rep, p, _, _ in layout.blocks])
 
 
@@ -529,13 +528,20 @@ def invariance_check(cand, delta, reps, extra_vectors=()):
     their inverses lie in the unital algebra A the generators span, and v
     generates A.v under either alphabet."""
     by_label = {rep.label: rep for rep in reps}
+    key = lambda item: (item[0], tuple(item[1].coords),
+                        tuple(tuple(e.coords) for e in item[2]))
+    evaluated = {}  # each distinct component is evaluated once
     blocks = []
     phis = []
     sizes = []
-    for label, point, etas in delta:
+    for item in delta:
+        label, point, etas = item
         rep = by_label[label]
-        *gmats, pmat = delta_block(rep.generators + (cand.component(rep),),
-                                   etas, point)
+        comp = key(item)
+        if comp not in evaluated:
+            evaluated[comp] = delta_block(rep.generators + (cand.component(rep),),
+                                          etas, point)
+        *gmats, pmat = evaluated[comp]
         blocks.append(gmats)
         phis.append(pmat)
         sizes.append(rep.dim * (2 ** len(etas)))
@@ -550,8 +556,6 @@ def invariance_check(cand, delta, reps, extra_vectors=()):
     # decision vector), plus their concatenation, which correlates blocks
     run_start = 0
     run_vecs = []
-    key = lambda item: (item[0], tuple(item[1].coords),
-                        tuple(tuple(e.coords) for e in item[2]))
     for i in range(len(delta) + 1):
         if i == len(delta) or (i > run_start and key(delta[i]) != key(delta[run_start])):
             g = i - run_start

@@ -7,6 +7,12 @@ computed once and for all by the closed Taylor formula
     f^(E) = sum_beta (d^beta f)/beta! . m_E(X^beta),
 
 with an extra factor m_E(e^xi) and a frequency tag for exponential summands.
+jet builds the family symbolically; jet_at reads the same terms at one
+point mu, evaluating each coefficient (d^beta f)(mu)/beta! and unit first,
+so it forms no family.  The block assemblies of the family layer
+(PiAssembly letters and assemble_phi) read jets only at their block points,
+through jet_family_at.
+
 Everything downstream (doubled-space derivative data, the correspondence
 between functionals on End(E) and constant-coefficient operators, kernels of
 the evaluation-and-derivative maps) reduces to this one map plus exact
@@ -14,6 +20,7 @@ linear algebra.
 """
 
 from itertools import combinations
+from math import comb, prod
 
 from .scalars import Scalar, ExpScalar, ZERO, ONE, EXP_ZERO
 from .poly import (Polynomial, ExpPoly, Covector, Vector, DiffOp, diff,
@@ -161,28 +168,62 @@ def exp_series(xi, k):
     return out
 
 
-def jet(f, E):
-    """The matrix family mu -> m_E(translate(f, mu))."""
+def _taylor_coeff(p, beta):
+    """(d^beta p)/beta!, read off term by term: x^e goes to
+    binom(e, beta) x^(e - beta)."""
+    if not any(beta):
+        return p
+    return Polynomial(p.nvars, {
+        tuple(a - b for a, b in zip(e, beta)): c * prod(map(comb, e, beta))
+        for e, c in p.terms.items() if all(a >= b for a, b in zip(e, beta))})
+
+
+def _taylor_terms(f, E):
+    """The terms of the Taylor formula for f^(E): for each summand
+    E[unit] e^xi p of f and each beta through E's order, the tuple
+    (freq, unit, q, mat) with q = (d^beta p)/beta! (zero q skipped) and
+    mat = m_E(e^xi) m_E(X^beta).  The term's value at mu is
+    E[unit + xi(mu)] q(mu) mat."""
     f = _as_exppoly(f)
     if f.nvars != E.nvars:
         raise ValueError("arity mismatch")
-    d = E.dim
-    out = [[ExpPoly.zero(f.nvars) for _ in range(d)] for _ in range(d)]
+    betas = monomials_upto(f.nvars, E.k)
     for (freq, unit), p in f.summands.items():
-        xi = Covector(freq)
-        base = E.exp_action(xi)
-        for beta in monomials_upto(f.nvars, E.k):
-            q = p.deriv_multi(beta)
-            if not q:
-                continue
-            q = q * (Scalar(1) / beta_factorial(beta))
-            coeff = ExpPoly.exp(freq, q, unit)
-            mat = mmul(base, E.mon_mat(beta)) if any(beta) else base
-            for r in range(d):
-                for c in range(d):
-                    if mat[r][c]:
-                        out[r][c] = out[r][c] + coeff * mat[r][c]
-    return MatPolyFamily(f.nvars, out)
+        # m_E(e^0) is the identity
+        base = E.exp_action(Covector(freq)) if any(freq) else None
+        for beta in betas:
+            q = _taylor_coeff(p, beta)
+            if q:
+                mat = E.mon_mat(beta)
+                yield freq, unit, q, (mat if base is None else mmul(base, mat))
+
+
+def jet(f, E):
+    """The matrix family mu -> m_E(translate(f, mu))."""
+    out = [[ExpPoly.zero(E.nvars)] * E.dim for _ in range(E.dim)]
+    for freq, unit, q, mat in _taylor_terms(f, E):
+        coeff = ExpPoly.exp(freq, q, unit)
+        for r, row in enumerate(mat):
+            for c, x in enumerate(row):
+                if x:
+                    out[r][c] = out[r][c] + coeff * x
+    return MatPolyFamily(E.nvars, out)
+
+
+def jet_at(f, E, point):
+    """f^(E) at one point, equal to jet(f, E).evaluate(point): each Taylor
+    coefficient q(point) and unit is evaluated first, so no family is
+    formed.  Entries are formal-exponential scalars."""
+    coords = point.coords if isinstance(point, Vector) else tuple(point)
+    out = [[EXP_ZERO] * E.dim for _ in range(E.dim)]
+    for freq, unit, q, mat in _taylor_terms(f, E):
+        v = q.evaluate(coords)
+        shift = unit + sum((a * b for a, b in zip(freq, coords)), ZERO)
+        for r, row in enumerate(mat):
+            for c, x in enumerate(row):
+                if x:
+                    out[r][c] = out[r][c] + ExpScalar.unit(shift, v * x)
+    return tuple(tuple(row) for row in out)
 
 
 def jet_ideal(f, ideal, mu):
@@ -205,20 +246,29 @@ def jet_ideal(f, ideal, mu):
     return tuple(coords)
 
 
+def _e_slow(jets, d):
+    """One matrix from a grid of d x d blocks, jets[rV][cV], with the module
+    index slow: entry (rE, rV), (cE, cV) is jets[rV][cV][rE][cE]."""
+    return [[jrow[cV][rE][cE] for cE in range(d) for cV in range(len(jrow))]
+            for rE in range(d) for jrow in jets]
+
+
 def jet_family(T, E):
     """Entrywise jet, reassembled with the module index slow: the output acts
     on E tensor V with the E coordinate owning the outer (block) index."""
     if T.nvars != E.nvars:
         raise ValueError("arity mismatch")
-    d = E.dim
-    jets = [[jet(T.entries[r][c], E) for c in range(T.cols)] for r in range(T.rows)]
-    out = [[None] * (d * T.cols) for _ in range(d * T.rows)]
-    for rE in range(d):
-        for rV in range(T.rows):
-            for cE in range(d):
-                for cV in range(T.cols):
-                    out[rE * T.rows + rV][cE * T.cols + cV] = jets[rV][cV].entries[rE][cE]
-    return MatPolyFamily(T.nvars, out)
+    return MatPolyFamily(T.nvars, _e_slow(
+        [[jet(e, E).entries for e in row] for row in T.entries], E.dim))
+
+
+def jet_family_at(T, E, point):
+    """jet_family(T, E).evaluate_scalar(point), formed entry by entry with
+    jet_at; raises the same ValueError when a formal unit survives."""
+    if T.nvars != E.nvars:
+        raise ValueError("arity mismatch")
+    return tuple(tuple(x.scalar() for x in row) for row in _e_slow(
+        [[jet_at(e, E, point) for e in row] for row in T.entries], E.dim))
 
 
 def block_derivative(F, eta):

@@ -1,5 +1,6 @@
 """Approximately unital algebras, their modules, and the double commutant."""
 
+import json
 import random
 
 import pytest
@@ -141,6 +142,37 @@ def test_module_json_round_trip():
     assert M3b.mats == M3.mats
     assert M3b.algebra.sc == M3.algebra.sc
     assert M3b.algebra.chain == M3.algebra.chain
+
+
+def test_module_json_bounds_its_sizes_before_parsing(monkeypatch):
+    """A module above MAX_MODULE_DIM or an algebra basis above
+    MAX_ALGEBRA_DIM is refused before any entry is parsed; at the bounds
+    the loader reaches the entries."""
+    class Parsed(Exception):
+        pass
+
+    def refuse(text):
+        raise Parsed(text)
+
+    monkeypatch.setattr(aa, "parse_scalar", refuse)
+
+    def text(dim, nbasis):
+        return json.dumps({"basis": ["e%d" % i for i in range(nbasis)],
+                           "structure_constants": {"0,0": {"0": "1"}},
+                           "idempotent_chain": [["1"] * nbasis], "dim": dim,
+                           "action": [["0"] * (dim * dim)] * nbasis})
+
+    assert (aa.MAX_MODULE_DIM, aa.MAX_ALGEBRA_DIM) == (14, 36)
+    for dim, nbasis, what in ((15, 1, "module dimension 15"),
+                              (100, 1, "module dimension 100"),
+                              (True, 1, "module dimension True"),
+                              (-1, 1, "module dimension -1"),
+                              (2, 37, "37 elements")):
+        with pytest.raises(ValueError, match=what):
+            aa.ApproxModule.from_json(text(dim, nbasis))
+    for dim, nbasis in ((14, 36), (0, 1), (2, 1)):
+        with pytest.raises(Parsed):
+            aa.ApproxModule.from_json(text(dim, nbasis))
 
 
 def test_algebra_axioms_are_enforced():

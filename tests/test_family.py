@@ -490,6 +490,39 @@ def test_invariance_agrees_with_membership_at_jet_level():
     assert not membership_triple(const2, [upo], [PT], E_eta).member
 
 
+def test_invariance_evaluates_each_distinct_component_once(monkeypatch):
+    """The CLI and the benchmark repeat each delta component rep.dim times;
+    invariance_check evaluates each distinct (label, point, etas) once, and
+    its verdicts still agree with membership."""
+    calls = []
+
+    def counted(fams, etas, point):
+        calls.append((fams, etas, point))
+        return delta_block(fams, etas, point)
+
+    monkeypatch.setattr(family, "delta_block", counted)
+    for rng, reps, pts, _ in random_layouts(13, 8):
+        delta = [(rep.label, p, []) for rep in reps for p in pts
+                 for _ in range(rep.dim)]
+        for member in (True, False):
+            cand, _ = gen.rand_candidate(rng, reps, maxlen=4, member=member)
+            del calls[:]
+            verdict = invariance_check(cand, delta, reps)
+            assert len(calls) == len(reps) * len(pts)
+            t = membership_triple(cand, reps, pts, E1)
+            assert t.unanimous and verdict == t.member
+    # at the jet level, where a constant translation passes pointwise only
+    upo = upper_only_rep()
+    E_eta = dual_number_module(Vector([ONE]))
+    delta = [("u", PT, [Covector([ONE])])] * 4
+    for c in (PWCandidate.from_word([upo], [1, 1]), PWCandidate(1, {"u": LOW}),
+              PWCandidate(1, {"u": fam(1, [["1", "2"], ["0", "1"]])})):
+        del calls[:]
+        verdict = invariance_check(c, delta, [upo])
+        assert len(calls) == 1
+        assert verdict == membership_triple(c, [upo], [PT], E_eta).member
+
+
 def test_intertwiner_graphs_pass_members_only():
     upo = upper_only_rep()
     escape = PWCandidate(1, {"u": LOW})

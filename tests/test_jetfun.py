@@ -10,7 +10,7 @@ from jetcalc.poly import (Polynomial, ExpPoly, Vector, Covector, DiffOp,
                           monomials_upto, monomials_of_degree)
 from jetcalc import localmod as lm
 from jetcalc import jetfun as jf
-from jetcalc import linalg
+from jetcalc import gen, linalg
 from jetcalc.gen import rand_poly, rand_exp_poly, rand_point
 
 
@@ -70,6 +70,72 @@ def test_jet_evaluation_matches_the_germ_action_oracle():
             mu = rand_point(rng, 2)
             ev = jf.jet(f, Emod).evaluate(tuple(mu.coords))
             assert ev == act_germ_oracle(Emod, translate(f, mu))
+
+
+def test_point_jet_is_the_jet_evaluated_at_the_point():
+    """Over the fixed modules and random ones; a translate of a random f
+    carries the unit E[xi(shift)] on each exponential summand."""
+    rng = random.Random(21)
+    mods = list(_test_modules()) + [gen.rand_finmod(rng, nv, 2, 4)
+                                    for nv in (1, 2, 2, 3) for _ in range(2)]
+    units = 0
+    for Emod in mods:
+        for _ in range(3):
+            nv = Emod.nvars
+            f = translate(rand_exp_poly(rng, nv, 2), rand_point(rng, nv))
+            mu = rand_point(rng, nv)
+            units += any(unit != ZERO for _, unit in f.summands)
+            for pt in (mu, tuple(mu.coords)):
+                assert jf.jet_at(f, Emod, pt) == jf.jet(f, Emod).evaluate(tuple(mu.coords))
+            assert jf.jet_at(f, Emod, mu) == act_germ_oracle(Emod, translate(f, mu))
+    assert units >= 20
+    with pytest.raises(ValueError):
+        jf.jet_at(rand_exp_poly(random.Random(0), 1, 2), _test_modules()[0], (ZERO, ZERO))
+
+
+def test_point_jet_family_is_the_family_evaluated_at_the_point():
+    rng = random.Random(22)
+    for Emod in list(_test_modules()) + [gen.rand_finmod(rng, 2, 2, 4) for _ in range(4)]:
+        for _ in range(3):
+            T = gen.rand_elementary_family(rng, 2, rng.randint(1, 3))
+            T = T * gen.rand_elementary_family(rng, 2, T.rows)
+            mu = rand_point(rng, 2)
+            want = jf.jet_family(T, Emod).evaluate_scalar(tuple(mu.coords))
+            assert jf.jet_family_at(T, Emod, mu) == want
+    # a formal unit that survives evaluation is refused by both routes alike
+    T = jf.MatPolyFamily(1, [[ExpPoly.exp((ONE,)), ExpPoly.zero(1)],
+                             [ExpPoly.zero(1), ExpPoly.const(1, ONE)]])
+    E1 = lm.dual_number_module(Vector((1,)))
+    pt = Vector((sc(2),))
+    with pytest.raises(ValueError) as symbolic:
+        jf.jet_family(T, E1).evaluate_scalar(tuple(pt.coords))
+    with pytest.raises(ValueError) as pointwise:
+        jf.jet_family_at(T, E1, pt)
+    assert str(pointwise.value) == str(symbolic.value)
+    assert jf.jet_family_at(T, E1, Vector((ZERO,))) == \
+        jf.jet_family(T, E1).evaluate_scalar((ZERO,))
+
+
+def test_membership_forms_no_symbolic_jet(monkeypatch):
+    """The membership test reads jets only at its block points, through
+    jet_at: neither the symbolic jet nor jet_family runs."""
+    from jetcalc import family
+
+    def refuse(*args):
+        raise AssertionError("a symbolic jet was formed")
+
+    for mod in (jf, family):
+        for name in ("jet", "jet_family"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, refuse)
+    rng = random.Random(23)
+    for Emod in (lm.cyclic_quotient(lm.maximal_ideal(1)).module,
+                 lm.dual_number_module(Vector((sc(3),)))):
+        reps = [gen.rand_repfamily(rng, "a", 1, 2), gen.rand_repfamily(rng, "b", 1, 1)]
+        pts = [Vector((sc(1),)), Vector((sc(-2),))]
+        for member in (True, False):
+            cand, _ = gen.rand_candidate(rng, reps, maxlen=4, member=member)
+            assert family.membership_triple(cand, reps, pts, Emod).unanimous
 
 
 def test_jet_commutes_with_translation():
