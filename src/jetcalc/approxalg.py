@@ -298,7 +298,9 @@ class ApproxModule:
         alg = ApproxAlgebra(n, sc, chain, labels)
         mats = [square(flat, dim, parse_scalar, "action matrix %d" % t)
                 for t, flat in enumerate(data["action"])]
-        return cls(alg, dim, mats)
+        # unitality is a property of the module (is_approx_unital), not a
+        # condition of the format: junk-padded modules round-trip too
+        return cls(alg, dim, mats, require_unital=False)
 
     def __repr__(self):
         return "ApproxModule(algebra dim=%d, dim=%d)" % (self.algebra.dim, self.dim)

@@ -25,7 +25,7 @@ from math import comb, prod
 from .scalars import Scalar, ExpScalar, ZERO, ONE, EXP_ZERO
 from .poly import (Polynomial, ExpPoly, Covector, Vector, DiffOp, diff,
                    translate, coproduct, pairing, monomials_upto,
-                   beta_factorial, zero_exps)
+                   beta_factorial, zero_exps, exp_series)
 from . import linalg
 from .linalg import SpanBasis, CrossCheckError, mmul
 from .localmod import (PolySpace, cyclic_quotient, dual_number_module,
@@ -153,19 +153,6 @@ def _as_exppoly(f, nvars=None):
     if isinstance(f, Polynomial):
         return ExpPoly.from_poly(f)
     raise TypeError("expected a polynomial or exponential-polynomial")
-
-
-def exp_series(xi, k):
-    """Polynomial truncation of e^xi through degree k."""
-    lin = xi.as_polynomial()
-    out = Polynomial.const(xi.nvars, ONE)
-    power = Polynomial.const(xi.nvars, ONE)
-    fact = 1
-    for j in range(1, k + 1):
-        power = power * lin
-        fact *= j
-        out = out + power * (Scalar(1) / fact)
-    return out
 
 
 def _taylor_coeff(p, beta):

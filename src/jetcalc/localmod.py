@@ -14,9 +14,10 @@ through truncation) follows from that.
 
 import json
 
-from .scalars import Scalar, ZERO, ONE
+from .scalars import ZERO, ONE
 from .poly import (Polynomial, DiffOp, Covector, monomials_upto,
-                   monomials_of_degree, beta_factorial, zero_exps, parse_scalar)
+                   monomials_of_degree, beta_factorial, zero_exps, parse_scalar,
+                   exp_series)
 from . import linalg
 from .linalg import (SpanBasis, mmul, madd, mscale, mid, mzeros, freeze,
                      block_diag, close_span, square, dense, columns, apply)
@@ -218,26 +219,10 @@ class FinMod:
                 out = madd(out, mscale(self.mon_mat(e), c))
         return out
 
-    def act_linear(self, xi):
-        """Action of a covector."""
-        out = mzeros(self.dim, self.dim)
-        for j, c in enumerate(xi.coords):
-            if c:
-                out = madd(out, mscale(self.mats[j], c))
-        return out
-
     def exp_action(self, xi):
-        """Action of the germ e^xi: the exponential series of the (nilpotent)
-        action of xi, which terminates at degree k."""
-        L = self.act_linear(xi)
-        out = mid(self.dim)
-        power = mid(self.dim)
-        fact = 1
-        for j in range(1, self.k + 1):
-            power = mmul(power, L)
-            fact *= j
-            out = madd(out, mscale(power, Scalar(1) / fact))
-        return out
+        """Action of the germ e^xi: m_E of its exponential series, which
+        the nilpotent action cuts off after degree k."""
+        return self.act_poly(exp_series(xi, self.k))
 
     def __eq__(self, other):
         if not isinstance(other, FinMod):

@@ -1,12 +1,19 @@
 """Sparse multivariate polynomials over Q(i), exponential polynomials,
 linear forms, and constant-coefficient differential operators.
 
-Monomials are plain exponent tuples.  A Polynomial stores {exponents: Scalar}
-with no zero coefficients, so equality is plain dict equality.  ExpPoly keys
-its summands by (frequency, unit) where frequency is a covector xi (giving a
-factor e^xi) and unit is an exact scalar a (giving a formal factor E[a], see
-scalars.ExpScalar); translation moves value into the unit slot instead of
-evaluating anything.
+All of them are term dicts of scalars._terms_add/_terms_mul, one term
+algebra.  Monomials are plain exponent tuples.  Polynomial and DiffOp share
+one body, _Terms: {exponents: Scalar} with no zero coefficients, so equality
+is plain dict equality; they differ in type and in the printed letter (x or
+X).  ExpPoly keys its summands by (frequency, unit) where frequency is a
+covector xi (giving a factor e^xi) and unit is an exact scalar a (giving a
+formal factor E[a], see scalars.ExpScalar); translation moves value into
+the unit slot instead of evaluating anything.
+
+One substitution, _substitute, expands sum c * prod images[j]^e_j with each
+power of each image formed once: evaluation (Scalars for the variables),
+translation (x_j + mu_j), the coproduct (sums of block variables) and the
+exponential series (the linear form xi in the Taylor polynomial of exp).
 
 Text grammar (printer output round-trips through parse_exppoly bit-exactly):
 
@@ -27,8 +34,9 @@ all stay cheap to refuse.
 """
 
 from math import factorial
+from operator import add
 
-from .scalars import Scalar, ExpScalar, ZERO, ONE, _mk
+from .scalars import Scalar, ExpScalar, ZERO, ONE, _mk, _terms_add, _terms_mul
 
 
 def zero_exps(nvars):
@@ -58,38 +66,49 @@ def monomials_of_degree(nvars, d):
     return [e for e in monomials_upto(nvars, d) if sum(e) == d]
 
 
-def _terms_add(t1, t2):
-    """Sum of two {key: coefficient} dicts; cancelled keys are dropped."""
-    t = dict(t1)
-    for e, c in t2.items():
-        s = t.get(e)
-        s = c if s is None else s + c
-        if s:
-            t[e] = s
-        else:
-            t.pop(e, None)
-    return t
+def _exps_add(e1, e2):
+    # the key product of monomials: exponents add
+    return tuple(map(add, e1, e2))
 
 
-def _terms_mul(t1, t2):
-    """Product of two {exponents: coefficient} dicts: exponents add and
-    coefficients multiply; cancelled monomials are dropped."""
-    t = {}
-    for e1, c1 in t1.items():
-        for e2, c2 in t2.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            c = c1 * c2
-            s = t.get(e)
-            s = c if s is None else s + c
-            if s:
-                t[e] = s
-            else:
-                t.pop(e, None)
-    return t
+def _linear_terms(coeffs):
+    """Term dict of the linear form sum_j coeffs[j] * x_j."""
+    nv = len(coeffs)
+    return {tuple(1 if t == j else 0 for t in range(nv)): c
+            for j, c in enumerate(coeffs) if c}
 
 
-class Polynomial:
+def _substitute(p, images, total):
+    """total + sum_e c_e * prod_j images[j]^e_j over the terms of p.  Each
+    power of each image is formed once, by one product with the power
+    below it, so a term costs one product per variable it holds."""
+    powers = [[None, img] for img in images]
+    for e, c in p.terms.items():
+        for pw, k in zip(powers, e):
+            if k:
+                while len(pw) <= k:
+                    pw.append(pw[-1] * pw[1])
+                c = pw[k] * c
+        total = total + c
+    return total
+
+
+def _point_coords(point, nvars):
+    coords = point.coords if isinstance(point, Vector) else tuple(point)
+    if len(coords) != nvars:
+        raise ValueError("point has %d coordinates, expected %d" % (len(coords), nvars))
+    return coords
+
+
+class _Terms:
+    """{exponents: Scalar} with no zero coefficients over a fixed number of
+    variables, so equality is plain dict equality: the common body of
+    Polynomial and DiffOp.  Arithmetic builds the caller's type, the
+    printer names variables by the class's LETTER, and equality is
+    type-strict, so a Polynomial never equals a DiffOp."""
+
     __slots__ = ("nvars", "terms")
+    LETTER = "x"
 
     def __init__(self, nvars, terms=None):
         self.nvars = nvars
@@ -104,6 +123,12 @@ class Polynomial:
                     t[exps] = c
         self.terms = t
 
+    def _new(self, terms):
+        out = object.__new__(type(self))
+        out.nvars = self.nvars
+        out.terms = terms
+        return out
+
     @classmethod
     def zero(cls, nvars):
         return cls(nvars)
@@ -113,15 +138,6 @@ class Polynomial:
         if isinstance(c, int):
             c = Scalar(c)
         return cls(nvars, {zero_exps(nvars): c})
-
-    @classmethod
-    def variable(cls, nvars, j):
-        """x_{j+1}, zero-based j."""
-        if not 0 <= j < nvars:
-            raise ValueError("variable index %d out of range" % j)
-        e = [0] * nvars
-        e[j] = 1
-        return cls(nvars, {tuple(e): ONE})
 
     @classmethod
     def monomial(cls, nvars, exps, c=ONE):
@@ -139,45 +155,39 @@ class Polynomial:
     def __bool__(self):
         return bool(self.terms)
 
+    def _coerce(self, other):
+        if isinstance(other, (int, Scalar)):
+            return self.const(self.nvars, other)
+        if not isinstance(other, type(self)):
+            return None
+        if self.nvars != other.nvars:
+            raise ValueError("arity mismatch: %d vs %d variables" % (self.nvars, other.nvars))
+        return other
+
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = Polynomial.const(self.nvars, other)
-        if isinstance(other, Scalar):
-            other = Polynomial.const(self.nvars, other)
-        if not isinstance(other, Polynomial):
+        if isinstance(other, (int, Scalar)):
+            other = self.const(self.nvars, other)
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
 
-    def _same_arity(self, other):
-        if self.nvars != other.nvars:
-            raise ValueError("arity mismatch: %d vs %d variables" % (self.nvars, other.nvars))
-
     def __add__(self, other):
-        if isinstance(other, (int, Scalar)):
-            other = Polynomial.const(self.nvars, other)
-        if not isinstance(other, Polynomial):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        self._same_arity(other)
-        out = object.__new__(Polynomial)
-        out.nvars = self.nvars
-        out.terms = _terms_add(self.terms, other.terms)
-        return out
+        return self._new(_terms_add(self.terms, other.terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = object.__new__(Polynomial)
-        out.nvars = self.nvars
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return self._new({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Scalar)):
-            other = Polynomial.const(self.nvars, other)
-        if not isinstance(other, Polynomial):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
         return self + (-other)
 
@@ -189,20 +199,49 @@ class Polynomial:
             other = Scalar(other)
         if isinstance(other, Scalar):
             if not other:
-                return Polynomial.zero(self.nvars)
-            out = object.__new__(Polynomial)
-            out.nvars = self.nvars
-            out.terms = {e: c * other for e, c in self.terms.items()}
-            return out
-        if not isinstance(other, Polynomial):
+                return self.zero(self.nvars)
+            return self._new({e: c * other for e, c in self.terms.items()})
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        self._same_arity(other)
-        out = object.__new__(Polynomial)
-        out.nvars = self.nvars
-        out.terms = _terms_mul(self.terms, other.terms)
-        return out
+        return self._new(_terms_mul(self.terms, other.terms, _exps_add))
 
     __rmul__ = __mul__
+
+    def sorted_terms(self):
+        """Descending graded lex, for printing and deterministic traversal."""
+        return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
+
+    def __str__(self):
+        if not self.terms:
+            return "(0)"
+        parts = []
+        for e, c in self.sorted_terms():
+            factors = ["(%s)" % _coeff_str(c)]
+            for j, p in enumerate(e):
+                if p == 1:
+                    factors.append("%s%d" % (self.LETTER, j + 1))
+                elif p > 1:
+                    factors.append("%s%d^%d" % (self.LETTER, j + 1, p))
+            parts.append("*".join(factors))
+        return " + ".join(parts)
+
+    __repr__ = __str__
+
+
+class Polynomial(_Terms):
+    """Polynomial in x_1 .. x_nvars."""
+
+    __slots__ = ()
+
+    @classmethod
+    def variable(cls, nvars, j):
+        """x_{j+1}, zero-based j."""
+        if not 0 <= j < nvars:
+            raise ValueError("variable index %d out of range" % j)
+        e = [0] * nvars
+        e[j] = 1
+        return cls(nvars, {tuple(e): ONE})
 
     def __pow__(self, n):
         if n < 0:
@@ -222,17 +261,7 @@ class Polynomial:
 
     def evaluate(self, point):
         """Exact value at a point given as Vector or sequence of Scalars."""
-        coords = point.coords if isinstance(point, Vector) else tuple(point)
-        if len(coords) != self.nvars:
-            raise ValueError("point has %d coordinates, expected %d" % (len(coords), self.nvars))
-        total = ZERO
-        for e, c in self.terms.items():
-            v = c
-            for x, p in zip(coords, e):
-                for _ in range(p):
-                    v = v * x
-            total = total + v
-        return total
+        return _substitute(self, _point_coords(point, self.nvars), ZERO)
 
     def deriv(self, j, times=1):
         """Partial derivative d/dx_{j+1}, iterated."""
@@ -258,40 +287,10 @@ class Polynomial:
 
     def translate(self, mu):
         """p composed with the shift nu -> nu + mu."""
-        coords = mu.coords if isinstance(mu, Vector) else tuple(mu)
-        if len(coords) != self.nvars:
-            raise ValueError("shift has %d coordinates, expected %d" % (len(coords), self.nvars))
-        shifted_var = []
-        for j in range(self.nvars):
-            shifted_var.append(Polynomial.variable(self.nvars, j) + Polynomial.const(self.nvars, coords[j]))
-        total = Polynomial.zero(self.nvars)
-        for e, c in self.terms.items():
-            term = Polynomial.const(self.nvars, c)
-            for j, p in enumerate(e):
-                if p:
-                    term = term * shifted_var[j] ** p
-            total = total + term
-        return total
-
-    def sorted_terms(self):
-        """Descending graded lex, for printing and deterministic traversal."""
-        return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
-
-    def __str__(self):
-        if not self.terms:
-            return "(0)"
-        parts = []
-        for e, c in self.sorted_terms():
-            factors = ["(%s)" % _coeff_str(c)]
-            for j, p in enumerate(e):
-                if p == 1:
-                    factors.append("x%d" % (j + 1))
-                elif p > 1:
-                    factors.append("x%d^%d" % (j + 1, p))
-            parts.append("*".join(factors))
-        return " + ".join(parts)
-
-    __repr__ = __str__
+        n = self.nvars
+        return _substitute(self, [Polynomial.variable(n, j) + m
+                                  for j, m in enumerate(_point_coords(mu, n))],
+                           Polynomial.zero(n))
 
 
 def _coeff_str(c):
@@ -357,9 +356,7 @@ class _Coords:
     def as_diffop(self):
         """The first-order operator with these coefficients: the directional
         derivative along a Vector, or along a Covector's coordinates."""
-        nv = len(self.coords)
-        return DiffOp(nv, {tuple(1 if t == j else 0 for t in range(nv)): c
-                           for j, c in enumerate(self.coords) if c})
+        return DiffOp(len(self.coords), _linear_terms(self.coords))
 
 
 class Vector(_Coords):
@@ -395,103 +392,26 @@ class Covector(_Coords):
         return total
 
     def as_polynomial(self):
-        nv = len(self.coords)
-        return Polynomial(nv, {e: c for e, c in
-                               ((tuple(1 if t == j else 0 for t in range(nv)), self.coords[j])
-                                for j in range(nv)) if c})
+        return Polynomial(len(self.coords), _linear_terms(self.coords))
 
 
-class DiffOp:
+class DiffOp(_Terms):
     """Element of the symmetric algebra on the X-variables, acting as a
     constant-coefficient differential operator: X^beta acts as d^beta."""
 
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars, terms=None):
-        self.nvars = nvars
-        t = {}
-        if terms:
-            for exps, c in terms.items():
-                if len(exps) != nvars:
-                    raise ValueError("exponent tuple %r does not match nvars=%d" % (exps, nvars))
-                if isinstance(c, int):
-                    c = Scalar(c)
-                if c:
-                    t[exps] = c
-        self.terms = t
+    __slots__ = ()
+    LETTER = "X"
 
     @classmethod
     def one(cls, nvars):
-        return cls(nvars, {zero_exps(nvars): ONE})
+        return cls.const(nvars, ONE)
 
-    @classmethod
-    def zero(cls, nvars):
-        return cls(nvars)
+    order = _Terms.degree
 
-    @classmethod
-    def monomial(cls, nvars, beta, c=ONE):
-        return cls(nvars, {tuple(beta): c})
 
-    def order(self):
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, DiffOp):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
-    def __add__(self, other):
-        if not isinstance(other, DiffOp):
-            return NotImplemented
-        if self.nvars != other.nvars:
-            raise ValueError("arity mismatch")
-        return DiffOp(self.nvars, _terms_add(self.terms, other.terms))
-
-    def __neg__(self):
-        return DiffOp(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            other = Scalar(other)
-        if isinstance(other, Scalar):
-            return DiffOp(self.nvars, {e: c * other for e, c in self.terms.items()})
-        if not isinstance(other, DiffOp):
-            return NotImplemented
-        if self.nvars != other.nvars:
-            raise ValueError("arity mismatch")
-        return DiffOp(self.nvars, _terms_mul(self.terms, other.terms))
-
-    __rmul__ = __mul__
-
-    def __str__(self):
-        if not self.terms:
-            return "(0)"
-        parts = []
-        for e, c in sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True):
-            factors = ["(%s)" % _coeff_str(c)]
-            for j, p in enumerate(e):
-                if p == 1:
-                    factors.append("X%d" % (j + 1))
-                elif p > 1:
-                    factors.append("X%d^%d" % (j + 1, p))
-            parts.append("*".join(factors))
-        return " + ".join(parts)
-
-    __repr__ = __str__
+def _keys_add(k1, k2):
+    # the key product of exponential summands: e^xi E[a] e^eta E[b] = e^(xi+eta) E[a+b]
+    return (tuple(map(add, k1[0], k2[0])), k1[1] + k2[1])
 
 
 class ExpPoly:
@@ -620,20 +540,9 @@ class ExpPoly:
             return NotImplemented
         if self.nvars != other.nvars:
             raise ValueError("arity mismatch")
-        t = {}
-        for (f1, u1), p1 in self.summands.items():
-            for (f2, u2), p2 in other.summands.items():
-                key = (tuple(a + b for a, b in zip(f1, f2)), u1 + u2)
-                p = p1 * p2
-                s = t.get(key)
-                s = p if s is None else s + p
-                if s:
-                    t[key] = s
-                else:
-                    t.pop(key, None)
         out = object.__new__(ExpPoly)
         out.nvars = self.nvars
-        out.summands = t
+        out.summands = _terms_mul(self.summands, other.summands, _keys_add)
         return out
 
     __rmul__ = __mul__
@@ -653,9 +562,7 @@ class ExpPoly:
 
     def translate(self, mu):
         """Pull-back along nu -> nu + mu; e^xi picks up the unit E[xi(mu)]."""
-        coords = mu.coords if isinstance(mu, Vector) else tuple(mu)
-        if len(coords) != self.nvars:
-            raise ValueError("shift arity mismatch")
+        coords = _point_coords(mu, self.nvars)
         t = {}
         for (freq, unit), p in self.summands.items():
             shift = ZERO
@@ -677,7 +584,7 @@ class ExpPoly:
     def evaluate(self, point):
         """Exact value at a point, as an ExpScalar: e^xi contributes the
         formal unit E[xi(point)]."""
-        coords = point.coords if isinstance(point, Vector) else tuple(point)
+        coords = _point_coords(point, self.nvars)
         total = ExpScalar()
         for (freq, unit), p in self.summands.items():
             shift = unit
@@ -761,20 +668,18 @@ def coproduct(p, n):
         raise ValueError("coproduct needs n >= 1")
     N = p.nvars
     big = n * N
-    sums = []
-    for j in range(N):
-        s = Polynomial.zero(big)
-        for b in range(n):
-            s = s + Polynomial.variable(big, b * N + j)
-        sums.append(s)
-    total = Polynomial.zero(big)
-    for e, c in p.terms.items():
-        term = Polynomial.const(big, c)
-        for j, pw in enumerate(e):
-            if pw:
-                term = term * sums[j] ** pw
-        total = total + term
-    return total
+    # x_j goes to the sum of the j-th variables of the n blocks
+    sums = [Polynomial(big, _linear_terms([ONE if t % N == j else ZERO
+                                           for t in range(big)]))
+            for j in range(N)]
+    return _substitute(p, sums, Polynomial.zero(big))
+
+
+def exp_series(xi, k):
+    """Polynomial truncation of e^xi through degree k: the Taylor
+    polynomial sum_j t^j/j! of exp, with the linear form xi for t."""
+    taylor = Polynomial(1, {(j,): _inv_int(factorial(j)) for j in range(k + 1)})
+    return _substitute(taylor, [xi.as_polynomial()], Polynomial.zero(xi.nvars))
 
 
 def _inv_int(n):

@@ -7,10 +7,17 @@ ExpScalar extends Scalar by formal units E[a] ("e to the a") living in the
 group algebra of (Q(i), +):  E[a]*E[b] = E[a+b]  and  E[a] = 1 only for a = 0.
 The units are never numerically evaluated; that keeps translation of
 exponential polynomials exact.
+
+Every sparse object of the package is a term dict {key: coefficient} with
+no zero coefficients: ExpScalar keys by unit, and poly's polynomials,
+operators and exponential polynomials by exponents or (frequency, unit).
+_terms_add and _terms_mul are their one sum and one product; a product
+merges two keys by the caller's `combine`.
 """
 
 from fractions import Fraction
 from math import gcd
+from operator import add
 
 
 def _mk(a, b, den):
@@ -187,6 +194,36 @@ def sc(re, im=0):
     return Scalar(re, im)
 
 
+def _terms_add(t1, t2):
+    """Sum of two term dicts; cancelled keys are dropped."""
+    t = dict(t1)
+    for k, c in t2.items():
+        s = t.get(k)
+        s = c if s is None else s + c
+        if s:
+            t[k] = s
+        else:
+            t.pop(k, None)
+    return t
+
+
+def _terms_mul(t1, t2, combine):
+    """Product of two term dicts: keys merge by combine(k1, k2) and
+    coefficients multiply; cancelled keys are dropped."""
+    t = {}
+    for k1, c1 in t1.items():
+        for k2, c2 in t2.items():
+            k = combine(k1, k2)
+            c = c1 * c2
+            s = t.get(k)
+            s = c if s is None else s + c
+            if s:
+                t[k] = s
+            else:
+                t.pop(k, None)
+    return t
+
+
 class ExpScalar:
     """Finite sum of c * E[a] terms; the exact value ring for pairings and
     evaluations of exponential polynomials."""
@@ -244,16 +281,8 @@ class ExpScalar:
             other = ExpScalar.from_scalar(Scalar(other) if isinstance(other, int) else other)
         if not isinstance(other, ExpScalar):
             return NotImplemented
-        t = dict(self.terms)
-        for unit, coeff in other.terms.items():
-            s = t.get(unit)
-            s = coeff if s is None else s + coeff
-            if s:
-                t[unit] = s
-            else:
-                t.pop(unit, None)
         out = object.__new__(ExpScalar)
-        out.terms = t
+        out.terms = _terms_add(self.terms, other.terms)
         return out
 
     __radd__ = __add__
@@ -284,19 +313,8 @@ class ExpScalar:
             return out
         if not isinstance(other, ExpScalar):
             return NotImplemented
-        t = {}
-        for u1, c1 in self.terms.items():
-            for u2, c2 in other.terms.items():
-                u = u1 + u2
-                c = c1 * c2
-                s = t.get(u)
-                s = c if s is None else s + c
-                if s:
-                    t[u] = s
-                else:
-                    t.pop(u, None)
         out = object.__new__(ExpScalar)
-        out.terms = t
+        out.terms = _terms_mul(self.terms, other.terms, add)  # E[a]*E[b] = E[a+b]
         return out
 
     __rmul__ = __mul__

@@ -144,6 +144,28 @@ def test_module_json_round_trip():
     assert M3b.algebra.chain == M3.algebra.chain
 
 
+def test_every_drawn_module_round_trips_through_json():
+    """A junk-padded module is not approximately unital, and that is a
+    property the loader reads back, not a reason to refuse the file."""
+    rng = random.Random(1)
+    kinds = set()
+    for _ in range(40):
+        _, M = gen.rand_approx_module(rng, 4, junk_ok=True)
+        N = aa.ApproxModule.from_json(M.to_json())
+        assert (N.dim, N.mats, N.is_approx_unital()) == \
+            (M.dim, M.mats, M.is_approx_unital())
+        kinds.add(M.is_approx_unital())
+    assert kinds == {True, False}
+
+
+def test_module_json_with_a_non_multiplicative_action_is_refused():
+    _, M = aa.block_module([2])
+    data = json.loads(M.to_json())
+    data["action"][0][0] = "2/1+0/1*i"  # E11 no longer acts as an idempotent
+    with pytest.raises(ValueError, match="not multiplicative"):
+        aa.ApproxModule.from_json(json.dumps(data))
+
+
 def test_module_json_bounds_its_sizes_before_parsing(monkeypatch):
     """A module above MAX_MODULE_DIM or an algebra basis above
     MAX_ALGEBRA_DIM is refused before any entry is parsed; at the bounds

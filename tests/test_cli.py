@@ -36,6 +36,8 @@ VERIFY_DIGESTS = {
     0: "25b0464e7e7eee38b9e2c272fc75e18fba826fa3bcc2e0adefb5da9caed0f4c0",
     1: "f3a948566e884d292e5540cfbdb4b56941de541ea3f2b7ac45f26ca323527400",
     2: "6ddc687a8392f324b24752ed1c6db6d38344317c25ca2bc4ba07cb0186987af0",
+    3: "0b5e2370da9f04762ee65da9cb6588fc0a7bb318b2860a2fc4103d2b6fa89210",
+    4: "71290a15e2519ba5da9f6ebd3855126194ff822c5f5bfbff18e56c7f81092502",
 }
 
 

@@ -22,6 +22,10 @@ def polys(nvars=2, deg=3):
                  max_size=4))
 
 
+def points(nvars=2):
+    return st.builds(Vector, st.tuples(*([small_scalars()] * nvars)))
+
+
 def exp_polys(nvars=2, deg=2):
     freqs = st.tuples(*([st.builds(sc, st.integers(min_value=-2, max_value=2))]
                         * nvars))
@@ -122,13 +126,30 @@ def test_diffop_multiplication_is_composition():
     assert diff(DiffOp.one(1), f) == f
 
 
-def test_coproduct_evaluates_to_sum_of_arguments():
-    p = parse_poly("(1)*x1^2 + (2)*x2", 2)
-    big = coproduct(p, 3)
-    mus = [Vector((sc(1), sc(0))), Vector((sc(2), sc(1))), Vector((sc(-1), sc(1)))]
-    point = tuple(c for mu in mus for c in mu.coords)
-    total = Vector(tuple(sum((m.coords[j] for m in mus), ZERO) for j in range(2)))
-    assert big.evaluate(point) == p.evaluate(tuple(total.coords))
+@given(polys(), st.lists(points(), min_size=1, max_size=3), points(), points())
+def test_coproduct_evaluates_to_sum_of_arguments(p, mus, mu, nu):
+    """coproduct, evaluate and translate all substitute for the variables:
+    p(mu_1 + ... + mu_n) three ways."""
+    point = tuple(c for m in mus for c in m.coords)
+    assert coproduct(p, len(mus)).evaluate(point) == p.evaluate(sum(mus[1:], mus[0]))
+    assert translate(p, mu).evaluate(nu) == p.evaluate(mu + nu)
+
+
+def test_evaluate_forms_each_power_once(monkeypatch):
+    """x1^40 + x1^39 + 3*x1^20 needs x1^2 .. x1^40 (39 products) and one
+    product per term, not one product per unit of exponent."""
+    x1 = Polynomial.variable(1, 0)
+    p = x1 ** 40 + x1 ** 39 + x1 ** 20 * 3
+    products = []
+    mul = Scalar.__mul__
+
+    def counted(a, b):
+        products.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(Scalar, "__mul__", counted)
+    assert p.evaluate((sc(2),)) == sc(2 ** 40 + 2 ** 39 + 3 * 2 ** 20)
+    assert len(products) <= 43
 
 
 def test_coproduct_degree_blocks_match_binomials():
@@ -171,6 +192,11 @@ def test_operators_add_and_multiply_like_polynomials(p, q):
     u, v = DiffOp(2, p.terms), DiffOp(2, q.terms)
     assert (u + v).terms == (p + q).terms
     assert (u * v).terms == (p * q).terms
+    # one body, two types: equal terms never make an operator equal a function
+    assert u != p and p != u
+    assert hash(u) == hash(p)
+    assert type(u * v) is DiffOp and type(u - v) is DiffOp
+    assert str(u) == str(p).replace("x", "X")
 
 
 def test_vectors_and_covectors_share_arithmetic_but_never_compare_equal():
