@@ -24,7 +24,7 @@ from .jetfun import (MatPolyFamily, jet, jet_ideal, jet_family,
                      functional_to_diffop, diffop_to_module,
                      kernel_alpha_bar, subquotient_lambdas)
 from .approxalg import (ApproxAlgebra, ApproxModule, block_module,
-                        end_zero_basis, end_sharp_membership, end_sharp_space,
+                        end_zero_basis, end_sharp_membership,
                         double_commutant_check, corner_identity_check,
                         submodule_grid_check)
 from .family import (RepFamily, PWCandidate, RelationTerm,
@@ -49,7 +49,7 @@ __all__ = [
     "functional_to_diffop", "diffop_to_module",
     "kernel_alpha_bar", "subquotient_lambdas",
     "ApproxAlgebra", "ApproxModule", "block_module",
-    "end_zero_basis", "end_sharp_membership", "end_sharp_space",
+    "end_zero_basis", "end_sharp_membership",
     "double_commutant_check", "corner_identity_check",
     "submodule_grid_check",
     "RepFamily", "PWCandidate", "RelationTerm",

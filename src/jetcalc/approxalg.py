@@ -15,7 +15,8 @@ generated by the single stacked tuple (u_1,..,u_n) inside V^n, and ask
 whether the diagonal action of phi preserves W.  That one module decides
 membership in the image of the algebra, and a witness element is recovered
 by a linear solve and re-verified exactly.  Vectors of V^n are sparse
-dicts, and a matrix acts on each length-d block of one by linalg.apply.
+dicts, matrices are linalg.Mats (End(V)_0 and End^# bases read off their
+span rows), and a matrix acts on each length-d block by linalg.apply.
 
 The top idempotent alpha_m is the unit: each basis element e has some
 alpha_j e = e = e alpha_j, and alpha_j <= alpha_m gives alpha_m alpha_j =
@@ -30,9 +31,8 @@ import json
 from .scalars import ZERO, ONE
 from .poly import parse_scalar
 from . import linalg
-from .linalg import (SpanBasis, CrossCheckError, mmul, mid, freeze, flatten,
-                     unflatten, close_span, square, sparse, dense, columns,
-                     apply)
+from .linalg import (Mat, SpanBasis, CrossCheckError, mmul, mid, mat_sum,
+                     close_span, square, sparse, dense, apply)
 
 # the largest module a JSON file may hold, checked before any entry is
 # parsed: what gen.rand_approx_module draws at --dimmax 12 (four 3x3
@@ -136,8 +136,9 @@ class ApproxAlgebra:
         """Algebra spanned by matrices, which must be closed under product
         and contain the identity: ApproxModule.from_span, checked.  Returns
         the algebra together with its defining module."""
-        n = len(mats[0])
-        module = ApproxModule.from_span(SpanBasis(n * n, map(flatten, mats)), n)
+        mats = [Mat.of(m) for m in mats]
+        n = mats[0].nrows
+        module = ApproxModule.from_span(SpanBasis(n * n, [m.flat() for m in mats]), n)
         module.algebra.validate(check_assoc=False)
         module.validate()
         return module.algebra, module
@@ -154,11 +155,8 @@ def block_module(sizes, check=True):
     mats = []
     off = 0
     for d in sizes:
-        for r in range(off, off + d):
-            for c in range(off, off + d):
-                m = [[ZERO] * dim for _ in range(dim)]
-                m[r][c] = ONE
-                mats.append(m)
+        mats += [Mat([{c: ONE} if i == r else {} for i in range(dim)], dim)
+                 for r in range(off, off + d) for c in range(off, off + d)]
         off += d
     return alg, ApproxModule(alg, dim, mats, check=check)
 
@@ -166,42 +164,30 @@ def block_module(sizes, check=True):
 class ApproxModule:
     """Module over an ApproxAlgebra: one action matrix per basis element.
 
-    The matrices are immutable, so their columns, the chain idempotents'
-    action matrices and the image span are computed on first use and kept."""
+    The matrices are immutable Mats, so the chain idempotents' action
+    matrices and the image span are computed on first use and kept."""
 
-    __slots__ = ("algebra", "dim", "mats", "_cols", "_idem", "_image")
+    __slots__ = ("algebra", "dim", "mats", "_idem", "_image")
 
     def __init__(self, algebra, dim, mats, check=True, require_unital=True):
-        mats = tuple(freeze(m) for m in mats)
+        mats = tuple(map(Mat.of, mats))
         if len(mats) != algebra.dim:
             raise ValueError("need one action matrix per basis element")
-        for m in mats:
-            if len(m) != dim or any(len(r) != dim for r in m):
-                raise ValueError("action matrices must be dim x dim")
+        if any(m.nrows != dim or m.ncols != dim for m in mats):
+            raise ValueError("action matrices must be dim x dim")
         self.algebra = algebra
         self.dim = dim
         self.mats = mats
-        self._cols = None
         self._idem = [None] * len(algebra.chain)
         self._image = None
         if check:
             self.validate(require_unital=require_unital)
 
-    def columns(self):
-        """linalg.columns of every action matrix."""
-        if self._cols is None:
-            self._cols = tuple(columns(m) for m in self.mats)
-        return self._cols
-
     def act(self, coords):
         """The action matrix of the element with the given coordinates,
         summed over the nonzero entries of the basis actions."""
-        out = [[ZERO] * self.dim for _ in range(self.dim)]
-        for t, coeff in sparse(coords).items():
-            for c, col in enumerate(self.columns()[t]):
-                for r, x in col:
-                    out[r][c] = out[r][c] + x * coeff
-        return freeze(out)
+        return mat_sum(((self.mats[t], c) for t, c in sparse(coords).items()),
+                       self.dim, self.dim)
 
     def idem_mat(self, j):
         if self._idem[j] is None:
@@ -231,12 +217,12 @@ class ApproxModule:
     def image_span(self):
         """Row-reduced span of the action image inside End(V); read only."""
         if self._image is None:
-            self._image = SpanBasis(self.dim * self.dim, map(flatten, self.mats))
+            self._image = SpanBasis(self.dim * self.dim, [m.flat() for m in self.mats])
         return self._image
 
     def V_j(self, j):
         """Column space of the j-th chain idempotent."""
-        return SpanBasis(self.dim, zip(*self.idem_mat(j)))
+        return SpanBasis(self.dim, self.idem_mat(j).cols)
 
     def to_json(self):
         A = self.algebra
@@ -248,7 +234,7 @@ class ApproxModule:
             "structure_constants": sc_obj,
             "idempotent_chain": [[c.json_str() for c in a] for a in A.chain],
             "dim": self.dim,
-            "action": [[c.json_str() for c in flatten(m)] for m in self.mats],
+            "action": [[c.json_str() for row in m for c in row] for m in self.mats],
         })
 
     @classmethod
@@ -258,18 +244,18 @@ class ApproxModule:
         span coordinates are algebra coordinates; its chain is the identity.
         The structure constants are read off the basis products on first
         use, against the rows as they are now."""
-        rows = span.frozen_rows()
+        rows = list(span.rows)  # a row once read is never modified
         id_coords = span.coords({i * (n + 1): ONE for i in range(n)})
         if id_coords is None:
             raise ValueError("identity matrix is not in the span")
-        mats = [unflatten(row, n, n) for row in rows]
+        mats = [Mat.from_flat(row, n, n) for row in rows]
 
         def products():
             basis = SpanBasis(n * n, rows)
             sc = {}
             for i, a in enumerate(mats):
                 for j, b in enumerate(mats):
-                    coords = basis.coords(flatten(mmul(a, b)))
+                    coords = basis.coords(mmul(a, b).flat())
                     if coords is None:
                         raise ValueError("basis is not closed under products")
                     sc[(i, j)] = dict(enumerate(coords))
@@ -311,20 +297,17 @@ def _corner_span(M, j1, j2):
     over the matrix units E_rc, each the outer product of column r of
     P_{j1} with row c of P_{j2}."""
     d = M.dim
-    cols = columns(M.idem_mat(j1))
-    rows = [sparse(row).items() for row in M.idem_mat(j2)]
-    sb = SpanBasis(d * d)
-    for r in range(d):
-        for c in range(d):
-            sb.insert({i * d + k: x * y for i, x in cols[r] for k, y in rows[c]})
-    return sb
+    cols = M.idem_mat(j1).cols
+    rows = [row.items() for row in M.idem_mat(j2).rows]
+    return SpanBasis(d * d, [{i * d + k: x * y for i, x in cols[r].items() for k, y in rows[c]}
+                             for r in range(d) for c in range(d)])
 
 
 def end_zero_basis(M):
     """Basis of the reachable part of End(V): the span of all chain corners
     P_j F P_j.  Computed twice (all corners together, and the top corner
     alone, which contains the others since the chain increases) and
-    cross-checked.  Returns (basis matrices, span)."""
+    cross-checked.  Returns (basis Mats, span)."""
     d = M.dim
     full = SpanBasis(d * d, [row for j in range(len(M.algebra.chain))
                              for row in _corner_span(M, j, j).rows])
@@ -332,7 +315,7 @@ def end_zero_basis(M):
     top = _corner_span(M, top_j, top_j)
     if not full.same_span(top):
         raise CrossCheckError("corner span computations disagree")
-    return [unflatten(row, d, d) for row in full.frozen_rows()], full
+    return [Mat.from_flat(row, d, d) for row in full.rows], full
 
 
 class SharpResult:
@@ -365,10 +348,8 @@ def _tuple_module(M, j, tuples):
         basis = M.V_j(j).rows
         n = len(basis)
         u = {i * d + k: x for i, b in enumerate(basis) for k, x in b.items()}
-        acts = [sparse(apply(cols, u, d)) for cols in M.columns()]
-        W = SpanBasis(n * d)
-        for w in acts:
-            W.insert(w)
+        acts = [apply(m, u, d) for m in M.mats]
+        W = SpanBasis(n * d, acts)
         tuples[j] = (u, n, acts, W)
     return tuples[j]
 
@@ -381,7 +362,7 @@ def end_sharp_membership(M, phi):
 
 def _membership(M, phi, tuples):
     """end_sharp_membership, taking the corner tuple modules from `tuples`."""
-    phi = freeze(phi)
+    phi = Mat.of(phi)
     d = M.dim
     corner_j = None
     for j in range(len(M.algebra.chain)):
@@ -397,16 +378,14 @@ def _membership(M, phi, tuples):
     if n == 0:
         return SharpResult(True, witness=(ZERO,) * M.algebra.dim, j=corner_j,
                            tuple_vec=tuple_vec)
-    phi_cols = columns(phi)
     for row in W.rows:
-        moved = apply(phi_cols, row, d)
+        moved = apply(phi, row, d)
         if not W.contains(moved):
             return SharpResult(False, j=corner_j, tuple_vec=tuple_vec, submodule=W,
                                escaped=(dense(row, n * d), dense(moved, n * d)))
     # recover a witness: solve phi.u = pi(a).u in the element coordinates,
     # then cut a down to the corner so the equality extends from V_j to V
-    sol = linalg.solve(*_witness_system(acts, sparse(apply(phi_cols, u, d))),
-                       len(acts))
+    sol = linalg.solve(*_witness_system(acts, apply(phi, u, d)), len(acts))
     if sol is None:
         raise CrossCheckError("invariance held but no witness solves the system")
     a = tuple(sol)
@@ -431,37 +410,26 @@ def _witness_system(acts, rhs):
     return list(rows.values()), [rhs.get(s, ZERO) for s in rows]
 
 
-def end_sharp_space(M):
-    """End^# as a subspace of End(V): elements of the corner span whose
-    diagonal action preserves the module generated by the top basis tuple.
-    Computed as one nullspace.  Returns (basis matrices, span)."""
-    sharp_mats, sharp, _ = _end_sharp(M, {})
-    return sharp_mats, sharp
-
-
 def _end_sharp(M, tuples):
-    """end_sharp_space, also returning the End(V)_0 span it is cut from and
-    taking the top corner's tuple module from `tuples`."""
+    """End^# as a subspace of End(V): the elements of the corner span whose
+    diagonal action preserves the module generated by the top basis tuple,
+    computed as one nullspace.  Returns (End^# basis Mats, End^# span,
+    End(V)_0 span), taking the top corner's tuple module from `tuples`."""
     corner_mats, end_zero = end_zero_basis(M)
     d = M.dim
     _, n, _, W = _tuple_module(M, len(M.algebra.chain) - 1, tuples)
-    corner_cols = [columns(C) for C in corner_mats]
     rows = []  # x solves them iff sum_i x_i C_i maps every row of W into W
     for wrow in W.rows:
         # a residue's keys are the non-pivot columns where it is nonzero
         by_key = {}
-        for i, cols in enumerate(corner_cols):
-            for t, x in W._reduce(apply(cols, wrow, d)).items():
+        for i, C in enumerate(corner_mats):
+            for t, x in W._reduce(apply(C, wrow, d)).items():
                 by_key.setdefault(t, {})[i] = x
         rows.extend(by_key.values())
-    sharp = SpanBasis(d * d)
-    for v in SpanBasis(len(corner_mats), rows).nullspace():
-        flat = {}
-        for s, c in v.items():
-            for t, x in end_zero.rows[s].items():
-                flat[t] = flat.get(t, ZERO) + x * c
-        sharp.insert(flat)
-    return [unflatten(r, d, d) for r in sharp.frozen_rows()], sharp, end_zero
+    sharp = SpanBasis(d * d, [
+        mat_sum(((corner_mats[s], c) for s, c in v.items()), d, d).flat()
+        for v in SpanBasis(len(corner_mats), rows).nullspace()])
+    return [Mat.from_flat(r, d, d) for r in sharp.rows], sharp, end_zero
 
 
 class CheckReport:
@@ -544,7 +512,7 @@ def corner_identity_check(M, j1, j2):
     left = SpanBasis(d * d)
     for t in range(A.dim):
         elem = A.mul(A.mul(A.chain[j1], A.basis_elem(t)), A.chain[j2])
-        left.insert(flatten(M.act(elem)))
+        left._insert(M.act(elem).flat())
     corner = _corner_span(M, j1, j2)
     image = M.image_span()
     right = SpanBasis(d * d, linalg.subspace_intersection(
@@ -558,7 +526,7 @@ def generated_tuple_module(M, w, n):
     """Smallest action-invariant subspace of V^n containing w."""
     d = M.dim
     return close_span(SpanBasis(n * d), [w],
-                      lambda v: [apply(cols, v, d) for cols in M.columns()])
+                      lambda v: [apply(m, v, d) for m in M.mats])
 
 
 def submodule_grid_check(M, phi, n, extra=()):
@@ -569,10 +537,10 @@ def submodule_grid_check(M, phi, n, extra=()):
     d = M.dim
     if not end_sharp_membership(M, phi).member:
         return None
-    grid = list(mid(n * d)) + [list(w) for w in extra]
-    phi_cols = columns(phi)
+    phi = Mat.of(phi)
+    grid = [{i: ONE} for i in range(n * d)] + [sparse(w) for w in extra]
     for w in grid:
         W = generated_tuple_module(M, w, n)
-        if not all(W.contains(apply(phi_cols, row, d)) for row in W.rows):
-            return tuple(w)
+        if not all(W.contains(apply(phi, row, d)) for row in W.rows):
+            return dense(w, n * d)
     return None

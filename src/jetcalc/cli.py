@@ -16,9 +16,9 @@ import random
 import sys
 import time
 
-from .scalars import Scalar, ZERO, ONE
+from .scalars import Scalar, ONE
 from .poly import Polynomial, ExpPoly, Vector, translate
-from .linalg import CrossCheckError, mid
+from .linalg import CrossCheckError, Mat, mid
 from .localmod import cyclic_quotient, maximal_ideal, dual_number_module
 from .jetfun import (jet, jet_at, jet_family, block_derivative,
                      functional_to_diffop, diffop_to_module, kernel_alpha_bar,
@@ -322,10 +322,9 @@ def run_pw(cfg, suite):
                          inst, True)
             continue
         vec = null[0]
-        psi = [[ZERO] * layout.total for _ in range(layout.total)]
-        for (r, c), x in zip(coords, vec):
-            psi[r][c] = x
-        data = FunctionalData(E, reps, pts, tuple(tuple(r) for r in psi), layout)
+        psi = {r * layout.total + c: x for (r, c), x in zip(coords, vec) if x}
+        data = FunctionalData(E, reps, pts,
+                              Mat.from_flat(psi, layout.total, layout.total), layout)
         dec = functional_to_relation(data)
         if not dec.terms:
             suite.record("pw.relation",

@@ -17,9 +17,8 @@ import json
 
 from .scalars import ZERO, ONE
 from .poly import ExpPoly, Vector, diff, entry_parser
-from .linalg import (SpanBasis, CrossCheckError, mmul, mid, freeze, flatten,
-                     unflatten, block_diag, close_span, square, sparse,
-                     columns, apply)
+from .linalg import (Mat, SpanBasis, CrossCheckError, mmul, mid, block_diag,
+                     close_span, square, apply)
 from .jetfun import (MatPolyFamily, jet_family_at, iterated_block_derivative,
                      functional_to_diffop, diffop_to_module, frobenius)
 from .approxalg import ApproxModule, end_sharp_membership
@@ -292,12 +291,11 @@ def spanned_algebra(reps, points, E):
     ngens = len(reps[0].generators) if reps else 0
     if any(len(rep.generators) != ngens for rep in reps):
         raise ValueError("reps must share the generator alphabet")
-    # X g maps each row of X by g^T, and the columns of g^T are the rows of g
-    letter_cols = [columns(tuple(zip(*asm.letter_matrix(k))))
-                   for k in range(1, ngens + 1)]
-    span = close_span(SpanBasis(total * total), [flatten(mid(total))],
-                      lambda v: [apply(cols, v, total) for cols in letter_cols])
-    mats = [unflatten(row, total, total) for row in span.frozen_rows()]
+    # X g maps each row of X by g^T
+    transposed = [asm.letter_matrix(k).T for k in range(1, ngens + 1)]
+    span = close_span(SpanBasis(total * total), [mid(total).flat()],
+                      lambda v: [apply(gt, v, total) for gt in transposed])
+    mats = [Mat.from_flat(row, total, total) for row in span.rows]
     return mats, span, asm
 
 
@@ -310,7 +308,7 @@ class RelationTerm:
 
     def __init__(self, label, psi, point, u):
         self.label = label
-        self.psi = freeze(psi)
+        self.psi = Mat.of(psi)
         self.point = point if isinstance(point, Vector) else Vector(point)
         self.u = u
 
@@ -322,8 +320,8 @@ class RelationTerm:
 def term_value(term, fam):
     """<d_u F (lambda), psi> for an endomorphism-valued family F."""
     pt = tuple(term.point.coords)
-    terms = [diff(term.u, e).evaluate(pt) * h
-             for row, hrow in zip(fam.entries, term.psi) for e, h in zip(row, hrow) if h]
+    terms = [diff(term.u, fam.entries[r][c]).evaluate(pt) * h
+             for r, hrow in enumerate(term.psi.rows) for c, h in hrow.items()]
     if not terms:
         return ZERO
     acc = sum(terms[1:], terms[0])
@@ -340,7 +338,7 @@ class FunctionalData:
         self.E = E
         self.reps = reps
         self.points = points
-        self.psi = psi
+        self.psi = Mat.of(psi)
         self.layout = layout
 
 
@@ -361,19 +359,20 @@ def relation_to_functional(terms, reps):
         seen.setdefault(tuple(t.point.coords), t.point)
     points = [seen[k] for k in sorted(seen, key=lambda k: tuple(c.key() for c in k))]
     layout = BlockLayout(sel_reps, points, E)
-    psi = [[ZERO] * layout.total for _ in range(layout.total)]
+    psi = [{} for _ in range(layout.total)]
     for t, eta in zip(terms, funcs):
         off = next(off for rep, p, off, _ in layout.blocks
                    if rep.label == t.label and p.coords == t.point.coords)
         d = by_label[t.label].dim
-        tpsi = [(rV, cV, hv) for rV, row in enumerate(t.psi)
-                for cV, hv in sparse(row).items()]
-        for rE, row in enumerate(eta):
-            for cE, h in sparse(row).items():
+        tpsi = [(rV, cV, hv) for rV, row in enumerate(t.psi.rows)
+                for cV, hv in row.items()]
+        for rE, row in enumerate(eta.rows):
+            for cE, h in row.items():
                 for rV, cV, hv in tpsi:
                     r, c = off + rE * d + rV, off + cE * d + cV
-                    psi[r][c] = psi[r][c] + h * hv
-    return FunctionalData(E, sel_reps, points, freeze(psi), layout)
+                    psi[r][c] = psi[r].get(c, ZERO) + h * hv
+    psi = Mat([{c: x for c, x in row.items() if x} for row in psi], layout.total)
+    return FunctionalData(E, sel_reps, points, psi, layout)
 
 
 class RelationDecomp:
@@ -391,28 +390,29 @@ def functional_to_relation(data):
     module side into an operator."""
     layout = data.layout
     E = data.E
-    psi = data.psi
+    psi = data.psi.rows
     terms = []
-    for rep, p, off, _ in layout.blocks:
+    for rep, p, off, size in layout.blocks:
         d = rep.dim
-        # reshape the block as a (module-pair) x (rep-pair) matrix
-        G = [[psi[off + rE * d + rV][off + cE * d + cV]
-              for rV in range(d) for cV in range(d)]
-             for rE in range(E.dim) for cE in range(E.dim)]
+        # reshape the block as a (module-pair) x (rep-pair) matrix G: entry
+        # (off + rE d + rV, off + cE d + cV) is G[rE E.dim + cE][rV d + cV]
+        G = [{} for _ in range(E.dim * E.dim)]
+        for r in range(size):
+            for col, x in psi[off + r].items():
+                if off <= col < off + size:
+                    (rE, rV), (cE, cV) = divmod(r, d), divmod(col - off, d)
+                    G[rE * E.dim + cE][rV * d + cV] = x
         red = SpanBasis(d * d, G)
-        for rrow, piv in zip(red.frozen_rows(), red.pivots):
-            eta = [[G[i * E.dim + j][piv] for j in range(E.dim)]
-                   for i in range(E.dim)]
-            u = functional_to_diffop(E, freeze(eta))
-            if not u.terms:
-                continue
-            psi_mat = unflatten(rrow, d, d)
-            terms.append(RelationTerm(rep.label, psi_mat, p, u))
+        for rrow, piv in zip(red.rows, red.pivots):
+            eta = Mat([{j: G[i * E.dim + j][piv] for j in range(E.dim)
+                        if piv in G[i * E.dim + j]} for i in range(E.dim)], E.dim)
+            u = functional_to_diffop(E, eta)
+            if u.terms:
+                terms.append(RelationTerm(rep.label, Mat.from_flat(rrow, d, d), p, u))
     # the blocks tile the diagonal, so an entry is off them iff its row
     # and column lie in different blocks
     block = [off for _, _, off, size in layout.blocks for _ in range(size)]
-    cross = any(psi[r][c] and block[r] != block[c]
-                for r in range(layout.total) for c in range(layout.total))
+    cross = any(block[r] != block[c] for r, row in enumerate(psi) for c in row)
     return RelationDecomp(terms, cross)
 
 
@@ -432,8 +432,8 @@ class RelationVerdict:
 def relation_certify(data, span):
     """A functional is an annihilating relation iff it kills the span of
     all word images."""
-    for row in span.frozen_rows():
-        mat = unflatten(row, data.layout.total, data.layout.total)
+    for row in span.rows:
+        mat = Mat.from_flat(row, data.layout.total, data.layout.total)
         if frobenius(data.psi, mat):
             return mat
     return None
@@ -496,7 +496,7 @@ def membership_triple(cand, reps, points, E):
     _, span, asm = spanned_algebra(reps, points, E)
     total = asm.layout.total
     phi = assemble_phi(cand, reps, points, E)
-    flat = sparse(flatten(phi))
+    flat = phi.flat()
 
     verdict_i = not any(sum((x * flat[s] for s, x in func.items() if s in flat), ZERO)
                         for func in span.nullspace())
@@ -515,7 +515,7 @@ def delta_block(fams, etas, point):
     """The iterated doubled-space matrices of the given families for one
     delta component (directions etas), evaluated at its point."""
     pt = tuple(point.coords)
-    return [iterated_block_derivative(f, etas).evaluate_scalar(pt) for f in fams]
+    return [Mat.of(iterated_block_derivative(f, etas).evaluate_scalar(pt)) for f in fams]
 
 
 def invariance_check(cand, delta, reps, extra_vectors=()):
@@ -568,12 +568,10 @@ def invariance_check(cand, delta, reps, extra_vectors=()):
         grid.append({s: x for v in run_vecs for s, x in v.items()})
     grid.extend(extra_vectors)
 
-    gen_cols = [columns(g) for g in gen_mats]
-    phi_cols = columns(phi)
     for v in grid:
         W = close_span(SpanBasis(total), [v],
-                       lambda w: [apply(cols, w, total) for cols in gen_cols])
-        if not all(W.contains(apply(phi_cols, row, total)) for row in W.rows):
+                       lambda w: [apply(g, w, total) for g in gen_mats])
+        if not all(W.contains(apply(phi, row, total)) for row in W.rows):
             return False
     return True
 
@@ -591,7 +589,7 @@ def intertwiner_graph_check(cand, delta_i, delta_j, T, reps):
                                    + (cand.component(rep),), etas, point)
         mats.append(gmats)
         phis.append(pmat)
-    T = freeze(T)
+    T = Mat.of(T)
     for a, b in zip(mats[0], mats[1]):
         if mmul(T, a) != mmul(b, T):
             raise ValueError("the given matrix does not intertwine the blocks")

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from .scalars import Scalar, ZERO, ONE
 from .poly import Polynomial, ExpPoly, Vector, Covector, DiffOp
-from .linalg import mmul, freeze
+from .linalg import Mat, mmul, mat_inverse
 from .localmod import (CofiniteIdeal, power_ideal, dual_number_ideal,
                        cyclic_quotient, dual_number_module, direct_sum,
                        tensor, FinMod)
@@ -103,10 +103,10 @@ def rand_cofinite_ideal(rng, nvars, kmax):
 
 
 def rand_unimodular(rng, n, steps=None):
-    """Integer matrix with determinant +-1, built from elementary moves."""
+    """Integer Mat with determinant +-1, built from elementary moves."""
     m = [[ONE if r == c else ZERO for c in range(n)] for r in range(n)]
     if n == 1:
-        return freeze(m)
+        return Mat.of(m)
     if steps is None:
         steps = rng.randint(1, 2 * n)
     for _ in range(steps):
@@ -117,7 +117,7 @@ def rand_unimodular(rng, n, steps=None):
         c = Scalar(rng.choice((-2, -1, 1, 2)))
         for t in range(n):
             m[i][t] = m[i][t] + c * m[j][t]
-    return freeze(m)
+    return Mat.of(m)
 
 
 def conjugate_module(E, T, Tinv):
@@ -151,7 +151,6 @@ def rand_finmod(rng, nvars, kmax, dimmax, depth=2):
             if E is None:
                 E = cyclic_quotient(power_ideal(nvars, 0)).module
     if E.dim <= 6 and rng.random() < 0.5:
-        from .linalg import mat_inverse
         T = rand_unimodular(rng, E.dim)
         E = conjugate_module(E, T, mat_inverse(T))
     return E
@@ -176,21 +175,14 @@ def rand_approx_module(rng, dimmax, junk_ok=False):
     d = M.dim
     if junk_ok and rng.random() < 0.5:
         e = rng.randint(1, 2)
-        mats = []
-        for m in M.mats:
-            big = [[ZERO] * (d + e) for _ in range(d + e)]
-            for r in range(d):
-                for c in range(d):
-                    big[r][c] = m[r][c]
-            mats.append(big)
+        mats = [Mat(m.rows + ({},) * e, d + e) for m in M.mats]
         return alg, ApproxModule(alg, d + e, mats, check=False,
                                  require_unital=False)
     if d <= 6 and rng.random() < 0.5:
-        from .linalg import mat_inverse
         T = rand_unimodular(rng, d)
         Ti = mat_inverse(T)
-        mats = [mmul(mmul(T, m), Ti) for m in M.mats]
-        return alg, ApproxModule(alg, d, mats, check=False)
+        return alg, ApproxModule(alg, d, [mmul(mmul(T, m), Ti) for m in M.mats],
+                                 check=False)
     return alg, M
 
 
@@ -201,7 +193,7 @@ def rand_member_phi(rng, M):
 
 
 def rand_matrix(rng, rows, cols):
-    return freeze([[rand_scalar(rng) for _ in range(cols)] for _ in range(rows)])
+    return Mat.of([[rand_scalar(rng) for _ in range(cols)] for _ in range(rows)], cols)
 
 
 def rand_elementary_family(rng, nvars, dim, max_deg=2):

@@ -27,7 +27,7 @@ from .poly import (Polynomial, ExpPoly, Covector, Vector, DiffOp, diff,
                    translate, coproduct, pairing, monomials_upto,
                    beta_factorial, zero_exps, exp_series)
 from . import linalg
-from .linalg import SpanBasis, CrossCheckError, mmul
+from .linalg import Mat, SpanBasis, CrossCheckError, mmul
 from .localmod import (PolySpace, cyclic_quotient, dual_number_module,
                        power_ideal, direct_sum)
 
@@ -190,10 +190,9 @@ def jet(f, E):
     out = [[ExpPoly.zero(E.nvars)] * E.dim for _ in range(E.dim)]
     for freq, unit, q, mat in _taylor_terms(f, E):
         coeff = ExpPoly.exp(freq, q, unit)
-        for r, row in enumerate(mat):
-            for c, x in enumerate(row):
-                if x:
-                    out[r][c] = out[r][c] + coeff * x
+        for r, row in enumerate(mat.rows):
+            for c, x in row.items():
+                out[r][c] = out[r][c] + coeff * x
     return MatPolyFamily(E.nvars, out)
 
 
@@ -206,10 +205,9 @@ def jet_at(f, E, point):
     for freq, unit, q, mat in _taylor_terms(f, E):
         v = q.evaluate(coords)
         shift = unit + sum((a * b for a, b in zip(freq, coords)), ZERO)
-        for r, row in enumerate(mat):
-            for c, x in enumerate(row):
-                if x:
-                    out[r][c] = out[r][c] + ExpScalar.unit(shift, v * x)
+        for r, row in enumerate(mat.rows):
+            for c, x in row.items():
+                out[r][c] = out[r][c] + ExpScalar.unit(shift, v * x)
     return tuple(tuple(row) for row in out)
 
 
@@ -250,12 +248,12 @@ def jet_family(T, E):
 
 
 def jet_family_at(T, E, point):
-    """jet_family(T, E).evaluate_scalar(point), formed entry by entry with
-    jet_at; raises the same ValueError when a formal unit survives."""
+    """jet_family(T, E).evaluate_scalar(point) as a Mat, formed entry by
+    entry with jet_at; the same ValueError when a formal unit survives."""
     if T.nvars != E.nvars:
         raise ValueError("arity mismatch")
-    return tuple(tuple(x.scalar() for x in row) for row in _e_slow(
-        [[jet_at(e, E, point) for e in row] for row in T.entries], E.dim))
+    return Mat.of([[x.scalar() for x in row] for row in _e_slow(
+        [[jet_at(e, E, point) for e in row] for row in T.entries], E.dim)])
 
 
 def block_derivative(F, eta):
@@ -282,14 +280,12 @@ def iterated_block_derivative(F, etas):
 
 def frobenius(H, A):
     """Pairing of a dual matrix with a matrix: sum of entrywise products."""
-    acc = None
-    for hr, ar in zip(H, A):
-        for h, a in zip(hr, ar):
-            if h:
-                term = a * h
-                acc = term if acc is None else acc + term
-    if acc is None:
-        return ZERO
+    acc = ZERO
+    for hr, ar in zip(Mat.of(H).rows, Mat.of(A).rows):
+        for c, h in hr.items():
+            a = ar.get(c)
+            if a is not None:
+                acc = acc + a * h
     return acc
 
 
@@ -325,15 +321,13 @@ def diffop_to_module(ops):
     funcs = []
     off = 0
     for u, cq in zip(ops, quots):
-        d = cq.module.dim
-        H = [[ZERO] * E.dim for _ in range(E.dim)]
-        col = off  # index of the class of 1 inside this block
+        H = [{} for _ in range(E.dim)]
         for r, gamma in enumerate(cq.monomials):
             t = u.terms.get(gamma)
-            if t:
-                H[off + r][col] = t * beta_factorial(gamma)
-        funcs.append(tuple(tuple(row) for row in H))
-        off += d
+            if t:  # column `off` is the class of 1 inside this block
+                H[off + r][off] = t * beta_factorial(gamma)
+        funcs.append(Mat(H, E.dim))
+        off += cq.module.dim
     return E, funcs
 
 
@@ -359,7 +353,7 @@ def alpha_bar_image(p, lams):
             v = cache.get(beta)
             if v is None:
                 mat = mods[j].mon_mat(beta)
-                v = (mat[0][1], mat[1][1])
+                v = (mat.rows[0].get(1, ZERO), mat.rows[1].get(1, ZERO))
                 cache[beta] = v
             acc = [a * x for a in acc for x in v]
         for t in range(len(out)):

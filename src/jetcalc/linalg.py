@@ -1,21 +1,27 @@
 """Exact linear algebra over Q(i).
 
-Matrices are tuples of tuples of Scalar.  Inside the span engine a vector is
-sparse: a dict {index: Scalar}, zero-free once `sparse` has read it, since
-the vectors met in practice (matrix units, nilpotent actions, stacked
-tuples) are mostly zeros.  `sparse` is the one place that finds the nonzeros
-of a vector; `dense` turns a dict back into a tuple at the edges (frozen
-rows, the module-level functions, JSON).  `apply` is the one matrix-vector
-action: it maps every block of a stacked vector by one matrix, given by its
-`columns`.
+A vector is sparse: a zero-free dict {index: Scalar}, since the vectors
+met in practice (matrix units, nilpotent actions, stacked tuples) are
+mostly zeros.  `sparse` finds the nonzeros of a dense vector (or of a dict
+that may hold zeros); `dense` turns a dict back into a tuple at the edges.
+
+A matrix is one immutable type, `Mat`: its shape and one zero-free
+{column: Scalar} dict per row, with its columns built once, on first read.
+`mmul` is Gustavson's row-wise sparse product, `mat_sum` forms linear
+combinations, `block_diag` builds block-diagonal matrices, and `apply`, the
+one matrix-vector action, maps every block of a stacked vector by one
+matrix's columns.  `Mat.flat` and `Mat.from_flat` convert to and from the
+sparse vector of row-major entries.  At the edges (JSON, printing, tests,
+`MatPolyFamily` evaluations) `Mat.of` reads a nested sequence, and `len`,
+iteration, indexing, equality and hashing treat a Mat as its dense rows;
+there are no dense matrix helpers.
 
 `SpanBasis` is the one elimination: row-at-a-time Gauss-Jordan to the
 reduced row echelon form (RREF), which is unique over exact arithmetic, so
 no pivoting heuristics are needed and every result is canonical.  `rank`,
 `nullspace`, `solve`, `mat_inverse` and `subspace_intersection` each read
 one SpanBasis.  Beside it, `close_span` closes a subspace under linear maps
-(submodules, tuple modules, word algebras, invariance grids) and
-`block_diag` builds every block-diagonal matrix.
+(submodules, tuple modules, word algebras, invariance grids).
 """
 
 from bisect import bisect_left
@@ -43,107 +49,164 @@ def dense(v, n):
     return tuple(out)
 
 
-def columns(mat):
-    """The nonzero entries of a matrix by column: for each column c, the
-    pairs (r, mat[r][c])."""
-    return [list(sparse(col).items()) for col in zip(*mat)]
+class Mat:
+    """Immutable exact matrix: its shape and one zero-free {column: Scalar}
+    dict per row; its columns, zero-free {row: Scalar} dicts, are built on
+    first read and kept.  No dict is modified once a Mat holds it.  At the
+    edges it reads as the tuple of its dense rows (see the module
+    docstring)."""
+
+    __slots__ = ("rows", "nrows", "ncols", "_cols")
+
+    def __init__(self, rows, ncols, cols=None):
+        self.rows = tuple(rows)
+        self.nrows = len(self.rows)
+        self.ncols = ncols
+        self._cols = cols
+
+    @classmethod
+    def of(cls, m, ncols=0):
+        """m itself if it is a Mat, else the Mat of the nested sequence m;
+        `ncols` is the width of a matrix without rows."""
+        if isinstance(m, Mat):
+            return m
+        ncols = len(m[0]) if len(m) else ncols
+        if any(len(row) != ncols for row in m):
+            raise ValueError("ragged matrix")
+        return cls([{c: x for c, x in enumerate(row) if x} for row in m], ncols)
+
+    @classmethod
+    def from_flat(cls, v, nrows, ncols):
+        """The Mat whose row-major entries are the sparse vector v."""
+        rows = [{} for _ in range(nrows)]
+        for s, x in v.items():
+            r, c = divmod(s, ncols)
+            rows[r][c] = x
+        return cls(rows, ncols)
+
+    def flat(self):
+        """The row-major entries, as a zero-free sparse vector."""
+        n = self.ncols
+        return {r * n + c: x for r, row in enumerate(self.rows) for c, x in row.items()}
+
+    @property
+    def cols(self):
+        if self._cols is None:
+            self._cols = [{} for _ in range(self.ncols)]
+            for r, row in enumerate(self.rows):
+                for c, x in row.items():
+                    self._cols[c][r] = x
+        return self._cols
+
+    @property
+    def T(self):
+        """The transpose; its columns are this matrix's rows."""
+        return Mat(self.cols, self.nrows, self.rows)
+
+    def __len__(self):
+        return self.nrows
+
+    def __getitem__(self, r):
+        return dense(self.rows[r], self.ncols)
+
+    def __iter__(self):
+        return (dense(row, self.ncols) for row in self.rows)
+
+    def __eq__(self, other):
+        if isinstance(other, Mat):
+            return self.ncols == other.ncols and self.rows == other.rows
+        if isinstance(other, (tuple, list)):
+            return tuple(self) == tuple(map(tuple, other))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return "Mat(%r)" % (tuple(self),)
 
 
-def apply(cols, v, d):
-    """The matrix with the given `columns` applied to every length-d block
-    of the sparse vector v, each image at its block's offset; with more than
-    one block the matrix must be square.  The dict returned may hold zeros
-    where terms cancel."""
+def apply(m, v, d):
+    """The Mat m applied to every length-d block of the zero-free sparse
+    vector v, each image at its block's offset, through m's columns; with
+    more than one block m must be square.  The result is zero-free."""
+    cols = m.cols
     out = {}
     for s, y in v.items():
         off, c = divmod(s, d)
-        off *= d
-        for r, x in cols[c]:
-            k = off + r
-            z = out.get(k)
-            out[k] = x * y if z is None else z + x * y
+        _axpy(out, y, cols[c], off * d)
     return out
 
 
-def freeze(rows):
-    return tuple(tuple(r) for r in rows)
-
-
-def mzeros(r, c):
-    return ((ZERO,) * c,) * r
+def _axpy(out, c, row, off=0, skip=None):
+    """out[off + j] += c * row[j] in place for the keys j of row other than
+    `skip`, keeping out zero-free; c and the entries of row are nonzero."""
+    for j, x in row.items():
+        if j != skip:
+            j += off
+            y = out.get(j)
+            if y is None:
+                out[j] = c * x
+            else:
+                y = y + c * x
+                if y:
+                    out[j] = y
+                else:
+                    del out[j]
 
 
 def mid(n):
-    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
-
-
-def madd(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mscale(a, c):
-    return tuple(tuple(x * c for x in r) for r in a)
+    return Mat([{i: ONE} for i in range(n)], n)
 
 
 def mmul(a, b):
-    """Matrix product over the nonzero entries of both factors; the action
-    matrices are nilpotent and mostly zeros, so this matters."""
-    n = len(a)
-    if not b:
-        return mzeros(n, 0)
-    m = len(b[0])
-    bsupp = [None] * len(b)  # nonzeros of each row of b, found on first use
+    """The product a b, row dict by row dict (Gustavson): row i sums c
+    times row k of b over the nonzeros c = a[i][k]."""
+    a, b = Mat.of(a), Mat.of(b)
     out = []
-    for arow in a:
-        acc = [ZERO] * m
-        for k, c in sparse(arow).items():
-            if bsupp[k] is None:
-                bsupp[k] = sparse(b[k]).items()
-            for j, v in bsupp[k]:
-                acc[j] = acc[j] + c * v
-        out.append(tuple(acc))
-    return tuple(out)
+    for arow in a.rows:
+        acc = {}
+        for k, c in arow.items():
+            _axpy(acc, c, b.rows[k])
+        out.append(acc)
+    return Mat(out, b.ncols)
+
+
+def mat_sum(terms, nrows, ncols):
+    """The nrows x ncols Mat sum of c M over the pairs (M, c), c nonzero."""
+    rows = [{} for _ in range(nrows)]
+    for m, c in terms:
+        for out, row in zip(rows, m.rows):
+            _axpy(out, c, row)
+    return Mat(rows, ncols)
 
 
 def block_diag(mats):
-    """Block-diagonal matrix with the square matrices `mats` down the
+    """Block-diagonal Mat with the square matrices `mats` down the
     diagonal, in order."""
-    total = sum(len(m) for m in mats)
-    out = [[ZERO] * total for _ in range(total)]
-    off = 0
-    for m in mats:
-        for r, row in enumerate(m):
-            big = out[off + r]
-            for c, x in sparse(row).items():
-                big[off + c] = x
-        off += len(m)
-    return freeze(out)
-
-
-def mat_is_zero(a):
-    return all(not x for r in a for x in r)
-
-
-def flatten(a):
-    return tuple(x for r in a for x in r)
-
-
-def unflatten(v, rows, cols):
-    return tuple(tuple(v[r * cols:(r + 1) * cols]) for r in range(rows))
+    rows = []
+    for m in map(Mat.of, mats):
+        off = len(rows)
+        rows.extend({off + c: x for c, x in row.items()} for row in m.rows)
+    return Mat(rows, len(rows))
 
 
 def square(flat, d, parse, what):
-    """The d x d matrix of parse(e) for the row-major entry list `flat`;
-    a ValueError naming `what` unless flat holds exactly d*d entries."""
+    """The rows of the d x d matrix of parse(e) for the row-major list
+    `flat`; a ValueError naming `what` unless flat holds d*d entries."""
+    if not isinstance(flat, list):
+        raise ValueError("%s must be a list of entries" % what)
     if len(flat) != d * d:
         raise ValueError("%s has %d entries; a %dx%d matrix needs %d"
                          % (what, len(flat), d, d, d * d))
-    return unflatten([parse(e) for e in flat], d, d)
+    flat = [parse(e) for e in flat]
+    return tuple(tuple(flat[r * d:(r + 1) * d]) for r in range(d))
 
 
 def mat_vec(a, v):
-    """a v for a dense matrix and vector."""
-    return dense(apply(columns(a), sparse(v), len(v)), len(a)) if a else ()
+    """a v for a matrix and a dense vector, as a dense tuple."""
+    a = Mat.of(a)
+    return dense(apply(a, sparse(v), len(v)), a.nrows) if a.nrows else ()
 
 
 def rank(rows):
@@ -157,10 +220,12 @@ def nullspace(rows, ncols):
 
 def solve(rows, rhs, ncols=None):
     """One solution x of A x = b, or None.  rows: the rows of A, as
-    sequences, or as dicts when ncols gives the number of columns."""
+    sequences, or as zero-free dicts when ncols gives the number of
+    columns."""
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
-    red = SpanBasis(ncols + 1, [{**sparse(r), ncols: b} for r, b in zip(rows, rhs)])
+    rows = [r if isinstance(r, dict) else sparse(r) for r in rows]
+    red = SpanBasis(ncols + 1, [{**r, ncols: b} if b else r for r, b in zip(rows, rhs)])
     if red.pivots and red.pivots[-1] == ncols:
         return None  # inconsistent: pivot in the rhs column
     return dense({p: row.get(ncols, ZERO) for row, p in zip(red.rows, red.pivots)},
@@ -168,28 +233,13 @@ def solve(rows, rhs, ncols=None):
 
 
 def mat_inverse(mat):
-    """Exact inverse; raises on singular input."""
-    n = len(mat)
-    red = SpanBasis(2 * n, [list(r) + list(e) for r, e in zip(mat, mid(n))])
+    """Exact inverse, as a Mat; raises on singular input."""
+    m = Mat.of(mat)
+    n = m.nrows
+    red = SpanBasis(2 * n, [{**row, n + i: ONE} for i, row in enumerate(m.rows)])
     if red.pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return freeze(row[n:] for row in red.frozen_rows())
-
-
-def _subtract(out, c, row, skip):
-    """out -= c * row in place over the keys of row other than `skip`,
-    keeping out zero-free; c and the entries of row are nonzero."""
-    for j, x in row.items():
-        if j != skip:
-            y = out.get(j)
-            if y is None:
-                out[j] = -(c * x)
-            else:
-                y = y - c * x
-                if y:
-                    out[j] = y
-                else:
-                    del out[j]
+    return Mat([{j - n: x for j, x in row.items() if j >= n} for row in red.rows], n)
 
 
 class SpanBasis:
@@ -201,7 +251,7 @@ class SpanBasis:
     In RREF a row is zero at every other pivot, so reducing a vector clears
     each of its pivot entries with that pivot's row alone, in any order.
     insert() replaces a row it changes by a new dict, so a row once read is
-    never modified."""
+    never modified.  The initial rows are read as _reduce reads them."""
 
     def __init__(self, ncols, rows=()):
         self.ncols = ncols
@@ -209,26 +259,33 @@ class SpanBasis:
         self.pivots = []
         self._row = {}  # pivot -> echelon row
         for r in rows:
-            self.insert(r)
+            self._insert(r)
 
     @property
     def dim(self):
         return len(self.rows)
 
     def _reduce(self, v, record=None):
-        """The residue of v (a dict that may hold zeros, or a sequence)
-        against the rows, as a new zero-free dict; `record` receives the
-        coefficient of each row used, by pivot."""
-        out = sparse(v)
+        """The residue of v (a sequence, or a zero-free dict, which is
+        copied and not filtered again) against the rows, as a new zero-free
+        dict; `record` receives the coefficient of each row used, by
+        pivot."""
+        out = dict(v) if isinstance(v, dict) else sparse(v)
         for p in [p for p in out if p in self._row]:
             c = out.pop(p)
             if record is not None:
                 record[p] = c
-            _subtract(out, c, self._row[p], p)
+            _axpy(out, -c, self._row[p], skip=p)
         return out
 
     def insert(self, v):
-        """Insert v (as _reduce reads it); True iff the dimension grew."""
+        """Insert v, a sequence or a dict that may hold zeros; True iff the
+        dimension grew."""
+        return self._insert(sparse(v))
+
+    def _insert(self, v):
+        """insert() for a sequence or a zero-free dict, which is not
+        filtered again."""
         v = self._reduce(v)
         if not v:
             return False
@@ -240,7 +297,7 @@ class SpanBasis:
             c = row.get(pivot)
             if c is not None:
                 row = {j: x for j, x in row.items() if j != pivot}
-                _subtract(row, c, v, pivot)
+                _axpy(row, -c, v, skip=pivot)
                 self.rows[i] = self._row[self.pivots[i]] = row
         at = bisect_left(self.pivots, pivot)
         self.rows.insert(at, v)
@@ -254,6 +311,7 @@ class SpanBasis:
         return self.insert(v)
 
     def contains(self, v):
+        """v (as _reduce reads it) lies in the span."""
         return not self._reduce(v)
 
     def coords(self, v):
@@ -283,27 +341,27 @@ class SpanBasis:
 
 
 def close_span(span, seeds, step):
-    """Close the SpanBasis `span` under `step`, which maps a sparse vector to
-    a list of sparse vectors: insert each seed (a sequence or dict), then
-    every vector of step(v) for each v that grew the span, breadth first,
-    until nothing new appears.  Returns `span`."""
-    frontier = [v for v in map(sparse, seeds) if span.insert(v)]
+    """Close the SpanBasis `span` under `step`, which maps a zero-free
+    sparse vector to a list of such vectors: insert each seed (a sequence or
+    dict), then every vector of step(v) for each v that grew the span,
+    breadth first, until nothing new appears.  Returns `span`."""
+    frontier = [v for v in map(sparse, seeds) if span._insert(v)]
     while frontier:
-        frontier = [w for v in frontier for w in step(v) if span.insert(w)]
+        frontier = [w for v in frontier for w in step(v) if span._insert(w)]
     return span
 
 
 def subspace_intersection(rows_a, rows_b, ncols):
-    """RREF basis of (span of rows_a) intersect (span of rows_b), by
-    Zassenhaus: reduce the rows (a|a) and (b|0).  The combinations with a
-    zero left half are (c|c) - (c|0) = (0|c) for c in both spans, so the
-    rows pivoting in the right half are (0|c) for c an echelon basis.  The
-    rows may be sequences or dicts."""
+    """RREF basis of (span of rows_a) intersect (span of rows_b), as
+    zero-free sparse vectors, by Zassenhaus: reduce the rows (a|a) and
+    (b|0).  The combinations with a zero left half are (c|c) - (c|0) = (0|c)
+    for c in both spans, so the rows pivoting in the right half are (0|c)
+    for c an echelon basis.  The rows may be sequences or dicts."""
     both = SpanBasis(2 * ncols, rows_b)
     for a in map(sparse, rows_a):
-        both.insert({**a, **{j + ncols: x for j, x in a.items()}})
-    return freeze(row[ncols:] for row, p in zip(both.frozen_rows(), both.pivots)
-                  if p >= ncols)
+        both._insert({**a, **{j + ncols: x for j, x in a.items()}})
+    return [{j - ncols: x for j, x in row.items()}
+            for row, p in zip(both.rows, both.pivots) if p >= ncols]
 
 
 def rref(rows):

@@ -19,8 +19,13 @@ from .poly import (Polynomial, DiffOp, Covector, monomials_upto,
                    monomials_of_degree, beta_factorial, zero_exps, parse_scalar,
                    exp_series)
 from . import linalg
-from .linalg import (SpanBasis, mmul, madd, mscale, mid, mzeros, freeze,
-                     block_diag, close_span, square, dense, columns, apply)
+from .linalg import (Mat, SpanBasis, mmul, mid, mat_sum, block_diag,
+                     close_span, square, dense, apply)
+
+# FinMod.from_json's bounds: the CLI's --nmax and --dimmax ceilings, and an
+# order above the 11 that tensor products reach at --kmax 4; validating then
+# costs at most C(nvars + dim - 1, dim) matrix products
+MAX_NVARS, MAX_ORDER, MAX_DIM = 3, 16, 12
 
 
 class PolySpace:
@@ -160,19 +165,18 @@ def dual_number_ideal(lam):
 
 class FinMod:
     """Finite-dimensional module over the germ ring: commuting matrices
-    M_1..M_N (action of the coordinate linear forms) with every product of
-    k+1 of them equal to zero."""
+    M_1..M_N (action of the coordinate linear forms, as Mats) with every
+    product of k+1 of them equal to zero."""
 
     __slots__ = ("nvars", "k", "dim", "mats", "_moncache")
 
     def __init__(self, nvars, k, mats, check=True):
-        mats = tuple(freeze(m) for m in mats)
+        mats = tuple(map(Mat.of, mats))
         if len(mats) != nvars:
             raise ValueError("need one action matrix per variable")
-        dim = len(mats[0]) if nvars else 0
-        for m in mats:
-            if len(m) != dim or any(len(r) != dim for r in m):
-                raise ValueError("action matrices must be square of equal size")
+        dim = mats[0].nrows if nvars else 0
+        if any(m.nrows != dim or m.ncols != dim for m in mats):
+            raise ValueError("action matrices must be square of equal size")
         self.nvars = nvars
         self.k = k
         self.dim = dim
@@ -182,42 +186,43 @@ class FinMod:
             self.validate()
 
     def validate(self):
+        """The matrices commute and every product of k+1 of them is 0.
+        Commuting nilpotent d x d matrices generate a nilpotent algebra, so
+        it is decided in degree min(k, d-1)+1."""
         for i in range(self.nvars):
             for j in range(i + 1, self.nvars):
                 if mmul(self.mats[i], self.mats[j]) != mmul(self.mats[j], self.mats[i]):
                     raise ValueError("action matrices %d and %d do not commute" % (i + 1, j + 1))
-        for beta in monomials_of_degree(self.nvars, self.k + 1):
-            if not linalg.mat_is_zero(self._raw_mon_mat(beta)):
-                raise ValueError("monomial %r of degree k+1=%d does not act by zero"
-                                 % (beta, self.k + 1))
+        deg = min(self.k, self.dim - 1) + 1
+        for beta in monomials_of_degree(self.nvars, deg):
+            if any(self._raw_mon_mat(beta).rows):
+                raise ValueError("monomial %r of degree %d does not act by zero, "
+                                 "so the order is not k=%d" % (beta, deg, self.k))
 
     def _raw_mon_mat(self, beta):
-        cached = self._moncache.get(beta)
-        if cached is not None:
-            return cached
-        for j, b in enumerate(beta):
-            if b:
-                prev = beta[:j] + (b - 1,) + beta[j + 1:]
-                out = mmul(self.mats[j], self._raw_mon_mat(prev))
-                break
-        self._moncache[beta] = out
+        """The matrix of beta, peeling first-variable factors to a cached one."""
+        peeled = []
+        while beta not in self._moncache:
+            j = next(j for j, b in enumerate(beta) if b)
+            peeled.append((beta, j))
+            beta = beta[:j] + (beta[j] - 1,) + beta[j + 1:]
+        out = self._moncache[beta]
+        for beta, j in reversed(peeled):
+            out = self._moncache[beta] = mmul(self.mats[j], out)
         return out
 
     def mon_mat(self, beta):
         """Action of the monomial with exponents beta."""
         if sum(beta) > self.k:
-            return mzeros(self.dim, self.dim)
+            return Mat(({},) * self.dim, self.dim)
         return self._raw_mon_mat(beta)
 
     def act_poly(self, p):
         """m_E(p), the action of a polynomial."""
         if p.nvars != self.nvars:
             raise ValueError("arity mismatch")
-        out = mzeros(self.dim, self.dim)
-        for e, c in p.terms.items():
-            if sum(e) <= self.k:
-                out = madd(out, mscale(self.mon_mat(e), c))
-        return out
+        return mat_sum(((self.mon_mat(e), c) for e, c in p.terms.items()
+                        if sum(e) <= self.k), self.dim, self.dim)
 
     def exp_action(self, xi):
         """Action of the germ e^xi: m_E of its exponential series, which
@@ -246,11 +251,23 @@ class FinMod:
 
     @classmethod
     def from_json(cls, text):
+        """The module of a to_json text.  Before it parses an entry it
+        refuses, with a ValueError naming the field, anything but an object
+        with integers nvars, k and dim from 0 to MAX_NVARS, MAX_ORDER and
+        MAX_DIM and an `action` list of nvars matrices."""
         data = json.loads(text)
-        nvars, k, dim = data["nvars"], data["k"], data["dim"]
-        mats = [square(flat, dim, parse_scalar, "action matrix %d" % t)
-                for t, flat in enumerate(data["action"])]
-        return cls(nvars, k, mats)
+        data = data if isinstance(data, dict) else {}
+        for key, hi in (("nvars", MAX_NVARS), ("k", MAX_ORDER), ("dim", MAX_DIM)):
+            if type(data.get(key)) is not int or not 0 <= data[key] <= hi:  # not true
+                raise ValueError("module field %r must be an integer from 0 to %d, "
+                                 "not %r" % (key, hi, data.get(key)))
+        action = data.get("action")
+        if not isinstance(action, list) or len(action) != data["nvars"]:
+            raise ValueError("module field 'action' must be a list of %d matrices"
+                             % data["nvars"])
+        return cls(data["nvars"], data["k"], [
+            square(flat, data["dim"], parse_scalar, "action matrix %d" % t)
+            for t, flat in enumerate(action)])
 
 
 class ModuleMap:
@@ -259,10 +276,8 @@ class ModuleMap:
     __slots__ = ("source", "target", "matrix")
 
     def __init__(self, source, target, matrix, check=True):
-        matrix = freeze(matrix)
-        if len(matrix) != target.dim or (matrix and any(len(r) != source.dim for r in matrix)):
-            raise ValueError("matrix shape must be target.dim x source.dim")
-        if target.dim and not matrix:
+        matrix = Mat.of(matrix, source.dim)
+        if matrix.nrows != target.dim or matrix.ncols != source.dim:
             raise ValueError("matrix shape must be target.dim x source.dim")
         self.source = source
         self.target = target
@@ -281,7 +296,8 @@ class ModuleMap:
         return linalg.mat_vec(self.matrix, v)
 
     def is_invertible(self):
-        return self.source.dim == self.target.dim and linalg.rank(list(map(list, self.matrix))) == self.source.dim
+        return (self.source.dim == self.target.dim
+                and SpanBasis(self.source.dim, self.matrix.rows).dim == self.source.dim)
 
 
 class CyclicQuotient:
@@ -310,17 +326,14 @@ def cyclic_quotient(ideal):
     d = len(mons)
     mats = []
     for j in range(ideal.nvars):
-        cols = []
-        for m in mons:
-            e = list(m)
-            e[j] += 1
-            e = tuple(e)
-            if sum(e) > ideal.k:
-                cols.append((ZERO,) * d)
-            else:
+        rows = [{} for _ in range(d)]  # column c is the class of x_j times mons[c]
+        for c, m in enumerate(mons):
+            e = m[:j] + (m[j] + 1,) + m[j + 1:]
+            if sum(e) <= ideal.k:
                 nf = ideal.normal_form(Polynomial.monomial(ideal.nvars, e))
-                cols.append(tuple(nf.terms.get(mm, ZERO) for mm in mons))
-        mats.append(tuple(tuple(cols[c][r] for c in range(d)) for r in range(d)))
+                for mm, x in nf.terms.items():
+                    rows[index[mm]][c] = x
+        mats.append(Mat(rows, d))
     module = FinMod(ideal.nvars, ideal.k, mats, check=False)
     one = zero_exps(ideal.nvars)
     cyclic = tuple(ONE if m == one else ZERO for m in mons)
@@ -334,12 +347,8 @@ def dual_number_module(lam):
     [[phi(0), d_lam phi(0)], [0, phi(0)]]."""
     if lam.is_zero():
         raise ValueError("the direction must be nonzero")
-    nvars = lam.nvars
-    mats = []
-    for j in range(nvars):
-        c = lam.coords[j]
-        mats.append(((ZERO, c), (ZERO, ZERO)))
-    return FinMod(nvars, 1, mats, check=False)
+    return FinMod(lam.nvars, 1, [Mat([{1: c} if c else {}, {}], 2) for c in lam.coords],
+                  check=False)
 
 
 def annihilator_dual(ideal):
@@ -370,19 +379,10 @@ def direct_sum(*mods):
 
 
 def _kron(a, b):
-    ra, rb = len(a), len(b)
-    out = []
-    for i1 in range(ra):
-        for i2 in range(rb):
-            row = []
-            for j1 in range(ra):
-                x = a[i1][j1]
-                if x:
-                    row.extend(x * y for y in b[i2])
-                else:
-                    row.extend([ZERO] * rb)
-            out.append(tuple(row))
-    return tuple(out)
+    """The Kronecker product of square Mats, a owning the slow index."""
+    n = b.ncols
+    return Mat([{j1 * n + j2: x * y for j1, x in ra.items() for j2, y in rb.items()}
+                for ra in a.rows for rb in b.rows], a.ncols * n)
 
 
 def tensor(*mods):
@@ -400,7 +400,7 @@ def tensor(*mods):
         for j in range(nvars):
             left = _kron(acc.mats[j], mid(nxt.dim))
             right = _kron(mid(acc.dim), nxt.mats[j])
-            mats.append(madd(left, right))
+            mats.append(mat_sum(((left, ONE), (right, ONE)), left.nrows, left.ncols))
         acc = FinMod(nvars, acc.k + nxt.k + 1, mats, check=False)
     return acc
 
@@ -418,18 +418,14 @@ def submodule_generated(E, vectors):
     """Smallest action-invariant subspace containing the vectors, with the
     inclusion map: the span of the vectors closed under the action
     generators."""
-    mcols = [columns(m) for m in E.mats]
     sb = close_span(SpanBasis(E.dim), vectors,
-                    lambda v: [apply(c, v, E.dim) for c in mcols])
-    basis = sb.frozen_rows()
-    d = len(basis)
-    mats = []
-    for mc in mcols:
-        cols = [sb.coords(apply(mc, b, E.dim)) for b in sb.rows]
-        mats.append(tuple(tuple(cols[c][r] for c in range(d)) for r in range(d)))
+                    lambda v: [apply(m, v, E.dim) for m in E.mats])
+    d = sb.dim
+    # column c of each matrix: the coordinates of the image of basis row c
+    mats = [Mat.of([sb.coords(apply(m, b, E.dim)) for b in sb.rows], d).T
+            for m in E.mats]
     sub = FinMod(E.nvars, E.k, mats, check=False)
-    incl = ModuleMap(sub, E, tuple(tuple(basis[c][r] for c in range(d)) for r in range(E.dim)),
-                     check=False)
+    incl = ModuleMap(sub, E, Mat(sb.rows, E.dim).T, check=False)
     return Submodule(sub, incl, sb)
 
 
@@ -442,10 +438,9 @@ def quotient_module(E, sub):
         sb = sub
     else:
         sb = SpanBasis(E.dim, sub)
-    mcols = [columns(m) for m in E.mats]
     for row in sb.rows:
-        for mc in mcols:
-            if not sb.contains(apply(mc, row, E.dim)):
+        for m in E.mats:
+            if not sb.contains(apply(m, row, E.dim)):
                 raise ValueError("subspace is not invariant under the action")
     pivots = set(sb.pivots)
     comp = [t for t in range(E.dim) if t not in pivots]
@@ -455,14 +450,12 @@ def quotient_module(E, sub):
         res = sb._reduce(v)
         return tuple(res.get(t, ZERO) for t in comp)
 
-    mats = []
-    for mc in mcols:
-        cols = [project(apply(mc, {t: ONE}, E.dim)) for t in comp]
-        mats.append(tuple(tuple(cols[c][r] for c in range(d)) for r in range(d)))
+    # column c of each matrix: the projected image of complement vector c
+    mats = [Mat.of([project(apply(m, {t: ONE}, E.dim)) for t in comp], d).T
+            for m in E.mats]
     quot = FinMod(E.nvars, E.k, mats, check=False)
-    proj_rows = [project({t: ONE}) for t in range(E.dim)]
-    proj = ModuleMap(E, quot, tuple(tuple(proj_rows[c][r] for c in range(E.dim))
-                                    for r in range(d)), check=False)
+    proj = ModuleMap(E, quot, Mat.of([project({t: ONE}) for t in range(E.dim)], d).T,
+                     check=False)
     return quot, proj
 
 
@@ -471,12 +464,9 @@ def annihilator(E):
     with the module's k."""
     nvars, k = E.nvars, E.k
     gammas = monomials_upto(nvars, k)
-    rows = []
-    for g in gammas:
-        rows.append(list(linalg.flatten(E.mon_mat(g))))
-    cols = E.dim * E.dim
+    flats = [E.mon_mat(g).flat() for g in gammas]
     # solve sum_g c_g * mat(g) = 0: kernel of the transposed coefficient matrix
-    mat = [[rows[t][j] for t in range(len(gammas))] for j in range(cols)]
+    mat = [[f.get(j, ZERO) for f in flats] for j in range(E.dim * E.dim)]
     gens = []
     for v in linalg.nullspace(mat, len(gammas)):
         gens.append(Polynomial(nvars, {g: c for g, c in zip(gammas, v) if c}))

@@ -49,23 +49,45 @@ def test_verify_report_matches_its_pinned_digest(tmp_path, capsys, seed):
     assert hashlib.sha256(blob).hexdigest() == VERIFY_DIGESTS[seed]
 
 
-def test_verify_report_at_the_second_tier_matches_its_pinned_digest(tmp_path, capsys):
-    rc, blob = run_verify(tmp_path, "v.jsonl",
-                          ["verify", "--seed", "0", "--kmax", "3", "--dimmax", "8"])
+# The size flags of the second and third verify tiers, and the SHA-256 of
+# their `verify --seed N --json` reports.  Seed 0 runs in every test run;
+# seeds 1-4 are marked slow and run with `python -m pytest -m slow`.
+TIERS = {"second": ["--kmax", "3", "--dimmax", "8"],
+         "third": ["--kmax", "4", "--nmax", "3", "--dimmax", "12", "--words", "8"]}
+TIER_DIGESTS = {
+    ("second", 0): "79e66e98082092144a1ec1af32382c80354545c8a57418dd214cd1d9e995e5de",
+    ("second", 1): "860578b15c9c9acec9effb1c40ccad163df5759eaa3b236b1a65371a6b7d9536",
+    ("second", 2): "1d410ae1097fae5b30508ed87c320b2aa800c175febb068aac5c339e15822f03",
+    ("second", 3): "28fc7dcd13b075601394fcfef405b44814646934bc8b25799719ee94189d8869",
+    ("second", 4): "75f20303bb62b076d3b3042029caf4db82fbc82f0b75ddbb7b2b9eeff360ef37",
+    ("third", 0): "5b84fd67ba68eb0ea9b669c031101dbc1cdbb5cb0911cc7d86f554c11469d5e7",
+    ("third", 1): "1a74ee3e0772a6264be038f28eb56c4824cc1e9156c0aab9b859fb175011c528",
+    ("third", 2): "8de2822f644164266686e6c3085b5e2542ec6c915f65a24c56c01e13f63cd22f",
+    ("third", 3): "d7ac8663d9f4b862136a9608eab89d927673f4a3e5ae7d9a27151b571b88fdcd",
+    ("third", 4): "d197f0a5828300216588c00ff060322a091e23a296959c7e9eb6053aa41405ba",
+}
+
+
+def tier_digest(tmp_path, capsys, tier, seed):
+    rc, blob = run_verify(tmp_path, "v.jsonl", ["verify", "--seed", str(seed)] + TIERS[tier])
     capsys.readouterr()
     assert rc == 0
-    assert hashlib.sha256(blob).hexdigest() == \
-        "79e66e98082092144a1ec1af32382c80354545c8a57418dd214cd1d9e995e5de"
+    return hashlib.sha256(blob).hexdigest()
+
+
+def test_verify_report_at_the_second_tier_matches_its_pinned_digest(tmp_path, capsys):
+    assert tier_digest(tmp_path, capsys, "second", 0) == TIER_DIGESTS["second", 0]
 
 
 def test_verify_report_at_the_third_tier_matches_its_pinned_digest(tmp_path, capsys):
-    rc, blob = run_verify(tmp_path, "v.jsonl",
-                          ["verify", "--seed", "0", "--kmax", "4", "--nmax", "3",
-                           "--dimmax", "12", "--words", "8"])
-    capsys.readouterr()
-    assert rc == 0
-    assert hashlib.sha256(blob).hexdigest() == \
-        "5b84fd67ba68eb0ea9b669c031101dbc1cdbb5cb0911cc7d86f554c11469d5e7"
+    assert tier_digest(tmp_path, capsys, "third", 0) == TIER_DIGESTS["third", 0]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("tier, seed", sorted(k for k in TIER_DIGESTS if k[1]))
+def test_verify_report_at_a_larger_tier_matches_its_pinned_digest(tmp_path, capsys,
+                                                                  tier, seed):
+    assert tier_digest(tmp_path, capsys, tier, seed) == TIER_DIGESTS[tier, seed]
 
 
 def test_different_seeds_give_different_instances(tmp_path, capsys):

@@ -12,8 +12,8 @@ from jetcalc.approxalg import ApproxAlgebra, ApproxModule
 from jetcalc.scalars import Scalar, ZERO, ONE, sc
 from jetcalc.poly import (Vector, Covector, DiffOp, ExpPoly, Polynomial,
                           parse_exppoly, monomials_upto)
-from jetcalc.linalg import (SpanBasis, mmul, mid, freeze, flatten, unflatten,
-                            mat_vec, block_diag, close_span, sparse, dense)
+from jetcalc.linalg import (Mat, SpanBasis, mmul, mid, mat_vec, block_diag,
+                            close_span, sparse, dense)
 from jetcalc.localmod import (cyclic_quotient, maximal_ideal, power_ideal,
                               dual_number_module)
 from jetcalc.jetfun import jet_family, frobenius, MatPolyFamily
@@ -368,11 +368,11 @@ def test_verdict_iii_module_matches_the_checked_matrix_basis_module():
         _, eager = ApproxAlgebra.from_matrix_basis(mats)
         assert lazy.mats == eager.mats == tuple(mats)
         assert lazy.algebra.chain == eager.algebra.chain
-        basis = SpanBasis(total * total, map(flatten, mats))
+        basis = SpanBasis(total * total, [m.flat() for m in mats])
         products = {}
         for i, a in enumerate(mats):
             for j, b in enumerate(mats):
-                coords = basis.coords(flatten(mmul(a, b)))
+                coords = basis.coords(mmul(a, b).flat())
                 if any(coords):
                     products[(i, j)] = {t: c for t, c in enumerate(coords) if c}
         assert lazy.algebra.sc == products == eager.algebra.sc
@@ -446,7 +446,7 @@ def test_cross_block_entries_are_reported_as_discarded():
     psi_cross = [list(r) for r in data.psi]
     psi_cross[0][data.layout.blocks[1][2]] = ONE
     data_cross = FunctionalData(data.E, data.reps, data.points,
-                                freeze(psi_cross), data.layout)
+                                Mat.of(psi_cross), data.layout)
     assert functional_to_relation(data_cross).cross_discarded
 
 
@@ -526,14 +526,14 @@ def test_invariance_evaluates_each_distinct_component_once(monkeypatch):
 def test_intertwiner_graphs_pass_members_only():
     upo = upper_only_rep()
     escape = PWCandidate(1, {"u": LOW})
-    N = freeze([[ZERO, ONE], [ZERO, ZERO]])
+    N = Mat.of([[ZERO, ONE], [ZERO, ZERO]])
     d_ev = ("u", PT, [])
     assert intertwiner_graph_check(PWCandidate.from_word([upo], [1]),
                                    d_ev, d_ev, N, [upo])
     assert not intertwiner_graph_check(escape, d_ev, d_ev, N, [upo])
     with pytest.raises(ValueError):
         intertwiner_graph_check(escape, d_ev, d_ev,
-                                freeze([[ZERO, ZERO], [ONE, ZERO]]), [upo])
+                                Mat.of([[ZERO, ZERO], [ONE, ZERO]]), [upo])
 
 
 def random_layouts(seed, count):
@@ -557,9 +557,8 @@ def test_forward_letters_span_the_algebra_of_all_words():
         total = asm.layout.total
         ngens = len(reps[0].generators)
         letters = [asm.letter_matrix(k) for k in range(-ngens, ngens + 1) if k]
-        both = close_span(SpanBasis(total * total), [flatten(mid(total))],
-                          lambda v: [sparse(flatten(mmul(unflatten(
-                              dense(v, total * total), total, total), g)))
+        both = close_span(SpanBasis(total * total), [mid(total).flat()],
+                          lambda v: [mmul(Mat.from_flat(v, total, total), g).flat()
                                      for g in letters])
         assert span.same_span(both)
         assert span.frozen_rows() == both.frozen_rows()

@@ -179,7 +179,7 @@ def test_det_and_inverse_match_sympy(seed):
             continue
         inv = linalg.mat_inverse(mat)
         assert inv == tuple(tuple(from_qqi(z) for z in r) for r in want.inv().to_list())
-        assert linalg.mmul(linalg.freeze(mat), inv) == linalg.mid(n)
+        assert linalg.mmul(mat, inv) == linalg.mid(n)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -215,7 +215,8 @@ def test_subspace_intersection_matches_sympy_ranks(seed):
             if rng.random() < 0.5:
                 # a shared vector, so the intersection is often nonzero
                 b.append(combine([rand_scalar(rng) for _ in a], a, ncols))
-            got = [list(r) for r in linalg.subspace_intersection(a, b, ncols)]
+            got = [list(linalg.dense(r, ncols))
+                   for r in linalg.subspace_intersection(a, b, ncols)]
             ra, rb = oracle(a, ncols).rank(), oracle(b, ncols).rank()
             assert len(got) == ra + rb - oracle(a + b, ncols).rank()
             for row in got:
@@ -249,7 +250,7 @@ def test_apply_to_one_block_is_the_dense_matrix_vector_product(seed):
         ncols = len(a[0])
         for kind in (dense_matrix, sparse_matrix):
             v = kind(rng, 1, ncols)[0]
-            got = linalg.apply(linalg.columns(a), linalg.sparse(v), ncols)
+            got = linalg.apply(linalg.Mat.of(a), linalg.sparse(v), ncols)
             assert linalg.dense(got, len(a)) == dense_mat_vec(a, v)
             assert linalg.mat_vec(a, v) == dense_mat_vec(a, v)
 
@@ -261,7 +262,7 @@ def test_apply_to_n_blocks_is_the_block_diagonal_product(seed):
         d, n = len(m), rng.randint(1, 4)
         for kind in (dense_matrix, sparse_matrix):
             v = kind(rng, 1, n * d)[0]
-            got = linalg.apply(linalg.columns(m), linalg.sparse(v), d)
+            got = linalg.apply(linalg.Mat.of(m), linalg.sparse(v), d)
             assert linalg.dense(got, n * d) == dense_mat_vec(
                 linalg.block_diag([m] * n), v)
 
@@ -274,10 +275,10 @@ def test_apply_by_the_transpose_is_right_multiplication(seed):
     for g in square_matrices(seed):
         n = len(g)
         for kind in (dense_matrix, sparse_matrix):
-            X = linalg.freeze(kind(rng, n, n))
-            gt = tuple(zip(*g))
-            got = linalg.apply(linalg.columns(gt), linalg.sparse(linalg.flatten(X)), n)
-            assert linalg.dense(got, n * n) == linalg.flatten(linalg.mmul(X, g))
+            X = linalg.Mat.of(kind(rng, n, n))
+            gt = linalg.Mat.of(tuple(zip(*g)), n)
+            got = linalg.apply(gt, X.flat(), n)
+            assert got == linalg.mmul(X, g).flat()
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -298,3 +299,118 @@ def test_insert_ignores_explicit_zeros_and_keeps_rows_zero_free(seed):
         assert by_dict.pivots == by_add.pivots
         assert by_dict.rows == by_add.rows
         assert (echelon(by_dict), by_dict.pivots) == sympy_rref(rows, ncols)
+
+
+# --- the one matrix type against the oracle ----------------------------------
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from jetcalc.linalg import Mat  # noqa: E402
+
+gaussian = st.builds(lambda a, b, d: Scalar(Fraction(a, d), Fraction(b, d)),
+                     st.integers(-4, 4), st.integers(-2, 2), st.integers(1, 3))
+
+
+@st.composite
+def gaussian_matrices(draw, nrows, ncols):
+    """Gaussian-rational rows, often with an all-zero row or column."""
+    rows = [[draw(st.one_of(st.just(ZERO), gaussian)) for _ in range(ncols)]
+            for _ in range(nrows)]
+    if nrows and draw(st.booleans()):
+        rows[draw(st.integers(0, nrows - 1))] = [ZERO] * ncols
+    if ncols and draw(st.booleans()):
+        c = draw(st.integers(0, ncols - 1))
+        for row in rows:
+            row[c] = ZERO
+    return rows
+
+
+sizes = st.integers(0, 4)
+
+
+def as_scalars(dm):
+    return tuple(tuple(from_qqi(z) for z in r) for r in dm.to_list())
+
+
+def assert_zero_free(m):
+    assert len(m.rows) == m.nrows
+    for row in m.rows:
+        assert all(row.values()) and all(0 <= c < m.ncols for c in row)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), sizes, sizes)
+def test_a_mat_reads_as_its_dense_rows(data, r, c):
+    """Round trip, shape, flat form, transpose, and equality and hashing
+    against the tuple of its rows, for every shape down to 0 x 0."""
+    rows = data.draw(gaussian_matrices(r, c))
+    dense_rows = tuple(map(tuple, rows))
+    m = Mat.of(rows, c)
+    assert_zero_free(m)
+    assert (m.nrows, m.ncols, len(m)) == (r, c, r)
+    assert tuple(m) == dense_rows and all(m[i] == dense_rows[i] for i in range(r))
+    assert m == dense_rows and dense_rows == m and m == rows
+    assert hash(m) == hash(dense_rows)
+    assert Mat.from_flat(m.flat(), r, c) == m
+    assert m.flat() == linalg.sparse([x for row in rows for x in row])
+    assert m.T == tuple(tuple(rows[i][j] for i in range(r)) for j in range(c))
+    assert m.T.T == m and [dict(col) for col in m.cols] == list(m.T.rows)
+    if r and c:
+        bumped = [list(row) for row in rows]
+        bumped[0][0] = bumped[0][0] + Scalar(1)
+        assert m != Mat.of(bumped) and m != tuple(map(tuple, bumped))
+
+
+def test_a_mat_equals_tuple_literals():
+    one = Scalar(1)
+    m = Mat.of(((one, ZERO), (ZERO, ZERO)))
+    assert m == ((one, ZERO), (ZERO, ZERO)) and m != ((one, ZERO),)
+    assert m != ((ZERO, one), (ZERO, ZERO)) and m != ((one, ZERO, ZERO), (ZERO, ZERO, ZERO))
+    assert hash(m) == hash(((one, ZERO), (ZERO, ZERO)))
+    assert {m: 1}[((one, ZERO), (ZERO, ZERO))] == 1
+    assert Mat.of((), 3) == () and Mat.of((), 3).ncols == 3
+    assert linalg.mid(2) == ((one, ZERO), (ZERO, one))
+    with pytest.raises(ValueError, match="ragged"):
+        Mat.of([[one, ZERO], [one]])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), sizes, sizes, sizes)
+def test_mat_products_match_the_oracle(data, r, k, c):
+    """mmul and mat_vec equal sympy's products, zero rows, zero columns and
+    empty shapes included, and mmul keeps its rows zero-free."""
+    a = data.draw(gaussian_matrices(r, k))
+    b = data.draw(gaussian_matrices(k, c))
+    prod = linalg.mmul(Mat.of(a, k), Mat.of(b, c))
+    assert_zero_free(prod)
+    assert (prod.nrows, prod.ncols) == (r, c)
+    assert prod == as_scalars(oracle(a, k) * oracle(b, c))
+    v = data.draw(gaussian_matrices(k, 1))
+    want = tuple(row[0] for row in as_scalars(oracle(a, k) * oracle(v, 1)))
+    assert linalg.mat_vec(Mat.of(a, k), [x for x, in v]) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.lists(sizes, max_size=4))
+def test_block_diag_and_inverse_match_the_oracle(data, ns):
+    """block_diag equals sympy.diag of the blocks, and mat_inverse equals
+    the oracle's inverse or refuses a singular matrix."""
+    blocks = [data.draw(gaussian_matrices(n, n)) for n in ns]
+    got = linalg.block_diag([Mat.of(bl, n) for bl, n in zip(blocks, ns)])
+    assert_zero_free(got)
+    total = sum(ns)
+    if total:
+        want = sympy.diag(*[oracle(bl, n).to_Matrix() for bl, n in zip(blocks, ns)])
+        assert got == as_scalars(DomainMatrix.from_Matrix(want).convert_to(QQ_I))
+    else:
+        assert got == () and got.ncols == 0
+    for bl, n in zip(blocks, ns):
+        if not n:
+            assert linalg.mat_inverse(Mat.of(bl, 0)) == ()
+        elif not oracle(bl, n).det():
+            with pytest.raises(ValueError, match="singular"):
+                linalg.mat_inverse(bl)
+        else:
+            inv = linalg.mat_inverse(bl)
+            assert_zero_free(inv)
+            assert inv == as_scalars(oracle(bl, n).inv())

@@ -117,8 +117,8 @@ def test_direct_sum_and_tensor_shapes():
     # x acts on 1 tensor 1 as a true degree-3 nilpotent would allow
     m = T.mats[0]
     sq = linalg.mmul(m, m)
-    assert not linalg.mat_is_zero(sq)
-    assert linalg.mat_is_zero(linalg.mmul(sq, m))
+    assert any(sq.rows)
+    assert not any(linalg.mmul(sq, m).rows)
 
 
 def test_tensor_exponential_factors_through_the_pieces():
@@ -175,3 +175,55 @@ def test_module_json_round_trip():
                cyclic_quotient(power_ideal(2, 1)).module)
     E2 = FinMod.from_json(E.to_json())
     assert E2.nvars == E.nvars and E2.k == E.k and E2.mats == E.mats
+
+
+@pytest.mark.parametrize("text, field", [
+    ("{}", "nvars"), ("[]", "nvars"), ("null", "nvars"),
+    ('{"nvars": 20, "k": 4, "dim": 1, "action": [["0"]]}', "nvars"),
+    ('{"nvars": 1.5, "k": 4, "dim": 1, "action": [["0"]]}', "nvars"),
+    ('{"nvars": true, "k": 4, "dim": 1, "action": [["0"]]}', "nvars"),
+    ('{"nvars": -1, "k": 4, "dim": 1, "action": []}', "nvars"),
+    ('{"nvars": 1, "k": 10000, "dim": 1, "action": [["0"]]}', "k"),
+    ('{"nvars": 1, "k": "2", "dim": 1, "action": [["0"]]}', "k"),
+    ('{"nvars": 1, "k": 1, "dim": 13, "action": [["0"]]}', "dim"),
+    ('{"nvars": 1, "k": 1, "dim": 1}', "action"),
+    ('{"nvars": 2, "k": 1, "dim": 1, "action": [["0"]]}', "action"),
+    ('{"nvars": 0, "k": 1, "dim": 0, "action": {}}', "action"),
+])
+def test_module_json_refuses_bad_fields_before_parsing(monkeypatch, text, field):
+    def no_parse(s):
+        raise AssertionError("an entry was parsed")
+
+    monkeypatch.setattr("jetcalc.localmod.parse_scalar", no_parse)
+    with pytest.raises(ValueError, match="'%s'" % field):
+        FinMod.from_json(text)
+
+
+def test_module_order_is_validated_in_degree_at_most_the_dimension(monkeypatch):
+    """Commuting nilpotent d x d matrices multiply to 0 in degree d, so a
+    large declared order costs no more products than order d - 1; monomial
+    matrices of any degree are formed by a loop, not recursion."""
+    calls = [0]
+    mmul = linalg.mmul
+
+    def counted(a, b):
+        calls[0] += 1
+        return mmul(a, b)
+
+    monkeypatch.setattr("jetcalc.localmod.mmul", counted)
+    zero = FinMod.from_json('{"nvars": 3, "k": 16, "dim": 1, '
+                            '"action": [["0"], ["0"], ["0"]]}')
+    assert calls[0] == 2 * 3 + 3  # both orders of 3 pairs, 3 degree-1 monomials
+    shift = ((ZERO, ONE, ZERO), (ZERO, ZERO, ONE), (ZERO, ZERO, ZERO))
+    calls[0] = 0
+    E = FinMod(1, 10 ** 4, [shift])
+    assert calls[0] == 3  # x^1, x^2, x^3
+    monkeypatch.undo()
+    assert not any(E.mon_mat((3000,)).rows)
+    assert E.mon_mat((2,)) == ((ZERO, ZERO, ONE), (ZERO,) * 3, (ZERO,) * 3)
+    assert FinMod(1, 2, [shift]).k == 2
+    with pytest.raises(ValueError, match="does not act by zero"):
+        FinMod(1, 1, [shift])
+    with pytest.raises(ValueError, match="does not act by zero"):
+        FinMod(1, 10 ** 4, [((ONE,),)])
+    assert FinMod.from_json(zero.to_json()) == zero
