@@ -32,7 +32,7 @@ from .scalars import ZERO, ONE
 from .poly import parse_scalar
 from . import linalg
 from .linalg import (Mat, SpanBasis, CrossCheckError, mmul, mid, mat_sum,
-                     close_span, square, sparse, dense, apply)
+                     close_span, square, sparse, dense, apply, json_field)
 
 # the largest module a JSON file may hold, checked before any entry is
 # parsed: what gen.rand_approx_module draws at --dimmax 12 (four 3x3
@@ -266,24 +266,33 @@ class ApproxModule:
 
     @classmethod
     def from_json(cls, text):
+        """The module of a to_json text; a malformed field or a basis index
+        out of range is refused by name, a size above MAX_MODULE_DIM or
+        MAX_ALGEBRA_DIM before any entry is parsed."""
         data = json.loads(text)
-        labels = data["basis"]
-        n = len(labels)
-        dim = data["dim"]
-        if type(dim) is not int or not 0 <= dim <= MAX_MODULE_DIM:  # not a JSON true
-            raise ValueError("module dimension %r must be an integer from 0 to %d"
-                             % (dim, MAX_MODULE_DIM))
+        n = len(json_field(data, "basis", list, "module field 'basis' is"))
+        dim = json_field(data, "dim", int, "module dimension", 0, MAX_MODULE_DIM)
         if n > MAX_ALGEBRA_DIM:
             raise ValueError("algebra basis has %d elements; at most %d are read"
                              % (n, MAX_ALGEBRA_DIM))
+        consts, chain, action = (
+            json_field(data, key, kind, "module field %r is" % key)
+            for key, kind in (("structure_constants", dict), ("idempotent_chain", list),
+                              ("action", list)))
+        if not all(isinstance(a, list) for a in chain):
+            raise ValueError("every idempotent chain element must be a list of entries")
         sc = {}
-        for key, row in data["structure_constants"].items():
+        for key in consts:
             i, j = (int(x) for x in key.split(","))
+            row = json_field(consts, key, dict, "structure constant %r is" % key)
             sc[(i, j)] = {int(t): parse_scalar(s) for t, s in row.items()}
-        chain = [[parse_scalar(s) for s in a] for a in data["idempotent_chain"]]
-        alg = ApproxAlgebra(n, sc, chain, labels)
+        if not all(0 <= x < n for (i, j), row in sc.items() for x in (i, j, *row)):
+            raise ValueError("a structure constant names a basis index outside 0 to %d"
+                             % (n - 1))
+        chain = [[parse_scalar(s) for s in a] for a in chain]
+        alg = ApproxAlgebra(n, sc, chain, data["basis"])
         mats = [square(flat, dim, parse_scalar, "action matrix %d" % t)
-                for t, flat in enumerate(data["action"])]
+                for t, flat in enumerate(action)]
         # unitality is a property of the module (is_approx_unital), not a
         # condition of the format: junk-padded modules round-trip too
         return cls(alg, dim, mats, require_unital=False)

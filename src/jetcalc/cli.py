@@ -20,7 +20,7 @@ from .scalars import Scalar, ONE
 from .poly import Polynomial, ExpPoly, Vector, translate
 from .linalg import CrossCheckError, Mat, mid
 from .localmod import cyclic_quotient, maximal_ideal, dual_number_module
-from .jetfun import (jet, jet_at, jet_family, block_derivative,
+from .jetfun import (jet, jet_family, block_derivative,
                      functional_to_diffop, diffop_to_module, kernel_alpha_bar,
                      subquotient_lambdas, alpha_bar_image)
 from .approxalg import (double_commutant_check, corner_identity_check,
@@ -113,9 +113,8 @@ def run_jet(cfg, suite):
         inst2 = {"i": i, "E": _estr(E), "p": str(p), "mu": str(mu)}
         lhs = jet(p, E).evaluate_scalar(tuple(mu.coords))
         rhs = E.act_poly(translate(p, mu))
-        pointwise = jet_at(p, E, mu)
         suite.record("jet.eval", "jet evaluation matches the translated action",
-                     inst2, lhs == rhs == pointwise)
+                     inst2, lhs == rhs)
 
     for i in range(10):
         nv = rng.randint(1, cfg.nmax)

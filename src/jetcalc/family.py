@@ -18,8 +18,9 @@ import json
 from .scalars import ZERO, ONE
 from .poly import ExpPoly, Vector, diff, entry_parser
 from .linalg import (Mat, SpanBasis, CrossCheckError, mmul, mid, block_diag,
-                     close_span, square, apply)
-from .jetfun import (MatPolyFamily, jet_family_at, iterated_block_derivative,
+                     close_span, square, apply, json_field)
+from .localmod import MAX_NVARS
+from .jetfun import (MatPolyFamily, jet_family, iterated_block_derivative,
                      functional_to_diffop, diffop_to_module, frobenius)
 from .approxalg import ApproxModule, end_sharp_membership
 
@@ -102,7 +103,7 @@ class RepFamily:
             if dp.degree() != 0 or not dp:
                 raise ValueError("generator of %r is not unimodular "
                                  "(determinant %s)" % (label, dp))
-            inverses.append(adj.scaled(dp.terms[(0,) * nvars].inverse()))
+            inverses.append(adj * dp.terms[(0,) * nvars].inverse())
         self.label = label
         self.nvars = nvars
         self.dim = dim
@@ -153,15 +154,16 @@ MAX_REP_DIM = 12
 
 
 def family_from_json(text):
+    """The reps of a family_to_json text; a malformed field, or a size above
+    MAX_NVARS or MAX_REP_DIM, is refused by name before any entry is parsed."""
     data = json.loads(text)
-    nvars = data["nvars"]
-    if not data["reps"]:
+    nvars = json_field(data, "nvars", int, "family field 'nvars' is", 1, MAX_NVARS)
+    if not json_field(data, "reps", list, "family field 'reps' is"):
         raise ValueError("a family needs at least one rep")
     for rd in data["reps"]:
-        dim = rd["dim"]
-        if type(dim) is not int or not 1 <= dim <= MAX_REP_DIM:  # not a JSON true
-            raise ValueError("rep %r has dimension %r; it must be a positive integer "
-                             "no larger than %d" % (rd["label"], dim, MAX_REP_DIM))
+        label = json_field(rd, "label", str, "a rep label is")
+        json_field(rd, "dim", int, "rep %r has dimension" % label, 1, MAX_REP_DIM)
+        json_field(rd, "generators", list, "rep %r field 'generators' is" % label)
     parse = entry_parser(nvars)
     reps = []
     for rd in data["reps"]:
@@ -201,12 +203,19 @@ class PWCandidate:
 
     @classmethod
     def from_json(cls, text, reps):
+        """The candidate of a to_json text over the reps; a malformed field,
+        an nvars other than the reps' or an unknown label is refused by name."""
         data = json.loads(text)
-        nvars = data["nvars"]
+        nvars = json_field(data, "nvars", int, "candidate field 'nvars' is",
+                           1, MAX_NVARS)
+        if any(rep.nvars != nvars for rep in reps):
+            raise ValueError("candidate field 'nvars' is %d; it must be its reps' %d"
+                             % (nvars, reps[0].nvars))
         dims = {rep.label: rep.dim for rep in reps}
         parse = entry_parser(nvars)
+        flats = json_field(data, "components", dict, "candidate field 'components' is")
         comps = {}
-        for label, flat in data["components"].items():
+        for label, flat in flats.items():
             if label not in dims:
                 raise ValueError("unknown rep label %r" % label)
             comps[label] = MatPolyFamily(nvars, square(
@@ -249,7 +258,8 @@ class PiAssembly:
     def _letter_block(self, rep, point, k):
         key = (rep.label, tuple(point.coords), k)
         if key not in self._letter_cache:
-            self._letter_cache[key] = jet_family_at(rep.letter(k), self.layout.E, point)
+            jet = jet_family(rep.letter(k), self.layout.E)
+            self._letter_cache[key] = jet.evaluate_scalar(point)
         return self._letter_cache[key]
 
     def letter_matrix(self, k):
@@ -273,7 +283,7 @@ def assemble_pi(reps, points, E):
 def assemble_phi(cand, reps, points, E):
     """Exact block-diagonal matrix of a candidate over the same layout."""
     layout = BlockLayout(reps, points, E)
-    return block_diag([jet_family_at(cand.component(rep), E, p)
+    return block_diag([jet_family(cand.component(rep), E).evaluate_scalar(p)
                        for rep, p, _, _ in layout.blocks])
 
 
@@ -514,8 +524,7 @@ def membership_triple(cand, reps, points, E):
 def delta_block(fams, etas, point):
     """The iterated doubled-space matrices of the given families for one
     delta component (directions etas), evaluated at its point."""
-    pt = tuple(point.coords)
-    return [Mat.of(iterated_block_derivative(f, etas).evaluate_scalar(pt)) for f in fams]
+    return [iterated_block_derivative(f, etas).evaluate_scalar(point) for f in fams]
 
 
 def invariance_check(cand, delta, reps, extra_vectors=()):

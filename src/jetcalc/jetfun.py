@@ -1,17 +1,16 @@
 """Jets of exponential-polynomial families with values in a finite module.
 
-The central map sends a scalar family f and a module E to the matrix family
-f^(E)(mu) = m_E(translate(f, mu)): the action of the translated germ.  It is
-computed once and for all by the closed Taylor formula
+A matrix family is the sum of its terms E[a] e^xi x^e C: constant matrices
+C, each times one scalar germ.  The central map sends a family T and a
+module E to f^(E)(mu) = m_E(translate(f, mu)) for every entry f, by the
+closed Taylor formula
 
     f^(E) = sum_beta (d^beta f)/beta! . m_E(X^beta),
 
-with an extra factor m_E(e^xi) and a frequency tag for exponential summands.
-jet builds the family symbolically; jet_at reads the same terms at one
-point mu, evaluating each coefficient (d^beta f)(mu)/beta! and unit first,
-so it forms no family.  The block assemblies of the family layer
-(PiAssembly letters and assemble_phi) read jets only at their block points,
-through jet_family_at.
+with an extra factor m_E(e^xi) for exponential summands.  On one term it
+gives, for each beta <= e, the term E[a] e^xi x^(e - beta) with coefficient
+binom(e, beta) m_E(e^xi) m_E(X^beta) tensor C.  A value at a point, such
+as a block of the family layer's assemblies, is the jet evaluated there.
 
 Everything downstream (doubled-space derivative data, the correspondence
 between functionals on End(E) and constant-coefficient operators, kernels of
@@ -21,121 +20,159 @@ linear algebra.
 
 from itertools import combinations
 from math import comb, prod
+from operator import add, le, mul, sub
 
 from .scalars import Scalar, ExpScalar, ZERO, ONE, EXP_ZERO
-from .poly import (Polynomial, ExpPoly, Covector, Vector, DiffOp, diff,
+from .poly import (Polynomial, ExpPoly, Covector, Vector, DiffOp,
                    translate, coproduct, pairing, monomials_upto,
-                   beta_factorial, zero_exps, exp_series)
+                   beta_factorial, zero_exps, exp_series, _point_coords)
 from . import linalg
-from .linalg import Mat, SpanBasis, CrossCheckError, mmul
+from .linalg import Mat, SpanBasis, CrossCheckError, mmul, _axpy
 from .localmod import (PolySpace, cyclic_quotient, dual_number_module,
                        power_ideal, direct_sum)
 
 
+def _rows(acc, key, nrows):
+    """The nrows row dicts that acc keeps for key, made on first use."""
+    rows = acc.get(key)
+    if rows is None:
+        rows = acc[key] = [{} for _ in range(nrows)]
+    return rows
+
+
+def _put(rows, m, c=ONE, roff=0, coff=0):
+    """Add c m (a Mat, c a nonzero Scalar) to the row dicts rows, with m's
+    corner at (roff, coff)."""
+    for out, row in zip(rows[roff:], m.rows):
+        _axpy(out, c, row, coff)
+
+
+def _keys_add(k1, k2):
+    # the key product of terms: frequencies, units and exponents add
+    (f1, u1, e1), (f2, u2, e2) = k1, k2
+    return (tuple(map(add, f1, f2)) if any(f2) else f1, u1 + u2 if u2 else u1,
+            tuple(map(add, e1, e2)))
+
+
 class MatPolyFamily:
     """Matrix whose entries are exponential-polynomial functions of the
-    parameter; evaluation at an exact point gives an exact matrix."""
+    parameter: its shape and a zero-free term dict {(freq, unit, exps):
+    Mat}, the sum of E[unit] e^freq x^exps C.  At the edges the constructor
+    reads a grid of ExpPoly entries, and `entries` gives it back."""
 
-    __slots__ = ("nvars", "rows", "cols", "entries")
+    __slots__ = ("nvars", "rows", "cols", "terms", "_entries")
 
     def __init__(self, nvars, entries):
-        entries = tuple(tuple(e for e in row) for row in entries)
+        entries = tuple(tuple(row) for row in entries)
         rows = len(entries)
         cols = len(entries[0]) if rows else 0
-        for row in entries:
+        acc = {}
+        for r, row in enumerate(entries):
             if len(row) != cols:
                 raise ValueError("ragged matrix")
-            for e in row:
+            for c, e in enumerate(row):
                 if e.nvars != nvars:
                     raise ValueError("entry arity mismatch")
-        self.nvars = nvars
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
+                for (freq, unit), p in e.summands.items():
+                    for exps, x in p.terms.items():
+                        _rows(acc, (freq, unit, exps), rows)[r][c] = x
+        self._fill(nvars, rows, cols, acc)._entries = entries
+
+    def _fill(self, nvars, rows, cols, acc):
+        """self with the row dicts acc[key] as its terms, cancelled keys
+        dropped."""
+        self.nvars, self.rows, self.cols, self._entries = nvars, rows, cols, None
+        self.terms = {k: Mat(v, cols) for k, v in acc.items() if any(v)}
+        return self
 
     @classmethod
     def zero(cls, nvars, rows, cols):
-        z = ExpPoly.zero(nvars)
-        return cls(nvars, [[z] * cols for _ in range(rows)])
+        return object.__new__(cls)._fill(nvars, rows, cols, {})
 
     @classmethod
     def identity(cls, nvars, n):
-        one = ExpPoly.const(nvars, ONE)
-        z = ExpPoly.zero(nvars)
-        return cls(nvars, [[one if i == j else z for j in range(n)] for i in range(n)])
+        one = {((ZERO,) * nvars, ZERO, zero_exps(nvars)): [{i: ONE} for i in range(n)]}
+        return object.__new__(cls)._fill(nvars, n, n, one)
 
-    @classmethod
-    def from_scalars(cls, nvars, mat):
-        return cls(nvars, [[ExpPoly.const(nvars, Scalar(c) if not isinstance(c, Scalar) else c)
-                            for c in row] for row in mat])
+    def _new(self, rows, cols, acc):
+        return object.__new__(MatPolyFamily)._fill(self.nvars, rows, cols, acc)
 
-    @classmethod
-    def from_polys(cls, mat):
-        nvars = mat[0][0].nvars
-        return cls(nvars, [[p if isinstance(p, ExpPoly) else ExpPoly.from_poly(p)
-                            for p in row] for row in mat])
-
-    def entry(self, r, c):
-        return self.entries[r][c]
+    @property
+    def entries(self):
+        """The grid of ExpPoly entries, built on first read."""
+        if self._entries is None:
+            nv = self.nvars
+            cells = [[{} for _ in range(self.cols)] for _ in range(self.rows)]
+            for (freq, unit, exps), m in self.terms.items():
+                for crow, row in zip(cells, m.rows):
+                    for c, x in row.items():
+                        crow[c].setdefault((freq, unit), {})[exps] = x
+            self._entries = tuple(tuple(
+                ExpPoly(nv, {k: Polynomial(nv, t) for k, t in cell.items()})
+                for cell in crow) for crow in cells)
+        return self._entries
 
     def __eq__(self, other):
         if not isinstance(other, MatPolyFamily):
             return NotImplemented
-        return (self.nvars == other.nvars and self.entries == other.entries)
+        return ((self.nvars, self.rows, self.cols, self.terms)
+                == (other.nvars, other.rows, other.cols, other.terms))
 
     def __add__(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
-        return MatPolyFamily(self.nvars, [[a + b for a, b in zip(ra, rb)]
-                                          for ra, rb in zip(self.entries, other.entries)])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return MatPolyFamily(self.nvars, [[-e for e in row] for row in self.entries])
-
-    def scaled(self, s):
-        """Entrywise multiplication by a scalar family (or plain scalar)."""
-        return MatPolyFamily(self.nvars, [[e * s for e in row] for row in self.entries])
+        acc = {}
+        for k, m in (*self.terms.items(), *other.terms.items()):
+            _put(_rows(acc, k, self.rows), m)
+        return self._new(self.rows, self.cols, acc)
 
     def __mul__(self, other):
+        """The matrix product, each coefficient product accumulated row by
+        row straight into its key's rows; a Scalar scales the coefficients."""
+        acc = {}
         if not isinstance(other, MatPolyFamily):
-            return self.scaled(other)
+            if other:
+                for k, m in self.terms.items():
+                    _put(_rows(acc, k, self.rows), m, other)
+            return self._new(self.rows, self.cols, acc)
         if self.cols != other.rows:
             raise ValueError("inner dimensions %d and %d do not match"
                              % (self.cols, other.rows))
-        z = ExpPoly.zero(self.nvars)
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = z
-                for t in range(self.cols):
-                    e = self.entries[i][t]
-                    if e:
-                        f = other.entries[t][j]
-                        if f:
-                            acc = acc + e * f
-                row.append(acc)
-            out.append(row)
-        return MatPolyFamily(self.nvars, out)
+        for k1, a in self.terms.items():
+            for k2, b in other.terms.items():
+                for out, arow in zip(_rows(acc, _keys_add(k1, k2), self.rows), a.rows):
+                    for t, c in arow.items():
+                        _axpy(out, c, b.rows[t])
+        return self._new(self.rows, other.cols, acc)
 
-    def is_zero(self):
-        return all(not e for row in self.entries for e in row)
+    def _groups(self, point):
+        """{shift: Mat}: the nonzero sums of point^exps C over the terms
+        whose unit + freq(point) is the shift."""
+        coords = _point_coords(point, self.nvars)
+        acc = {}
+        for (freq, unit, exps), m in self.terms.items():
+            v = prod((x for x, e in zip(coords, exps) for _ in range(e)), start=ONE)
+            if v:
+                s = sum(map(mul, freq, coords), unit) if any(freq) else unit
+                _put(_rows(acc, s, self.rows), m, v)
+        return {s: Mat(v, self.cols) for s, v in acc.items() if any(v)}
 
     def evaluate(self, point):
         """Exact evaluation; entries become formal-exponential scalars."""
-        return tuple(tuple(e.evaluate(point) for e in row) for row in self.entries)
+        groups = self._groups(point)
+        return tuple(tuple(ExpScalar({s: g.rows[r][c] for s, g in groups.items()
+                                      if c in g.rows[r]})
+                           for c in range(self.cols)) for r in range(self.rows))
 
     def evaluate_scalar(self, point):
-        """Evaluation of a family whose value is an honest scalar matrix;
-        raises if a nontrivial formal exponential survives."""
-        return tuple(tuple(e.evaluate(point).scalar() for e in row) for row in self.entries)
-
-    def block(self, r0, c0, rows, cols):
-        return MatPolyFamily(self.nvars, [row[c0:c0 + cols]
-                                          for row in self.entries[r0:r0 + rows]])
+        """The value as a Mat, for a family whose value carries no formal
+        unit; otherwise the first entry that carries one raises."""
+        groups = self._groups(point)
+        if any(groups):  # a nonzero shift survives
+            for row in self.evaluate(point):
+                for x in row:
+                    x.scalar()
+        return groups.get(ZERO, Mat([{} for _ in range(self.rows)], self.cols))
 
     def __str__(self):
         lines = []
@@ -147,7 +184,7 @@ class MatPolyFamily:
         return "MatPolyFamily(nvars=%d, %dx%d)" % (self.nvars, self.rows, self.cols)
 
 
-def _as_exppoly(f, nvars=None):
+def _as_exppoly(f):
     if isinstance(f, ExpPoly):
         return f
     if isinstance(f, Polynomial):
@@ -155,60 +192,39 @@ def _as_exppoly(f, nvars=None):
     raise TypeError("expected a polynomial or exponential-polynomial")
 
 
-def _taylor_coeff(p, beta):
-    """(d^beta p)/beta!, read off term by term: x^e goes to
-    binom(e, beta) x^(e - beta)."""
-    if not any(beta):
-        return p
-    return Polynomial(p.nvars, {
-        tuple(a - b for a, b in zip(e, beta)): c * prod(map(comb, e, beta))
-        for e, c in p.terms.items() if all(a >= b for a, b in zip(e, beta))})
-
-
-def _taylor_terms(f, E):
-    """The terms of the Taylor formula for f^(E): for each summand
-    E[unit] e^xi p of f and each beta through E's order, the tuple
-    (freq, unit, q, mat) with q = (d^beta p)/beta! (zero q skipped) and
-    mat = m_E(e^xi) m_E(X^beta).  The term's value at mu is
-    E[unit + xi(mu)] q(mu) mat."""
-    f = _as_exppoly(f)
-    if f.nvars != E.nvars:
+def jet_family(T, E):
+    """The jet of every entry of T, with the module index slow: the output
+    acts on E tensor V with the E coordinate owning the outer (block)
+    index, so each term's coefficient is a Kronecker product."""
+    if T.nvars != E.nvars:
         raise ValueError("arity mismatch")
-    betas = monomials_upto(f.nvars, E.k)
-    for (freq, unit), p in f.summands.items():
-        # m_E(e^0) is the identity
-        base = E.exp_action(Covector(freq)) if any(freq) else None
+    R, C = T.rows, T.cols
+    betas = monomials_upto(T.nvars, E.k)
+    bases, mats = {}, {}  # m_E(e^xi) by xi, m_E(e^xi) m_E(X^beta) by (xi, beta)
+    acc = {}
+    for (freq, unit, exps), c in T.terms.items():
+        if any(freq) and freq not in bases:
+            bases[freq] = E.exp_action(Covector(freq))
         for beta in betas:
-            q = _taylor_coeff(p, beta)
-            if q:
-                mat = E.mon_mat(beta)
-                yield freq, unit, q, (mat if base is None else mmul(base, mat))
+            if all(map(le, beta, exps)):
+                m = mats.get((freq, beta))
+                if m is None:  # m_E(e^0) is the identity
+                    m = mats[freq, beta] = (mmul(bases[freq], E.mon_mat(beta))
+                                            if freq in bases else E.mon_mat(beta))
+                coef = prod(map(comb, exps, beta))
+                cb = c if coef == 1 else Mat([{j: y * coef for j, y in row.items()}
+                                              for row in c.rows], C)
+                rows = _rows(acc, (freq, unit, tuple(map(sub, exps, beta))), E.dim * R)
+                for rE, mrow in enumerate(m.rows):
+                    for cE, x in mrow.items():
+                        _put(rows, cb, x, rE * R, cE * C)
+    return T._new(E.dim * R, E.dim * C, acc)
 
 
 def jet(f, E):
-    """The matrix family mu -> m_E(translate(f, mu))."""
-    out = [[ExpPoly.zero(E.nvars)] * E.dim for _ in range(E.dim)]
-    for freq, unit, q, mat in _taylor_terms(f, E):
-        coeff = ExpPoly.exp(freq, q, unit)
-        for r, row in enumerate(mat.rows):
-            for c, x in row.items():
-                out[r][c] = out[r][c] + coeff * x
-    return MatPolyFamily(E.nvars, out)
-
-
-def jet_at(f, E, point):
-    """f^(E) at one point, equal to jet(f, E).evaluate(point): each Taylor
-    coefficient q(point) and unit is evaluated first, so no family is
-    formed.  Entries are formal-exponential scalars."""
-    coords = point.coords if isinstance(point, Vector) else tuple(point)
-    out = [[EXP_ZERO] * E.dim for _ in range(E.dim)]
-    for freq, unit, q, mat in _taylor_terms(f, E):
-        v = q.evaluate(coords)
-        shift = unit + sum((a * b for a, b in zip(freq, coords)), ZERO)
-        for r, row in enumerate(mat.rows):
-            for c, x in row.items():
-                out[r][c] = out[r][c] + ExpScalar.unit(shift, v * x)
-    return tuple(tuple(row) for row in out)
+    """The matrix family mu -> m_E(translate(f, mu)): jet_family of [[f]]."""
+    f = _as_exppoly(f)
+    return jet_family(MatPolyFamily(f.nvars, [[f]]), E)
 
 
 def jet_ideal(f, ideal, mu):
@@ -231,44 +247,26 @@ def jet_ideal(f, ideal, mu):
     return tuple(coords)
 
 
-def _e_slow(jets, d):
-    """One matrix from a grid of d x d blocks, jets[rV][cV], with the module
-    index slow: entry (rE, rV), (cE, cV) is jets[rV][cV][rE][cE]."""
-    return [[jrow[cV][rE][cE] for cE in range(d) for cV in range(len(jrow))]
-            for rE in range(d) for jrow in jets]
-
-
-def jet_family(T, E):
-    """Entrywise jet, reassembled with the module index slow: the output acts
-    on E tensor V with the E coordinate owning the outer (block) index."""
-    if T.nvars != E.nvars:
-        raise ValueError("arity mismatch")
-    return MatPolyFamily(T.nvars, _e_slow(
-        [[jet(e, E).entries for e in row] for row in T.entries], E.dim))
-
-
-def jet_family_at(T, E, point):
-    """jet_family(T, E).evaluate_scalar(point) as a Mat, formed entry by
-    entry with jet_at; the same ValueError when a formal unit survives."""
-    if T.nvars != E.nvars:
-        raise ValueError("arity mismatch")
-    return Mat.of([[x.scalar() for x in row] for row in _e_slow(
-        [[jet_at(e, E, point) for e in row] for row in T.entries], E.dim)])
-
-
 def block_derivative(F, eta):
-    """Doubled-space derivative datum [[F, d_eta F],[0, F]]."""
+    """Doubled-space derivative datum [[F, d_eta F],[0, F]].  d_eta sends
+    the term E[a] e^xi x^e C to eta(xi) times itself plus, for each j,
+    e_j eta_j E[a] e^xi x^(e - 1_j) C."""
     if F.nvars != eta.nvars:
         raise ValueError("arity mismatch")
-    u = eta.as_diffop()
-    dF = MatPolyFamily(F.nvars, [[diff(u, e) for e in row] for row in F.entries])
-    z = ExpPoly.zero(F.nvars)
-    out = []
-    for r in range(F.rows):
-        out.append(list(F.entries[r]) + list(dF.entries[r]))
-    for r in range(F.rows):
-        out.append([z] * F.cols + list(F.entries[r]))
-    return MatPolyFamily(F.nvars, out)
+    R, C = F.rows, F.cols
+    acc = {}
+    for (freq, unit, exps), m in F.terms.items():
+        rows = _rows(acc, (freq, unit, exps), 2 * R)
+        _put(rows, m)
+        _put(rows, m, ONE, R, C)
+        slope = sum(map(mul, eta.coords, freq), ZERO)
+        if slope:
+            _put(rows, m, slope, 0, C)
+        for j, (e, h) in enumerate(zip(exps, eta.coords)):
+            if e and h:
+                lower = exps[:j] + (e - 1,) + exps[j + 1:]
+                _put(_rows(acc, (freq, unit, lower), 2 * R), m, h * e, 0, C)
+    return F._new(2 * R, 2 * C, acc)
 
 
 def iterated_block_derivative(F, etas):

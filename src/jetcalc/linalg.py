@@ -11,10 +11,11 @@ A matrix is one immutable type, `Mat`: its shape and one zero-free
 combinations, `block_diag` builds block-diagonal matrices, and `apply`, the
 one matrix-vector action, maps every block of a stacked vector by one
 matrix's columns.  `Mat.flat` and `Mat.from_flat` convert to and from the
-sparse vector of row-major entries.  At the edges (JSON, printing, tests,
-`MatPolyFamily` evaluations) `Mat.of` reads a nested sequence, and `len`,
-iteration, indexing, equality and hashing treat a Mat as its dense rows;
-there are no dense matrix helpers.
+sparse vector of row-major entries.
+At the edges (JSON, printing, tests) `Mat.of` reads a nested sequence, and
+`len`, iteration, indexing, equality and hashing treat a Mat as its dense
+rows; there are no dense matrix helpers.  A `MatPolyFamily` keeps one Mat
+per term.  `square` and `json_field` read JSON matrices and fields.
 
 `SpanBasis` is the one elimination: row-at-a-time Gauss-Jordan to the
 reduced row echelon form (RREF), which is unique over exact arithmetic, so
@@ -201,6 +202,21 @@ def square(flat, d, parse, what):
                          % (what, len(flat), d, d, d * d))
     flat = [parse(e) for e in flat]
     return tuple(tuple(flat[r * d:(r + 1) * d]) for r in range(d))
+
+
+def json_field(obj, key, kind, name, lo=None, hi=None):
+    """obj[key], when obj is a JSON object holding there a value of type
+    `kind` (an int from lo to hi, never a JSON true or false); otherwise the
+    ValueError "NAME VALUE; it must be ...", `name` naming the field."""
+    x = obj.get(key) if isinstance(obj, dict) else None
+    if type(x) is kind and (kind is not int or lo <= x <= hi):
+        return x
+    if kind is not int:
+        want = "a JSON " + {list: "array", dict: "object", str: "string"}[kind]
+    else:
+        want = ("a positive integer no larger than %d" % hi if lo == 1
+                else "an integer from %d to %d" % (lo, hi))
+    raise ValueError("%s %r; it must be %s" % (name, x, want))
 
 
 def mat_vec(a, v):

@@ -20,7 +20,7 @@ from .poly import (Polynomial, DiffOp, Covector, monomials_upto,
                    exp_series)
 from . import linalg
 from .linalg import (Mat, SpanBasis, mmul, mid, mat_sum, block_diag,
-                     close_span, square, dense, apply)
+                     close_span, square, dense, apply, json_field)
 
 # FinMod.from_json's bounds: the CLI's --nmax and --dimmax ceilings, and an
 # order above the 11 that tensor products reach at --kmax 4; validating then
@@ -256,11 +256,8 @@ class FinMod:
         with integers nvars, k and dim from 0 to MAX_NVARS, MAX_ORDER and
         MAX_DIM and an `action` list of nvars matrices."""
         data = json.loads(text)
-        data = data if isinstance(data, dict) else {}
         for key, hi in (("nvars", MAX_NVARS), ("k", MAX_ORDER), ("dim", MAX_DIM)):
-            if type(data.get(key)) is not int or not 0 <= data[key] <= hi:  # not true
-                raise ValueError("module field %r must be an integer from 0 to %d, "
-                                 "not %r" % (key, hi, data.get(key)))
+            json_field(data, key, int, "module field %r is" % key, 0, hi)
         action = data.get("action")
         if not isinstance(action, list) or len(action) != data["nvars"]:
             raise ValueError("module field 'action' must be a list of %d matrices"

@@ -759,6 +759,8 @@ class _Parser:
         self.work = 0  # term pairs formed by every parse so far, see MAX_PARSE_WORK
 
     def parse(self, text):
+        if not isinstance(text, str):
+            raise ValueError("an entry must be a string, not %r" % (text,))
         self.toks = _tokenize(text)
         self.pos = 0
         out = self.parse_expr()

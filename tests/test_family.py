@@ -122,6 +122,39 @@ def test_family_json_rejects_a_zero_dimensional_rep():
         family_from_json(text)
 
 
+GOOD_REP = '{"label": "r", "dim": 1, "generators": [["2"]]}'
+
+
+@pytest.mark.parametrize("text, field", [
+    ("{}", "'nvars'"), ("[]", "'nvars'"), ("null", "'nvars'"),
+    ('{"nvars": true, "reps": [%s]}' % GOOD_REP, "'nvars' is True"),
+    ('{"nvars": 100, "reps": [%s]}' % GOOD_REP, "'nvars' is 100"),
+    ('{"nvars": "a", "reps": [%s]}' % GOOD_REP, "'nvars' is 'a'"),
+    ('{"nvars": 1.5, "reps": [%s]}' % GOOD_REP, "'nvars' is 1.5"),
+    ('{"nvars": 1}', "'reps' is None"),
+    ('{"nvars": 1, "reps": {}}', "'reps' is {}"),
+    ('{"nvars": 1, "reps": [null]}', "rep label is None"),
+    ('{"nvars": 1, "reps": [{"dim": 1, "generators": [["2"]]}]}', "rep label is None"),
+    ('{"nvars": 1, "reps": [{"label": "r", "dim": 1}]}', "'generators' is None"),
+])
+def test_family_json_refuses_bad_fields_by_name(text, field):
+    with pytest.raises(ValueError, match=field):
+        family_from_json(text)
+
+
+@pytest.mark.parametrize("text, field", [
+    ("{}", "'nvars' is None"), ("[]", "'nvars' is None"), ("null", "'nvars' is None"),
+    ('{"nvars": 2, "components": {}}', "'nvars' is 2; it must be its reps' 1"),
+    ('{"nvars": true, "components": {}}', "'nvars' is True"),
+    ('{"nvars": 1, "components": []}', "'components' is \\[\\]"),
+    ('{"nvars": 1, "components": {"R": ["0", "0", null, "0"]}}', "must be a string"),
+])
+def test_candidate_json_refuses_bad_fields_by_name(text, field):
+    reps = family_from_json((FIXTURES / "reducible_family.json").read_text())
+    with pytest.raises(ValueError, match=field):
+        PWCandidate.from_json(text, reps)
+
+
 def cofactor(F, rows, cols):
     """Reference determinant of the minor of F on the given row and column
     tuples: recursive expansion along its first row, O(n!) products."""
@@ -171,7 +204,8 @@ def test_det_adj_match_the_cofactor_expansion():
     for F in fams:
         det, adj = family_det_adj(F)
         assert (det, adj) == reference_det_adj(F)
-        scalar = MatPolyFamily.identity(F.nvars, F.rows).scaled(det)
+        scalar = MatPolyFamily(F.nvars, [[det if r == c else ExpPoly.zero(F.nvars)
+                                          for c in range(F.rows)] for r in range(F.rows)])
         assert F * adj == adj * F == scalar
         sizes.add(F.rows)
         dets.add("exponential" if not det.is_polynomial() else

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jetcalc.scalars import ExpScalar, ZERO, ONE, EXP_ZERO, sc
 from jetcalc.poly import (Polynomial, ExpPoly, Vector, Covector, DiffOp,
@@ -45,6 +46,13 @@ def test_jet_over_dual_numbers_stacks_value_and_derivative():
     assert J == jf.MatPolyFamily(1, [[lam2, twol], [zz, lam2]])
 
 
+def family(nvars, grid):
+    """The family of a grid of polynomials or scalars."""
+    return jf.MatPolyFamily(nvars, [[ExpPoly.from_poly(x) if isinstance(x, Polynomial)
+                                     else ExpPoly.const(nvars, x) for x in row]
+                                    for row in grid])
+
+
 def _test_modules():
     lam = Vector((1, 2))
     E = lm.dual_number_module(lam)
@@ -72,9 +80,19 @@ def test_jet_evaluation_matches_the_germ_action_oracle():
             assert ev == act_germ_oracle(Emod, translate(f, mu))
 
 
+def e_slow_oracle(E, T, mu):
+    """The oracle of T's jet at mu: act_germ_oracle on each translated
+    entry, reassembled with the module index slow, so that entry
+    (rE, rV), (cE, cV) is entry (rE, cE) of the oracle of T[rV][cV]."""
+    blocks = [[act_germ_oracle(E, translate(e, mu)) for e in row] for row in T.entries]
+    return tuple(tuple(blocks[rV][cV][rE][cE] for cE in range(E.dim) for cV in range(T.cols))
+                 for rE in range(E.dim) for rV in range(T.rows))
+
+
 def test_point_jet_is_the_jet_evaluated_at_the_point():
-    """Over the fixed modules and random ones; a translate of a random f
-    carries the unit E[xi(shift)] on each exponential summand."""
+    """Over the fixed modules and random ones, at a Vector or a tuple; a
+    translate of a random f carries the unit E[xi(shift)] on each
+    exponential summand."""
     rng = random.Random(21)
     mods = list(_test_modules()) + [gen.rand_finmod(rng, nv, 2, 4)
                                     for nv in (1, 2, 2, 3) for _ in range(2)]
@@ -86,11 +104,13 @@ def test_point_jet_is_the_jet_evaluated_at_the_point():
             mu = rand_point(rng, nv)
             units += any(unit != ZERO for _, unit in f.summands)
             for pt in (mu, tuple(mu.coords)):
-                assert jf.jet_at(f, Emod, pt) == jf.jet(f, Emod).evaluate(tuple(mu.coords))
-            assert jf.jet_at(f, Emod, mu) == act_germ_oracle(Emod, translate(f, mu))
+                assert jf.jet(f, Emod).evaluate(pt) == act_germ_oracle(Emod, translate(f, mu))
     assert units >= 20
+    f = rand_exp_poly(random.Random(0), 1, 2)
     with pytest.raises(ValueError):
-        jf.jet_at(rand_exp_poly(random.Random(0), 1, 2), _test_modules()[0], (ZERO, ZERO))
+        jf.jet(f, _test_modules()[0])
+    with pytest.raises(ValueError, match="point has 2 coordinates, expected 1"):
+        jf.jet(f, lm.dual_number_module(Vector((1,)))).evaluate((ZERO, ZERO))
 
 
 def test_point_jet_family_is_the_family_evaluated_at_the_point():
@@ -100,34 +120,29 @@ def test_point_jet_family_is_the_family_evaluated_at_the_point():
             T = gen.rand_elementary_family(rng, 2, rng.randint(1, 3))
             T = T * gen.rand_elementary_family(rng, 2, T.rows)
             mu = rand_point(rng, 2)
-            want = jf.jet_family(T, Emod).evaluate_scalar(tuple(mu.coords))
-            assert jf.jet_family_at(T, Emod, mu) == want
-    # a formal unit that survives evaluation is refused by both routes alike
+            want = e_slow_oracle(Emod, T, mu)
+            assert jf.jet_family(T, Emod).evaluate_scalar(mu) == \
+                tuple(tuple(x.scalar() for x in row) for row in want)
+    # a formal unit that survives evaluation is refused, naming the first
+    # entry that carries one
     T = jf.MatPolyFamily(1, [[ExpPoly.exp((ONE,)), ExpPoly.zero(1)],
                              [ExpPoly.zero(1), ExpPoly.const(1, ONE)]])
     E1 = lm.dual_number_module(Vector((1,)))
     pt = Vector((sc(2),))
-    with pytest.raises(ValueError) as symbolic:
-        jf.jet_family(T, E1).evaluate_scalar(tuple(pt.coords))
-    with pytest.raises(ValueError) as pointwise:
-        jf.jet_family_at(T, E1, pt)
-    assert str(pointwise.value) == str(symbolic.value)
-    assert jf.jet_family_at(T, E1, Vector((ZERO,))) == \
-        jf.jet_family(T, E1).evaluate_scalar((ZERO,))
+    first = next(x for row in e_slow_oracle(E1, T, pt) for x in row if not x.is_scalar())
+    with pytest.raises(ValueError) as refused:
+        jf.jet_family(T, E1).evaluate_scalar(pt)
+    assert str(refused.value) == "value carries formal exponential units: %s" % first
+    zero = Vector((ZERO,))
+    assert jf.jet_family(T, E1).evaluate_scalar(zero) == \
+        tuple(tuple(x.scalar() for x in row) for row in e_slow_oracle(E1, T, zero))
 
 
-def test_membership_forms_no_symbolic_jet(monkeypatch):
-    """The membership test reads jets only at its block points, through
-    jet_at: neither the symbolic jet nor jet_family runs."""
+def test_membership_triple_is_unanimous_over_jet_modules():
+    """The three membership verdicts agree for word candidates and random
+    ones, over the evaluation module and a dual-number module."""
     from jetcalc import family
 
-    def refuse(*args):
-        raise AssertionError("a symbolic jet was formed")
-
-    for mod in (jf, family):
-        for name in ("jet", "jet_family"):
-            if hasattr(mod, name):
-                monkeypatch.setattr(mod, name, refuse)
     rng = random.Random(23)
     for Emod in (lm.cyclic_quotient(lm.maximal_ideal(1)).module,
                  lm.dual_number_module(Vector((sc(3),)))):
@@ -136,6 +151,55 @@ def test_membership_forms_no_symbolic_jet(monkeypatch):
         for member in (True, False):
             cand, _ = gen.rand_candidate(rng, reps, maxlen=4, member=member)
             assert family.membership_triple(cand, reps, pts, Emod).unanimous
+
+
+@st.composite
+def exp_grids(draw, nvars, rows, cols):
+    """A rows x cols grid of exponential polynomials in nvars variables:
+    up to two summands E[a] e^xi p each, with small frequencies xi and
+    units a (often nonzero) and p of degree at most 2."""
+    small = st.builds(sc, st.integers(-2, 2), st.integers(-1, 1))
+    exps = st.tuples(*[st.integers(0, 2)] * nvars)
+    polys = st.builds(lambda t: Polynomial(nvars, dict(t)),
+                      st.lists(st.tuples(exps, small), max_size=3))
+    keys = st.tuples(st.tuples(*[small] * nvars), small)
+    entry = st.builds(lambda s: ExpPoly(nvars, dict(s)),
+                      st.lists(st.tuples(keys, polys), max_size=2))
+    return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_family_term_algebra_matches_the_entrywise_reference(data):
+    """Sums, products, scaling, evaluation and the entries grid of the term
+    form agree with ExpPoly arithmetic entry by entry, on shapes 0x0 to
+    3x3 with exponential summands carrying nonzero units."""
+    nvars = data.draw(st.integers(1, 3))
+    r, n, k = (data.draw(st.integers(0, 3)) for _ in range(3))
+    n = n if r else 0  # a grid without rows has no columns
+    k = k if n else 0
+    A, B = (data.draw(exp_grids(nvars, r, n)) for _ in range(2))
+    C = data.draw(exp_grids(nvars, n, k))
+    F, G, H = (jf.MatPolyFamily(nvars, X) for X in (A, B, C))
+    zero = ExpPoly.zero(nvars)
+    assert F.entries == tuple(map(tuple, A))
+    assert jf.MatPolyFamily(nvars, F.entries) == F
+    assert (F + G).entries == tuple(tuple(a + b for a, b in zip(ra, rb))
+                                    for ra, rb in zip(A, B))
+    product = tuple(tuple(sum((A[i][t] * C[t][j] for t in range(n)), zero)
+                          for j in range(k)) for i in range(r))
+    assert (F * H).entries == product
+    s = data.draw(st.builds(sc, st.integers(-2, 2), st.integers(-1, 1)))
+    assert (F * s).entries == tuple(tuple(a * s for a in row) for row in A)
+    pt = tuple(data.draw(st.builds(sc, st.integers(-2, 2), st.integers(-1, 1)))
+               for _ in range(nvars))
+    values = tuple(tuple(a.evaluate(pt) for a in row) for row in A)
+    assert F.evaluate(pt) == values
+    if all(x.is_scalar() for row in values for x in row):
+        assert F.evaluate_scalar(pt) == tuple(tuple(x.scalar() for x in row) for row in values)
+    else:
+        with pytest.raises(ValueError, match="formal exponential units"):
+            F.evaluate_scalar(pt)
 
 
 def test_jet_commutes_with_translation():
@@ -187,23 +251,23 @@ def test_jet_ideal_is_the_cyclic_column_of_the_quotient_jet():
 def test_block_derivative_equals_dual_number_jet():
     rng = random.Random(12)
     eta = Vector((2, -1))
-    F = jf.MatPolyFamily.from_polys([[rand_poly(rng, 2, 2), rand_poly(rng, 2, 1)],
-                                     [rand_poly(rng, 2, 2), rand_poly(rng, 2, 2)]])
+    F = family(2, [[rand_poly(rng, 2, 2), rand_poly(rng, 2, 1)],
+                   [rand_poly(rng, 2, 2), rand_poly(rng, 2, 2)]])
     assert jf.block_derivative(F, eta) == jf.jet_family(F, lm.dual_number_module(eta))
 
 
 def test_block_derivative_of_constants_has_zero_offdiagonal():
     eta = Vector((2, -1))
-    C = jf.MatPolyFamily.from_scalars(2, [[sc(1), sc(2)], [sc(3), sc(4)]])
-    DC = jf.block_derivative(C, eta)
-    assert DC.block(0, 2, 2, 2).is_zero()
-    assert DC.block(0, 0, 2, 2) == C
+    C = family(2, [[sc(1), sc(2)], [sc(3), sc(4)]])
+    DC = jf.block_derivative(C, eta).entries
+    assert not any(e for row in DC[:2] for e in row[2:])
+    assert [row[:2] for row in DC[:2]] == list(C.entries)
 
 
 def test_iterated_block_derivative_is_the_tensor_module_jet():
     rng = random.Random(13)
-    F = jf.MatPolyFamily.from_polys([[rand_poly(rng, 2, 2), rand_poly(rng, 2, 1)],
-                                     [rand_poly(rng, 2, 2), rand_poly(rng, 2, 2)]])
+    F = family(2, [[rand_poly(rng, 2, 2), rand_poly(rng, 2, 1)],
+                   [rand_poly(rng, 2, 2), rand_poly(rng, 2, 2)]])
     etas = [Vector((1, 0)), Vector((1, 1))]
     lhs = jf.iterated_block_derivative(F, etas)
     rhs = jf.jet_family(F, lm.tensor(*[lm.dual_number_module(e) for e in etas]))
@@ -231,7 +295,7 @@ def test_jet_is_natural_in_module_maps():
     Q = lm.cyclic_quotient(lm.dual_number_ideal(lam)).module
     T = ((ZERO, sc(2)), (ONE, ZERO))
     lm.ModuleMap(Q, E, T)  # raises if T is not a module map
-    Psi = jf.MatPolyFamily.from_scalars(2, T)
+    Psi = family(2, T)
     for _ in range(3):
         f = rand_exp_poly(rng, 2, 2)
         assert Psi * jf.jet(f, Q) == jf.jet(f, E) * Psi

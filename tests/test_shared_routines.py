@@ -8,6 +8,7 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jetcalc import approxalg, family, linalg, poly
 from jetcalc import gen  # noqa: F401  (the tracer wraps every function of gen)
@@ -17,7 +18,7 @@ from jetcalc.linalg import SpanBasis, close_span, block_diag
 from jetcalc.localmod import (FinMod, cyclic_quotient, power_ideal,
                               dual_number_module, direct_sum)
 from jetcalc.poly import Vector, ExpPoly, MAX_PARSE_WORK
-from jetcalc.scalars import ZERO, ONE, sc
+from jetcalc.scalars import Scalar, ZERO, ONE, sc
 
 
 def unit(n, j):
@@ -116,6 +117,69 @@ def test_loaders_refuse_a_matrix_of_the_wrong_length(kind, extra):
     want = "%s has %d entries; a 2x2 matrix needs 4" % (what, 4 + extra)
     with pytest.raises(ValueError, match=re.escape(want)):
         load(json.dumps(data))
+
+
+JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(10 ** 40) | st.floats()
+    | st.text(max_size=5) | st.sampled_from(["1", "x1", "0", "2,0", "-1"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=6)
+
+
+def json_paths(doc, prefix=()):
+    """The path of every value inside a parsed JSON document, the root
+    first."""
+    yield prefix
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from json_paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated_json(draw, text):
+    """text with one value dropped (a key, or an item of a list) or
+    replaced by junk: null, booleans, huge integers, floats, short strings,
+    and lists and objects nested from them."""
+    doc = json.loads(text)
+    path = draw(st.sampled_from(list(json_paths(doc))))
+    if not path:
+        return json.dumps(draw(JUNK))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(JUNK)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("kind", ["FinMod", "ApproxModule", "family", "candidate"])
+def test_loaders_refuse_mutated_json_with_a_value_error(kind, monkeypatch):
+    """Every loader returns or raises a ValueError on mutated JSON, and
+    forms no more Scalar products than a small budget allows."""
+    load, text, _, _ = loader(kind)
+    products = [0]
+    mul = Scalar.__mul__
+
+    def counted(a, b):
+        products[0] += 1
+        assert products[0] <= 20000, "formed more than 20000 products"
+        return mul(a, b)
+
+    monkeypatch.setattr(Scalar, "__mul__", counted)
+
+    @settings(max_examples=150, deadline=None)
+    @given(mutated_json(text))
+    def check(bad):
+        products[0] = 0
+        try:
+            load(bad)
+        except ValueError:
+            pass
+
+    check()
 
 
 def test_a_loaded_file_has_one_parse_budget(monkeypatch):
