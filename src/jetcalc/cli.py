@@ -427,7 +427,7 @@ def build_parser():
         description="exact verification suites for jet calculus, kernels, "
                     "double commutants, and matrix-family membership")
     ap.add_argument("--seed", type=int,
-                    default=int(os.environ.get("JETCALC_SEED", "0")),
+                    default=os.environ.get("JETCALC_SEED", "0"),
                     help="instance seed (default: JETCALC_SEED or 0)")
     for name, default, what in (("nmax", 2, "max number of variables"),
                                 ("kmax", 2, "max jet order"),

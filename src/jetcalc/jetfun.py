@@ -20,12 +20,12 @@ linear algebra.
 
 from itertools import combinations
 from math import comb, prod
-from operator import add, le, mul, sub
+from operator import add, le, sub
 
 from .scalars import Scalar, ExpScalar, ZERO, ONE, EXP_ZERO
 from .poly import (Polynomial, ExpPoly, Covector, Vector, DiffOp,
                    translate, coproduct, pairing, monomials_upto,
-                   beta_factorial, zero_exps, exp_series, _point_coords)
+                   beta_factorial, zero_exps, exp_series, _pair, _point_coords)
 from . import linalg
 from .linalg import Mat, SpanBasis, CrossCheckError, mmul, _axpy
 from .localmod import (PolySpace, cyclic_quotient, dual_number_module,
@@ -73,7 +73,7 @@ class MatPolyFamily:
             for c, e in enumerate(row):
                 if e.nvars != nvars:
                     raise ValueError("entry arity mismatch")
-                for (freq, unit), p in e.summands.items():
+                for (freq, unit), p in e.terms.items():
                     for exps, x in p.terms.items():
                         _rows(acc, (freq, unit, exps), rows)[r][c] = x
         self._fill(nvars, rows, cols, acc)._entries = entries
@@ -153,8 +153,7 @@ class MatPolyFamily:
         for (freq, unit, exps), m in self.terms.items():
             v = prod((x for x, e in zip(coords, exps) for _ in range(e)), start=ONE)
             if v:
-                s = sum(map(mul, freq, coords), unit) if any(freq) else unit
-                _put(_rows(acc, s, self.rows), m, v)
+                _put(_rows(acc, _pair(freq, coords, unit), self.rows), m, v)
         return {s: Mat(v, self.cols) for s, v in acc.items() if any(v)}
 
     def evaluate(self, point):
@@ -235,7 +234,7 @@ def jet_ideal(f, ideal, mu):
         raise ValueError("arity mismatch")
     g = translate(f, mu)
     coords = [EXP_ZERO] * ideal.codim
-    for (freq, unit), p in g.summands.items():
+    for (freq, unit), p in g.terms.items():
         xi = Covector(freq)
         q = (exp_series(xi, ideal.k) * p).truncate(ideal.k)
         nf = ideal.normal_form(q)
@@ -259,7 +258,7 @@ def block_derivative(F, eta):
         rows = _rows(acc, (freq, unit, exps), 2 * R)
         _put(rows, m)
         _put(rows, m, ONE, R, C)
-        slope = sum(map(mul, eta.coords, freq), ZERO)
+        slope = _pair(freq, eta.coords)
         if slope:
             _put(rows, m, slope, 0, C)
         for j, (e, h) in enumerate(zip(exps, eta.coords)):
@@ -417,23 +416,12 @@ def kernel_alpha_bar(lams, d):
     rows_b = [[images[s][t] for s in range(len(mons))] for t in range(2 ** n)]
     basis_b = linalg.nullspace(rows_b, len(mons))
 
-    sa = SpanBasis(len(mons))
-    for v in basis_a:
-        sa.add(v)
-    sb = SpanBasis(len(mons))
-    for v in basis_b:
-        sb.add(v)
-    if not sa.same_span(sb):
+    if not SpanBasis(len(mons), basis_a).same_span(SpanBasis(len(mons), basis_b)):
         raise CrossCheckError("kernel computations disagree")
 
     # canonical output: reduced rows in descending-grlex coordinates
-    canon = SpanBasis(space.dim)
-    for v in basis_a:
-        w = [ZERO] * space.dim
-        for c, m in zip(v, mons):
-            if c:
-                w[space.index[m]] = c
-        canon.add(w)
+    canon = SpanBasis(space.dim, ({space.index[m]: c for c, m in zip(v, mons) if c}
+                                  for v in basis_a))
     basis = [space.from_vec(r) for r in canon.frozen_rows()]
     return KernelResult(tuple(lams), d, basis, d < n + 1)
 

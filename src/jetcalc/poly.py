@@ -1,14 +1,15 @@
 """Sparse multivariate polynomials over Q(i), exponential polynomials,
 linear forms, and constant-coefficient differential operators.
 
-All of them are term dicts of scalars._terms_add/_terms_mul, one term
-algebra.  Monomials are plain exponent tuples.  Polynomial and DiffOp share
-one body, _Terms: {exponents: Scalar} with no zero coefficients, so equality
-is plain dict equality; they differ in type and in the printed letter (x or
-X).  ExpPoly keys its summands by (frequency, unit) where frequency is a
-covector xi (giving a factor e^xi) and unit is an exact scalar a (giving a
-formal factor E[a], see scalars.ExpScalar); translation moves value into
-the unit slot instead of evaluating anything.
+All of them are term dicts with one arithmetic body, scalars._TermDict, so
+equality is plain dict equality and every sum and product goes through
+scalars._terms_add/_terms_mul.  Monomials are plain exponent tuples.
+Polynomial and DiffOp share _Terms: {exponents: Scalar}; they differ in type
+and in the printed letter (x or X).  ExpPoly keys its terms, Polynomials, by
+(frequency, unit) where frequency is a covector xi (giving a factor e^xi)
+and unit is an exact scalar a (giving a formal factor E[a], see
+scalars.ExpScalar); translation moves value into the unit slot instead of
+evaluating anything, and _pair is the one pairing xi(point).
 
 One substitution, _substitute, expands sum c * prod images[j]^e_j with each
 power of each image formed once: evaluation (Scalars for the variables),
@@ -34,9 +35,9 @@ all stay cheap to refuse.
 """
 
 from math import factorial
-from operator import add
+from operator import add, mul
 
-from .scalars import Scalar, ExpScalar, ZERO, ONE, _mk, _terms_add, _terms_mul
+from .scalars import Scalar, ExpScalar, ZERO, ONE, _mk, _terms_add, _TermDict
 
 
 def zero_exps(nvars):
@@ -66,11 +67,6 @@ def monomials_of_degree(nvars, d):
     return [e for e in monomials_upto(nvars, d) if sum(e) == d]
 
 
-def _exps_add(e1, e2):
-    # the key product of monomials: exponents add
-    return tuple(map(add, e1, e2))
-
-
 def _linear_terms(coeffs):
     """Term dict of the linear form sum_j coeffs[j] * x_j."""
     nv = len(coeffs)
@@ -93,6 +89,11 @@ def _substitute(p, images, total):
     return total
 
 
+def _pair(xi, coords, start=ZERO):
+    """start + sum_j xi_j * coords_j: a frequency paired with a point."""
+    return sum(map(mul, xi, coords), start) if any(xi) else start
+
+
 def _point_coords(point, nvars):
     coords = point.coords if isinstance(point, Vector) else tuple(point)
     if len(coords) != nvars:
@@ -100,14 +101,13 @@ def _point_coords(point, nvars):
     return coords
 
 
-class _Terms:
-    """{exponents: Scalar} with no zero coefficients over a fixed number of
-    variables, so equality is plain dict equality: the common body of
-    Polynomial and DiffOp.  Arithmetic builds the caller's type, the
-    printer names variables by the class's LETTER, and equality is
-    type-strict, so a Polynomial never equals a DiffOp."""
+class _Terms(_TermDict):
+    """{exponents: Scalar} over a fixed number of variables: the common body
+    of Polynomial and DiffOp.  The printer names variables by the class's
+    LETTER, and _coerce is type-strict, so a Polynomial never equals a
+    DiffOp."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ()
     LETTER = "x"
 
     def __init__(self, nvars, terms=None):
@@ -123,11 +123,15 @@ class _Terms:
                     t[exps] = c
         self.terms = t
 
-    def _new(self, terms):
-        out = object.__new__(type(self))
-        out.nvars = self.nvars
-        out.terms = terms
-        return out
+    @staticmethod
+    def _combine(e1, e2):
+        # monomials multiply: exponents add
+        return tuple(map(add, e1, e2))
+
+    def _coerce(self, other):
+        if isinstance(other, (int, Scalar)):
+            return self.const(self.nvars, other)
+        return other if isinstance(other, type(self)) else None
 
     @classmethod
     def zero(cls, nvars):
@@ -143,70 +147,11 @@ class _Terms:
     def monomial(cls, nvars, exps, c=ONE):
         return cls(nvars, {tuple(exps): c})
 
-    def is_zero(self):
-        return not self.terms
-
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
         return max(sum(e) for e in self.terms)
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def _coerce(self, other):
-        if isinstance(other, (int, Scalar)):
-            return self.const(self.nvars, other)
-        if not isinstance(other, type(self)):
-            return None
-        if self.nvars != other.nvars:
-            raise ValueError("arity mismatch: %d vs %d variables" % (self.nvars, other.nvars))
-        return other
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Scalar)):
-            other = self.const(self.nvars, other)
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self._new(_terms_add(self.terms, other.terms))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self._new({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            other = Scalar(other)
-        if isinstance(other, Scalar):
-            if not other:
-                return self.zero(self.nvars)
-            return self._new({e: c * other for e, c in self.terms.items()})
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self._new(_terms_mul(self.terms, other.terms, _exps_add))
-
-    __rmul__ = __mul__
 
     def sorted_terms(self):
         """Descending graded lex, for printing and deterministic traversal."""
@@ -263,27 +208,10 @@ class Polynomial(_Terms):
         """Exact value at a point given as Vector or sequence of Scalars."""
         return _substitute(self, _point_coords(point, self.nvars), ZERO)
 
-    def deriv(self, j, times=1):
-        """Partial derivative d/dx_{j+1}, iterated."""
-        t = self.terms
-        for _ in range(times):
-            nt = {}
-            for e, c in t.items():
-                if e[j]:
-                    ne = e[:j] + (e[j] - 1,) + e[j + 1:]
-                    nt_c = c * e[j]
-                    s = nt.get(ne)
-                    nt[ne] = nt_c if s is None else s + nt_c
-            t = nt
-        return Polynomial(self.nvars, t)
-
-    def deriv_multi(self, beta):
-        """d^beta, one exponent per variable."""
-        p = self
-        for j, b in enumerate(beta):
-            if b:
-                p = p.deriv(j, b)
-        return p
+    def deriv(self, j):
+        """Partial derivative d/dx_{j+1}."""
+        return self._new({e[:j] + (e[j] - 1,) + e[j + 1:]: c * e[j]
+                          for e, c in self.terms.items() if e[j]})
 
     def translate(self, mu):
         """p composed with the shift nu -> nu + mu."""
@@ -386,10 +314,7 @@ class Covector(_Coords):
         """Pairing with a Vector, exact and bilinear."""
         if len(v.coords) != len(self.coords):
             raise ValueError("covector/vector arity mismatch")
-        total = ZERO
-        for a, b in zip(self.coords, v.coords):
-            total = total + a * b
-        return total
+        return _pair(self.coords, v.coords)
 
     def as_polynomial(self):
         return Polynomial(len(self.coords), _linear_terms(self.coords))
@@ -409,36 +334,32 @@ class DiffOp(_Terms):
     order = _Terms.degree
 
 
-def _keys_add(k1, k2):
-    # the key product of exponential summands: e^xi E[a] e^eta E[b] = e^(xi+eta) E[a+b]
-    return (tuple(map(add, k1[0], k2[0])), k1[1] + k2[1])
+class ExpPoly(_TermDict):
+    """Finite sum of  E[a] * e^xi * p(x)  summands: {(xi.coords, a):
+    Polynomial}.  Distinct keys stay distinct (e^xi for distinct covectors
+    xi are linearly independent, and so are the formal units)."""
 
+    __slots__ = ()
 
-class ExpPoly:
-    """Finite sum of  E[a] * e^xi * p(x)  summands.
-
-    Keys are (xi.coords, a); distinct keys stay distinct (e^xi for distinct
-    covectors xi are linearly independent, and so are the formal units)."""
-
-    __slots__ = ("nvars", "summands")
-
-    def __init__(self, nvars, summands=None):
+    def __init__(self, nvars, terms=None):
         self.nvars = nvars
-        t = {}
-        if summands:
-            for key, p in summands.items():
-                freq, unit = key
-                if p.nvars != nvars:
-                    raise ValueError("summand arity mismatch")
-                if p:
-                    k = (tuple(freq), unit)
-                    if k in t:
-                        t[k] = t[k] + p
-                        if not t[k]:
-                            del t[k]
-                    else:
-                        t[k] = p
-        self.summands = t
+        terms = terms or {}
+        if any(p.nvars != nvars for p in terms.values()):
+            raise ValueError("summand arity mismatch")
+        self.terms = _terms_add({}, (((tuple(freq), unit), p)
+                                     for (freq, unit), p in terms.items()))
+
+    @staticmethod
+    def _combine(k1, k2):
+        # e^xi E[a] e^eta E[b] = e^(xi+eta) E[a+b]
+        return (tuple(map(add, k1[0], k2[0])), k1[1] + k2[1])
+
+    def _coerce(self, other):
+        if isinstance(other, (int, Scalar)):
+            return ExpPoly.const(self.nvars, other)
+        if isinstance(other, Polynomial):
+            return ExpPoly.from_poly(other)
+        return other if isinstance(other, ExpPoly) else None
 
     @classmethod
     def from_poly(cls, p):
@@ -465,146 +386,47 @@ class ExpPoly:
 
     def is_polynomial(self):
         z = (ZERO,) * self.nvars
-        return all(freq == z and unit == ZERO for freq, unit in self.summands)
+        return all(freq == z and unit == ZERO for freq, unit in self.terms)
 
     def pure(self):
         """As a plain Polynomial; rejects genuine exponential parts."""
-        if not self.summands:
+        if not self.terms:
             return Polynomial.zero(self.nvars)
         if not self.is_polynomial():
             raise ValueError("not a pure polynomial: %s" % self)
-        return next(iter(self.summands.values()))
-
-    def __bool__(self):
-        return bool(self.summands)
-
-    def __eq__(self, other):
-        if isinstance(other, Polynomial):
-            other = ExpPoly.from_poly(other)
-        if isinstance(other, (int, Scalar)):
-            other = ExpPoly.const(self.nvars, other)
-        if not isinstance(other, ExpPoly):
-            return NotImplemented
-        return self.nvars == other.nvars and self.summands == other.summands
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.summands.items())))
-
-    def _coerce(self, other):
-        if isinstance(other, (int, Scalar)):
-            return ExpPoly.const(self.nvars, other)
-        if isinstance(other, Polynomial):
-            return ExpPoly.from_poly(other)
-        return other
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if not isinstance(other, ExpPoly):
-            return NotImplemented
-        if self.nvars != other.nvars:
-            raise ValueError("arity mismatch")
-        out = object.__new__(ExpPoly)
-        out.nvars = self.nvars
-        out.summands = _terms_add(self.summands, other.summands)
-        return out
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        out = object.__new__(ExpPoly)
-        out.nvars = self.nvars
-        out.summands = {k: -p for k, p in self.summands.items()}
-        return out
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if not isinstance(other, ExpPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            other = Scalar(other)
-        if isinstance(other, Scalar):
-            if not other:
-                return ExpPoly.zero(self.nvars)
-            out = object.__new__(ExpPoly)
-            out.nvars = self.nvars
-            out.summands = {k: p * other for k, p in self.summands.items()}
-            return out
-        other = self._coerce(other)
-        if not isinstance(other, ExpPoly):
-            return NotImplemented
-        if self.nvars != other.nvars:
-            raise ValueError("arity mismatch")
-        out = object.__new__(ExpPoly)
-        out.nvars = self.nvars
-        out.summands = _terms_mul(self.summands, other.summands, _keys_add)
-        return out
-
-    __rmul__ = __mul__
+        return next(iter(self.terms.values()))
 
     def deriv(self, j):
         """d/dx_{j+1}; on a summand: e^xi*(xi_j*p + dp)."""
-        t = {}
-        for (freq, unit), p in self.summands.items():
-            q = p.deriv(j)
-            if freq[j]:
-                q = q + p * freq[j]
-            if q:
-                key = (freq, unit)
-                s = t.get(key)
-                t[key] = q if s is None else s + q
-        return ExpPoly(self.nvars, t)
+        return self._new({(freq, unit): q for (freq, unit), p in self.terms.items()
+                          if (q := p.deriv(j) + p * freq[j])})
 
     def translate(self, mu):
         """Pull-back along nu -> nu + mu; e^xi picks up the unit E[xi(mu)]."""
         coords = _point_coords(mu, self.nvars)
-        t = {}
-        for (freq, unit), p in self.summands.items():
-            shift = ZERO
-            for a, b in zip(freq, coords):
-                shift = shift + a * b
-            key = (freq, unit + shift)
-            q = p.translate(coords)
-            s = t.get(key)
-            s = q if s is None else s + q
-            if s:
-                t[key] = s
-            else:
-                t.pop(key, None)
-        out = object.__new__(ExpPoly)
-        out.nvars = self.nvars
-        out.summands = t
-        return out
+        return self._new(_terms_add({}, (((freq, _pair(freq, coords, unit)),
+                                          p.translate(coords))
+                                         for (freq, unit), p in self.terms.items())))
 
     def evaluate(self, point):
         """Exact value at a point, as an ExpScalar: e^xi contributes the
         formal unit E[xi(point)]."""
         coords = _point_coords(point, self.nvars)
-        total = ExpScalar()
-        for (freq, unit), p in self.summands.items():
-            shift = unit
-            for a, b in zip(freq, coords):
-                shift = shift + a * b
-            total = total + ExpScalar.unit(shift, p.evaluate(coords))
-        return total
+        return ExpScalar(_terms_add({}, ((_pair(freq, coords, unit), p.evaluate(coords))
+                                         for (freq, unit), p in self.terms.items())))
 
-    def sorted_summands(self):
+    def sorted_terms(self):
         def key(item):
             (freq, unit), _ = item
             return tuple(c.key() for c in freq) + (unit.key(),)
-        return sorted(self.summands.items(), key=key)
+        return sorted(self.terms.items(), key=key)
 
     def __str__(self):
-        if not self.summands:
+        if not self.terms:
             return "(0)"
         z = (ZERO,) * self.nvars
         parts = []
-        for (freq, unit), p in self.sorted_summands():
+        for (freq, unit), p in self.sorted_terms():
             prefix = []
             if unit != ZERO:
                 prefix.append("E[%s]" % unit)
@@ -625,18 +447,11 @@ class ExpPoly:
 def diff(u, f):
     """Apply the operator u to f.  Exact; an order-m u lowers polynomial
     degree by m, and on e^xi it multiplies by u(xi)."""
-    if isinstance(f, Polynomial):
-        if u.nvars != f.nvars:
-            raise ValueError("operator has %d variables, function has %d" % (u.nvars, f.nvars))
-        total = Polynomial.zero(f.nvars)
-        for beta, c in u.terms.items():
-            total = total + f.deriv_multi(beta) * c
-        return total
-    if not isinstance(f, ExpPoly):
+    if not isinstance(f, (Polynomial, ExpPoly)):
         raise TypeError("diff expects Polynomial or ExpPoly")
     if u.nvars != f.nvars:
         raise ValueError("operator has %d variables, function has %d" % (u.nvars, f.nvars))
-    total = ExpPoly.zero(f.nvars)
+    total = f.zero(f.nvars)
     for beta, c in u.terms.items():
         g = f
         for j, b in enumerate(beta):
@@ -695,7 +510,6 @@ def beta_factorial(beta):
 
 # --- text grammar ----------------------------------------------------------
 
-_TOKEN_CHARS = set("0123456789")
 MAX_EXPONENT = 256
 # most term pairs the products of one parse_exppoly call, or of all the
 # entries of one file, may form in all: (x1+1)^256 forms 65,792 and parses,
@@ -704,7 +518,7 @@ MAX_PARSE_WORK = 1 << 17
 
 
 def _nterms(e):
-    return sum(len(p.terms) for p in e.summands.values())
+    return sum(len(p.terms) for p in e.terms.values())
 
 
 def _tokenize(text):
@@ -818,6 +632,9 @@ class _Parser:
                 kindn, val = self.take()
                 if kindn != "num":
                     raise ValueError("parse error: '/' must be followed by an integer")
+                if not val:
+                    raise ValueError("parse error at token %d: '/%s' divides by zero"
+                                     % (self.pos - 1, val))
                 total = total * _inv_int(val)
             elif kind in ("num", "imag", "var", "(", "exp", "unit"):
                 # juxtaposition, e.g. `3 i` inside a coefficient

@@ -12,7 +12,9 @@ Every sparse object of the package is a term dict {key: coefficient} with
 no zero coefficients: ExpScalar keys by unit, and poly's polynomials,
 operators and exponential polynomials by exponents or (frequency, unit).
 _terms_add and _terms_mul are their one sum and one product; a product
-merges two keys by the caller's `combine`.
+merges two keys by the caller's `combine`.  The four value types share one
+arithmetic body, _TermDict: its equality, hash, +, -, negation and *, and
+its one arity check.
 """
 
 from fractions import Fraction
@@ -194,10 +196,11 @@ def sc(re, im=0):
     return Scalar(re, im)
 
 
-def _terms_add(t1, t2):
-    """Sum of two term dicts; cancelled keys are dropped."""
+def _terms_add(t1, pairs):
+    """t1 plus the (key, coefficient) pairs, as a new term dict; cancelled
+    keys are dropped."""
     t = dict(t1)
-    for k, c in t2.items():
+    for k, c in pairs:
         s = t.get(k)
         s = c if s is None else s + c
         if s:
@@ -224,33 +227,96 @@ def _terms_mul(t1, t2, combine):
     return t
 
 
-class ExpScalar:
-    """Finite sum of c * E[a] terms; the exact value ring for pairings and
-    evaluations of exponential polynomials."""
+class _TermDict:
+    """A zero-free term dict over `nvars` variables, so equality is plain
+    dict equality: the one arithmetic body of ExpScalar, poly.Polynomial,
+    poly.DiffOp and poly.ExpPoly.  A subclass gives its key product
+    _combine and _coerce, which returns an operand as a value of the
+    subclass or None; arithmetic builds the subclass, and equality is as
+    strict as _coerce.  A Scalar (or int) operand of * scales every
+    coefficient."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("nvars", "terms")
+
+    def _new(self, terms):
+        out = object.__new__(type(self))
+        out.nvars = self.nvars
+        out.terms = terms
+        return out
+
+    def _operand(self, other):
+        other = self._coerce(other)
+        if other is not None and other.nvars != self.nvars:
+            raise ValueError("arity mismatch: %d vs %d variables" % (self.nvars, other.nvars))
+        return other
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.nvars == other.nvars and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.nvars, frozenset(self.terms.items())))
+
+    def __add__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return self._new(_terms_add(self.terms, other.terms.items()))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._new({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Scalar)):
+            return self._new({k: c * other for k, c in self.terms.items()} if other else {})
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return self._new(_terms_mul(self.terms, other.terms, self._combine))
+
+    __rmul__ = __mul__
+
+
+class ExpScalar(_TermDict):
+    """Finite sum of c * E[a] terms, keyed by the unit a, with no
+    variables (nvars 0): the exact value ring for pairings and evaluations
+    of exponential polynomials."""
+
+    __slots__ = ()
+    _combine = staticmethod(add)  # E[a]*E[b] = E[a+b]
 
     def __init__(self, terms=None):
-        t = {}
-        if terms:
-            for unit, coeff in terms.items():
-                if coeff:
-                    t[unit] = coeff
-        self.terms = t
+        self.nvars = 0
+        self.terms = {u: c for u, c in terms.items() if c} if terms else {}
 
     @classmethod
     def from_scalar(cls, c):
-        if isinstance(c, int):
-            c = Scalar(c)
-        if not c:
-            return cls()
-        return cls({ZERO: c})
+        return cls({ZERO: Scalar(c) if isinstance(c, int) else c})
 
     @classmethod
     def unit(cls, a, coeff=ONE):
-        if not coeff:
-            return cls()
         return cls({a: coeff})
+
+    def _coerce(self, other):
+        if isinstance(other, (int, Scalar)):
+            return ExpScalar.from_scalar(other)
+        return other if isinstance(other, ExpScalar) else None
 
     def is_scalar(self):
         return not self.terms or (len(self.terms) == 1 and ZERO in self.terms)
@@ -262,62 +328,6 @@ class ExpScalar:
         if self.is_scalar():
             return self.terms[ZERO]
         raise ValueError("value carries formal exponential units: %s" % self)
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Scalar)):
-            other = ExpScalar.from_scalar(other if isinstance(other, Scalar) else Scalar(other))
-        if not isinstance(other, ExpScalar):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        if isinstance(other, (int, Scalar)):
-            other = ExpScalar.from_scalar(Scalar(other) if isinstance(other, int) else other)
-        if not isinstance(other, ExpScalar):
-            return NotImplemented
-        out = object.__new__(ExpScalar)
-        out.terms = _terms_add(self.terms, other.terms)
-        return out
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        out = object.__new__(ExpScalar)
-        out.terms = {u: -c for u, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Scalar)):
-            other = ExpScalar.from_scalar(Scalar(other) if isinstance(other, int) else other)
-        if not isinstance(other, ExpScalar):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            other = Scalar(other)
-        if isinstance(other, Scalar):
-            if not other:
-                return ExpScalar()
-            out = object.__new__(ExpScalar)
-            out.terms = {u: c * other for u, c in self.terms.items()}
-            return out
-        if not isinstance(other, ExpScalar):
-            return NotImplemented
-        out = object.__new__(ExpScalar)
-        out.terms = _terms_mul(self.terms, other.terms, add)  # E[a]*E[b] = E[a+b]
-        return out
-
-    __rmul__ = __mul__
 
     def __str__(self):
         if not self.terms:
@@ -335,4 +345,3 @@ class ExpScalar:
 
 
 EXP_ZERO = ExpScalar()
-EXP_ONE = ExpScalar.from_scalar(ONE)

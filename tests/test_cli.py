@@ -138,13 +138,20 @@ def test_demo_prints_a_worked_example(capsys):
     assert "jet" in out
 
 
-def test_usage_errors_exit_with_code_two(capsys):
+def test_usage_errors_exit_with_code_two(capsys, monkeypatch):
     with pytest.raises(SystemExit) as e:
         main(["verify", "--nmax", "0"])
     assert e.value.code == 2
     with pytest.raises(SystemExit) as e:
         main(["no-such-command"])
     assert e.value.code == 2
+    monkeypatch.setenv("JETCALC_SEED", "abc")
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as e:
+        main(["demo"])
+    assert e.value.code == 2
+    assert "--seed: invalid int value: 'abc'" in capsys.readouterr().err
+    assert main(["demo", "--seed", "1"]) == 0  # the flag overrides the variable
     capsys.readouterr()
 
 

@@ -20,7 +20,7 @@ def act_germ_oracle(E, g):
     definition: exp part through exp_action, polynomial part through
     act_poly, tags carried along untouched."""
     out = [[EXP_ZERO] * E.dim for _ in range(E.dim)]
-    for (freq, unit), p in g.summands.items():
+    for (freq, unit), p in g.terms.items():
         mat = linalg.mmul(E.exp_action(Covector(freq)), E.act_poly(p))
         tag = ExpScalar.unit(unit)
         for r in range(E.dim):
@@ -102,7 +102,7 @@ def test_point_jet_is_the_jet_evaluated_at_the_point():
             nv = Emod.nvars
             f = translate(rand_exp_poly(rng, nv, 2), rand_point(rng, nv))
             mu = rand_point(rng, nv)
-            units += any(unit != ZERO for _, unit in f.summands)
+            units += any(unit != ZERO for _, unit in f.terms)
             for pt in (mu, tuple(mu.coords)):
                 assert jf.jet(f, Emod).evaluate(pt) == act_germ_oracle(Emod, translate(f, mu))
     assert units >= 20

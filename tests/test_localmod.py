@@ -199,6 +199,11 @@ def test_module_json_refuses_bad_fields_before_parsing(monkeypatch, text, field)
         FinMod.from_json(text)
 
 
+def test_module_json_refuses_a_division_by_zero_with_a_value_error():
+    with pytest.raises(ValueError, match="'/0' divides by zero"):
+        FinMod.from_json('{"nvars": 1, "k": 1, "dim": 1, "action": [["1/0"]]}')
+
+
 def test_module_order_is_validated_in_degree_at_most_the_dimension(monkeypatch):
     """Commuting nilpotent d x d matrices multiply to 0 in degree d, so a
     large declared order costs no more products than order d - 1; monomial

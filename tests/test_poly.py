@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jetcalc.scalars import Scalar, ExpScalar, ZERO, ONE, sc
+from jetcalc.scalars import Scalar, ExpScalar, ZERO, ONE, sc, _TermDict
 from jetcalc.poly import (Polynomial, ExpPoly, Vector, Covector, DiffOp,
                           diff, pairing, translate, coproduct,
                           parse_poly, parse_exppoly,
@@ -75,7 +75,7 @@ def test_exp_poly_derivative_of_exponential_summand(f):
     lhs = g.evaluate(mu)
     # compare against a divided-difference-free direct formula
     rhs = ExpScalar()
-    for (freq, unit), p in f.summands.items():
+    for (freq, unit), p in f.terms.items():
         shift = unit
         for a, b in zip(freq, mu.coords):
             shift = shift + a * b
@@ -89,7 +89,7 @@ def test_exponential_translation_picks_up_units():
     f = ExpPoly.exp(xi)
     mu = Vector((sc(3), sc(-1)))
     g = translate(f, mu)
-    ((freq, unit),) = g.summands.keys()
+    ((freq, unit),) = g.terms.keys()
     assert freq == xi.coords
     assert unit == xi(mu)
 
@@ -165,7 +165,7 @@ def test_parser_round_trips_exp_polys(f):
 
 
 def test_parser_rejects_malformed():
-    for bad in ("x3", "1 +", "exp[1]", "E[1,2]", "(1))"):
+    for bad in ("x3", "1 +", "exp[1]", "E[1,2]", "(1))", "x1/0", "E[1/0]", "(1+i)/00"):
         try:
             parse_exppoly(bad, 2)
             assert False, bad
@@ -271,3 +271,51 @@ def test_one_parse_budget_covers_every_product(monkeypatch):
             parse_exppoly(text, 3)
     pairs.clear()
     assert parse_poly("(x1+1)^256", 1) == power  # the budget is per call
+
+
+TERM_DICT_OPERATORS = ("__bool__", "__eq__", "__hash__", "__add__", "__radd__",
+                       "__neg__", "__sub__", "__rsub__", "__mul__", "__rmul__")
+
+
+def two_terms(cls, nvars):
+    """A value of cls with two terms over nvars variables (an ExpScalar has
+    none)."""
+    p = parse_poly("(2)*x1 + (1-1 i)", nvars)
+    if cls is ExpScalar:
+        return ExpScalar({ZERO: sc(2), sc(1): sc(0, -1)})
+    if cls is ExpPoly:
+        return ExpPoly.exp((ONE,) * nvars, p, unit=sc(1)) + 3
+    return cls(nvars, p.terms)
+
+
+@pytest.mark.parametrize("cls", [ExpScalar, Polynomial, DiffOp, ExpPoly])
+def test_term_dicts_share_one_arithmetic_body(cls):
+    for name in TERM_DICT_OPERATORS:
+        assert getattr(cls, name) is getattr(_TermDict, name), name
+        for owner in cls.__mro__[:cls.__mro__.index(_TermDict)]:
+            assert name not in vars(owner), (owner, name)
+    a = two_terms(cls, 2)
+    for zero in (a * ZERO, ZERO * a, a * 0, a - a):
+        assert type(zero) is cls and zero.terms == {} and not zero
+    assert type(a + a) is cls and a + a == a * 2 == sc(2) * a
+    assert hash(a + a) == hash(a * 2) and -(-a) == a and a != a * 2
+    c = a * 0 + 3  # a constant of this type
+    assert c == 3 and c == sc(3) and 3 == c and sc(3) == c and c != 4
+    assert 1 - a == -(a - 1) and type(1 - a) is cls
+    if cls is not ExpScalar:
+        b = two_terms(cls, 3)
+        for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: b * a):
+            with pytest.raises(ValueError, match="arity mismatch: "):
+                op()
+        assert a != b
+    if cls is Polynomial:
+        u = DiffOp(2, a.terms)
+        assert a != u and u != a
+        for op in (lambda: a + u, lambda: a * u):
+            with pytest.raises(TypeError):
+                op()
+        e = two_terms(ExpPoly, 2)
+        assert ExpPoly.from_poly(a) == a and a == ExpPoly.from_poly(a)
+        for mixed in (a + e, e + a, a - e, a * e, e * a):
+            assert type(mixed) is ExpPoly
+        assert a + e == ExpPoly.from_poly(a) + e
