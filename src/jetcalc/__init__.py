@@ -27,9 +27,8 @@ from .approxalg import (ApproxAlgebra, ApproxModule, block_module,
                         end_zero_basis, end_sharp_membership,
                         double_commutant_check, corner_identity_check,
                         submodule_grid_check)
-from .family import (RepFamily, PWCandidate, RelationTerm,
-                     family_to_json, family_from_json,
-                     assemble_pi, assemble_phi, spanned_algebra,
+from .family import (RepFamily, PWCandidate, RelationTerm, BlockLayout,
+                     family_to_json, family_from_json, spanned_algebra,
                      relation_to_functional, functional_to_relation,
                      relation_check, membership_triple, invariance_check,
                      intertwiner_graph_check)
@@ -52,9 +51,8 @@ __all__ = [
     "end_zero_basis", "end_sharp_membership",
     "double_commutant_check", "corner_identity_check",
     "submodule_grid_check",
-    "RepFamily", "PWCandidate", "RelationTerm",
-    "family_to_json", "family_from_json",
-    "assemble_pi", "assemble_phi", "spanned_algebra",
+    "RepFamily", "PWCandidate", "RelationTerm", "BlockLayout",
+    "family_to_json", "family_from_json", "spanned_algebra",
     "relation_to_functional", "functional_to_relation",
     "relation_check", "membership_triple", "invariance_check",
     "intertwiner_graph_check",

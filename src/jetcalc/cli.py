@@ -305,8 +305,7 @@ def run_pw(cfg, suite):
             pts = pts[:1]
             reps = reps[:1]
             total = E.dim * reps[0].dim
-        mats, span, asm = spanned_algebra(reps, pts, E)
-        layout = asm.layout
+        _, span, layout = spanned_algebra(reps, pts, E)
         coords = [(layout.blocks[b][2] + r, layout.blocks[b][2] + c)
                   for b in range(len(layout.blocks))
                   for r in range(layout.blocks[b][3])
@@ -322,8 +321,7 @@ def run_pw(cfg, suite):
             continue
         vec = null[0]
         psi = {r * layout.total + c: x for (r, c), x in zip(coords, vec) if x}
-        data = FunctionalData(E, reps, pts,
-                              Mat.from_flat(psi, layout.total, layout.total), layout)
+        data = FunctionalData(Mat.from_flat(psi, layout.total, layout.total), layout)
         dec = functional_to_relation(data)
         if not dec.terms:
             suite.record("pw.relation",

@@ -15,7 +15,7 @@ generator (1-based), -i its inverse.
 
 import json
 
-from .scalars import ZERO, ONE
+from .scalars import ZERO, ONE, EXP_ZERO
 from .poly import ExpPoly, Vector, diff, entry_parser
 from .linalg import (Mat, SpanBasis, CrossCheckError, mmul, mid, block_diag,
                      close_span, square, apply, json_field)
@@ -224,12 +224,16 @@ class PWCandidate:
 
 
 class BlockLayout:
-    """Ordering and offsets of the (rep, point) blocks of an assembly."""
+    """The (rep, point) blocks of an assembly over a module E of jets: their
+    order, offsets and sizes.  It is the one record of E, the reps and the
+    points, and its assemble is the one block-diagonal assembly."""
 
     __slots__ = ("reps", "points", "E", "blocks", "total")
 
     def __init__(self, reps, points, E):
         self.reps = list(reps)
+        if any(rep.nvars != E.nvars for rep in self.reps):
+            raise ValueError("arity mismatch")
         self.points = [p if isinstance(p, Vector) else Vector(p) for p in points]
         self.E = E
         blocks = []
@@ -242,71 +246,35 @@ class BlockLayout:
         self.blocks = blocks
         self.total = off
 
-
-class PiAssembly:
-    """Word evaluator for the block-diagonal assembly: per block, the jet of
-    the rep family over E evaluated at the block's point."""
-
-    __slots__ = ("layout", "_letter_cache")
-
-    def __init__(self, reps, points, E):
-        if any(rep.nvars != E.nvars for rep in reps):
-            raise ValueError("arity mismatch")
-        self.layout = BlockLayout(reps, points, E)
-        self._letter_cache = {}
-
-    def _letter_block(self, rep, point, k):
-        key = (rep.label, tuple(point.coords), k)
-        if key not in self._letter_cache:
-            jet = jet_family(rep.letter(k), self.layout.E)
-            self._letter_cache[key] = jet.evaluate_scalar(point)
-        return self._letter_cache[key]
-
-    def letter_matrix(self, k):
-        """Block-diagonal matrix of a single signed generator index."""
-        return block_diag([self._letter_block(rep, p, k)
-                           for rep, p, _, _ in self.layout.blocks])
-
-    def value(self, word):
-        """Block-diagonal matrix of a word; the empty word gives the
-        identity."""
-        acc = mid(self.layout.total)
-        for k in word:
-            acc = mmul(acc, self.letter_matrix(k))
-        return acc
-
-
-def assemble_pi(reps, points, E):
-    return PiAssembly(reps, points, E)
-
-
-def assemble_phi(cand, reps, points, E):
-    """Exact block-diagonal matrix of a candidate over the same layout."""
-    layout = BlockLayout(reps, points, E)
-    return block_diag([jet_family(cand.component(rep), E).evaluate_scalar(p)
-                       for rep, p, _, _ in layout.blocks])
+    def assemble(self, fam):
+        """The block-diagonal matrix whose (rep, point) block is the jet of
+        the family fam(rep) over E evaluated at the point.  The jet does not
+        depend on the point, so it is formed once per rep."""
+        jets = {rep: jet_family(fam(rep), self.E) for rep in self.reps}
+        return block_diag([jets[rep].evaluate_scalar(p) for rep, p, _, _ in self.blocks])
 
 
 def spanned_algebra(reps, points, E):
     """Basis of the span of all word images: start from the identity and
     close under right multiplication by the generators until the dimension
-    stabilizes.  Returns (matrices, span, assembly).
+    stabilizes.  Returns (matrices, span, layout).
 
     The inverse letters are not needed.  Each letter matrix L is invertible,
     so by Cayley-Hamilton L^-1 is a polynomial in L and lies in the unital
     algebra the positive words span; that algebra is therefore the span of
     all words, and its echelon basis is the same."""
-    asm = assemble_pi(reps, points, E)
-    total = asm.layout.total
+    layout = BlockLayout(reps, points, E)
+    total = layout.total
     ngens = len(reps[0].generators) if reps else 0
     if any(len(rep.generators) != ngens for rep in reps):
         raise ValueError("reps must share the generator alphabet")
     # X g maps each row of X by g^T
-    transposed = [asm.letter_matrix(k).T for k in range(1, ngens + 1)]
+    transposed = [layout.assemble(lambda rep: rep.letter(k)).T
+                  for k in range(1, ngens + 1)]
     span = close_span(SpanBasis(total * total), [mid(total).flat()],
                       lambda v: [apply(gt, v, total) for gt in transposed])
     mats = [Mat.from_flat(row, total, total) for row in span.rows]
-    return mats, span, asm
+    return mats, span, layout
 
 
 class RelationTerm:
@@ -330,24 +298,18 @@ class RelationTerm:
 def term_value(term, fam):
     """<d_u F (lambda), psi> for an endomorphism-valued family F."""
     pt = tuple(term.point.coords)
-    terms = [diff(term.u, fam.entries[r][c]).evaluate(pt) * h
-             for r, hrow in enumerate(term.psi.rows) for c, h in hrow.items()]
-    if not terms:
-        return ZERO
-    acc = sum(terms[1:], terms[0])
-    return acc.scalar() if hasattr(acc, "scalar") else acc
+    return sum((diff(term.u, fam.entries[r][c]).evaluate(pt) * h
+                for r, hrow in enumerate(term.psi.rows) for c, h in hrow.items()),
+               EXP_ZERO).scalar()
 
 
 class FunctionalData:
-    """A functional on the block-diagonal endomorphism space, with the
-    module, labels and points it lives over."""
+    """A functional on the block-diagonal endomorphism space of a layout,
+    which records the module, reps and points it lives over."""
 
-    __slots__ = ("E", "reps", "points", "psi", "layout")
+    __slots__ = ("psi", "layout")
 
-    def __init__(self, E, reps, points, psi, layout):
-        self.E = E
-        self.reps = reps
-        self.points = points
+    def __init__(self, psi, layout):
         self.psi = Mat.of(psi)
         self.layout = layout
 
@@ -382,7 +344,7 @@ def relation_to_functional(terms, reps):
                     r, c = off + rE * d + rV, off + cE * d + cV
                     psi[r][c] = psi[r].get(c, ZERO) + h * hv
     psi = Mat([{c: x for c, x in row.items() if x} for row in psi], layout.total)
-    return FunctionalData(E, sel_reps, points, psi, layout)
+    return FunctionalData(psi, layout)
 
 
 class RelationDecomp:
@@ -399,7 +361,7 @@ def functional_to_relation(data):
     decompose each diagonal block into rank-one tensors, converting the
     module side into an operator."""
     layout = data.layout
-    E = data.E
+    E = layout.E
     psi = data.psi.rows
     terms = []
     for rep, p, off, size in layout.blocks:
@@ -454,7 +416,8 @@ def relation_check(cand, terms, reps):
     candidate against them, both directly (term by term) and through the
     packaged functional; the two routes must agree."""
     data = relation_to_functional(terms, reps)
-    _, span, _ = spanned_algebra(data.reps, data.points, data.E)
+    layout = data.layout
+    _, span, _ = spanned_algebra(layout.reps, layout.points, layout.E)
     bad = relation_certify(data, span)
     if bad is not None:
         return RelationVerdict(False, witness=bad)
@@ -462,7 +425,7 @@ def relation_check(cand, terms, reps):
     by_label = {rep.label: rep for rep in reps}
     for t in terms:
         direct = direct + term_value(t, cand.component(by_label[t.label]))
-    packaged = frobenius(data.psi, assemble_phi(cand, data.reps, data.points, data.E))
+    packaged = frobenius(data.psi, layout.assemble(cand.component))
     if direct != packaged:
         raise CrossCheckError("relation evaluation routes disagree")
     return RelationVerdict(True, holds=not direct)
@@ -503,9 +466,9 @@ def membership_triple(cand, reps, points, E):
     (iii) reuses the word span: its module's basis is the span's echelon
     rows (ApproxModule.from_span), and it still closes its own tuple module
     and solves for a witness."""
-    _, span, asm = spanned_algebra(reps, points, E)
-    total = asm.layout.total
-    phi = assemble_phi(cand, reps, points, E)
+    _, span, layout = spanned_algebra(reps, points, E)
+    total = layout.total
+    phi = layout.assemble(cand.component)
     flat = phi.flat()
 
     verdict_i = not any(sum((x * flat[s] for s, x in func.items() if s in flat), ZERO)
@@ -527,11 +490,11 @@ def delta_block(fams, etas, point):
     return [iterated_block_derivative(f, etas).evaluate_scalar(point) for f in fams]
 
 
-def invariance_check(cand, delta, reps, extra_vectors=()):
+def invariance_check(cand, delta, reps):
     """Delta-data invariance condition: assemble the block-diagonal doubled
     representation over the data, generate a module from each grid vector
-    (standard basis vectors, one stacked tuple per run of equal components,
-    and any extras), and require the candidate's assembled block matrix to
+    (standard basis vectors and one stacked tuple per run of equal
+    components), and require the candidate's assembled block matrix to
     preserve every one of them.  Each module is closed under the generators
     alone: the doubled blocks are invertible, so (as in spanned_algebra)
     their inverses lie in the unital algebra A the generators span, and v
@@ -575,7 +538,6 @@ def invariance_check(cand, delta, reps, extra_vectors=()):
             run_start = i
     if len(run_vecs) > 1:  # the runs lie in disjoint blocks
         grid.append({s: x for v in run_vecs for s, x in v.items()})
-    grid.extend(extra_vectors)
 
     for v in grid:
         W = close_span(SpanBasis(total), [v],

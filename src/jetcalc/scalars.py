@@ -260,6 +260,14 @@ class _TermDict:
         return self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self):
+        # a value equal to its lone coefficient (a constant, or an ExpPoly
+        # equal to its Polynomial) hashes like that coefficient
+        if not self.terms:
+            return hash(ZERO)
+        if len(self.terms) == 1:
+            (c,) = self.terms.values()
+            if self == c:
+                return hash(c)
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def __add__(self, other):

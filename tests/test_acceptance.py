@@ -226,8 +226,7 @@ def test_criterion_09_relation_sums_decide_exactly_like_the_annihilator():
         reps, pts, E = _toy_layout(rng)
         by_label = {r.label: r for r in reps}
         cand, _ = gen.rand_candidate(rng, reps)
-        mats, span, asm = spanned_algebra(reps, pts, E)
-        layout = asm.layout
+        mats, span, layout = spanned_algebra(reps, pts, E)
         coords = [(layout.blocks[b][2] + r, layout.blocks[b][2] + c)
                   for b in range(len(layout.blocks))
                   for r in range(layout.blocks[b][3])
@@ -239,7 +238,7 @@ def test_criterion_09_relation_sums_decide_exactly_like_the_annihilator():
             psi = [[ZERO] * layout.total for _ in range(layout.total)]
             for (r, c), x in zip(coords, vec):
                 psi[r][c] = x
-            data = FunctionalData(E, reps, pts, tuple(map(tuple, psi)), layout)
+            data = FunctionalData(tuple(map(tuple, psi)), layout)
             dec = functional_to_relation(data)
             total = sum((term_value(t, cand.component(by_label[t.label]))
                          for t in dec.terms), ZERO)

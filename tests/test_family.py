@@ -19,7 +19,7 @@ from jetcalc.localmod import (cyclic_quotient, maximal_ideal, power_ideal,
 from jetcalc.jetfun import jet_family, frobenius, MatPolyFamily
 from jetcalc.family import (RepFamily, PWCandidate, family_det_adj,
                             family_to_json, family_from_json,
-                            assemble_pi, assemble_phi, spanned_algebra,
+                            BlockLayout, spanned_algebra,
                             RelationTerm, term_value, relation_to_functional,
                             functional_to_relation, relation_check,
                             membership_triple, invariance_check,
@@ -306,26 +306,64 @@ def test_family_json_bounds_the_rep_dimension(monkeypatch):
     assert back.generators == wide.generators
 
 
+def word_value(layout, word):
+    """The product of a word's assembled letter matrices."""
+    acc = mid(layout.total)
+    for k in word:
+        acc = mmul(acc, layout.assemble(lambda rep: rep.letter(k)))
+    return acc
+
+
 def test_assembled_words_multiply_and_cancel():
     rep = RepFamily("r", [UP, LOW])
-    asm = assemble_pi([rep], [PT], E2)
+    layout = BlockLayout([rep], [PT], E2)
     w1, w2 = [1, 2], [-1, 2, 1]
-    assert asm.value(w1 + w2) == mmul(asm.value(w1), asm.value(w2))
-    assert asm.value([]) == mid(4)
-    assert asm.value([2, -2]) == mid(4)
+    assert word_value(layout, w1 + w2) == mmul(word_value(layout, w1),
+                                               word_value(layout, w2))
+    assert word_value(layout, []) == mid(4)
+    assert word_value(layout, [2, -2]) == mid(4)
     direct = jet_family(rep.word_family(w1), E2).evaluate_scalar((sc(1),))
-    assert asm.value(w1) == direct
+    assert word_value(layout, w1) == direct
+    assert layout.assemble(lambda rep: rep.word_family(w1)) == direct
 
 
 def test_word_candidates_assemble_to_the_word_image():
     rep = RepFamily("r", [UP, LOW])
     rep1 = RepFamily("s", [fam(1, [["2"]]), fam(1, [["1"]])])
     cand = PWCandidate.from_word([rep, rep1], [1, 2])
-    asm = assemble_pi([rep, rep1], [PT], E2)
-    phi = assemble_phi(cand, [rep, rep1], [PT], E2)
-    assert phi == asm.value([1, 2])
+    layout = BlockLayout([rep, rep1], [PT], E2)
+    phi = layout.assemble(cand.component)
+    assert phi == word_value(layout, [1, 2])
     again = PWCandidate.from_json(cand.to_json(), [rep, rep1])
-    assert assemble_phi(again, [rep, rep1], [PT], E2) == phi
+    assert layout.assemble(again.component) == phi
+
+
+def test_an_assembly_forms_one_jet_per_rep(monkeypatch):
+    """Each rep's jet does not depend on the point, so an assembly forms it
+    once and evaluates it at each of the rep's points."""
+    calls = []
+
+    def counted(F, E):
+        calls.append(F)
+        return jet_family(F, E)
+
+    monkeypatch.setattr(family, "jet_family", counted)
+    rep = RepFamily("r", [UP, LOW])
+    rep1 = RepFamily("s", [fam(1, [["2"]]), fam(1, [["1"]])])
+    layout = BlockLayout([rep, rep1], [PT, Vector([sc(-2)])], E2)
+    assert len(layout.blocks) == 4
+    for k in (1, -2):
+        del calls[:]
+        letters = layout.assemble(lambda r: r.letter(k))
+        assert calls == [rep.letter(k), rep1.letter(k)]
+        assert letters == block_diag([jet_family(r.letter(k), E2).evaluate_scalar(p)
+                                      for r, p, _, _ in layout.blocks])
+    cand = PWCandidate.from_word([rep, rep1], [1, -2])
+    del calls[:]
+    layout.assemble(cand.component)
+    assert len(calls) == 2
+    with pytest.raises(ValueError, match="arity mismatch"):
+        BlockLayout([rep, RepFamily("t", [fam(2, [["1"]])])], [PT], E2)
 
 
 def test_spanned_algebra_dimensions_reflect_the_generators():
@@ -395,8 +433,8 @@ def test_verdict_iii_module_matches_the_checked_matrix_basis_module():
                 pts.append(q)
         E = E1 if rng.random() < 0.5 else dual_number_module(
             gen.rand_point(rng, 1, zero_ok=False))
-        mats, span, asm = spanned_algebra(reps, pts, E)
-        total = asm.layout.total
+        mats, span, layout = spanned_algebra(reps, pts, E)
+        total = layout.total
         seen.add((len(reps), len(pts), E.dim))
         lazy = ApproxModule.from_span(span, total)
         _, eager = ApproxAlgebra.from_matrix_basis(mats)
@@ -450,8 +488,7 @@ def test_relation_data_packages_into_one_functional():
     t_b = RelationTerm("u", psi10, Vector([sc(3)]), DiffOp(1, {(1,): ONE}))
     data = relation_to_functional([t_a, t_b], [upo])
     for w in ([], [1], [1, 1], [-1], [1, -1, 1, 1]):
-        phi = assemble_phi(PWCandidate.from_word([upo], w),
-                           data.reps, data.points, data.E)
+        phi = data.layout.assemble(PWCandidate.from_word([upo], w).component)
         direct = (term_value(t_a, upo.word_family(w))
                   + term_value(t_b, upo.word_family(w)))
         assert frobenius(data.psi, phi) == direct
@@ -479,8 +516,7 @@ def test_cross_block_entries_are_reported_as_discarded():
     data = relation_to_functional([t_a, t_b], [upo])
     psi_cross = [list(r) for r in data.psi]
     psi_cross[0][data.layout.blocks[1][2]] = ONE
-    data_cross = FunctionalData(data.E, data.reps, data.points,
-                                Mat.of(psi_cross), data.layout)
+    data_cross = FunctionalData(Mat.of(psi_cross), data.layout)
     assert functional_to_relation(data_cross).cross_discarded
 
 
@@ -587,10 +623,11 @@ def random_layouts(seed, count):
 
 def test_forward_letters_span_the_algebra_of_all_words():
     for _, reps, pts, E in random_layouts(11, 12):
-        _, span, asm = spanned_algebra(reps, pts, E)
-        total = asm.layout.total
+        _, span, layout = spanned_algebra(reps, pts, E)
+        total = layout.total
         ngens = len(reps[0].generators)
-        letters = [asm.letter_matrix(k) for k in range(-ngens, ngens + 1) if k]
+        letters = [layout.assemble(lambda rep: rep.letter(k))
+                   for k in range(-ngens, ngens + 1) if k]
         both = close_span(SpanBasis(total * total), [mid(total).flat()],
                           lambda v: [mmul(Mat.from_flat(v, total, total), g).flat()
                                      for g in letters])

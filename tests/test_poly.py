@@ -319,3 +319,16 @@ def test_term_dicts_share_one_arithmetic_body(cls):
         for mixed in (a + e, e + a, a - e, a * e, e * a):
             assert type(mixed) is ExpPoly
         assert a + e == ExpPoly.from_poly(a) + e
+
+
+def test_equal_term_dicts_hash_alike():
+    """A term dict equal to a constant, and an ExpPoly equal to its
+    Polynomial, hash like it, so a set holds each equal pair once."""
+    p = parse_poly("x1+1", 1)
+    pairs = [(ExpPoly.from_poly(p), p), (ExpScalar.from_scalar(sc(3)), 3),
+             (Polynomial.const(1, 3), 3), (ExpPoly.const(2, sc(1, 2)), sc(1, 2)),
+             (DiffOp.const(1, sc(0, 1)), sc(0, 1)), (ExpPoly.zero(1), 0),
+             (Polynomial.zero(2), ZERO), (ExpScalar(), 0)]
+    for x, y in pairs:
+        assert x == y and y == x
+        assert len({x, y}) == 1 and len({y, x}) == 1, (x, y)

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import jetcalc
 from jetcalc import approxalg, family, linalg, poly
 from jetcalc import gen  # noqa: F401  (the tracer wraps every function of gen)
 from jetcalc.approxalg import ApproxModule, block_module
@@ -224,6 +225,12 @@ def load_bench_layers():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_the_export_list_resolves_without_duplicates():
+    assert len(set(jetcalc.__all__)) == len(jetcalc.__all__)
+    for name in jetcalc.__all__:
+        assert getattr(jetcalc, name, None) is not None, name
 
 
 def test_bench_tracer_wraps_the_library():
