@@ -14,9 +14,12 @@ idempotent absorbing phi, a basis u_1..u_n of its image, the module W
 generated by the single stacked tuple (u_1,..,u_n) inside V^n, and ask
 whether the diagonal action of phi preserves W.  That one module decides
 membership in the image of the algebra, and a witness element is recovered
-by a linear solve and re-verified exactly.  Vectors of V^n are sparse
-dicts, matrices are linalg.Mats (End(V)_0 and End^# bases read off their
-span rows), and a matrix acts on each length-d block by linalg.apply.
+by one reduction against the corner's action vectors on the tuple, factored
+once (linalg.solver), and re-verified exactly.  End(V)_0 is eliminated
+from the top corner alone, whose span contains every lower corner's.
+Vectors of V^n are sparse dicts, matrices are linalg.Mats (End(V)_0 and
+End^# bases read off their span rows), and a matrix acts on each length-d
+block by linalg.apply.
 
 The top idempotent alpha_m is the unit: each basis element e has some
 alpha_j e = e = e alpha_j, and alpha_j <= alpha_m gives alpha_m alpha_j =
@@ -32,7 +35,7 @@ from .scalars import ZERO, ONE
 from .poly import parse_scalar
 from . import linalg
 from .linalg import (Mat, SpanBasis, CrossCheckError, mmul, mid, mat_sum,
-                     close_span, square, sparse, dense, apply, json_field)
+                     close_span, square, sparse, dense, apply, json_field, json_load)
 
 # the largest module a JSON file may hold, checked before any entry is
 # parsed: what gen.rand_approx_module draws at --dimmax 12 (four 3x3
@@ -269,7 +272,7 @@ class ApproxModule:
         """The module of a to_json text; a malformed field or a basis index
         out of range is refused by name, a size above MAX_MODULE_DIM or
         MAX_ALGEBRA_DIM before any entry is parsed."""
-        data = json.loads(text)
+        data = json_load(text)
         n = len(json_field(data, "basis", list, "module field 'basis' is"))
         dim = json_field(data, "dim", int, "module dimension", 0, MAX_MODULE_DIM)
         if n > MAX_ALGEBRA_DIM:
@@ -301,30 +304,28 @@ class ApproxModule:
         return "ApproxModule(algebra dim=%d, dim=%d)" % (self.algebra.dim, self.dim)
 
 
-def _corner_span(M, j1, j2):
-    """Span of P_{j1} . End(V) . P_{j2}: the products P_{j1} E_rc P_{j2}
-    over the matrix units E_rc, each the outer product of column r of
+def _corner_gens(M, j1, j2):
+    """The products P_{j1} E_rc P_{j2} over the matrix units E_rc, which
+    span P_{j1} . End(V) . P_{j2}: each is the outer product of column r of
     P_{j1} with row c of P_{j2}."""
     d = M.dim
     cols = M.idem_mat(j1).cols
     rows = [row.items() for row in M.idem_mat(j2).rows]
-    return SpanBasis(d * d, [{i * d + k: x * y for i, x in cols[r].items() for k, y in rows[c]}
-                             for r in range(d) for c in range(d)])
+    return [{i * d + k: x * y for i, x in cols[r].items() for k, y in rows[c]}
+            for r in range(d) for c in range(d)]
 
 
 def end_zero_basis(M):
     """Basis of the reachable part of End(V): the span of all chain corners
-    P_j F P_j.  Computed twice (all corners together, and the top corner
-    alone, which contains the others since the chain increases) and
-    cross-checked.  Returns (basis Mats, span)."""
+    P_j F P_j, which is the top corner's, since the chain increases.  The
+    top corner alone is eliminated, and the generators of every lower corner
+    are cross-checked against it.  Returns (basis Mats, span)."""
     d = M.dim
-    full = SpanBasis(d * d, [row for j in range(len(M.algebra.chain))
-                             for row in _corner_span(M, j, j).rows])
     top_j = len(M.algebra.chain) - 1
-    top = _corner_span(M, top_j, top_j)
-    if not full.same_span(top):
+    top = SpanBasis(d * d, _corner_gens(M, top_j, top_j))
+    if not all(top.contains(g) for j in range(top_j) for g in _corner_gens(M, j, j)):
         raise CrossCheckError("corner span computations disagree")
-    return [Mat.from_flat(row, d, d) for row in full.rows], full
+    return [Mat.from_flat(row, d, d) for row in top.rows], top
 
 
 class SharpResult:
@@ -370,53 +371,42 @@ def end_sharp_membership(M, phi):
 
 
 def _membership(M, phi, tuples):
-    """end_sharp_membership, taking the corner tuple modules from `tuples`."""
+    """end_sharp_membership, taking the corner tuple modules and witness
+    solvers from `tuples`."""
     phi = Mat.of(phi)
     d = M.dim
-    corner_j = None
-    for j in range(len(M.algebra.chain)):
-        P = M.idem_mat(j)
+    if (phi.nrows, phi.ncols) != (d, d):
+        raise ValueError("the endomorphism is %dx%d; the module needs %dx%d"
+                         % (phi.nrows, phi.ncols, d, d))
+    for corner_j in range(len(M.algebra.chain)):
+        P = M.idem_mat(corner_j)
         if mmul(mmul(P, phi), P) == phi:
-            corner_j = j
             break
-    if corner_j is None:
+    else:
         raise ValueError("the endomorphism lies in no chain corner; "
                          "it cannot be an image element")
     u, n, acts, W = _tuple_module(M, corner_j, tuples)
     tuple_vec = dense(u, n * d)
-    if n == 0:
-        return SharpResult(True, witness=(ZERO,) * M.algebra.dim, j=corner_j,
-                           tuple_vec=tuple_vec)
     for row in W.rows:
         moved = apply(phi, row, d)
         if not W.contains(moved):
             return SharpResult(False, j=corner_j, tuple_vec=tuple_vec, submodule=W,
                                escaped=(dense(row, n * d), dense(moved, n * d)))
     # recover a witness: solve phi.u = pi(a).u in the element coordinates,
-    # then cut a down to the corner so the equality extends from V_j to V
-    sol = linalg.solve(*_witness_system(acts, apply(phi, u, d)), len(acts))
+    # with the corner's acts factored once, then cut a down to the corner so
+    # the equality extends from V_j to V
+    if ("solve", corner_j) not in tuples:
+        tuples["solve", corner_j] = linalg.solver(acts, n * d)
+    sol = tuples["solve", corner_j](apply(phi, u, d))
     if sol is None:
         raise CrossCheckError("invariance held but no witness solves the system")
-    a = tuple(sol)
+    a = dense(sol, M.algebra.dim)
     if corner_j < len(M.algebra.chain) - 1:  # the top idempotent is the unit
         alpha = M.algebra.chain[corner_j]
         a = M.algebra.mul(M.algebra.mul(alpha, a), alpha)
     if M.act(a) != phi:
         raise CrossCheckError("witness verification failed")
     return SharpResult(True, witness=a, j=corner_j, tuple_vec=tuple_vec)
-
-
-def _witness_system(acts, rhs):
-    """The witness system sum_t x_t acts[t] = rhs of zero-free sparse vectors
-    as (rows, rhs), one zero-free row {t: acts[t][s]} per coordinate s where
-    some acts[t] or rhs is nonzero: the rows left out read 0 = 0.  An empty
-    row with a nonzero rhs stays, so an inconsistent system stays so.  Some
-    row always stays: the corner idempotent acts as the identity on u."""
-    rows = {s: {} for s in rhs}
-    for t, a in enumerate(acts):
-        for s, x in a.items():
-            rows.setdefault(s, {})[t] = x
-    return list(rows.values()), [rhs.get(s, ZERO) for s in rows]
 
 
 def _end_sharp(M, tuples):
@@ -522,10 +512,8 @@ def corner_identity_check(M, j1, j2):
     for t in range(A.dim):
         elem = A.mul(A.mul(A.chain[j1], A.basis_elem(t)), A.chain[j2])
         left._insert(M.act(elem).flat())
-    corner = _corner_span(M, j1, j2)
-    image = M.image_span()
     right = SpanBasis(d * d, linalg.subspace_intersection(
-        image.rows, corner.rows, d * d))
+        M.image_span().rows, _corner_gens(M, j1, j2), d * d))
     ok = left.same_span(right)
     dims = {"dim_left": len(left.rows), "dim_right": len(right.rows)}
     return CheckReport("corner_identity", "pass" if ok else "fail", dims)

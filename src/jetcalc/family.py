@@ -18,7 +18,7 @@ import json
 from .scalars import ZERO, ONE, EXP_ZERO
 from .poly import ExpPoly, Vector, diff, entry_parser
 from .linalg import (Mat, SpanBasis, CrossCheckError, mmul, mid, block_diag,
-                     close_span, square, apply, json_field)
+                     close_span, square, apply, json_field, json_load)
 from .localmod import MAX_NVARS
 from .jetfun import (MatPolyFamily, jet_family, iterated_block_derivative,
                      functional_to_diffop, diffop_to_module, frobenius)
@@ -156,7 +156,7 @@ MAX_REP_DIM = 12
 def family_from_json(text):
     """The reps of a family_to_json text; a malformed field, or a size above
     MAX_NVARS or MAX_REP_DIM, is refused by name before any entry is parsed."""
-    data = json.loads(text)
+    data = json_load(text)
     nvars = json_field(data, "nvars", int, "family field 'nvars' is", 1, MAX_NVARS)
     if not json_field(data, "reps", list, "family field 'reps' is"):
         raise ValueError("a family needs at least one rep")
@@ -205,7 +205,7 @@ class PWCandidate:
     def from_json(cls, text, reps):
         """The candidate of a to_json text over the reps; a malformed field,
         an nvars other than the reps' or an unknown label is refused by name."""
-        data = json.loads(text)
+        data = json_load(text)
         nvars = json_field(data, "nvars", int, "candidate field 'nvars' is",
                            1, MAX_NVARS)
         if any(rep.nvars != nvars for rep in reps):

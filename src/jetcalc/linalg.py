@@ -15,16 +15,18 @@ sparse vector of row-major entries.
 At the edges (JSON, printing, tests) `Mat.of` reads a nested sequence, and
 `len`, iteration, indexing, equality and hashing treat a Mat as its dense
 rows; there are no dense matrix helpers.  A `MatPolyFamily` keeps one Mat
-per term.  `square` and `json_field` read JSON matrices and fields.
+per term.  `square`, `json_load` and `json_field` read JSON matrices,
+texts and fields.
 
 `SpanBasis` is the one elimination: row-at-a-time Gauss-Jordan to the
 reduced row echelon form (RREF), which is unique over exact arithmetic, so
 no pivoting heuristics are needed and every result is canonical.  `rank`,
-`nullspace`, `solve`, `mat_inverse` and `subspace_intersection` each read
+`nullspace`, `solver`, `mat_inverse` and `subspace_intersection` each read
 one SpanBasis.  Beside it, `close_span` closes a subspace under linear maps
 (submodules, tuple modules, word algebras, invariance grids).
 """
 
+import json
 from bisect import bisect_left
 
 from .scalars import ZERO, ONE
@@ -204,6 +206,14 @@ def square(flat, d, parse, what):
     return tuple(tuple(flat[r * d:(r + 1) * d]) for r in range(d))
 
 
+def json_load(text):
+    """json.loads(text), raising ValueError also for nesting too deep to parse."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON text is nested too deeply to parse") from None
+
+
 def json_field(obj, key, kind, name, lo=None, hi=None):
     """obj[key], when obj is a JSON object holding there a value of type
     `kind` (an int from lo to hi, never a JSON true or false); otherwise the
@@ -234,18 +244,19 @@ def nullspace(rows, ncols):
     return [dense(v, ncols) for v in SpanBasis(ncols, rows).nullspace()]
 
 
-def solve(rows, rhs, ncols=None):
-    """One solution x of A x = b, or None.  rows: the rows of A, as
-    sequences, or as zero-free dicts when ncols gives the number of
-    columns."""
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    rows = [r if isinstance(r, dict) else sparse(r) for r in rows]
-    red = SpanBasis(ncols + 1, [{**r, ncols: b} if b else r for r, b in zip(rows, rhs)])
-    if red.pivots and red.pivots[-1] == ncols:
-        return None  # inconsistent: pivot in the rhs column
-    return dense({p: row.get(ncols, ZERO) for row, p in zip(red.rows, red.pivots)},
-                 ncols)
+def solver(vecs, ncols):
+    """Factor the zero-free sparse vectors `vecs` of length ncols once, as
+    the RREF of the rows [vecs[t] | e_t], and return the map from a
+    zero-free sparse vector v to one solution x of sum_t x_t vecs[t] = v, as
+    a zero-free dict {t: x_t}, or to None when v lies outside their span.
+    It is one reduction of [v | 0]: its residue [r | s] has r = v - sum_t
+    y_t vecs[t] for y = -s, since each row is [sum_t c_t vecs[t] | c]."""
+    red = SpanBasis(ncols + len(vecs), [{**v, ncols + t: ONE} for t, v in enumerate(vecs)])
+
+    def solve(v):
+        res = red._reduce(v)
+        return None if res and min(res) < ncols else {t - ncols: -x for t, x in res.items()}
+    return solve
 
 
 def mat_inverse(mat):

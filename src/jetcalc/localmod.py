@@ -20,7 +20,7 @@ from .poly import (Polynomial, DiffOp, Covector, monomials_upto,
                    exp_series)
 from . import linalg
 from .linalg import (Mat, SpanBasis, mmul, mid, mat_sum, block_diag,
-                     close_span, square, dense, apply, json_field)
+                     close_span, square, dense, apply, json_field, json_load)
 
 # FinMod.from_json's bounds: the CLI's --nmax and --dimmax ceilings, and an
 # order above the 11 that tensor products reach at --kmax 4; validating then
@@ -255,7 +255,7 @@ class FinMod:
         refuses, with a ValueError naming the field, anything but an object
         with integers nvars, k and dim from 0 to MAX_NVARS, MAX_ORDER and
         MAX_DIM and an `action` list of nvars matrices."""
-        data = json.loads(text)
+        data = json_load(text)
         for key, hi in (("nvars", MAX_NVARS), ("k", MAX_ORDER), ("dim", MAX_DIM)):
             json_field(data, key, int, "module field %r is" % key, 0, hi)
         action = data.get("action")

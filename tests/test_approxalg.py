@@ -110,6 +110,18 @@ def test_membership_needs_an_absorbing_corner():
         aa.end_sharp_membership(MJ, mid(2))
 
 
+def test_a_zero_corner_gives_the_zero_witness():
+    """When the smallest absorbing chain idempotent acts as zero, its
+    tuple is empty, and the zero endomorphism's witness is the zero
+    element, solved and verified like any other."""
+    alg = aa.ApproxAlgebra.from_blocks([1, 1])
+    M = aa.ApproxModule(alg, 1, [((ZERO,),), ((ONE,),)])
+    res = aa.end_sharp_membership(M, ((ZERO,),))
+    assert res.member and res.j == 0 and res.tuple_vec == ()
+    assert res.witness == (ZERO, ZERO)
+    assert aa.double_commutant_check(M).ok
+
+
 def test_cyclic_tuple_grids_accept_true_members():
     _, M2 = aa.block_module([1, 1])
     assert aa.submodule_grid_check(M2, M2.act((sc(4), sc(9))), 2) is None
@@ -205,28 +217,76 @@ def test_algebra_axioms_are_enforced():
         aa.ApproxAlgebra(2, bad_sc, [(ONE, ZERO)])  # chain misses the second
 
 
-def test_witness_system_drops_only_rows_that_read_zero_equals_zero():
-    rng = random.Random(5)
-    for _ in range(20):
-        size, dim = 10, 4
-        live = set(rng.sample(range(size), 5))
-        acts = [[gen.rand_scalar(rng) if s in live else ZERO
-                 for s in range(size)] for _ in range(dim)]
-        x = [gen.rand_scalar(rng) for _ in range(dim)]
-        rhs = [sum((a[s] * c for a, c in zip(acts, x)), ZERO)
-               for s in range(size)]
-        full = [[a[s] for a in acts] for s in range(size)]
-        sparse_acts = [linalg.sparse(a) for a in acts]
-        rows, b = aa._witness_system(sparse_acts, linalg.sparse(rhs))
-        assert len(rows) <= len(live)
-        assert all(r or c for r, c in zip(rows, b))
-        assert linalg.solve(rows, b, dim) == linalg.solve(full, rhs)
-        # a nonzero right-hand side where every action vanishes: refused
-        dead = min(set(range(size)) - live)
-        rhs[dead] = ONE
-        assert linalg.solve(full, rhs) is None
-        assert linalg.solve(*aa._witness_system(sparse_acts,
-                                                linalg.sparse(rhs)), dim) is None
+def kind(M):
+    """How gen.rand_approx_module drew M: junk-padded, skewed or plain."""
+    entries = sum(len(row) for m in M.mats for row in m.rows)
+    return ("junk" if not M.is_approx_unital()
+            else "skewed" if entries > M.algebra.dim else "plain")
+
+
+def test_witness_solver_factors_each_corner_once(monkeypatch):
+    """double_commutant_check factors the action vectors of a corner's
+    tuple once, for all the End^# basis elements whose smallest absorbing
+    corner it is, on plain, skewed and junk-padded modules; each witness
+    acts as its element."""
+    rng = random.Random(1)
+    factored = []
+    solver = linalg.solver
+
+    def counted(vecs, ncols):
+        factored.append(ncols)
+        return solver(vecs, ncols)
+
+    kinds = set()
+    for _ in range(12):
+        _, M = gen.rand_approx_module(rng, 6, junk_ok=True)
+        kinds.add(kind(M))
+        sharp_mats, _, _ = aa._end_sharp(M, {})
+        corners = set()
+        for mat in sharp_mats:
+            res = aa.end_sharp_membership(M, mat)
+            assert res.member and M.act(res.witness) == mat
+            corners.add(res.j)
+        factored.clear()
+        monkeypatch.setattr(linalg, "solver", counted)
+        assert aa.double_commutant_check(M).ok
+        monkeypatch.undo()
+        assert len(factored) == len(corners)
+    assert kinds == {"plain", "skewed", "junk"}
+
+
+def test_end_zero_is_the_union_of_all_corner_spans():
+    """End(V)_0 eliminated from the top corner alone has the pivots and rows
+    of the span of every chain corner's generators together, on plain,
+    skewed and junk-padded modules."""
+    rng = random.Random(8)
+    kinds = set()
+    for _ in range(30):
+        alg, M = gen.rand_approx_module(rng, 7, junk_ok=True)
+        kinds.add(kind(M))
+        d = M.dim
+        union = linalg.SpanBasis(d * d)
+        for j in range(len(alg.chain)):
+            P = M.idem_mat(j)
+            for r in range(d):
+                for c in range(d):
+                    unit = linalg.Mat([{c: ONE} if i == r else {} for i in range(d)], d)
+                    union.insert(linalg.mmul(linalg.mmul(P, unit), P).flat())
+        mats, span = aa.end_zero_basis(M)
+        assert (span.pivots, span.rows) == (union.pivots, union.rows)
+        assert [m.flat() for m in mats] == span.rows
+    assert kinds == {"plain", "skewed", "junk"}
+
+
+def test_a_lower_corner_escaping_the_top_corner_is_a_cross_check_failure(monkeypatch):
+    """When the top corner's span misses a lower corner's generator,
+    end_zero_basis refuses to return it."""
+    _, M = aa.block_module([1, 2])
+    gens = aa._corner_gens
+    monkeypatch.setattr(aa, "_corner_gens",
+                        lambda M, j1, j2: gens(M, j1, j2)[1:] if j1 else gens(M, j1, j2))
+    with pytest.raises(linalg.CrossCheckError, match="corner span computations disagree"):
+        aa.end_zero_basis(M)
 
 
 def test_top_corner_witness_needs_no_cutting_down():
@@ -243,9 +303,7 @@ def test_top_corner_witness_needs_no_cutting_down():
         if res.j == len(alg.chain) - 1:
             top = alg.chain[-1]
             assert alg.mul(alg.mul(top, res.witness), top) == res.witness
-            entries = sum(1 for m in M.mats for row in m for x in row if x)
-            kinds.add("junk" if not M.is_approx_unital()
-                      else "skewed" if entries > alg.dim else "plain")
+            kinds.add(kind(M))
     assert kinds == {"plain", "skewed", "junk"}
 
 
@@ -295,3 +353,32 @@ def test_double_commutant_check_tests_few_entries_for_zero(monkeypatch):
     monkeypatch.undo()
     assert rep.ok
     assert 0 < count[0] <= 14000, count[0]
+
+
+def test_double_commutant_check_builds_each_span_once(monkeypatch):
+    """On the same module, one check inserts at most 750 vectors into
+    spans: End(V)_0 comes from the top corner alone, and each corner's
+    witnesses from one factorization.  Eliminating every corner and a fresh
+    witness system per End^# element inserted 1,499."""
+    _, M = gen.rand_approx_module(random.Random(5), 12, junk_ok=True)
+    assert (M.dim, M.algebra.dim) == (10, 26)
+    count = [0]
+    insert = linalg.SpanBasis._insert
+
+    def counted(self, v):
+        count[0] += 1
+        return insert(self, v)
+
+    monkeypatch.setattr(linalg.SpanBasis, "_insert", counted)
+    rep = aa.double_commutant_check(M)
+    monkeypatch.undo()
+    assert rep.ok
+    assert 0 < count[0] <= 750, count[0]
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 2), (3, 3), (2, 3)])
+def test_membership_refuses_an_endomorphism_of_the_wrong_shape(shape):
+    _, M = aa.block_module([1, 1])
+    phi = [[ONE] * shape[1] for _ in range(shape[0])]
+    with pytest.raises(ValueError, match="is %dx%d; the module needs 2x2" % shape):
+        aa.end_sharp_membership(M, phi)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import jetcalc
-from jetcalc import cli, family, linalg
+from jetcalc import approxalg, cli, family, linalg
 from jetcalc.cli import main
 from jetcalc.scalars import ONE
 
@@ -174,11 +174,27 @@ def _plus_one(fn):
     return lambda *args: fn(*args) + ONE
 
 
+_end_zero_basis = approxalg.end_zero_basis
+
+
+def _top_corner_misses_the_lower_ones(M):
+    """end_zero_basis with the top corner's generators dropped whenever a
+    lower corner exists, so the lower corners' generators escape its span."""
+    gens, top = approxalg._corner_gens, len(M.algebra.chain) - 1
+    approxalg._corner_gens = lambda M, j1, j2: [] if j1 == top > 0 else gens(M, j1, j2)
+    try:
+        return _end_zero_basis(M)
+    finally:
+        approxalg._corner_gens = gens
+
+
 @pytest.mark.parametrize("command, owner, name, wrong, message", [
     ("pw", family, "term_value", _plus_one(family.term_value),
      "relation evaluation routes disagree"),
-    ("dcomm", linalg, "solve", lambda rows, rhs, ncols=None: None,
+    ("dcomm", linalg, "solver", lambda vecs, ncols: lambda v: None,
      "invariance held but no witness solves the system"),
+    ("dcomm", approxalg, "end_zero_basis", _top_corner_misses_the_lower_ones,
+     "corner span computations disagree"),
 ])
 def test_a_cross_check_disagreement_is_a_failing_record(
         tmp_path, capsys, monkeypatch, command, owner, name, wrong, message):

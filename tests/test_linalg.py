@@ -137,35 +137,77 @@ def test_nullspace_has_the_right_dimension_and_is_annihilated(seed):
             assert oracle([list(x) for x in basis] + want, ncols).rank() == len(basis)
 
 
+def columns(rows, ncols):
+    """The columns of a matrix given by dense rows, as zero-free dicts."""
+    return [linalg.sparse([r[j] for r in rows]) for j in range(ncols)]
+
+
+def lincomb(pairs):
+    """The zero-free sum of c v over the pairs (c, v) of sparse vectors."""
+    acc = {}
+    for c, v in pairs:
+        for s, y in v.items():
+            acc[s] = acc.get(s, ZERO) + c * y
+    return linalg.sparse(acc)
+
+
+def solves(vecs, x, v):
+    """x, a zero-free dict, combines the sparse vectors vecs into v."""
+    assert all(x.values()) and all(0 <= t < len(vecs) for t in x)
+    return lincomb((c, vecs[t]) for t, c in x.items()) == v
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_solve_finds_solutions_exactly_when_sympy_says_consistent(seed):
+    """The factor-once solver of A x = b (its vectors the columns of A)
+    solves every b in the column space and refuses the others, as sympy's
+    ranks of A and [A | b] say, with one factorization for all of them."""
     rng = random.Random(2000 + seed)
     for rows in matrices(seed):
         ncols = len(rows[0])
-        x0 = [rand_scalar(rng) for _ in range(ncols)]
-        rhs = list(linalg.mat_vec(rows, x0))
-        x = linalg.solve(rows, rhs)
-        assert x is not None and list(linalg.mat_vec(rows, x)) == rhs
-        other = [rand_scalar(rng) for _ in rows]
-        aug = [list(r) + [b] for r, b in zip(rows, other)]
-        consistent = (oracle(aug, ncols + 1).rank() == oracle(rows, ncols).rank())
-        y = linalg.solve(rows, other)
-        assert (y is not None) == consistent
-        if y is not None:
-            assert list(linalg.mat_vec(rows, y)) == other
+        vecs = columns(rows, ncols)
+        solve = linalg.solver(vecs, len(rows))
+        for _ in range(3):
+            x0 = [rand_scalar(rng) for _ in range(ncols)]
+            rhs = linalg.sparse(linalg.mat_vec(rows, x0))
+            assert solves(vecs, solve(rhs), rhs)
+            other = [rand_scalar(rng) for _ in rows]
+            aug = [list(r) + [b] for r, b in zip(rows, other)]
+            consistent = (oracle(aug, ncols + 1).rank() == oracle(rows, ncols).rank())
+            y = solve(linalg.sparse(other))
+            assert (y is not None) == consistent
+            assert y is None or solves(vecs, y, linalg.sparse(other))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_solve_reads_sparse_rows_given_the_column_count(seed):
-    """Zero-free dict rows with the column count solve as their dense rows
-    do, consistent or not, including rows that are empty."""
+    """The solver reads zero-free dict vectors given their length, as the
+    action vectors of a junk-padded module come: some empty, some repeated
+    or combined from others.  Every combination of them solves; a vector
+    with an entry where every one of them is zero, or off their span, is
+    refused."""
     rng = random.Random(3000 + seed)
     for rows in matrices(seed):
         ncols = len(rows[0])
-        for rhs in (list(linalg.mat_vec(rows, [rand_scalar(rng) for _ in range(ncols)])),
-                    [rand_scalar(rng) for _ in rows]):
-            assert (linalg.solve([linalg.sparse(r) for r in rows], rhs, ncols)
-                    == linalg.solve(rows, rhs))
+        vecs = columns(rows, ncols)
+        vecs += [{}, dict(vecs[0]), lincomb([(rand_scalar(rng, 0), vecs[0]),
+                                             (rand_scalar(rng, 0), vecs[-1])])]
+        vecs = [{s + 1: y for s, y in v.items()} for v in vecs]  # coordinate 0 is dead
+        n = len(rows) + 1
+        solve = linalg.solver(vecs, n)
+        assert solve({}) == {}
+        for _ in range(3):
+            rhs = lincomb((rand_scalar(rng), v) for v in vecs)
+            assert solves(vecs, solve(rhs), rhs)
+            assert solve({**rhs, 0: rand_scalar(rng, 0)}) is None
+            dense_vecs = [linalg.dense(v, n) for v in vecs]
+            other = [ZERO] + [rand_scalar(rng) for _ in rows]
+            aug = [list(col) for col in zip(*dense_vecs, other)]
+            consistent = (oracle(aug, len(vecs) + 1).rank()
+                          == oracle([r[:-1] for r in aug], len(vecs)).rank())
+            y = solve(linalg.sparse(other))
+            assert (y is not None) == consistent
+            assert y is None or solves(vecs, y, linalg.sparse(other))
 
 
 @pytest.mark.parametrize("seed", SEEDS)

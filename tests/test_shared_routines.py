@@ -137,23 +137,28 @@ def json_paths(doc, prefix=()):
         yield from json_paths(value, prefix + (key,))
 
 
+# arrays nested this deep overflow the JSON parser's recursion
+DEEP = "[" * 100000 + "]" * 100000
+
+
 @st.composite
 def mutated_json(draw, text):
     """text with one value dropped (a key, or an item of a list) or
     replaced by junk: null, booleans, huge integers, floats, short strings,
-    and lists and objects nested from them."""
+    lists and objects nested from them, and arrays nested DEEP."""
     doc = json.loads(text)
     path = draw(st.sampled_from(list(json_paths(doc))))
+    junk = draw(st.just("DEEP") | JUNK)
     if not path:
-        return json.dumps(draw(JUNK))
+        return DEEP if junk == "DEEP" else json.dumps(junk)
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
     if draw(st.booleans()):
         del parent[path[-1]]
     else:
-        parent[path[-1]] = draw(JUNK)
-    return json.dumps(doc)
+        parent[path[-1]] = junk
+    return json.dumps(doc).replace('"DEEP"', DEEP)
 
 
 @pytest.mark.parametrize("kind", ["FinMod", "ApproxModule", "family", "candidate"])
