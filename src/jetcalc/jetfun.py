@@ -128,10 +128,12 @@ class MatPolyFamily:
 
     def __mul__(self, other):
         """The matrix product, each coefficient product accumulated row by
-        row straight into its key's rows; a Scalar scales the coefficients."""
+        row straight into its key's rows; a Scalar or int scales the
+        coefficients."""
         acc = {}
         if not isinstance(other, MatPolyFamily):
             if other:
+                other = Scalar(other) if isinstance(other, int) else other
                 for k, m in self.terms.items():
                     _put(_rows(acc, k, self.rows), m, other)
             return self._new(self.rows, self.cols, acc)

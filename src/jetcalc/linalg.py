@@ -24,12 +24,18 @@ no pivoting heuristics are needed and every result is canonical.  `rank`,
 `nullspace`, `solver`, `mat_inverse` and `subspace_intersection` each read
 one SpanBasis.  Beside it, `close_span` closes a subspace under linear maps
 (submodules, tuple modules, word algebras, invariance grids).
+
+Every update y += c x here (eliminations, closures, `apply`, `mmul`,
+`mat_sum`) and in jetfun's family products is one fused `_axpy`: it works
+on the Scalars' integer parts and builds each updated entry with one
+`scalars._mk`, the normalizing constructor, instead of two Scalar
+operations.
 """
 
 import json
 from bisect import bisect_left
 
-from .scalars import ZERO, ONE
+from .scalars import Scalar, ZERO, ONE, _mk
 
 
 class CrossCheckError(AssertionError):
@@ -40,8 +46,9 @@ class CrossCheckError(AssertionError):
 
 def sparse(v):
     """The nonzero entries of a sequence, or of a dict that may hold zeros,
-    as a new dict {index: entry}."""
-    return {j: x for j, x in (v.items() if isinstance(v, dict) else enumerate(v)) if x}
+    as a new dict {index: entry}; int entries become Scalars."""
+    return {j: Scalar(x) if isinstance(x, int) else x
+            for j, x in (v.items() if isinstance(v, dict) else enumerate(v)) if x}
 
 
 def dense(v, n):
@@ -76,7 +83,7 @@ class Mat:
         ncols = len(m[0]) if len(m) else ncols
         if any(len(row) != ncols for row in m):
             raise ValueError("ragged matrix")
-        return cls([{c: x for c, x in enumerate(row) if x} for row in m], ncols)
+        return cls([sparse(row) for row in m], ncols)
 
     @classmethod
     def from_flat(cls, v, nrows, ncols):
@@ -143,19 +150,28 @@ def apply(m, v, d):
 
 def _axpy(out, c, row, off=0, skip=None):
     """out[off + j] += c * row[j] in place for the keys j of row other than
-    `skip`, keeping out zero-free; c and the entries of row are nonzero."""
+    `skip`, keeping out zero-free; c and the entries of row are nonzero
+    Scalars.  Each entry is updated on the raw integers (a, b, den): c x,
+    plus y over a common denominator when y is present, deleted when both
+    parts cancel and otherwise normalized by one _mk."""
+    ca, cb, cd = c.a, c.b, c.den
     for j, x in row.items():
         if j != skip:
             j += off
+            xa, xb = x.a, x.b
+            a, b, d = ca * xa - cb * xb, ca * xb + cb * xa, cd * x.den
             y = out.get(j)
-            if y is None:
-                out[j] = c * x
-            else:
-                y = y + c * x
-                if y:
-                    out[j] = y
+            if y is not None:
+                yd = y.den
+                if yd == d:
+                    a += y.a
+                    b += y.b
                 else:
+                    a, b, d = a * yd + y.a * d, b * yd + y.b * d, d * yd
+                if not (a or b):
                     del out[j]
+                    continue
+            out[j] = _mk(a, b, d)
 
 
 def mid(n):
@@ -166,6 +182,8 @@ def mmul(a, b):
     """The product a b, row dict by row dict (Gustavson): row i sums c
     times row k of b over the nonzeros c = a[i][k]."""
     a, b = Mat.of(a), Mat.of(b)
+    if a.ncols != b.nrows:
+        raise ValueError("inner dimensions %d and %d do not match" % (a.ncols, b.nrows))
     out = []
     for arow in a.rows:
         acc = {}
@@ -176,9 +194,11 @@ def mmul(a, b):
 
 
 def mat_sum(terms, nrows, ncols):
-    """The nrows x ncols Mat sum of c M over the pairs (M, c), c nonzero."""
+    """The nrows x ncols Mat sum of c M over the pairs (M, c), c a nonzero
+    Scalar or int."""
     rows = [{} for _ in range(nrows)]
     for m, c in terms:
+        c = Scalar(c) if isinstance(c, int) else c
         for out, row in zip(rows, m.rows):
             _axpy(out, c, row)
     return Mat(rows, ncols)

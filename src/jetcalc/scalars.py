@@ -48,8 +48,12 @@ class Scalar:
 
     def __init__(self, re=0, im=0):
         if isinstance(re, Scalar):
+            if im:
+                raise TypeError("Scalar(re, im) takes no imaginary part for a Scalar re")
             self.a, self.b, self.den = re.a, re.b, re.den
             return
+        if isinstance(re, float) or isinstance(im, float):
+            raise TypeError("Scalar parts must be exact rationals, not floats")
         fre = Fraction(re)
         fim = Fraction(im)
         den = fre.denominator * fim.denominator // gcd(fre.denominator, fim.denominator)

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jetcalc.scalars import ExpScalar, ZERO, ONE, EXP_ZERO, sc
+from jetcalc.scalars import Scalar, ExpScalar, ZERO, ONE, EXP_ZERO, sc
 from jetcalc.poly import (Polynomial, ExpPoly, Vector, Covector, DiffOp,
                           parse_poly, diff, translate, pairing,
                           monomials_upto, monomials_of_degree)
@@ -379,3 +379,10 @@ def test_subquotient_directions_come_with_a_containment_certificate():
     for ideal in (lm.dual_number_ideal(Vector((1, 2))), lm.power_ideal(2, 1)):
         res = jf.subquotient_lambdas(ideal)
         assert len(res.lams) == 2 and res.certified
+
+
+def test_an_int_factor_scales_a_family_by_its_scalar():
+    fam = jf.MatPolyFamily.identity(1, 2) * 2
+    assert fam == jf.MatPolyFamily.identity(1, 2) * sc(2)
+    assert all(type(x) is Scalar for m in fam.terms.values() for row in m.rows
+               for x in row.values())

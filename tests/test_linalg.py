@@ -8,6 +8,7 @@ double-commutant spans take.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -345,7 +346,7 @@ def test_insert_ignores_explicit_zeros_and_keeps_rows_zero_free(seed):
 
 # --- the one matrix type against the oracle ----------------------------------
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from jetcalc.linalg import Mat  # noqa: E402
 
@@ -456,3 +457,127 @@ def test_block_diag_and_inverse_match_the_oracle(data, ns):
             inv = linalg.mat_inverse(bl)
             assert_zero_free(inv)
             assert inv == as_scalars(oracle(bl, n).inv())
+
+
+# --- the fused update and the edges that read ints ---------------------------
+
+wide = st.builds(lambda a, b, d: Scalar(Fraction(a, d), Fraction(b, d)),
+                 st.integers(-2 ** 200, 2 ** 200), st.integers(-2 ** 200, 2 ** 200),
+                 st.integers(1, 2 ** 200))
+entries = st.one_of(gaussian, wide).filter(bool)
+
+
+@st.composite
+def axpy_cases(draw):
+    """(out, c, row, off, skip): each key of row lands in out absent, on
+    the entry -c x that cancels it, or on another entry; out also holds
+    keys that row does not reach."""
+    c = draw(entries)
+    row = {j: draw(entries) for j in draw(st.sets(st.integers(0, 8), max_size=6))}
+    off = draw(st.integers(0, 3))
+    skip = draw(st.sampled_from([None, *sorted(row)]))
+    out = {}
+    for j, x in row.items():
+        kind = draw(st.sampled_from(("absent", "cancel", "other")))
+        if kind == "cancel":
+            out[j + off] = -(c * x)
+        elif kind == "other":
+            out[j + off] = draw(entries)
+    for k in draw(st.sets(st.integers(0, 12), max_size=3)):
+        out.setdefault(k, draw(entries))
+    return out, c, row, off, skip
+
+
+def reference_axpy(out, c, row, off, skip):
+    want = dict(out)
+    for j, x in row.items():
+        if j != skip:
+            y = want.get(j + off, ZERO) + c * x
+            if y:
+                want[j + off] = y
+            else:
+                del want[j + off]
+    return want
+
+
+half, third = Scalar(Fraction(1, 2)), Scalar(Fraction(1, 3), 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(axpy_cases())
+@example(({0: -(half * third), 1: half, 5: third}, half,
+          {0: third, 1: third, 2: half, 3: third}, 0, 3))
+@example(({2: Scalar(Fraction(3, 2 ** 200 + 1))}, Scalar(2 ** 200, -1),
+          {0: Scalar(Fraction(1, 7), 2 ** 199), 1: half}, 2, None))
+def test_the_fused_update_is_y_plus_c_x(case):
+    """_axpy equals the loop y + c*x on Gaussian rationals: cancelled keys
+    deleted, mismatched denominators, absent keys, off and skip, and
+    200-bit parts; every stored value is a canonical Scalar."""
+    out, c, row, off, skip = case
+    got = dict(out)
+    linalg._axpy(got, c, row, off, skip)
+    assert got == reference_axpy(out, c, row, off, skip)
+    for x in got.values():
+        assert type(x) is Scalar and x and x.den > 0
+        assert gcd(gcd(x.a, x.b), x.den) == 1
+
+
+def test_a_dense_product_builds_one_scalar_per_update(monkeypatch):
+    """mmul of two dense 4 x 4 matrices with no cancellation normalizes
+    each of its 64 updates once, in _mk, and calls no Scalar arithmetic."""
+    a = [[Scalar(Fraction(i + 1, j + 2), Fraction(1, i + j + 1)) for j in range(4)]
+         for i in range(4)]
+    b = [[Scalar(Fraction(j + 3, i + 2), Fraction(2, i + 1)) for j in range(4)]
+         for i in range(4)]
+    want = as_scalars(oracle(a, 4) * oracle(b, 4))
+    calls = {"_mk": 0, "__mul__": 0, "__add__": 0}
+
+    def counted(name, f):
+        def g(*args):
+            calls[name] += 1
+            return f(*args)
+        return g
+
+    monkeypatch.setattr(linalg, "_mk", counted("_mk", linalg._mk))
+    for name in ("__mul__", "__add__"):
+        monkeypatch.setattr(Scalar, name, counted(name, getattr(Scalar, name)))
+    got = linalg.mmul(a, b)
+    monkeypatch.undo()
+    assert got == want
+    assert calls == {"_mk": 64, "__mul__": 0, "__add__": 0}
+
+
+def all_scalars(m):
+    return all(type(x) is Scalar for row in m.rows for x in row.values())
+
+
+def test_mat_of_reads_int_rows_as_scalars():
+    m = Mat.of([[1, 2], [0, 1]])
+    assert all_scalars(m) and m == ((Scalar(1), Scalar(2)), (ZERO, Scalar(1)))
+    prod = linalg.mmul([[1, 2], [0, 1]], [[1, 0], [3, 1]])
+    assert all_scalars(prod) and prod == ((7, 2), (3, 1))
+    v = linalg.mat_vec([[1, 2], [0, 1]], (1, 1))
+    assert v == (Scalar(3), Scalar(1)) and all(type(x) is Scalar for x in v)
+
+
+def test_sparse_reads_int_entries_as_scalars():
+    for v in ([0, 3, -1], {0: 0, 1: 3, 2: -1}):
+        got = linalg.sparse(v)
+        assert got == {1: Scalar(3), 2: Scalar(-1)}
+        assert all(type(x) is Scalar for x in got.values())
+    span = SpanBasis(2, [[1, 2]])
+    assert span.rows == [{0: Scalar(1), 1: Scalar(2)}]
+    assert all(type(x) is Scalar for x in span.rows[0].values())
+
+
+def test_mat_sum_reads_int_coefficients_as_scalars():
+    got = linalg.mat_sum([(linalg.mid(2), 3)], 2, 2)
+    assert all_scalars(got) and got == ((3, 0), (0, 3))
+
+
+def test_mmul_refuses_mismatched_inner_dimensions():
+    with pytest.raises(ValueError, match="inner dimensions 1 and 2 do not match"):
+        linalg.mmul([[1]], [[1, 2], [3, 4]])
+    with pytest.raises(ValueError, match="inner dimensions 2 and 1 do not match"):
+        linalg.mmul([[1, 2]], [[1]])
+    assert linalg.mmul(Mat.of((), 3), [[1], [2], [3]]) == ()

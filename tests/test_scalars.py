@@ -117,3 +117,16 @@ def test_scalar_extraction():
         assert False, "units must not silently collapse"
     except ValueError:
         pass
+
+
+@pytest.mark.parametrize("re, im", [(0.1, 0), (1, 0.5), (0.0, 0), (Fraction(1, 2), 2.0)])
+def test_floats_are_refused(re, im):
+    """Every Scalar is a Gaussian rational from the start: no float part."""
+    with pytest.raises(TypeError, match="not floats"):
+        Scalar(re, im)
+
+
+def test_a_scalar_real_part_takes_no_imaginary_part():
+    assert Scalar(sc(1, 2)) == sc(1, 2) and Scalar(sc(1), 0) == sc(1)
+    with pytest.raises(TypeError, match="imaginary part"):
+        Scalar(sc(1), 2)
