@@ -17,9 +17,10 @@ membership in the image of the algebra, and a witness element is recovered
 by one reduction against the corner's action vectors on the tuple, factored
 once (linalg.solver), and re-verified exactly.  End(V)_0 is eliminated
 from the top corner alone, whose span contains every lower corner's.
-Vectors of V^n are sparse dicts, matrices are linalg.Mats (End(V)_0 and
-End^# bases read off their span rows), and a matrix acts on each length-d
-block by linalg.apply.
+Algebra elements and vectors of V^n are zero-free sparse dicts (linalg's
+one vector type), matrices are linalg.Mats (End(V)_0 and End^# bases read
+off their span rows), and a matrix acts on each length-d block by
+linalg.apply; dense tuples appear only at the edges (JSON, SharpResult).
 
 The top idempotent alpha_m is the unit: each basis element e has some
 alpha_j e = e = e alpha_j, and alpha_j <= alpha_m gives alpha_m alpha_j =
@@ -34,81 +35,74 @@ import json
 from .scalars import ZERO, ONE
 from .poly import parse_scalar
 from . import linalg
-from .linalg import (Mat, SpanBasis, CrossCheckError, mmul, mid, mat_sum,
-                     close_span, square, sparse, dense, apply, json_field, json_load)
+from .linalg import (Mat, SpanBasis, CrossCheckError, mmul, mid, mat_sum, close_span,
+                     square, sparse, dense, dot, apply, json_field, json_load, _axpy)
 
 # the largest module a JSON file may hold, checked before any entry is
 # parsed: what gen.rand_approx_module draws at --dimmax 12 (four 3x3
-# blocks, so 36 algebra dimensions, plus 2 null dimensions); loading and
-# validating cost grows about 3x per module dimension
+# blocks, so 36 algebra dimensions, plus 2 null dimensions); near there the
+# load grows about 1.3-1.5x per module dimension, mostly parsing the action
 MAX_MODULE_DIM = 14
 MAX_ALGEBRA_DIM = 36
 
 
 class ApproxAlgebra:
     """Associative algebra on a finite basis with sparse structure constants
-    and a distinguished increasing idempotent chain.  `sc` maps (i, j) to
-    the nonzero coordinates {t: c} of e_i e_j; given as a function returning
-    that dict, it runs on the first read of `sc`."""
+    and a distinguished increasing idempotent chain.  An element is the
+    zero-free dict {t: c} of its coordinates; `sc` maps (i, j) to that of
+    e_i e_j and, given as a function returning the map, runs on the first
+    read of `sc`.  The chain is given as sequences, kept as dicts."""
 
     __slots__ = ("dim", "_sc", "chain", "labels")
 
     def __init__(self, dim, sc, chain, labels=None, check=True, check_assoc=True):
         self.dim = dim
         self._sc = sc if callable(sc) else lambda: sc
-        self.chain = tuple(tuple(x for x in a) for a in chain)
         if labels is None:
             labels = tuple("e%d" % t for t in range(dim))
         self.labels = tuple(labels)
-        if not self.chain:
+        if not chain:
             raise ValueError("the idempotent chain must be nonempty")
-        for a in self.chain:
-            if len(a) != dim:
-                raise ValueError("chain element has wrong length")
+        if any(len(a) != dim for a in chain):
+            raise ValueError("chain element has wrong length")
+        self.chain = tuple(map(sparse, chain))
         if check:
             self.validate(check_assoc=check_assoc)
 
     @property
     def sc(self):
         if callable(self._sc):
-            self._sc = {key: {t: c for t, c in row.items() if c}
-                        for key, row in self._sc().items() if any(row.values())}
+            self._sc = {key: r for key, row in self._sc().items() if (r := sparse(row))}
         return self._sc
 
     def mul(self, x, y):
-        """Product of two elements given by coordinates."""
-        out = [ZERO] * self.dim
-        ynz = sparse(y).items()
-        for i, xi in sparse(x).items():
-            for j, yj in ynz:
-                row = self.sc.get((i, j))
+        """The product of two elements, zero-free dicts, as a new one."""
+        sc = self.sc
+        out = {}
+        for i, xi in x.items():
+            for j, yj in y.items():
+                row = sc.get((i, j))
                 if row:
-                    f = xi * yj
-                    for t, c in row.items():
-                        out[t] = out[t] + f * c
-        return tuple(out)
-
-    def basis_elem(self, t):
-        return tuple(ONE if s == t else ZERO for s in range(self.dim))
+                    _axpy(out, xi * yj, row)
+        return out
 
     def validate(self, check_assoc=True):
-        chain = self.chain
+        chain, mul, sc = self.chain, self.mul, self.sc
         for a in range(len(chain)):
             for b in range(a, len(chain)):
                 lo, hi = chain[a], chain[b]
-                if self.mul(lo, hi) != lo or self.mul(hi, lo) != lo:
+                if mul(lo, hi) != lo or mul(hi, lo) != lo:
                     raise ValueError("chain elements %d and %d do not absorb" % (a, b))
         for t in range(self.dim):
-            e = self.basis_elem(t)
-            if not any(self.mul(al, e) == e and self.mul(e, al) == e for al in chain):
+            e = {t: ONE}
+            if not any(mul(al, e) == e and mul(e, al) == e for al in chain):
                 raise ValueError("basis element %d is absorbed by no chain idempotent" % t)
-        if check_assoc:
-            basis = [self.basis_elem(t) for t in range(self.dim)]
+        if check_assoc:  # (e_i e_j) e_t against e_i (e_j e_t)
             for i in range(self.dim):
                 for j in range(self.dim):
-                    ij = self.mul(basis[i], basis[j])
+                    ij = sc.get((i, j), {})
                     for t in range(self.dim):
-                        if self.mul(ij, basis[t]) != self.mul(basis[i], self.mul(basis[j], basis[t])):
+                        if mul(ij, {t: ONE}) != mul({i: ONE}, sc.get((j, t), {})):
                             raise ValueError("associativity fails on triple (%d,%d,%d)"
                                              % (i, j, t))
 
@@ -202,7 +196,7 @@ class ApproxModule:
         for i in range(A.dim):
             for j in range(A.dim):
                 prod = mmul(self.mats[i], self.mats[j])
-                if prod != self.act(A.mul(A.basis_elem(i), A.basis_elem(j))):
+                if prod != self.act(A.sc.get((i, j), {})):
                     raise ValueError("action is not multiplicative on pair (%d,%d)" % (i, j))
         for j in range(len(A.chain)):
             P = self.idem_mat(j)
@@ -235,7 +229,7 @@ class ApproxModule:
         return json.dumps({
             "basis": list(A.labels),
             "structure_constants": sc_obj,
-            "idempotent_chain": [[c.json_str() for c in a] for a in A.chain],
+            "idempotent_chain": [[c.json_str() for c in dense(a, A.dim)] for a in A.chain],
             "dim": self.dim,
             "action": [[c.json_str() for row in m for c in row] for m in self.mats],
         })
@@ -329,8 +323,8 @@ def end_zero_basis(M):
 
 
 class SharpResult:
-    """Outcome of a membership test: the verdict, the witness element on
-    success, and the violated module plus escaping vector on failure."""
+    """Outcome of a membership test: the verdict, the witness's dense
+    coordinates on success, the violated module and escaping vector on failure."""
 
     __slots__ = ("member", "witness", "j", "tuple_vec", "submodule", "escaped")
 
@@ -397,16 +391,16 @@ def _membership(M, phi, tuples):
     # the equality extends from V_j to V
     if ("solve", corner_j) not in tuples:
         tuples["solve", corner_j] = linalg.solver(acts, n * d)
-    sol = tuples["solve", corner_j](apply(phi, u, d))
-    if sol is None:
+    a = tuples["solve", corner_j](apply(phi, u, d))
+    if a is None:
         raise CrossCheckError("invariance held but no witness solves the system")
-    a = dense(sol, M.algebra.dim)
     if corner_j < len(M.algebra.chain) - 1:  # the top idempotent is the unit
         alpha = M.algebra.chain[corner_j]
         a = M.algebra.mul(M.algebra.mul(alpha, a), alpha)
     if M.act(a) != phi:
         raise CrossCheckError("witness verification failed")
-    return SharpResult(True, witness=a, j=corner_j, tuple_vec=tuple_vec)
+    return SharpResult(True, witness=dense(a, M.algebra.dim), j=corner_j,
+                       tuple_vec=tuple_vec)
 
 
 def _end_sharp(M, tuples):
@@ -494,7 +488,7 @@ def _separating_functional(image, sharp):
     some element of the sharp space."""
     for func in image.nullspace():
         for srow in sharp.rows:
-            val = sum((x * srow[s] for s, x in func.items() if s in srow), ZERO)
+            val = dot(func, srow)
             if val:
                 return {"functional": [str(c) for c in dense(func, image.ncols)],
                         "sharp_element": [str(c) for c in dense(srow, sharp.ncols)],
@@ -510,7 +504,7 @@ def corner_identity_check(M, j1, j2):
     d = M.dim
     left = SpanBasis(d * d)
     for t in range(A.dim):
-        elem = A.mul(A.mul(A.chain[j1], A.basis_elem(t)), A.chain[j2])
+        elem = A.mul(A.mul(A.chain[j1], {t: ONE}), A.chain[j2])
         left._insert(M.act(elem).flat())
     right = SpanBasis(d * d, linalg.subspace_intersection(
         M.image_span().rows, _corner_gens(M, j1, j2), d * d))

@@ -17,8 +17,8 @@ import json
 
 from .scalars import ZERO, ONE, EXP_ZERO
 from .poly import ExpPoly, Vector, diff, entry_parser
-from .linalg import (Mat, SpanBasis, CrossCheckError, mmul, mid, block_diag,
-                     close_span, square, apply, json_field, json_load)
+from .linalg import (Mat, SpanBasis, CrossCheckError, mmul, mid, block_diag, kron,
+                     dot, close_span, square, apply, json_field, json_load, _axpy)
 from .localmod import MAX_NVARS
 from .jetfun import (MatPolyFamily, jet_family, iterated_block_derivative,
                      functional_to_diffop, diffop_to_module, frobenius)
@@ -335,16 +335,10 @@ def relation_to_functional(terms, reps):
     for t, eta in zip(terms, funcs):
         off = next(off for rep, p, off, _ in layout.blocks
                    if rep.label == t.label and p.coords == t.point.coords)
-        d = by_label[t.label].dim
-        tpsi = [(rV, cV, hv) for rV, row in enumerate(t.psi.rows)
-                for cV, hv in row.items()]
-        for rE, row in enumerate(eta.rows):
-            for cE, h in row.items():
-                for rV, cV, hv in tpsi:
-                    r, c = off + rE * d + rV, off + cE * d + cV
-                    psi[r][c] = psi[r].get(c, ZERO) + h * hv
-    psi = Mat([{c: x for c, x in row.items() if x} for row in psi], layout.total)
-    return FunctionalData(psi, layout)
+        # eta (x) psi holds eta[rE][cE] psi[rV][cV] at (rE d + rV, cE d + cV)
+        for r, row in enumerate(kron(eta, t.psi).rows):
+            _axpy(psi[off + r], ONE, row, off)
+    return FunctionalData(Mat(psi, layout.total), layout)
 
 
 class RelationDecomp:
@@ -471,8 +465,7 @@ def membership_triple(cand, reps, points, E):
     phi = layout.assemble(cand.component)
     flat = phi.flat()
 
-    verdict_i = not any(sum((x * flat[s] for s, x in func.items() if s in flat), ZERO)
-                        for func in span.nullspace())
+    verdict_i = not any(dot(func, flat) for func in span.nullspace())
 
     verdict_ii = span.contains(flat)
 

@@ -279,13 +279,7 @@ def iterated_block_derivative(F, etas):
 
 def frobenius(H, A):
     """Pairing of a dual matrix with a matrix: sum of entrywise products."""
-    acc = ZERO
-    for hr, ar in zip(Mat.of(H).rows, Mat.of(A).rows):
-        for c, h in hr.items():
-            a = ar.get(c)
-            if a is not None:
-                acc = acc + a * h
-    return acc
+    return sum(map(linalg.dot, Mat.of(H).rows, Mat.of(A).rows), ZERO)
 
 
 def functional_to_diffop(E, H):

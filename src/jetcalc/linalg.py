@@ -3,15 +3,16 @@
 A vector is sparse: a zero-free dict {index: Scalar}, since the vectors
 met in practice (matrix units, nilpotent actions, stacked tuples) are
 mostly zeros.  `sparse` finds the nonzeros of a dense vector (or of a dict
-that may hold zeros); `dense` turns a dict back into a tuple at the edges.
+that may hold zeros); `dense` turns a dict back into a tuple at the edges,
+and `dot` pairs two dicts over their shared keys.
 
 A matrix is one immutable type, `Mat`: its shape and one zero-free
 {column: Scalar} dict per row, with its columns built once, on first read.
 `mmul` is Gustavson's row-wise sparse product, `mat_sum` forms linear
-combinations, `block_diag` builds block-diagonal matrices, and `apply`, the
-one matrix-vector action, maps every block of a stacked vector by one
-matrix's columns.  `Mat.flat` and `Mat.from_flat` convert to and from the
-sparse vector of row-major entries.
+combinations, `block_diag` and `kron` build block-diagonal matrices and
+Kronecker products, and `apply`, the one matrix-vector action, maps every
+block of a stacked vector by one matrix's columns.  `Mat.flat` and
+`Mat.from_flat` convert to and from the sparse vector of row-major entries.
 At the edges (JSON, printing, tests) `Mat.of` reads a nested sequence, and
 `len`, iteration, indexing, equality and hashing treat a Mat as its dense
 rows; there are no dense matrix helpers.  A `MatPolyFamily` keeps one Mat
@@ -49,6 +50,12 @@ def sparse(v):
     as a new dict {index: entry}; int entries become Scalars."""
     return {j: Scalar(x) if isinstance(x, int) else x
             for j, x in (v.items() if isinstance(v, dict) else enumerate(v)) if x}
+
+
+def dot(u, v):
+    """The sum of u[j] v[j] over the keys j that the zero-free sparse
+    vectors u and v share; u is the one scanned."""
+    return sum((x * v[j] for j, x in u.items() if j in v), ZERO)
 
 
 def dense(v, n):
@@ -212,6 +219,13 @@ def block_diag(mats):
         off = len(rows)
         rows.extend({off + c: x for c, x in row.items()} for row in m.rows)
     return Mat(rows, len(rows))
+
+
+def kron(a, b):
+    """The Kronecker product of Mats, a owning the slow index."""
+    n = b.ncols
+    return Mat([{j1 * n + j2: x * y for j1, x in ra.items() for j2, y in rb.items()}
+                for ra in a.rows for rb in b.rows], a.ncols * n)
 
 
 def square(flat, d, parse, what):

@@ -19,7 +19,7 @@ from .poly import (Polynomial, DiffOp, Covector, monomials_upto,
                    monomials_of_degree, beta_factorial, zero_exps, parse_scalar,
                    exp_series)
 from . import linalg
-from .linalg import (Mat, SpanBasis, mmul, mid, mat_sum, block_diag,
+from .linalg import (Mat, SpanBasis, mmul, mid, mat_sum, block_diag, kron,
                      close_span, square, dense, apply, json_field, json_load)
 
 # FinMod.from_json's bounds: the CLI's --nmax and --dimmax ceilings, and an
@@ -375,13 +375,6 @@ def direct_sum(*mods):
     return FinMod(nvars, k, mats, check=False)
 
 
-def _kron(a, b):
-    """The Kronecker product of square Mats, a owning the slow index."""
-    n = b.ncols
-    return Mat([{j1 * n + j2: x * y for j1, x in ra.items() for j2, y in rb.items()}
-                for ra in a.rows for rb in b.rows], a.ncols * n)
-
-
 def tensor(*mods):
     """Tensor product module; a linear form acts by the Leibniz sum of the
     factor actions.  The first factor owns the slow index, so iterating
@@ -395,8 +388,8 @@ def tensor(*mods):
     for nxt in mods[1:]:
         mats = []
         for j in range(nvars):
-            left = _kron(acc.mats[j], mid(nxt.dim))
-            right = _kron(mid(acc.dim), nxt.mats[j])
+            left = kron(acc.mats[j], mid(nxt.dim))
+            right = kron(mid(acc.dim), nxt.mats[j])
             mats.append(mat_sum(((left, ONE), (right, ONE)), left.nrows, left.ncols))
         acc = FinMod(nvars, acc.k + nxt.k + 1, mats, check=False)
     return acc

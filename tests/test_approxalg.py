@@ -7,7 +7,7 @@ import pytest
 
 from jetcalc.scalars import Scalar, ZERO, ONE, sc
 from jetcalc import approxalg as aa, gen, linalg
-from jetcalc.linalg import mid
+from jetcalc.linalg import mid, sparse
 from jetcalc.poly import parse_scalar
 
 
@@ -217,6 +217,101 @@ def test_algebra_axioms_are_enforced():
         aa.ApproxAlgebra(2, bad_sc, [(ONE, ZERO)])  # chain misses the second
 
 
+BROKEN_ALGEBRAS = [  # block sizes, changed structure constants, chain, message
+    ([2], {(1, 2): {0: sc(2)}}, None, r"associativity fails on triple \(1,2,1\)"),
+    ([1, 1], {}, [(ONE, ZERO), (ZERO, ONE)], "chain elements 0 and 1 do not absorb"),
+    ([1, 1], {}, [(sc(2), sc(2))], "chain elements 0 and 0 do not absorb"),
+    # e_00 (e_00 + e_10) = e_00, but (e_00 + e_10) e_00 = e_00 + e_10
+    ([2], {}, [(ONE, ZERO, ZERO, ZERO), (ONE, ZERO, ONE, ZERO)],
+     "chain elements 0 and 1 do not absorb"),
+    ([1, 1], {}, [(ONE, ZERO)], "basis element 1 is absorbed by no chain idempotent"),
+    ([1, 1], {}, [(ONE, ZERO), (ONE,)], "chain element has wrong length"),
+    ([1, 1], {}, [], "the idempotent chain must be nonempty"),
+]
+
+
+@pytest.mark.parametrize("sizes,changed,chain,message", BROKEN_ALGEBRAS)
+def test_each_broken_algebra_axiom_is_refused_by_its_message(sizes, changed, chain,
+                                                             message):
+    """A block algebra (basis e_00, e_01, e_10, e_11 for one 2x2 block)
+    with one structure constant perturbed (e_01 e_10 = 2 e_00) or its chain
+    replaced is refused, by the constructor and by ApproxModule.from_json
+    alike, with the message naming the axiom."""
+    _, M = aa.block_module(sizes)
+    alg = M.algebra
+    if chain is None:
+        chain = [linalg.dense(a, alg.dim) for a in alg.chain]
+    with pytest.raises(ValueError, match=message):
+        aa.ApproxAlgebra(alg.dim, {**alg.sc, **changed}, chain)
+    data = json.loads(M.to_json())
+    for (i, j), row in changed.items():
+        data["structure_constants"]["%d,%d" % (i, j)] = {
+            str(t): c.json_str() for t, c in row.items()}
+    data["idempotent_chain"] = [[c.json_str() for c in a] for a in chain]
+    with pytest.raises(ValueError, match=message):
+        aa.ApproxModule.from_json(json.dumps(data))
+
+
+def dense_product(alg, x, y):
+    """x y for dense coordinate lists, summed over every pair of indices."""
+    out = [ZERO] * alg.dim
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            for t, c in alg.sc.get((i, j), {}).items():
+                out[t] = out[t] + x[i] * y[j] * c
+    return out
+
+
+def test_sparse_mul_matches_the_dense_product():
+    """mul on zero-free dicts agrees with the dense product written out
+    above, on block algebras and on the upper-triangular 3x3 matrices, plain
+    and conjugated by a unipotent T; its results are zero-free, and products
+    that vanish, outright or by cancellation, are the empty dict."""
+    upper = [tuple(tuple(ONE if (i, k) == (r, c) else ZERO for k in range(3))
+                   for i in range(3)) for r in range(3) for c in range(r, 3)]
+    T = ((ONE, sc(2), ZERO), (ZERO, ONE, sc(0, -1)), (ZERO, ZERO, ONE))
+    Ti = linalg.mat_inverse(T)
+    skewed = [linalg.mmul(linalg.mmul(T, u), Ti) for u in upper]
+    algebras = [aa.ApproxAlgebra.from_blocks(s) for s in ([1], [2], [1, 2], [2, 1, 1])]
+    algebras += [aa.ApproxAlgebra.from_matrix_basis(m)[0] for m in (upper, skewed)]
+    assert [a.dim for a in algebras] == [1, 4, 5, 6, 6, 6]
+    rng = random.Random(17)
+    coeffs = [ZERO] * 4 + [ONE, -ONE, sc(2), sc(0, 1), sc(1, -1), sc(1) / 3]
+    for alg in algebras:
+        for _ in range(40):
+            x, y = ([rng.choice(coeffs) for _ in range(alg.dim)] for _ in "xy")
+            prod = alg.mul(sparse(x), sparse(y))
+            assert prod == sparse(dense_product(alg, x, y))
+            assert all(prod.values())
+    m2 = algebras[1]  # basis e_00, e_01, e_10, e_11
+    assert m2.mul({0: ONE}, {3: ONE}) == {}
+    assert m2.mul({0: ONE, 1: ONE}, {1: ONE, 3: -ONE}) == {}  # e_01 - e_01
+    assert m2.mul({1: ONE}, {2: sc(3)}) == {0: sc(3)}
+
+
+def test_the_largest_admitted_module_loads_in_few_truth_tests(monkeypatch):
+    """Four 3x3 blocks, algebra dimension MAX_ALGEBRA_DIM, load (parsed and
+    validated) testing at most 100,000 Scalars for zero, failing at once
+    past that: algebra elements are zero-free dicts.  Dense coordinate
+    tuples, rescanned by every product, tested 10,354,386."""
+    _, M = aa.block_module([3, 3, 3, 3])
+    assert (M.dim, M.algebra.dim) == (12, aa.MAX_ALGEBRA_DIM)
+    text = M.to_json()
+    count = [0]
+    truth = Scalar.__bool__
+
+    def counted(x):
+        count[0] += 1
+        assert count[0] <= 100000, "tested more than 100,000 Scalars for zero"
+        return truth(x)
+
+    monkeypatch.setattr(Scalar, "__bool__", counted)
+    N = aa.ApproxModule.from_json(text)
+    monkeypatch.undo()
+    assert count[0] > 0
+    assert N.mats == M.mats and N.algebra.sc == M.algebra.sc and N.is_approx_unital()
+
+
 def kind(M):
     """How gen.rand_approx_module drew M: junk-padded, skewed or plain."""
     entries = sum(len(row) for m in M.mats for row in m.rows)
@@ -301,8 +396,8 @@ def test_top_corner_witness_needs_no_cutting_down():
         res = aa.end_sharp_membership(M, phi)
         assert res.member and M.act(res.witness) == phi
         if res.j == len(alg.chain) - 1:
-            top = alg.chain[-1]
-            assert alg.mul(alg.mul(top, res.witness), top) == res.witness
+            top, w = alg.chain[-1], sparse(res.witness)
+            assert alg.mul(alg.mul(top, w), top) == w
             kinds.add(kind(M))
     assert kinds == {"plain", "skewed", "junk"}
 

@@ -459,6 +459,24 @@ def test_block_diag_and_inverse_match_the_oracle(data, ns):
             assert inv == as_scalars(oracle(bl, n).inv())
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data(), sizes, sizes, sizes, sizes, st.integers(0, 8))
+def test_kron_and_dot_match_their_definitions(data, r1, c1, r2, c2, n):
+    """kron(a, b) holds a[i1][j1] b[i2][j2] at (i1 r2 + i2, j1 c2 + j2), a
+    owning the slow index, for every shape down to 0 x 0; dot pairs two
+    sparse vectors as the sum of their dense entrywise products."""
+    a = data.draw(gaussian_matrices(r1, c1))
+    b = data.draw(gaussian_matrices(r2, c2))
+    got = linalg.kron(Mat.of(a, c1), Mat.of(b, c2))
+    assert_zero_free(got)
+    assert (got.nrows, got.ncols) == (r1 * r2, c1 * c2)
+    assert got == tuple(tuple(a[i1][j1] * b[i2][j2] for j1 in range(c1) for j2 in range(c2))
+                        for i1 in range(r1) for i2 in range(r2))
+    u, v = data.draw(gaussian_matrices(2, n))
+    assert linalg.dot(linalg.sparse(u), linalg.sparse(v)) == \
+        sum((x * y for x, y in zip(u, v)), ZERO)
+
+
 # --- the fused update and the edges that read ints ---------------------------
 
 wide = st.builds(lambda a, b, d: Scalar(Fraction(a, d), Fraction(b, d)),
