@@ -24,7 +24,8 @@ reduced row echelon form (RREF), which is unique over exact arithmetic, so
 no pivoting heuristics are needed and every result is canonical.  `rank`,
 `nullspace`, `solver`, `mat_inverse` and `subspace_intersection` each read
 one SpanBasis.  Beside it, `close_span` closes a subspace under linear maps
-(submodules, tuple modules, word algebras, invariance grids).
+(submodules, tuple modules, word algebras, invariance grids), stepping each
+new echelon row, which is sparser than the vector inserted (a Meat-Axe spin).
 
 Every update y += c x here (eliminations, closures, `apply`, `mmul`,
 `mat_sum`) and in jetfun's family products is one fused `_axpy`: it works
@@ -68,10 +69,10 @@ def dense(v, n):
 
 class Mat:
     """Immutable exact matrix: its shape and one zero-free {column: Scalar}
-    dict per row; its columns, zero-free {row: Scalar} dicts, are built on
-    first read and kept.  No dict is modified once a Mat holds it.  At the
-    edges it reads as the tuple of its dense rows (see the module
-    docstring)."""
+    dict per row (jetfun.frobenius alone reads ExpPoly grids, only through
+    `dot`); its columns, zero-free {row: Scalar} dicts, are built on first
+    read and kept.  No dict is modified once a Mat holds it.  At the edges
+    it reads as the tuple of its dense rows (see the module docstring)."""
 
     __slots__ = ("rows", "nrows", "ncols", "_cols")
 
@@ -342,17 +343,18 @@ class SpanBasis:
     def insert(self, v):
         """Insert v, a sequence or a dict that may hold zeros; True iff the
         dimension grew."""
-        return self._insert(sparse(v))
+        return self._insert(sparse(v)) is not None
 
     def _insert(self, v):
         """insert() for a sequence or a zero-free dict, which is not
-        filtered again."""
+        filtered again; the new echelon row, or None if the span did not grow."""
         v = self._reduce(v)
         if not v:
-            return False
+            return None
         pivot = min(v)
-        inv = v[pivot].inverse()
-        v = {j: x * inv for j, x in v.items()}
+        if v[pivot] != ONE:
+            inv = v[pivot].inverse()
+            v = {j: x * inv for j, x in v.items()}
         # keep existing rows reduced against the new one
         for i, row in enumerate(self.rows):
             c = row.get(pivot)
@@ -364,7 +366,7 @@ class SpanBasis:
         self.rows.insert(at, v)
         self.pivots.insert(at, pivot)
         self._row[pivot] = v
-        return True
+        return v
 
     def add(self, v):
         """insert() for a dense row, at the edges; the benchmark's tracer
@@ -402,13 +404,13 @@ class SpanBasis:
 
 
 def close_span(span, seeds, step):
-    """Close the SpanBasis `span` under `step`, which maps a zero-free
-    sparse vector to a list of such vectors: insert each seed (a sequence or
-    dict), then every vector of step(v) for each v that grew the span,
-    breadth first, until nothing new appears.  Returns `span`."""
-    frontier = [v for v in map(sparse, seeds) if span._insert(v)]
+    """Close the SpanBasis `span` under the linear map `step` (a zero-free
+    sparse vector to a list of such, never modifying its argument): insert
+    each seed (a sequence or dict), then step each echelon row an insert
+    created, breadth first, until nothing new appears.  Returns `span`."""
+    frontier = [r for r in map(span._insert, map(sparse, seeds)) if r is not None]
     while frontier:
-        frontier = [w for v in frontier for w in step(v) if span._insert(w)]
+        frontier = [r for v in frontier for r in map(span._insert, step(v)) if r is not None]
     return span
 
 

@@ -35,9 +35,7 @@ def _mk(a, b, den):
         b //= g
         den //= g
     s = object.__new__(Scalar)
-    s.a = a
-    s.b = b
-    s.den = den
+    s.a, s.b, s.den = a, b, den
     return s
 
 
@@ -105,8 +103,10 @@ class Scalar:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return _mk(-self.a, -self.b, self.den)
+    def __neg__(self):  # -x and conj(x) keep lowest terms: no _mk
+        s = object.__new__(Scalar)
+        s.a, s.b, s.den = -self.a, -self.b, self.den
+        return s
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -148,7 +148,9 @@ class Scalar:
         return self.inverse() * other
 
     def conjugate(self):
-        return _mk(self.a, -self.b, self.den)
+        s = object.__new__(Scalar)
+        s.a, s.b, s.den = self.a, -self.b, self.den
+        return s
 
     def __repr__(self):
         return "Scalar(%r)" % (str(self),)

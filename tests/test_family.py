@@ -658,3 +658,91 @@ def test_forward_letters_generate_the_invariance_modules():
                              lambda w: [sparse(mat_vec(g, dense(w, total)))
                                         for g in letters])
             assert one.same_span(two)
+
+
+def reference_closure(ncols, seeds, step):
+    """The closure of the seeds under step by a plain breadth-first loop,
+    without close_span: it steps the raw vectors that grew the span."""
+    span = SpanBasis(ncols)
+    frontier = [v for v in map(sparse, seeds) if span.insert(v)]
+    while frontier:
+        frontier = [w for v in frontier for w in step(v) if span.insert(w)]
+    return span
+
+
+def check_closures(monkeypatch, module):
+    """Route module.close_span through a check and return the list of spans
+    it closes.  Every vector handed to step must be an echelon row of the
+    span (its least key a pivot, with ONE there), and the closed span must
+    have the reference closure's rows and pivots."""
+    spans = []
+
+    def checked(span, seeds, step):
+        assert span.dim == 0
+        seeds = list(seeds)
+
+        def stepped(v):
+            assert min(v) in span.pivots and v[min(v)] == ONE
+            return step(v)
+
+        close_span(span, seeds, stepped)
+        ref = reference_closure(span.ncols, seeds, step)
+        assert (span.frozen_rows(), span.pivots) == (ref.frozen_rows(), ref.pivots)
+        spans.append(span)
+        return span
+
+    monkeypatch.setattr(module, "close_span", checked)
+    return spans
+
+
+def test_word_algebras_match_a_reference_closure(monkeypatch):
+    spans = check_closures(monkeypatch, family)
+    for _, reps, pts, E in random_layouts(11, 12):
+        _, span, _ = spanned_algebra(reps, pts, E)
+        assert spans[-1] is span
+    assert len(spans) == 12 and max(s.dim for s in spans) > 5
+
+
+def test_invariance_modules_match_a_reference_closure(monkeypatch):
+    spans = check_closures(monkeypatch, family)
+    for rng, reps, pts, _ in random_layouts(13, 8):
+        etas = [gen.rand_covector(rng, 1) for _ in range(rng.randint(0, 1))]
+        delta = [(rep.label, p, etas) for rep in reps for p in pts
+                 for _ in range(rep.dim)]
+        for member in (True, False):
+            cand, _ = gen.rand_candidate(rng, reps, maxlen=4, member=member)
+            invariance_check(cand, delta, reps)
+    assert len(spans) > 50 and max(s.dim for s in spans) > 3
+
+
+def test_tuple_modules_match_a_reference_closure(monkeypatch):
+    spans = check_closures(monkeypatch, approxalg)
+    rng = random.Random(14)
+    for _ in range(6):
+        _, M = gen.rand_approx_module(rng, 6, junk_ok=True)
+        for n in (1, 2):
+            grid = [{i: ONE} for i in range(n * M.dim)]
+            grid.append([gen.rand_scalar(rng) for _ in range(n * M.dim)])
+            for w in grid:
+                assert approxalg.generated_tuple_module(M, w, n) is spans[-1]
+    assert max(s.dim for s in spans) > 3
+
+
+def test_word_algebras_insert_few_entries(monkeypatch):
+    """Over the layouts of seeds 11 and 12, spanned_algebra hands
+    SpanBasis._insert at most 1,911 entries (1,738 measured, plus 10%):
+    close_span steps each new echelon row.  Stepping the raw word images,
+    dense in their blocks, inserted 3,673."""
+    entries = [0]
+    insert = SpanBasis._insert
+
+    def counted(self, v):
+        entries[0] += len(v)
+        return insert(self, v)
+
+    monkeypatch.setattr(SpanBasis, "_insert", counted)
+    for seed in (11, 12):
+        for _, reps, pts, E in random_layouts(seed, 12):
+            spanned_algebra(reps, pts, E)
+    monkeypatch.undo()
+    assert 0 < entries[0] <= 1911, entries[0]

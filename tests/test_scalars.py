@@ -3,10 +3,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from jetcalc.poly import parse_scalar
-from jetcalc.scalars import Scalar, ExpScalar, ZERO, ONE, sc
+from jetcalc.scalars import Scalar, ExpScalar, ZERO, ONE, sc, _mk
 
 
 def scalars(nonzero=False):
@@ -34,6 +34,21 @@ def test_ring_laws(a, b, c):
 def test_inverses(a):
     assert a * a.inverse() == ONE
     assert (ONE / a) * a == ONE
+
+
+BIG = st.integers(min_value=-2 ** 200, max_value=2 ** 200)
+
+
+@given(st.builds(_mk, BIG, BIG, st.integers(min_value=1, max_value=2 ** 200)))
+@example(ZERO)
+@example(sc(Fraction(3, 4), Fraction(-5, 6)))
+@example(_mk(2 ** 200 - 1, -(3 ** 126), 5 ** 86))
+def test_negation_and_conjugation_are_in_lowest_terms(x):
+    """-x and x.conjugate() skip _mk: they must be, part for part, the
+    values _mk normalizes from the negated and conjugated parts."""
+    for got, want in ((-x, _mk(-x.a, -x.b, x.den)), (x.conjugate(), _mk(x.a, -x.b, x.den))):
+        assert type(got) is Scalar
+        assert (got.a, got.b, got.den) == (want.a, want.b, want.den)
 
 
 @given(scalars())
