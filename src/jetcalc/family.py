@@ -8,15 +8,15 @@ double annihilator, and the End^# criterion together.
 Generators are unimodular (constant nonzero determinant), so their inverses
 are again polynomial families, and every word evaluates to an exactly
 invertible matrix.  A generator's inverse is its adjugate over that
-constant; family_det_adj reads both off the characteristic polynomial,
-without division.  Words are lists of nonzero ints: +i is the i-th
-generator (1-based), -i its inverse.
+constant; family_det_adj gives both by Faddeev-LeVerrier, in the matrix
+family's own products and traces.  Words are lists of nonzero ints: +i is
+the i-th generator (1-based), -i its inverse.
 """
 
 import json
 
 from .scalars import ZERO, ONE, EXP_ZERO
-from .poly import ExpPoly, Vector, diff, entry_parser
+from .poly import Vector, diff, entry_parser, _inv_int
 from .linalg import (Mat, SpanBasis, CrossCheckError, mmul, mid, block_diag, kron,
                      dot, close_span, square, apply, json_field, json_load, _axpy)
 from .localmod import MAX_NVARS
@@ -26,58 +26,27 @@ from .approxalg import ApproxModule, end_sharp_membership
 
 
 def family_det_adj(F):
-    """(det F, adj F) of a square family, from the coefficients c_1..c_n of
-    det(xI - F) = x^n + c_1 x^(n-1) + ... + c_n by Berkowitz's recurrence,
-    which needs no division.  det F = (-1)^n c_n, and by Cayley-Hamilton
-    adj F = (-1)^(n-1) B with B = F^(n-1) + c_1 F^(n-2) + ... + c_(n-1) I,
-    formed by Horner from F + c_1 I.  Products skip zeros and ones."""
+    """(det F, adj F) of a square family by Faddeev-LeVerrier (Gantmacher,
+    The Theory of Matrices, vol. 1, ch. IV), in the family's own arithmetic:
+    with M_1 = I, c_k = -tr(F M_k)/k and M_(k+1) = F M_k + c_k I, the c_k
+    are the coefficients of det(xI - F) = x^n + c_1 x^(n-1) + ... + c_n, so
+    det F = (-1)^n c_n and adj F = (-1)^(n-1) M_n.  The trace is taken per
+    term key, and the divisions by k are exact over Q(i)."""
     n = F.rows
     if n != F.cols:
         raise ValueError("determinant of a non-square family")
-    zero, one = ExpPoly.zero(F.nvars), ExpPoly.const(F.nvars, ONE)
-    # the nonzero entries of each row; an entry equal to 1 is `one` itself
-    rows = [{j: one if e == one else e for j, e in enumerate(row) if e}
-            for row in F.entries]
-
-    def mul(x, y):
-        return y if x is one else x if y is one else x * y
-
-    def vec_mat(v, M, keep=range(n)):
-        """The nonzero entries of v M in the columns `keep`, for a sparse
-        row v and sparse rows M."""
-        acc = {}
-        for r, x in v.items():
-            for j, y in M[r].items():
-                if j in keep:
-                    acc[j] = acc[j] + mul(x, y) if j in acc else mul(x, y)
-        return {j: x for j, x in acc.items() if x}
-
-    c = []  # c_1..c_k of the leading k x k block F_k
-    for k in range(n):
-        # bordered by row R and column C, F_(k+1) has the coefficients
-        # c_i - s_i - sum_j s_(i-j) c_j, where s = (F[k][k], RC, R F_k C, ...)
-        s, v = [rows[k].get(k, zero)], {j: x for j, x in rows[k].items() if j < k}
-        for m in range(k):  # v = R F_k^m
-            v = vec_mat(v, rows, range(k + 1) if m < k - 1 else (k,))
-            s.append(v.pop(k, zero))
-        t = list(s)
-        for i in range(k + 1):
-            for j in range(i):
-                if s[i - 1 - j] and c[j]:
-                    t[i] = t[i] + mul(s[i - 1 - j], c[j])
-        c = [c[i] - t[i] for i in range(k)] + [-t[k]]
-    B = [dict(row) for row in rows] if n > 1 else [{0: one}]
-    for k in range(1, n):
-        if k > 1:
-            B = [vec_mat(row, B) for row in rows]  # F B
-        if c[k - 1]:  # B + c_k I
-            for i, row in enumerate(B):
-                row[i] = row[i] + c[k - 1] if i in row else c[k - 1]
-                if not row[i]:
-                    del row[i]
-    adj = [[(row[j] if n % 2 else -row[j]) if j in row else zero
-            for j in range(n)] for row in B]
-    return (-c[-1] if n % 2 else c[-1]), MatPolyFamily(F.nvars, adj)
+    M, FM = MatPolyFamily.identity(F.nvars, n), F
+    for k in range(1, n + 1):
+        c = {}
+        for key, m in FM.terms.items():
+            t = sum((row[i] for i, row in enumerate(m.rows) if i in row), ZERO)
+            if t:
+                c[key] = t * _inv_int(-k)
+        if k < n:
+            M = FM + F._new(n, n, {key: [{i: t} for i in range(n)] for key, t in c.items()})
+            FM = F * M
+    det = F._new(1, 1, {key: [{0: t}] for key, t in c.items()})
+    return (det * -1 if n % 2 else det).entries[0][0], (M if n % 2 else M * -1)
 
 
 class RepFamily:

@@ -118,7 +118,12 @@ class MatPolyFamily:
         return ((self.nvars, self.rows, self.cols, self.terms)
                 == (other.nvars, other.rows, other.cols, other.terms))
 
+    def _arity(self, other):
+        if other.nvars != self.nvars:
+            raise ValueError("arity mismatch: %d vs %d variables" % (self.nvars, other.nvars))
+
     def __add__(self, other):
+        self._arity(other)
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
         acc = {}
@@ -137,6 +142,7 @@ class MatPolyFamily:
                 for k, m in self.terms.items():
                     _put(_rows(acc, k, self.rows), m, other)
             return self._new(self.rows, self.cols, acc)
+        self._arity(other)
         if self.cols != other.rows:
             raise ValueError("inner dimensions %d and %d do not match"
                              % (self.cols, other.rows))

@@ -43,7 +43,8 @@ from .scalars import Scalar, ZERO, ONE, _mk
 class CrossCheckError(AssertionError):
     """Two independent computations of one exact result disagree (kernel
     routes, End(V)_0 corner spans, relation evaluations, or a recovered End^#
-    witness): a defect, never a verdict about the input."""
+    witness), or a reduction leaves a residue under an existing pivot: a
+    defect, never a verdict about the input."""
 
 
 def sparse(v):
@@ -347,11 +348,14 @@ class SpanBasis:
 
     def _insert(self, v):
         """insert() for a sequence or a zero-free dict, which is not
-        filtered again; the new echelon row, or None if the span did not grow."""
+        filtered again; the new echelon row, or None if the span did not grow.
+        A residue that keeps an existing pivot raises CrossCheckError."""
         v = self._reduce(v)
         if not v:
             return None
         pivot = min(v)
+        if pivot in self._row:  # a correct _reduce clears every pivot
+            raise CrossCheckError("a reduced row keeps the pivot %d" % pivot)
         if v[pivot] != ONE:
             inv = v[pivot].inverse()
             v = {j: x * inv for j, x in v.items()}

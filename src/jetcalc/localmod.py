@@ -351,17 +351,14 @@ def dual_number_module(lam):
 def annihilator_dual(ideal):
     """Basis of the operators of order <= k annihilating the ideal under the
     pairing <p, u> = (d_u p)(0); its size equals the codimension."""
-    nvars, k = ideal.nvars, ideal.k
-    gammas = monomials_upto(nvars, k)
+    gammas = ideal.space.mons_asc
+    n = len(gammas)
     facts = [beta_factorial(g) for g in gammas]
-    rows = []
-    for row in ideal.span.frozen_rows():
-        p = ideal.space.from_vec(row)
-        rows.append([p.terms.get(g, ZERO) * facts[t] for t, g in enumerate(gammas)])
-    basis = []
-    for v in linalg.nullspace(rows, len(gammas)):
-        basis.append(DiffOp(nvars, {g: c for g, c in zip(gammas, v) if c}))
-    return basis
+    # the space's coordinate i is the monomial gammas[n - 1 - i]
+    rows = [{n - 1 - i: x * facts[n - 1 - i] for i, x in row.items()}
+            for row in ideal.span.rows]
+    return [DiffOp(ideal.nvars, {gammas[t]: v[t] for t in sorted(v)})
+            for v in SpanBasis(n, rows).nullspace()]
 
 
 def direct_sum(*mods):
@@ -454,11 +451,10 @@ def annihilator(E):
     with the module's k."""
     nvars, k = E.nvars, E.k
     gammas = monomials_upto(nvars, k)
-    flats = [E.mon_mat(g).flat() for g in gammas]
-    # solve sum_g c_g * mat(g) = 0: kernel of the transposed coefficient matrix
-    mat = [[f.get(j, ZERO) for f in flats] for j in range(E.dim * E.dim)]
-    gens = []
-    for v in linalg.nullspace(mat, len(gammas)):
-        gens.append(Polynomial(nvars, {g: c for g, c in zip(gammas, v) if c}))
+    # solve sum_g c_g * mat(g) = 0: the kernel of the rows of the matrix
+    # whose columns are the flattened mat(g)
+    rows = Mat([E.mon_mat(g).flat() for g in gammas], E.dim ** 2).cols
+    gens = [Polynomial(nvars, {gammas[t]: v[t] for t in sorted(v)})
+            for v in SpanBasis(len(gammas), rows).nullspace()]
     gens.extend(Polynomial.monomial(nvars, m) for m in monomials_of_degree(nvars, k + 1))
     return CofiniteIdeal(nvars, k, gens)

@@ -7,11 +7,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jetcalc import approxalg, family, gen, linalg
+from jetcalc import approxalg, family, gen, linalg, poly, scalars
 from jetcalc.approxalg import ApproxAlgebra, ApproxModule
 from jetcalc.scalars import Scalar, ZERO, ONE, sc
 from jetcalc.poly import (Vector, Covector, DiffOp, ExpPoly, Polynomial,
-                          parse_exppoly, monomials_upto)
+                          parse_exppoly, monomials_upto, translate)
 from jetcalc.linalg import (Mat, SpanBasis, mmul, mid, mat_vec, block_diag,
                             close_span, sparse, dense)
 from jetcalc.localmod import (cyclic_quotient, maximal_ideal, power_ideal,
@@ -174,12 +174,12 @@ def reference_det_adj(F):
     return cofactor(F, idx, idx), MatPolyFamily(F.nvars, adj)
 
 
-def square_families(rng, count, dmax=4):
-    """Seeded square families of size 1..dmax: unimodular products of
+def square_families(rng, count, dmax=4, dmin=1):
+    """Seeded square families of size dmin..dmax: unimodular products of
     elementary families, the same plus random polynomials (not unimodular),
     and matrices with exponential-polynomial entries, sparse and dense."""
     for i in range(count):
-        d, nvars, kind = rng.randint(1, dmax), rng.randint(1, 2), i % 3
+        d, nvars, kind = rng.randint(dmin, dmax), rng.randint(1, 2), i % 3
         g = gen.rand_elementary_family(rng, nvars, d)
         for _ in range(rng.randint(0, 3)):
             g = g * gen.rand_elementary_family(rng, nvars, d)
@@ -195,23 +195,31 @@ def square_families(rng, count, dmax=4):
 
 
 def test_det_adj_match_the_cofactor_expansion():
-    """Berkowitz's det and adjugate equal the cofactor expansion's on
-    unimodular, non-unimodular and exponential families of size <= 4, and
-    satisfy F adj F = adj F F = det F I and det(FG) = det F det G."""
+    """family_det_adj's det and adjugate equal the cofactor expansion's on
+    unimodular, non-unimodular and exponential families of size <= 4, on
+    families of size 5 and 6, where the divisions by 4, 5 and 6 must
+    cancel, and on families whose entries carry formal units E[a] (each
+    entry translated by its own point); they satisfy F adj F = adj F F =
+    det F I and det(FG) = det F det G."""
     rng = random.Random(8)
     fams = list(square_families(rng, 90))
+    large = list(square_families(rng, 8, dmax=6, dmin=5))
+    translated = [MatPolyFamily(F.nvars, [[translate(e, gen.rand_point(rng, F.nvars))
+                                           for e in row] for row in F.entries])
+                  for F in square_families(rng, 30)]
     sizes, dets = set(), set()
-    for F in fams:
+    for F in fams + large + translated:
         det, adj = family_det_adj(F)
         assert (det, adj) == reference_det_adj(F)
         scalar = MatPolyFamily(F.nvars, [[det if r == c else ExpPoly.zero(F.nvars)
                                           for c in range(F.rows)] for r in range(F.rows)])
         assert F * adj == adj * F == scalar
         sizes.add(F.rows)
-        dets.add("exponential" if not det.is_polynomial() else
+        dets.add("unit" if any(unit for _, unit in det.terms) else
+                 "exponential" if not det.is_polynomial() else
                  "unimodular" if det and det.pure().degree() == 0 else "other")
-    assert sizes == {1, 2, 3, 4}
-    assert dets == {"exponential", "unimodular", "other"}
+    assert sizes == {1, 2, 3, 4, 5, 6}
+    assert dets == {"unit", "exponential", "unimodular", "other"}
     for F in fams[:30]:
         G = next(G for G in fams if (G.rows, G.nvars) == (F.rows, F.nvars))
         assert (family_det_adj(F * G)[0]
@@ -224,17 +232,19 @@ def test_det_adj_refuses_a_non_square_family():
 
 
 def product_budget(monkeypatch, budget):
-    """Count ExpPoly.__mul__ calls from here on, failing at once when more
-    than `budget` are made; returns the one-item count list."""
+    """Count the Scalars built through scalars._mk, at every module binding
+    of it, from here on, failing at once when more than `budget` are built;
+    returns the one-item count list."""
     count = [0]
-    mul = ExpPoly.__mul__
+    mk = scalars._mk
 
-    def counted(a, b):
+    def counted(*args):
         count[0] += 1
-        assert count[0] <= budget, "formed more than %d products" % budget
-        return mul(a, b)
+        assert count[0] <= budget, "built more than %d Scalars" % budget
+        return mk(*args)
 
-    monkeypatch.setattr(ExpPoly, "__mul__", counted)
+    for module in (scalars, poly, linalg):
+        monkeypatch.setattr(module, "_mk", counted)
     return count
 
 
@@ -250,8 +260,8 @@ def elementary_products(seed, d, factors, ngens=2):
 
 
 def test_a_d7_rep_is_built_in_few_products(monkeypatch):
-    """Building and validating a 7 x 7 rep forms at most 2 * 7^4 products;
-    cofactor expansion formed tens of thousands."""
+    """Building and validating a 7 x 7 rep builds at most 2 * 7^4 Scalars;
+    cofactor expansion formed tens of thousands of entry products."""
     for seed in range(3):
         gens = elementary_products(seed, 7, 4)
         count = product_budget(monkeypatch, 2 * 7 ** 4)
@@ -265,7 +275,7 @@ def test_a_d7_rep_is_built_in_few_products(monkeypatch):
 def test_a_wide_rep_loads_in_few_products(monkeypatch):
     """fixtures/wide_family.json holds one 10 x 10 rep whose two generators
     are products of fourteen elementary families (elementary_products(10,
-    10, 14)); it loads in at most 2 * 10^4 products."""
+    10, 14)); it loads building at most 2 * 10^4 Scalars."""
     text = (FIXTURES / "wide_family.json").read_text()
     count = product_budget(monkeypatch, 2 * 10 ** 4)
     (rep,) = family_from_json(text)
@@ -277,7 +287,7 @@ def test_a_wide_rep_loads_in_few_products(monkeypatch):
 
 def test_family_json_bounds_the_rep_dimension(monkeypatch):
     """A rep above MAX_REP_DIM is refused, by name, before any entry is
-    parsed; a rep of MAX_REP_DIM loads in at most 2 * 12^4 products."""
+    parsed; a rep of MAX_REP_DIM loads building at most 2 * 12^4 Scalars."""
     parsed = []
 
     def spying_parser(nvars):

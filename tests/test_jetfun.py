@@ -1,5 +1,6 @@
 """The jet construction f -> f^(E) and the maps derived from it."""
 
+import operator
 import random
 
 import pytest
@@ -166,6 +167,16 @@ def exp_grids(draw, nvars, rows, cols):
     entry = st.builds(lambda s: ExpPoly(nvars, dict(s)),
                       st.lists(st.tuples(keys, polys), max_size=2))
     return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.mul], ids=["add", "mul"])
+def test_family_arithmetic_refuses_an_operand_of_another_arity(op):
+    """A sum or product of families over 1 and 2 variables raises the term
+    dicts' message; the product once returned the 1-variable identity."""
+    one, two = jf.MatPolyFamily.identity(1, 2), jf.MatPolyFamily.identity(2, 2)
+    for a, b, msg in ((one, two, "1 vs 2"), (two, one, "2 vs 1")):
+        with pytest.raises(ValueError, match="arity mismatch: %s variables" % msg):
+            op(a, b)
 
 
 @settings(max_examples=60, deadline=None)

@@ -13,7 +13,7 @@ from math import gcd
 import pytest
 
 from jetcalc import linalg
-from jetcalc.linalg import SpanBasis
+from jetcalc.linalg import SpanBasis, CrossCheckError
 from jetcalc.scalars import Scalar, ZERO
 
 sympy = pytest.importorskip("sympy")
@@ -279,6 +279,17 @@ def test_rows_read_before_an_add_are_not_modified():
     assert before == snapshot
     assert sb.rows[0] != snapshot
     assert_rows_are_sparse(sb)
+
+
+def test_a_residue_that_keeps_a_pivot_raises_a_cross_check_error(monkeypatch):
+    """With a _reduce that returns its input, a second row with the same
+    pivot is refused as a defect instead of being filed under that pivot."""
+    sb = SpanBasis(3)
+    monkeypatch.setattr(SpanBasis, "_reduce", lambda self, v, record=None: dict(v))
+    assert sb.insert([1, 2, 0])
+    with pytest.raises(CrossCheckError, match="pivot 0"):
+        sb.insert([1, 0, 1])
+    assert sb.pivots == [0] and sb.rows == [{0: Scalar(1), 1: Scalar(2)}]
 
 
 def dense_mat_vec(a, v):

@@ -14,7 +14,7 @@ import pytest
 
 from jetcalc import gen
 from jetcalc.family import spanned_algebra
-from jetcalc.linalg import mid
+from jetcalc.linalg import SpanBasis, CrossCheckError, mid
 from jetcalc.localmod import cyclic_quotient, maximal_ideal, dual_number_module
 
 sympy = pytest.importorskip("sympy")
@@ -60,21 +60,23 @@ def layouts(seed, count, totals):
             yield reps, pts, E
 
 
-def check_word_algebras(seeds, totals):
+def check_word_algebra(reps, pts, E):
     """spanned_algebra's dimension is the rank of all words, and each of its
-    basis matrices lies in their span; returns the dimensions checked."""
-    dims = []
-    for seed in seeds:
-        for reps, pts, E in layouts(seed, 8, totals):
-            _, span, layout = spanned_algebra(reps, pts, E)
-            n = layout.total
-            ngens = len(reps[0].generators)
-            words = all_words([layout.assemble(lambda rep: rep.letter(k))
-                               for k in range(-ngens, ngens + 1) if k], n)
-            assert span.dim == words.rank()
-            assert words.vstack(to_sympy(span.frozen_rows(), n * n)).rank() == span.dim
-            dims.append(span.dim)
-    return dims
+    basis matrices lies in their span; returns the dimension."""
+    _, span, layout = spanned_algebra(reps, pts, E)
+    n = layout.total
+    ngens = len(reps[0].generators)
+    words = all_words([layout.assemble(lambda rep: rep.letter(k))
+                       for k in range(-ngens, ngens + 1) if k], n)
+    assert span.dim == words.rank()
+    assert words.vstack(to_sympy(span.frozen_rows(), n * n)).rank() == span.dim
+    return span.dim
+
+
+def check_word_algebras(seeds, totals):
+    """check_word_algebra on each seed's layouts; returns the dimensions."""
+    return [check_word_algebra(*layout) for seed in seeds
+            for layout in layouts(seed, 8, totals)]
 
 
 def test_word_algebras_are_the_span_of_all_words():
@@ -86,3 +88,35 @@ def test_word_algebras_are_the_span_of_all_words():
 def test_larger_word_algebras_are_the_span_of_all_words():
     dims = check_word_algebras(range(8), (5, 6))
     assert len(dims) >= 5 and max(dims) >= 9
+
+
+def test_a_reduction_that_skips_a_pivot_row_fails_with_a_cross_check_error(monkeypatch):
+    """A SpanBasis._reduce that skips the last pivot row once the span holds
+    3 rows leaves a residue under an existing pivot; filing it raises
+    CrossCheckError on some layouts, and every other layout still passes
+    the oracle.  The patch gives up after 2,000 calls, so a closure that
+    grows without end fails instead of hanging."""
+    reduce, calls = SpanBasis._reduce, [0]
+
+    def skipping(self, v, record=None):
+        calls[0] += 1
+        assert calls[0] <= 2000, "the closure did not end"
+        if self.dim < 3:
+            return reduce(self, v, record)
+        last = self.pivots[-1]
+        row = self._row.pop(last)
+        try:
+            return reduce(self, v, record)
+        finally:
+            self._row[last] = row
+
+    monkeypatch.setattr(SpanBasis, "_reduce", skipping)
+    raised = 0
+    for seed in range(4):
+        for layout in layouts(seed, 8, range(1, 5)):
+            calls[0] = 0
+            try:
+                check_word_algebra(*layout)
+            except CrossCheckError:
+                raised += 1
+    assert raised >= 3
