@@ -352,7 +352,7 @@ def _tuple_module(M, j, tuples):
         basis = M.V_j(j).rows
         n = len(basis)
         u = {i * d + k: x for i, b in enumerate(basis) for k, x in b.items()}
-        acts = [apply(m, u, d) for m in M.mats]
+        acts = [apply(m, u) for m in M.mats]
         W = SpanBasis(n * d, acts)
         tuples[j] = (u, n, acts, W)
     return tuples[j]
@@ -381,17 +381,15 @@ def _membership(M, phi, tuples):
                          "it cannot be an image element")
     u, n, acts, W = _tuple_module(M, corner_j, tuples)
     tuple_vec = dense(u, n * d)
-    for row in W.rows:
-        moved = apply(phi, row, d)
-        if not W.contains(moved):
-            return SharpResult(False, j=corner_j, tuple_vec=tuple_vec, submodule=W,
-                               escaped=(dense(row, n * d), dense(moved, n * d)))
+    if escaped := W.escape(phi):
+        return SharpResult(False, j=corner_j, tuple_vec=tuple_vec, submodule=W,
+                           escaped=tuple(dense(v, n * d) for v in escaped))
     # recover a witness: solve phi.u = pi(a).u in the element coordinates,
     # with the corner's acts factored once, then cut a down to the corner so
     # the equality extends from V_j to V
     if ("solve", corner_j) not in tuples:
         tuples["solve", corner_j] = linalg.solver(acts, n * d)
-    a = tuples["solve", corner_j](apply(phi, u, d))
+    a = tuples["solve", corner_j](apply(phi, u))
     if a is None:
         raise CrossCheckError("invariance held but no witness solves the system")
     if corner_j < len(M.algebra.chain) - 1:  # the top idempotent is the unit
@@ -416,7 +414,7 @@ def _end_sharp(M, tuples):
         # a residue's keys are the non-pivot columns where it is nonzero
         by_key = {}
         for i, C in enumerate(corner_mats):
-            for t, x in W._reduce(apply(C, wrow, d)).items():
+            for t, x in W._reduce(apply(C, wrow)).items():
                 by_key.setdefault(t, {})[i] = x
         rows.extend(by_key.values())
     sharp = SpanBasis(d * d, [
@@ -515,9 +513,7 @@ def corner_identity_check(M, j1, j2):
 
 def generated_tuple_module(M, w, n):
     """Smallest action-invariant subspace of V^n containing w."""
-    d = M.dim
-    return close_span(SpanBasis(n * d), [w],
-                      lambda v: [apply(m, v, d) for m in M.mats])
+    return close_span(n * M.dim, [w], M.mats)
 
 
 def submodule_grid_check(M, phi, n, extra=()):
@@ -532,6 +528,6 @@ def submodule_grid_check(M, phi, n, extra=()):
     grid = [{i: ONE} for i in range(n * d)] + [sparse(w) for w in extra]
     for w in grid:
         W = generated_tuple_module(M, w, n)
-        if not all(W.contains(apply(phi, row, d)) for row in W.rows):
+        if W.escape(phi):
             return dense(w, n * d)
     return None

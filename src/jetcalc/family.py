@@ -18,11 +18,26 @@ import json
 from .scalars import ZERO, ONE, EXP_ZERO
 from .poly import Vector, diff, entry_parser, _inv_int
 from .linalg import (Mat, SpanBasis, CrossCheckError, mmul, mid, block_diag, kron,
-                     dot, close_span, square, apply, json_field, json_load, _axpy)
+                     dot, close_span, square, json_field, json_load, _axpy)
 from .localmod import MAX_NVARS
 from .jetfun import (MatPolyFamily, jet_family, iterated_block_derivative,
-                     functional_to_diffop, diffop_to_module, frobenius)
+                     functional_to_diffop, diffop_to_module, frobenius, _keys_add)
 from .approxalg import ApproxModule, end_sharp_membership
+
+
+def _trace(A, B):
+    """tr(A B) of two square families, per term key, without forming A B:
+    over the key pairs, the pairing of one coefficient's entries with the
+    other's transpose."""
+    out, bts = {}, [(k2, b.T.flat()) for k2, b in B.terms.items()]
+    for k1, a in A.terms.items():
+        a = a.flat()
+        for k2, bt in bts:
+            t = dot(a, bt)
+            if t:
+                key = _keys_add(k1, k2)
+                out[key] = out.get(key, ZERO) + t
+    return out
 
 
 def family_det_adj(F):
@@ -30,21 +45,20 @@ def family_det_adj(F):
     The Theory of Matrices, vol. 1, ch. IV), in the family's own arithmetic:
     with M_1 = I, c_k = -tr(F M_k)/k and M_(k+1) = F M_k + c_k I, the c_k
     are the coefficients of det(xI - F) = x^n + c_1 x^(n-1) + ... + c_n, so
-    det F = (-1)^n c_n and adj F = (-1)^(n-1) M_n.  The trace is taken per
-    term key, and the divisions by k are exact over Q(i)."""
+    det F = (-1)^n c_n and adj F = (-1)^(n-1) M_n.  M_(k+1) needs F M_k, so
+    its diagonal gives tr(F M_k), except at k = n, where `_trace` reads it
+    without F M_n: max(n - 2, 0) family products.  Division by k is exact."""
     n = F.rows
     if n != F.cols:
         raise ValueError("determinant of a non-square family")
     M, FM = MatPolyFamily.identity(F.nvars, n), F
     for k in range(1, n + 1):
-        c = {}
-        for key, m in FM.terms.items():
-            t = sum((row[i] for i, row in enumerate(m.rows) if i in row), ZERO)
-            if t:
-                c[key] = t * _inv_int(-k)
+        tr = ({key: sum((row[i] for i, row in enumerate(m.rows) if i in row), ZERO)
+               for key, m in FM.terms.items()} if k < n else _trace(F, M))
+        c = {key: t * _inv_int(-k) for key, t in tr.items() if t}
         if k < n:
             M = FM + F._new(n, n, {key: [{i: t} for i in range(n)] for key, t in c.items()})
-            FM = F * M
+            FM = F * M if k < n - 1 else None
     det = F._new(1, 1, {key: [{0: t}] for key, t in c.items()})
     return (det * -1 if n % 2 else det).entries[0][0], (M if n % 2 else M * -1)
 
@@ -240,8 +254,7 @@ def spanned_algebra(reps, points, E):
     # X g maps each row of X by g^T
     transposed = [layout.assemble(lambda rep: rep.letter(k)).T
                   for k in range(1, ngens + 1)]
-    span = close_span(SpanBasis(total * total), [mid(total).flat()],
-                      lambda v: [apply(gt, v, total) for gt in transposed])
+    span = close_span(total * total, [mid(total).flat()], transposed)
     mats = [Mat.from_flat(row, total, total) for row in span.rows]
     return mats, span, layout
 
@@ -501,12 +514,7 @@ def invariance_check(cand, delta, reps):
     if len(run_vecs) > 1:  # the runs lie in disjoint blocks
         grid.append({s: x for v in run_vecs for s, x in v.items()})
 
-    for v in grid:
-        W = close_span(SpanBasis(total), [v],
-                       lambda w: [apply(g, w, total) for g in gen_mats])
-        if not all(W.contains(apply(phi, row, total)) for row in W.rows):
-            return False
-    return True
+    return not any(close_span(total, [v], gen_mats).escape(phi) for v in grid)
 
 
 def intertwiner_graph_check(cand, delta_i, delta_j, T, reps):

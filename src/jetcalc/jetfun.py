@@ -424,7 +424,7 @@ def kernel_alpha_bar(lams, d):
     # canonical output: reduced rows in descending-grlex coordinates
     canon = SpanBasis(space.dim, ({space.index[m]: c for c, m in zip(v, mons) if c}
                                   for v in basis_a))
-    basis = [space.from_vec(r) for r in canon.frozen_rows()]
+    basis = [space.from_vec(r) for r in canon.rows]
     return KernelResult(tuple(lams), d, basis, d < n + 1)
 
 

@@ -10,8 +10,8 @@ A matrix is one immutable type, `Mat`: its shape and one zero-free
 {column: Scalar} dict per row, with its columns built once, on first read.
 `mmul` is Gustavson's row-wise sparse product, `mat_sum` forms linear
 combinations, `block_diag` and `kron` build block-diagonal matrices and
-Kronecker products, and `apply`, the one matrix-vector action, maps every
-block of a stacked vector by one matrix's columns.  `Mat.flat` and
+Kronecker products, and `apply`, the one matrix-vector action, maps each
+matrix-wide block of a stacked vector by its columns.  `Mat.flat` and
 `Mat.from_flat` convert to and from the sparse vector of row-major entries.
 At the edges (JSON, printing, tests) `Mat.of` reads a nested sequence, and
 `len`, iteration, indexing, equality and hashing treat a Mat as its dense
@@ -23,9 +23,10 @@ texts and fields.
 reduced row echelon form (RREF), which is unique over exact arithmetic, so
 no pivoting heuristics are needed and every result is canonical.  `rank`,
 `nullspace`, `solver`, `mat_inverse` and `subspace_intersection` each read
-one SpanBasis.  Beside it, `close_span` closes a subspace under linear maps
-(submodules, tuple modules, word algebras, invariance grids), stepping each
-new echelon row, which is sparser than the vector inserted (a Meat-Axe spin).
+one SpanBasis.  Beside it, `close_span` closes a span under a list of Mats
+(submodules, tuple modules, word algebras, invariance grids, ideal images),
+mapping each new echelon row, which is sparser than the vector inserted (a
+Meat-Axe spin), and `SpanBasis.escape` is the one invariance test.
 
 Every update y += c x here (eliminations, closures, `apply`, `mmul`,
 `mat_sum`) and in jetfun's family products is one fused `_axpy`: it works
@@ -145,11 +146,11 @@ class Mat:
         return "Mat(%r)" % (tuple(self),)
 
 
-def apply(m, v, d):
-    """The Mat m applied to every length-d block of the zero-free sparse
-    vector v, each image at its block's offset, through m's columns; with
-    more than one block m must be square.  The result is zero-free."""
-    cols = m.cols
+def apply(m, v):
+    """The Mat m applied to every block of m.ncols entries of the zero-free
+    sparse vector v, each image at its block's offset, through m's columns;
+    with more than one block m must be square.  The result is zero-free."""
+    cols, d = m.cols, m.ncols
     out = {}
     for s, y in v.items():
         off, c = divmod(s, d)
@@ -266,9 +267,11 @@ def json_field(obj, key, kind, name, lo=None, hi=None):
 
 
 def mat_vec(a, v):
-    """a v for a matrix and a dense vector, as a dense tuple."""
+    """a v for a matrix and a dense vector of its width, as a dense tuple."""
     a = Mat.of(a)
-    return dense(apply(a, sparse(v), len(v)), a.nrows) if a.nrows else ()
+    if len(v) != a.ncols:
+        raise ValueError("a vector of length %d for a matrix of width %d" % (len(v), a.ncols))
+    return dense(apply(a, sparse(v)), a.nrows)
 
 
 def rank(rows):
@@ -381,6 +384,12 @@ class SpanBasis:
         """v (as _reduce reads it) lies in the span."""
         return not self._reduce(v)
 
+    def escape(self, m):
+        """(row, apply(m, row)) for the first echelon row whose image under
+        the Mat m leaves the span, or None if m maps the span into itself."""
+        images = ((row, apply(m, row)) for row in self.rows)
+        return next((pair for pair in images if not self.contains(pair[1])), None)
+
     def coords(self, v):
         """Coefficients of v against the echelon rows, or None if outside."""
         record = {}
@@ -407,14 +416,16 @@ class SpanBasis:
         return self.pivots == other.pivots and self.rows == other.rows
 
 
-def close_span(span, seeds, step):
-    """Close the SpanBasis `span` under the linear map `step` (a zero-free
-    sparse vector to a list of such, never modifying its argument): insert
-    each seed (a sequence or dict), then step each echelon row an insert
-    created, breadth first, until nothing new appears.  Returns `span`."""
+def close_span(ncols, seeds, mats):
+    """The SpanBasis of the seeds (sequences or dicts of length ncols)
+    closed under the Mats `mats`: insert each seed, then map each echelon
+    row an insert created by every matrix through `apply`, breadth first,
+    until nothing new appears."""
+    span = SpanBasis(ncols)
     frontier = [r for r in map(span._insert, map(sparse, seeds)) if r is not None]
     while frontier:
-        frontier = [r for v in frontier for r in map(span._insert, step(v)) if r is not None]
+        frontier = [r for v in frontier for m in mats
+                    if (r := span._insert(apply(m, v))) is not None]
     return span
 
 

@@ -20,7 +20,7 @@ from .poly import (Polynomial, DiffOp, Covector, monomials_upto,
                    exp_series)
 from . import linalg
 from .linalg import (Mat, SpanBasis, mmul, mid, mat_sum, block_diag, kron,
-                     close_span, square, dense, apply, json_field, json_load)
+                     close_span, square, apply, json_field, json_load)
 
 # FinMod.from_json's bounds: the CLI's --nmax and --dimmax ceilings, and an
 # order above the 11 that tensor products reach at --kmax 4; validating then
@@ -34,6 +34,8 @@ class PolySpace:
     Coordinate order is descending graded lex, so elimination pivots on the
     highest monomial of each row and the non-pivot (standard) monomials are
     the lowest ones outside the ideal, which makes quotient bases canonical.
+    A polynomial's vector is the zero-free dict {coordinate: coefficient},
+    and `shifts[j]` is the Mat of multiplying by x_j and truncating.
     """
 
     def __init__(self, nvars, k):
@@ -43,17 +45,17 @@ class PolySpace:
         self.mons = list(reversed(self.mons_asc))
         self.index = {m: i for i, m in enumerate(self.mons)}
         self.dim = len(self.mons)
+        # row m of shifts[j]: a 1 at the column of m / x_j
+        self.shifts = [Mat([{self.index[m[:j] + (m[j] - 1,) + m[j + 1:]]: ONE} if m[j] else {}
+                            for m in self.mons], self.dim) for j in range(nvars)]
 
     def to_vec(self, p):
         if p.degree() > self.k:
             raise ValueError("degree %d exceeds the space bound %d" % (p.degree(), self.k))
-        v = [ZERO] * self.dim
-        for e, c in p.terms.items():
-            v[self.index[e]] = c
-        return v
+        return {self.index[e]: c for e, c in p.terms.items()}
 
     def from_vec(self, v):
-        return Polynomial(self.nvars, {m: c for m, c in zip(self.mons, v) if c})
+        return Polynomial(self.nvars, {self.mons[i]: c for i, c in v.items()})
 
 
 class CofiniteIdeal:
@@ -85,16 +87,12 @@ class CofiniteIdeal:
                                    if self.space.index[m] not in pivots]
 
     def image_span(self, bound):
-        """Row space of the ideal inside degrees <= bound."""
+        """Row space of the ideal inside degrees <= bound: the truncated
+        generators closed under the variable shifts, since truncating
+        commutes with multiplying by a variable."""
         space = self.space if bound == self.k else PolySpace(self.nvars, bound)
-        sb = SpanBasis(space.dim)
-        for g in self.generators:
-            low = min((sum(e) for e in g.terms), default=0)
-            for m in monomials_upto(self.nvars, max(bound - low, 0)):
-                prod = (g * Polynomial.monomial(self.nvars, m)).truncate(bound)
-                if prod:
-                    sb.add(space.to_vec(prod))
-        return sb
+        return close_span(space.dim, [space.to_vec(g.truncate(bound))
+                                      for g in self.generators], space.shifts)
 
     def _verify_power_containment(self):
         """Every degree-(k+1) monomial must reduce to zero against the ideal
@@ -120,14 +118,14 @@ class CofiniteIdeal:
         if p.nvars != self.nvars:
             raise ValueError("arity mismatch")
         v = self.space.to_vec(p.truncate(self.k))
-        return self.space.from_vec(dense(self.span._reduce(v), self.space.dim))
+        return self.space.from_vec(self.span._reduce(v))
 
     def contains(self, p):
         return not self.normal_form(p)
 
     def reduced_basis(self):
         """The row-reduced polynomial basis of the ideal image in degrees <= k."""
-        return [self.space.from_vec(r) for r in self.span.frozen_rows()]
+        return [self.space.from_vec(r) for r in self.span.rows]
 
     def same(self, other):
         """Equality as ideals with the same certified k."""
@@ -319,18 +317,12 @@ def cyclic_quotient(ideal):
     """The module of germs modulo the ideal, acted on by multiplication
     followed by normal form; the class of 1 is a cyclic vector."""
     mons = ideal.standard_monomials
-    index = {m: t for t, m in enumerate(mons)}
+    space = ideal.space
+    at = {space.index[m]: t for t, m in enumerate(mons)}
     d = len(mons)
-    mats = []
-    for j in range(ideal.nvars):
-        rows = [{} for _ in range(d)]  # column c is the class of x_j times mons[c]
-        for c, m in enumerate(mons):
-            e = m[:j] + (m[j] + 1,) + m[j + 1:]
-            if sum(e) <= ideal.k:
-                nf = ideal.normal_form(Polynomial.monomial(ideal.nvars, e))
-                for mm, x in nf.terms.items():
-                    rows[index[mm]][c] = x
-        mats.append(Mat(rows, d))
+    # column c of x_j's matrix: the residue of x_j mons[c], on the standard monomials
+    mats = [Mat([{at[i]: x for i, x in ideal.span._reduce(shift.cols[space.index[m]]).items()}
+                 for m in mons], d).T for shift in space.shifts]
     module = FinMod(ideal.nvars, ideal.k, mats, check=False)
     one = zero_exps(ideal.nvars)
     cyclic = tuple(ONE if m == one else ZERO for m in mons)
@@ -405,11 +397,10 @@ def submodule_generated(E, vectors):
     """Smallest action-invariant subspace containing the vectors, with the
     inclusion map: the span of the vectors closed under the action
     generators."""
-    sb = close_span(SpanBasis(E.dim), vectors,
-                    lambda v: [apply(m, v, E.dim) for m in E.mats])
+    sb = close_span(E.dim, vectors, E.mats)
     d = sb.dim
     # column c of each matrix: the coordinates of the image of basis row c
-    mats = [Mat.of([sb.coords(apply(m, b, E.dim)) for b in sb.rows], d).T
+    mats = [Mat.of([sb.coords(apply(m, b)) for b in sb.rows], d).T
             for m in E.mats]
     sub = FinMod(E.nvars, E.k, mats, check=False)
     incl = ModuleMap(sub, E, Mat(sb.rows, E.dim).T, check=False)
@@ -425,10 +416,8 @@ def quotient_module(E, sub):
         sb = sub
     else:
         sb = SpanBasis(E.dim, sub)
-    for row in sb.rows:
-        for m in E.mats:
-            if not sb.contains(apply(m, row, E.dim)):
-                raise ValueError("subspace is not invariant under the action")
+    if any(sb.escape(m) for m in E.mats):
+        raise ValueError("subspace is not invariant under the action")
     pivots = set(sb.pivots)
     comp = [t for t in range(E.dim) if t not in pivots]
     d = len(comp)
@@ -438,7 +427,7 @@ def quotient_module(E, sub):
         return tuple(res.get(t, ZERO) for t in comp)
 
     # column c of each matrix: the projected image of complement vector c
-    mats = [Mat.of([project(apply(m, {t: ONE}, E.dim)) for t in comp], d).T
+    mats = [Mat.of([project(apply(m, {t: ONE})) for t in comp], d).T
             for m in E.mats]
     quot = FinMod(E.nvars, E.k, mats, check=False)
     proj = ModuleMap(E, quot, Mat.of([project({t: ONE}) for t in range(E.dim)], d).T,

@@ -37,7 +37,7 @@ all stay cheap to refuse.
 from math import factorial
 from operator import add, mul
 
-from .scalars import Scalar, ExpScalar, ZERO, ONE, _mk, _terms_add, _TermDict
+from .scalars import Scalar, ExpScalar, ZERO, ONE, _mk, _terms_add, _TermDict, _rat_str
 
 
 def zero_exps(nvars):
@@ -223,16 +223,12 @@ class Polynomial(_Terms):
 
 def _coeff_str(c):
     """Grammar form `re` or `re+im i` (minus sign folded into im)."""
-    re_s = _rat(c.a, c.den)
+    re_s = _rat_str(c.a, c.den)
     if c.b == 0:
         return re_s
-    im_s = _rat(abs(c.b), c.den)
+    im_s = _rat_str(abs(c.b), c.den)
     sign = "+" if c.b > 0 else "-"
     return "%s%s%s i" % (re_s, sign, im_s)
-
-
-def _rat(num, den):
-    return str(num) if den == 1 else "%d/%d" % (num, den)
 
 
 class _Coords:

@@ -12,8 +12,8 @@ from jetcalc.approxalg import ApproxAlgebra, ApproxModule
 from jetcalc.scalars import Scalar, ZERO, ONE, sc
 from jetcalc.poly import (Vector, Covector, DiffOp, ExpPoly, Polynomial,
                           parse_exppoly, monomials_upto, translate)
-from jetcalc.linalg import (Mat, SpanBasis, mmul, mid, mat_vec, block_diag,
-                            close_span, sparse, dense)
+from jetcalc.linalg import (Mat, SpanBasis, mmul, mid, block_diag, kron,
+                            close_span, sparse)
 from jetcalc.localmod import (cyclic_quotient, maximal_ideal, power_ideal,
                               dual_number_module)
 from jetcalc.jetfun import jet_family, frobenius, MatPolyFamily
@@ -224,6 +224,25 @@ def test_det_adj_match_the_cofactor_expansion():
         G = next(G for G in fams if (G.rows, G.nvars) == (F.rows, F.nvars))
         assert (family_det_adj(F * G)[0]
                 == family_det_adj(F)[0] * family_det_adj(G)[0])
+
+
+def test_det_adj_of_size_n_makes_n_minus_2_family_products(monkeypatch):
+    """family_det_adj reads the last coefficient c_n from traces of the
+    coefficient products, so a family of size n costs max(n - 2, 0)
+    products of two families (scaling by a number is not counted)."""
+    rng = random.Random(22)
+    mul, count = MatPolyFamily.__mul__, [0]
+
+    def counted(self, other):
+        count[0] += isinstance(other, MatPolyFamily)
+        return mul(self, other)
+
+    monkeypatch.setattr(MatPolyFamily, "__mul__", counted)
+    for n in range(1, 7):
+        for F in square_families(rng, 3, dmax=n, dmin=n):
+            count[0] = 0
+            family_det_adj(F)
+            assert count[0] == max(n - 2, 0), (n, count[0])
 
 
 def test_det_adj_refuses_a_non_square_family():
@@ -638,9 +657,9 @@ def test_forward_letters_span_the_algebra_of_all_words():
         ngens = len(reps[0].generators)
         letters = [layout.assemble(lambda rep: rep.letter(k))
                    for k in range(-ngens, ngens + 1) if k]
-        both = close_span(SpanBasis(total * total), [mid(total).flat()],
-                          lambda v: [mmul(Mat.from_flat(v, total, total), g).flat()
-                                     for g in letters])
+        # X g flattened is (I kron g^T) applied to X flattened
+        both = close_span(total * total, [mid(total).flat()],
+                          [kron(mid(total), g.T) for g in letters])
         assert span.same_span(both)
         assert span.frozen_rows() == both.frozen_rows()
 
@@ -661,42 +680,52 @@ def test_forward_letters_generate_the_invariance_modules():
                 for t in range(total)]
         vecs.append([gen.rand_scalar(rng) for _ in range(total)])
         for v in vecs:
-            one = close_span(SpanBasis(total), [v],
-                             lambda w: [sparse(mat_vec(g, dense(w, total)))
-                                        for g in gens])
-            two = close_span(SpanBasis(total), [v],
-                             lambda w: [sparse(mat_vec(g, dense(w, total)))
-                                        for g in letters])
+            one = close_span(total, [v], gens)
+            two = close_span(total, [v], letters)
             assert one.same_span(two)
 
 
-def reference_closure(ncols, seeds, step):
-    """The closure of the seeds under step by a plain breadth-first loop,
-    without close_span: it steps the raw vectors that grew the span."""
+def reference_closure(ncols, seeds, mats):
+    """The closure of the seeds under the matrices by a plain breadth-first
+    loop, without close_span: it maps the raw vectors that grew the span."""
     span = SpanBasis(ncols)
     frontier = [v for v in map(sparse, seeds) if span.insert(v)]
     while frontier:
-        frontier = [w for v in frontier for w in step(v) if span.insert(w)]
+        frontier = [w for v in frontier for w in (linalg.apply(m, v) for m in mats)
+                    if span.insert(w)]
     return span
 
 
 def check_closures(monkeypatch, module):
     """Route module.close_span through a check and return the list of spans
-    it closes.  Every vector handed to step must be an echelon row of the
-    span (its least key a pivot, with ONE there), and the closed span must
-    have the reference closure's rows and pivots."""
+    it closes.  Every vector linalg.apply maps during the closure must be an
+    echelon row the closure's span created (its least key a pivot, with ONE
+    there), and the closed span must have the reference closure's rows and
+    pivots."""
     spans = []
+    insert, apply = SpanBasis._insert, linalg.apply
 
-    def checked(span, seeds, step):
-        assert span.dim == 0
+    def checked(ncols, seeds, mats):
         seeds = list(seeds)
+        created = {}  # id of each new echelon row -> (its span, the row)
 
-        def stepped(v):
-            assert min(v) in span.pivots and v[min(v)] == ONE
-            return step(v)
+        def inserted(span, v):
+            row = insert(span, v)
+            if row is not None:
+                created[id(row)] = (span, row)
+            return row
 
-        close_span(span, seeds, stepped)
-        ref = reference_closure(span.ncols, seeds, step)
+        def mapped(m, v):
+            span, row = created[id(v)]
+            assert row is v and min(v) in span.pivots and v[min(v)] == ONE
+            return apply(m, v)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(SpanBasis, "_insert", inserted)
+            patch.setattr(linalg, "apply", mapped)
+            span = close_span(ncols, seeds, mats)
+        assert all(s is span for s, _ in created.values())
+        ref = reference_closure(ncols, seeds, mats)
         assert (span.frozen_rows(), span.pivots) == (ref.frozen_rows(), ref.pivots)
         spans.append(span)
         return span

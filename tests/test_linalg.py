@@ -304,9 +304,18 @@ def test_apply_to_one_block_is_the_dense_matrix_vector_product(seed):
         ncols = len(a[0])
         for kind in (dense_matrix, sparse_matrix):
             v = kind(rng, 1, ncols)[0]
-            got = linalg.apply(linalg.Mat.of(a), linalg.sparse(v), ncols)
+            got = linalg.apply(linalg.Mat.of(a), linalg.sparse(v))
             assert linalg.dense(got, len(a)) == dense_mat_vec(a, v)
             assert linalg.mat_vec(a, v) == dense_mat_vec(a, v)
+
+
+def test_mat_vec_refuses_a_vector_of_another_width():
+    """apply reads a vector longer than the matrix as stacked blocks, so
+    mat_vec checks the width: a 3 x 1 matrix and (0, 1) would read as
+    (0, 1, 0)."""
+    for a, v in (([[1], [0], [0]], (0, 1)), ([[1, 2]], (1,)), ((), (1,))):
+        with pytest.raises(ValueError, match="width"):
+            linalg.mat_vec(a, v)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -316,7 +325,7 @@ def test_apply_to_n_blocks_is_the_block_diagonal_product(seed):
         d, n = len(m), rng.randint(1, 4)
         for kind in (dense_matrix, sparse_matrix):
             v = kind(rng, 1, n * d)[0]
-            got = linalg.apply(linalg.Mat.of(m), linalg.sparse(v), d)
+            got = linalg.apply(linalg.Mat.of(m), linalg.sparse(v))
             assert linalg.dense(got, n * d) == dense_mat_vec(
                 linalg.block_diag([m] * n), v)
 
@@ -331,8 +340,33 @@ def test_apply_by_the_transpose_is_right_multiplication(seed):
         for kind in (dense_matrix, sparse_matrix):
             X = linalg.Mat.of(kind(rng, n, n))
             gt = linalg.Mat.of(tuple(zip(*g)), n)
-            got = linalg.apply(gt, X.flat(), n)
+            got = linalg.apply(gt, X.flat())
             assert got == linalg.mmul(X, g).flat()
+
+
+def test_escape_is_none_exactly_when_every_row_maps_into_the_span():
+    """escape(m) is None exactly when a per-row contains loop finds the span
+    invariant under m; otherwise it is the first span row whose image leaves
+    the span, with that image apply(m, row).  Spans closed under m by
+    close_span are invariant."""
+    rng = random.Random(8000)
+    verdicts = []
+    for seed in SEEDS:
+        for m in map(linalg.Mat.of, square_matrices(seed)):
+            n = m.ncols
+            for kind in (dense_matrix, sparse_matrix):
+                seeds = kind(rng, rng.randint(1, n), n)
+                for span in (SpanBasis(n, seeds), linalg.close_span(n, seeds[:1], [m])):
+                    inside = [span.contains(linalg.apply(m, row)) for row in span.rows]
+                    got = span.escape(m)
+                    assert (got is None) == all(inside)
+                    if got is not None:
+                        row, moved = got
+                        i = inside.index(False)
+                        assert row is span.rows[i] and moved == linalg.apply(m, row)
+                        assert not span.contains(moved)
+                    verdicts.append(all(inside))
+    assert 0.1 < sum(verdicts) / len(verdicts) < 0.9
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -1,7 +1,10 @@
 """Cofinite ideals, quotient modules, duals, sums, tensors, annihilators."""
 
+import random
+
 import pytest
 
+from jetcalc import gen
 from jetcalc.scalars import Scalar, ZERO, ONE, sc
 from jetcalc.poly import (Polynomial, Vector, Covector, DiffOp, diff, pairing,
                           parse_poly, monomials_upto)
@@ -232,3 +235,55 @@ def test_module_order_is_validated_in_degree_at_most_the_dimension(monkeypatch):
     with pytest.raises(ValueError, match="does not act by zero"):
         FinMod(1, 10 ** 4, [((ONE,),)])
     assert FinMod.from_json(zero.to_json()) == zero
+
+
+def product_image(ideal, bound):
+    """The ideal's image in degrees <= bound by products: every generator
+    times every monomial of degree <= bound, truncated."""
+    space = PolySpace(ideal.nvars, bound)
+    span = linalg.SpanBasis(space.dim)
+    for g in ideal.generators:
+        for m in monomials_upto(ideal.nvars, bound):
+            span.insert(space.to_vec((g * Polynomial.monomial(ideal.nvars, m)).truncate(bound)))
+    return span
+
+
+def test_the_spun_ideal_image_is_the_span_of_truncated_products():
+    """image_span spins the truncated generators under the variable shifts;
+    it equals the span of the truncated products of generators and
+    monomials at the bounds k, k + 1 and the subquotient bound k * nvars."""
+    rng = random.Random(20)
+    seen = set()
+    for _ in range(60):
+        nv = rng.randint(1, 3)
+        ideal = gen.rand_cofinite_ideal(rng, nv, 3 if nv < 3 else 2)
+        for bound in (ideal.k, ideal.k + 1, ideal.k * nv):
+            got, ref = ideal.image_span(bound), product_image(ideal, bound)
+            assert (got.rows, got.pivots) == (ref.rows, ref.pivots), (nv, ideal.k, bound)
+        seen.add((nv, ideal.k))
+    assert {nv for nv, _ in seen} == {1, 2, 3} and (3, 2) in seen and (2, 3) in seen
+
+
+def normal_form_matrices(ideal):
+    """The cyclic quotient's action matrices by normal forms: column c of
+    x_j's matrix is the normal form of x_j times the c-th standard monomial,
+    zero above degree k."""
+    mons = ideal.standard_monomials
+    index = {m: t for t, m in enumerate(mons)}
+    mats = []
+    for j in range(ideal.nvars):
+        rows = [{} for _ in mons]
+        for c, m in enumerate(mons):
+            e = m[:j] + (m[j] + 1,) + m[j + 1:]
+            if sum(e) <= ideal.k:
+                for mm, x in ideal.normal_form(Polynomial.monomial(ideal.nvars, e)).terms.items():
+                    rows[index[mm]][c] = x
+        mats.append(linalg.Mat(rows, len(mons)))
+    return tuple(mats)
+
+
+def test_cyclic_quotient_matrices_match_the_normal_form_route():
+    rng = random.Random(21)
+    for _ in range(30):
+        ideal = gen.rand_cofinite_ideal(rng, rng.randint(1, 3), 3)
+        assert cyclic_quotient(ideal).module.mats == normal_form_matrices(ideal)

@@ -2,6 +2,7 @@
 assembly, and the square reshape and parse budget behind the JSON loaders;
 and the benchmark's tracer, which wraps them by name."""
 
+import ast
 import importlib.util
 import json
 import re
@@ -32,30 +33,31 @@ def jordan(n):
                  for r in range(n))
 
 
-def test_close_span_of_a_jordan_block_is_its_krylov_span():
-    J = jordan(4)
+def test_close_span_of_a_jordan_block_is_its_krylov_span(monkeypatch):
+    J = linalg.Mat.of(jordan(4))
     calls = []
+    apply = linalg.apply
 
-    def step(v):
+    def counted(m, v):
         calls.append(v)
-        return [linalg.sparse(linalg.mat_vec(J, linalg.dense(v, 4)))]
+        return apply(m, v)
 
-    span = SpanBasis(4)
-    assert close_span(span, [unit(4, 2), unit(4, 2)], step) is span
+    monkeypatch.setattr(linalg, "apply", counted)
+    span = close_span(4, [unit(4, 2), unit(4, 2)], [J])
+    assert isinstance(span, SpanBasis) and span.ncols == 4
     # e_2, J e_2 = e_1, J^2 e_2 = e_0
     assert span.same_span(SpanBasis(4, [unit(4, 0), unit(4, 1), unit(4, 2)]))
-    # step runs once per vector that grew the span, never on the repeat
+    # J maps each vector that grew the span once, never the repeat
     assert len(calls) == 3
 
-    full = close_span(SpanBasis(4), [unit(4, 3)],
-                      lambda v: [linalg.sparse(linalg.mat_vec(J, linalg.dense(v, 4)))])
+    full = close_span(4, [unit(4, 3)], [J])
     assert full.dim == 4
 
 
-def test_close_span_of_a_zero_seed_is_empty():
+def test_close_span_of_a_zero_seed_is_empty(monkeypatch):
     calls = []
-    span = close_span(SpanBasis(3), [[ZERO] * 3],
-                      lambda v: calls.append(v) or [unit(3, 0)])
+    monkeypatch.setattr(linalg, "apply", lambda m, v: calls.append(v) or {0: ONE})
+    span = close_span(3, [[ZERO] * 3], [linalg.mid(3)])
     assert span.dim == 0
     assert calls == []
 
@@ -242,7 +244,7 @@ def test_bench_tracer_wraps_the_library():
     """The benchmark's tracer resolves every function it wraps by name, and
     its probes read their arguments as dense rows: a traced
     double_commutant_check and membership_triple run clean, and the dense
-    edge of SpanBasis (add, here from a cofinite ideal) is counted."""
+    edge of SpanBasis (add, called here on a dense row) is counted."""
     tracer = load_bench_layers().Tracer()
     tracer.install()
     try:
@@ -253,6 +255,7 @@ def test_bench_tracer_wraps_the_library():
             (FIXTURES / "escaping_candidate.json").read_text(), reps)
         E = cyclic_quotient(power_ideal(1, 1)).module
         triple = family.membership_triple(cand, reps, [Vector((sc(1),))], E)
+        assert SpanBasis(2).add([ONE, sc(2)])
         metrics = tracer.metrics()
     finally:
         tracer.remove()
@@ -261,3 +264,18 @@ def test_bench_tracer_wraps_the_library():
     assert tracer.calls["family.membership_triple"] == 1
     assert metrics["linalg.span_add.calls"][0] > 0
     assert linalg.SpanBasis.add.__name__ == "add"  # the original is back
+
+
+def test_no_module_level_import_is_unused():
+    """Every name a module of the package (other than __init__) imports at
+    module level is read somewhere in that module: an AST check, since no
+    linter is installed."""
+    for path in sorted(Path(jetcalc.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= read, (path.name, sorted(imported - read))
