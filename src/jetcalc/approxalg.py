@@ -15,8 +15,12 @@ generated by the single stacked tuple (u_1,..,u_n) inside V^n, and ask
 whether the diagonal action of phi preserves W.  That one module decides
 membership in the image of the algebra, and a witness element is recovered
 by one reduction against the corner's action vectors on the tuple, factored
-once (linalg.solver), and re-verified exactly.  End(V)_0 is eliminated
-from the top corner alone, whose span contains every lower corner's.
+once (linalg.solver), and re-verified exactly.  phi's corner is the least
+chain idempotent P with phi P = phi = P phi, tested row by row.  End(V)_0 is
+eliminated from the top corner alone, whose span contains every lower
+corner's, and End^# is one nullspace in it: its constraints are the
+pairings <C_i, sum_b f_b w_b^T> with its basis C_i, built block by block
+from the top corner's W (echelon rows w, nullspace functionals f).
 Algebra elements and vectors of V^n are zero-free sparse dicts (linalg's
 one vector type), matrices are linalg.Mats (End(V)_0 and End^# bases read
 off their span rows), and a matrix acts on each length-d block by
@@ -364,21 +368,27 @@ def end_sharp_membership(M, phi):
     return _membership(M, phi, {})
 
 
-def _membership(M, phi, tuples):
+def _in_corner(P, phi):
+    """P phi P = phi for an idempotent P: phi P = phi and P phi = phi,
+    tested row by row up to the first row that differs."""
+    PT, phiT = P.T, phi.T
+    return all(apply(PT, r) == r and apply(phiT, p) == r for r, p in zip(phi.rows, P.rows))
+
+
+def _membership(M, phi, tuples, outside=ValueError):
     """end_sharp_membership, taking the corner tuple modules and witness
-    solvers from `tuples`."""
+    solvers from `tuples`; a phi in no chain corner raises `outside`."""
     phi = Mat.of(phi)
     d = M.dim
     if (phi.nrows, phi.ncols) != (d, d):
         raise ValueError("the endomorphism is %dx%d; the module needs %dx%d"
                          % (phi.nrows, phi.ncols, d, d))
     for corner_j in range(len(M.algebra.chain)):
-        P = M.idem_mat(corner_j)
-        if mmul(mmul(P, phi), P) == phi:
+        if _in_corner(M.idem_mat(corner_j), phi):
             break
     else:
-        raise ValueError("the endomorphism lies in no chain corner; "
-                         "it cannot be an image element")
+        raise outside("the endomorphism lies in no chain corner; "
+                      "it cannot be an image element")
     u, n, acts, W = _tuple_module(M, corner_j, tuples)
     tuple_vec = dense(u, n * d)
     if escaped := W.escape(phi):
@@ -402,21 +412,34 @@ def _membership(M, phi, tuples):
 
 
 def _end_sharp(M, tuples):
-    """End^# as a subspace of End(V): the elements of the corner span whose
-    diagonal action preserves the module generated by the top basis tuple,
-    computed as one nullspace.  Returns (End^# basis Mats, End^# span,
-    End(V)_0 span), taking the top corner's tuple module from `tuples`."""
+    """End^# in End(V): the x with f(C w) = 0 for C = sum_i x_i C_i over the
+    corner basis C_i, every echelon row w and nullspace functional f of the
+    top tuple module W.  f(C w) = <C, G> for G = sum_b f_b w_b^T over the
+    length-d blocks b (vec(A X B) = (B^T kron A) vec X), so a constraint row
+    pairs one G with the C_i.  Returns (End^# basis Mats, End^# span,
+    End(V)_0 span), taking the top tuple module from `tuples`."""
     corner_mats, end_zero = end_zero_basis(M)
     d = M.dim
     _, n, _, W = _tuple_module(M, len(M.algebra.chain) - 1, tuples)
-    rows = []  # x solves them iff sum_i x_i C_i maps every row of W into W
-    for wrow in W.rows:
-        # a residue's keys are the non-pivot columns where it is nonzero
-        by_key = {}
-        for i, C in enumerate(corner_mats):
-            for t, x in W._reduce(apply(C, wrow)).items():
-                by_key.setdefault(t, {})[i] = x
-        rows.extend(by_key.values())
+    pairing = Mat([C.flat() for C in corner_mats], d * d).cols
+    by_block = {}  # block b -> {index r of an echelon row w of W: w_b}
+    for r, w in enumerate(W.rows):
+        for s, x in w.items():
+            b, k = divmod(s, d)
+            by_block.setdefault(b, {}).setdefault(r, {})[k] = x
+    rows = []
+    for f in W.nullspace():
+        grams = {}  # r -> G for f and echelon row r, flattened row-major
+        for s, x in f.items():
+            b, i = divmod(s, d)
+            for r, wb in by_block.get(b, {}).items():
+                _axpy(grams.setdefault(r, {}), x, wb, i * d)
+        for G in grams.values():
+            row = {}
+            for s, y in G.items():
+                _axpy(row, y, pairing[s])
+            if row:
+                rows.append(row)
     sharp = SpanBasis(d * d, [
         mat_sum(((corner_mats[s], c) for s, c in v.items()), d, d).flat()
         for v in SpanBasis(len(corner_mats), rows).nullspace()])
@@ -468,8 +491,8 @@ def double_commutant_check(M):
             return CheckReport("double_commutant", "fail", dims,
                                witness={"kind": "image_not_in_sharp",
                                         "matrix": [str(c) for c in dense(row, d * d)]})
-    for mat in sharp_mats:
-        res = _membership(M, mat, tuples)
+    for mat in sharp_mats:  # End^# lies in the top corner: none outside is a defect
+        res = _membership(M, mat, tuples, CrossCheckError)
         if not res.member:
             func = _separating_functional(image, sharp)
             return CheckReport("double_commutant", "fail", dims,

@@ -43,9 +43,9 @@ from .scalars import Scalar, ZERO, ONE, _mk
 
 class CrossCheckError(AssertionError):
     """Two independent computations of one exact result disagree (kernel
-    routes, End(V)_0 corner spans, relation evaluations, or a recovered End^#
-    witness), or a reduction leaves a residue under an existing pivot: a
-    defect, never a verdict about the input."""
+    routes, End(V)_0 corner spans, relation evaluations, an End^# element
+    in no corner, or a recovered End^# witness), or a reduction leaves a
+    residue under an existing pivot: a defect, never a verdict about the input."""
 
 
 def sparse(v):
@@ -154,7 +154,8 @@ def apply(m, v):
     out = {}
     for s, y in v.items():
         off, c = divmod(s, d)
-        _axpy(out, y, cols[c], off * d)
+        if cols[c]:
+            _axpy(out, y, cols[c], off * d)
     return out
 
 

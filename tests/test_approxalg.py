@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 
 import pytest
 
@@ -477,3 +478,124 @@ def test_membership_refuses_an_endomorphism_of_the_wrong_shape(shape):
     phi = [[ONE] * shape[1] for _ in range(shape[0])]
     with pytest.raises(ValueError, match="is %dx%d; the module needs 2x2" % shape):
         aa.end_sharp_membership(M, phi)
+
+
+def reference_end_sharp(M):
+    """End^# as the per-(row, corner matrix) loop computed it: for every
+    echelon row w of the top tuple module W and every End(V)_0 basis matrix
+    C_i, the residue of C_i w against W, its entries keyed by their free
+    columns, gives one constraint row per free column; End^# is their
+    nullspace mapped back through the C_i."""
+    corner_mats, _ = aa.end_zero_basis(M)
+    d = M.dim
+    _, _, _, W = aa._tuple_module(M, len(M.algebra.chain) - 1, {})
+    rows = []
+    for wrow in W.rows:
+        by_key = {}
+        for i, C in enumerate(corner_mats):
+            for t, x in W._reduce(linalg.apply(C, wrow)).items():
+                by_key.setdefault(t, {})[i] = x
+        rows.extend(by_key.values())
+    return linalg.SpanBasis(d * d, [
+        linalg.mat_sum(((corner_mats[s], c) for s, c in v.items()), d, d).flat()
+        for v in linalg.SpanBasis(len(corner_mats), rows).nullspace()])
+
+
+def test_blockwise_end_sharp_matches_the_per_matrix_residue_loop():
+    """The constraints built block by block from the pairings <C_i, sum_b
+    f_b w_b^T> give the End^# span of the loop that reduced every product
+    C_i w against W: the same echelon rows and pivots, in the same order, on
+    60 plain, skewed and junk-padded modules of dimension 2 to 12."""
+    rng = random.Random(21)
+    kinds, dims = set(), set()
+    for k in range(60):
+        _, M = gen.rand_approx_module(rng, 2 + k % 11, junk_ok=True)
+        kinds.add(kind(M))
+        dims.add(M.dim)
+        want = reference_end_sharp(M)
+        mats, sharp, _ = aa._end_sharp(M, {})
+        assert (sharp.pivots, sharp.rows) == (want.pivots, want.rows)
+        assert [m.flat() for m in mats] == want.rows
+    assert kinds == {"plain", "skewed", "junk"}
+    assert min(dims) <= 2 and max(dims) >= 12
+
+
+def test_end_sharp_maps_no_corner_matrix_through_the_tuple_module(monkeypatch):
+    """On four 3x3 blocks, End^# takes at most 100 `apply` calls and 1,500
+    reductions, counted through every module that binds `apply`: the tuple
+    module's 36 actions and the span inserts.  Applying and reducing each
+    of the 144 corner matrices against each of W's 36 rows took 5,220 and
+    6,168."""
+    _, M = aa.block_module([3, 3, 3, 3])
+    counts = {"apply": 0, "reduce": 0}
+    apply, reduce = linalg.apply, linalg.SpanBasis._reduce
+
+    def counted_apply(m, v):
+        counts["apply"] += 1
+        return apply(m, v)
+
+    def counted_reduce(self, v, record=None):
+        counts["reduce"] += 1
+        return reduce(self, v, record)
+
+    bound = [mod for name, mod in sys.modules.items()
+             if name.startswith("jetcalc") and getattr(mod, "apply", None) is apply]
+    assert linalg in bound and aa in bound
+    for mod in bound:
+        monkeypatch.setattr(mod, "apply", counted_apply)
+    monkeypatch.setattr(linalg.SpanBasis, "_reduce", counted_reduce)
+    mats, sharp, end_zero = aa._end_sharp(M, {})
+    monkeypatch.undo()
+    assert len(mats) == sharp.dim == 36 and end_zero.dim == 144
+    assert 0 < counts["apply"] <= 100, counts
+    assert 0 < counts["reduce"] <= 1500, counts
+
+
+def test_the_corner_index_is_the_least_idempotent_absorbing_phi():
+    """The row-by-row corner test agrees with P phi P = phi formed as two
+    products, and membership runs at the least j that has it, or refuses
+    phi when none does: for End^# basis elements, members, corner cuts
+    P_j X P_j of random matrices X and the X themselves, on plain, skewed
+    and junk-padded modules.  Every member's witness acts as phi."""
+    rng = random.Random(13)
+    kinds, found = set(), set()
+    for _ in range(30):
+        alg, M = gen.rand_approx_module(rng, 6, junk_ok=True)
+        kinds.add(kind(M))
+        d = M.dim
+        idems = [M.idem_mat(j) for j in range(len(alg.chain))]
+        members = aa._end_sharp(M, {})[0] + [gen.rand_member_phi(rng, M)]
+        cuts = []
+        for P in idems:
+            X = gen.rand_matrix(rng, d, d)
+            cuts += [linalg.mmul(linalg.mmul(P, X), P), X]
+        for phi in members + cuts:
+            absorbs = [linalg.mmul(linalg.mmul(P, phi), P) == phi for P in idems]
+            assert [aa._in_corner(P, phi) for P in idems] == absorbs
+            want = absorbs.index(True) if any(absorbs) else None
+            found.add(want)
+            if want is None:
+                with pytest.raises(ValueError, match="lies in no chain corner"):
+                    aa.end_sharp_membership(M, phi)
+                continue
+            res = aa.end_sharp_membership(M, phi)
+            assert res.j == want
+            if phi in members:
+                assert res.member and M.act(res.witness) == phi
+    assert kinds == {"plain", "skewed", "junk"}
+    assert {None, 0, 1, 2} <= found
+
+
+def test_an_end_sharp_element_in_no_corner_is_a_cross_check_failure(monkeypatch):
+    """End^# lies in the top corner's span, so a basis element that no
+    chain idempotent absorbs is a defect: under a corner test that rejects
+    the top corner, double_commutant_check raises CrossCheckError, while
+    end_sharp_membership still refuses a caller's phi with a ValueError."""
+    _, M = aa.block_module([1, 2])
+    top = M.idem_mat(len(M.algebra.chain) - 1)
+    in_corner = aa._in_corner
+    monkeypatch.setattr(aa, "_in_corner", lambda P, phi: P is not top and in_corner(P, phi))
+    with pytest.raises(linalg.CrossCheckError, match="lies in no chain corner"):
+        aa.double_commutant_check(M)
+    with pytest.raises(ValueError, match="lies in no chain corner"):
+        aa.end_sharp_membership(M, mid(3))

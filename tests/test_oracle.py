@@ -6,13 +6,21 @@ The word algebra of `family.spanned_algebra` is the span of the images of
 all words in the generators and their inverses.  The oracle multiplies out
 every word of length at most L, for L = 0, 1, 2, ... until two consecutive
 lengths give the same rank, at which point the span is closed under every
-letter."""
+letter.
 
+The double commutant of `approxalg.double_commutant_check` is recomputed
+from the action matrices alone: the rank of the action image, the rank of
+the top corner's generators P E_rc P, and End^# as the matrices X of that
+corner whose diagonal action maps the module W into itself, W spun in
+sympy from a basis tuple of P's column space."""
+
+import functools
 import random
 
 import pytest
 
 from jetcalc import gen
+from jetcalc.approxalg import double_commutant_check
 from jetcalc.family import spanned_algebra
 from jetcalc.linalg import SpanBasis, CrossCheckError, mid
 from jetcalc.localmod import cyclic_quotient, maximal_ideal, dual_number_module
@@ -24,10 +32,14 @@ QQ, QQ_I = sympy.QQ, sympy.QQ_I
 E1 = cyclic_quotient(maximal_ideal(1)).module  # dim 1, evaluation only
 
 
+def to_qqi(x):
+    """The QQ_I element of a Scalar."""
+    return QQ_I(QQ(x.a, x.den), QQ(x.b, x.den))
+
+
 def to_sympy(rows, ncols):
     """The DomainMatrix over QQ_I of dense rows of Scalars."""
-    return DomainMatrix([[QQ_I(QQ(x.a, x.den), QQ(x.b, x.den)) for x in row]
-                         for row in rows], (len(rows), ncols), QQ_I)
+    return DomainMatrix([[to_qqi(x) for x in row] for row in rows], (len(rows), ncols), QQ_I)
 
 
 def all_words(letters, n):
@@ -90,12 +102,11 @@ def test_larger_word_algebras_are_the_span_of_all_words():
     assert len(dims) >= 5 and max(dims) >= 9
 
 
-def test_a_reduction_that_skips_a_pivot_row_fails_with_a_cross_check_error(monkeypatch):
-    """A SpanBasis._reduce that skips the last pivot row once the span holds
-    3 rows leaves a residue under an existing pivot; filing it raises
-    CrossCheckError on some layouts, and every other layout still passes
-    the oracle.  The patch gives up after 2,000 calls, so a closure that
-    grows without end fails instead of hanging."""
+def skip_a_pivot_row(monkeypatch):
+    """Patch SpanBasis._reduce to skip the last pivot row once the span
+    holds 3 rows, which leaves a residue under an existing pivot.  The patch
+    gives up after 2,000 calls since the last reset of the returned counter,
+    so a closure that grows without end fails instead of hanging."""
     reduce, calls = SpanBasis._reduce, [0]
 
     def skipping(self, v, record=None):
@@ -111,6 +122,14 @@ def test_a_reduction_that_skips_a_pivot_row_fails_with_a_cross_check_error(monke
             self._row[last] = row
 
     monkeypatch.setattr(SpanBasis, "_reduce", skipping)
+    return calls
+
+
+def test_a_reduction_that_skips_a_pivot_row_fails_with_a_cross_check_error(monkeypatch):
+    """Under skip_a_pivot_row, filing a residue under an existing pivot
+    raises CrossCheckError on some layouts, and every other layout still
+    passes the oracle."""
+    calls = skip_a_pivot_row(monkeypatch)
     raised = 0
     for seed in range(4):
         for layout in layouts(seed, 8, range(1, 5)):
@@ -120,3 +139,119 @@ def test_a_reduction_that_skips_a_pivot_row_fails_with_a_cross_check_error(monke
             except CrossCheckError:
                 raised += 1
     assert raised >= 3
+
+
+def stack(rows, ncols):
+    """The DomainMatrix whose rows are the flat lists `rows`."""
+    return DomainMatrix.from_list_flat([x for r in rows for x in r], (len(rows), ncols), QQ_I)
+
+
+def basis_rows(A):
+    """Flat lists of the nonzero rows of A's reduced row echelon form."""
+    R, pivots = A.rref()
+    return [R[i, :].to_list_flat() for i in range(len(pivots))]
+
+
+def dcomm_oracle(M):
+    """(dim image, dim End(V)_0, dim End^#) of M from its action matrices.
+    W is spun from the stacked basis tuple u of P's column space, P the top
+    idempotent: a matrix X acts on a vector of V^n, read as the n x d matrix
+    of its blocks, by right multiplication with X^T.  End^# is the image of
+    the nullspace of the pairings f(X_i w), over a basis X_i of the corner
+    span, the rows w of W and a basis of the annihilators f of W."""
+    d = M.dim
+    mats = [to_sympy(tuple(m), d) for m in M.mats]
+    image = stack([m.to_list_flat() for m in mats], d * d).rank()
+    P = DomainMatrix.zeros((d, d), QQ_I)
+    for t, c in M.algebra.chain[-1].items():
+        P = P + mats[t] * to_qqi(c)
+    corner = basis_rows(stack([(P[:, r] * P[c, :]).to_list_flat()
+                               for r in range(d) for c in range(d)], d * d))
+    B = P.columnspace()
+    n = B.shape[1]
+
+    def act(X, rows):  # X applied to every block of every row
+        R = DomainMatrix.from_list_flat([x for r in rows for x in r],
+                                        (len(rows) * n, d), QQ_I).to_sparse()
+        return (R * X.transpose()).to_list_flat()
+
+    W = [B.transpose().to_list_flat()]
+    while True:
+        spun = stack(W + [act(m, [w]) for m in mats for w in W], n * d)
+        if spun.rank() == len(W):
+            break
+        W = basis_rows(spun)
+    F = stack(W, n * d).nullspace().transpose().to_sparse()
+    pairings = []
+    for X in corner:
+        XW = act(DomainMatrix.from_list_flat(X, (d, d), QQ_I), W)
+        XW = DomainMatrix.from_list_flat(XW, (len(W), n * d), QQ_I).to_sparse()
+        pairings.append((XW * F).to_list_flat())
+    constraints = stack(pairings, len(W) * F.shape[1]).transpose()
+    sharp = constraints.nullspace() * stack(corner, d * d)
+    return image, len(corner), sharp.rank()
+
+
+def dcomm_modules(seed, count, dimmax):
+    """`count` modules drawn by gen.rand_approx_module with junk padding
+    allowed, each with how it was drawn: plain, skewed or junk-padded."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        _, M = gen.rand_approx_module(rng, dimmax, junk_ok=True)
+        entries = sum(len(row) for m in M.mats for row in m.rows)
+        yield M, ("junk" if not M.is_approx_unital()
+                  else "skewed" if entries > M.algebra.dim else "plain")
+
+
+@functools.cache
+def dcomm_oracles(seed, count, dimmax):
+    return [dcomm_oracle(M) for M, _ in dcomm_modules(seed, count, dimmax)]
+
+
+def dcomm_cases(seed, count, dimmax):
+    """(module, kind, oracle dimensions) for dcomm_modules, the modules
+    drawn afresh, since a check keeps its image span in the module, and the
+    oracle computed once per process."""
+    return [(M, kind, oracle) for (M, kind), oracle
+            in zip(dcomm_modules(seed, count, dimmax), dcomm_oracles(seed, count, dimmax))]
+
+
+def dcomm_agrees(M, oracle):
+    """double_commutant_check's dimensions are the oracle's, and it passes
+    exactly when the image is all of End^#."""
+    image, end_zero, sharp = oracle
+    rep = double_commutant_check(M)
+    return (rep.dims == {"dim_V": M.dim, "dim_image": image, "dim_sharp": sharp,
+                         "dim_end_zero": end_zero}
+            and rep.ok == (image == sharp))
+
+
+def test_double_commutant_dimensions_match_the_oracle():
+    cases = dcomm_cases(0, 24, 4)
+    assert all(dcomm_agrees(M, oracle) for M, _, oracle in cases)
+    assert {kind for _, kind, _ in cases} == {"plain", "skewed", "junk"}
+
+
+@pytest.mark.slow
+def test_larger_double_commutant_dimensions_match_the_oracle():
+    cases = dcomm_cases(1, 16, 7)
+    assert all(dcomm_agrees(M, oracle) for M, _, oracle in cases)
+    assert {kind for _, kind, _ in cases} == {"plain", "skewed", "junk"}
+    assert max(M.dim for M, _, _ in cases) >= 8
+
+
+def test_a_reduction_that_skips_a_pivot_row_fails_a_double_commutant_oracle_case(
+        monkeypatch):
+    """Under skip_a_pivot_row, some module of the default oracle test
+    raises CrossCheckError or disagrees with the oracle; the modules are
+    drawn and the oracle computed before the patch."""
+    cases = dcomm_cases(0, 24, 4)
+    calls = skip_a_pivot_row(monkeypatch)
+    failed = 0
+    for M, _, oracle in cases:
+        calls[0] = 0
+        try:
+            failed += not dcomm_agrees(M, oracle)
+        except CrossCheckError:
+            failed += 1
+    assert failed >= 1
