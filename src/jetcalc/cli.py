@@ -5,7 +5,8 @@ Every subcommand draws its instances from the --seed (or the JETCALC_SEED
 environment variable), so two runs with the same seed test the same
 instances and, with --json, write byte-identical report files.  Timing is
 printed to the console only.  Exit status: 0 when every check passed, 1 when
-any failed, 2 for usage errors.
+any failed, 2 for usage errors, 3 when generating or shaping an instance
+failed outside any check.
 """
 
 import argparse
@@ -18,7 +19,7 @@ import time
 
 from .scalars import Scalar, ONE
 from .poly import Polynomial, ExpPoly, Vector, translate
-from .linalg import CrossCheckError, Mat, mid
+from .linalg import CrossCheckError, Mat, SpanBasis, mid
 from .localmod import cyclic_quotient, maximal_ideal, dual_number_module
 from .jetfun import (jet, jet_family, block_derivative,
                      functional_to_diffop, diffop_to_module, kernel_alpha_bar,
@@ -28,7 +29,7 @@ from .approxalg import (double_commutant_check, corner_identity_check,
 from .family import (PWCandidate, FunctionalData, membership_triple,
                      invariance_check, relation_check, RelationTerm,
                      functional_to_relation, spanned_algebra)
-from . import gen, linalg
+from . import gen
 
 
 def _canon(obj):
@@ -54,7 +55,18 @@ class Suite:
         self.records = []
         self.tally = {}
 
-    def record(self, check_id, statement, instance, ok, witness=None):
+    def check(self, check_id, statement, instance, fn):
+        """Record the verdict of fn(), which returns (ok, witness), and
+        return ok.  The instances are generated, so an exception inside fn
+        is a defect: the check fails with it as its witness and the run goes
+        on.  A disagreement of two internal routes reads {"cross_check":
+        "<message>"}, any other exception {"error": "<Type>: <message>"}."""
+        try:
+            ok, witness = fn()
+        except CrossCheckError as exc:
+            ok, witness = False, {"cross_check": str(exc)}
+        except Exception as exc:
+            ok, witness = False, {"error": "%s: %s" % (type(exc).__name__, exc)}
         rec = {
             "check_id": check_id,
             "statement": statement,
@@ -66,16 +78,7 @@ class Suite:
         self.records.append(rec)
         p, t = self.tally.get(check_id, (0, 0))
         self.tally[check_id] = (p + (1 if ok else 0), t + 1)
-
-    def check(self, check_id, statement, instance, fn):
-        """Record the verdict of fn(), which returns (ok, witness).  When
-        two internal routes disagree inside fn, the check fails with the
-        disagreement as its witness and the run goes on."""
-        try:
-            ok, witness = fn()
-        except CrossCheckError as exc:
-            ok, witness = False, _disagreement(exc)
-        self.record(check_id, statement, instance, ok, witness)
+        return ok
 
     @property
     def failed(self):
@@ -84,10 +87,6 @@ class Suite:
     def sorted_records(self):
         return sorted(self.records,
                       key=lambda r: (r["check_id"], r["instance_digest"]))
-
-
-def _disagreement(exc):
-    return {"cross_check": str(exc)}
 
 
 def _rng(cfg, tag):
@@ -104,17 +103,20 @@ def run_jet(cfg, suite):
         f = gen.rand_exp_poly(rng, nv, cfg.kmax)
         g = gen.rand_exp_poly(rng, nv, cfg.kmax)
         inst = {"i": i, "E": _estr(E), "f": str(f), "g": str(g)}
-        jf, jg, jfg = jet(f, E), jet(g, E), jet(f * g, E)
-        suite.record("jet.hom", "jet of a product equals the product of jets",
-                     inst, jfg == jf * jg)
+
+        def hom():
+            jf, jg = jet(f, E), jet(g, E)
+            return jet(f * g, E) == jf * jg, None
+
+        suite.check("jet.hom", "jet of a product equals the product of jets",
+                    inst, hom)
 
         p = gen.rand_poly(rng, nv, cfg.kmax + 1)
         mu = gen.rand_point(rng, nv)
         inst2 = {"i": i, "E": _estr(E), "p": str(p), "mu": str(mu)}
-        lhs = jet(p, E).evaluate_scalar(tuple(mu.coords))
-        rhs = E.act_poly(translate(p, mu))
-        suite.record("jet.eval", "jet evaluation matches the translated action",
-                     inst2, lhs == rhs)
+        suite.check("jet.eval", "jet evaluation matches the translated action",
+                    inst2, lambda: (jet(p, E).evaluate_scalar(tuple(mu.coords))
+                                    == E.act_poly(translate(p, mu)), None))
 
     for i in range(10):
         nv = rng.randint(1, cfg.nmax)
@@ -122,21 +124,22 @@ def run_jet(cfg, suite):
         eta = gen.rand_covector(rng, nv)
         inst = {"i": i, "F": [str(e) for r in F.entries for e in r],
                 "eta": str(eta)}
-        ok = block_derivative(F, eta) == jet_family(
-            F, dual_number_module(Vector(eta.coords)))
-        suite.record("jet.kappa", "doubled-space derivative is the dual-number jet",
-                     inst, ok)
+        suite.check("jet.kappa", "doubled-space derivative is the dual-number jet",
+                    inst, lambda: (block_derivative(F, eta) == jet_family(
+                        F, dual_number_module(Vector(eta.coords))), None))
 
     for i in range(10):
         nv = rng.randint(1, cfg.nmax)
         ops = [gen.rand_diffop(rng, nv, cfg.kmax)
                for _ in range(rng.randint(1, 2))]
-        E, funcs = diffop_to_module(ops)
-        ok = all(functional_to_diffop(E, H) == u for u, H in zip(ops, funcs))
-        inst = {"i": i, "ops": [str(u) for u in ops]}
-        suite.record("jet.functional",
-                     "operators survive the round trip through module functionals",
-                     inst, ok)
+
+        def round_trip():
+            E, funcs = diffop_to_module(ops)
+            return all(functional_to_diffop(E, H) == u for u, H in zip(ops, funcs)), None
+
+        suite.check("jet.functional",
+                    "operators survive the round trip through module functionals",
+                    {"i": i, "ops": [str(u) for u in ops]}, round_trip)
 
 
 # --- kernel checks ----------------------------------------------------------
@@ -149,31 +152,30 @@ def run_kernel(cfg, suite):
         lams = [gen.rand_point(rng, nv, zero_ok=False) for _ in range(n)]
         d = rng.randint(0, 4)
         inst = {"i": i, "lams": [str(l) for l in lams], "d": d}
-        try:
+        res = None
+
+        def routes():
+            nonlocal res
             res = kernel_alpha_bar(lams, d)
-        except CrossCheckError as exc:
-            suite.record("kernel.routes", "both kernel computations agree",
-                         inst, False, witness=_disagreement(exc))
+            return True, None
+
+        if not suite.check("kernel.routes", "both kernel computations agree",
+                           inst, routes):
             continue
-        suite.record("kernel.routes", "both kernel computations agree",
-                     inst, True)
-        suite.record("kernel.flag", "partial flag set exactly when d < n+1",
-                     inst, res.partial == (d < n + 1))
-        member_ok = all(
-            not any(alpha_bar_image(b, lams))
-            for b in res.basis)
-        suite.record("kernel.member", "kernel basis maps to zero",
-                     inst, member_ok)
+        suite.check("kernel.flag", "partial flag set exactly when d < n+1",
+                    inst, lambda: (res.partial == (d < n + 1), None))
+        suite.check("kernel.member", "kernel basis maps to zero", inst,
+                    lambda: (all(not any(alpha_bar_image(b, lams))
+                                 for b in res.basis), None))
 
     for i in range(10):
         nv = rng.randint(1, min(2, cfg.nmax))
         ideal = gen.rand_cofinite_ideal(rng, nv, min(cfg.kmax, 2))
-        r = subquotient_lambdas(ideal)
         inst = {"i": i, "nvars": nv, "k": ideal.k,
                 "gens": [str(g) for g in ideal.generators]}
-        suite.record("kernel.subquotient",
-                     "direction-sequence kernel lies inside the ideal",
-                     inst, r.certified)
+        suite.check("kernel.subquotient",
+                    "direction-sequence kernel lies inside the ideal",
+                    inst, lambda: (subquotient_lambdas(ideal).certified, None))
 
 
 # --- double commutant checks --------------------------------------------------
@@ -305,35 +307,30 @@ def run_pw(cfg, suite):
             pts = pts[:1]
             reps = reps[:1]
             total = E.dim * reps[0].dim
-        _, span, layout = spanned_algebra(reps, pts, E)
-        coords = [(layout.blocks[b][2] + r, layout.blocks[b][2] + c)
-                  for b in range(len(layout.blocks))
-                  for r in range(layout.blocks[b][3])
-                  for c in range(layout.blocks[b][3])]
-        rows = [[row[rc[0] * layout.total + rc[1]] for rc in coords]
-                for row in span.frozen_rows()]
-        null = linalg.nullspace(rows, len(coords))
         inst = _inst_layout(reps, pts, E, {"i": i})
-        if not null:
-            suite.record("pw.relation",
-                         "relations certify and annihilate word candidates",
-                         inst, True)
-            continue
-        vec = null[0]
-        psi = {r * layout.total + c: x for (r, c), x in zip(coords, vec) if x}
-        data = FunctionalData(Mat.from_flat(psi, layout.total, layout.total), layout)
-        dec = functional_to_relation(data)
-        if not dec.terms:
-            suite.record("pw.relation",
-                         "relations certify and annihilate word candidates",
-                         inst, True)
-            continue
-        word_cand = PWCandidate.from_word(
-            reps, gen.rand_word(rng, len(reps[0].generators), cfg.words))
-        ident_term = RelationTerm(reps[0].label, mid(reps[0].dim), pts[0],
-                                  gen.rand_diffop(rng, 1, 0))
+        word_cand = ident_term = None
 
         def relation():
+            # a functional on the word span's block-diagonal entries, read back
+            # as a relation; the word and operator are drawn only when it has terms
+            nonlocal word_cand, ident_term
+            _, span, layout = spanned_algebra(reps, pts, E)
+            n = layout.total
+            flat = [(off + r) * n + off + c for _, _, off, size in layout.blocks
+                    for r in range(size) for c in range(size)]
+            col = {s: k for k, s in enumerate(flat)}
+            null = SpanBasis(len(flat), [{col[s]: x for s, x in row.items() if s in col}
+                                         for row in span.rows]).nullspace()
+            if not null:
+                return True, None
+            psi = {flat[k]: x for k, x in null[0].items()}
+            dec = functional_to_relation(FunctionalData(Mat.from_flat(psi, n, n), layout))
+            if not dec.terms:
+                return True, None
+            word_cand = PWCandidate.from_word(
+                reps, gen.rand_word(rng, len(reps[0].generators), cfg.words))
+            ident_term = RelationTerm(reps[0].label, mid(reps[0].dim), pts[0],
+                                      gen.rand_diffop(rng, 1, 0))
             verdict = relation_check(word_cand, dec.terms, reps)
             return verdict.certified and verdict.holds is True, None
 
@@ -344,9 +341,10 @@ def run_pw(cfg, suite):
         suite.check("pw.relation",
                     "relations certify and annihilate word candidates",
                     inst, relation)
-        suite.check("pw.nonrelation",
-                    "a non-annihilating datum is flagged, not evaluated",
-                    inst, nonrelation)
+        if ident_term is not None:
+            suite.check("pw.nonrelation",
+                        "a non-annihilating datum is flagged, not evaluated",
+                        inst, nonrelation)
 
     rf = gen.reducible_family(1)
     ec = gen.escaping_candidate(1)
@@ -375,41 +373,40 @@ def run_pw(cfg, suite):
                 {"family": "reducible", "cand": good.to_json()}, accepts)
 
 
-RUNNERS = {
-    "jet": run_jet,
-    "kernel": run_kernel,
-    "dcomm": run_dcomm,
-    "pw": run_pw,
-}
-
-
 def run_demo(cfg, suite):
-    out = []
-    nv = 1
     E = dual_number_module(Vector([ONE]))
-    f = ExpPoly.from_poly(Polynomial(nv, {(0,): ONE, (2,): Scalar(1, 0)}))
-    out.append("module: dual numbers along the unit direction (dim %d, k=%d)"
-               % (E.dim, E.k))
-    J = jet(f, E)
-    out.append("jet of 1 + x^2:")
-    for row in J.entries:
-        out.append("    [" + ", ".join(str(e) for e in row) + "]")
+    f = ExpPoly.from_poly(Polynomial(1, {(0,): ONE, (2,): Scalar(1, 0)}))
+    print("module: dual numbers along the unit direction (dim %d, k=%d)"
+          % (E.dim, E.k))
+    print("jet of 1 + x^2:")
+    for row in jet(f, E).entries:
+        print("    [" + ", ".join(str(e) for e in row) + "]")
     lams = [Vector([ONE]), Vector([Scalar(2)])]
-    res = kernel_alpha_bar(lams, 3)
-    out.append("kernel for two directions through degree 3: "
-               + "; ".join(str(b) for b in res.basis))
-    suite.record("demo.kernel", "demo kernel has the expected dimension",
-                 {"lams": [str(l) for l in lams]}, len(res.basis) == 1)
-    rf = gen.reducible_family(1)
+
+    def kernel():
+        basis = kernel_alpha_bar(lams, 3).basis
+        print("kernel for two directions through degree 3: "
+              + "; ".join(str(b) for b in basis))
+        return len(basis) == 1, None
+
+    suite.check("demo.kernel", "demo kernel has the expected dimension",
+                {"lams": [str(l) for l in lams]}, kernel)
     ec = gen.escaping_candidate(1)
-    pt = Vector([ONE])
-    t = membership_triple(ec, [rf], [pt], _eval_module(1))
-    out.append("escaping candidate against the reducible family: "
-               + ("member" if t.member else "rejected")
-               + " (unanimous=%s)" % t.unanimous)
-    suite.record("demo.fixture", "demo fixture rejects the escaping candidate",
-                 {"cand": ec.to_json()}, t.unanimous and not t.member)
-    return out
+
+    def fixture():
+        t = membership_triple(ec, [gen.reducible_family(1)], [Vector([ONE])],
+                              _eval_module(1))
+        print("escaping candidate against the reducible family: "
+              + ("member" if t.member else "rejected")
+              + " (unanimous=%s)" % t.unanimous)
+        return t.unanimous and not t.member, None
+
+    suite.check("demo.fixture", "demo fixture rejects the escaping candidate",
+                {"cand": ec.to_json()}, fixture)
+
+
+SUITES = ("jet", "kernel", "dcomm", "pw")
+RUNNERS = dict(zip(SUITES, (run_jet, run_kernel, run_dcomm, run_pw)), demo=run_demo)
 
 
 # Inclusive (lower, upper) bounds of the size flags.  The upper bounds are
@@ -437,7 +434,7 @@ def build_parser():
     ap.add_argument("--json", metavar="PATH",
                     help="write sorted JSON-lines records to PATH")
     ap.add_argument("command",
-                    choices=["verify", "jet", "kernel", "dcomm", "pw", "demo"],
+                    choices=["verify", *RUNNERS],
                     help="which suite to run")
     return ap
 
@@ -452,16 +449,17 @@ def main(argv=None):
 
     suite = Suite()
     t0 = time.monotonic()
-    if args.command == "demo":
-        for line in run_demo(args, suite):
-            print(line)
-    elif args.command == "verify":
-        for name in ("jet", "kernel", "dcomm", "pw"):
-            t1 = time.monotonic()
+    for name in SUITES if args.command == "verify" else (args.command,):
+        t1 = time.monotonic()
+        try:
             RUNNERS[name](args, suite)
+        except Exception as exc:  # every check catches its own; see Suite.check
+            print("jetcalc: internal error outside any check in suite %s at seed %d: "
+                  "%s: %s" % (name, args.seed, type(exc).__name__, " ".join(str(exc).split())),
+                  file=sys.stderr)
+            return 3
+        if args.command == "verify":
             print("suite %-6s done in %.2fs" % (name, time.monotonic() - t1))
-    else:
-        RUNNERS[args.command](args, suite)
 
     for check_id in sorted(suite.tally):
         p, t = suite.tally[check_id]

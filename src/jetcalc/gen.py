@@ -5,9 +5,7 @@ down the whole run byte for byte.  Sizes are kept deliberately small: the
 point is coverage of shapes, not bulk.
 """
 
-from fractions import Fraction
-
-from .scalars import Scalar, ZERO, ONE
+from .scalars import Scalar, ZERO, ONE, _mk
 from .poly import Polynomial, ExpPoly, Vector, Covector, DiffOp
 from .linalg import Mat, mmul, mat_inverse
 from .localmod import (CofiniteIdeal, power_ideal, dual_number_ideal,
@@ -26,7 +24,7 @@ def rand_scalar(rng, zero_ok=True, imag_ok=True):
         if not zero_ok and a == 0 and b == 0:
             continue
         den = rng.choice((1, 1, 1, 2))
-        return Scalar(Fraction(a, den), Fraction(b, den))
+        return _mk(a, b, den)
 
 
 def rand_point(rng, nvars, zero_ok=True):

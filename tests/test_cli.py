@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import jetcalc
-from jetcalc import approxalg, cli, family, linalg
+from jetcalc import approxalg, cli, family, gen, linalg
 from jetcalc.cli import main
 from jetcalc.scalars import ONE
 
@@ -188,14 +188,19 @@ def _top_corner_misses_the_lower_ones(M):
         approxalg._corner_gens = gens
 
 
-@pytest.mark.parametrize("command, owner, name, wrong, message", [
+# (command, owner, name, wrong, message): a wrong route patched in as
+# owner.name, a command whose checks read it, and the disagreement it causes.
+ROUTE_FAULTS = [
     ("pw", family, "term_value", _plus_one(family.term_value),
      "relation evaluation routes disagree"),
     ("dcomm", linalg, "solver", lambda vecs, ncols: lambda v: None,
      "invariance held but no witness solves the system"),
     ("dcomm", approxalg, "end_zero_basis", _top_corner_misses_the_lower_ones,
      "corner span computations disagree"),
-])
+]
+
+
+@pytest.mark.parametrize("command, owner, name, wrong, message", ROUTE_FAULTS)
 def test_a_cross_check_disagreement_is_a_failing_record(
         tmp_path, capsys, monkeypatch, command, owner, name, wrong, message):
     monkeypatch.setattr(owner, name, wrong)
@@ -208,15 +213,65 @@ def test_a_cross_check_disagreement_is_a_failing_record(
     assert all(r["witness"] == {"cross_check": message} for r in failed)
 
 
-def test_console_script_matches_in_process_output(tmp_path):
-    out = tmp_path / "cli.jsonl"
-    # the child imports the same jetcalc as this process, installed or not
+def test_an_exception_inside_a_check_is_a_failing_record(tmp_path, capsys, monkeypatch):
+    def broken(M, j1, j2):
+        raise ValueError("no corner")
+
+    monkeypatch.setattr(cli, "corner_identity_check", broken)
+    rc, blob = run_verify(tmp_path, "v.jsonl", ["dcomm", "--seed", "0"])
+    capsys.readouterr()
+    assert rc == 1
+    recs = [json.loads(l) for l in blob.splitlines()]
+    failed = [r for r in recs if r["status"] == "fail"]
+    assert failed and {r["check_id"] for r in failed} == {"dcomm.corner"}
+    assert all(r["witness"] == {"error": "ValueError: no corner"} for r in failed)
+    assert len(failed) == sum(r["check_id"] == "dcomm.corner" for r in recs)
+
+
+def _child_env():
+    """The environment of a child that imports the same jetcalc as this
+    process, installed or not."""
     src = str(Path(jetcalc.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_a_failure_while_generating_instances_exits_with_status_three(
+        tmp_path, capsys, monkeypatch):
+    def broken(rng, dimmax, junk_ok=False):
+        raise ValueError("no module")
+
+    monkeypatch.setattr(gen, "rand_approx_module", broken)
+    out = tmp_path / "v.jsonl"
+    assert main(["verify", "--seed", "7", "--json", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "suite dcomm at seed 7" in err and "ValueError: no module" in err
+    assert not out.exists()
+
+    # the child patches the generator, then runs jetcalc.cli as `python -m`
+    # does, through runpy
+    code = ("import runpy, sys\n"
+            "from jetcalc import gen\n"
+            "def broken(*args, **kw): raise ValueError('no module')\n"
+            "gen.rand_approx_module = broken\n"
+            "sys.argv = ['jetcalc', 'dcomm', '--seed', '2', '--json', %r]\n"
+            "runpy.run_module('jetcalc.cli', run_name='__main__', alter_sys=True)"
+            % str(out))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_child_env())
+    assert proc.returncode == 3
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert "suite dcomm at seed 2" in proc.stderr
+    assert not out.exists()
+
+
+def test_console_script_matches_in_process_output(tmp_path):
+    out = tmp_path / "cli.jsonl"
     proc = subprocess.run(
         [sys.executable, "-m", "jetcalc.cli", "jet", "--seed", "4",
          "--json", str(out)],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+        capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     rc, blob = run_verify(tmp_path, "inproc.jsonl", ["jet", "--seed", "4"])
     assert rc == 0
