@@ -22,9 +22,9 @@ corner's, and End^# is one nullspace in it: its constraints are the
 pairings <C_i, sum_b f_b w_b^T> with its basis C_i, built block by block
 from the top corner's W (echelon rows w, nullspace functionals f).
 Algebra elements and vectors of V^n are zero-free sparse dicts (linalg's
-one vector type), matrices are linalg.Mats (End(V)_0 and End^# bases read
-off their span rows), and a matrix acts on each length-d block by
-linalg.apply; dense tuples appear only at the edges (JSON, SharpResult).
+one vector type), End(V)_0 and End^# are SpanBasis spans of flattened
+matrices, action matrices are linalg.Mats, and a matrix acts on each
+length-d block by linalg.apply; dense tuples appear only at the edges.
 
 The top idempotent alpha_m is the unit: each basis element e has some
 alpha_j e = e = e alpha_j, and alpha_j <= alpha_m gives alpha_m alpha_j =
@@ -37,7 +37,7 @@ first use (by mul, validate or to_json).
 import json
 
 from .scalars import ZERO, ONE
-from .poly import parse_scalar
+from .poly import scalar_parser
 from . import linalg
 from .linalg import (Mat, SpanBasis, CrossCheckError, mmul, mid, mat_sum, close_span,
                      square, sparse, dense, dot, apply, json_field, json_load, _axpy)
@@ -55,7 +55,7 @@ class ApproxAlgebra:
     and a distinguished increasing idempotent chain.  An element is the
     zero-free dict {t: c} of its coordinates; `sc` maps (i, j) to that of
     e_i e_j and, given as a function returning the map, runs on the first
-    read of `sc`.  The chain is given as sequences, kept as dicts."""
+    read of `sc`.  The chain is given as sequences or dicts, kept as dicts."""
 
     __slots__ = ("dim", "_sc", "chain", "labels")
 
@@ -67,7 +67,7 @@ class ApproxAlgebra:
         self.labels = tuple(labels)
         if not chain:
             raise ValueError("the idempotent chain must be nonempty")
-        if any(len(a) != dim for a in chain):
+        if any(not isinstance(a, dict) and len(a) != dim for a in chain):
             raise ValueError("chain element has wrong length")
         self.chain = tuple(map(sparse, chain))
         if check:
@@ -253,13 +253,10 @@ class ApproxModule:
 
         def products():
             basis = SpanBasis(n * n, rows)
-            sc = {}
-            for i, a in enumerate(mats):
-                for j, b in enumerate(mats):
-                    coords = basis.coords(mmul(a, b).flat())
-                    if coords is None:
-                        raise ValueError("basis is not closed under products")
-                    sc[(i, j)] = dict(enumerate(coords))
+            sc = {(i, j): basis.coords(mmul(a, b).flat())
+                  for i, a in enumerate(mats) for j, b in enumerate(mats)}
+            if None in sc.values():
+                raise ValueError("basis is not closed under products")
             return sc
 
         algebra = ApproxAlgebra(len(mats), products, [id_coords], check=False)
@@ -282,17 +279,23 @@ class ApproxModule:
                               ("action", list)))
         if not all(isinstance(a, list) for a in chain):
             raise ValueError("every idempotent chain element must be a list of entries")
-        sc = {}
+        parse, sc = scalar_parser(), {}
         for key in consts:
-            i, j = (int(x) for x in key.split(","))
+            ij = key.split(",")
+            if len(ij) != 2 or not all(map(str.isdecimal, ij)):
+                raise ValueError("structure constant key %r must be two basis indices "
+                                 "'i,j'" % key)
             row = json_field(consts, key, dict, "structure constant %r is" % key)
-            sc[(i, j)] = {int(t): parse_scalar(s) for t, s in row.items()}
+            if bad := [t for t in row if not t.isdecimal()]:
+                raise ValueError("structure constant %r has the entry key %r; it must "
+                                 "be a basis index" % (key, bad[0]))
+            sc[tuple(map(int, ij))] = {int(t): parse(s) for t, s in row.items()}
         if not all(0 <= x < n for (i, j), row in sc.items() for x in (i, j, *row)):
             raise ValueError("a structure constant names a basis index outside 0 to %d"
                              % (n - 1))
-        chain = [[parse_scalar(s) for s in a] for a in chain]
+        chain = [[parse(s) for s in a] for a in chain]
         alg = ApproxAlgebra(n, sc, chain, data["basis"])
-        mats = [square(flat, dim, parse_scalar, "action matrix %d" % t)
+        mats = [square(flat, dim, parse, "action matrix %d" % t)
                 for t, flat in enumerate(action)]
         # unitality is a property of the module (is_approx_unital), not a
         # condition of the format: junk-padded modules round-trip too
@@ -314,16 +317,15 @@ def _corner_gens(M, j1, j2):
 
 
 def end_zero_basis(M):
-    """Basis of the reachable part of End(V): the span of all chain corners
-    P_j F P_j, which is the top corner's, since the chain increases.  The
-    top corner alone is eliminated, and the generators of every lower corner
-    are cross-checked against it.  Returns (basis Mats, span)."""
-    d = M.dim
+    """End(V)_0, the reachable part of End(V), as the SpanBasis of
+    flattened matrices that spans all chain corners P_j F P_j: the top
+    corner's, since the chain increases.  The top corner alone is
+    eliminated, and every lower corner's generators are checked against it."""
     top_j = len(M.algebra.chain) - 1
-    top = SpanBasis(d * d, _corner_gens(M, top_j, top_j))
+    top = SpanBasis(M.dim * M.dim, _corner_gens(M, top_j, top_j))
     if not all(top.contains(g) for j in range(top_j) for g in _corner_gens(M, j, j)):
         raise CrossCheckError("corner span computations disagree")
-    return [Mat.from_flat(row, d, d) for row in top.rows], top
+    return top
 
 
 class SharpResult:
@@ -413,15 +415,18 @@ def _membership(M, phi, tuples, outside=ValueError):
 
 def _end_sharp(M, tuples):
     """End^# in End(V): the x with f(C w) = 0 for C = sum_i x_i C_i over the
-    corner basis C_i, every echelon row w and nullspace functional f of the
-    top tuple module W.  f(C w) = <C, G> for G = sum_b f_b w_b^T over the
-    length-d blocks b (vec(A X B) = (B^T kron A) vec X), so a constraint row
-    pairs one G with the C_i.  Returns (End^# basis Mats, End^# span,
-    End(V)_0 span), taking the top tuple module from `tuples`."""
-    corner_mats, end_zero = end_zero_basis(M)
+    End(V)_0 basis C_i (its echelon rows), every echelon row w and
+    nullspace functional f of the top tuple module W.  f(C w) = <C, G> for
+    G = sum_b f_b w_b^T over the length-d blocks b (vec(A X B) = (B^T kron
+    A) vec X), so a constraint row pairs one G with the C_i.  The pairing
+    and the combination read one Mat, ZT, the transpose of the C_i's: its
+    row s holds entry s of each C_i, and apply(ZT, x) is C.  Returns the
+    spans (End^#, End(V)_0) of flattened matrices, taking the top tuple
+    module from `tuples`."""
+    end_zero = end_zero_basis(M)
     d = M.dim
     _, n, _, W = _tuple_module(M, len(M.algebra.chain) - 1, tuples)
-    pairing = Mat([C.flat() for C in corner_mats], d * d).cols
+    ZT = Mat(end_zero.rows, d * d).T
     by_block = {}  # block b -> {index r of an echelon row w of W: w_b}
     for r, w in enumerate(W.rows):
         for s, x in w.items():
@@ -437,13 +442,11 @@ def _end_sharp(M, tuples):
         for G in grams.values():
             row = {}
             for s, y in G.items():
-                _axpy(row, y, pairing[s])
+                _axpy(row, y, ZT.rows[s])
             if row:
                 rows.append(row)
-    sharp = SpanBasis(d * d, [
-        mat_sum(((corner_mats[s], c) for s, c in v.items()), d, d).flat()
-        for v in SpanBasis(len(corner_mats), rows).nullspace()])
-    return [Mat.from_flat(r, d, d) for r in sharp.rows], sharp, end_zero
+    sharp = SpanBasis(d * d, [apply(ZT, x) for x in SpanBasis(end_zero.dim, rows).nullspace()])
+    return sharp, end_zero
 
 
 class CheckReport:
@@ -478,7 +481,7 @@ def double_commutant_check(M):
     On failure the report carries a separating functional."""
     image = M.image_span()
     tuples = {}
-    sharp_mats, sharp, end_zero = _end_sharp(M, tuples)
+    sharp, end_zero = _end_sharp(M, tuples)
     d = M.dim
     dims = {
         "dim_V": d,
@@ -491,8 +494,8 @@ def double_commutant_check(M):
             return CheckReport("double_commutant", "fail", dims,
                                witness={"kind": "image_not_in_sharp",
                                         "matrix": [str(c) for c in dense(row, d * d)]})
-    for mat in sharp_mats:  # End^# lies in the top corner: none outside is a defect
-        res = _membership(M, mat, tuples, CrossCheckError)
+    for row in sharp.rows:  # End^# lies in the top corner: none outside is a defect
+        res = _membership(M, Mat.from_flat(row, d, d), tuples, CrossCheckError)
         if not res.member:
             func = _separating_functional(image, sharp)
             return CheckReport("double_commutant", "fail", dims,

@@ -379,12 +379,10 @@ class RelationVerdict:
 
 def relation_certify(data, span):
     """A functional is an annihilating relation iff it kills the span of
-    all word images."""
-    for row in span.rows:
-        mat = Mat.from_flat(row, data.layout.total, data.layout.total)
-        if frobenius(data.psi, mat):
-            return mat
-    return None
+    all word images; the first span row it pairs with, as a Mat, or None."""
+    psi, total = data.psi.flat(), data.layout.total
+    bad = next((row for row in span.rows if dot(psi, row)), None)
+    return None if bad is None else Mat.from_flat(bad, total, total)
 
 
 def relation_check(cand, terms, reps):

@@ -24,7 +24,7 @@ from operator import add, le, sub
 
 from .scalars import Scalar, ExpScalar, ZERO, ONE, EXP_ZERO
 from .poly import (Polynomial, ExpPoly, Covector, Vector, DiffOp,
-                   translate, coproduct, pairing, monomials_upto,
+                   translate, coproduct, monomials_upto,
                    beta_factorial, zero_exps, exp_series, _pair, _point_coords)
 from . import linalg
 from .linalg import Mat, SpanBasis, CrossCheckError, mmul, _axpy
@@ -394,37 +394,29 @@ def kernel_alpha_bar(lams, d):
         if lam.is_zero():
             raise ValueError("directions must be nonzero")
     space = PolySpace(N, d)
-    mons = space.mons_asc
+    at = space.index
 
     # route one: p(0) = 0 and every iterated derivative over an index subset
-    # vanishes at 0
-    rows_a = []
-    const_row = [ZERO] * len(mons)
-    const_row[mons.index(zero_exps(N))] = ONE
-    rows_a.append(const_row)
+    # vanishes at 0; <x^m, X^beta> = m! delta_(m, beta) reads the row of the
+    # operator u off its terms
+    rows_a = [{at[zero_exps(N)]: ONE}]
     for l in range(1, n + 1):
         for subset in combinations(range(n), l):
             u = DiffOp.one(N)
             for j in subset:
                 u = u * lams[j].as_diffop()
-            row = []
-            for m in mons:
-                row.append(pairing(Polynomial.monomial(N, m), u).scalar())
-            rows_a.append(row)
-    basis_a = linalg.nullspace(rows_a, len(mons))
+            rows_a.append({at[m]: c * beta_factorial(m) for m, c in u.terms.items() if m in at})
 
     # route two: kernel of the coproduct-then-classes map
-    images = [alpha_bar_image(Polynomial.monomial(N, m), lams) for m in mons]
-    rows_b = [[images[s][t] for s in range(len(mons))] for t in range(2 ** n)]
-    basis_b = linalg.nullspace(rows_b, len(mons))
+    images = [alpha_bar_image(Polynomial.monomial(N, m), lams) for m in space.mons]
+    rows_b = [{i: v[t] for i, v in enumerate(images) if v[t]} for t in range(2 ** n)]
 
-    if not SpanBasis(len(mons), basis_a).same_span(SpanBasis(len(mons), basis_b)):
+    # each kernel is canonical: reduced rows in descending-grlex coordinates
+    kernel_a, kernel_b = (SpanBasis(space.dim, SpanBasis(space.dim, rows).nullspace())
+                          for rows in (rows_a, rows_b))
+    if not kernel_a.same_span(kernel_b):
         raise CrossCheckError("kernel computations disagree")
-
-    # canonical output: reduced rows in descending-grlex coordinates
-    canon = SpanBasis(space.dim, ({space.index[m]: c for c, m in zip(v, mons) if c}
-                                  for v in basis_a))
-    basis = [space.from_vec(r) for r in canon.rows]
+    basis = [space.from_vec(r) for r in kernel_a.rows]
     return KernelResult(tuple(lams), d, basis, d < n + 1)
 
 

@@ -268,7 +268,8 @@ def json_field(obj, key, kind, name, lo=None, hi=None):
 
 
 def mat_vec(a, v):
-    """a v for a matrix and a dense vector of its width, as a dense tuple."""
+    """a v for a matrix and a dense vector of its width, as a dense tuple;
+    read by ModuleMap.__call__, the tests and bench/layers.py."""
     a = Mat.of(a)
     if len(v) != a.ncols:
         raise ValueError("a vector of length %d for a matrix of width %d" % (len(v), a.ncols))
@@ -276,11 +277,13 @@ def mat_vec(a, v):
 
 
 def rank(rows):
+    """Dimension of the span of dense rows; read by the acceptance gate and tests."""
     return SpanBasis(len(rows[0]) if rows else 0, rows).dim
 
 
 def nullspace(rows, ncols):
-    """Basis of {x : A x = 0} for A given by rows; see SpanBasis.nullspace."""
+    """Basis of {x : A x = 0} for A given by dense rows, as dense tuples;
+    read by the acceptance gate, the tests and bench/layers.py."""
     return [dense(v, ncols) for v in SpanBasis(ncols, rows).nullspace()]
 
 
@@ -377,8 +380,8 @@ class SpanBasis:
         return v
 
     def add(self, v):
-        """insert() for a dense row, at the edges; the benchmark's tracer
-        (bench/layers.py) wraps it by name and reads its argument densely."""
+        """insert() for a dense row; read by the acceptance gate, the tests
+        and bench/layers.py, whose tracer reads its argument densely."""
         return self.insert(v)
 
     def contains(self, v):
@@ -392,11 +395,12 @@ class SpanBasis:
         return next((pair for pair in images if not self.contains(pair[1])), None)
 
     def coords(self, v):
-        """Coefficients of v against the echelon rows, or None if outside."""
+        """Coefficients of v against the echelon rows, as a zero-free dict
+        {row index: c}, or None if v lies outside the span."""
         record = {}
         if self._reduce(v, record):
             return None
-        return tuple(record.get(p, ZERO) for p in self.pivots)
+        return {bisect_left(self.pivots, p): c for p, c in record.items()}
 
     def nullspace(self):
         """Basis of {x : row . x = 0 for every row}, as zero-free dicts: for
@@ -410,6 +414,8 @@ class SpanBasis:
         return list(vecs.values())
 
     def frozen_rows(self):
+        """The echelon rows as dense tuples; read by rref, the acceptance
+        gate and the tests."""
         return tuple(dense(r, self.ncols) for r in self.rows)
 
     def same_span(self, other):

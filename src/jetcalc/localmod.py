@@ -16,11 +16,11 @@ import json
 
 from .scalars import ZERO, ONE
 from .poly import (Polynomial, DiffOp, Covector, monomials_upto,
-                   monomials_of_degree, beta_factorial, zero_exps, parse_scalar,
+                   monomials_of_degree, beta_factorial, zero_exps, scalar_parser,
                    exp_series)
 from . import linalg
 from .linalg import (Mat, SpanBasis, mmul, mid, mat_sum, block_diag, kron,
-                     close_span, square, apply, json_field, json_load)
+                     close_span, square, dense, apply, json_field, json_load)
 
 # FinMod.from_json's bounds: the CLI's --nmax and --dimmax ceilings, and an
 # order above the 11 that tensor products reach at --kmax 4; validating then
@@ -152,11 +152,9 @@ def dual_number_ideal(lam):
     if lam.is_zero():
         raise ValueError("the direction must be nonzero")
     nvars = lam.nvars
-    gens = []
     # linear forms vanishing on lam: solve <coords, lam> = 0
-    rows = [[c for c in lam.coords]]
-    for v in linalg.nullspace(rows, nvars):
-        gens.append(Covector(v).as_polynomial())
+    gens = [Covector(dense(v, nvars)).as_polynomial()
+            for v in SpanBasis(nvars, [lam.coords]).nullspace()]
     gens.extend(Polynomial.monomial(nvars, m) for m in monomials_of_degree(nvars, 2))
     return CofiniteIdeal(nvars, 1, gens)
 
@@ -260,8 +258,9 @@ class FinMod:
         if not isinstance(action, list) or len(action) != data["nvars"]:
             raise ValueError("module field 'action' must be a list of %d matrices"
                              % data["nvars"])
+        parse = scalar_parser()
         return cls(data["nvars"], data["k"], [
-            square(flat, data["dim"], parse_scalar, "action matrix %d" % t)
+            square(flat, data["dim"], parse, "action matrix %d" % t)
             for t, flat in enumerate(action)])
 
 
@@ -400,37 +399,31 @@ def submodule_generated(E, vectors):
     sb = close_span(E.dim, vectors, E.mats)
     d = sb.dim
     # column c of each matrix: the coordinates of the image of basis row c
-    mats = [Mat.of([sb.coords(apply(m, b)) for b in sb.rows], d).T
-            for m in E.mats]
+    mats = [Mat([sb.coords(apply(m, b)) for b in sb.rows], d).T for m in E.mats]
     sub = FinMod(E.nvars, E.k, mats, check=False)
     incl = ModuleMap(sub, E, Mat(sb.rows, E.dim).T, check=False)
     return Submodule(sub, incl, sb)
 
 
 def quotient_module(E, sub):
-    """Quotient by an invariant subspace, with the projection map.  The
-    complement basis is the set of coordinates without a pivot."""
-    if isinstance(sub, Submodule):
-        sb = sub.span
-    elif isinstance(sub, SpanBasis):
-        sb = sub
-    else:
-        sb = SpanBasis(E.dim, sub)
+    """Quotient by an invariant subspace, a Submodule or rows spanning it,
+    with the projection map.  The complement basis is the set of
+    coordinates without a pivot."""
+    sb = sub.span if isinstance(sub, Submodule) else SpanBasis(E.dim, sub)
     if any(sb.escape(m) for m in E.mats):
         raise ValueError("subspace is not invariant under the action")
     pivots = set(sb.pivots)
     comp = [t for t in range(E.dim) if t not in pivots]
     d = len(comp)
+    at = {t: c for c, t in enumerate(comp)}
 
-    def project(v):
-        res = sb._reduce(v)
-        return tuple(res.get(t, ZERO) for t in comp)
+    def project(v):  # a residue is zero at every pivot
+        return {at[t]: x for t, x in sb._reduce(v).items()}
 
     # column c of each matrix: the projected image of complement vector c
-    mats = [Mat.of([project(apply(m, {t: ONE})) for t in comp], d).T
-            for m in E.mats]
+    mats = [Mat([project(m.cols[t]) for t in comp], d).T for m in E.mats]
     quot = FinMod(E.nvars, E.k, mats, check=False)
-    proj = ModuleMap(E, quot, Mat.of([project({t: ONE}) for t in range(E.dim)], d).T,
+    proj = ModuleMap(E, quot, Mat([project({t: ONE}) for t in range(E.dim)], d).T,
                      check=False)
     return quot, proj
 

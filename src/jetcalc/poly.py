@@ -29,9 +29,9 @@ repeated multiplication, so the parser bounds its work with a ValueError:
 it refuses an exponent above MAX_EXPONENT, and an input whose products
 (``*``, juxtaposition and each step of ``^``) form more than MAX_PARSE_WORK
 term pairs in all, counted as left terms x right terms before each product
-is formed.  The entries of one file share that budget (`entry_parser`).
-Nested powers, powers of sums, long products of sums and many large entries
-all stay cheap to refuse.
+is formed.  The entries of one file share that budget (`entry_parser`,
+`scalar_parser`).  Nested powers, powers of sums, long products of sums and
+many large entries all stay cheap to refuse.
 """
 
 from math import factorial
@@ -717,6 +717,12 @@ def parse_poly(text, nvars):
     return parse_exppoly(text, nvars).pure()
 
 
+def scalar_parser():
+    """parse_scalar for the entries of one file: all its calls share one
+    MAX_PARSE_WORK budget, as entry_parser(0)'s do."""
+    parse = entry_parser(0)
+    return lambda text: parse(text).pure().terms.get((), ZERO)
+
+
 def parse_scalar(text):
-    p = parse_exppoly(text, 0)
-    return p.pure().terms.get((), ZERO)
+    return scalar_parser()(text)

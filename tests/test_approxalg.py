@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import sys
 
 import pytest
@@ -10,6 +11,11 @@ from jetcalc.scalars import Scalar, ZERO, ONE, sc
 from jetcalc import approxalg as aa, gen, linalg
 from jetcalc.linalg import mid, sparse
 from jetcalc.poly import parse_scalar
+
+
+def as_mats(M, span):
+    """The rows of a span of flattened endomorphisms of M's space, as Mats."""
+    return [linalg.Mat.from_flat(row, M.dim, M.dim) for row in span.rows]
 
 
 def test_full_matrix_block_has_commutant_scalars():
@@ -84,8 +90,7 @@ def test_image_span_is_built_once_and_checks_leave_it_unchanged():
 
 def test_end_zero_of_a_direct_sum_counts_blockwise_maps():
     _, M3 = aa.block_module([1, 2])
-    mats3, span3 = aa.end_zero_basis(M3)
-    assert len(mats3) == 9  # 1x1 + 2x2 blocks commute freely: 1 + 4 + 2*2
+    assert aa.end_zero_basis(M3).dim == 9  # 1x1 + 2x2 blocks commute freely: 1 + 4 + 2*2
 
 
 def test_non_unital_actions_are_rejected_unless_asked_for():
@@ -97,8 +102,7 @@ def test_non_unital_actions_are_rejected_unless_asked_for():
     MJ.validate(require_unital=False)
     assert not MJ.is_approx_unital()
     # the dead coordinate forces strict smallness of everything in sight
-    matsJ, _ = aa.end_zero_basis(MJ)
-    assert len(matsJ) == 1
+    assert aa.end_zero_basis(MJ).dim == 1
     repJ = aa.double_commutant_check(MJ)
     assert repJ.ok and repJ.dims["dim_image"] == 1 and repJ.dims["dim_sharp"] == 1
 
@@ -189,7 +193,7 @@ def test_module_json_bounds_its_sizes_before_parsing(monkeypatch):
     def refuse(text):
         raise Parsed(text)
 
-    monkeypatch.setattr(aa, "parse_scalar", refuse)
+    monkeypatch.setattr(aa, "scalar_parser", lambda: refuse)
 
     def text(dim, nbasis):
         return json.dumps({"basis": ["e%d" % i for i in range(nbasis)],
@@ -208,6 +212,23 @@ def test_module_json_bounds_its_sizes_before_parsing(monkeypatch):
     for dim, nbasis in ((14, 36), (0, 1), (2, 1)):
         with pytest.raises(Parsed):
             aa.ApproxModule.from_json(text(dim, nbasis))
+
+
+@pytest.mark.parametrize("consts, message", [
+    ({"1,2,3": {}}, "structure constant key '1,2,3' must be two basis indices 'i,j'"),
+    ({"0": {}}, "structure constant key '0' must be two basis indices 'i,j'"),
+    ({"a,0": {}}, "structure constant key 'a,0' must be two basis indices 'i,j'"),
+    ({"-1,0": {}}, "structure constant key '-1,0' must be two basis indices 'i,j'"),
+    ({"0,0": {"a": "1"}}, "structure constant '0,0' has the entry key 'a'; it must be "
+                          "a basis index"),
+    ({"0,4": {"0": "1"}}, "a structure constant names a basis index outside 0 to 3"),
+])
+def test_module_json_refuses_a_malformed_structure_constant_key(consts, message):
+    _, M = aa.block_module([2])
+    data = json.loads(M.to_json())
+    data["structure_constants"].update(consts)
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        aa.ApproxModule.from_json(json.dumps(data))
 
 
 def test_algebra_axioms_are_enforced():
@@ -337,9 +358,9 @@ def test_witness_solver_factors_each_corner_once(monkeypatch):
     for _ in range(12):
         _, M = gen.rand_approx_module(rng, 6, junk_ok=True)
         kinds.add(kind(M))
-        sharp_mats, _, _ = aa._end_sharp(M, {})
+        sharp, _ = aa._end_sharp(M, {})
         corners = set()
-        for mat in sharp_mats:
+        for mat in as_mats(M, sharp):
             res = aa.end_sharp_membership(M, mat)
             assert res.member and M.act(res.witness) == mat
             corners.add(res.j)
@@ -368,9 +389,8 @@ def test_end_zero_is_the_union_of_all_corner_spans():
                 for c in range(d):
                     unit = linalg.Mat([{c: ONE} if i == r else {} for i in range(d)], d)
                     union.insert(linalg.mmul(linalg.mmul(P, unit), P).flat())
-        mats, span = aa.end_zero_basis(M)
+        span = aa.end_zero_basis(M)
         assert (span.pivots, span.rows) == (union.pivots, union.rows)
-        assert [m.flat() for m in mats] == span.rows
     assert kinds == {"plain", "skewed", "junk"}
 
 
@@ -486,8 +506,8 @@ def reference_end_sharp(M):
     C_i, the residue of C_i w against W, its entries keyed by their free
     columns, gives one constraint row per free column; End^# is their
     nullspace mapped back through the C_i."""
-    corner_mats, _ = aa.end_zero_basis(M)
     d = M.dim
+    corner_mats = as_mats(M, aa.end_zero_basis(M))
     _, _, _, W = aa._tuple_module(M, len(M.algebra.chain) - 1, {})
     rows = []
     for wrow in W.rows:
@@ -513,9 +533,8 @@ def test_blockwise_end_sharp_matches_the_per_matrix_residue_loop():
         kinds.add(kind(M))
         dims.add(M.dim)
         want = reference_end_sharp(M)
-        mats, sharp, _ = aa._end_sharp(M, {})
+        sharp, _ = aa._end_sharp(M, {})
         assert (sharp.pivots, sharp.rows) == (want.pivots, want.rows)
-        assert [m.flat() for m in mats] == want.rows
     assert kinds == {"plain", "skewed", "junk"}
     assert min(dims) <= 2 and max(dims) >= 12
 
@@ -544,9 +563,9 @@ def test_end_sharp_maps_no_corner_matrix_through_the_tuple_module(monkeypatch):
     for mod in bound:
         monkeypatch.setattr(mod, "apply", counted_apply)
     monkeypatch.setattr(linalg.SpanBasis, "_reduce", counted_reduce)
-    mats, sharp, end_zero = aa._end_sharp(M, {})
+    sharp, end_zero = aa._end_sharp(M, {})
     monkeypatch.undo()
-    assert len(mats) == sharp.dim == 36 and end_zero.dim == 144
+    assert sharp.dim == 36 and end_zero.dim == 144
     assert 0 < counts["apply"] <= 100, counts
     assert 0 < counts["reduce"] <= 1500, counts
 
@@ -564,7 +583,7 @@ def test_the_corner_index_is_the_least_idempotent_absorbing_phi():
         kinds.add(kind(M))
         d = M.dim
         idems = [M.idem_mat(j) for j in range(len(alg.chain))]
-        members = aa._end_sharp(M, {})[0] + [gen.rand_member_phi(rng, M)]
+        members = as_mats(M, aa._end_sharp(M, {})[0]) + [gen.rand_member_phi(rng, M)]
         cuts = []
         for P in idems:
             X = gen.rand_matrix(rng, d, d)

@@ -474,8 +474,8 @@ def test_verdict_iii_module_matches_the_checked_matrix_basis_module():
         for i, a in enumerate(mats):
             for j, b in enumerate(mats):
                 coords = basis.coords(mmul(a, b).flat())
-                if any(coords):
-                    products[(i, j)] = {t: c for t, c in enumerate(coords) if c}
+                if coords:
+                    products[(i, j)] = coords
         assert lazy.algebra.sc == products == eager.algebra.sc
         assert lazy.to_json() == eager.to_json()
     assert {k[0] for k in seen} == {k[1] for k in seen} == {k[2] for k in seen} == {1, 2}

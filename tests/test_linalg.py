@@ -240,7 +240,9 @@ def test_span_basis_is_the_rref_and_keeps_true_supports(seed):
         # against the echelon rows rebuild it
         inside = combine([rand_scalar(rng) for _ in rows], rows, ncols)
         assert sb.contains(inside)
-        assert combine(sb.coords(inside), sb.frozen_rows(), ncols) == inside
+        coords = sb.coords(inside)
+        assert all(coords.values())
+        assert combine(linalg.dense(coords, sb.dim), sb.frozen_rows(), ncols) == inside
         probe = [rand_scalar(rng) for _ in range(ncols)]
         assert (sb.coords(probe) is not None) == sb.contains(probe)
 

@@ -197,7 +197,7 @@ def test_module_json_refuses_bad_fields_before_parsing(monkeypatch, text, field)
     def no_parse(s):
         raise AssertionError("an entry was parsed")
 
-    monkeypatch.setattr("jetcalc.localmod.parse_scalar", no_parse)
+    monkeypatch.setattr("jetcalc.localmod.scalar_parser", lambda: no_parse)
     with pytest.raises(ValueError, match="'%s'" % field):
         FinMod.from_json(text)
 

@@ -12,9 +12,15 @@ The double commutant of `approxalg.double_commutant_check` is recomputed
 from the action matrices alone: the rank of the action image, the rank of
 the top corner's generators P E_rc P, and End^# as the matrices X of that
 corner whose diagonal action maps the module W into itself, W spun in
-sympy from a basis tuple of P's column space."""
+sympy from a basis tuple of P's column space.
+
+The kernel of `jetfun.kernel_alpha_bar` is recomputed from sympy.diff: the
+evaluation-and-derivative map sends each monomial to its value and its
+iterated directional derivatives over every subset of the directions, all
+at 0."""
 
 import functools
+import itertools
 import random
 
 import pytest
@@ -23,7 +29,10 @@ from jetcalc import gen
 from jetcalc.approxalg import double_commutant_check
 from jetcalc.family import spanned_algebra
 from jetcalc.linalg import SpanBasis, CrossCheckError, mid
+from jetcalc.jetfun import kernel_alpha_bar
 from jetcalc.localmod import cyclic_quotient, maximal_ideal, dual_number_module
+from jetcalc.poly import Vector, monomials_upto
+from jetcalc.scalars import ZERO
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
@@ -255,3 +264,59 @@ def test_a_reduction_that_skips_a_pivot_row_fails_a_double_commutant_oracle_case
         except CrossCheckError:
             failed += 1
     assert failed >= 1
+
+
+def to_sympy_number(x):
+    """The sympy number of a Scalar."""
+    return sympy.Rational(x.a, x.den) + sympy.I * sympy.Rational(x.b, x.den)
+
+
+def rand_direction(rng, nvars):
+    """A nonzero Vector of small Gaussian rationals."""
+    while True:
+        lam = Vector([gen.rand_scalar(rng) for _ in range(nvars)])
+        if not lam.is_zero():
+            return lam
+
+
+def kernel_oracle(lams, d):
+    """(monomials of degree <= d, the DomainMatrix over QQ_I of the
+    evaluation-and-derivative map on them): one row per subset S of the
+    directions, the empty one first, holding prod_(j in S) (lam_j . grad)
+    of each monomial at 0, differentiated by sympy.diff."""
+    N = lams[0].nvars
+    xs = sympy.symbols("x1:%d" % (N + 1))
+    mons = monomials_upto(N, d)
+    lams = [[to_sympy_number(c) for c in lam.coords] for lam in lams]
+    rows = []
+    for l in range(len(lams) + 1):
+        for subset in itertools.combinations(lams, l):
+            row = []
+            for m in mons:
+                f = sympy.Mul(*(x ** e for x, e in zip(xs, m)))
+                for lam in subset:
+                    f = sum(c * sympy.diff(f, x) for c, x in zip(lam, xs))
+                row.append(QQ_I.from_sympy(sympy.sympify(f).subs({x: 0 for x in xs})))
+            rows.append(row)
+    return mons, DomainMatrix(rows, (len(rows), len(mons)), QQ_I)
+
+
+def test_kernel_alpha_bar_matches_the_sympy_kernel():
+    """On 20 seeded instances (N <= 2 variables, n <= 3 Gaussian rational
+    directions, degree bound d <= 4) the KernelResult basis is linearly
+    independent, killed by the oracle's map and as large as its
+    nullspace, so it spans the oracle's kernel."""
+    rng = random.Random(23)
+    dims = set()
+    for _ in range(20):
+        N, n, d = rng.randint(1, 2), rng.randint(1, 3), rng.randint(0, 4)
+        lams = [rand_direction(rng, N) for _ in range(n)]
+        mons, A = kernel_oracle(lams, d)
+        basis = kernel_alpha_bar(lams, d).basis
+        assert len(basis) == len(mons) - A.rank()
+        if basis:
+            B = to_sympy([[p.terms.get(m, ZERO) for m in mons] for p in basis], len(mons))
+            assert B.rank() == len(basis)
+            assert (A * B.transpose()).is_zero_matrix
+        dims.add(len(basis))
+    assert len(dims) >= 4

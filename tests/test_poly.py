@@ -7,7 +7,8 @@ from jetcalc.scalars import Scalar, ExpScalar, ZERO, ONE, sc, _TermDict
 from jetcalc.poly import (Polynomial, ExpPoly, Vector, Covector, DiffOp,
                           diff, pairing, translate, coproduct,
                           parse_poly, parse_exppoly,
-                          monomials_upto, monomials_of_degree, zero_exps)
+                          monomials_upto, monomials_of_degree, zero_exps,
+                          beta_factorial)
 
 
 def small_scalars():
@@ -107,6 +108,18 @@ def test_pairing_is_taylor_duality():
                 assert val.scalar() == sc(fact)
             else:
                 assert not val
+
+
+@given(st.data())
+def test_pairing_with_a_monomial_reads_one_operator_term(data):
+    """<x^m, u> = u_m m! for a random operator u and monomial m, in 1 to 3
+    variables: the identity by which kernel_alpha_bar reads an operator's
+    vanishing condition off its terms."""
+    nvars = data.draw(st.integers(min_value=1, max_value=3))
+    u = DiffOp(nvars, data.draw(polys(nvars, 3)).terms)
+    m = data.draw(st.sampled_from(monomials_upto(nvars, 4)))
+    want = u.terms.get(m, ZERO) * beta_factorial(m)
+    assert pairing(Polynomial.monomial(nvars, m), u).scalar() == want
 
 
 def test_pairing_against_exponential_is_evaluation_of_symbol():

@@ -6,6 +6,7 @@ import ast
 import importlib.util
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -226,6 +227,46 @@ def test_a_loaded_file_has_one_parse_budget(monkeypatch):
             load()
 
 
+# parses to 0 after 65,792 term pairs: one fits MAX_PARSE_WORK, two do not
+HOSTILE = "(E[1]+E[2])^256*0"
+
+
+@pytest.mark.parametrize("kind", ["FinMod", "ApproxModule"])
+def test_a_scalar_file_has_one_parse_budget(kind):
+    """A FinMod or ApproxModule file of the largest admitted shape whose
+    every entry is HOSTILE is refused with the work-limit error in under
+    2 s: its entries share one budget.  With a fresh budget per entry the
+    144-entry FinMod file took 25 s to load."""
+    if kind == "FinMod":
+        load, text = FinMod.from_json, json.dumps(
+            {"nvars": 1, "k": 1, "dim": 12, "action": [[HOSTILE] * 144]})
+    else:
+        n, d = approxalg.MAX_ALGEBRA_DIM, approxalg.MAX_MODULE_DIM
+        load, text = ApproxModule.from_json, json.dumps(
+            {"basis": ["e%d" % t for t in range(n)],
+             "structure_constants": {"%d,%d" % (t, t): {str(t): HOSTILE} for t in range(n)},
+             "idempotent_chain": [[HOSTILE] * n], "dim": d,
+             "action": [[HOSTILE] * (d * d)] * n})
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="limit %d" % MAX_PARSE_WORK):
+        load(text)
+    assert time.perf_counter() - start < 2
+
+
+def test_the_largest_canonical_module_loads_under_one_budget():
+    """Four 3x3 blocks plus 2 null dimensions, the largest module the
+    loader admits, round-trips through its canonical JSON within one parse
+    budget."""
+    alg, M = block_module([3, 3, 3, 3])
+    d = M.dim + 2
+    mats = [linalg.Mat(m.rows + ({},) * 2, d) for m in M.mats]
+    M = ApproxModule(alg, d, mats, require_unital=False)
+    assert (M.dim, alg.dim) == (approxalg.MAX_MODULE_DIM, approxalg.MAX_ALGEBRA_DIM)
+    N = ApproxModule.from_json(M.to_json())
+    assert N.mats == M.mats and N.algebra.chain == alg.chain
+    assert N.algebra.sc == alg.sc and not N.is_approx_unital()
+
+
 def load_bench_layers():
     path = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
     spec = importlib.util.spec_from_file_location("bench_layers", path)
@@ -279,3 +320,45 @@ def test_no_module_level_import_is_unused():
                     for alias in node.names}
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported <= read, (path.name, sorted(imported - read))
+
+
+# linalg's dense edges, kept for the acceptance gate, the tests and the
+# benchmark's tracer: module functions, and SpanBasis methods
+DENSE_FUNCTIONS = {"nullspace", "rank", "rref", "mat_vec"}
+DENSE_METHODS = {"frozen_rows", "add"}
+
+
+def dense_edge_calls(tree):
+    """(enclosing function, edge) for every call of a dense edge in a
+    module's AST; a function nested in a class is named Class.function."""
+    found = set()
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif isinstance(child, ast.Call):
+                f = child.func
+                if isinstance(f, ast.Name) and f.id in DENSE_FUNCTIONS:
+                    found.add((".".join(scope), f.id))
+                elif isinstance(f, ast.Attribute) and (
+                        f.attr in DENSE_METHODS or f.attr in DENSE_FUNCTIONS
+                        and isinstance(f.value, ast.Name) and f.value.id == "linalg"):
+                    found.add((".".join(scope), f.attr))
+            walk(child, inner)
+
+    walk(tree, ())
+    return found
+
+
+def test_no_module_calls_a_dense_edge_of_linalg():
+    """Inside the package a subspace is a SpanBasis and a vector a sparse
+    dict: no module calls linalg.nullspace, rank, rref, SpanBasis.frozen_rows
+    or SpanBasis.add, and mat_vec is called by ModuleMap.__call__ alone.
+    rref reads frozen_rows, one edge through another."""
+    calls = {(path.name, scope, edge)
+             for path in sorted(Path(jetcalc.__file__).parent.glob("*.py"))
+             for scope, edge in dense_edge_calls(ast.parse(path.read_text()))}
+    assert calls == {("localmod.py", "ModuleMap.__call__", "mat_vec"),
+                     ("linalg.py", "rref", "frozen_rows")}
