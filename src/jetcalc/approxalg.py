@@ -13,14 +13,17 @@ The membership test for End^# is the constructive one: take a chain
 idempotent absorbing phi, a basis u_1..u_n of its image, the module W
 generated by the single stacked tuple (u_1,..,u_n) inside V^n, and ask
 whether the diagonal action of phi preserves W.  That one module decides
-membership in the image of the algebra, and a witness element is recovered
-by one reduction against the corner's action vectors on the tuple, factored
-once (linalg.solver), and re-verified exactly.  phi's corner is the least
-chain idempotent P with phi P = phi = P phi, tested row by row.  End(V)_0 is
-eliminated from the top corner alone, whose span contains every lower
-corner's, and End^# is one nullspace in it: its constraints are the
-pairings <C_i, sum_b f_b w_b^T> with its basis C_i, built block by block
-from the top corner's W (echelon rows w, nullspace functionals f).
+membership in the image of the algebra.  A witness is tried first: one
+reduction of phi.u against the corner's action vectors on the tuple, factored
+once together with W (linalg.solver), cut down to the corner and re-verified
+exactly; only without one is W tested for invariance under phi, for the
+escape of a non-member.  phi's corner is the least chain idempotent P with
+phi P = phi = P phi, tested row by row.  Corners are spanned by the Kronecker
+rows of RREF bases of column and row spaces, so End(V)_0, the top corner's
+span, which contains every lower corner's, needs no elimination, and End^#
+is one nullspace in it: its constraints are the pairings
+<C_i, sum_b f_b w_b^T> with its basis C_i, built block by block from the
+top corner's W (echelon rows w, nullspace functionals f).
 Algebra elements and vectors of V^n are zero-free sparse dicts (linalg's
 one vector type), End(V)_0 and End^# are SpanBasis spans of flattened
 matrices, action matrices are linalg.Mats, and a matrix acts on each
@@ -40,7 +43,7 @@ from .scalars import ZERO, ONE
 from .poly import scalar_parser
 from . import linalg
 from .linalg import (Mat, SpanBasis, CrossCheckError, mmul, mid, mat_sum, close_span,
-                     square, sparse, dense, dot, apply, json_field, json_load, _axpy)
+                     kron, square, sparse, dense, dot, apply, json_field, json_load, _axpy)
 
 # the largest module a JSON file may hold, checked before any entry is
 # parsed: what gen.rand_approx_module draws at --dimmax 12 (four 3x3
@@ -306,23 +309,24 @@ class ApproxModule:
 
 
 def _corner_gens(M, j1, j2):
-    """The products P_{j1} E_rc P_{j2} over the matrix units E_rc, which
-    span P_{j1} . End(V) . P_{j2}: each is the outer product of column r of
-    P_{j1} with row c of P_{j2}."""
+    """Flattened generators of P_{j1} . End(V) . P_{j2}, the outer products
+    c r^T: the Kronecker rows c (x) r of the RREF bases c of col(P_{j1})
+    and r of row(P_{j2}), rank^2 rows in RREF with ascending pivots, since
+    c (x) r is 1 at (pivot c, pivot r) and zero at every other such pair."""
     d = M.dim
-    cols = M.idem_mat(j1).cols
-    rows = [row.items() for row in M.idem_mat(j2).rows]
-    return [{i * d + k: x * y for i, x in cols[r].items() for k, y in rows[c]}
-            for r in range(d) for c in range(d)]
+    cols = M.V_j(j1).rows
+    rows = SpanBasis(d, M.idem_mat(j2).rows).rows
+    return list(kron(Mat(cols, d), Mat(rows, d)).rows)
 
 
 def end_zero_basis(M):
     """End(V)_0, the reachable part of End(V), as the SpanBasis of
     flattened matrices that spans all chain corners P_j F P_j: the top
-    corner's, since the chain increases.  The top corner alone is
-    eliminated, and every lower corner's generators are checked against it."""
+    corner's, since the chain increases.  The top corner's generators are
+    its RREF rows, inserted last pivot first so that none eliminates, and
+    every lower corner's generators are checked against them."""
     top_j = len(M.algebra.chain) - 1
-    top = SpanBasis(M.dim * M.dim, _corner_gens(M, top_j, top_j))
+    top = SpanBasis(M.dim * M.dim, _corner_gens(M, top_j, top_j)[::-1])
     if not all(top.contains(g) for j in range(top_j) for g in _corner_gens(M, j, j)):
         raise CrossCheckError("corner span computations disagree")
     return top
@@ -348,19 +352,19 @@ class SharpResult:
 
 
 def _tuple_module(M, j, tuples):
-    """The stacked basis tuple u of V_j, its length n, the basis-element
-    actions on u (u and the actions as zero-free sparse vectors), and the
-    module W they span inside V^n (W contains u because the corner
-    idempotent fixes every u_i).  Built once per corner index j and kept in
+    """The stacked basis tuple u of V_j (a zero-free sparse vector), its
+    length n, the module W inside V^n spanned by the basis-element actions
+    on u (W contains u because the corner idempotent fixes every u_i), and
+    the witness solver of those actions; W and the solver come from one
+    elimination (linalg.solver).  Built once per corner index j and kept in
     `tuples`."""
     if j not in tuples:
         d = M.dim
         basis = M.V_j(j).rows
         n = len(basis)
         u = {i * d + k: x for i, b in enumerate(basis) for k, x in b.items()}
-        acts = [apply(m, u) for m in M.mats]
-        W = SpanBasis(n * d, acts)
-        tuples[j] = (u, n, acts, W)
+        W, solve = linalg.solver([apply(m, u) for m in M.mats], n * d)
+        tuples[j] = (u, n, W, solve)
     return tuples[j]
 
 
@@ -379,7 +383,8 @@ def _in_corner(P, phi):
 
 def _membership(M, phi, tuples, outside=ValueError):
     """end_sharp_membership, taking the corner tuple modules and witness
-    solvers from `tuples`; a phi in no chain corner raises `outside`."""
+    solvers from `tuples`; a phi in no chain corner raises `outside`, and a
+    phi that preserves W but has no verified witness raises CrossCheckError."""
     phi = Mat.of(phi)
     d = M.dim
     if (phi.nrows, phi.ncols) != (d, d):
@@ -391,26 +396,23 @@ def _membership(M, phi, tuples, outside=ValueError):
     else:
         raise outside("the endomorphism lies in no chain corner; "
                       "it cannot be an image element")
-    u, n, acts, W = _tuple_module(M, corner_j, tuples)
+    u, n, W, solve = _tuple_module(M, corner_j, tuples)
     tuple_vec = dense(u, n * d)
+    # the witness first: solve phi.u = pi(a).u in the element coordinates,
+    # then cut a down to the corner so the equality extends from V_j to V
+    a = solve(apply(phi, u))
+    if a is not None:
+        if corner_j < len(M.algebra.chain) - 1:  # the top idempotent is the unit
+            alpha = M.algebra.chain[corner_j]
+            a = M.algebra.mul(M.algebra.mul(alpha, a), alpha)
+        if M.act(a) == phi:
+            return SharpResult(True, witness=dense(a, M.algebra.dim), j=corner_j,
+                               tuple_vec=tuple_vec)
     if escaped := W.escape(phi):
         return SharpResult(False, j=corner_j, tuple_vec=tuple_vec, submodule=W,
                            escaped=tuple(dense(v, n * d) for v in escaped))
-    # recover a witness: solve phi.u = pi(a).u in the element coordinates,
-    # with the corner's acts factored once, then cut a down to the corner so
-    # the equality extends from V_j to V
-    if ("solve", corner_j) not in tuples:
-        tuples["solve", corner_j] = linalg.solver(acts, n * d)
-    a = tuples["solve", corner_j](apply(phi, u))
-    if a is None:
-        raise CrossCheckError("invariance held but no witness solves the system")
-    if corner_j < len(M.algebra.chain) - 1:  # the top idempotent is the unit
-        alpha = M.algebra.chain[corner_j]
-        a = M.algebra.mul(M.algebra.mul(alpha, a), alpha)
-    if M.act(a) != phi:
-        raise CrossCheckError("witness verification failed")
-    return SharpResult(True, witness=dense(a, M.algebra.dim), j=corner_j,
-                       tuple_vec=tuple_vec)
+    raise CrossCheckError("invariance held but no witness solves the system" if a is None
+                          else "witness verification failed")
 
 
 def _end_sharp(M, tuples):
@@ -425,7 +427,7 @@ def _end_sharp(M, tuples):
     module from `tuples`."""
     end_zero = end_zero_basis(M)
     d = M.dim
-    _, n, _, W = _tuple_module(M, len(M.algebra.chain) - 1, tuples)
+    _, n, W, _ = _tuple_module(M, len(M.algebra.chain) - 1, tuples)
     ZT = Mat(end_zero.rows, d * d).T
     by_block = {}  # block b -> {index r of an echelon row w of W: w_b}
     for r, w in enumerate(W.rows):
@@ -526,10 +528,13 @@ def corner_identity_check(M, j1, j2):
     {X : P_{j1} X P_{j2} = X}; both sides computed independently."""
     A = M.algebra
     d = M.dim
+    flats = [m.flat() for m in M.mats]
     left = SpanBasis(d * d)
     for t in range(A.dim):
-        elem = A.mul(A.mul(A.chain[j1], {t: ONE}), A.chain[j2])
-        left._insert(M.act(elem).flat())
+        row = {}  # the flattened action of alpha_{j1} e_t alpha_{j2}
+        for s, c in A.mul(A.mul(A.chain[j1], {t: ONE}), A.chain[j2]).items():
+            _axpy(row, c, flats[s])
+        left._insert(row)
     right = SpanBasis(d * d, linalg.subspace_intersection(
         M.image_span().rows, _corner_gens(M, j1, j2), d * d))
     ok = left.same_span(right)

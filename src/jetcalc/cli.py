@@ -314,7 +314,7 @@ def run_pw(cfg, suite):
             # a functional on the word span's block-diagonal entries, read back
             # as a relation; the word and operator are drawn only when it has terms
             nonlocal word_cand, ident_term
-            _, span, layout = spanned_algebra(reps, pts, E)
+            span, layout = spanned_algebra(reps, pts, E)
             n = layout.total
             flat = [(off + r) * n + off + c for _, _, off, size in layout.blocks
                     for r in range(size) for c in range(size)]

@@ -240,7 +240,8 @@ class BlockLayout:
 def spanned_algebra(reps, points, E):
     """Basis of the span of all word images: start from the identity and
     close under right multiplication by the generators until the dimension
-    stabilizes.  Returns (matrices, span, layout).
+    stabilizes.  Returns (span, layout), the span's rows the flattened
+    basis matrices.
 
     The inverse letters are not needed.  Each letter matrix L is invertible,
     so by Cayley-Hamilton L^-1 is a polynomial in L and lies in the unital
@@ -254,9 +255,7 @@ def spanned_algebra(reps, points, E):
     # X g maps each row of X by g^T
     transposed = [layout.assemble(lambda rep: rep.letter(k)).T
                   for k in range(1, ngens + 1)]
-    span = close_span(total * total, [mid(total).flat()], transposed)
-    mats = [Mat.from_flat(row, total, total) for row in span.rows]
-    return mats, span, layout
+    return close_span(total * total, [mid(total).flat()], transposed), layout
 
 
 class RelationTerm:
@@ -391,7 +390,7 @@ def relation_check(cand, terms, reps):
     packaged functional; the two routes must agree."""
     data = relation_to_functional(terms, reps)
     layout = data.layout
-    _, span, _ = spanned_algebra(layout.reps, layout.points, layout.E)
+    span, _ = spanned_algebra(layout.reps, layout.points, layout.E)
     bad = relation_certify(data, span)
     if bad is not None:
         return RelationVerdict(False, witness=bad)
@@ -440,7 +439,7 @@ def membership_triple(cand, reps, points, E):
     (iii) reuses the word span: its module's basis is the span's echelon
     rows (ApproxModule.from_span), and it still closes its own tuple module
     and solves for a witness."""
-    _, span, layout = spanned_algebra(reps, points, E)
+    span, layout = spanned_algebra(reps, points, E)
     total = layout.total
     phi = layout.assemble(cand.component)
     flat = phi.flat()

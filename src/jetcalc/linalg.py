@@ -289,17 +289,23 @@ def nullspace(rows, ncols):
 
 def solver(vecs, ncols):
     """Factor the zero-free sparse vectors `vecs` of length ncols once, as
-    the RREF of the rows [vecs[t] | e_t], and return the map from a
-    zero-free sparse vector v to one solution x of sum_t x_t vecs[t] = v, as
-    a zero-free dict {t: x_t}, or to None when v lies outside their span.
-    It is one reduction of [v | 0]: its residue [r | s] has r = v - sum_t
-    y_t vecs[t] for y = -s, since each row is [sum_t c_t vecs[t] | c]."""
+    the RREF of the rows [vecs[t] | e_t], and return (span, solve).  `span`
+    is the SpanBasis of the vecs: the left halves of the rows pivoting left
+    of ncols, which are already its RREF rows, inserted last pivot first so
+    that no insert eliminates.  `solve` maps a zero-free sparse vector v to
+    one solution x of sum_t x_t vecs[t] = v, as a zero-free dict {t: x_t},
+    or to None when v lies outside their span.  It is one reduction of
+    [v | 0]: its residue [r | s] has r = v - sum_t y_t vecs[t] for y = -s,
+    since each row is [sum_t c_t vecs[t] | c]."""
     red = SpanBasis(ncols + len(vecs), [{**v, ncols + t: ONE} for t, v in enumerate(vecs)])
+    left = [{j: x for j, x in row.items() if j < ncols}
+            for row, p in zip(red.rows, red.pivots) if p < ncols]
+    span = SpanBasis(ncols, left[::-1])
 
     def solve(v):
         res = red._reduce(v)
         return None if res and min(res) < ncols else {t - ncols: -x for t, x in res.items()}
-    return solve
+    return span, solve
 
 
 def mat_inverse(mat):
@@ -366,14 +372,15 @@ class SpanBasis:
         if v[pivot] != ONE:
             inv = v[pivot].inverse()
             v = {j: x * inv for j, x in v.items()}
-        # keep existing rows reduced against the new one
-        for i, row in enumerate(self.rows):
+        # keep existing rows reduced against the new one: only a row whose
+        # pivot precedes the new pivot can hold an entry there
+        at = bisect_left(self.pivots, pivot)
+        for i, row in enumerate(self.rows[:at]):
             c = row.get(pivot)
             if c is not None:
                 row = {j: x for j, x in row.items() if j != pivot}
                 _axpy(row, -c, v, skip=pivot)
                 self.rows[i] = self._row[self.pivots[i]] = row
-        at = bisect_left(self.pivots, pivot)
         self.rows.insert(at, v)
         self.pivots.insert(at, pivot)
         self._row[pivot] = v

@@ -226,7 +226,7 @@ def test_criterion_09_relation_sums_decide_exactly_like_the_annihilator():
         reps, pts, E = _toy_layout(rng)
         by_label = {r.label: r for r in reps}
         cand, _ = gen.rand_candidate(rng, reps)
-        mats, span, layout = spanned_algebra(reps, pts, E)
+        span, layout = spanned_algebra(reps, pts, E)
         coords = [(layout.blocks[b][2] + r, layout.blocks[b][2] + c)
                   for b in range(len(layout.blocks))
                   for r in range(layout.blocks[b][3])

@@ -405,6 +405,112 @@ def test_a_lower_corner_escaping_the_top_corner_is_a_cross_check_failure(monkeyp
         aa.end_zero_basis(M)
 
 
+def products_corner(M, j1, j2):
+    """The corner P_{j1} End(V) P_{j2} as the products P_{j1} E_rc P_{j2}
+    over the d^2 matrix units E_rc, flattened."""
+    d = M.dim
+    P1, P2 = M.idem_mat(j1), M.idem_mat(j2)
+    units = (linalg.Mat([{c: ONE} if i == r else {} for i in range(d)], d)
+             for r in range(d) for c in range(d))
+    return [linalg.mmul(linalg.mmul(P1, E), P2).flat() for E in units]
+
+
+def test_corner_generators_are_rref_rows_of_the_corner():
+    """For every pair (j1, j2) of chain indices, _corner_gens gives rows in
+    RREF (ascending pivots, 1 at its pivot and zero at every other pivot)
+    that span the same corner as the d^2 products P_{j1} E_rc P_{j2}, on
+    plain, skewed and junk-padded modules; corner_identity_check reports
+    the dims and verdict of its left side built through M.act."""
+    rng = random.Random(24)
+    kinds = set()
+    for _ in range(30):
+        alg, M = gen.rand_approx_module(rng, 7, junk_ok=True)
+        kinds.add(kind(M))
+        d = M.dim
+        for j1 in range(len(alg.chain)):
+            for j2 in range(len(alg.chain)):
+                gens = aa._corner_gens(M, j1, j2)
+                pivots = [min(g) for g in gens]
+                assert pivots == sorted(set(pivots))
+                for g, p in zip(gens, pivots):
+                    assert g[p] == ONE and all(g.values())
+                    assert not any(q in g for q in pivots if q != p)
+                span = linalg.SpanBasis(d * d, gens)
+                assert (span.pivots, span.rows) == (pivots, gens)
+                assert span.same_span(linalg.SpanBasis(d * d, products_corner(M, j1, j2)))
+                left = linalg.SpanBasis(d * d, [
+                    M.act(alg.mul(alg.mul(alg.chain[j1], {t: ONE}), alg.chain[j2])).flat()
+                    for t in range(alg.dim)])
+                right = linalg.SpanBasis(d * d, linalg.subspace_intersection(
+                    M.image_span().rows, products_corner(M, j1, j2), d * d))
+                rep = aa.corner_identity_check(M, j1, j2)
+                assert rep.dims == {"dim_left": left.dim, "dim_right": right.dim}
+                assert rep.ok == left.same_span(right)
+    assert kinds == {"plain", "skewed", "junk"}
+
+
+def test_the_top_corner_costs_no_elimination(monkeypatch):
+    """End(V)_0 of a module whose chain is its unit alone is the top
+    corner's Kronecker rows inserted as they are: it makes no _axpy update
+    beyond those that find the RREF bases of the idempotent's column and
+    row spaces, also when a skewed basis makes the idempotent a dense
+    projection (a junk summand, then a change of basis).  Its d^2 products
+    P E_rc P took eliminations there."""
+    rng = random.Random(26)
+    axpy = linalg._axpy
+
+    def updates(fn):
+        calls = [0]
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return axpy(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "_axpy", counted)
+        fn()
+        monkeypatch.undo()
+        return calls[0]
+
+    for d in (1, 2, 3):
+        alg, M = aa.block_module([d])
+        for e in (0, 1, 2):
+            T = gen.rand_unimodular(rng, d + e)
+            Ti = linalg.mat_inverse(T)
+            N = aa.ApproxModule(alg, d + e, [
+                linalg.mmul(linalg.mmul(T, linalg.Mat(m.rows + ({},) * e, d + e)), Ti)
+                for m in M.mats], require_unital=False)
+            N.idem_mat(0)
+            assert aa.end_zero_basis(N).dim == d * d
+            assert updates(lambda: aa.end_zero_basis(N)) == updates(
+                lambda: aa._corner_gens(N, 0, 0))
+
+
+def test_a_non_member_reports_its_submodule_and_escape():
+    """Witness-first membership still returns, for a phi in a corner but
+    outside the action image, the corner's tuple module W (which holds the
+    tuple) and an escaping pair (w, phi.w) with w in W and phi.w outside;
+    a member returns neither, on plain, skewed and junk-padded modules."""
+    rng = random.Random(25)
+    kinds = set()
+    for _ in range(30):
+        _, M = gen.rand_approx_module(rng, 6, junk_ok=True)
+        d = M.dim
+        top = M.idem_mat(len(M.algebra.chain) - 1)
+        X = linalg.Mat.of([[gen.rand_scalar(rng) for _ in range(d)] for _ in range(d)])
+        phi = linalg.mmul(linalg.mmul(top, X), top)
+        res = aa.end_sharp_membership(M, phi)
+        assert res.member == M.image_span().contains(phi.flat())
+        if res.member:
+            assert res.submodule is None and res.escaped is None
+            continue
+        kinds.add(kind(M))
+        W, (row, moved) = res.submodule, res.escaped
+        assert res.witness is None and W.contains(res.tuple_vec)
+        assert W.contains(row) and not W.contains(moved)
+        assert sparse(moved) == linalg.apply(phi, sparse(row))
+    assert kinds == {"plain", "skewed", "junk"}
+
+
 def test_top_corner_witness_needs_no_cutting_down():
     """The top chain idempotent is the algebra's unit, so a top-corner
     witness (the solved coordinates themselves) equals alpha.sol.alpha, on
@@ -508,7 +614,7 @@ def reference_end_sharp(M):
     nullspace mapped back through the C_i."""
     d = M.dim
     corner_mats = as_mats(M, aa.end_zero_basis(M))
-    _, _, _, W = aa._tuple_module(M, len(M.algebra.chain) - 1, {})
+    _, _, W, _ = aa._tuple_module(M, len(M.algebra.chain) - 1, {})
     rows = []
     for wrow in W.rows:
         by_key = {}

@@ -193,7 +193,8 @@ def _top_corner_misses_the_lower_ones(M):
 ROUTE_FAULTS = [
     ("pw", family, "term_value", _plus_one(family.term_value),
      "relation evaluation routes disagree"),
-    ("dcomm", linalg, "solver", lambda vecs, ncols: lambda v: None,
+    ("dcomm", linalg, "solver",
+     lambda vecs, ncols: (linalg.SpanBasis(ncols, vecs), lambda v: None),
      "invariance held but no witness solves the system"),
     ("dcomm", approxalg, "end_zero_basis", _top_corner_misses_the_lower_ones,
      "corner span computations disagree"),
@@ -211,6 +212,30 @@ def test_a_cross_check_disagreement_is_a_failing_record(
               if json.loads(l)["status"] == "fail"]
     assert failed
     assert all(r["witness"] == {"cross_check": message} for r in failed)
+
+
+def test_a_corrupted_witness_of_a_member_is_a_cross_check_failure(
+        tmp_path, capsys, monkeypatch):
+    """With every solved witness doubled, a member's witness acts as 2 phi,
+    so it fails verification while phi still preserves the tuple module:
+    witness-first membership then tests invariance, finds no escape, and
+    the check records the cross-check disagreement."""
+    solver = linalg.solver
+
+    def doubling(vecs, ncols):
+        span, solve = solver(vecs, ncols)
+        return span, lambda v: None if (x := solve(v)) is None else {
+            t: c + c for t, c in x.items()}
+
+    monkeypatch.setattr(linalg, "solver", doubling)
+    rc, blob = run_verify(tmp_path, "v.jsonl", ["dcomm", "--seed", "0"])
+    capsys.readouterr()
+    assert rc == 1
+    recs = [json.loads(l) for l in blob.splitlines()]
+    failed = [r for r in recs if r["status"] == "fail"]
+    assert {r["check_id"] for r in failed} == {"dcomm.main", "dcomm.member", "dcomm.grid"}
+    assert all(r["witness"] == {"cross_check": "witness verification failed"}
+               for r in failed)
 
 
 def test_an_exception_inside_a_check_is_a_failing_record(tmp_path, capsys, monkeypatch):

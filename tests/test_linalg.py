@@ -167,7 +167,7 @@ def test_solve_finds_solutions_exactly_when_sympy_says_consistent(seed):
     for rows in matrices(seed):
         ncols = len(rows[0])
         vecs = columns(rows, ncols)
-        solve = linalg.solver(vecs, len(rows))
+        _, solve = linalg.solver(vecs, len(rows))
         for _ in range(3):
             x0 = [rand_scalar(rng) for _ in range(ncols)]
             rhs = linalg.sparse(linalg.mat_vec(rows, x0))
@@ -195,7 +195,7 @@ def test_solve_reads_sparse_rows_given_the_column_count(seed):
                                              (rand_scalar(rng, 0), vecs[-1])])]
         vecs = [{s + 1: y for s, y in v.items()} for v in vecs]  # coordinate 0 is dead
         n = len(rows) + 1
-        solve = linalg.solver(vecs, n)
+        _, solve = linalg.solver(vecs, n)
         assert solve({}) == {}
         for _ in range(3):
             rhs = lincomb((rand_scalar(rng), v) for v in vecs)
@@ -209,6 +209,25 @@ def test_solve_reads_sparse_rows_given_the_column_count(seed):
             y = solve(linalg.sparse(other))
             assert (y is not None) == consistent
             assert y is None or solves(vecs, y, linalg.sparse(other))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_solver_span_is_the_span_basis_of_its_vectors(seed):
+    """The span the solver returns, read off its one elimination, has the
+    rows and pivots of SpanBasis(ncols, vecs), also when the vectors
+    include empty, repeated and combined ones or none at all."""
+    rng = random.Random(4000 + seed)
+    for rows in matrices(seed):
+        ncols = len(rows[0])
+        vecs = columns(rows, ncols)
+        vecs += [{}, dict(vecs[-1]), lincomb([(rand_scalar(rng, 0), vecs[0]),
+                                              (rand_scalar(rng, 0), vecs[-1])])]
+        rng.shuffle(vecs)
+        for some in (vecs, vecs[:1], []):
+            span, _ = linalg.solver(some, len(rows))
+            want = SpanBasis(len(rows), some)
+            assert (span.pivots, span.rows) == (want.pivots, want.rows)
+            assert span.ncols == len(rows)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

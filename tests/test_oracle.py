@@ -84,7 +84,7 @@ def layouts(seed, count, totals):
 def check_word_algebra(reps, pts, E):
     """spanned_algebra's dimension is the rank of all words, and each of its
     basis matrices lies in their span; returns the dimension."""
-    _, span, layout = spanned_algebra(reps, pts, E)
+    span, layout = spanned_algebra(reps, pts, E)
     n = layout.total
     ngens = len(reps[0].generators)
     words = all_words([layout.assemble(lambda rep: rep.letter(k))
