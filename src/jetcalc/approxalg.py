@@ -269,7 +269,8 @@ class ApproxModule:
     def from_json(cls, text):
         """The module of a to_json text; a malformed field or a basis index
         out of range is refused by name, a size above MAX_MODULE_DIM or
-        MAX_ALGEBRA_DIM before any entry is parsed."""
+        MAX_ALGEBRA_DIM, or a chain longer than the basis plus one, before
+        any entry is parsed."""
         data = json_load(text)
         n = len(json_field(data, "basis", list, "module field 'basis' is"))
         dim = json_field(data, "dim", int, "module dimension", 0, MAX_MODULE_DIM)
@@ -282,6 +283,11 @@ class ApproxModule:
                               ("action", list)))
         if not all(isinstance(a, list) for a in chain):
             raise ValueError("every idempotent chain element must be a list of entries")
+        # a chain without a repeat: its first element and the successive
+        # differences are orthogonal idempotents, nonzero but the first
+        if len(chain) > n + 1:
+            raise ValueError("idempotent chain has %d elements; a basis of %d allows "
+                             "at most %d" % (len(chain), n, n + 1))
         parse, sc = scalar_parser(), {}
         for key in consts:
             ij = key.split(",")

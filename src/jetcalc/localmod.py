@@ -80,8 +80,21 @@ class CofiniteIdeal:
         self.k = k
         self.generators = tuple(gens)
         self.space = PolySpace(nvars, k)
-        self.span = self.image_span(k)
-        self._verify_power_containment()
+        # one closure, at k + 1; its first coordinates are the degree-(k+1)
+        # monomials, highest first, and each must lie in the span, which
+        # certifies k.  They are then echelon rows of their own, and the
+        # other rows, shifted back by their count, are the image in degrees
+        # <= k: truncation commutes with the shifts, and RREF is unique
+        top = monomials_of_degree(nvars, k + 1)
+        c, span = len(top), self.image_span(k + 1)
+        for t, m in enumerate(top):
+            if not span.contains({c - 1 - t: ONE}):  # m's coordinate
+                raise ValueError(
+                    "degree-%d monomial %r does not reduce to 0: "
+                    "the declared nilpotency degree k=%d is not certified"
+                    % (k + 1, m, k))
+        self.span = SpanBasis(self.space.dim, [{j - c: x for j, x in row.items()}
+                                               for row in span.rows[c:]])
         pivots = set(self.span.pivots)
         self.standard_monomials = [m for m in self.space.mons_asc
                                    if self.space.index[m] not in pivots]
@@ -90,23 +103,9 @@ class CofiniteIdeal:
         """Row space of the ideal inside degrees <= bound: the truncated
         generators closed under the variable shifts, since truncating
         commutes with multiplying by a variable."""
-        space = self.space if bound == self.k else PolySpace(self.nvars, bound)
+        space = PolySpace(self.nvars, bound)
         return close_span(space.dim, [space.to_vec(g.truncate(bound))
                                       for g in self.generators], space.shifts)
-
-    def _verify_power_containment(self):
-        """Every degree-(k+1) monomial must reduce to zero against the ideal
-        image inside degrees <= k+1; this certifies the declared k."""
-        if any(e == zero_exps(self.nvars) for g in self.generators for e in g.terms):
-            return  # unit ideal, contains everything
-        space1 = PolySpace(self.nvars, self.k + 1)
-        sb = self.image_span(self.k + 1)
-        for m in monomials_of_degree(self.nvars, self.k + 1):
-            if not sb.contains(space1.to_vec(Polynomial.monomial(self.nvars, m))):
-                raise ValueError(
-                    "degree-%d monomial %r does not reduce to 0: "
-                    "the declared nilpotency degree k=%d is not certified"
-                    % (self.k + 1, m, self.k))
 
     @property
     def codim(self):

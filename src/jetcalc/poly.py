@@ -24,7 +24,12 @@ Text grammar (printer output round-trips through parse_exppoly bit-exactly):
     <covector> = comma-joined scalars
 
 ``^1`` is omitted, a bare coefficient term prints as ``(c)``, and a pure
-polynomial prints with no E[]/exp[] prefix.  ``^<e>`` is expanded by
+polynomial prints with no E[]/exp[] prefix.  The tokens come from one
+table, _TOKENS, tried in order at each position: whitespace, an operator,
+a number, ``i``, ``x<j>``/``X<j>``, ``exp`` and ``E``.  Digits are ASCII
+0-9 only, so any other character, a non-ASCII digit too, is a parse error
+at its position.  ``*`` and juxtaposition are one product, and ``exp[...]``
+and ``E[...]`` one bracket rule.  ``^<e>`` is expanded by
 repeated multiplication, so the parser bounds its work with a ValueError:
 it refuses an exponent above MAX_EXPONENT, and an input whose products
 (``*``, juxtaposition and each step of ``^``) form more than MAX_PARSE_WORK
@@ -34,6 +39,7 @@ is formed.  The entries of one file share that budget (`entry_parser`,
 many large entries all stay cheap to refuse.
 """
 
+import re
 from math import factorial
 from operator import add, mul
 
@@ -517,45 +523,31 @@ def _nterms(e):
     return sum(len(p.terms) for p in e.terms.values())
 
 
+# named token patterns, tried in order at each position (see the grammar
+# above); `i` is the imaginary unit when no letter or digit follows it
+_TOKENS = (("space", r"[ \t\n]+"), ("op", r"[-+*/^()\[\],]"), ("num", r"[0-9]+"),
+           ("imag", r"i(?![^\W_])"), ("var", r"[xX][0-9]+"), ("exp", "exp"), ("unit", "E"),
+           ("error", "."))
+_TOKEN = re.compile("|".join("(?P<%s>%s)" % t for t in _TOKENS), re.DOTALL)
+
+
 def _tokenize(text):
+    """(kind, value) pairs: an operator is its own kind, a number its int,
+    a variable x<j> its zero-based index j - 1."""
     toks = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\n":
-            i += 1
-            continue
-        if ch in "+-*/^()[],":
-            toks.append((ch, ch))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(("num", int(text[i:j])))
-            i = j
-            continue
-        if ch == "i" and (i + 1 == n or not text[i + 1].isalnum()):
-            toks.append(("imag", "i"))
-            i += 1
-            continue
-        if ch in "xX" and i + 1 < n and text[i + 1].isdigit():
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(("var", int(text[i + 1:j]) - 1))
-            i = j
-            continue
-        if text.startswith("exp", i):
-            toks.append(("exp", "exp"))
-            i += 3
-            continue
-        if ch == "E":
-            toks.append(("unit", "E"))
-            i += 1
-            continue
-        raise ValueError("parse error at position %d: unexpected %r" % (i, text[i:i + 8]))
+    for m in _TOKEN.finditer(text):
+        kind, val, pos = m.lastgroup, m.group(), m.start()
+        if kind == "error":
+            raise ValueError("parse error at position %d: unexpected %r"
+                             % (pos, text[pos:pos + 8]))
+        if kind == "op":
+            kind = val
+        elif kind == "num":
+            val = int(val)
+        elif kind == "var":
+            val = int(val[1:]) - 1
+        if kind != "space":
+            toks.append((kind, val))
     return toks
 
 
@@ -597,33 +589,25 @@ class _Parser:
         return tok
 
     def parse_expr(self):
-        sign = 1
-        kind, _ = self.peek()
-        if kind in ("+", "-"):
-            self.take()
-            sign = -1 if kind == "-" else 1
-        total = self.parse_term()
-        if sign < 0:
-            total = -total
+        """Terms joined by + and -, with an optional leading sign."""
+        total, sign = ExpPoly.zero(self.nvars), "+"
+        if self.peek()[0] in ("+", "-"):
+            sign = self.take()[0]
         while True:
-            kind, _ = self.peek()
-            if kind == "+":
-                self.take()
-                total = total + self.parse_term()
-            elif kind == "-":
-                self.take()
-                total = total - self.parse_term()
-            else:
+            term = self.parse_term()
+            total = total - term if sign == "-" else total + term
+            sign = self.peek()[0]
+            if sign not in ("+", "-"):
                 return total
+            self.take()
 
     def parse_term(self):
+        """Factors joined by *, by juxtaposition (e.g. `3 i` inside a
+        coefficient) or divided by an integer."""
         total = self.parse_factor()
         while True:
             kind, _ = self.peek()
-            if kind == "*":
-                self.take()
-                total = self.mul(total, self.parse_factor())
-            elif kind == "/":
+            if kind == "/":
                 self.take()
                 kindn, val = self.take()
                 if kindn != "num":
@@ -632,48 +616,42 @@ class _Parser:
                     raise ValueError("parse error at token %d: '/%s' divides by zero"
                                      % (self.pos - 1, val))
                 total = total * _inv_int(val)
-            elif kind in ("num", "imag", "var", "(", "exp", "unit"):
-                # juxtaposition, e.g. `3 i` inside a coefficient
+            elif kind in ("*", "num", "imag", "var", "(", "exp", "unit"):
+                if kind == "*":
+                    self.take()
                 total = self.mul(total, self.parse_factor())
             else:
                 return total
 
     def parse_factor(self):
-        kind, val = self.peek()
+        kind, val = self.take()
         if kind == "num":
-            self.take()
             base = ExpPoly.const(self.nvars, Scalar(val))
         elif kind == "imag":
-            self.take()
             base = ExpPoly.const(self.nvars, Scalar(0, 1))
         elif kind == "var":
-            self.take()
             if not 0 <= val < self.nvars:
                 raise ValueError("variable x%d out of range for %d variables" % (val + 1, self.nvars))
             base = ExpPoly.from_poly(Polynomial.variable(self.nvars, val))
         elif kind == "(":
-            self.take()
             base = self.parse_expr()
             self.take(")")
-        elif kind == "exp":
-            self.take()
+        elif kind in ("exp", "unit"):
+            # exp[xi_1,...,xi_N] is e^xi, E[a] the unit E[a] of e^0
             self.take("[")
-            coords = self.parse_scalar_list()
+            coords = [self.parse_constant()]
+            while self.peek()[0] == ",":
+                self.take()
+                coords.append(self.parse_constant())
             self.take("]")
-            if len(coords) != self.nvars:
+            if kind == "exp" and len(coords) != self.nvars:
                 raise ValueError("exp[] covector needs %d coordinates" % self.nvars)
-            base = ExpPoly.exp(Covector(coords))
-        elif kind == "unit":
-            self.take()
-            self.take("[")
-            coords = self.parse_scalar_list()
-            self.take("]")
-            if len(coords) != 1:
+            if kind == "unit" and len(coords) != 1:
                 raise ValueError("E[] takes a single scalar")
-            base = ExpPoly(self.nvars, {((ZERO,) * self.nvars, coords[0]):
-                                        Polynomial.const(self.nvars, ONE)})
+            base = (ExpPoly.exp(coords) if kind == "exp"
+                    else ExpPoly.exp((ZERO,) * self.nvars, unit=coords[0]))
         else:
-            raise ValueError("parse error at token %d: unexpected %r" % (self.pos, val))
+            raise ValueError("parse error at token %d: unexpected %r" % (self.pos - 1, val))
         if self.peek()[0] == "^":
             self.take()
             kindn, power = self.take()
@@ -688,18 +666,12 @@ class _Parser:
             return out
         return base
 
-    def parse_scalar_list(self):
-        coords = []
-        while True:
-            sub = self.parse_expr()
-            p = sub.pure()
-            if p.degree() > 0:
-                raise ValueError("expected a scalar, got %s" % p)
-            coords.append(p.terms.get(zero_exps(self.nvars), ZERO))
-            if self.peek()[0] == ",":
-                self.take()
-                continue
-            return coords
+    def parse_constant(self):
+        """An expression of degree <= 0, as its Scalar."""
+        p = self.parse_expr().pure()
+        if p.degree() > 0:
+            raise ValueError("expected a scalar, got %s" % p)
+        return p.terms.get(zero_exps(self.nvars), ZERO)
 
 
 def parse_exppoly(text, nvars):

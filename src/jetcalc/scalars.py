@@ -172,11 +172,6 @@ class Scalar:
         sign = "+" if self.b >= 0 else "-"
         return "%d/%d%s%d/%d*i" % (self.a, self.den, sign, abs(self.b), self.den)
 
-    @classmethod
-    def parse(cls, text):
-        from .poly import parse_scalar  # shared tokenizer lives with the poly grammar
-        return parse_scalar(text)
-
 
 def _rat_str(num, den):
     if den == 1:

@@ -184,9 +184,10 @@ def test_module_json_with_a_non_multiplicative_action_is_refused():
 
 
 def test_module_json_bounds_its_sizes_before_parsing(monkeypatch):
-    """A module above MAX_MODULE_DIM or an algebra basis above
-    MAX_ALGEBRA_DIM is refused before any entry is parsed; at the bounds
-    the loader reaches the entries."""
+    """A module above MAX_MODULE_DIM, an algebra basis above
+    MAX_ALGEBRA_DIM or an idempotent chain longer than the basis plus one is
+    refused before any entry is parsed; at the bounds the loader reaches the
+    entries."""
     class Parsed(Exception):
         pass
 
@@ -195,23 +196,26 @@ def test_module_json_bounds_its_sizes_before_parsing(monkeypatch):
 
     monkeypatch.setattr(aa, "scalar_parser", lambda: refuse)
 
-    def text(dim, nbasis):
+    def text(dim, nbasis, nchain=1):
         return json.dumps({"basis": ["e%d" % i for i in range(nbasis)],
                            "structure_constants": {"0,0": {"0": "1"}},
-                           "idempotent_chain": [["1"] * nbasis], "dim": dim,
+                           "idempotent_chain": [["1"] * nbasis] * nchain, "dim": dim,
                            "action": [["0"] * (dim * dim)] * nbasis})
 
     assert (aa.MAX_MODULE_DIM, aa.MAX_ALGEBRA_DIM) == (14, 36)
-    for dim, nbasis, what in ((15, 1, "module dimension 15"),
-                              (100, 1, "module dimension 100"),
-                              (True, 1, "module dimension True"),
-                              (-1, 1, "module dimension -1"),
-                              (2, 37, "37 elements")):
+    for dim, nbasis, nchain, what in (
+            (15, 1, 1, "module dimension 15"),
+            (100, 1, 1, "module dimension 100"),
+            (True, 1, 1, "module dimension True"),
+            (-1, 1, 1, "module dimension -1"),
+            (2, 37, 1, "37 elements"),
+            (2, 1, 3, "idempotent chain has 3 elements; a basis of 1 allows at most 2"),
+            (2, 36, 38, "idempotent chain has 38 elements")):
         with pytest.raises(ValueError, match=what):
-            aa.ApproxModule.from_json(text(dim, nbasis))
-    for dim, nbasis in ((14, 36), (0, 1), (2, 1)):
+            aa.ApproxModule.from_json(text(dim, nbasis, nchain))
+    for dim, nbasis, nchain in ((14, 36, 1), (0, 1, 1), (2, 1, 1), (2, 1, 2), (2, 36, 37)):
         with pytest.raises(Parsed):
-            aa.ApproxModule.from_json(text(dim, nbasis))
+            aa.ApproxModule.from_json(text(dim, nbasis, nchain))
 
 
 @pytest.mark.parametrize("consts, message", [

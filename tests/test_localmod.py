@@ -7,7 +7,7 @@ import pytest
 from jetcalc import gen
 from jetcalc.scalars import Scalar, ZERO, ONE, sc
 from jetcalc.poly import (Polynomial, Vector, Covector, DiffOp, diff, pairing,
-                          parse_poly, monomials_upto)
+                          parse_poly, monomials_upto, monomials_of_degree)
 from jetcalc import linalg
 from jetcalc.localmod import (PolySpace, CofiniteIdeal, power_ideal,
                               maximal_ideal, dual_number_ideal, FinMod,
@@ -262,6 +262,47 @@ def test_the_spun_ideal_image_is_the_span_of_truncated_products():
             assert (got.rows, got.pivots) == (ref.rows, ref.pivots), (nv, ideal.k, bound)
         seen.add((nv, ideal.k))
     assert {nv for nv, _ in seen} == {1, 2, 3} and (3, 2) in seen and (2, 3) in seen
+
+
+def two_closure_span(nvars, k, gens):
+    """(rows, pivots) of the ideal image in degrees <= k, built by two
+    closures: one at k + 1 that must hold every degree-(k+1) monomial, and
+    one at k; None if the first does not hold them all."""
+    def close(bound):
+        space = PolySpace(nvars, bound)
+        return space, linalg.close_span(space.dim, [space.to_vec(g.truncate(bound))
+                                                    for g in gens], space.shifts)
+
+    space, span = close(k + 1)
+    if not all(span.contains(space.to_vec(Polynomial.monomial(nvars, m)))
+               for m in monomials_of_degree(nvars, k + 1)):
+        return None
+    _, span = close(k)
+    return span.rows, span.pivots
+
+
+def test_one_closure_gives_the_span_of_two():
+    """A CofiniteIdeal closes its generators once, at k + 1, and its span
+    is the two-closure span on power, maximal, dual-number, enlarged,
+    annihilator and unit ideals; an uncertified k names its first degree-
+    (k+1) monomial outside the ideal, in ascending order."""
+    rng = random.Random(25)
+    x1 = Polynomial.variable(2, 0)
+    ideals = [power_ideal(2, 2), power_ideal(3, 1), maximal_ideal(1), maximal_ideal(3),
+              CofiniteIdeal(2, 2, [x1 + 1]), CofiniteIdeal(1, 0, [Polynomial.const(1, 3)])]
+    for _ in range(30):
+        nv = rng.randint(1, 3)
+        ideals.append(gen.rand_cofinite_ideal(rng, nv, 3 if nv < 3 else 2))
+        ideals.append(dual_number_ideal(gen.rand_point(rng, nv, zero_ok=False)))
+        ideals.append(annihilator(gen.rand_finmod(rng, nv, 2, 4)))
+    for I in ideals:
+        assert (I.span.rows, I.span.pivots) == two_closure_span(I.nvars, I.k, I.generators)
+    assert {I.codim for I in ideals} >= {0, 1, 2, 3}
+    assert two_closure_span(2, 1, [x1 ** 2]) is None
+    with pytest.raises(ValueError, match=r"^degree-2 monomial \(0, 2\) does not reduce "
+                                         r"to 0: the declared nilpotency degree k=1 is "
+                                         r"not certified$"):
+        CofiniteIdeal(2, 1, [x1 ** 2])
 
 
 def normal_form_matrices(ideal):

@@ -80,11 +80,16 @@ MUTANTS = {"R": skip_the_last_pivot_row, "A": drop_a_last_entry,
               for _, owner, name, wrong, _ in ROUTE_FAULTS}}
 
 # Exit status of `jetcalc <suite> --seed 0` under each mutant: 1 for failing
-# records, 3 for a defect met while generating instances, 0 for an escape.
-# A route fault reads 0 on the suites that never take its route.  The zeros
-# of R, A and T are runs that pass although the arithmetic below them is
-# wrong: kernel under A, and jet and kernel under T.  They are the targets
-# of the independent oracle on the ROADMAP.
+# records, 3 for a defect met while generating instances, 0 for a run that
+# passes.  A route fault reads 0 on the suites that never take its route.
+# The zeros of A and T hide no wrong verdict, counted at seed 0: kernel makes
+# 550 _axpy calls, so A's 997th never comes; T's one transpose that changes
+# a result, in jet and in kernel alike, falls in the closure of a
+# CofiniteIdeal that gen draws (a dual-number ideal in jet, power_ideal(2, 2)
+# in kernel).  That ideal comes out larger but still an ideal, closed under
+# the shifts, holding its generators and with its k certified, so every
+# check runs on a valid instance and its verdicts hold.  kernel_alpha_bar
+# calls no apply.  tests/test_oracle.py holds the oracles that T fails.
 CATCH_TABLE = {
     #                 jet kernel dcomm pw
     "R":              (3, 3, 3, 1),

@@ -8,6 +8,10 @@ every word of length at most L, for L = 0, 1, 2, ... until two consecutive
 lengths give the same rank, at which point the span is closed under every
 letter.
 
+Membership (`family.membership_triple`) is decided by that word span too:
+a candidate is a member when its assembled block matrix adds nothing to
+the rank of all words.
+
 The double commutant of `approxalg.double_commutant_check` is recomputed
 from the action matrices alone: the rank of the action image, the rank of
 the top corner's generators P E_rc P, and End^# as the matrices X of that
@@ -27,12 +31,13 @@ import pytest
 
 from jetcalc import gen
 from jetcalc.approxalg import double_commutant_check
-from jetcalc.family import spanned_algebra
+from jetcalc.family import BlockLayout, membership_triple, spanned_algebra
 from jetcalc.linalg import SpanBasis, CrossCheckError, mid
 from jetcalc.jetfun import kernel_alpha_bar
 from jetcalc.localmod import cyclic_quotient, maximal_ideal, dual_number_module
 from jetcalc.poly import Vector, monomials_upto
 from jetcalc.scalars import ZERO
+from test_mutants import transpose_a_square_apply
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
@@ -109,6 +114,65 @@ def test_word_algebras_are_the_span_of_all_words():
 def test_larger_word_algebras_are_the_span_of_all_words():
     dims = check_word_algebras(range(8), (5, 6))
     assert len(dims) >= 5 and max(dims) >= 9
+
+
+def membership_cases(seeds):
+    """(candidate, reps, points, E) for every layout of layouts(seed, 8,
+    range(1, 6)): a member word and a random candidate each, drawn afresh."""
+    cases = []
+    for seed in seeds:
+        rng = random.Random(seed)
+        for reps, pts, E in layouts(seed, 8, range(1, 6)):
+            cases += [(gen.rand_candidate(rng, reps, member=member)[0], reps, pts, E)
+                      for member in (True, False)]
+    return cases
+
+
+@functools.cache
+def membership_oracles(seeds):
+    """Whether each candidate of membership_cases(seeds) lies in the span of
+    all words, by sympy's rank: its assembled matrix is one more row."""
+    verdicts = []
+    for cand, reps, pts, E in membership_cases(seeds):
+        layout = BlockLayout(reps, pts, E)
+        n, ngens = layout.total, len(reps[0].generators)
+        words = all_words([layout.assemble(lambda rep: rep.letter(k))
+                           for k in range(-ngens, ngens + 1) if k], n)
+        phi = [x for row in layout.assemble(cand.component) for x in row]
+        verdicts.append(words.vstack(to_sympy([phi], n * n)).rank() == words.rank())
+    return verdicts
+
+
+def membership_disagreements(cases, oracle):
+    """The number of cases where a verdict of membership_triple differs
+    from the oracle's or the triple raises."""
+    failed = 0
+    for (cand, reps, pts, E), member in zip(cases, oracle):
+        try:
+            res = membership_triple(cand, reps, pts, E)
+        except Exception:
+            failed += 1
+            continue
+        failed += (res.double_annihilator, res.span_membership, res.sharp) != (member,) * 3
+    return failed
+
+
+MEMBERSHIP_SEEDS = tuple(range(6))
+
+
+def test_membership_verdicts_match_the_oracle():
+    cases, oracle = membership_cases(MEMBERSHIP_SEEDS), membership_oracles(MEMBERSHIP_SEEDS)
+    assert len(cases) >= 60 and set(oracle) == {True, False}
+    assert membership_disagreements(cases, oracle) == 0
+
+
+def test_a_transposed_apply_fails_a_membership_oracle_case(monkeypatch):
+    """Under mutant T of tests/test_mutants.py (every 101st apply of a
+    square Mat applies its transpose) some verdict disagrees with the
+    oracle; the cases are drawn and the oracle computed before the patch."""
+    cases, oracle = membership_cases(MEMBERSHIP_SEEDS), membership_oracles(MEMBERSHIP_SEEDS)
+    transpose_a_square_apply(monkeypatch)
+    assert membership_disagreements(cases, oracle) >= 1
 
 
 def skip_a_pivot_row(monkeypatch):
@@ -296,7 +360,7 @@ def kernel_oracle(lams, d):
                 f = sympy.Mul(*(x ** e for x, e in zip(xs, m)))
                 for lam in subset:
                     f = sum(c * sympy.diff(f, x) for c, x in zip(lam, xs))
-                row.append(QQ_I.from_sympy(sympy.sympify(f).subs({x: 0 for x in xs})))
+                row.append(QQ_I.from_sympy(sympy.expand(sympy.sympify(f).subs({x: 0 for x in xs}))))
             rows.append(row)
     return mons, DomainMatrix(rows, (len(rows), len(mons)), QQ_I)
 

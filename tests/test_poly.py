@@ -1,12 +1,15 @@
 """Polynomials, exponential polynomials, operators, and the pairing."""
 
+import json
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from jetcalc.scalars import Scalar, ExpScalar, ZERO, ONE, sc, _TermDict
 from jetcalc.poly import (Polynomial, ExpPoly, Vector, Covector, DiffOp,
                           diff, pairing, translate, coproduct,
-                          parse_poly, parse_exppoly,
+                          parse_poly, parse_exppoly, parse_scalar,
                           monomials_upto, monomials_of_degree, zero_exps,
                           beta_factorial)
 
@@ -184,6 +187,132 @@ def test_parser_rejects_malformed():
             assert False, bad
         except ValueError:
             pass
+
+
+def reference_tokenize(text):
+    """The character-loop scanner that the token table replaced, kept as
+    the reference for ASCII text."""
+    toks = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch in " \t\n":
+            i += 1
+            continue
+        if ch in "+-*/^()[],":
+            toks.append((ch, ch))
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            toks.append(("num", int(text[i:j])))
+            i = j
+            continue
+        if ch == "i" and (i + 1 == n or not text[i + 1].isalnum()):
+            toks.append(("imag", "i"))
+            i += 1
+            continue
+        if ch in "xX" and i + 1 < n and text[i + 1].isdigit():
+            j = i + 1
+            while j < n and text[j].isdigit():
+                j += 1
+            toks.append(("var", int(text[i + 1:j]) - 1))
+            i = j
+            continue
+        if text.startswith("exp", i):
+            toks.append(("exp", "exp"))
+            i += 3
+            continue
+        if ch == "E":
+            toks.append(("unit", "E"))
+            i += 1
+            continue
+        raise ValueError("parse error at position %d: unexpected %r" % (i, text[i:i + 8]))
+    return toks
+
+
+ALPHABET = "0123456789 \t\n+-*/^()[],ixXepEa_.;"
+FRAGMENTS = ("x1", "x2", "x3", "X1", "x0", "i", "ix", "i2", "exp[", "E[", "]", "(", ")",
+             "+", "-", "*", "/", "^", "^2", "0", "2", "3", "10", ",", " ", "e", "x", "_")
+
+
+def grammar_text(rng, depth=0):
+    """A random text built by the grammar's rules, out-of-range variables,
+    wrong bracket lengths and division by zero included."""
+    r = rng.random()
+    if depth > 2 or r < 0.3:
+        return rng.choice(("x1", "x2", "x3", "X1", "i", "2", "3/4", "1/0"))
+    sub = lambda: grammar_text(rng, depth + 1)  # noqa: E731
+    if r < 0.5:
+        return sub() + rng.choice("+-* ") + sub()
+    if r < 0.6:
+        return "(%s)^%d" % (sub(), rng.randint(0, 3))
+    if r < 0.8:
+        return "%s[%s]%s" % (rng.choice(("exp", "E")),
+                             ",".join(sub() for _ in range(rng.randint(0, 2))), sub())
+    return "-" + sub()
+
+
+def ascii_texts(seed, count):
+    """Seeded random texts over the grammar's alphabet, in turn: random
+    characters, random fragments and grammar_text."""
+    rng = random.Random(seed)
+    for t in range(count):
+        if t % 3 == 2:
+            yield grammar_text(rng)
+        else:
+            pool = ALPHABET if t % 3 else FRAGMENTS
+            yield "".join(rng.choice(pool) for _ in range(rng.randint(0, 12)))
+
+
+def outcome(parse, *args):
+    try:
+        return "value", parse(*args)
+    except ValueError as e:
+        return "error", str(e)
+
+
+def test_the_token_table_reads_ascii_text_as_the_character_loop_did(monkeypatch):
+    """On seeded random ASCII texts the token table gives the reference
+    scanner's tokens or its error, and parse_exppoly and parse_scalar give
+    the same values and messages through either."""
+    from jetcalc import poly
+    texts = list(ascii_texts(25, 20000))
+    for text in texts:
+        assert outcome(poly._tokenize, text) == outcome(reference_tokenize, text), text
+    cases = [(text, t % 3) for t, text in enumerate(texts[:8000])]
+
+    def parsed():
+        return [(outcome(parse_exppoly, text, nv), outcome(parse_scalar, text))
+                for text, nv in cases]
+
+    table = parsed()
+    assert sum(e[0] == "value" for e, _ in table) >= 1000
+    monkeypatch.setattr(poly, "_tokenize", reference_tokenize)
+    assert parsed() == table
+
+
+@pytest.mark.parametrize("parse, text, at", [
+    (parse_scalar, "\u0663", 0), (parse_poly, "x\u0661^\u0662", 0), (parse_poly, "2\u00b2", 1),
+    (parse_poly, "x\u00b2", 0), (parse_poly, "x1\u0663", 2), (parse_scalar, "1/\u0662", 2)])
+def test_a_non_ascii_digit_is_a_parse_error_at_its_position(parse, text, at):
+    args = (text,) if parse is parse_scalar else (text, 1)
+    with pytest.raises(ValueError, match="^parse error at position %d: unexpected " % at):
+        parse(*args)
+
+
+def test_loaders_refuse_a_non_ascii_digit_as_a_parse_error():
+    from jetcalc.family import family_from_json
+    from jetcalc.localmod import FinMod
+    rep = {"label": "R", "dim": 1, "generators": [["1+x1\u00b2"]]}
+    with pytest.raises(ValueError, match="^parse error at position 4: unexpected"):
+        family_from_json(json.dumps({"nvars": 1, "reps": [rep]}))
+    module = json.loads(FinMod(1, 1, [[[ZERO]]]).to_json())
+    module["action"] = [["\u0663"]]
+    with pytest.raises(ValueError, match="^parse error at position 0: unexpected"):
+        FinMod.from_json(json.dumps(module))
 
 
 def test_covector_directional_derivative():

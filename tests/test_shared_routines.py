@@ -322,6 +322,44 @@ def test_no_module_level_import_is_unused():
         assert imported <= read, (path.name, sorted(imported - read))
 
 
+def names_read(tree):
+    """(name, the module-level definition it lies in or None) for every
+    name a module's AST reads: a Name, an attribute, an imported name, or a
+    string constant spelling a dotted name, such as an __all__ entry or a
+    benchmark probe's path."""
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                yield node.id, owner
+            elif isinstance(node, ast.Attribute):
+                yield node.attr, owner
+            elif isinstance(node, ast.alias):
+                yield node.name.split(".")[-1], owner
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and all(part.isidentifier() for part in node.value.split("."))):
+                yield from ((part, owner) for part in node.value.split("."))
+
+
+def test_every_module_level_name_is_read():
+    """Every module-level function and class of the package is named
+    somewhere other than its own definition, in the package, the tests or
+    the benchmark, so a helper whose last reader goes is found."""
+    package = Path(jetcalc.__file__).parent
+    paths = [*package.glob("*.py"), *(FIXTURES.parent / "tests").glob("*.py"),
+             *(FIXTURES.parent / "bench").glob("*.py")]
+    read = {(path, name, owner) for path in paths
+            for name, owner in names_read(ast.parse(path.read_text()))}
+    unread = []
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not any(
+                    name == top.name and (where, owner) != (path, top.name)
+                    for where, name, owner in read):
+                unread.append("%s.%s" % (path.stem, top.name))
+    assert not unread, unread
+
+
 # linalg's dense edges, kept for the acceptance gate, the tests and the
 # benchmark's tracer: module functions, and SpanBasis methods
 DENSE_FUNCTIONS = {"nullspace", "rank", "rref", "mat_vec"}
