@@ -238,7 +238,8 @@ class ApproxModule:
             "structure_constants": sc_obj,
             "idempotent_chain": [[c.json_str() for c in dense(a, A.dim)] for a in A.chain],
             "dim": self.dim,
-            "action": [[c.json_str() for row in m for c in row] for m in self.mats],
+            "action": [[c.json_str() for c in dense(m.flat(), self.dim * self.dim)]
+                       for m in self.mats],
         })
 
     @classmethod

@@ -19,7 +19,7 @@ import time
 
 from .scalars import Scalar, ONE
 from .poly import Polynomial, ExpPoly, Vector, translate
-from .linalg import CrossCheckError, Mat, SpanBasis, mid
+from .linalg import CrossCheckError, Mat, SpanBasis, dense, mid
 from .localmod import cyclic_quotient, maximal_ideal, dual_number_module
 from .jetfun import (jet, jet_family, block_derivative,
                      functional_to_diffop, diffop_to_module, kernel_alpha_bar,
@@ -41,7 +41,7 @@ def _digest(obj):
 
 
 def _mstr(mat):
-    return [[str(x) for x in row] for row in mat]
+    return [[str(x) for x in dense(row, mat.ncols)] for row in mat.rows]
 
 
 def _estr(E):

@@ -69,7 +69,7 @@ class RepFamily:
 
     __slots__ = ("label", "nvars", "dim", "generators", "inverses")
 
-    def __init__(self, label, generators, check=True):
+    def __init__(self, label, generators):
         generators = list(generators)
         if not generators:
             raise ValueError("need at least one generator")
@@ -92,8 +92,7 @@ class RepFamily:
         self.dim = dim
         self.generators = tuple(generators)
         self.inverses = tuple(inverses)
-        if check:
-            self.validate()
+        self.validate()
 
     def validate(self):
         ident = MatPolyFamily.identity(self.nvars, self.dim)

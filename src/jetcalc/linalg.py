@@ -13,20 +13,19 @@ combinations, `block_diag` and `kron` build block-diagonal matrices and
 Kronecker products, and `apply`, the one matrix-vector action, maps each
 matrix-wide block of a stacked vector by its columns.  `Mat.flat` and
 `Mat.from_flat` convert to and from the sparse vector of row-major entries.
-At the edges (JSON, printing, tests) `Mat.of` reads a nested sequence, and
-`len`, iteration, indexing, equality and hashing treat a Mat as its dense
-rows; there are no dense matrix helpers.  A `MatPolyFamily` keeps one Mat
-per term.  `square`, `json_load` and `json_field` read JSON matrices,
-texts and fields.
+At the edges `Mat.of` reads a nested sequence, `sparse` a vector and `dense`
+writes one; a Mat equals only a Mat.  A `MatPolyFamily` keeps one Mat per
+term.  `square`, `json_load` and `json_field` read JSON matrices, texts and
+fields.
 
 `SpanBasis` is the one elimination: row-at-a-time Gauss-Jordan to the
 reduced row echelon form (RREF), which is unique over exact arithmetic, so
-no pivoting heuristics are needed and every result is canonical.  `rank`,
-`nullspace`, `solver`, `mat_inverse` and `subspace_intersection` each read
-one SpanBasis.  Beside it, `close_span` closes a span under a list of Mats
-(submodules, tuple modules, word algebras, invariance grids, ideal images),
-mapping each new echelon row, which is sparser than the vector inserted (a
-Meat-Axe spin), and `SpanBasis.escape` is the one invariance test.
+no pivoting heuristics are needed and every result is canonical.  `solver`,
+`mat_inverse` and `subspace_intersection` each read one SpanBasis.  Beside
+it, `close_span` closes a span under a list of Mats (submodules, tuple
+modules, word algebras, invariance grids, ideal images), mapping each new
+echelon row, which is sparser than the vector inserted (a Meat-Axe spin),
+and `SpanBasis.escape` is the one invariance test.
 
 Every update y += c x here (eliminations, closures, `apply`, `mmul`,
 `mat_sum`) and in jetfun's family products is one fused `_axpy`: it works
@@ -73,8 +72,7 @@ class Mat:
     """Immutable exact matrix: its shape and one zero-free {column: Scalar}
     dict per row (jetfun.frobenius alone reads ExpPoly grids, only through
     `dot`); its columns, zero-free {row: Scalar} dicts, are built on first
-    read and kept.  No dict is modified once a Mat holds it.  At the edges
-    it reads as the tuple of its dense rows (see the module docstring)."""
+    read and kept.  No dict is modified once a Mat holds it."""
 
     __slots__ = ("rows", "nrows", "ncols", "_cols")
 
@@ -123,24 +121,16 @@ class Mat:
         """The transpose; its columns are this matrix's rows."""
         return Mat(self.cols, self.nrows, self.rows)
 
-    def __len__(self):
-        return self.nrows
-
-    def __getitem__(self, r):
-        return dense(self.rows[r], self.ncols)
-
-    def __iter__(self):
+    def __iter__(self):  # the dense rows, read by bench/workloads.py
         return (dense(row, self.ncols) for row in self.rows)
 
     def __eq__(self, other):
         if isinstance(other, Mat):
             return self.ncols == other.ncols and self.rows == other.rows
-        if isinstance(other, (tuple, list)):
-            return tuple(self) == tuple(map(tuple, other))
         return NotImplemented
 
     def __hash__(self):
-        return hash(tuple(self))
+        return hash((self.ncols, tuple(frozenset(row.items()) for row in self.rows)))
 
     def __repr__(self):
         return "Mat(%r)" % (tuple(self),)
@@ -267,23 +257,17 @@ def json_field(obj, key, kind, name, lo=None, hi=None):
     raise ValueError("%s %r; it must be %s" % (name, x, want))
 
 
-def mat_vec(a, v):
+def mat_vec(a, v):  # also wrapped by bench/layers.py
     """a v for a matrix and a dense vector of its width, as a dense tuple;
-    read by ModuleMap.__call__, the tests and bench/layers.py."""
+    read by ModuleMap.__call__."""
     a = Mat.of(a)
     if len(v) != a.ncols:
         raise ValueError("a vector of length %d for a matrix of width %d" % (len(v), a.ncols))
     return dense(apply(a, sparse(v)), a.nrows)
 
 
-def rank(rows):
-    """Dimension of the span of dense rows; read by the acceptance gate and tests."""
-    return SpanBasis(len(rows[0]) if rows else 0, rows).dim
-
-
-def nullspace(rows, ncols):
-    """Basis of {x : A x = 0} for A given by dense rows, as dense tuples;
-    read by the acceptance gate, the tests and bench/layers.py."""
+def nullspace(rows, ncols):  # wrapped by bench/layers.py
+    """Basis of {x : A x = 0} for A given by dense rows, as dense tuples."""
     return [dense(v, ncols) for v in SpanBasis(ncols, rows).nullspace()]
 
 
@@ -322,12 +306,13 @@ class SpanBasis:
     """Incrementally maintained RREF basis of a span of row vectors.
 
     Each echelon row is a zero-free dict {column: Scalar} whose least key is
-    its pivot.  insert() reports whether the span grew; coords() expresses a
-    member in the echelon rows; nullspace() reads the annihilator off them.
-    In RREF a row is zero at every other pivot, so reducing a vector clears
-    each of its pivot entries with that pivot's row alone, in any order.
-    insert() replaces a row it changes by a new dict, so a row once read is
-    never modified.  The initial rows are read as _reduce reads them."""
+    its pivot.  _insert() returns the new echelon row, if the span grew;
+    coords() expresses a member in the echelon rows; nullspace() reads the
+    annihilator off them.  In RREF a row is zero at every other pivot, so
+    reducing a vector clears each of its pivot entries with that pivot's row
+    alone, in any order.  _insert() replaces a row it changes by a new dict,
+    so a row once read is never modified.  The initial rows are read as
+    _reduce reads them."""
 
     def __init__(self, ncols, rows=()):
         self.ncols = ncols
@@ -354,15 +339,10 @@ class SpanBasis:
             _axpy(out, -c, self._row[p], skip=p)
         return out
 
-    def insert(self, v):
-        """Insert v, a sequence or a dict that may hold zeros; True iff the
-        dimension grew."""
-        return self._insert(sparse(v)) is not None
-
     def _insert(self, v):
-        """insert() for a sequence or a zero-free dict, which is not
-        filtered again; the new echelon row, or None if the span did not grow.
-        A residue that keeps an existing pivot raises CrossCheckError."""
+        """Insert v (as _reduce reads it); the new echelon row, or None if
+        the span did not grow.  A residue that keeps an existing pivot
+        raises CrossCheckError."""
         v = self._reduce(v)
         if not v:
             return None
@@ -386,10 +366,10 @@ class SpanBasis:
         self._row[pivot] = v
         return v
 
-    def add(self, v):
-        """insert() for a dense row; read by the acceptance gate, the tests
-        and bench/layers.py, whose tracer reads its argument densely."""
-        return self.insert(v)
+    def add(self, v):  # wrapped by bench/layers.py, which reads v densely
+        """Insert v, a sequence or a dict that may hold zeros; True iff the
+        dimension grew."""
+        return self._insert(sparse(v)) is not None
 
     def contains(self, v):
         """v (as _reduce reads it) lies in the span."""
@@ -419,11 +399,6 @@ class SpanBasis:
                 if j != p:
                     vecs[j][p] = -x
         return list(vecs.values())
-
-    def frozen_rows(self):
-        """The echelon rows as dense tuples; read by rref, the acceptance
-        gate and the tests."""
-        return tuple(dense(r, self.ncols) for r in self.rows)
 
     def same_span(self, other):
         """Equality of spans; RREF is canonical so row comparison suffices."""
@@ -456,8 +431,7 @@ def subspace_intersection(rows_a, rows_b, ncols):
             for row, p in zip(both.rows, both.pivots) if p >= ncols]
 
 
-def rref(rows):
-    """(echelon rows, pivot columns) of the RREF of rows.  Unused in the
-    package; the benchmark's tracer (bench/layers.py) wraps it by name."""
+def rref(rows):  # wrapped by bench/layers.py
+    """(echelon rows as dense tuples, pivot columns) of the RREF of rows."""
     red = SpanBasis(len(rows[0]) if rows else 0, rows)
-    return red.frozen_rows(), red.pivots
+    return tuple(dense(r, red.ncols) for r in red.rows), red.pivots

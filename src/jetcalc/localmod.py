@@ -241,7 +241,8 @@ class FinMod:
             "nvars": self.nvars,
             "k": self.k,
             "dim": self.dim,
-            "action": [[c.json_str() for row in m for c in row] for m in self.mats],
+            "action": [[c.json_str() for c in dense(m.flat(), self.dim * self.dim)]
+                       for m in self.mats],
         })
 
     @classmethod

@@ -24,10 +24,9 @@ def act_germ_oracle(E, g):
     for (freq, unit), p in g.terms.items():
         mat = linalg.mmul(E.exp_action(Covector(freq)), E.act_poly(p))
         tag = ExpScalar.unit(unit)
-        for r in range(E.dim):
-            for c in range(E.dim):
-                if mat[r][c]:
-                    out[r][c] = out[r][c] + tag * mat[r][c]
+        for r, row in enumerate(mat.rows):
+            for c, x in row.items():
+                out[r][c] = out[r][c] + tag * x
     return tuple(tuple(row) for row in out)
 
 
@@ -123,7 +122,7 @@ def test_point_jet_family_is_the_family_evaluated_at_the_point():
             mu = rand_point(rng, 2)
             want = e_slow_oracle(Emod, T, mu)
             assert jf.jet_family(T, Emod).evaluate_scalar(mu) == \
-                tuple(tuple(x.scalar() for x in row) for row in want)
+                linalg.Mat.of([[x.scalar() for x in row] for row in want])
     # a formal unit that survives evaluation is refused, naming the first
     # entry that carries one
     T = jf.MatPolyFamily(1, [[ExpPoly.exp((ONE,)), ExpPoly.zero(1)],
@@ -136,7 +135,7 @@ def test_point_jet_family_is_the_family_evaluated_at_the_point():
     assert str(refused.value) == "value carries formal exponential units: %s" % first
     zero = Vector((ZERO,))
     assert jf.jet_family(T, E1).evaluate_scalar(zero) == \
-        tuple(tuple(x.scalar() for x in row) for row in e_slow_oracle(E1, T, zero))
+        linalg.Mat.of([[x.scalar() for x in row] for row in e_slow_oracle(E1, T, zero)])
 
 
 def test_membership_triple_is_unanimous_over_jet_modules():
@@ -207,7 +206,7 @@ def test_family_term_algebra_matches_the_entrywise_reference(data):
     values = tuple(tuple(a.evaluate(pt) for a in row) for row in A)
     assert F.evaluate(pt) == values
     if all(x.is_scalar() for row in values for x in row):
-        assert F.evaluate_scalar(pt) == tuple(tuple(x.scalar() for x in row) for row in values)
+        assert F.evaluate_scalar(pt) == linalg.Mat.of([[x.scalar() for x in row] for row in values], n)
     else:
         with pytest.raises(ValueError, match="formal exponential units"):
             F.evaluate_scalar(pt)

@@ -13,13 +13,13 @@ from math import gcd
 import pytest
 
 from jetcalc import linalg
-from jetcalc.linalg import SpanBasis, CrossCheckError
+from jetcalc.linalg import Mat, SpanBasis, CrossCheckError
 from jetcalc.scalars import Scalar, ZERO
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
-QQ, QQ_I = sympy.QQ, sympy.QQ_I
+from qqi import QQ_I, from_qqi, to_sympy  # noqa: E402
 
 SEEDS = range(12)
 
@@ -77,27 +77,13 @@ def square_matrices(seed):
     return out
 
 
-def to_qqi(x):
-    return QQ_I(QQ(x.a, x.den), QQ(x.b, x.den))
-
-
-def from_qqi(z):
-    return Scalar(Fraction(int(z.x.numerator), int(z.x.denominator)),
-                  Fraction(int(z.y.numerator), int(z.y.denominator)))
-
-
-def oracle(rows, ncols):
-    return DomainMatrix([[to_qqi(x) for x in r] for r in rows],
-                        (len(rows), ncols), QQ_I)
-
-
 def combine(coeffs, rows, ncols):
     return [sum((c * r[j] for c, r in zip(coeffs, rows)), ZERO) for j in range(ncols)]
 
 
 def sympy_rref(rows, ncols):
     """(nonzero rows, pivot columns) of sympy's RREF, as Scalars."""
-    red, piv = oracle(rows, ncols).rref()
+    red, piv = to_sympy(rows, ncols).rref()
     return ([[from_qqi(z) for z in r] for r in red.to_list()[:len(piv)]],
             list(piv))
 
@@ -110,7 +96,7 @@ def assert_rows_are_sparse(sb):
 
 
 def echelon(sb):
-    return [list(r) for r in sb.frozen_rows()]
+    return [list(linalg.dense(r, sb.ncols)) for r in sb.rows]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -118,8 +104,9 @@ def test_rank_and_rref_match_sympy(seed):
     for rows in matrices(seed):
         ncols = len(rows[0])
         sb = SpanBasis(ncols, rows)
-        assert linalg.rank(rows) == oracle(rows, ncols).rank() == sb.dim
+        assert to_sympy(rows, ncols).rank() == sb.dim
         assert (echelon(sb), sb.pivots) == sympy_rref(rows, ncols)
+        assert linalg.rref(rows) == (tuple(map(tuple, echelon(sb))), sb.pivots)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -127,15 +114,15 @@ def test_nullspace_has_the_right_dimension_and_is_annihilated(seed):
     for rows in matrices(seed):
         ncols = len(rows[0])
         basis = linalg.nullspace(rows, ncols)
-        assert len(basis) == ncols - oracle(rows, ncols).rank()
+        assert len(basis) == ncols - to_sympy(rows, ncols).rank()
         for x in basis:
             assert not any(linalg.mat_vec(rows, x))
         if basis:
-            assert linalg.rank(basis) == len(basis)
+            assert to_sympy(basis, ncols).rank() == len(basis)
             # the same space as sympy's nullspace
             want = [[from_qqi(z) for z in r]
-                    for r in oracle(rows, ncols).nullspace().to_list()]
-            assert oracle([list(x) for x in basis] + want, ncols).rank() == len(basis)
+                    for r in to_sympy(rows, ncols).nullspace().to_list()]
+            assert to_sympy([list(x) for x in basis] + want, ncols).rank() == len(basis)
 
 
 def columns(rows, ncols):
@@ -174,7 +161,7 @@ def test_solve_finds_solutions_exactly_when_sympy_says_consistent(seed):
             assert solves(vecs, solve(rhs), rhs)
             other = [rand_scalar(rng) for _ in rows]
             aug = [list(r) + [b] for r, b in zip(rows, other)]
-            consistent = (oracle(aug, ncols + 1).rank() == oracle(rows, ncols).rank())
+            consistent = (to_sympy(aug, ncols + 1).rank() == to_sympy(rows, ncols).rank())
             y = solve(linalg.sparse(other))
             assert (y is not None) == consistent
             assert y is None or solves(vecs, y, linalg.sparse(other))
@@ -204,8 +191,8 @@ def test_solve_reads_sparse_rows_given_the_column_count(seed):
             dense_vecs = [linalg.dense(v, n) for v in vecs]
             other = [ZERO] + [rand_scalar(rng) for _ in rows]
             aug = [list(col) for col in zip(*dense_vecs, other)]
-            consistent = (oracle(aug, len(vecs) + 1).rank()
-                          == oracle([r[:-1] for r in aug], len(vecs)).rank())
+            consistent = (to_sympy(aug, len(vecs) + 1).rank()
+                          == to_sympy([r[:-1] for r in aug], len(vecs)).rank())
             y = solve(linalg.sparse(other))
             assert (y is not None) == consistent
             assert y is None or solves(vecs, y, linalg.sparse(other))
@@ -234,13 +221,13 @@ def test_solver_span_is_the_span_basis_of_its_vectors(seed):
 def test_det_and_inverse_match_sympy(seed):
     for mat in square_matrices(seed):
         n = len(mat)
-        want = oracle(mat, n)
+        want = to_sympy(mat, n)
         if not want.det():
             with pytest.raises(ValueError):
                 linalg.mat_inverse(mat)
             continue
         inv = linalg.mat_inverse(mat)
-        assert inv == tuple(tuple(from_qqi(z) for z in r) for r in want.inv().to_list())
+        assert inv == as_scalars(want.inv())
         assert linalg.mmul(mat, inv) == linalg.mid(n)
 
 
@@ -252,7 +239,7 @@ def test_span_basis_is_the_rref_and_keeps_true_supports(seed):
         sb = SpanBasis(ncols)
         for i, r in enumerate(rows):
             grew = sb.add(r)
-            assert grew == (linalg.rank(rows[:i + 1]) > linalg.rank(rows[:i]))
+            assert grew == (to_sympy(rows[:i + 1], ncols).rank() > to_sympy(rows[:i], ncols).rank())
             assert_rows_are_sparse(sb)
         assert (echelon(sb), sb.pivots) == sympy_rref(rows, ncols)
         # a combination of the inputs is a member, and its coordinates
@@ -261,7 +248,7 @@ def test_span_basis_is_the_rref_and_keeps_true_supports(seed):
         assert sb.contains(inside)
         coords = sb.coords(inside)
         assert all(coords.values())
-        assert combine(linalg.dense(coords, sb.dim), sb.frozen_rows(), ncols) == inside
+        assert combine(linalg.dense(coords, sb.dim), echelon(sb), ncols) == inside
         probe = [rand_scalar(rng) for _ in range(ncols)]
         assert (sb.coords(probe) is not None) == sb.contains(probe)
 
@@ -281,11 +268,11 @@ def test_subspace_intersection_matches_sympy_ranks(seed):
                 b.append(combine([rand_scalar(rng) for _ in a], a, ncols))
             got = [list(linalg.dense(r, ncols))
                    for r in linalg.subspace_intersection(a, b, ncols)]
-            ra, rb = oracle(a, ncols).rank(), oracle(b, ncols).rank()
-            assert len(got) == ra + rb - oracle(a + b, ncols).rank()
+            ra, rb = to_sympy(a, ncols).rank(), to_sympy(b, ncols).rank()
+            assert len(got) == ra + rb - to_sympy(a + b, ncols).rank()
             for row in got:
-                assert oracle(a + [row], ncols).rank() == ra
-                assert oracle(b + [row], ncols).rank() == rb
+                assert to_sympy(a + [row], ncols).rank() == ra
+                assert to_sympy(b + [row], ncols).rank() == rb
             if got:  # returned in RREF
                 assert sympy_rref(got, ncols)[0] == got
 
@@ -307,9 +294,9 @@ def test_a_residue_that_keeps_a_pivot_raises_a_cross_check_error(monkeypatch):
     pivot is refused as a defect instead of being filed under that pivot."""
     sb = SpanBasis(3)
     monkeypatch.setattr(SpanBasis, "_reduce", lambda self, v, record=None: dict(v))
-    assert sb.insert([1, 2, 0])
+    assert sb.add([1, 2, 0])
     with pytest.raises(CrossCheckError, match="pivot 0"):
-        sb.insert([1, 0, 1])
+        sb.add([1, 0, 1])
     assert sb.pivots == [0] and sb.rows == [{0: Scalar(1), 1: Scalar(2)}]
 
 
@@ -347,8 +334,9 @@ def test_apply_to_n_blocks_is_the_block_diagonal_product(seed):
         for kind in (dense_matrix, sparse_matrix):
             v = kind(rng, 1, n * d)[0]
             got = linalg.apply(linalg.Mat.of(m), linalg.sparse(v))
+            big = linalg.block_diag([m] * n)
             assert linalg.dense(got, n * d) == dense_mat_vec(
-                linalg.block_diag([m] * n), v)
+                [linalg.dense(row, n * d) for row in big.rows], v)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -403,7 +391,7 @@ def test_insert_ignores_explicit_zeros_and_keeps_rows_zero_free(seed):
             lead = min(v, default=ncols)
             if lead:
                 v[rng.randrange(lead)] = ZERO
-            assert by_dict.insert(v) == by_add.add(r)
+            assert by_dict.add(v) == by_add.add(r)
             assert_rows_are_sparse(by_dict)
         assert by_dict.pivots == by_add.pivots
         assert by_dict.rows == by_add.rows
@@ -413,8 +401,6 @@ def test_insert_ignores_explicit_zeros_and_keeps_rows_zero_free(seed):
 # --- the one matrix type against the oracle ----------------------------------
 
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
-
-from jetcalc.linalg import Mat  # noqa: E402
 
 gaussian = st.builds(lambda a, b, d: Scalar(Fraction(a, d), Fraction(b, d)),
                      st.integers(-4, 4), st.integers(-2, 2), st.integers(1, 3))
@@ -438,7 +424,8 @@ sizes = st.integers(0, 4)
 
 
 def as_scalars(dm):
-    return tuple(tuple(from_qqi(z) for z in r) for r in dm.to_list())
+    """The Mat of a DomainMatrix."""
+    return Mat.of([[from_qqi(z) for z in r] for r in dm.to_list()], dm.shape[1])
 
 
 def assert_zero_free(m):
@@ -450,35 +437,43 @@ def assert_zero_free(m):
 @settings(max_examples=80, deadline=None)
 @given(st.data(), sizes, sizes)
 def test_a_mat_reads_as_its_dense_rows(data, r, c):
-    """Round trip, shape, flat form, transpose, and equality and hashing
-    against the tuple of its rows, for every shape down to 0 x 0."""
+    """Round trip, shape, flat form and transpose, and equality and hashing
+    with the Mat of its rows built in another entry order, for every shape
+    down to 0 x 0."""
     rows = data.draw(gaussian_matrices(r, c))
     dense_rows = tuple(map(tuple, rows))
     m = Mat.of(rows, c)
     assert_zero_free(m)
-    assert (m.nrows, m.ncols, len(m)) == (r, c, r)
-    assert tuple(m) == dense_rows and all(m[i] == dense_rows[i] for i in range(r))
-    assert m == dense_rows and dense_rows == m and m == rows
-    assert hash(m) == hash(dense_rows)
+    assert (m.nrows, m.ncols) == (r, c)
+    assert tuple(m) == dense_rows
+    assert tuple(linalg.dense(row, c) for row in m.rows) == dense_rows
+    reordered = Mat([dict(reversed(row.items())) for row in m.rows], c)
+    assert m == reordered and hash(m) == hash(reordered)
     assert Mat.from_flat(m.flat(), r, c) == m
     assert m.flat() == linalg.sparse([x for row in rows for x in row])
-    assert m.T == tuple(tuple(rows[i][j] for i in range(r)) for j in range(c))
+    assert m.T == Mat.of([[rows[i][j] for i in range(r)] for j in range(c)], r)
     assert m.T.T == m and [dict(col) for col in m.cols] == list(m.T.rows)
     if r and c:
         bumped = [list(row) for row in rows]
         bumped[0][0] = bumped[0][0] + Scalar(1)
-        assert m != Mat.of(bumped) and m != tuple(map(tuple, bumped))
+        assert m != Mat.of(bumped)
 
 
-def test_a_mat_equals_tuple_literals():
+def test_a_mat_equals_only_a_mat_of_its_shape():
+    """Equality and hashing read the shape and the row dicts: a Mat equals
+    the Mat of the same literal, not a Mat of another shape or entry, and
+    not the literal itself."""
     one = Scalar(1)
-    m = Mat.of(((one, ZERO), (ZERO, ZERO)))
-    assert m == ((one, ZERO), (ZERO, ZERO)) and m != ((one, ZERO),)
-    assert m != ((ZERO, one), (ZERO, ZERO)) and m != ((one, ZERO, ZERO), (ZERO, ZERO, ZERO))
-    assert hash(m) == hash(((one, ZERO), (ZERO, ZERO)))
-    assert {m: 1}[((one, ZERO), (ZERO, ZERO))] == 1
-    assert Mat.of((), 3) == () and Mat.of((), 3).ncols == 3
-    assert linalg.mid(2) == ((one, ZERO), (ZERO, one))
+    literal = ((one, ZERO), (ZERO, ZERO))
+    m = Mat.of(literal)
+    assert m == Mat.of(literal) and m != Mat.of(((one, ZERO),))
+    assert m != Mat.of(((ZERO, one), (ZERO, ZERO)))
+    assert m != Mat.of(((one, ZERO, ZERO), (ZERO, ZERO, ZERO)))
+    assert hash(m) == hash(Mat.of(literal))
+    assert {m: 1}[Mat.of(literal)] == 1
+    assert m != literal and m != [list(row) for row in literal]
+    assert Mat.of((), 3) == Mat.of((), 3) != Mat.of((), 2) and Mat.of((), 3).ncols == 3
+    assert linalg.mid(2) == Mat.of(((one, ZERO), (ZERO, one)))
     with pytest.raises(ValueError, match="ragged"):
         Mat.of([[one, ZERO], [one]])
 
@@ -493,9 +488,9 @@ def test_mat_products_match_the_oracle(data, r, k, c):
     prod = linalg.mmul(Mat.of(a, k), Mat.of(b, c))
     assert_zero_free(prod)
     assert (prod.nrows, prod.ncols) == (r, c)
-    assert prod == as_scalars(oracle(a, k) * oracle(b, c))
+    assert prod == as_scalars(to_sympy(a, k) * to_sympy(b, c))
     v = data.draw(gaussian_matrices(k, 1))
-    want = tuple(row[0] for row in as_scalars(oracle(a, k) * oracle(v, 1)))
+    want = tuple(from_qqi(z) for z in (to_sympy(a, k) * to_sympy(v, 1)).to_list_flat())
     assert linalg.mat_vec(Mat.of(a, k), [x for x, in v]) == want
 
 
@@ -509,20 +504,20 @@ def test_block_diag_and_inverse_match_the_oracle(data, ns):
     assert_zero_free(got)
     total = sum(ns)
     if total:
-        want = sympy.diag(*[oracle(bl, n).to_Matrix() for bl, n in zip(blocks, ns)])
+        want = sympy.diag(*[to_sympy(bl, n).to_Matrix() for bl, n in zip(blocks, ns)])
         assert got == as_scalars(DomainMatrix.from_Matrix(want).convert_to(QQ_I))
     else:
-        assert got == () and got.ncols == 0
+        assert got == Mat.of((), 0)
     for bl, n in zip(blocks, ns):
         if not n:
-            assert linalg.mat_inverse(Mat.of(bl, 0)) == ()
-        elif not oracle(bl, n).det():
+            assert linalg.mat_inverse(Mat.of(bl, 0)) == Mat.of((), 0)
+        elif not to_sympy(bl, n).det():
             with pytest.raises(ValueError, match="singular"):
                 linalg.mat_inverse(bl)
         else:
             inv = linalg.mat_inverse(bl)
             assert_zero_free(inv)
-            assert inv == as_scalars(oracle(bl, n).inv())
+            assert inv == as_scalars(to_sympy(bl, n).inv())
 
 
 @settings(max_examples=60, deadline=None)
@@ -536,8 +531,8 @@ def test_kron_and_dot_match_their_definitions(data, r1, c1, r2, c2, n):
     got = linalg.kron(Mat.of(a, c1), Mat.of(b, c2))
     assert_zero_free(got)
     assert (got.nrows, got.ncols) == (r1 * r2, c1 * c2)
-    assert got == tuple(tuple(a[i1][j1] * b[i2][j2] for j1 in range(c1) for j2 in range(c2))
-                        for i1 in range(r1) for i2 in range(r2))
+    assert got == Mat.of([[a[i1][j1] * b[i2][j2] for j1 in range(c1) for j2 in range(c2)]
+                          for i1 in range(r1) for i2 in range(r2)], c1 * c2)
     u, v = data.draw(gaussian_matrices(2, n))
     assert linalg.dot(linalg.sparse(u), linalg.sparse(v)) == \
         sum((x * y for x, y in zip(u, v)), ZERO)
@@ -613,7 +608,7 @@ def test_a_dense_product_builds_one_scalar_per_update(monkeypatch):
          for i in range(4)]
     b = [[Scalar(Fraction(j + 3, i + 2), Fraction(2, i + 1)) for j in range(4)]
          for i in range(4)]
-    want = as_scalars(oracle(a, 4) * oracle(b, 4))
+    want = as_scalars(to_sympy(a, 4) * to_sympy(b, 4))
     calls = {"_mk": 0, "__mul__": 0, "__add__": 0}
 
     def counted(name, f):
@@ -637,9 +632,9 @@ def all_scalars(m):
 
 def test_mat_of_reads_int_rows_as_scalars():
     m = Mat.of([[1, 2], [0, 1]])
-    assert all_scalars(m) and m == ((Scalar(1), Scalar(2)), (ZERO, Scalar(1)))
+    assert all_scalars(m) and m == Mat([{0: Scalar(1), 1: Scalar(2)}, {1: Scalar(1)}], 2)
     prod = linalg.mmul([[1, 2], [0, 1]], [[1, 0], [3, 1]])
-    assert all_scalars(prod) and prod == ((7, 2), (3, 1))
+    assert all_scalars(prod) and prod == Mat.of(((7, 2), (3, 1)))
     v = linalg.mat_vec([[1, 2], [0, 1]], (1, 1))
     assert v == (Scalar(3), Scalar(1)) and all(type(x) is Scalar for x in v)
 
@@ -656,7 +651,7 @@ def test_sparse_reads_int_entries_as_scalars():
 
 def test_mat_sum_reads_int_coefficients_as_scalars():
     got = linalg.mat_sum([(linalg.mid(2), 3)], 2, 2)
-    assert all_scalars(got) and got == ((3, 0), (0, 3))
+    assert all_scalars(got) and got == Mat.of(((3, 0), (0, 3)))
 
 
 def test_mmul_refuses_mismatched_inner_dimensions():
@@ -664,4 +659,4 @@ def test_mmul_refuses_mismatched_inner_dimensions():
         linalg.mmul([[1]], [[1, 2], [3, 4]])
     with pytest.raises(ValueError, match="inner dimensions 2 and 1 do not match"):
         linalg.mmul([[1, 2]], [[1]])
-    assert linalg.mmul(Mat.of((), 3), [[1], [2], [3]]) == ()
+    assert linalg.mmul(Mat.of((), 3), [[1], [2], [3]]) == Mat.of((), 1)

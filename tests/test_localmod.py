@@ -9,6 +9,7 @@ from jetcalc.scalars import Scalar, ZERO, ONE, sc
 from jetcalc.poly import (Polynomial, Vector, Covector, DiffOp, diff, pairing,
                           parse_poly, monomials_upto, monomials_of_degree)
 from jetcalc import linalg
+from jetcalc.linalg import Mat
 from jetcalc.localmod import (PolySpace, CofiniteIdeal, power_ideal,
                               maximal_ideal, dual_number_ideal, FinMod,
                               ModuleMap, cyclic_quotient, dual_number_module,
@@ -72,8 +73,8 @@ def test_dual_number_module_matches_its_ideal_quotient():
     E = dual_number_module(lam)
     assert E.dim == 2 and E.k == 1
     # action of x_j: derivative in the top-right corner
-    assert E.mats[0] == ((ZERO, ONE), (ZERO, ZERO))
-    assert E.mats[1] == ((ZERO, sc(2)), (ZERO, ZERO))
+    assert E.mats[0] == Mat.of(((ZERO, ONE), (ZERO, ZERO)))
+    assert E.mats[1] == Mat.of(((ZERO, sc(2)), (ZERO, ZERO)))
     Q = cyclic_quotient(dual_number_ideal(lam))
     T = ((ZERO, sc(2)), (ONE, ZERO))
     psi = ModuleMap(Q.module, E, T)
@@ -108,7 +109,7 @@ def test_validation_rejects_noncommuting_or_unbounded_actions():
 def test_exp_action_is_truncated_exponential():
     E = dual_number_module(Vector((1, 2)))
     xi = Covector((sc(3), sc(1)))
-    assert E.exp_action(xi) == ((ONE, sc(5)), (ZERO, ONE))
+    assert E.exp_action(xi) == Mat.of(((ONE, sc(5)), (ZERO, ONE)))
 
 
 def test_direct_sum_and_tensor_shapes():
@@ -130,10 +131,10 @@ def test_tensor_exponential_factors_through_the_pieces():
     F = cyclic_quotient(power_ideal(1, 1)).module
     T = tensor(E, F)
     xi = Covector((sc(3),))
-    a = E.exp_action(xi)
-    b = F.exp_action(xi)
-    kron = tuple(tuple(a[i1][j1] * b[i2][j2] for j1 in range(2) for j2 in range(2))
-                 for i1 in range(2) for i2 in range(2))
+    a = [linalg.dense(row, 2) for row in E.exp_action(xi).rows]
+    b = [linalg.dense(row, 2) for row in F.exp_action(xi).rows]
+    kron = Mat.of([[a[i1][j1] * b[i2][j2] for j1 in range(2) for j2 in range(2)]
+                   for i1 in range(2) for i2 in range(2)])
     assert T.exp_action(xi) == kron
 
 
@@ -228,7 +229,7 @@ def test_module_order_is_validated_in_degree_at_most_the_dimension(monkeypatch):
     assert calls[0] == 3  # x^1, x^2, x^3
     monkeypatch.undo()
     assert not any(E.mon_mat((3000,)).rows)
-    assert E.mon_mat((2,)) == ((ZERO, ZERO, ONE), (ZERO,) * 3, (ZERO,) * 3)
+    assert E.mon_mat((2,)) == Mat.of(((ZERO, ZERO, ONE), (ZERO,) * 3, (ZERO,) * 3))
     assert FinMod(1, 2, [shift]).k == 2
     with pytest.raises(ValueError, match="does not act by zero"):
         FinMod(1, 1, [shift])
@@ -244,7 +245,7 @@ def product_image(ideal, bound):
     span = linalg.SpanBasis(space.dim)
     for g in ideal.generators:
         for m in monomials_upto(ideal.nvars, bound):
-            span.insert(space.to_vec((g * Polynomial.monomial(ideal.nvars, m)).truncate(bound)))
+            span.add(space.to_vec((g * Polynomial.monomial(ideal.nvars, m)).truncate(bound)))
     return span
 
 

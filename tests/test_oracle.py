@@ -32,7 +32,7 @@ import pytest
 from jetcalc import gen
 from jetcalc.approxalg import double_commutant_check
 from jetcalc.family import BlockLayout, membership_triple, spanned_algebra
-from jetcalc.linalg import SpanBasis, CrossCheckError, mid
+from jetcalc.linalg import Mat, SpanBasis, CrossCheckError, dense, mid
 from jetcalc.jetfun import kernel_alpha_bar
 from jetcalc.localmod import cyclic_quotient, maximal_ideal, dual_number_module
 from jetcalc.poly import Vector, monomials_upto
@@ -42,26 +42,22 @@ from test_mutants import transpose_a_square_apply
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
-QQ, QQ_I = sympy.QQ, sympy.QQ_I
+from qqi import QQ_I, to_qqi, to_sympy  # noqa: E402
+
 E1 = cyclic_quotient(maximal_ideal(1)).module  # dim 1, evaluation only
 
 
-def to_qqi(x):
-    """The QQ_I element of a Scalar."""
-    return QQ_I(QQ(x.a, x.den), QQ(x.b, x.den))
-
-
-def to_sympy(rows, ncols):
-    """The DomainMatrix over QQ_I of dense rows of Scalars."""
-    return DomainMatrix([[to_qqi(x) for x in row] for row in rows], (len(rows), ncols), QQ_I)
+def mat_to_sympy(m):
+    """The DomainMatrix over QQ_I of a Mat."""
+    return to_sympy([dense(row, m.ncols) for row in m.rows], m.ncols)
 
 
 def all_words(letters, n):
     """The flattened images of all words of length at most L in the n x n
     letters, one row each, for the least L whose rank equals that of the
     words of length at most L - 1."""
-    letters = [to_sympy(g, n) for g in letters]
-    level, flat, rank = [to_sympy(mid(n), n)], [], None
+    letters = [mat_to_sympy(g) for g in letters]
+    level, flat, rank = [mat_to_sympy(mid(n))], [], None
     while True:
         flat += [x for w in level for x in w.to_list_flat()]
         words = DomainMatrix.from_list_flat(flat, (len(flat) // (n * n), n * n), QQ_I)
@@ -95,7 +91,7 @@ def check_word_algebra(reps, pts, E):
     words = all_words([layout.assemble(lambda rep: rep.letter(k))
                        for k in range(-ngens, ngens + 1) if k], n)
     assert span.dim == words.rank()
-    assert words.vstack(to_sympy(span.frozen_rows(), n * n)).rank() == span.dim
+    assert words.vstack(mat_to_sympy(Mat(span.rows, n * n))).rank() == span.dim
     return span.dim
 
 
@@ -138,7 +134,7 @@ def membership_oracles(seeds):
         n, ngens = layout.total, len(reps[0].generators)
         words = all_words([layout.assemble(lambda rep: rep.letter(k))
                            for k in range(-ngens, ngens + 1) if k], n)
-        phi = [x for row in layout.assemble(cand.component) for x in row]
+        phi = dense(layout.assemble(cand.component).flat(), n * n)
         verdicts.append(words.vstack(to_sympy([phi], n * n)).rank() == words.rank())
     return verdicts
 
@@ -233,7 +229,7 @@ def dcomm_oracle(M):
     the nullspace of the pairings f(X_i w), over a basis X_i of the corner
     span, the rows w of W and a basis of the annihilators f of W."""
     d = M.dim
-    mats = [to_sympy(tuple(m), d) for m in M.mats]
+    mats = [mat_to_sympy(m) for m in M.mats]
     image = stack([m.to_list_flat() for m in mats], d * d).rank()
     P = DomainMatrix.zeros((d, d), QQ_I)
     for t, c in M.algebra.chain[-1].items():

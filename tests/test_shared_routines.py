@@ -68,11 +68,12 @@ def test_block_diag_places_unequal_blocks_on_the_diagonal():
     b = ((sc(1), sc(3), ZERO), (ZERO, sc(-1), sc(5)), (sc(7), ZERO, ONE))
     c = ((ZERO, sc(4)), (sc(6), ZERO))
     big = block_diag([a, b, c])
-    assert len(big) == 6 and all(len(row) == 6 for row in big)
+    assert (big.nrows, big.ncols) == (6, 6)
     for off, m in ((0, a), (1, b), (4, c)):
         for r, row in enumerate(m):
-            assert big[off + r] == (ZERO,) * off + row + (ZERO,) * (6 - off - len(m))
-    assert block_diag([]) == ()
+            want = (ZERO,) * off + row + (ZERO,) * (6 - off - len(m))
+            assert linalg.dense(big.rows[off + r], 6) == want
+    assert block_diag([]) == linalg.Mat.of((), 0)
 
 
 def test_block_diag_agrees_with_direct_sum():
@@ -267,9 +268,10 @@ def test_the_largest_canonical_module_loads_under_one_budget():
     assert N.algebra.sc == alg.sc and not N.is_approx_unital()
 
 
-def load_bench_layers():
-    path = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
-    spec = importlib.util.spec_from_file_location("bench_layers", path)
+def load_bench(name):
+    """The benchmark module bench/NAME.py, loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "bench" / (name + ".py")
+    spec = importlib.util.spec_from_file_location("bench_" + name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -286,7 +288,7 @@ def test_bench_tracer_wraps_the_library():
     its probes read their arguments as dense rows: a traced
     double_commutant_check and membership_triple run clean, and the dense
     edge of SpanBasis (add, called here on a dense row) is counted."""
-    tracer = load_bench_layers().Tracer()
+    tracer = load_bench("layers").Tracer()
     tracer.install()
     try:
         _, M = block_module([1, 2])
@@ -305,6 +307,20 @@ def test_bench_tracer_wraps_the_library():
     assert tracer.calls["family.membership_triple"] == 1
     assert metrics["linalg.span_add.calls"][0] > 0
     assert linalg.SpanBasis.add.__name__ == "add"  # the original is back
+
+
+def test_bench_workloads_build_and_pass_one_round():
+    """One round of each benchmark workload builds at seed 0, every
+    instance describes itself as JSON for the verdict pin, and every check
+    returns True: the library calls and the Mat reads of bench/workloads.py
+    (iteration in _skewed and _mstr) still work."""
+    workloads = load_bench("workloads").WORKLOADS
+    for name in ("dcomm", "pw"):
+        [instances] = workloads[name].rounds(0, 1)
+        for inst in instances:
+            assert json.dumps(inst.describe(), sort_keys=True)
+            for check_id, check in inst.checks:
+                assert check() is True, (name, check_id)
 
 
 def test_no_module_level_import_is_unused():
@@ -360,10 +376,10 @@ def test_every_module_level_name_is_read():
     assert not unread, unread
 
 
-# linalg's dense edges, kept for the acceptance gate, the tests and the
-# benchmark's tracer: module functions, and SpanBasis methods
-DENSE_FUNCTIONS = {"nullspace", "rank", "rref", "mat_vec"}
-DENSE_METHODS = {"frozen_rows", "add"}
+# linalg's dense edges, kept for the benchmark's tracer: module functions,
+# and SpanBasis methods
+DENSE_FUNCTIONS = {"nullspace", "rref", "mat_vec"}
+DENSE_METHODS = {"add"}
 
 
 def dense_edge_calls(tree):
@@ -392,11 +408,13 @@ def dense_edge_calls(tree):
 
 def test_no_module_calls_a_dense_edge_of_linalg():
     """Inside the package a subspace is a SpanBasis and a vector a sparse
-    dict: no module calls linalg.nullspace, rank, rref, SpanBasis.frozen_rows
-    or SpanBasis.add, and mat_vec is called by ModuleMap.__call__ alone.
-    rref reads frozen_rows, one edge through another."""
+    dict: linalg.rank, SpanBasis.frozen_rows and insert, and Mat's length
+    and indexing do not exist; no module calls linalg.nullspace, rref or
+    SpanBasis.add, and mat_vec is called by ModuleMap.__call__ alone."""
+    for owner, name in ((linalg, "rank"), (SpanBasis, "frozen_rows"), (SpanBasis, "insert"),
+                        (linalg.Mat, "__len__"), (linalg.Mat, "__getitem__")):
+        assert not hasattr(owner, name), name
     calls = {(path.name, scope, edge)
              for path in sorted(Path(jetcalc.__file__).parent.glob("*.py"))
              for scope, edge in dense_edge_calls(ast.parse(path.read_text()))}
-    assert calls == {("localmod.py", "ModuleMap.__call__", "mat_vec"),
-                     ("linalg.py", "rref", "frozen_rows")}
+    assert calls == {("localmod.py", "ModuleMap.__call__", "mat_vec")}
