@@ -21,7 +21,12 @@ sympy from a basis tuple of P's column space.
 The kernel of `jetfun.kernel_alpha_bar` is recomputed from sympy.diff: the
 evaluation-and-derivative map sends each monomial to its value and its
 iterated directional derivatives over every subset of the directions, all
-at 0."""
+at 0.
+
+The jet of `jetfun.jet_family`, evaluated at a point p, is recomputed as
+the Taylor sum over |beta| <= k of kron(m_E(X^beta), (d^beta F)(p) / beta!),
+with d^beta taken by sympy.diff and m_E(X^beta) multiplied out from the
+module's action matrices."""
 
 import functools
 import itertools
@@ -33,9 +38,9 @@ from jetcalc import gen
 from jetcalc.approxalg import double_commutant_check
 from jetcalc.family import BlockLayout, membership_triple, spanned_algebra
 from jetcalc.linalg import Mat, SpanBasis, CrossCheckError, dense, mid
-from jetcalc.jetfun import kernel_alpha_bar
-from jetcalc.localmod import cyclic_quotient, maximal_ideal, dual_number_module
-from jetcalc.poly import Vector, monomials_upto
+from jetcalc.jetfun import MatPolyFamily, jet_family, kernel_alpha_bar
+from jetcalc.localmod import FinMod, cyclic_quotient, maximal_ideal, dual_number_module
+from jetcalc.poly import ExpPoly, Vector, monomials_upto
 from jetcalc.scalars import ZERO
 from test_mutants import transpose_a_square_apply
 
@@ -380,3 +385,86 @@ def test_kernel_alpha_bar_matches_the_sympy_kernel():
             assert (A * B.transpose()).is_zero_matrix
         dims.add(len(basis))
     assert len(dims) >= 4
+
+
+def entry_to_sympy(f, xs):
+    """The sympy expression of an ExpPoly without formal units."""
+    out = 0
+    for (freq, unit), p in f.terms.items():
+        assert unit == ZERO
+        e = sympy.exp(sum(to_sympy_number(c) * x for c, x in zip(freq, xs)))
+        out += e * sum(to_sympy_number(c) * sympy.Mul(*(x ** k for x, k in zip(xs, m)))
+                       for m, c in p.terms.items())
+    return out
+
+
+def jet_oracle(F, E, p):
+    """The DomainMatrix over QQ_I of the jet of F over E at the point p:
+    the sum over |beta| <= k of kron(m_E(X^beta), (d^beta F)(p) / beta!),
+    E's index slow, with d^beta taken by sympy.diff and m_E(X^beta) the
+    product of E's action matrices."""
+    N, R, C, d = F.nvars, F.rows, F.cols, E.dim
+    xs = sympy.symbols("x1:%d" % (N + 1))
+    at = {x: to_sympy_number(c) for x, c in zip(xs, p.coords)}
+    grid = [[entry_to_sympy(f, xs) for f in row] for row in F.entries]
+    acts = [mat_to_sympy(m) for m in E.mats]
+    out = [[QQ_I.zero] * (d * C) for _ in range(d * R)]
+    for beta in monomials_upto(N, E.k):
+        m = DomainMatrix.eye(d, QQ_I)
+        for a, b in zip(acts, beta):
+            m = m * a ** b
+        wrt = [(x, b) for x, b in zip(xs, beta) if b]
+        scale = sympy.Mul(*(sympy.factorial(b) for b in beta))
+        D = [[QQ_I.from_sympy(sympy.expand((sympy.diff(f, *wrt) if wrt else f).subs(at) / scale))
+              for f in row] for row in grid]
+        for (rE, cE), x in m.to_dok().items():
+            for r, c in itertools.product(range(R), range(C)):
+                out[rE * R + r][cE * C + c] += x * D[r][c]
+    return DomainMatrix(out, (d * R, d * C), QQ_I)
+
+
+def jet_cases(seed):
+    """(kind, family, module, point): for 1 and 2 variables, a polynomial
+    family at a seeded point and an exponential family at the origin over
+    each kind of module (the evaluation module, a dual-number module and a
+    small gen.rand_finmod module), of shape at most 2 x 2."""
+    rng = random.Random(seed)
+    for N, exponential, kind in itertools.product((1, 2), (False, True),
+                                                 ("eval", "dual", "finmod")):
+        E = {"eval": lambda: cyclic_quotient(maximal_ideal(N)).module,
+             "dual": lambda: dual_number_module(gen.rand_point(rng, N, zero_ok=False)),
+             "finmod": lambda: gen.rand_finmod(rng, N, 2, 4)}[kind]()
+        R, C = rng.randint(1, 2), rng.randint(1, 2)
+        entry = ((lambda: gen.rand_exp_poly(rng, N, 2, nfreq=1)) if exponential
+                 else lambda: ExpPoly.from_poly(gen.rand_poly(rng, N, 3)))
+        F = MatPolyFamily(N, [[entry() for _ in range(C)] for _ in range(R)])
+        p = Vector([ZERO] * N) if exponential else gen.rand_point(rng, N)
+        yield kind, F, E, p
+
+
+@functools.cache
+def jet_oracles(seed):
+    return [(kind, F, E, p, jet_oracle(F, E, p)) for kind, F, E, p in jet_cases(seed)]
+
+
+def jet_disagreements(seed, jet=jet_family):
+    """The kinds of the cases whose jet, evaluated, differs from the oracle."""
+    return [kind for kind, F, E, p, oracle in jet_oracles(seed)
+            if mat_to_sympy(jet(F, E).evaluate_scalar(p)) != oracle]
+
+
+def test_jet_family_matches_the_sympy_taylor_sum():
+    """Twelve seeded cases; the gen.rand_finmod modules drawn include ones
+    of order >= 2, and the exponential families nonzero frequencies."""
+    cases = jet_oracles(29)
+    assert max(E.k for _, _, E, _, _ in cases) >= 2
+    assert any(any(freq) for _, F, _, _, _ in cases for freq, _, _ in F.terms)
+    assert jet_disagreements(29) == []
+
+
+def test_a_jet_that_takes_a_dual_number_module_as_order_0_fails_the_oracle():
+    """Mutant: jet_family over a module of order 1 drops the beta != 0
+    terms of the Taylor sum, as over the evaluation module."""
+    def order_0(F, E):
+        return jet_family(F, FinMod(E.nvars, 0, E.mats, check=False) if E.k == 1 else E)
+    assert jet_disagreements(29, order_0).count("dual") == 4
