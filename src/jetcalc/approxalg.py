@@ -451,7 +451,8 @@ def _end_sharp(M, tuples):
         for G in grams.values():
             row = {}
             for s, y in G.items():
-                _axpy(row, y, ZT.rows[s])
+                if ZT.rows[s]:
+                    _axpy(row, y, ZT.rows[s])
             if row:
                 rows.append(row)
     sharp = SpanBasis(d * d, [apply(ZT, x) for x in SpanBasis(end_zero.dim, rows).nullspace()])

@@ -44,7 +44,8 @@ def _put(rows, m, c=ONE, roff=0, coff=0):
     """Add c m (a Mat, c a nonzero Scalar) to the row dicts rows, with m's
     corner at (roff, coff)."""
     for out, row in zip(rows[roff:], m.rows):
-        _axpy(out, c, row, coff)
+        if row:
+            _axpy(out, c, row, coff)
 
 
 def _keys_add(k1, k2):
@@ -202,9 +203,13 @@ def _as_exppoly(f):
 def jet_family(T, E):
     """The jet of every entry of T, with the module index slow: the output
     acts on E tensor V with the E coordinate owning the outer (block)
-    index, so each term's coefficient is a Kronecker product."""
+    index, so each term's coefficient is a Kronecker product.  Over the
+    evaluation module (order 0, dimension 1) only beta = 0 enters and
+    m_E(e^xi) = m_E(1) = [[1]], so the jet is T itself."""
     if T.nvars != E.nvars:
         raise ValueError("arity mismatch")
+    if E.k == 0 and E.dim == 1:
+        return T
     R, C = T.rows, T.cols
     betas = monomials_upto(T.nvars, E.k)
     bases, mats = {}, {}  # m_E(e^xi) by xi, m_E(e^xi) m_E(X^beta) by (xi, beta)

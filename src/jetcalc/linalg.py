@@ -201,7 +201,8 @@ def mat_sum(terms, nrows, ncols):
     for m, c in terms:
         c = Scalar(c) if isinstance(c, int) else c
         for out, row in zip(rows, m.rows):
-            _axpy(out, c, row)
+            if row:
+                _axpy(out, c, row)
     return Mat(rows, ncols)
 
 
@@ -336,7 +337,9 @@ class SpanBasis:
             c = out.pop(p)
             if record is not None:
                 record[p] = c
-            _axpy(out, -c, self._row[p], skip=p)
+            row = self._row[p]
+            if len(row) > 1:  # a unit row {p: 1} has nothing past its pivot
+                _axpy(out, -c, row, skip=p)
         return out
 
     def _insert(self, v):

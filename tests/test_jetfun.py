@@ -37,6 +37,26 @@ def test_jet_over_the_scalar_module_is_the_function_itself():
     assert J.rows == 1 and J.entries[0][0] == ExpPoly.from_poly(f)
 
 
+def test_jet_family_over_the_evaluation_module_is_the_family_itself():
+    """Over C[x]/m (order 0, dimension 1) jet_family returns T itself,
+    after its arity check, and T is what the Taylor loop gives over a
+    dimension-1 module of order 1 with zero action, exponential terms and
+    a formal unit included."""
+    rng = random.Random(5)
+    for nvars in (1, 2):
+        unit = ExpPoly.exp((Scalar(1),) * nvars, unit=Scalar(2))
+        T = jf.MatPolyFamily(nvars, [[rand_exp_poly(rng, nvars, 3) for _ in range(2)]
+                                     for _ in range(2)] + [[unit, ExpPoly.zero(nvars)]])
+        assert any(any(freq) for freq, _, _ in T.terms)
+        assert any(u for _, u, _ in T.terms)
+        evaluation = lm.cyclic_quotient(lm.maximal_ideal(nvars)).module
+        assert (evaluation.k, evaluation.dim) == (0, 1)
+        assert jf.jet_family(T, evaluation) is T
+        assert jf.jet_family(T, lm.FinMod(nvars, 1, [linalg.Mat([{}], 1)] * nvars)) == T
+        with pytest.raises(ValueError, match="arity"):
+            jf.jet_family(T, lm.cyclic_quotient(lm.maximal_ideal(nvars + 1)).module)
+
+
 def test_jet_over_dual_numbers_stacks_value_and_derivative():
     E1 = lm.dual_number_module(Vector((1,)))
     J = jf.jet(parse_poly("(1)*x1^2", 1), E1)

@@ -3,9 +3,11 @@ assembly, and the square reshape and parse budget behind the JSON loaders;
 and the benchmark's tracer, which wraps them by name."""
 
 import ast
+import collections
 import importlib.util
 import json
 import re
+import sys
 import time
 from pathlib import Path
 
@@ -22,6 +24,7 @@ from jetcalc.localmod import (FinMod, cyclic_quotient, power_ideal,
                               dual_number_module, direct_sum)
 from jetcalc.poly import Vector, ExpPoly, MAX_PARSE_WORK
 from jetcalc.scalars import Scalar, ZERO, ONE, sc
+from test_mutants import _everywhere
 
 
 def unit(n, j):
@@ -321,6 +324,32 @@ def test_bench_workloads_build_and_pass_one_round():
             assert json.dumps(inst.describe(), sort_keys=True)
             for check_id, check in inst.checks:
                 assert check() is True, (name, check_id)
+
+
+def test_no_axpy_call_of_a_workload_round_leaves_its_output_unchanged(monkeypatch):
+    """Over the checks of one round of each benchmark workload at seed 0,
+    no _axpy call receives an empty row, or a unit row {p: 1} whose only
+    key is `skip`, outside SpanBasis._insert.  Its back-substitution still
+    makes such calls: skipping them shifts which call mutant A of
+    test_mutants.py corrupts, and pw at seed 0 then passes under A."""
+    workloads = load_bench("workloads").WORKLOADS
+    axpy, calls = linalg._axpy, collections.Counter()
+
+    def counting(out, c, row, off=0, skip=None):
+        kind = "empty" if not row else "unit" if row.keys() == {skip} else "useful"
+        calls[kind, sys._getframe(1).f_code.co_name] += 1
+        return axpy(out, c, row, off, skip)
+
+    rounds = {name: workloads[name].rounds(0, 1)[0] for name in ("dcomm", "pw")}
+    _everywhere(monkeypatch, "_axpy", counting)
+    for name, instances in rounds.items():
+        calls.clear()
+        for inst in instances:
+            for _, check in inst.checks:
+                assert check() is True
+        assert sum(n for (kind, _), n in calls.items() if kind == "useful") > 1000
+        assert {(kind, caller) for kind, caller in calls if kind != "useful"} <= {
+            ("unit", "_insert")}, name
 
 
 def test_no_module_level_import_is_unused():
