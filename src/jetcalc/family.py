@@ -76,16 +76,18 @@ class RepFamily:
         nvars = generators[0].nvars
         dim = generators[0].rows
         inverses = []
-        for g in generators:
+        for i, g in enumerate(generators, 1):
             if g.nvars != nvars or g.rows != dim or g.cols != dim:
                 raise ValueError("generators must be square of equal size")
             d, adj = family_det_adj(g)
             if not d.is_polynomial():
                 raise ValueError("generator determinant must be polynomial")
             dp = d.pure()
-            if dp.degree() != 0 or not dp:
-                raise ValueError("generator of %r is not unimodular "
-                                 "(determinant %s)" % (label, dp))
+            if dp.degree() != 0:  # dp's degree and size, never its text
+                size = ("has degree %d and %d terms" % (dp.degree(), len(dp.terms))
+                        if dp else "is 0")
+                raise ValueError("generator %d of rep %r is not unimodular: its "
+                                 "determinant %s" % (i, label, size))
             inverses.append(adj * dp.terms[(0,) * nvars].inverse())
         self.label = label
         self.nvars = nvars
@@ -406,14 +408,13 @@ def relation_check(cand, terms, reps):
 class TripleResult:
     """Three membership verdicts that the theory says must coincide."""
 
-    __slots__ = ("double_annihilator", "span_membership", "sharp", "dims", "details")
+    __slots__ = ("double_annihilator", "span_membership", "sharp", "dims")
 
-    def __init__(self, double_annihilator, span_membership, sharp, dims, details=None):
+    def __init__(self, double_annihilator, span_membership, sharp, dims):
         self.double_annihilator = double_annihilator
         self.span_membership = span_membership
         self.sharp = sharp
         self.dims = dims
-        self.details = details
 
     @property
     def unanimous(self):
@@ -447,12 +448,10 @@ def membership_triple(cand, reps, points, E):
 
     verdict_ii = span.contains(flat)
 
-    res = end_sharp_membership(ApproxModule.from_span(span, total), phi)
-    verdict_iii = res.member
+    verdict_iii = end_sharp_membership(ApproxModule.from_span(span, total), phi).member
 
     dims = {"total": total, "dim_span": len(span.rows)}
-    return TripleResult(verdict_i, verdict_ii, verdict_iii, dims,
-                        details={"sharp": res})
+    return TripleResult(verdict_i, verdict_ii, verdict_iii, dims)
 
 
 def delta_block(fams, etas, point):

@@ -100,14 +100,12 @@ def rand_cofinite_ideal(rng, nvars, kmax):
     return CofiniteIdeal(nvars, k, gens)
 
 
-def rand_unimodular(rng, n, steps=None):
-    """Integer Mat with determinant +-1, built from elementary moves."""
+def rand_unimodular(rng, n):
+    """Integer Mat with determinant +-1, built from 1 to 2n elementary moves."""
     m = [[ONE if r == c else ZERO for c in range(n)] for r in range(n)]
     if n == 1:
         return Mat.of(m)
-    if steps is None:
-        steps = rng.randint(1, 2 * n)
-    for _ in range(steps):
+    for _ in range(rng.randint(1, 2 * n)):
         i = rng.randrange(n)
         j = rng.randrange(n)
         if i == j:

@@ -53,8 +53,26 @@ def test_generator_inverses_are_exact():
 
 
 def test_non_unimodular_generators_are_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="generator 1 of rep 'bad' .* degree 1 and 1 terms"):
         RepFamily("bad", [fam(1, [["x1", "0"], ["0", "1"]])])
+    with pytest.raises(ValueError, match="generator 2 of rep 'z' .* determinant is 0"):
+        RepFamily("z", [UP, fam(1, [["x1", "1"], ["x1", "1"]])])
+
+
+def test_the_non_unimodular_refusal_gives_the_determinant_s_size_not_its_text():
+    """A 2x2 generator whose determinant prints to more than 500
+    characters is refused in a message that names the generator's index
+    and the rep's label and gives the determinant's degree and term count."""
+    g = fam(2, [["(1/3)*x1^5 + (2/7)*x1^3*x2^2 + (5/11)*x2^4 + (3/13)*x1*x2 + (1/17)",
+                 "(7/3)*x2^5 + (4/9)*x1^2*x2 + (2/5)*x1 + (1/19)*x2^3"],
+                ["(5/7)*x1^4*x2 + (3/4)*x2^2 + (6/23)*x1^3 + (1/29)",
+                 "(9/5)*x1^2*x2^3 + (1/6)*x1 + (8/31)*x2^4 + (2/37)"]])
+    det = family_det_adj(g)[0].pure()
+    assert len(str(det)) > 500
+    with pytest.raises(ValueError) as info:
+        RepFamily("wide", [fam(2, [["1", "x1*x2"], ["0", "1"]]), g])
+    assert str(info.value) == ("generator 2 of rep 'wide' is not unimodular: its determinant "
+                               "has degree %d and %d terms" % (det.degree(), len(det.terms)))
 
 
 def test_constant_generators_invert_to_constants():
