@@ -47,11 +47,14 @@ def skip_the_last_pivot_row(monkeypatch):
 
 
 def drop_a_last_entry(monkeypatch):
-    """A: every 997th _axpy drops the last entry of its row."""
+    """A: every 997th _axpy call that can change its output, one whose row
+    has a key other than `skip`, drops the last entry of its row.  Calls
+    that change nothing are not counted, so adding or removing them moves
+    no corruption."""
     axpy, calls = linalg._axpy, itertools.count(1)
 
     def dropping(out, c, row, off=0, skip=None):
-        if next(calls) % 997 == 0:
+        if any(j != skip for j in row) and next(calls) % 997 == 0:
             row = dict(list(row.items())[:-1])
         return axpy(out, c, row, off, skip)
 
@@ -83,17 +86,17 @@ MUTANTS = {"R": skip_the_last_pivot_row, "A": drop_a_last_entry,
 # records, 3 for a defect met while generating instances, 0 for a run that
 # passes.  A route fault reads 0 on the suites that never take its route.
 # The zeros of A and T hide no wrong verdict, counted at seed 0: kernel makes
-# 550 _axpy calls, so A's 997th never comes; T's one transpose that changes
-# a result, in jet and in kernel alike, falls in the closure of a
-# CofiniteIdeal that gen draws (a dual-number ideal in jet, power_ideal(2, 2)
-# in kernel).  That ideal comes out larger but still an ideal, closed under
-# the shifts, holding its generators and with its k certified, so every
-# check runs on a valid instance and its verdicts hold.  kernel_alpha_bar
-# calls no apply.  tests/test_oracle.py holds the oracles that T fails.
+# 373 _axpy calls that can change their output, so A's 997th never comes;
+# T's one transpose that changes a result, in jet and in kernel alike, falls
+# in the closure of a CofiniteIdeal that gen draws (a dual-number ideal in
+# jet, power_ideal(2, 2) in kernel).  That ideal comes out larger but still
+# an ideal, closed under the shifts, holding its generators and with its k
+# certified, so every check runs on a valid instance and its verdicts hold.
+# kernel_alpha_bar calls no apply.  tests/test_oracle.py holds the oracles that T fails.
 CATCH_TABLE = {
     #                 jet kernel dcomm pw
     "R":              (3, 3, 3, 1),
-    "A":              (1, 0, 1, 3),
+    "A":              (1, 0, 1, 1),
     "T":              (0, 0, 1, 1),
     "term_value":     (0, 0, 0, 1),
     "solver":         (0, 0, 1, 1),
