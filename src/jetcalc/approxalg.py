@@ -43,7 +43,8 @@ from .scalars import ZERO, ONE
 from .poly import scalar_parser
 from . import linalg
 from .linalg import (Mat, SpanBasis, CrossCheckError, mmul, mid, mat_sum, close_span,
-                     kron, square, sparse, dense, dot, apply, json_field, json_load, _axpy)
+                     kron, square, sparse, dense, dot, apply, json_field, json_load,
+                     _axpy, _mul_into)
 
 # the largest module a JSON file may hold, checked before any entry is
 # parsed: what gen.rand_approx_module draws at --dimmax 12 (four 3x3
@@ -448,13 +449,9 @@ def _end_sharp(M, tuples):
             b, i = divmod(s, d)
             for r, wb in by_block.get(b, {}).items():
                 _axpy(grams.setdefault(r, {}), x, wb, i * d)
-        for G in grams.values():
-            row = {}
-            for s, y in G.items():
-                if ZT.rows[s]:
-                    _axpy(row, y, ZT.rows[s])
-            if row:
-                rows.append(row)
+        prods = [{} for _ in grams]
+        _mul_into(prods, grams.values(), ZT.rows)
+        rows.extend(filter(None, prods))
     sharp = SpanBasis(d * d, [apply(ZT, x) for x in SpanBasis(end_zero.dim, rows).nullspace()])
     return sharp, end_zero
 
@@ -537,12 +534,10 @@ def corner_identity_check(M, j1, j2):
     A = M.algebra
     d = M.dim
     flats = [m.flat() for m in M.mats]
-    left = SpanBasis(d * d)
-    for t in range(A.dim):
-        row = {}  # the flattened action of alpha_{j1} e_t alpha_{j2}
-        for s, c in A.mul(A.mul(A.chain[j1], {t: ONE}), A.chain[j2]).items():
-            _axpy(row, c, flats[s])
-        left._insert(row)
+    elems = [A.mul(A.mul(A.chain[j1], {t: ONE}), A.chain[j2]) for t in range(A.dim)]
+    acts = [{} for _ in elems]  # the flattened action of each alpha_{j1} e_t alpha_{j2}
+    _mul_into(acts, elems, flats)
+    left = SpanBasis(d * d, acts)
     right = SpanBasis(d * d, linalg.subspace_intersection(
         M.image_span().rows, _corner_gens(M, j1, j2), d * d))
     ok = left.same_span(right)

@@ -17,8 +17,8 @@ import json
 
 from .scalars import ZERO, ONE, EXP_ZERO
 from .poly import Vector, diff, entry_parser, _inv_int
-from .linalg import (Mat, SpanBasis, CrossCheckError, mmul, mid, block_diag, kron,
-                     dot, close_span, square, json_field, json_load, _axpy)
+from .linalg import (Mat, SpanBasis, CrossCheckError, mmul, mid, block_diag, dot,
+                     close_span, square, json_field, json_load, _kron_into)
 from .localmod import MAX_NVARS
 from .jetfun import (MatPolyFamily, jet_family, iterated_block_derivative,
                      functional_to_diffop, diffop_to_module, frobenius, _keys_add)
@@ -317,9 +317,7 @@ def relation_to_functional(terms, reps):
     for t, eta in zip(terms, funcs):
         off = next(off for rep, p, off, _ in layout.blocks
                    if rep.label == t.label and p.coords == t.point.coords)
-        # eta (x) psi holds eta[rE][cE] psi[rV][cV] at (rE d + rV, cE d + cV)
-        for r, row in enumerate(kron(eta, t.psi).rows):
-            _axpy(psi[off + r], ONE, row, off)
+        _kron_into(psi, eta, t.psi, 1, off, off)
     return FunctionalData(Mat(psi, layout.total), layout)
 
 

@@ -27,7 +27,7 @@ from .poly import (Polynomial, ExpPoly, Covector, Vector, DiffOp,
                    translate, coproduct, monomials_upto,
                    beta_factorial, zero_exps, exp_series, _pair, _point_coords)
 from . import linalg
-from .linalg import Mat, SpanBasis, CrossCheckError, mmul, _axpy
+from .linalg import Mat, SpanBasis, CrossCheckError, mmul, _put, _mul_into, _kron_into
 from .localmod import (PolySpace, cyclic_quotient, dual_number_module,
                        power_ideal, direct_sum)
 
@@ -38,14 +38,6 @@ def _rows(acc, key, nrows):
     if rows is None:
         rows = acc[key] = [{} for _ in range(nrows)]
     return rows
-
-
-def _put(rows, m, c=ONE, roff=0, coff=0):
-    """Add c m (a Mat, c a nonzero Scalar) to the row dicts rows, with m's
-    corner at (roff, coff)."""
-    for out, row in zip(rows[roff:], m.rows):
-        if row:
-            _axpy(out, c, row, coff)
 
 
 def _keys_add(k1, k2):
@@ -149,9 +141,7 @@ class MatPolyFamily:
                              % (self.cols, other.rows))
         for k1, a in self.terms.items():
             for k2, b in other.terms.items():
-                for out, arow in zip(_rows(acc, _keys_add(k1, k2), self.rows), a.rows):
-                    for t, c in arow.items():
-                        _axpy(out, c, b.rows[t])
+                _mul_into(_rows(acc, _keys_add(k1, k2), self.rows), a.rows, b.rows)
         return self._new(self.rows, other.cols, acc)
 
     def _groups(self, point):
@@ -183,10 +173,7 @@ class MatPolyFamily:
         return groups.get(ZERO, Mat([{} for _ in range(self.rows)], self.cols))
 
     def __str__(self):
-        lines = []
-        for row in self.entries:
-            lines.append("[" + "; ".join(str(e) for e in row) + "]")
-        return "[" + ", ".join(lines) + "]"
+        return "[%s]" % ", ".join("[%s]" % "; ".join(map(str, row)) for row in self.entries)
 
     def __repr__(self):
         return "MatPolyFamily(nvars=%d, %dx%d)" % (self.nvars, self.rows, self.cols)
@@ -223,13 +210,8 @@ def jet_family(T, E):
                 if m is None:  # m_E(e^0) is the identity
                     m = mats[freq, beta] = (mmul(bases[freq], E.mon_mat(beta))
                                             if freq in bases else E.mon_mat(beta))
-                coef = prod(map(comb, exps, beta))
-                cb = c if coef == 1 else Mat([{j: y * coef for j, y in row.items()}
-                                              for row in c.rows], C)
                 rows = _rows(acc, (freq, unit, tuple(map(sub, exps, beta))), E.dim * R)
-                for rE, mrow in enumerate(m.rows):
-                    for cE, x in mrow.items():
-                        _put(rows, cb, x, rE * R, cE * C)
+                _kron_into(rows, m, c, prod(map(comb, exps, beta)))
     return T._new(E.dim * R, E.dim * C, acc)
 
 

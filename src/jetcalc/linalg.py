@@ -8,15 +8,14 @@ and `dot` pairs two dicts over their shared keys.
 
 A matrix is one immutable type, `Mat`: its shape and one zero-free
 {column: Scalar} dict per row, with its columns built once, on first read.
-`mmul` is Gustavson's row-wise sparse product, `mat_sum` forms linear
-combinations, `block_diag` and `kron` build block-diagonal matrices and
-Kronecker products, and `apply`, the one matrix-vector action, maps each
-matrix-wide block of a stacked vector by its columns.  `Mat.flat` and
-`Mat.from_flat` convert to and from the sparse vector of row-major entries.
-At the edges `Mat.of` reads a nested sequence, `sparse` a vector and `dense`
-writes one; a Mat equals only a Mat.  A `MatPolyFamily` keeps one Mat per
-term.  `square`, `json_load` and `json_field` read JSON matrices, texts and
-fields.
+`mmul`, `mat_sum` and `kron` form products, linear combinations and
+Kronecker products on fresh rows, `block_diag` builds block-diagonal
+matrices, and `apply`, the one matrix-vector action, maps each matrix-wide
+block of a stacked vector by its columns.  `Mat.flat` and `Mat.from_flat`
+convert to and from the sparse vector of row-major entries.  At the edges
+`Mat.of` reads a nested sequence, `sparse` a vector and `dense` writes one;
+a Mat equals only a Mat.  A `MatPolyFamily` keeps one Mat per term.
+`square`, `json_load` and `json_field` read JSON matrices, texts and fields.
 
 `SpanBasis` is the one elimination: row-at-a-time Gauss-Jordan to the
 reduced row echelon form (RREF), which is unique over exact arithmetic, so
@@ -27,11 +26,14 @@ modules, word algebras, invariance grids, ideal images), mapping each new
 echelon row, which is sparser than the vector inserted (a Meat-Axe spin),
 and `SpanBasis.escape` is the one invariance test.
 
-Every update y += c x here (eliminations, closures, `apply`, `mmul`,
-`mat_sum`) and in jetfun's family products is one fused `_axpy`: it works
-on the Scalars' integer parts and builds each updated entry with one
-`scalars._mk`, the normalizing constructor, instead of two Scalar
-operations.
+Every update y += c x is one fused `_axpy`: it works on the Scalars'
+integer parts and builds each updated entry with one `scalars._mk`, the
+normalizing constructor, instead of two Scalar operations.  Matrix updates,
+here and in jetfun, family and approxalg, go through three row kernels:
+`_put` adds c M and `_kron_into` c (A kron B) at an offset, and `_mul_into`
+adds A B, row by row (Gustavson).  No `_axpy` call is a no-op: the kernels
+and `apply` skip empty rows, and the elimination unit rows {p: 1}.  Only
+approxalg calls `_axpy` besides, for algebra products and End^# Gram sums.
 """
 
 import json
@@ -179,19 +181,41 @@ def mid(n):
     return Mat([{i: ONE} for i in range(n)], n)
 
 
+def _put(rows, m, c=ONE, roff=0, coff=0):
+    """Add c m (a Mat, c a nonzero Scalar) to the row dicts rows, with m's
+    corner at (roff, coff)."""
+    for out, row in zip(rows[roff:], m.rows):
+        if row:
+            _axpy(out, c, row, coff)
+
+
+def _mul_into(rows, arows, brows):
+    """Add A B to the row dicts rows, A and B given by their row dicts
+    (Gustavson): row i gains c times row k of B for each c = A[i][k]."""
+    for out, arow in zip(rows, arows):
+        for k, c in arow.items():
+            row = brows[k]
+            if row:
+                _axpy(out, c, row)
+
+
+def _kron_into(rows, a, b, coef=1, roff=0, coff=0):
+    """Add coef (a kron b) (Mats, a owning the slow index, coef a nonzero
+    int) to the row dicts rows, with its corner at (roff, coff)."""
+    R, C = b.nrows, b.ncols
+    for r, arow in enumerate(a.rows):
+        for c, x in arow.items():
+            _put(rows, b, x * coef if coef != 1 else x, roff + r * R, coff + c * C)
+
+
 def mmul(a, b):
-    """The product a b, row dict by row dict (Gustavson): row i sums c
-    times row k of b over the nonzeros c = a[i][k]."""
+    """The product a b, by _mul_into on fresh rows."""
     a, b = Mat.of(a), Mat.of(b)
     if a.ncols != b.nrows:
         raise ValueError("inner dimensions %d and %d do not match" % (a.ncols, b.nrows))
-    out = []
-    for arow in a.rows:
-        acc = {}
-        for k, c in arow.items():
-            _axpy(acc, c, b.rows[k])
-        out.append(acc)
-    return Mat(out, b.ncols)
+    rows = [{} for _ in range(a.nrows)]
+    _mul_into(rows, a.rows, b.rows)
+    return Mat(rows, b.ncols)
 
 
 def mat_sum(terms, nrows, ncols):
@@ -199,10 +223,7 @@ def mat_sum(terms, nrows, ncols):
     Scalar or int."""
     rows = [{} for _ in range(nrows)]
     for m, c in terms:
-        c = Scalar(c) if isinstance(c, int) else c
-        for out, row in zip(rows, m.rows):
-            if row:
-                _axpy(out, c, row)
+        _put(rows, m, Scalar(c) if isinstance(c, int) else c)
     return Mat(rows, ncols)
 
 
@@ -217,10 +238,11 @@ def block_diag(mats):
 
 
 def kron(a, b):
-    """The Kronecker product of Mats, a owning the slow index."""
-    n = b.ncols
-    return Mat([{j1 * n + j2: x * y for j1, x in ra.items() for j2, y in rb.items()}
-                for ra in a.rows for rb in b.rows], a.ncols * n)
+    """The Kronecker product of Mats, a owning the slow index: _kron_into on
+    fresh rows."""
+    rows = [{} for _ in range(a.nrows * b.nrows)]
+    _kron_into(rows, a, b)
+    return Mat(rows, a.ncols * b.ncols)
 
 
 def square(flat, d, parse, what):
@@ -362,7 +384,8 @@ class SpanBasis:
             c = row.get(pivot)
             if c is not None:
                 row = {j: x for j, x in row.items() if j != pivot}
-                _axpy(row, -c, v, skip=pivot)
+                if len(v) > 1:  # a unit row {pivot: 1} has nothing past its pivot
+                    _axpy(row, -c, v, skip=pivot)
                 self.rows[i] = self._row[self.pivots[i]] = row
         self.rows.insert(at, v)
         self.pivots.insert(at, pivot)

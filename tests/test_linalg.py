@@ -482,13 +482,19 @@ def test_a_mat_equals_only_a_mat_of_its_shape():
 @given(st.data(), sizes, sizes, sizes)
 def test_mat_products_match_the_oracle(data, r, k, c):
     """mmul and mat_vec equal sympy's products, zero rows, zero columns and
-    empty shapes included, and mmul keeps its rows zero-free."""
+    empty shapes included, and mmul keeps its rows zero-free; _mul_into
+    adds the product to nonempty rows C as sympy's C + A B."""
     a = data.draw(gaussian_matrices(r, k))
     b = data.draw(gaussian_matrices(k, c))
     prod = linalg.mmul(Mat.of(a, k), Mat.of(b, c))
     assert_zero_free(prod)
     assert (prod.nrows, prod.ncols) == (r, c)
     assert prod == as_scalars(to_sympy(a, k) * to_sympy(b, c))
+    base = data.draw(gaussian_matrices(r, c))
+    rows = [dict(row) for row in Mat.of(base, c).rows]
+    linalg._mul_into(rows, Mat.of(a, k).rows, Mat.of(b, c).rows)
+    assert_zero_free(Mat(rows, c))
+    assert Mat(rows, c) == as_scalars(to_sympy(base, c) + to_sympy(a, k) * to_sympy(b, c))
     v = data.draw(gaussian_matrices(k, 1))
     want = tuple(from_qqi(z) for z in (to_sympy(a, k) * to_sympy(v, 1)).to_list_flat())
     assert linalg.mat_vec(Mat.of(a, k), [x for x, in v]) == want
@@ -524,15 +530,29 @@ def test_block_diag_and_inverse_match_the_oracle(data, ns):
 @given(st.data(), sizes, sizes, sizes, sizes, st.integers(0, 8))
 def test_kron_and_dot_match_their_definitions(data, r1, c1, r2, c2, n):
     """kron(a, b) holds a[i1][j1] b[i2][j2] at (i1 r2 + i2, j1 c2 + j2), a
-    owning the slow index, for every shape down to 0 x 0; dot pairs two
-    sparse vectors as the sum of their dense entrywise products."""
+    owning the slow index, for every shape down to 0 x 0, and _kron_into
+    adds coef times it to nonempty rows with its corner at (roff, coff);
+    dot pairs two sparse vectors as the sum of their dense entrywise
+    products."""
     a = data.draw(gaussian_matrices(r1, c1))
     b = data.draw(gaussian_matrices(r2, c2))
     got = linalg.kron(Mat.of(a, c1), Mat.of(b, c2))
     assert_zero_free(got)
     assert (got.nrows, got.ncols) == (r1 * r2, c1 * c2)
-    assert got == Mat.of([[a[i1][j1] * b[i2][j2] for j1 in range(c1) for j2 in range(c2)]
-                          for i1 in range(r1) for i2 in range(r2)], c1 * c2)
+    want = [[a[i1][j1] * b[i2][j2] for j1 in range(c1) for j2 in range(c2)]
+            for i1 in range(r1) for i2 in range(r2)]
+    assert got == Mat.of(want, c1 * c2)
+    coef = data.draw(st.integers(-3, 3).filter(bool))
+    roff, coff = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+    nr, nc = roff + r1 * r2 + 1, coff + c1 * c2 + 1
+    base = data.draw(gaussian_matrices(nr, nc))
+    rows = [dict(row) for row in Mat.of(base, nc).rows]
+    linalg._kron_into(rows, Mat.of(a, c1), Mat.of(b, c2), coef, roff, coff)
+    assert_zero_free(Mat(rows, nc))
+    padded = [[ZERO] * nc for _ in range(nr)]
+    for i, row in enumerate(want):
+        padded[roff + i][coff:coff + len(row)] = row
+    assert Mat(rows, nc) == as_scalars(to_sympy(base, nc) + to_sympy(padded, nc) * coef)
     u, v = data.draw(gaussian_matrices(2, n))
     assert linalg.dot(linalg.sparse(u), linalg.sparse(v)) == \
         sum((x * y for x, y in zip(u, v)), ZERO)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import jetcalc
-from jetcalc import approxalg, family, linalg, poly
+from jetcalc import approxalg, cli, family, linalg, poly
 from jetcalc import gen  # noqa: F401  (the tracer wraps every function of gen)
 from jetcalc.approxalg import ApproxModule, block_module
 from jetcalc.family import PWCandidate, family_from_json
@@ -24,6 +24,7 @@ from jetcalc.localmod import (FinMod, cyclic_quotient, power_ideal,
                               dual_number_module, direct_sum)
 from jetcalc.poly import Vector, ExpPoly, MAX_PARSE_WORK
 from jetcalc.scalars import Scalar, ZERO, ONE, sc
+from test_cli import TIERS
 from test_mutants import _everywhere
 
 
@@ -326,12 +327,11 @@ def test_bench_workloads_build_and_pass_one_round():
                 assert check() is True, (name, check_id)
 
 
-def test_no_axpy_call_of_a_workload_round_leaves_its_output_unchanged(monkeypatch):
+def test_no_axpy_call_of_a_workload_round_leaves_its_output_unchanged(monkeypatch, capsys):
     """Over the checks of one round of each benchmark workload at seed 0,
-    no _axpy call receives an empty row, or a unit row {p: 1} whose only
-    key is `skip`, outside SpanBasis._insert.  Its back-substitution still
-    makes such calls: skipping them shifts which call mutant A of
-    test_mutants.py corrupts, and pw at seed 0 then passes under A."""
+    and over `jetcalc verify --seed 0` at the third tier, no _axpy call
+    receives an empty row, or a unit row {p: 1} whose only key is `skip`:
+    the kernels and the elimination of linalg skip such rows."""
     workloads = load_bench("workloads").WORKLOADS
     axpy, calls = linalg._axpy, collections.Counter()
 
@@ -340,16 +340,21 @@ def test_no_axpy_call_of_a_workload_round_leaves_its_output_unchanged(monkeypatc
         calls[kind, sys._getframe(1).f_code.co_name] += 1
         return axpy(out, c, row, off, skip)
 
-    rounds = {name: workloads[name].rounds(0, 1)[0] for name in ("dcomm", "pw")}
+    def third_tier():
+        rc = cli.main(["verify", "--seed", "0"] + TIERS["third"])
+        capsys.readouterr()
+        return rc == 0
+
+    runs = {name: [check for inst in workloads[name].rounds(0, 1)[0]
+                   for _, check in inst.checks] for name in ("dcomm", "pw")}
+    runs["verify"] = [third_tier]
     _everywhere(monkeypatch, "_axpy", counting)
-    for name, instances in rounds.items():
+    for name, checks in runs.items():
         calls.clear()
-        for inst in instances:
-            for _, check in inst.checks:
-                assert check() is True
+        for check in checks:
+            assert check() is True
         assert sum(n for (kind, _), n in calls.items() if kind == "useful") > 1000
-        assert {(kind, caller) for kind, caller in calls if kind != "useful"} <= {
-            ("unit", "_insert")}, name
+        assert {(kind, caller) for kind, caller in calls if kind != "useful"} == set(), name
 
 
 def test_no_module_level_import_is_unused():
@@ -384,6 +389,16 @@ def names_read(tree):
             elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
                   and all(part.isidentifier() for part in node.value.split("."))):
                 yield from ((part, owner) for part in node.value.split("."))
+
+
+def test_only_linalg_and_approxalg_name_the_fused_update():
+    """Matrix updates go through linalg's row kernels (_put, _mul_into and
+    _kron_into), which decide which rows reach _axpy: of the package's
+    modules only linalg, which defines it, and approxalg, which sums
+    algebra elements and End^# Gram rows with it, name _axpy."""
+    users = {path.stem for path in Path(jetcalc.__file__).parent.glob("*.py")
+             if any(name == "_axpy" for name, _ in names_read(ast.parse(path.read_text())))}
+    assert users == {"linalg", "approxalg"}
 
 
 def test_every_module_level_name_is_read():
