@@ -172,8 +172,7 @@ def rand_approx_module(rng, dimmax, junk_ok=False):
     if junk_ok and rng.random() < 0.5:
         e = rng.randint(1, 2)
         mats = [Mat(m.rows + ({},) * e, d + e) for m in M.mats]
-        return alg, ApproxModule(alg, d + e, mats, check=False,
-                                 require_unital=False)
+        return alg, ApproxModule(alg, d + e, mats, check=False)
     if d <= 6 and rng.random() < 0.5:
         T = rand_unimodular(rng, d)
         Ti = mat_inverse(T)
@@ -192,9 +191,9 @@ def rand_matrix(rng, rows, cols):
     return Mat.of([[rand_scalar(rng) for _ in range(cols)] for _ in range(rows)], cols)
 
 
-def rand_elementary_family(rng, nvars, dim, max_deg=2):
-    """Elementary unimodular family: identity plus one polynomial off the
-    diagonal, or a constant invertible diagonal."""
+def rand_elementary_family(rng, nvars, dim):
+    """Elementary unimodular family: identity plus one polynomial of degree
+    at most 2 off the diagonal, or a constant invertible diagonal."""
     ents = [[ExpPoly.const(nvars, ONE) if r == c else ExpPoly.zero(nvars)
              for c in range(dim)] for r in range(dim)]
     if dim == 1 or rng.random() < 0.2:
@@ -206,16 +205,16 @@ def rand_elementary_family(rng, nvars, dim, max_deg=2):
         j = rng.randrange(dim)
         while j == i:
             j = rng.randrange(dim)
-        p = rand_poly(rng, nvars, max_deg, nterms=(1, 2))
+        p = rand_poly(rng, nvars, 2, nterms=(1, 2))
         if not p:
             p = Polynomial.const(nvars, ONE)
         ents[i][j] = ExpPoly.from_poly(p)
     return MatPolyFamily(nvars, ents)
 
 
-def rand_repfamily(rng, label, nvars, dim, ngens=2):
+def rand_repfamily(rng, label, nvars, dim):
     gens = []
-    for _ in range(ngens):
+    for _ in range(2):
         g = rand_elementary_family(rng, nvars, dim)
         for _ in range(rng.randint(0, 2)):
             g = g * rand_elementary_family(rng, nvars, dim)
@@ -223,8 +222,8 @@ def rand_repfamily(rng, label, nvars, dim, ngens=2):
     return RepFamily(label, gens)
 
 
-def rand_word(rng, ngens, maxlen, minlen=0):
-    n = rng.randint(minlen, maxlen)
+def rand_word(rng, ngens, maxlen):
+    n = rng.randint(0, maxlen)
     return [rng.choice((1, -1)) * rng.randint(1, ngens) for _ in range(n)]
 
 

@@ -319,8 +319,8 @@ class ExpScalar(_TermDict):
         return cls({ZERO: Scalar(c) if isinstance(c, int) else c})
 
     @classmethod
-    def unit(cls, a, coeff=ONE):
-        return cls({a: coeff})
+    def unit(cls, a):
+        return cls({a: ONE})
 
     def _coerce(self, other):
         if isinstance(other, (int, Scalar)):

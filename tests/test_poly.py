@@ -84,7 +84,7 @@ def test_exp_poly_derivative_of_exponential_summand(f):
         for a, b in zip(freq, mu.coords):
             shift = shift + a * b
         val = (p.deriv(0) + p * freq[0]).evaluate(tuple(mu.coords))
-        rhs = rhs + ExpScalar.unit(shift, val)
+        rhs = rhs + ExpScalar({shift: val})
     assert lhs == rhs
 
 

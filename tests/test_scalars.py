@@ -113,15 +113,15 @@ def test_exp_scalar_units_multiply_by_adding_exponents():
 
 @given(scalars(), scalars(), scalars())
 def test_exp_scalar_bilinearity(a, b, u):
-    x = ExpScalar.unit(u, a)
-    y = ExpScalar.unit(u, b)
-    assert x + y == ExpScalar.unit(u, a + b)
-    assert x * b == ExpScalar.unit(u, a * b)
+    x = ExpScalar({u: a})
+    y = ExpScalar({u: b})
+    assert x + y == ExpScalar({u: a + b})
+    assert x * b == ExpScalar({u: a * b})
 
 
 def test_exp_scalar_mixed_with_plain():
-    x = ExpScalar.unit(sc(1), sc(2)) + sc(5)
-    assert x - sc(5) == ExpScalar.unit(sc(1), sc(2))
+    x = ExpScalar({sc(1): sc(2)}) + sc(5)
+    assert x - sc(5) == ExpScalar({sc(1): sc(2)})
     assert ZERO + ExpScalar.unit(sc(1)) == ExpScalar.unit(sc(1))
 
 
