@@ -249,11 +249,13 @@ class FinMod:
     def from_json(cls, text):
         """The module of a to_json text.  Before it parses an entry it
         refuses, with a ValueError naming the field, anything but an object
-        with integers nvars, k and dim from 0 to MAX_NVARS, MAX_ORDER and
-        MAX_DIM and an `action` list of nvars matrices."""
+        with integers nvars from 1 to MAX_NVARS (a FinMod reads its dim off
+        its first matrix), k and dim from 0 to MAX_ORDER and MAX_DIM, and an
+        `action` list of nvars matrices."""
         data = json_load(text)
-        for key, hi in (("nvars", MAX_NVARS), ("k", MAX_ORDER), ("dim", MAX_DIM)):
-            json_field(data, key, int, "module field %r is" % key, 0, hi)
+        for key, lo, hi in (("nvars", 1, MAX_NVARS), ("k", 0, MAX_ORDER),
+                            ("dim", 0, MAX_DIM)):
+            json_field(data, key, int, "module field %r is" % key, lo, hi)
         action = data.get("action")
         if not isinstance(action, list) or len(action) != data["nvars"]:
             raise ValueError("module field 'action' must be a list of %d matrices"

@@ -187,12 +187,13 @@ def test_module_json_round_trip():
     ('{"nvars": 1.5, "k": 4, "dim": 1, "action": [["0"]]}', "nvars"),
     ('{"nvars": true, "k": 4, "dim": 1, "action": [["0"]]}', "nvars"),
     ('{"nvars": -1, "k": 4, "dim": 1, "action": []}', "nvars"),
+    ('{"nvars": 0, "k": 1, "dim": 3, "action": []}', "nvars"),
     ('{"nvars": 1, "k": 10000, "dim": 1, "action": [["0"]]}', "k"),
     ('{"nvars": 1, "k": "2", "dim": 1, "action": [["0"]]}', "k"),
     ('{"nvars": 1, "k": 1, "dim": 13, "action": [["0"]]}', "dim"),
     ('{"nvars": 1, "k": 1, "dim": 1}', "action"),
     ('{"nvars": 2, "k": 1, "dim": 1, "action": [["0"]]}', "action"),
-    ('{"nvars": 0, "k": 1, "dim": 0, "action": {}}', "action"),
+    ('{"nvars": 1, "k": 1, "dim": 0, "action": {}}', "action"),
 ])
 def test_module_json_refuses_bad_fields_before_parsing(monkeypatch, text, field):
     def no_parse(s):
