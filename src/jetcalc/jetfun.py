@@ -173,7 +173,10 @@ class MatPolyFamily:
         return groups.get(ZERO, Mat([{} for _ in range(self.rows)], self.cols))
 
     def __str__(self):
-        return "[%s]" % ", ".join("[%s]" % "; ".join(map(str, row)) for row in self.entries)
+        lines = []
+        for row in self.entries:
+            lines.append("[" + "; ".join(str(e) for e in row) + "]")
+        return "[" + ", ".join(lines) + "]"
 
     def __repr__(self):
         return "MatPolyFamily(nvars=%d, %dx%d)" % (self.nvars, self.rows, self.cols)

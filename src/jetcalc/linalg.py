@@ -26,14 +26,13 @@ modules, word algebras, invariance grids, ideal images), mapping each new
 echelon row, which is sparser than the vector inserted (a Meat-Axe spin),
 and `SpanBasis.escape` is the one invariance test.
 
-Every update y += c x is one fused `_axpy`: it works on the Scalars'
-integer parts and builds each updated entry with one `scalars._mk`, the
-normalizing constructor, instead of two Scalar operations.  Matrix updates,
-here and in jetfun, family and approxalg, go through three row kernels:
-`_put` adds c M and `_kron_into` c (A kron B) at an offset, and `_mul_into`
-adds A B, row by row (Gustavson).  No `_axpy` call is a no-op: the kernels
-and `apply` skip empty rows, and the elimination unit rows {p: 1}.  Only
-approxalg calls `_axpy` besides, for algebra products and End^# Gram sums.
+Every update y += c x is one fused `_axpy` on the Scalars' integer parts,
+each updated entry built by one `scalars._mk`.  Every matrix update goes
+through three row kernels: `_put` adds c M and `_kron_into` c (A kron B) at
+an offset, and `_mul_into` adds A B (Gustavson).  No `_axpy` call is a
+no-op: the kernels and `apply` skip empty rows, and the elimination unit
+rows {p: 1}.  Only approxalg also calls `_axpy`, for algebra products and
+End^# Gram sums.
 """
 
 import json

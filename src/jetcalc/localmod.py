@@ -249,9 +249,8 @@ class FinMod:
     def from_json(cls, text):
         """The module of a to_json text.  Before it parses an entry it
         refuses, with a ValueError naming the field, anything but an object
-        with integers nvars from 1 to MAX_NVARS (a FinMod reads its dim off
-        its first matrix), k and dim from 0 to MAX_ORDER and MAX_DIM, and an
-        `action` list of nvars matrices."""
+        with integers nvars, k and dim from 1, 0 and 0 to MAX_NVARS,
+        MAX_ORDER and MAX_DIM and an `action` list of nvars matrices."""
         data = json_load(text)
         for key, lo, hi in (("nvars", 1, MAX_NVARS), ("k", 0, MAX_ORDER),
                             ("dim", 0, MAX_DIM)):
