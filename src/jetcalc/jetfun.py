@@ -170,7 +170,8 @@ class MatPolyFamily:
             for row in self.evaluate(point):
                 for x in row:
                     x.scalar()
-        return groups.get(ZERO, Mat([{} for _ in range(self.rows)], self.cols))
+        value = groups.get(ZERO)
+        return Mat([{} for _ in range(self.rows)], self.cols) if value is None else value
 
     def __str__(self):
         lines = []
@@ -274,8 +275,13 @@ def iterated_block_derivative(F, etas):
 
 
 def frobenius(H, A):
-    """Pairing of a dual matrix with a matrix: sum of entrywise products."""
-    return sum(map(linalg.dot, Mat.of(H).rows, Mat.of(A).rows), ZERO)
+    """Pairing of a dual matrix with a matrix: sum of entrywise products,
+    one linalg.dot of their flat entries when A is a Mat.  A may also be a
+    grid of ExpPolys, such as a jet's entries, paired in their arithmetic."""
+    H = Mat.of(H)
+    if isinstance(A, Mat):
+        return linalg.dot(H.flat(), A.flat())
+    return sum((x * A[r][c] for r, row in enumerate(H.rows) for c, x in row.items()), ZERO)
 
 
 def functional_to_diffop(E, H):

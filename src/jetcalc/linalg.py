@@ -26,8 +26,11 @@ modules, word algebras, invariance grids, ideal images), mapping each new
 echelon row, which is sparser than the vector inserted (a Meat-Axe spin),
 and `SpanBasis.escape` is the one invariance test.
 
-Every update y += c x is one fused `_axpy` on the Scalars' integer parts,
-each updated entry built by one `scalars._mk`.  Every matrix update goes
+Every update y += c x is one fused `_axpy` on the Scalars' integer parts.
+A unit factor (c or x = +-1) forms no product: a new entry is the other
+factor itself or its negation, so rows share Scalars, which never change.
+Every other updated entry, like each entry of a scaled pivot row and each
+`dot`, is normalized once, by `scalars._mk`.  Every matrix update goes
 through three row kernels: `_put` adds c M and `_kron_into` c (A kron B) at
 an offset, and `_mul_into` adds A B (Gustavson).  No `_axpy` call is a
 no-op: the kernels and `apply` skip empty rows, and the elimination unit
@@ -57,8 +60,28 @@ def sparse(v):
 
 def dot(u, v):
     """The sum of u[j] v[j] over the keys j that the zero-free sparse
-    vectors u and v share; u is the one scanned."""
-    return sum((x * v[j] for j, x in u.items() if j in v), ZERO)
+    vectors u and v share; u is the one scanned.  The products are summed
+    on the raw integers over a common denominator, a unit u[j] giving +-v[j]
+    with no product as in _axpy; a nonzero sum is normalized by one _mk."""
+    a, b, d = 0, 0, 1
+    for j, x in u.items():
+        y = v.get(j)
+        if y is not None:
+            xa, xb, ya, yb, yd = x.a, x.b, y.a, y.b, y.den
+            if xb or x.den != 1 or (xa != 1 and xa != -1):
+                ya, yb, yd = xa * ya - xb * yb, xa * yb + xb * ya, x.den * yd
+            elif xa == -1:
+                ya, yb = -ya, -yb
+            if yd == d:
+                a += ya
+                b += yb
+            elif d % yd == 0:
+                k = d // yd
+                a += ya * k
+                b += yb * k
+            else:
+                a, b, d = a * yd + ya * d, b * yd + yb * d, d * yd
+    return _mk(a, b, d) if a or b else ZERO
 
 
 def dense(v, n):
@@ -71,9 +94,8 @@ def dense(v, n):
 
 class Mat:
     """Immutable exact matrix: its shape and one zero-free {column: Scalar}
-    dict per row (jetfun.frobenius alone reads ExpPoly grids, only through
-    `dot`); its columns, zero-free {row: Scalar} dicts, are built on first
-    read and kept.  No dict is modified once a Mat holds it."""
+    dict per row; its columns, zero-free {row: Scalar} dicts, are built on
+    first read and kept.  No dict is modified once a Mat holds it."""
 
     __slots__ = ("rows", "nrows", "ncols", "_cols")
 
@@ -141,7 +163,7 @@ def apply(m, v):
     """The Mat m applied to every block of m.ncols entries of the zero-free
     sparse vector v, each image at its block's offset, through m's columns;
     with more than one block m must be square.  The result is zero-free."""
-    cols, d = m.cols, m.ncols
+    cols, d = m._cols or m.cols, m.ncols
     out = {}
     for s, y in v.items():
         off, c = divmod(s, d)
@@ -153,27 +175,41 @@ def apply(m, v):
 def _axpy(out, c, row, off=0, skip=None):
     """out[off + j] += c * row[j] in place for the keys j of row other than
     `skip`, keeping out zero-free; c and the entries of row are nonzero
-    Scalars.  Each entry is updated on the raw integers (a, b, den): c x,
-    plus y over a common denominator when y is present, deleted when both
-    parts cancel and otherwise normalized by one _mk."""
+    Scalars, which never change, so out may share them.  A unit factor
+    forms no product: where out has no entry, c x is stored as the other
+    factor or its negation, and with c = +-1 a present y gains +-x.  Every
+    other product is formed on the raw integers (a, b, den).  A sum with y
+    is taken over a common denominator, deleted when both parts cancel and
+    otherwise normalized by one _mk."""
     ca, cb, cd = c.a, c.b, c.den
+    unit = ca if not cb and cd == 1 and (ca == 1 or ca == -1) else 0
     for j, x in row.items():
         if j != skip:
             j += off
-            xa, xb = x.a, x.b
-            a, b, d = ca * xa - cb * xb, ca * xb + cb * xa, cd * x.den
             y = out.get(j)
-            if y is not None:
-                yd = y.den
-                if yd == d:
-                    a += y.a
-                    b += y.b
+            xa, xb, d = x.a, x.b, x.den
+            if y is None:
+                if unit:
+                    out[j] = x if unit == 1 else -x
+                elif d == 1 and not xb and (xa == 1 or xa == -1):
+                    out[j] = c if xa == 1 else -c
                 else:
-                    a, b, d = a * yd + y.a * d, b * yd + y.b * d, d * yd
-                if not (a or b):
-                    del out[j]
-                    continue
-            out[j] = _mk(a, b, d)
+                    out[j] = _mk(ca * xa - cb * xb, ca * xb + cb * xa, cd * d)
+                continue
+            if unit:
+                a, b = (xa, xb) if unit == 1 else (-xa, -xb)
+            else:
+                a, b, d = ca * xa - cb * xb, ca * xb + cb * xa, cd * d
+            yd = y.den
+            if yd == d:
+                a += y.a
+                b += y.b
+            else:
+                a, b, d = a * yd + y.a * d, b * yd + y.b * d, d * yd
+            if a or b:
+                out[j] = _mk(a, b, d)
+            else:
+                del out[j]
 
 
 def mid(n):
@@ -373,9 +409,16 @@ class SpanBasis:
         pivot = min(v)
         if pivot in self._row:  # a correct _reduce clears every pivot
             raise CrossCheckError("a reduced row keeps the pivot %d" % pivot)
-        if v[pivot] != ONE:
-            inv = v[pivot].inverse()
-            v = {j: x * inv for j, x in v.items()}
+        # scale the pivot p = (pa + pb i)/pd to 1: negate at -1, else take
+        # x / p = pd (pa - pb i) x / (pa^2 + pb^2) with one _mk per entry
+        p = v[pivot]
+        pa, pb, pd = p.a, p.b, p.den
+        if pb or pd != 1 or (pa != 1 and pa != -1):
+            n = pa * pa + pb * pb
+            v = {j: _mk(pd * (x.a * pa + x.b * pb), pd * (x.b * pa - x.a * pb), x.den * n)
+                 for j, x in v.items()}
+        elif pa == -1:
+            v = {j: -x for j, x in v.items()}
         # keep existing rows reduced against the new one: only a row whose
         # pivot precedes the new pivot can hold an entry there
         at = bisect_left(self.pivots, pivot)

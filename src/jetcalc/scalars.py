@@ -156,7 +156,10 @@ class Scalar:
         return "Scalar(%r)" % (str(self),)
 
     def __str__(self):
-        """Minimal human form: 0, 5, -1/2, i, -2/3*i, 1/2+3*i ..."""
+        """Each nonzero part over the common denominator, which is not
+        reduced per part: 0, 5, -1/2, i, -2/3*i, 1/3+i, and 1/2+6/2*i for
+        1/2+3i, 4/2-9/2*i for (4-9i)/2.  parse_scalar reads it back, and the
+        instance digests hash it."""
         re_s = _rat_str(self.a, self.den)
         if self.b == 0:
             return re_s

@@ -14,12 +14,12 @@ import pytest
 
 from jetcalc import linalg
 from jetcalc.linalg import Mat, SpanBasis, CrossCheckError
-from jetcalc.scalars import Scalar, ZERO
+from jetcalc.scalars import Scalar, ZERO, ONE
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
-from qqi import QQ_I, from_qqi, to_sympy  # noqa: E402
+from qqi import QQ_I, from_qqi, to_qqi, to_sympy  # noqa: E402
 
 SEEDS = range(12)
 
@@ -567,10 +567,11 @@ entries = st.one_of(gaussian, wide).filter(bool)
 
 
 @st.composite
-def axpy_cases(draw):
+def axpy_cases(draw, entries=entries):
     """(out, c, row, off, skip): each key of row lands in out absent, on
     the entry -c x that cancels it, or on another entry; out also holds
-    keys that row does not reach."""
+    keys that row does not reach.  c and every entry are drawn from
+    `entries`."""
     c = draw(entries)
     row = {j: draw(entries) for j in draw(st.sets(st.integers(0, 8), max_size=6))}
     off = draw(st.integers(0, 3))
@@ -619,6 +620,122 @@ def test_the_fused_update_is_y_plus_c_x(case):
     for x in got.values():
         assert type(x) is Scalar and x and x.den > 0
         assert gcd(gcd(x.a, x.b), x.den) == 1
+
+
+units = st.sampled_from([Scalar(1), Scalar(-1)])
+unit_heavy = st.one_of(units, units, entries)
+
+
+def qqi_axpy(out, c, row, off, skip):
+    """y + c x over sympy's QQ_I, which shares no arithmetic with Scalar."""
+    want = {j: to_qqi(y) for j, y in out.items()}
+    for j, x in row.items():
+        if j != skip:
+            want[j + off] = want.get(j + off, QQ_I.zero) + to_qqi(c) * to_qqi(x)
+    return {j: from_qqi(y) for j, y in want.items() if y}
+
+
+@settings(max_examples=300, deadline=None)
+@given(axpy_cases(unit_heavy))
+@example(({1: Scalar(1), 2: Scalar(Fraction(1, 2))}, Scalar(-1),
+          {1: Scalar(1), 2: Scalar(3), 4: Scalar(-1)}, 0, None))
+def test_the_unit_rule_is_y_plus_c_x(case):
+    """_axpy equals the QQ_I loop y + c*x when c or the row's entries are
+    often +-1: present, absent and cancelling targets, off and skip.  An
+    absent target holds the row's own entry x when c = 1, and c itself when
+    x = 1 and c is no unit: Scalars never change, so rows share them."""
+    out, c, row, off, skip = case
+    got = dict(out)
+    linalg._axpy(got, c, row, off, skip)
+    assert got == qqi_axpy(out, c, row, off, skip)
+    for j, x in row.items():
+        if j != skip and j + off not in out:
+            if c == 1:
+                assert got[j + off] is x
+            elif x == 1 and c != -1:
+                assert got[j + off] is c
+    for x in got.values():
+        assert type(x) is Scalar and x and gcd(gcd(x.a, x.b), x.den) == 1
+
+
+@st.composite
+def dot_cases(draw):
+    """(u, v, cancel): sparse vectors on keys 0-9 whose entries are often
+    +-1 and may have 200-bit parts; with `cancel`, v's last shared entry is
+    set so that the pairing is 0."""
+    u = {j: draw(unit_heavy) for j in draw(st.sets(st.integers(0, 9), max_size=8))}
+    v = {j: draw(unit_heavy) for j in draw(st.sets(st.integers(0, 9), max_size=8))}
+    shared = sorted(u.keys() & v.keys())
+    rest = sum((u[j] * v[j] for j in shared[:-1]), ZERO)
+    cancel = bool(rest) and draw(st.booleans())
+    if cancel:
+        v[shared[-1]] = -rest / u[shared[-1]]
+    return u, v, cancel
+
+
+@settings(max_examples=300, deadline=None)
+@given(dot_cases())
+@example(({0: Scalar(Fraction(1, 2)), 1: Scalar(-1), 2: Scalar(Fraction(1, 3), 1)},
+          {0: Scalar(1), 1: Scalar(Fraction(1, 4)), 2: Scalar(Fraction(3, 2))}, False))
+def test_dot_is_the_sum_of_products(case):
+    """dot equals the QQ_I sum of u[j] v[j] over the shared keys, cancellation
+    to 0, mismatched denominators and 200-bit parts included, and returns a
+    canonical Scalar."""
+    u, v, cancel = case
+    got = linalg.dot(u, v)
+    want = sum((to_qqi(u[j]) * to_qqi(v[j]) for j in u if j in v), QQ_I.zero)
+    assert got == from_qqi(want)
+    assert not (cancel and got)
+    assert type(got) is Scalar and got.den > 0 and gcd(gcd(got.a, got.b), got.den) == 1
+
+
+def count_mk(monkeypatch):
+    """A dict whose "_mk" counts the calls of _mk from linalg and from
+    Scalar arithmetic alike."""
+    from jetcalc import scalars
+    calls = {"_mk": 0}
+
+    def counted(*args):
+        calls["_mk"] += 1
+        return mk(*args)
+
+    mk = scalars._mk
+    monkeypatch.setattr(linalg, "_mk", counted)
+    monkeypatch.setattr(scalars, "_mk", counted)
+    return calls
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_product_by_a_signed_identity_builds_no_scalar(monkeypatch, sign):
+    """mmul by +-I on either side only shares or negates entries: _mk is
+    never called."""
+    rows = dense_matrix(random.Random(sign), 4, 4)
+    b, eye = Mat.of(rows), Mat([{i: Scalar(sign)} for i in range(4)], 4)
+    want = as_scalars(to_sympy(rows, 4) * sign)
+    calls = count_mk(monkeypatch)
+    left, right = linalg.mmul(eye, b), linalg.mmul(b, eye)
+    assert calls["_mk"] == 0
+    monkeypatch.undo()
+    assert left == right == want
+
+
+def test_a_pivot_row_is_negated_at_minus_one_and_else_scaled_by_one_mk_per_entry(monkeypatch):
+    """Inserting a row whose pivot entry is -1 negates it with no _mk.  A
+    row whose pivot is 2i is scaled by one _mk per entry, and one more
+    updates the earlier row that holds an entry at its pivot."""
+    half = Scalar(Fraction(1, 2), 3)
+    span = SpanBasis(4, [[ZERO, ONE, ZERO, Scalar(5)]])
+    calls = count_mk(monkeypatch)
+    row = span._insert({0: Scalar(-1), 2: half, 3: Scalar(0, 7)})
+    assert calls["_mk"] == 0
+    assert row == {0: ONE, 2: -half, 3: Scalar(0, -7)}
+    row = span._insert({2: Scalar(0, 2), 3: half})
+    assert calls["_mk"] == 2 + 1
+    monkeypatch.undo()
+    assert row == {2: ONE, 3: half / Scalar(0, 2)}
+    assert echelon(span) == sympy_rref([[ZERO, ONE, ZERO, Scalar(5)],
+                                        [Scalar(-1), ZERO, half, Scalar(0, 7)],
+                                        [ZERO, ZERO, Scalar(0, 2), half]], 4)[0]
 
 
 def test_a_dense_product_builds_one_scalar_per_update(monkeypatch):

@@ -104,6 +104,22 @@ def test_json_round_trip(a):
     assert parse_scalar(a.json_str()) == a
 
 
+@pytest.mark.parametrize("x, text", [
+    (ZERO, "0"), (sc(5), "5"), (sc(Fraction(-1, 2)), "-1/2"), (sc(0, 1), "i"),
+    (sc(0, -1), "-i"), (sc(0, Fraction(-2, 3)), "-2/3*i"), (sc(Fraction(1, 3), 1), "1/3+i"),
+    (sc(Fraction(1, 2), 3), "1/2+6/2*i"), (sc(2, Fraction(-9, 2)), "4/2-9/2*i")])
+def test_str_writes_each_part_over_the_common_denominator(x, text):
+    """str keeps the form the instance digests hash: each nonzero part over
+    the Scalar's denominator, unreduced per part, so (4-9i)/2 is 4/2-9/2*i."""
+    assert str(x) == text
+    assert parse_scalar(text) == x
+
+
+@given(st.builds(_mk, BIG, BIG, st.integers(min_value=1, max_value=2 ** 200)))
+def test_str_round_trips_through_the_parser(x):
+    assert parse_scalar(str(x)) == x
+
+
 def test_exp_scalar_units_multiply_by_adding_exponents():
     ea = ExpScalar.unit(sc(1))
     eb = ExpScalar.unit(sc(2))

@@ -401,6 +401,33 @@ def test_only_linalg_and_approxalg_name_the_fused_update():
     assert users == {"linalg", "approxalg"}
 
 
+def test_only_scalars_builds_or_changes_a_scalar():
+    """Rows share Scalars (_axpy stores a unit product's other factor
+    itself), so a Scalar must never change after it is built: no module of
+    the package but scalars assigns an attribute a, b or den, by statement
+    or by setattr, or calls object.__new__ on Scalar."""
+    parts = {"a", "b", "den"}
+    for path in sorted(Path(jetcalc.__file__).parent.glob("*.py")):
+        if path.name == "scalars.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+                       else [])
+            for target in targets:
+                for t in ast.walk(target):
+                    assert not (isinstance(t, ast.Attribute) and t.attr in parts), (
+                        path.name, t.lineno)
+            if isinstance(node, ast.Call):
+                f, args = node.func, node.args
+                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                assert not (name == "setattr" and len(args) > 1
+                            and isinstance(args[1], ast.Constant) and args[1].value in parts), (
+                    path.name, node.lineno)
+                assert not (name == "__new__" and args and isinstance(args[0], ast.Name)
+                            and args[0].id == "Scalar"), (path.name, node.lineno)
+
+
 def test_every_module_level_name_is_read():
     """Every module-level function and class of the package is named
     somewhere other than its own definition, in the package, the tests or
