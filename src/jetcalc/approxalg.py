@@ -136,18 +136,6 @@ class ApproxAlgebra:
             base += d * d
         return cls(dim, sc, chain, labels, check=check, check_assoc=False)
 
-    @classmethod
-    def from_matrix_basis(cls, mats):
-        """Algebra spanned by matrices, which must be closed under product
-        and contain the identity: ApproxModule.from_span, checked.  Returns
-        the algebra together with its defining module."""
-        mats = [Mat.of(m) for m in mats]
-        n = mats[0].nrows
-        module = ApproxModule.from_span(SpanBasis(n * n, [m.flat() for m in mats]), n)
-        module.algebra.validate(check_assoc=False)
-        module.validate()
-        return module.algebra, module
-
     def __repr__(self):
         return "ApproxAlgebra(dim=%d, chain=%d)" % (self.dim, len(self.chain))
 

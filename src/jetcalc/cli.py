@@ -411,7 +411,7 @@ RUNNERS = dict(zip(SUITES, (run_jet, run_kernel, run_dcomm, run_pw)), demo=run_d
 
 # Inclusive (lower, upper) bounds of the size flags.  The upper bounds are
 # the largest verify tier the project measures (--kmax 4 --nmax 3
-# --dimmax 12 --words 8, a few seconds); check time grows about like the
+# --dimmax 12 --words 8, about 0.25 s); check time grows about like the
 # fifth power of the module dimension, so a larger run could take hours.
 SIZE_LIMITS = {"nmax": (1, 3), "kmax": (0, 4), "dimmax": (1, 12), "words": (0, 8)}
 

@@ -187,10 +187,6 @@ def rand_member_phi(rng, M):
     return M.act(coords)
 
 
-def rand_matrix(rng, rows, cols):
-    return Mat.of([[rand_scalar(rng) for _ in range(cols)] for _ in range(rows)], cols)
-
-
 def rand_elementary_family(rng, nvars, dim):
     """Elementary unimodular family: identity plus one polynomial of degree
     at most 2 off the diagonal, or a constant invertible diagonal."""

@@ -275,13 +275,9 @@ def iterated_block_derivative(F, etas):
 
 
 def frobenius(H, A):
-    """Pairing of a dual matrix with a matrix: sum of entrywise products,
-    one linalg.dot of their flat entries when A is a Mat.  A may also be a
-    grid of ExpPolys, such as a jet's entries, paired in their arithmetic."""
-    H = Mat.of(H)
-    if isinstance(A, Mat):
-        return linalg.dot(H.flat(), A.flat())
-    return sum((x * A[r][c] for r, row in enumerate(H.rows) for c, x in row.items()), ZERO)
+    """Pairing of a dual matrix with a Mat: the sum of entrywise products,
+    one linalg.dot of their flat entries."""
+    return linalg.dot(Mat.of(H).flat(), A.flat())
 
 
 def functional_to_diffop(E, H):

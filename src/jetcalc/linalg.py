@@ -156,7 +156,7 @@ class Mat:
         return hash((self.ncols, tuple(frozenset(row.items()) for row in self.rows)))
 
     def __repr__(self):
-        return "Mat(%r)" % (tuple(self),)
+        return "Mat(%r)" % (tuple(dense(row, self.ncols) for row in self.rows),)
 
 
 def apply(m, v):
@@ -315,9 +315,8 @@ def json_field(obj, key, kind, name, lo=None, hi=None):
     raise ValueError("%s %r; it must be %s" % (name, x, want))
 
 
-def mat_vec(a, v):  # also wrapped by bench/layers.py
-    """a v for a matrix and a dense vector of its width, as a dense tuple;
-    read by ModuleMap.__call__."""
+def mat_vec(a, v):  # wrapped by bench/layers.py
+    """a v for a matrix and a dense vector of its width, as a dense tuple."""
     a = Mat.of(a)
     if len(v) != a.ncols:
         raise ValueError("a vector of length %d for a matrix of width %d" % (len(v), a.ncols))

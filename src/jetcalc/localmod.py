@@ -18,9 +18,8 @@ from .scalars import ZERO, ONE
 from .poly import (Polynomial, DiffOp, Covector, monomials_upto,
                    monomials_of_degree, beta_factorial, zero_exps, scalar_parser,
                    exp_series)
-from . import linalg
 from .linalg import (Mat, SpanBasis, mmul, mid, mat_sum, block_diag, kron,
-                     close_span, square, dense, apply, json_field, json_load)
+                     close_span, square, sparse, dense, apply, json_field, json_load)
 
 # FinMod.from_json's bounds: the CLI's --nmax and --dimmax ceilings, and an
 # order above the 11 that tensor products reach at --kmax 4; validating then
@@ -121,15 +120,6 @@ class CofiniteIdeal:
 
     def contains(self, p):
         return not self.normal_form(p)
-
-    def reduced_basis(self):
-        """The row-reduced polynomial basis of the ideal image in degrees <= k."""
-        return [self.space.from_vec(r) for r in self.span.rows]
-
-    def same(self, other):
-        """Equality as ideals with the same certified k."""
-        return (self.nvars == other.nvars and self.k == other.k
-                and self.span.same_span(other.span))
 
     def __repr__(self):
         return "CofiniteIdeal(nvars=%d, k=%d, codim=%d)" % (self.nvars, self.k, self.codim)
@@ -288,11 +278,11 @@ class ModuleMap:
                 raise ValueError("map does not intertwine the action of variable %d" % (j + 1))
 
     def __call__(self, v):
-        return linalg.mat_vec(self.matrix, v)
-
-    def is_invertible(self):
-        return (self.source.dim == self.target.dim
-                and SpanBasis(self.source.dim, self.matrix.rows).dim == self.source.dim)
+        """The image of a dense vector of the source, as a dense tuple."""
+        if len(v) != self.source.dim:
+            raise ValueError("a vector of length %d for a matrix of width %d"
+                             % (len(v), self.source.dim))
+        return dense(apply(self.matrix, sparse(v)), self.target.dim)
 
 
 class CyclicQuotient:
@@ -306,11 +296,6 @@ class CyclicQuotient:
         self.cyclic = cyclic
         self.monomials = monomials
         self.ideal = ideal
-
-    def project_poly(self, p):
-        """Coordinates of the class of p in the standard-monomial basis."""
-        nf = self.ideal.normal_form(p)
-        return tuple(nf.terms.get(m, ZERO) for m in self.monomials)
 
 
 def cyclic_quotient(ideal):

@@ -267,9 +267,6 @@ class _Coords:
     def __neg__(self):
         return type(self)(tuple(-a for a in self.coords))
 
-    def scaled(self, c):
-        return type(self)(tuple(a * c for a in self.coords))
-
     def __str__(self):
         return ",".join(str(c) for c in self.coords)
 

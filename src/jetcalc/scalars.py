@@ -147,11 +147,6 @@ class Scalar:
     def __rtruediv__(self, other):
         return self.inverse() * other
 
-    def conjugate(self):
-        s = object.__new__(Scalar)
-        s.a, s.b, s.den = self.a, -self.b, self.den
-        return s
-
     def __repr__(self):
         return "Scalar(%r)" % (str(self),)
 

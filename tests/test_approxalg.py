@@ -11,6 +11,7 @@ from jetcalc.scalars import Scalar, ZERO, ONE, sc
 from jetcalc import approxalg as aa, gen, linalg
 from jetcalc.linalg import mid, sparse
 from jetcalc.poly import parse_scalar
+from oracles import algebra_from_matrix_basis, rand_matrix
 
 
 def as_mats(M, span):
@@ -54,7 +55,7 @@ def test_upper_triangular_algebra_from_a_matrix_basis():
             ((ONE, ZERO), (ZERO, ZERO)),
             ((ZERO, ONE), (ZERO, ZERO)),
             ((ZERO, ZERO), (ZERO, ONE))]
-    _, MU = aa.ApproxAlgebra.from_matrix_basis(mats)
+    _, MU = algebra_from_matrix_basis(mats)
     rep = aa.double_commutant_check(MU)
     assert rep.ok and rep.dims["dim_image"] == 3 and rep.dims["dim_sharp"] == 3
     E21 = ((ZERO, ZERO), (ONE, ZERO))
@@ -134,7 +135,7 @@ def test_cyclic_tuple_grids_accept_true_members():
             ((ONE, ZERO), (ZERO, ZERO)),
             ((ZERO, ONE), (ZERO, ZERO)),
             ((ZERO, ZERO), (ZERO, ONE))]
-    _, MU = aa.ApproxAlgebra.from_matrix_basis(mats)
+    _, MU = algebra_from_matrix_basis(mats)
     assert aa.submodule_grid_check(MU, MU.mats[1], 2) is None
     A1 = aa.ApproxAlgebra(1, {(0, 0): {0: ONE}}, [(ONE,)])
     M1 = aa.ApproxModule(A1, 3, [mid(3)])
@@ -299,7 +300,7 @@ def test_sparse_mul_matches_the_dense_product():
     Ti = linalg.mat_inverse(T)
     skewed = [linalg.mmul(linalg.mmul(T, u), Ti) for u in upper]
     algebras = [aa.ApproxAlgebra.from_blocks(s) for s in ([1], [2], [1, 2], [2, 1, 1])]
-    algebras += [aa.ApproxAlgebra.from_matrix_basis(m)[0] for m in (upper, skewed)]
+    algebras += [algebra_from_matrix_basis(m)[0] for m in (upper, skewed)]
     assert [a.dim for a in algebras] == [1, 4, 5, 6, 6, 6]
     rng = random.Random(17)
     coeffs = [ZERO] * 4 + [ONE, -ONE, sc(2), sc(0, 1), sc(1, -1), sc(1) / 3]
@@ -696,7 +697,7 @@ def test_the_corner_index_is_the_least_idempotent_absorbing_phi():
         members = as_mats(M, aa._end_sharp(M, {})[0]) + [gen.rand_member_phi(rng, M)]
         cuts = []
         for P in idems:
-            X = gen.rand_matrix(rng, d, d)
+            X = rand_matrix(rng, d, d)
             cuts += [linalg.mmul(linalg.mmul(P, X), P), X]
         for phi in members + cuts:
             absorbs = [linalg.mmul(linalg.mmul(P, phi), P) == phi for P in idems]

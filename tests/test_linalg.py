@@ -478,6 +478,13 @@ def test_a_mat_equals_only_a_mat_of_its_shape():
         Mat.of([[one, ZERO], [one]])
 
 
+def test_repr_writes_the_dense_rows():
+    m = Mat.of(((Scalar(1), ZERO, Scalar(1, -2)), (ZERO, Scalar(-3) / 4, ZERO)))
+    assert repr(m) == ("Mat(((Scalar('1'), Scalar('0'), Scalar('1-2*i')),"
+                       " (Scalar('0'), Scalar('-3/4'), Scalar('0'))))")
+    assert repr(Mat.of((), 0)) == "Mat(())" and repr(Mat.of(((), ()), 0)) == "Mat(((), ()))"
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data(), sizes, sizes, sizes)
 def test_mat_products_match_the_oracle(data, r, k, c):

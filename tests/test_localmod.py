@@ -9,7 +9,7 @@ from jetcalc.scalars import Scalar, ZERO, ONE, sc
 from jetcalc.poly import (Polynomial, Vector, Covector, DiffOp, diff, pairing,
                           parse_poly, monomials_upto, monomials_of_degree)
 from jetcalc import linalg
-from jetcalc.linalg import Mat
+from jetcalc.linalg import Mat, SpanBasis
 from jetcalc.localmod import (PolySpace, CofiniteIdeal, power_ideal,
                               maximal_ideal, dual_number_ideal, FinMod,
                               ModuleMap, cyclic_quotient, dual_number_module,
@@ -78,7 +78,7 @@ def test_dual_number_module_matches_its_ideal_quotient():
     Q = cyclic_quotient(dual_number_ideal(lam))
     T = ((ZERO, sc(2)), (ONE, ZERO))
     psi = ModuleMap(Q.module, E, T)
-    assert psi.is_invertible()
+    assert SpanBasis(2, psi.matrix.rows).dim == 2  # psi is invertible
 
 
 def test_module_map_must_intertwine():
@@ -89,12 +89,26 @@ def test_module_map_must_intertwine():
         ModuleMap(Q.module, E, ((ZERO, ONE), (ONE, ZERO)))
 
 
+def test_module_map_maps_a_vector_of_the_source_width_only():
+    """A ModuleMap maps a dense vector to a dense tuple through apply, which
+    reads a longer vector as stacked blocks, so the width is checked."""
+    lam = Vector((1, 2))
+    E = dual_number_module(lam)
+    psi = ModuleMap(cyclic_quotient(dual_number_ideal(lam)).module, E,
+                    ((ZERO, sc(2)), (ONE, ZERO)))
+    assert psi((ONE, sc(3))) == (sc(6), ONE) and psi([0, 0]) == (ZERO, ZERO)
+    for v in ((ONE,), (ONE, ZERO, ZERO), (ONE, ZERO, ZERO, ONE)):
+        with pytest.raises(ValueError, match="length %d for a matrix of width 2" % len(v)):
+            psi(v)
+
+
 def test_cyclic_quotient_projects_polynomials_correctly():
     I = power_ideal(1, 2)
     cq = cyclic_quotient(I)
     p = parse_poly("(1) + (3)*x1 + (5)*x1^2 + (7)*x1^3", 1)
-    coords = cq.project_poly(p)
-    assert coords == (ONE, sc(3), sc(5))
+    nf = I.normal_form(p)
+    assert cq.monomials == ((0,), (1,), (2,))
+    assert [nf.terms.get(m, ZERO) for m in cq.monomials] == [ONE, sc(3), sc(5)]
 
 
 def test_validation_rejects_noncommuting_or_unbounded_actions():
@@ -143,7 +157,7 @@ def test_annihilator_recovers_the_defining_ideal():
               power_ideal(1, 2)):
         E = cyclic_quotient(I).module
         J = annihilator(E)
-        assert J.same(I)
+        assert (J.nvars, J.k) == (I.nvars, I.k) and J.span.same_span(I.span)
 
 
 def test_annihilator_dual_pairs_like_derivatives():
@@ -151,7 +165,7 @@ def test_annihilator_dual_pairs_like_derivatives():
     ops = annihilator_dual(I)
     assert len(ops) == I.codim == 2
     for u in ops:
-        for g in I.reduced_basis():
+        for g in map(I.space.from_vec, I.span.rows):
             assert not pairing(g, u)
     # and they separate the standard monomials: the pairing Gram is invertible
     gram = [[pairing(Polynomial.monomial(2, m), u).scalar() for u in ops]

@@ -43,19 +43,12 @@ BIG = st.integers(min_value=-2 ** 200, max_value=2 ** 200)
 @example(ZERO)
 @example(sc(Fraction(3, 4), Fraction(-5, 6)))
 @example(_mk(2 ** 200 - 1, -(3 ** 126), 5 ** 86))
-def test_negation_and_conjugation_are_in_lowest_terms(x):
-    """-x and x.conjugate() skip _mk: they must be, part for part, the
-    values _mk normalizes from the negated and conjugated parts."""
-    for got, want in ((-x, _mk(-x.a, -x.b, x.den)), (x.conjugate(), _mk(x.a, -x.b, x.den))):
-        assert type(got) is Scalar
-        assert (got.a, got.b, got.den) == (want.a, want.b, want.den)
-
-
-@given(scalars())
-def test_conjugation_and_norm(a):
-    n = a * a.conjugate()
-    assert n.im == 0
-    assert (n.re >= 0) if hasattr(n.re, "__ge__") else True
+def test_negation_is_in_lowest_terms(x):
+    """-x skips _mk: it must be, part for part, the value _mk normalizes
+    from the negated parts."""
+    got, want = -x, _mk(-x.a, -x.b, x.den)
+    assert type(got) is Scalar
+    assert (got.a, got.b, got.den) == (want.a, want.b, want.den)
 
 
 def test_imaginary_unit():
