@@ -6,8 +6,7 @@ for i <= j, and every basis element is absorbed by some alpha_j.  A module
 is approximately unital when the images of the pi(alpha_j) exhaust the
 space; at finite dimension that forces pi(alpha_m) = id, so strictly
 smaller corners only show up on modules where the chain has not caught up
-with the action (a junk summand nothing absorbs), which the constructor
-permits only on request.
+with the action (a junk summand nothing absorbs).
 
 The membership test for End^# is the constructive one: take a chain
 idempotent absorbing phi, a basis u_1..u_n of its image, the module W
@@ -41,17 +40,20 @@ import json
 
 from .scalars import ZERO, ONE
 from .poly import scalar_parser
+from .localmod import MAX_DIM
 from . import linalg
-from .linalg import (Mat, SpanBasis, CrossCheckError, mmul, mid, mat_sum, close_span,
+from .linalg import (Mat, SpanBasis, CrossCheckError, mmul, mat_sum, close_span,
                      kron, square, sparse, dense, dot, apply, json_field, json_load,
                      _axpy, _mul_into)
 
 # the largest module a JSON file may hold, checked before any entry is
-# parsed: what gen.rand_approx_module draws at --dimmax 12 (four 3x3
-# blocks, so 36 algebra dimensions, plus 2 null dimensions); near there the
-# load grows about 1.3-1.5x per module dimension, mostly parsing the action
-MAX_MODULE_DIM = 14
-MAX_ALGEBRA_DIM = 36
+# parsed: what gen.rand_approx_module draws at the --dimmax ceiling MAX_DIM.
+# Its blocks have size at most 3, so the algebra has at most 3 * MAX_DIM
+# dimensions (sum d^2 <= 3 sum d), and its module at most 2 null dimensions
+# besides; near there the load grows about 1.3-1.5x per module dimension,
+# mostly parsing the action
+MAX_MODULE_DIM = MAX_DIM + 2
+MAX_ALGEBRA_DIM = 3 * MAX_DIM
 
 
 class ApproxAlgebra:
@@ -63,7 +65,7 @@ class ApproxAlgebra:
 
     __slots__ = ("dim", "_sc", "chain", "labels")
 
-    def __init__(self, dim, sc, chain, labels=None, check=True, check_assoc=True):
+    def __init__(self, dim, sc, chain, labels=None, check=True):
         self.dim = dim
         self._sc = sc if callable(sc) else lambda: sc
         if labels is None:
@@ -75,7 +77,7 @@ class ApproxAlgebra:
             raise ValueError("chain element has wrong length")
         self.chain = tuple(map(sparse, chain))
         if check:
-            self.validate(check_assoc=check_assoc)
+            self.validate()
 
     @property
     def sc(self):
@@ -94,7 +96,7 @@ class ApproxAlgebra:
                     _axpy(out, xi * yj, row)
         return out
 
-    def validate(self, check_assoc=True):
+    def validate(self):
         chain, mul, sc = self.chain, self.mul, self.sc
         for a in range(len(chain)):
             for b in range(a, len(chain)):
@@ -105,19 +107,19 @@ class ApproxAlgebra:
             e = {t: ONE}
             if not any(mul(al, e) == e and mul(e, al) == e for al in chain):
                 raise ValueError("basis element %d is absorbed by no chain idempotent" % t)
-        if check_assoc:  # (e_i e_j) e_t against e_i (e_j e_t)
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    ij = sc.get((i, j), {})
-                    for t in range(self.dim):
-                        if mul(ij, {t: ONE}) != mul({i: ONE}, sc.get((j, t), {})):
-                            raise ValueError("associativity fails on triple (%d,%d,%d)"
-                                             % (i, j, t))
+        for i in range(self.dim):  # (e_i e_j) e_t against e_i (e_j e_t)
+            for j in range(self.dim):
+                ij = sc.get((i, j), {})
+                for t in range(self.dim):
+                    if mul(ij, {t: ONE}) != mul({i: ONE}, sc.get((j, t), {})):
+                        raise ValueError("associativity fails on triple (%d,%d,%d)"
+                                         % (i, j, t))
 
     @classmethod
-    def from_blocks(cls, sizes, check=True):
+    def from_blocks(cls, sizes):
         """Direct sum of full matrix algebras; basis = matrix units, chain =
-        partial sums of the block identities."""
+        partial sums of the block identities.  Unchecked: it is valid by
+        construction."""
         sizes = list(sizes)
         if not sizes:
             raise ValueError("need at least one block")
@@ -134,16 +136,16 @@ class ApproxAlgebra:
                 acc[base + r * d + r] = ONE
             chain.append(tuple(acc))
             base += d * d
-        return cls(dim, sc, chain, labels, check=check, check_assoc=False)
+        return cls(dim, sc, chain, labels, check=False)
 
     def __repr__(self):
         return "ApproxAlgebra(dim=%d, chain=%d)" % (self.dim, len(self.chain))
 
 
-def block_module(sizes, check=True):
+def block_module(sizes):
     """Block matrix algebra acting on the direct sum of its column spaces;
-    returns (algebra, module)."""
-    alg = ApproxAlgebra.from_blocks(sizes, check=check)
+    returns (algebra, module), unchecked: both are valid by construction."""
+    alg = ApproxAlgebra.from_blocks(sizes)
     dim = sum(sizes)
     mats = []
     off = 0
@@ -151,7 +153,7 @@ def block_module(sizes, check=True):
         mats += [Mat([{c: ONE} if i == r else {} for i in range(dim)], dim)
                  for r in range(off, off + d) for c in range(off, off + d)]
         off += d
-    return alg, ApproxModule(alg, dim, mats, check=check)
+    return alg, ApproxModule(alg, dim, mats, check=False)
 
 
 class ApproxModule:
@@ -162,7 +164,7 @@ class ApproxModule:
 
     __slots__ = ("algebra", "dim", "mats", "_idem", "_image")
 
-    def __init__(self, algebra, dim, mats, check=True, require_unital=True):
+    def __init__(self, algebra, dim, mats, check=True):
         mats = tuple(map(Mat.of, mats))
         if len(mats) != algebra.dim:
             raise ValueError("need one action matrix per basis element")
@@ -174,7 +176,7 @@ class ApproxModule:
         self._idem = [None] * len(algebra.chain)
         self._image = None
         if check:
-            self.validate(require_unital=require_unital)
+            self.validate()
 
     def act(self, coords):
         """The action matrix of the element with the given coordinates,
@@ -187,7 +189,7 @@ class ApproxModule:
             self._idem[j] = self.act(self.algebra.chain[j])
         return self._idem[j]
 
-    def validate(self, require_unital=True):
+    def validate(self):
         A = self.algebra
         for i in range(A.dim):
             for j in range(A.dim):
@@ -198,14 +200,6 @@ class ApproxModule:
             P = self.idem_mat(j)
             if mmul(P, P) != P:
                 raise ValueError("chain element %d does not act idempotently" % j)
-        if require_unital and not self.is_approx_unital():
-            raise ValueError("module is not approximately unital "
-                             "(no chain idempotent acts as the identity)")
-
-    def is_approx_unital(self):
-        """The images of the chain idempotents exhaust the space: since the
-        chain increases, the top idempotent must act as the identity."""
-        return self.idem_mat(len(self.algebra.chain) - 1) == mid(self.dim)
 
     def image_span(self):
         """Row-reduced span of the action image inside End(V); read only."""
@@ -258,9 +252,10 @@ class ApproxModule:
     @classmethod
     def from_json(cls, text):
         """The module of a to_json text; a malformed field or a basis index
-        out of range is refused by name, a size above MAX_MODULE_DIM or
-        MAX_ALGEBRA_DIM, or a chain longer than the basis plus one, before
-        any entry is parsed."""
+        out of range is refused by name, and so are a size above
+        MAX_MODULE_DIM or MAX_ALGEBRA_DIM, a chain longer than the basis plus
+        one, and a chain element or action list whose length is not the
+        basis size, before any entry is parsed."""
         data = json_load(text)
         n = len(json_field(data, "basis", list, "module field 'basis' is"))
         dim = json_field(data, "dim", int, "module dimension", 0, MAX_MODULE_DIM)
@@ -278,6 +273,12 @@ class ApproxModule:
         if len(chain) > n + 1:
             raise ValueError("idempotent chain has %d elements; a basis of %d allows "
                              "at most %d" % (len(chain), n, n + 1))
+        if any(len(a) != n for a in chain):
+            raise ValueError("module field 'idempotent_chain': a chain element has wrong "
+                             "length; a basis of %d needs %d entries" % (n, n))
+        if len(action) != n:
+            raise ValueError("module field 'action' holds %d matrices; a basis of %d "
+                             "needs %d" % (len(action), n, n))
         parse, sc = scalar_parser(), {}
         for key in consts:
             ij = key.split(",")
@@ -296,9 +297,7 @@ class ApproxModule:
         alg = ApproxAlgebra(n, sc, chain, data["basis"])
         mats = [square(flat, dim, parse, "action matrix %d" % t)
                 for t, flat in enumerate(action)]
-        # unitality is a property of the module (is_approx_unital), not a
-        # condition of the format: junk-padded modules round-trip too
-        return cls(alg, dim, mats, require_unital=False)
+        return cls(alg, dim, mats)
 
     def __repr__(self):
         return "ApproxModule(algebra dim=%d, dim=%d)" % (self.algebra.dim, self.dim)
@@ -334,8 +333,7 @@ class SharpResult:
 
     __slots__ = ("member", "witness", "j", "tuple_vec", "submodule", "escaped")
 
-    def __init__(self, member, witness=None, j=None, tuple_vec=None,
-                 submodule=None, escaped=None):
+    def __init__(self, member, j, tuple_vec, witness=None, submodule=None, escaped=None):
         self.member = member
         self.witness = witness
         self.j = j
@@ -402,10 +400,9 @@ def _membership(M, phi, tuples, outside=ValueError):
             alpha = M.algebra.chain[corner_j]
             a = M.algebra.mul(M.algebra.mul(alpha, a), alpha)
         if M.act(a) == phi:
-            return SharpResult(True, witness=dense(a, M.algebra.dim), j=corner_j,
-                               tuple_vec=tuple_vec)
+            return SharpResult(True, corner_j, tuple_vec, witness=dense(a, M.algebra.dim))
     if escaped := W.escape(phi):
-        return SharpResult(False, j=corner_j, tuple_vec=tuple_vec, submodule=W,
+        return SharpResult(False, corner_j, tuple_vec, submodule=W,
                            escaped=tuple(dense(v, n * d) for v in escaped))
     raise CrossCheckError("invariance held but no witness solves the system" if a is None
                           else "witness verification failed")

@@ -20,7 +20,8 @@ import time
 from .scalars import Scalar, ONE
 from .poly import Polynomial, ExpPoly, Vector, translate
 from .linalg import CrossCheckError, Mat, SpanBasis, dense, mid
-from .localmod import cyclic_quotient, maximal_ideal, dual_number_module
+from .localmod import (cyclic_quotient, maximal_ideal, dual_number_module, MAX_NVARS,
+                       MAX_DIM)
 from .jetfun import (jet, jet_family, block_derivative,
                      functional_to_diffop, diffop_to_module, kernel_alpha_bar,
                      subquotient_lambdas, alpha_bar_image)
@@ -346,8 +347,8 @@ def run_pw(cfg, suite):
                         "a non-annihilating datum is flagged, not evaluated",
                         inst, nonrelation)
 
-    rf = gen.reducible_family(1)
-    ec = gen.escaping_candidate(1)
+    rf = gen.reducible_family()
+    ec = gen.escaping_candidate()
     pt = Vector([Scalar(1)])
     E1 = _eval_module(1)
     delta = [("R", pt, []), ("R", pt, [])]
@@ -391,10 +392,10 @@ def run_demo(cfg, suite):
 
     suite.check("demo.kernel", "demo kernel has the expected dimension",
                 {"lams": [str(l) for l in lams]}, kernel)
-    ec = gen.escaping_candidate(1)
+    ec = gen.escaping_candidate()
 
     def fixture():
-        t = membership_triple(ec, [gen.reducible_family(1)], [Vector([ONE])],
+        t = membership_triple(ec, [gen.reducible_family()], [Vector([ONE])],
                               _eval_module(1))
         print("escaping candidate against the reducible family: "
               + ("member" if t.member else "rejected")
@@ -413,7 +414,8 @@ RUNNERS = dict(zip(SUITES, (run_jet, run_kernel, run_dcomm, run_pw)), demo=run_d
 # the largest verify tier the project measures (--kmax 4 --nmax 3
 # --dimmax 12 --words 8, about 0.25 s); check time grows about like the
 # fifth power of the module dimension, so a larger run could take hours.
-SIZE_LIMITS = {"nmax": (1, 3), "kmax": (0, 4), "dimmax": (1, 12), "words": (0, 8)}
+SIZE_LIMITS = {"nmax": (1, MAX_NVARS), "kmax": (0, 4), "dimmax": (1, MAX_DIM),
+               "words": (0, 8)}
 
 
 def build_parser():

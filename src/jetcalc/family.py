@@ -19,7 +19,7 @@ from .scalars import ZERO, ONE, EXP_ZERO
 from .poly import Vector, diff, entry_parser, _inv_int
 from .linalg import (Mat, SpanBasis, CrossCheckError, mmul, mid, block_diag, dot,
                      close_span, square, json_field, json_load, _kron_into)
-from .localmod import MAX_NVARS
+from .localmod import MAX_NVARS, MAX_DIM
 from .jetfun import (MatPolyFamily, jet_family, iterated_block_derivative,
                      functional_to_diffop, diffop_to_module, frobenius, _keys_add)
 from .approxalg import ApproxModule, end_sharp_membership
@@ -133,20 +133,16 @@ def family_to_json(reps):
          "generators": [_entry_strs(g) for g in rep.generators]} for rep in reps]})
 
 
-# the largest rep a family file may hold: the CLI's --dimmax ceiling
-MAX_REP_DIM = 12
-
-
 def family_from_json(text):
     """The reps of a family_to_json text; a malformed field, or a size above
-    MAX_NVARS or MAX_REP_DIM, is refused by name before any entry is parsed."""
+    MAX_NVARS or MAX_DIM, is refused by name before any entry is parsed."""
     data = json_load(text)
     nvars = json_field(data, "nvars", int, "family field 'nvars' is", 1, MAX_NVARS)
     if not json_field(data, "reps", list, "family field 'reps' is"):
         raise ValueError("a family needs at least one rep")
     for rd in data["reps"]:
         label = json_field(rd, "label", str, "a rep label is")
-        json_field(rd, "dim", int, "rep %r has dimension" % label, 1, MAX_REP_DIM)
+        json_field(rd, "dim", int, "rep %r has dimension" % label, 1, MAX_DIM)
         json_field(rd, "generators", list, "rep %r field 'generators' is" % label)
     parse = entry_parser(nvars)
     reps = []

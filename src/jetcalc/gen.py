@@ -167,7 +167,7 @@ def rand_approx_module(rng, dimmax, junk_ok=False):
     basis, optionally padded with a null summand (which makes the module
     non-unital and End(V)_0 strictly smaller)."""
     sizes = rand_block_sizes(rng, dimmax)
-    alg, M = block_module(sizes, check=False)
+    alg, M = block_module(sizes)
     d = M.dim
     if junk_ok and rng.random() < 0.5:
         e = rng.randint(1, 2)
@@ -239,22 +239,21 @@ def rand_candidate(rng, reps, maxlen=4, member=None):
     return PWCandidate(reps[0].nvars, comps), False
 
 
-def reducible_family(nvars=1):
-    """Fixture: a two-dimensional family whose generators are all upper
-    triangular, so the first coordinate line is invariant everywhere."""
-    x = Polynomial(nvars, {tuple(1 if j == 0 else 0 for j in range(nvars)): ONE})
-    one = ExpPoly.const(nvars, ONE)
-    zero = ExpPoly.zero(nvars)
-    g1 = MatPolyFamily(nvars, [[one, ExpPoly.from_poly(x)], [zero, one]])
-    g2 = MatPolyFamily(nvars, [[ExpPoly.const(nvars, Scalar(2)), zero],
-                               [zero, one]])
+def reducible_family():
+    """Fixture: a two-dimensional family in one variable whose generators
+    are all upper triangular, so the first coordinate line is invariant
+    everywhere."""
+    x = ExpPoly.from_poly(Polynomial.variable(1, 0))
+    one = ExpPoly.const(1, ONE)
+    zero = ExpPoly.zero(1)
+    g1 = MatPolyFamily(1, [[one, x], [zero, one]])
+    g2 = MatPolyFamily(1, [[ExpPoly.const(1, Scalar(2)), zero], [zero, one]])
     return RepFamily("R", [g1, g2])
 
 
-def escaping_candidate(nvars=1):
+def escaping_candidate():
     """Fixture: a lower-triangular component that moves the invariant line
     of the reducible family."""
-    x = Polynomial(nvars, {tuple(1 if j == 0 else 0 for j in range(nvars)): ONE})
-    zero = ExpPoly.zero(nvars)
-    return PWCandidate(nvars, {"R": MatPolyFamily(
-        nvars, [[zero, zero], [ExpPoly.from_poly(x), zero]])})
+    x = ExpPoly.from_poly(Polynomial.variable(1, 0))
+    zero = ExpPoly.zero(1)
+    return PWCandidate(1, {"R": MatPolyFamily(1, [[zero, zero], [x, zero]])})

@@ -21,9 +21,10 @@ from .poly import (Polynomial, DiffOp, Covector, monomials_upto,
 from .linalg import (Mat, SpanBasis, mmul, mid, mat_sum, block_diag, kron,
                      close_span, square, sparse, dense, apply, json_field, json_load)
 
-# FinMod.from_json's bounds: the CLI's --nmax and --dimmax ceilings, and an
-# order above the 11 that tensor products reach at --kmax 4; validating then
-# costs at most C(nvars + dim - 1, dim) matrix products
+# The size ceilings: MAX_NVARS and MAX_DIM bound the CLI's --nmax and
+# --dimmax and what every loader reads; MAX_ORDER, FinMod.from_json's k, lies
+# above the 11 that tensor products reach at --kmax 4.  Validating a FinMod
+# then costs at most C(nvars + dim - 1, dim) matrix products
 MAX_NVARS, MAX_ORDER, MAX_DIM = 3, 16, 12
 
 
@@ -260,22 +261,16 @@ class ModuleMap:
 
     __slots__ = ("source", "target", "matrix")
 
-    def __init__(self, source, target, matrix, check=True):
+    def __init__(self, source, target, matrix):
         matrix = Mat.of(matrix, source.dim)
         if matrix.nrows != target.dim or matrix.ncols != source.dim:
             raise ValueError("matrix shape must be target.dim x source.dim")
+        for j in range(source.nvars):
+            if mmul(matrix, source.mats[j]) != mmul(target.mats[j], matrix):
+                raise ValueError("map does not intertwine the action of variable %d" % (j + 1))
         self.source = source
         self.target = target
         self.matrix = matrix
-        if check:
-            self.validate()
-
-    def validate(self):
-        for j in range(self.source.nvars):
-            left = mmul(self.matrix, self.source.mats[j])
-            right = mmul(self.target.mats[j], self.matrix)
-            if left != right:
-                raise ValueError("map does not intertwine the action of variable %d" % (j + 1))
 
     def __call__(self, v):
         """The image of a dense vector of the source, as a dense tuple."""
@@ -289,13 +284,12 @@ class CyclicQuotient:
     """Quotient by a cofinite ideal: module, distinguished cyclic vector
     (the class of 1), and the standard-monomial basis labels."""
 
-    __slots__ = ("module", "cyclic", "monomials", "ideal")
+    __slots__ = ("module", "cyclic", "monomials")
 
-    def __init__(self, module, cyclic, monomials, ideal):
+    def __init__(self, module, cyclic, monomials):
         self.module = module
         self.cyclic = cyclic
         self.monomials = monomials
-        self.ideal = ideal
 
 
 def cyclic_quotient(ideal):
@@ -311,7 +305,7 @@ def cyclic_quotient(ideal):
     module = FinMod(ideal.nvars, ideal.k, mats, check=False)
     one = zero_exps(ideal.nvars)
     cyclic = tuple(ONE if m == one else ZERO for m in mons)
-    return CyclicQuotient(module, cyclic, tuple(mons), ideal)
+    return CyclicQuotient(module, cyclic, tuple(mons))
 
 
 def dual_number_module(lam):
@@ -370,25 +364,23 @@ def tensor(*mods):
 
 
 class Submodule:
-    __slots__ = ("module", "inclusion", "span")
+    __slots__ = ("module", "span")
 
-    def __init__(self, module, inclusion, span):
+    def __init__(self, module, span):
         self.module = module
-        self.inclusion = inclusion
         self.span = span
 
 
 def submodule_generated(E, vectors):
-    """Smallest action-invariant subspace containing the vectors, with the
-    inclusion map: the span of the vectors closed under the action
-    generators."""
+    """Smallest action-invariant subspace containing the vectors: the span
+    of the vectors closed under the action generators, as a Submodule
+    holding that span and the module it carries, in the coordinates of its
+    echelon rows.  Its inclusion into E is the Mat(span.rows, E.dim).T."""
     sb = close_span(E.dim, vectors, E.mats)
     d = sb.dim
     # column c of each matrix: the coordinates of the image of basis row c
     mats = [Mat([sb.coords(apply(m, b)) for b in sb.rows], d).T for m in E.mats]
-    sub = FinMod(E.nvars, E.k, mats, check=False)
-    incl = ModuleMap(sub, E, Mat(sb.rows, E.dim).T, check=False)
-    return Submodule(sub, incl, sb)
+    return Submodule(FinMod(E.nvars, E.k, mats, check=False), sb)
 
 
 def quotient_module(E, sub):
@@ -409,8 +401,7 @@ def quotient_module(E, sub):
     # column c of each matrix: the projected image of complement vector c
     mats = [Mat([project(m.cols[t]) for t in comp], d).T for m in E.mats]
     quot = FinMod(E.nvars, E.k, mats, check=False)
-    proj = ModuleMap(E, quot, Mat([project({t: ONE}) for t in range(E.dim)], d).T,
-                     check=False)
+    proj = ModuleMap(E, quot, Mat([project({t: ONE}) for t in range(E.dim)], d).T)
     return quot, proj
 
 

@@ -150,8 +150,8 @@ class _Terms(_TermDict):
         return cls(nvars, {zero_exps(nvars): c})
 
     @classmethod
-    def monomial(cls, nvars, exps, c=ONE):
-        return cls(nvars, {tuple(exps): c})
+    def monomial(cls, nvars, exps):
+        return cls(nvars, {tuple(exps): ONE})
 
     def degree(self):
         """Total degree; -1 for the zero polynomial."""

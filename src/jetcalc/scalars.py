@@ -190,11 +190,6 @@ ONE = Scalar(1)
 I = Scalar(0, 1)
 
 
-def sc(re, im=0):
-    """Shorthand constructor used all over the tests."""
-    return Scalar(re, im)
-
-
 def _terms_add(t1, pairs):
     """t1 plus the (key, coefficient) pairs, as a new term dict; cancelled
     keys are dropped."""

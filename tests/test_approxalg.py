@@ -7,11 +7,11 @@ import sys
 
 import pytest
 
-from jetcalc.scalars import Scalar, ZERO, ONE, sc
+from jetcalc.scalars import Scalar, ZERO, ONE, Scalar as sc
 from jetcalc import approxalg as aa, gen, linalg
 from jetcalc.linalg import mid, sparse
 from jetcalc.poly import parse_scalar
-from oracles import algebra_from_matrix_basis, rand_matrix
+from oracles import algebra_from_matrix_basis, is_approx_unital, rand_matrix
 
 
 def as_mats(M, span):
@@ -21,7 +21,7 @@ def as_mats(M, span):
 
 def test_full_matrix_block_has_commutant_scalars():
     alg, M = aa.block_module([2])
-    alg.validate(check_assoc=True)
+    alg.validate()
     M.validate()
     rep = aa.double_commutant_check(M)
     assert rep.ok
@@ -94,14 +94,15 @@ def test_end_zero_of_a_direct_sum_counts_blockwise_maps():
     assert aa.end_zero_basis(M3).dim == 9  # 1x1 + 2x2 blocks commute freely: 1 + 4 + 2*2
 
 
-def test_non_unital_actions_are_rejected_unless_asked_for():
+def test_a_non_unital_module_is_valid_and_reads_as_not_unital():
+    """Unitality is a property of a module, not a condition of its
+    validity: a module with a junk coordinate nothing absorbs constructs
+    checked and validates, and is_approx_unital reports it."""
     algJ = aa.ApproxAlgebra.from_blocks([1])
     actJ = [((ONE, ZERO), (ZERO, ZERO))]
-    with pytest.raises(ValueError):
-        aa.ApproxModule(algJ, 2, actJ)
-    MJ = aa.ApproxModule(algJ, 2, actJ, check=False)
-    MJ.validate(require_unital=False)
-    assert not MJ.is_approx_unital()
+    MJ = aa.ApproxModule(algJ, 2, actJ)
+    MJ.validate()
+    assert not is_approx_unital(MJ)
     # the dead coordinate forces strict smallness of everything in sight
     assert aa.end_zero_basis(MJ).dim == 1
     repJ = aa.double_commutant_check(MJ)
@@ -170,9 +171,9 @@ def test_every_drawn_module_round_trips_through_json():
     for _ in range(40):
         _, M = gen.rand_approx_module(rng, 4, junk_ok=True)
         N = aa.ApproxModule.from_json(M.to_json())
-        assert (N.dim, N.mats, N.is_approx_unital()) == \
-            (M.dim, M.mats, M.is_approx_unital())
-        kinds.add(M.is_approx_unital())
+        assert (N.dim, N.mats, is_approx_unital(N)) == \
+            (M.dim, M.mats, is_approx_unital(M))
+        kinds.add(is_approx_unital(M))
     assert kinds == {True, False}
 
 
@@ -217,6 +218,40 @@ def test_module_json_bounds_its_sizes_before_parsing(monkeypatch):
     for dim, nbasis, nchain in ((14, 36, 1), (0, 1, 1), (2, 1, 1), (2, 1, 2), (2, 36, 37)):
         with pytest.raises(Parsed):
             aa.ApproxModule.from_json(text(dim, nbasis, nchain))
+
+
+def test_module_json_refuses_a_chain_element_or_action_list_of_the_wrong_length(
+        monkeypatch):
+    """At basis size 1, an action list of 8,001 matrices or an idempotent
+    chain element of 20,001 entries is refused by its field name before
+    any entry is parsed: the loader calls its parser 0 times."""
+    parsed = []
+    monkeypatch.setattr(aa, "scalar_parser", lambda: lambda s: parsed.append(s) or ONE)
+
+    def text(chain, action):
+        return json.dumps({"basis": ["e0"], "structure_constants": {"0,0": {"0": "1"}},
+                           "idempotent_chain": [chain], "dim": 1, "action": action})
+
+    for chain, action, field in ((["1"], [["1"]] * 8001, "'action'"),
+                                 (["1"] * 20001, [["1"]], "'idempotent_chain'"),
+                                 ([], [["1"]], "'idempotent_chain'"),
+                                 (["1"], [], "'action'")):
+        with pytest.raises(ValueError, match="module field %s" % field):
+            aa.ApproxModule.from_json(text(chain, action))
+        assert parsed == []
+    aa.ApproxModule.from_json(text(["1"], [["1"]]))
+    assert len(parsed) == 3
+
+
+@pytest.mark.parametrize("sizes", [[1], [2], [1, 2], [2, 1, 1], [3, 3, 3, 3]])
+def test_block_algebras_and_modules_pass_their_validation(sizes):
+    """from_blocks and block_module build unchecked, since they are valid
+    by construction: their algebras pass validate(), associativity
+    included, and their modules pass theirs."""
+    alg, M = aa.block_module(sizes)
+    alg.validate()
+    M.validate()
+    assert M.algebra is alg and M.dim == sum(sizes)
 
 
 @pytest.mark.parametrize("consts, message", [
@@ -336,13 +371,13 @@ def test_the_largest_admitted_module_loads_in_few_truth_tests(monkeypatch):
     N = aa.ApproxModule.from_json(text)
     monkeypatch.undo()
     assert count[0] > 0
-    assert N.mats == M.mats and N.algebra.sc == M.algebra.sc and N.is_approx_unital()
+    assert N.mats == M.mats and N.algebra.sc == M.algebra.sc and is_approx_unital(N)
 
 
 def kind(M):
     """How gen.rand_approx_module drew M: junk-padded, skewed or plain."""
     entries = sum(len(row) for m in M.mats for row in m.rows)
-    return ("junk" if not M.is_approx_unital()
+    return ("junk" if not is_approx_unital(M)
             else "skewed" if entries > M.algebra.dim else "plain")
 
 
@@ -483,7 +518,7 @@ def test_the_top_corner_costs_no_elimination(monkeypatch):
             Ti = linalg.mat_inverse(T)
             N = aa.ApproxModule(alg, d + e, [
                 linalg.mmul(linalg.mmul(T, linalg.Mat(m.rows + ({},) * e, d + e)), Ti)
-                for m in M.mats], require_unital=False)
+                for m in M.mats])
             N.idem_mat(0)
             assert aa.end_zero_basis(N).dim == d * d
             assert updates(lambda: aa.end_zero_basis(N)) == updates(

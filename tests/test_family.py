@@ -9,13 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from jetcalc import approxalg, family, gen, linalg, poly, scalars
 from jetcalc.approxalg import ApproxModule
-from jetcalc.scalars import Scalar, ZERO, ONE, sc
+from jetcalc.scalars import Scalar, ZERO, ONE, Scalar as sc
 from jetcalc.poly import (Vector, Covector, DiffOp, ExpPoly, Polynomial,
                           parse_exppoly, monomials_upto, translate)
 from jetcalc.linalg import (Mat, SpanBasis, mmul, mid, block_diag, kron,
                             close_span, sparse)
 from jetcalc.localmod import (cyclic_quotient, maximal_ideal, power_ideal,
-                              dual_number_module)
+                              dual_number_module, MAX_DIM)
 from jetcalc.jetfun import jet_family, frobenius, MatPolyFamily
 from jetcalc.family import (RepFamily, PWCandidate, family_det_adj,
                             family_to_json, family_from_json,
@@ -24,7 +24,7 @@ from jetcalc.family import (RepFamily, PWCandidate, family_det_adj,
                             functional_to_relation, relation_check,
                             membership_triple, invariance_check,
                             intertwiner_graph_check, FunctionalData,
-                            delta_block, MAX_REP_DIM)
+                            delta_block)
 from oracles import algebra_from_matrix_basis
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -324,8 +324,8 @@ def test_a_wide_rep_loads_in_few_products(monkeypatch):
 
 
 def test_family_json_bounds_the_rep_dimension(monkeypatch):
-    """A rep above MAX_REP_DIM is refused, by name, before any entry is
-    parsed; a rep of MAX_REP_DIM loads building at most 2 * 12^4 Scalars."""
+    """A rep above MAX_DIM is refused, by name, before any entry is
+    parsed; a rep of MAX_DIM loads building at most 2 * 12^4 Scalars."""
     parsed = []
 
     def spying_parser(nvars):
@@ -334,7 +334,7 @@ def test_family_json_bounds_the_rep_dimension(monkeypatch):
             raise AssertionError("an entry was parsed")
         return parse
 
-    n = MAX_REP_DIM
+    n = MAX_DIM
     assert n == 12
     ident = [["1" if r == c else "0" for c in range(n + 1)] for r in range(n + 1)]
     text = json.dumps({"nvars": 1, "reps": [

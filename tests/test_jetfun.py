@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jetcalc.scalars import Scalar, ExpScalar, ZERO, ONE, EXP_ZERO, sc
+from jetcalc.scalars import Scalar, ExpScalar, ZERO, ONE, EXP_ZERO, Scalar as sc
 from jetcalc.poly import (Polynomial, ExpPoly, Vector, Covector, DiffOp,
                           parse_poly, diff, translate, pairing,
                           monomials_upto, monomials_of_degree)

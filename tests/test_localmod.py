@@ -5,7 +5,7 @@ import random
 import pytest
 
 from jetcalc import gen
-from jetcalc.scalars import Scalar, ZERO, ONE, sc
+from jetcalc.scalars import Scalar, ZERO, ONE, Scalar as sc
 from jetcalc.poly import (Polynomial, Vector, Covector, DiffOp, diff, pairing,
                           parse_poly, monomials_upto, monomials_of_degree)
 from jetcalc import linalg
@@ -186,6 +186,21 @@ def test_submodule_and_quotient_split_dimensions():
     # a non-invariant subspace is refused
     with pytest.raises(ValueError):
         quotient_module(E, [(ZERO, ONE, ZERO)])
+
+
+def test_quotient_projections_and_submodule_inclusions_are_module_maps():
+    """quotient_module builds its projection as a checked ModuleMap, and the
+    inclusion of a generated submodule, Mat(span.rows, E.dim).T, passes the
+    same check, on random modules and random generating vectors."""
+    rng = random.Random(5)
+    for _ in range(12):
+        E = gen.rand_finmod(rng, 2, 2, 5)
+        v = [gen.rand_scalar(rng) for _ in range(E.dim)]
+        sub = submodule_generated(E, [v])
+        ModuleMap(sub.module, E, Mat(sub.span.rows, E.dim).T)  # raises unless a map
+        quot, proj = quotient_module(E, sub)
+        assert quot.dim == E.dim - sub.module.dim
+        ModuleMap(E, quot, proj.matrix)
 
 
 def test_module_json_round_trip():

@@ -43,6 +43,7 @@ from jetcalc.localmod import FinMod, cyclic_quotient, maximal_ideal, dual_number
 from jetcalc.poly import ExpPoly, Vector, monomials_upto
 from jetcalc.scalars import ZERO
 from test_mutants import transpose_a_square_apply
+from oracles import is_approx_unital
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
@@ -273,7 +274,7 @@ def dcomm_modules(seed, count, dimmax):
     for _ in range(count):
         _, M = gen.rand_approx_module(rng, dimmax, junk_ok=True)
         entries = sum(len(row) for m in M.mats for row in m.rows)
-        yield M, ("junk" if not M.is_approx_unital()
+        yield M, ("junk" if not is_approx_unital(M)
                   else "skewed" if entries > M.algebra.dim else "plain")
 
 

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jetcalc.scalars import Scalar, ExpScalar, ZERO, ONE, sc, _TermDict
+from jetcalc.scalars import Scalar, ExpScalar, ZERO, ONE, Scalar as sc, _TermDict
 from jetcalc.poly import (Polynomial, ExpPoly, Vector, Covector, DiffOp,
                           diff, pairing, translate, coproduct,
                           parse_poly, parse_exppoly, parse_scalar,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from jetcalc.poly import parse_scalar
-from jetcalc.scalars import Scalar, ExpScalar, ZERO, ONE, sc, _mk
+from jetcalc.scalars import Scalar, ExpScalar, ZERO, ONE, Scalar as sc, _mk
 
 
 def scalars(nonzero=False):

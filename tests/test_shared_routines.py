@@ -22,9 +22,10 @@ from jetcalc.linalg import SpanBasis, close_span, block_diag
 from jetcalc.localmod import (FinMod, cyclic_quotient, power_ideal,
                               dual_number_module, direct_sum)
 from jetcalc.poly import Vector, ExpPoly, MAX_PARSE_WORK
-from jetcalc.scalars import Scalar, ZERO, ONE, sc
+from jetcalc.scalars import Scalar, ZERO, ONE, Scalar as sc
 from test_cli import TIERS
 from test_mutants import _everywhere
+from oracles import is_approx_unital
 
 
 def unit(n, j):
@@ -264,11 +265,11 @@ def test_the_largest_canonical_module_loads_under_one_budget():
     alg, M = block_module([3, 3, 3, 3])
     d = M.dim + 2
     mats = [linalg.Mat(m.rows + ({},) * 2, d) for m in M.mats]
-    M = ApproxModule(alg, d, mats, require_unital=False)
+    M = ApproxModule(alg, d, mats)
     assert (M.dim, alg.dim) == (approxalg.MAX_MODULE_DIM, approxalg.MAX_ALGEBRA_DIM)
     N = ApproxModule.from_json(M.to_json())
     assert N.mats == M.mats and N.algebra.chain == alg.chain
-    assert N.algebra.sc == alg.sc and not N.is_approx_unital()
+    assert N.algebra.sc == alg.sc and not is_approx_unital(N)
 
 
 def load_bench(name):
@@ -473,6 +474,109 @@ def test_every_module_level_name_is_read():
     assert not unread, unread
 
 
+# Parameters whose callers in the package give them one value, each kept
+# for a reader outside it
+ONE_VALUE = {
+    "gen.rand_approx_module.junk_ok": "bench/workloads.py passes it by keyword",
+    "gen.rand_exp_poly.nfreq": "the pinned draws of tests/test_oracle.py read it",
+    "approxalg.submodule_grid_check.extra": "the acceptance gate passes it",
+    "cli.main.argv": "the entry point: the console script calls main() without it",
+}
+
+
+def defaults_of(fn):
+    """{parameter: default node} of a FunctionDef."""
+    args = fn.args
+    names = [a.arg for a in args.posonlyargs + args.args]
+    out = dict(zip(names[::-1], args.defaults[::-1]))
+    out.update((a.arg, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d)
+    return out
+
+
+def default_values(package):
+    """{module.[Class.]function.parameter: the values the calls in the
+    package give it} for every parameter with a default of a module-level
+    function or of a method of a module-level class.  A value is the dump of
+    the argument's AST: a call that omits the parameter gives the default's,
+    and one that unpacks *args or **kwargs over it a value of its own.  A
+    call resolves by name: Class(...), and cls(...) inside a class, to the
+    __init__ the class defines or inherits; f(...) and module.f(...) to the
+    module-level functions named f; Class.m(...) to the method m the class
+    defines or inherits; any other x.m(...) to every method named m."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    functions, methods = collections.defaultdict(list), collections.defaultdict(list)
+    classes, values = {}, {}
+    for stem, tree in trees.items():
+        for qualname, node in definitions(tree):
+            if isinstance(node, ast.ClassDef):
+                classes[node.name] = ([getattr(b, "id", None) for b in node.bases], {})
+                continue
+            owner, _, name = qualname.rpartition(".")
+            static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+            target = ("%s.%s" % (stem, qualname), node, 1 if owner and not static else 0)
+            if owner:
+                classes[owner][1][name] = target
+                methods[name].append(target)
+            else:
+                functions[name].append(target)
+            values.update(("%s.%s" % (target[0], p), set()) for p in defaults_of(node))
+
+    def inherited(cls, name):
+        bases, own = classes.get(cls, ((), {}))
+        if name in own:
+            return [own[name]]
+        return next(filter(None, (inherited(b, name) for b in bases)), [])
+
+    def targets(func, scope):
+        if isinstance(func, ast.Name):
+            if func.id == "cls" or func.id in classes:
+                return inherited(scope if func.id == "cls" else func.id, "__init__")
+            return functions[func.id]
+        if not isinstance(func, ast.Attribute):
+            return []
+        owner = getattr(func.value, "id", None)
+        if owner in trees:
+            return ([t for t in functions[func.attr] if t[0].startswith(owner + ".")]
+                    or inherited(func.attr, "__init__"))
+        return inherited(owner, func.attr) if owner in classes else methods[func.attr]
+
+    for tree in trees.values():
+        for top in tree.body:
+            scope = top.name if isinstance(top, ast.ClassDef) else None
+            for call in (node for node in ast.walk(top) if isinstance(node, ast.Call)):
+                for key, fn, skip in targets(call.func, scope):
+                    defaults = defaults_of(fn)
+                    params = [a.arg for a in fn.args.posonlyargs + fn.args.args][skip:]
+                    unpacked = "unpacked by call %d" % id(call)
+                    given = {}
+                    for i, (param, arg) in enumerate(zip(params, call.args)):
+                        if isinstance(arg, ast.Starred):
+                            given.update(dict.fromkeys(params[i:], unpacked))
+                            break
+                        given[param] = ast.dump(arg)
+                    for kw in call.keywords:
+                        if kw.arg:
+                            given[kw.arg] = ast.dump(kw.value)
+                        else:
+                            given.update(dict.fromkeys(set(defaults) - set(given), unpacked))
+                    for p, d in defaults.items():
+                        values["%s.%s" % (key, p)].add(given.get(p, ast.dump(d)))
+    return values
+
+
+def test_every_default_is_given_two_values():
+    """A parameter with a default is a setting, and a setting that the
+    package uses with one value only is a constant: every parameter with a
+    default is given at least two distinct values by the calls in the
+    package (see default_values), outside the ONE_VALUE table.  Each entry
+    of that table still names a parameter that the package gives one
+    value."""
+    values = default_values(Path(jetcalc.__file__).parent)
+    single = {name for name, seen in values.items() if len(seen) < 2}
+    assert single - set(ONE_VALUE) == set(), sorted(single - set(ONE_VALUE))
+    assert set(ONE_VALUE) <= single, sorted(set(ONE_VALUE) - single)
+
+
 # linalg's dense edges, kept for the benchmark's tracer: module functions,
 # and SpanBasis methods
 DENSE_FUNCTIONS = {"nullspace", "rref", "mat_vec"}
@@ -516,7 +620,10 @@ def test_no_module_calls_a_dense_edge_of_linalg():
                         (localmod.ModuleMap, "is_invertible"),
                         (localmod.CyclicQuotient, "project_poly"), (poly.Vector, "scaled"),
                         (Scalar, "conjugate"), (approxalg.ApproxAlgebra, "from_matrix_basis"),
-                        (gen, "rand_matrix")):
+                        (gen, "rand_matrix"), (jetcalc.scalars, "sc"), (jetcalc, "sc"),
+                        (approxalg.ApproxModule, "is_approx_unital"),
+                        (localmod.Submodule, "inclusion"),
+                        (localmod.CyclicQuotient, "ideal"), (family, "MAX_REP_DIM")):
         assert not hasattr(owner, name), name
     calls = {(path.name, scope, edge)
              for path in sorted(Path(jetcalc.__file__).parent.glob("*.py"))
