@@ -22,7 +22,7 @@ from .localmod import (CofiniteIdeal, FinMod, ModuleMap, power_ideal,
 from .jetfun import (MatPolyFamily, jet, jet_ideal, jet_family,
                      block_derivative, iterated_block_derivative,
                      functional_to_diffop, diffop_to_module,
-                     kernel_alpha_bar, subquotient_lambdas)
+                     kernel_alpha_bar, subquotient_certified)
 from .approxalg import (ApproxAlgebra, ApproxModule, block_module,
                         end_zero_basis, end_sharp_membership,
                         double_commutant_check, corner_identity_check,
@@ -46,7 +46,7 @@ __all__ = [
     "MatPolyFamily", "jet", "jet_ideal", "jet_family",
     "block_derivative", "iterated_block_derivative",
     "functional_to_diffop", "diffop_to_module",
-    "kernel_alpha_bar", "subquotient_lambdas",
+    "kernel_alpha_bar", "subquotient_certified",
     "ApproxAlgebra", "ApproxModule", "block_module",
     "end_zero_basis", "end_sharp_membership",
     "double_commutant_check", "corner_identity_check",

@@ -37,6 +37,7 @@ first use (by mul, validate or to_json).
 """
 
 import json
+import re
 
 from .scalars import ZERO, ONE
 from .poly import scalar_parser
@@ -54,6 +55,10 @@ from .linalg import (Mat, SpanBasis, CrossCheckError, mmul, mat_sum, close_span,
 # mostly parsing the action
 MAX_MODULE_DIM = MAX_DIM + 2
 MAX_ALGEBRA_DIM = 3 * MAX_DIM
+
+# the one spelling of a basis index in a JSON key: ASCII decimal without a
+# leading zero ("01" and the Arabic-Indic digit one are refused, not read as 1)
+_canonical = re.compile("0|[1-9][0-9]*").fullmatch
 
 
 class ApproxAlgebra:
@@ -251,11 +256,11 @@ class ApproxModule:
 
     @classmethod
     def from_json(cls, text):
-        """The module of a to_json text; a malformed field or a basis index
-        out of range is refused by name, and so are a size above
-        MAX_MODULE_DIM or MAX_ALGEBRA_DIM, a chain longer than the basis plus
-        one, and a chain element or action list whose length is not the
-        basis size, before any entry is parsed."""
+        """The module of a to_json text; a malformed field, or a basis index
+        out of range or not spelled in canonical ASCII decimal, is refused by
+        name, and so are a size above MAX_MODULE_DIM or MAX_ALGEBRA_DIM, a
+        chain longer than the basis plus one, and a chain element or action
+        list whose length is not the basis size, before any entry is parsed."""
         data = json_load(text)
         n = len(json_field(data, "basis", list, "module field 'basis' is"))
         dim = json_field(data, "dim", int, "module dimension", 0, MAX_MODULE_DIM)
@@ -280,19 +285,20 @@ class ApproxModule:
             raise ValueError("module field 'action' holds %d matrices; a basis of %d "
                              "needs %d" % (len(action), n, n))
         parse, sc = scalar_parser(), {}
+        index = {str(t): t for t in range(n)}  # a basis index by its canonical spelling
         for key in consts:
             ij = key.split(",")
-            if len(ij) != 2 or not all(map(str.isdecimal, ij)):
+            if len(ij) != 2 or not all(map(_canonical, ij)):
                 raise ValueError("structure constant key %r must be two basis indices "
                                  "'i,j'" % key)
             row = json_field(consts, key, dict, "structure constant %r is" % key)
-            if bad := [t for t in row if not t.isdecimal()]:
+            if bad := [t for t in row if not _canonical(t)]:
                 raise ValueError("structure constant %r has the entry key %r; it must "
                                  "be a basis index" % (key, bad[0]))
-            sc[tuple(map(int, ij))] = {int(t): parse(s) for t, s in row.items()}
-        if not all(0 <= x < n for (i, j), row in sc.items() for x in (i, j, *row)):
-            raise ValueError("a structure constant names a basis index outside 0 to %d"
-                             % (n - 1))
+            if not all(x in index for x in (*ij, *row)):
+                raise ValueError("a structure constant names a basis index outside 0 to %d"
+                                 % (n - 1))
+            sc[index[ij[0]], index[ij[1]]] = {index[t]: parse(s) for t, s in row.items()}
         chain = [[parse(s) for s in a] for a in chain]
         alg = ApproxAlgebra(n, sc, chain, data["basis"])
         mats = [square(flat, dim, parse, "action matrix %d" % t)
@@ -328,37 +334,32 @@ def end_zero_basis(M):
 
 
 class SharpResult:
-    """Outcome of a membership test: the verdict, the witness's dense
-    coordinates on success, the violated module and escaping vector on failure."""
+    """Outcome of a membership test: the verdict, and on success the
+    witness's dense coordinates (None otherwise)."""
 
-    __slots__ = ("member", "witness", "j", "tuple_vec", "submodule", "escaped")
+    __slots__ = ("member", "witness")
 
-    def __init__(self, member, j, tuple_vec, witness=None, submodule=None, escaped=None):
+    def __init__(self, member, witness):
         self.member = member
         self.witness = witness
-        self.j = j
-        self.tuple_vec = tuple_vec
-        self.submodule = submodule
-        self.escaped = escaped
 
     def __bool__(self):
         return self.member
 
 
 def _tuple_module(M, j, tuples):
-    """The stacked basis tuple u of V_j (a zero-free sparse vector), its
-    length n, the module W inside V^n spanned by the basis-element actions
-    on u (W contains u because the corner idempotent fixes every u_i), and
-    the witness solver of those actions; W and the solver come from one
-    elimination (linalg.solver).  Built once per corner index j and kept in
-    `tuples`."""
+    """The stacked basis tuple u of V_j (a zero-free sparse vector in V^n,
+    n the rank of V_j), the module W inside V^n spanned by the
+    basis-element actions on u (W contains u because the corner idempotent
+    fixes every u_i), and the witness solver of those actions; W and the
+    solver come from one elimination (linalg.solver).  Built once per corner
+    index j and kept in `tuples`."""
     if j not in tuples:
         d = M.dim
         basis = M.V_j(j).rows
-        n = len(basis)
         u = {i * d + k: x for i, b in enumerate(basis) for k, x in b.items()}
-        W, solve = linalg.solver([apply(m, u) for m in M.mats], n * d)
-        tuples[j] = (u, n, W, solve)
+        W, solve = linalg.solver([apply(m, u) for m in M.mats], len(basis) * d)
+        tuples[j] = (u, W, solve)
     return tuples[j]
 
 
@@ -390,8 +391,7 @@ def _membership(M, phi, tuples, outside=ValueError):
     else:
         raise outside("the endomorphism lies in no chain corner; "
                       "it cannot be an image element")
-    u, n, W, solve = _tuple_module(M, corner_j, tuples)
-    tuple_vec = dense(u, n * d)
+    u, W, solve = _tuple_module(M, corner_j, tuples)
     # the witness first: solve phi.u = pi(a).u in the element coordinates,
     # then cut a down to the corner so the equality extends from V_j to V
     a = solve(apply(phi, u))
@@ -400,10 +400,9 @@ def _membership(M, phi, tuples, outside=ValueError):
             alpha = M.algebra.chain[corner_j]
             a = M.algebra.mul(M.algebra.mul(alpha, a), alpha)
         if M.act(a) == phi:
-            return SharpResult(True, corner_j, tuple_vec, witness=dense(a, M.algebra.dim))
-    if escaped := W.escape(phi):
-        return SharpResult(False, corner_j, tuple_vec, submodule=W,
-                           escaped=tuple(dense(v, n * d) for v in escaped))
+            return SharpResult(True, dense(a, M.algebra.dim))
+    if W.escape(phi):
+        return SharpResult(False, None)
     raise CrossCheckError("invariance held but no witness solves the system" if a is None
                           else "witness verification failed")
 
@@ -420,7 +419,7 @@ def _end_sharp(M, tuples):
     module from `tuples`."""
     end_zero = end_zero_basis(M)
     d = M.dim
-    _, n, W, _ = _tuple_module(M, len(M.algebra.chain) - 1, tuples)
+    _, W, _ = _tuple_module(M, len(M.algebra.chain) - 1, tuples)
     ZT = Mat(end_zero.rows, d * d).T
     by_block = {}  # block b -> {index r of an echelon row w of W: w_b}
     for r, w in enumerate(W.rows):

@@ -317,19 +317,11 @@ def relation_to_functional(terms, reps):
     return FunctionalData(Mat(psi, layout.total), layout)
 
 
-class RelationDecomp:
-    __slots__ = ("terms", "cross_discarded")
-
-    def __init__(self, terms, cross_discarded):
-        self.terms = terms
-        self.cross_discarded = cross_discarded
-
-
 def functional_to_relation(data):
-    """Back-translation: split the functional along diagonal blocks, discard
-    cross components (they annihilate every block-diagonal assembly), and
-    decompose each diagonal block into rank-one tensors, converting the
-    module side into an operator."""
+    """Back-translation to a list of relation terms: split the functional
+    along diagonal blocks, discard cross components (they annihilate every
+    block-diagonal assembly), and decompose each diagonal block into
+    rank-one tensors, converting the module side into an operator."""
     layout = data.layout
     E = layout.E
     psi = data.psi.rows
@@ -351,22 +343,18 @@ def functional_to_relation(data):
             u = functional_to_diffop(E, eta)
             if u.terms:
                 terms.append(RelationTerm(rep.label, Mat.from_flat(rrow, d, d), p, u))
-    # the blocks tile the diagonal, so an entry is off them iff its row
-    # and column lie in different blocks
-    block = [off for _, _, off, size in layout.blocks for _ in range(size)]
-    cross = any(block[r] != block[c] for r, row in enumerate(psi) for c in row)
-    return RelationDecomp(terms, cross)
+    return terms
 
 
 class RelationVerdict:
-    """Outcome of a relation check: `certified` says whether the terms
-    really annihilate every word image; `holds` whether the candidate
-    passes.  A non-relation gets a witness word instead of a φ verdict."""
+    """Outcome of a relation check: `holds` says whether the candidate
+    passes, for terms that annihilate every word image.  A non-relation
+    gets a witness word (a span row the terms do not kill) instead, and
+    `holds` None; the terms are certified iff `witness` is None."""
 
-    __slots__ = ("certified", "holds", "witness")
+    __slots__ = ("holds", "witness")
 
-    def __init__(self, certified, holds=None, witness=None):
-        self.certified = certified
+    def __init__(self, holds=None, witness=None):
         self.holds = holds
         self.witness = witness
 
@@ -388,7 +376,7 @@ def relation_check(cand, terms, reps):
     span, _ = spanned_algebra(layout.reps, layout.points, layout.E)
     bad = relation_certify(data, span)
     if bad is not None:
-        return RelationVerdict(False, witness=bad)
+        return RelationVerdict(witness=bad)
     direct = ZERO
     by_label = {rep.label: rep for rep in reps}
     for t in terms:
@@ -396,7 +384,7 @@ def relation_check(cand, terms, reps):
     packaged = frobenius(data.psi, layout.assemble(cand.component))
     if direct != packaged:
         raise CrossCheckError("relation evaluation routes disagree")
-    return RelationVerdict(True, holds=not direct)
+    return RelationVerdict(holds=not direct)
 
 
 class TripleResult:

@@ -357,18 +357,14 @@ class KernelResult:
     """Canonical basis of the kernel through the degree bound, with a flag
     for bounds too small to capture the generating degree."""
 
-    __slots__ = ("lams", "degree_bound", "basis", "partial")
+    __slots__ = ("basis", "partial")
 
-    def __init__(self, lams, degree_bound, basis, partial):
-        self.lams = lams
-        self.degree_bound = degree_bound
+    def __init__(self, basis, partial):
         self.basis = basis
         self.partial = partial
 
     def __repr__(self):
-        return ("KernelResult(n=%d, d=%d, dim=%d%s)"
-                % (len(self.lams), self.degree_bound, len(self.basis),
-                   ", partial" if self.partial else ""))
+        return "KernelResult(dim=%d%s)" % (len(self.basis), ", partial" if self.partial else "")
 
 
 def kernel_alpha_bar(lams, d):
@@ -409,34 +405,18 @@ def kernel_alpha_bar(lams, d):
     if not kernel_a.same_span(kernel_b):
         raise CrossCheckError("kernel computations disagree")
     basis = [space.from_vec(r) for r in kernel_a.rows]
-    return KernelResult(tuple(lams), d, basis, d < n + 1)
+    return KernelResult(basis, d < n + 1)
 
 
-class SubquotientResult:
-    """Direction sequence for a cofinite ideal together with the containment
-    certificate: the kernel of the associated map lies inside the ideal's
-    image in degrees <= n."""
-
-    __slots__ = ("lams", "kernel", "certified")
-
-    def __init__(self, lams, kernel, certified):
-        self.lams = lams
-        self.kernel = kernel
-        self.certified = certified
-
-
-def subquotient_lambdas(ideal):
-    """The standard direction sequence (each coordinate direction repeated k
-    times, n = k*N total) and the certificate for it."""
+def subquotient_certified(ideal):
+    """Whether the kernel for the standard direction sequence (each
+    coordinate direction repeated k times, n = k*N in all) lies inside the
+    ideal's image in degrees <= n."""
     N, k = ideal.nvars, ideal.k
-    lams = []
-    for j in range(N):
-        lams.extend([Vector.basis(N, j)] * k)
+    lams = [Vector.basis(N, j) for j in range(N) for _ in range(k)]
     if not lams:
-        return SubquotientResult((), None, True)
+        return True
     n = len(lams)
-    kr = kernel_alpha_bar(lams, n)
     space = PolySpace(N, n)
     ideal_span = ideal.image_span(n)
-    ok = all(ideal_span.contains(space.to_vec(p)) for p in kr.basis)
-    return SubquotientResult(tuple(lams), kr, ok)
+    return all(ideal_span.contains(space.to_vec(p)) for p in kernel_alpha_bar(lams, n).basis)

@@ -14,7 +14,7 @@ through truncation) follows from that.
 
 import json
 
-from .scalars import ZERO, ONE
+from .scalars import ONE
 from .poly import (Polynomial, DiffOp, Covector, monomials_upto,
                    monomials_of_degree, beta_factorial, zero_exps, scalar_parser,
                    exp_series)
@@ -281,14 +281,14 @@ class ModuleMap:
 
 
 class CyclicQuotient:
-    """Quotient by a cofinite ideal: module, distinguished cyclic vector
-    (the class of 1), and the standard-monomial basis labels."""
+    """Quotient by a cofinite ideal: module and the standard-monomial basis
+    labels; the class of 1, a cyclic vector, is the basis element of the
+    monomial 1."""
 
-    __slots__ = ("module", "cyclic", "monomials")
+    __slots__ = ("module", "monomials")
 
-    def __init__(self, module, cyclic, monomials):
+    def __init__(self, module, monomials):
         self.module = module
-        self.cyclic = cyclic
         self.monomials = monomials
 
 
@@ -302,10 +302,7 @@ def cyclic_quotient(ideal):
     # column c of x_j's matrix: the residue of x_j mons[c], on the standard monomials
     mats = [Mat([{at[i]: x for i, x in ideal.span._reduce(shift.cols[space.index[m]]).items()}
                  for m in mons], d).T for shift in space.shifts]
-    module = FinMod(ideal.nvars, ideal.k, mats, check=False)
-    one = zero_exps(ideal.nvars)
-    cyclic = tuple(ONE if m == one else ZERO for m in mons)
-    return CyclicQuotient(module, cyclic, tuple(mons))
+    return CyclicQuotient(FinMod(ideal.nvars, ideal.k, mats, check=False), tuple(mons))
 
 
 def dual_number_module(lam):

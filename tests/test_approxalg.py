@@ -11,7 +11,7 @@ from jetcalc.scalars import Scalar, ZERO, ONE, Scalar as sc
 from jetcalc import approxalg as aa, gen, linalg
 from jetcalc.linalg import mid, sparse
 from jetcalc.poly import parse_scalar
-from oracles import algebra_from_matrix_basis, is_approx_unital, rand_matrix
+from oracles import algebra_from_matrix_basis, is_approx_unital, membership, rand_matrix
 
 
 def as_mats(M, span):
@@ -39,7 +39,7 @@ def test_scalar_algebra_on_a_big_space_stays_one_dimensional():
 def test_membership_separates_diagonal_from_offdiagonal():
     _, M2 = aa.block_module([1, 1])
     E12 = ((ZERO, ONE), (ZERO, ZERO))
-    res = aa.end_sharp_membership(M2, E12)
+    res = membership(M2, E12)
     assert not res.member and res.escaped is not None
     for coords in [(ONE, ZERO), (ZERO, ONE), (sc(2), sc(-3))]:
         phi = M2.act(coords)
@@ -123,7 +123,7 @@ def test_a_zero_corner_gives_the_zero_witness():
     element, solved and verified like any other."""
     alg = aa.ApproxAlgebra.from_blocks([1, 1])
     M = aa.ApproxModule(alg, 1, [((ZERO,),), ((ONE,),)])
-    res = aa.end_sharp_membership(M, ((ZERO,),))
+    res = membership(M, ((ZERO,),))
     assert res.member and res.j == 0 and res.tuple_vec == ()
     assert res.witness == (ZERO, ZERO)
     assert aa.double_commutant_check(M).ok
@@ -146,7 +146,7 @@ def test_cyclic_tuple_grids_accept_true_members():
 def test_rejection_comes_with_an_escape_certificate():
     _, M2 = aa.block_module([1, 1])
     E12 = ((ZERO, ONE), (ZERO, ZERO))
-    res = aa.end_sharp_membership(M2, E12)
+    res = membership(M2, E12)
     assert not res.member
     row, moved = res.escaped
     # the cyclic tuple module contains the row but loses its image under E12
@@ -262,8 +262,25 @@ def test_block_algebras_and_modules_pass_their_validation(sizes):
     ({"0,0": {"a": "1"}}, "structure constant '0,0' has the entry key 'a'; it must be "
                           "a basis index"),
     ({"0,4": {"0": "1"}}, "a structure constant names a basis index outside 0 to 3"),
+    # a basis index has one spelling, ASCII decimal without a leading zero:
+    # each case below was read as the index it spells (the later of "1,2"
+    # and "01,2" won) or, for 4,301 zeros, refused only by int()'s digit limit
+    pytest.param({"1,2": {"0": "5"}, "01,2": {"0": "1"}},
+                 "structure constant key '01,2' must be two basis indices 'i,j'",
+                 id="leading_zero"),
+    pytest.param({"\u0661,2": {"0": "1"}},
+                 "structure constant key '\u0661,2' must be two basis indices 'i,j'",
+                 id="arabic_indic_key"),
+    pytest.param({"1,2": {"\u0660": "1"}},
+                 "structure constant '1,2' has the entry key '\u0660'; it must be a basis "
+                 "index", id="arabic_indic_entry"),
+    pytest.param({"0" * 4301 + ",0": {}},
+                 "structure constant key '%s,0' must be two basis indices 'i,j'" % ("0" * 4301),
+                 id="4301_zeros"),
 ])
 def test_module_json_refuses_a_malformed_structure_constant_key(consts, message):
+    """block_module([2]) states e_1 e_2 = e_0 under the key "1,2"; each
+    case adds or changes keys and must be refused with its message."""
     _, M = aa.block_module([2])
     data = json.loads(M.to_json())
     data["structure_constants"].update(consts)
@@ -401,7 +418,7 @@ def test_witness_solver_factors_each_corner_once(monkeypatch):
         sharp, _ = aa._end_sharp(M, {})
         corners = set()
         for mat in as_mats(M, sharp):
-            res = aa.end_sharp_membership(M, mat)
+            res = membership(M, mat)
             assert res.member and M.act(res.witness) == mat
             corners.add(res.j)
         factored.clear()
@@ -529,7 +546,10 @@ def test_a_non_member_reports_its_submodule_and_escape():
     """Witness-first membership still returns, for a phi in a corner but
     outside the action image, the corner's tuple module W (which holds the
     tuple) and an escaping pair (w, phi.w) with w in W and phi.w outside;
-    a member returns neither, on plain, skewed and junk-padded modules."""
+    a member's phi preserves W, on plain, skewed and junk-padded modules.
+    W and the pair are read from the tuple-module cache (see
+    oracles.membership); the result itself holds only the verdict and the
+    witness."""
     rng = random.Random(25)
     kinds = set()
     for _ in range(30):
@@ -538,10 +558,10 @@ def test_a_non_member_reports_its_submodule_and_escape():
         top = M.idem_mat(len(M.algebra.chain) - 1)
         X = linalg.Mat.of([[gen.rand_scalar(rng) for _ in range(d)] for _ in range(d)])
         phi = linalg.mmul(linalg.mmul(top, X), top)
-        res = aa.end_sharp_membership(M, phi)
+        res = membership(M, phi)
         assert res.member == M.image_span().contains(phi.flat())
         if res.member:
-            assert res.submodule is None and res.escaped is None
+            assert res.escaped is None
             continue
         kinds.add(kind(M))
         W, (row, moved) = res.submodule, res.escaped
@@ -560,7 +580,7 @@ def test_top_corner_witness_needs_no_cutting_down():
     for _ in range(30):
         alg, M = gen.rand_approx_module(rng, 6, junk_ok=True)
         phi = gen.rand_member_phi(rng, M)
-        res = aa.end_sharp_membership(M, phi)
+        res = membership(M, phi)
         assert res.member and M.act(res.witness) == phi
         if res.j == len(alg.chain) - 1:
             top, w = alg.chain[-1], sparse(res.witness)
@@ -654,7 +674,7 @@ def reference_end_sharp(M):
     nullspace mapped back through the C_i."""
     d = M.dim
     corner_mats = as_mats(M, aa.end_zero_basis(M))
-    _, _, W, _ = aa._tuple_module(M, len(M.algebra.chain) - 1, {})
+    _, W, _ = aa._tuple_module(M, len(M.algebra.chain) - 1, {})
     rows = []
     for wrow in W.rows:
         by_key = {}
@@ -743,7 +763,7 @@ def test_the_corner_index_is_the_least_idempotent_absorbing_phi():
                 with pytest.raises(ValueError, match="lies in no chain corner"):
                     aa.end_sharp_membership(M, phi)
                 continue
-            res = aa.end_sharp_membership(M, phi)
+            res = membership(M, phi)
             assert res.j == want
             if phi in members:
                 assert res.member and M.act(res.witness) == phi

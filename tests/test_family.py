@@ -506,19 +506,19 @@ def test_relation_checks_certify_then_evaluate():
     psi10 = [[ZERO, ZERO], [ONE, ZERO]]
     t_eval = RelationTerm("u", psi10, Vector([sc(2)]), DiffOp.one(1))
     v = relation_check(PWCandidate.from_word([upo], [1, -1, 1]), [t_eval], [upo])
-    assert v.certified and v.holds
+    assert v.witness is None and v.holds
     escape = PWCandidate(1, {"u": LOW})
     v2 = relation_check(escape, [t_eval], [upo])
-    assert v2.certified and not v2.holds
+    assert v2.witness is None and not v2.holds
 
     psi00 = [[ONE, ZERO], [ZERO, ZERO]]
     t_der = RelationTerm("u", psi00, Vector([sc(2)]), DiffOp(1, {(1,): ONE}))
     v3 = relation_check(PWCandidate.from_word([upo], [1]), [t_der], [upo])
-    assert v3.certified and v3.holds
+    assert v3.witness is None and v3.holds
 
     t_bad = RelationTerm("u", psi00, Vector([sc(2)]), DiffOp.one(1))
     v4 = relation_check(escape, [t_bad], [upo])
-    assert not v4.certified and v4.witness is not None and v4.holds is None
+    assert v4.witness is not None and v4.holds is None
 
 
 def test_two_term_relations_mix_points_and_orders():
@@ -527,7 +527,7 @@ def test_two_term_relations_mix_points_and_orders():
     t_a = RelationTerm("u", psi10, Vector([sc(0)]), DiffOp.one(1))
     t_b = RelationTerm("u", psi10, Vector([sc(3)]), DiffOp(1, {(1,): ONE}))
     v = relation_check(PWCandidate.from_word([upo], [1, 1]), [t_a, t_b], [upo])
-    assert v.certified and v.holds
+    assert v.witness is None and v.holds
 
 
 def test_relation_data_packages_into_one_functional():
@@ -549,15 +549,20 @@ def test_functionals_translate_back_to_relation_data():
     t_a = RelationTerm("u", psi10, Vector([sc(0)]), DiffOp.one(1))
     t_b = RelationTerm("u", psi10, Vector([sc(3)]), DiffOp(1, {(1,): ONE}))
     data = relation_to_functional([t_a, t_b], [upo])
-    dec = functional_to_relation(data)
-    assert not dec.cross_discarded
+    # every entry of the packaged functional lies in a diagonal block
+    block = [off for _, _, off, size in data.layout.blocks for _ in range(size)]
+    assert all(block[r] == block[c] for r, row in enumerate(data.psi.rows) for c in row)
+    terms = functional_to_relation(data)
     for w in ([], [1, 1], [-1, 1, 1]):
         famw = upo.word_family(w)
-        lhs = sum((term_value(t, famw) for t in dec.terms), ZERO)
+        lhs = sum((term_value(t, famw) for t in terms), ZERO)
         assert lhs == term_value(t_a, famw) + term_value(t_b, famw)
 
 
 def test_cross_block_entries_are_reported_as_discarded():
+    """A cross-block entry annihilates every block-diagonal assembly, so
+    the back-translation discards it: a functional with one added gives
+    the same terms, each with the same value on every word tried."""
     upo = upper_only_rep()
     psi10 = [[ZERO, ZERO], [ONE, ZERO]]
     t_a = RelationTerm("u", psi10, Vector([sc(0)]), DiffOp.one(1))
@@ -566,7 +571,13 @@ def test_cross_block_entries_are_reported_as_discarded():
     psi_cross = [list(linalg.dense(r, data.psi.ncols)) for r in data.psi.rows]
     psi_cross[0][data.layout.blocks[1][2]] = ONE
     data_cross = FunctionalData(Mat.of(psi_cross), data.layout)
-    assert functional_to_relation(data_cross).cross_discarded
+    assert data_cross.psi != data.psi
+    terms, cross_terms = functional_to_relation(data), functional_to_relation(data_cross)
+    assert len(terms) == len(cross_terms) > 0
+    for w in ([], [1], [1, 1], [-1, 1, 1]):
+        famw = upo.word_family(w)
+        assert ([term_value(t, famw) for t in cross_terms]
+                == [term_value(t, famw) for t in terms]), w
 
 
 def test_invariance_over_decision_data():

@@ -274,7 +274,9 @@ def test_jet_ideal_is_the_cyclic_column_of_the_quotient_jet():
         f = rand_exp_poly(rng, 2, 2)
         mu = rand_point(rng, 2)
         ev = jf.jet(f, cq.module).evaluate(tuple(mu.coords))
-        col = tuple(sum((ev[r][c] * cq.cyclic[c] for c in range(cq.module.dim)),
+        # the class of 1: the basis element of the monomial 1
+        one = tuple(ONE if m == (0, 0) else ZERO for m in cq.monomials)
+        col = tuple(sum((ev[r][c] * one[c] for c in range(cq.module.dim)),
                         EXP_ZERO) for r in range(cq.module.dim))
         assert col == jf.jet_ideal(f, I, mu)
 
@@ -399,17 +401,20 @@ def test_kernel_rejects_zero_directions():
 
 
 def test_subquotient_directions_come_with_a_containment_certificate():
-    res = jf.subquotient_lambdas(lm.maximal_ideal(2))
-    assert res.lams == () and res.certified
+    def directions(ideal):  # the standard sequence: each coordinate k times
+        return [Vector.basis(ideal.nvars, j) for j in range(ideal.nvars)
+                for _ in range(ideal.k)]
 
-    res = jf.subquotient_lambdas(lm.power_ideal(1, 2))
-    assert len(res.lams) == 2 and res.certified
-    kr = jf.kernel_alpha_bar(res.lams, 3)
+    ideal = lm.maximal_ideal(2)
+    assert directions(ideal) == [] and jf.subquotient_certified(ideal)
+
+    ideal = lm.power_ideal(1, 2)
+    assert len(directions(ideal)) == 2 and jf.subquotient_certified(ideal)
+    kr = jf.kernel_alpha_bar(directions(ideal), 3)
     assert len(kr.basis) == 1 and kr.basis[0] == parse_poly("(1)*x1^3", 1)
 
     for ideal in (lm.dual_number_ideal(Vector((1, 2))), lm.power_ideal(2, 1)):
-        res = jf.subquotient_lambdas(ideal)
-        assert len(res.lams) == 2 and res.certified
+        assert len(directions(ideal)) == 2 and jf.subquotient_certified(ideal)
 
 
 def test_an_int_factor_scales_a_family_by_its_scalar():

@@ -629,3 +629,48 @@ def test_no_module_calls_a_dense_edge_of_linalg():
              for path in sorted(Path(jetcalc.__file__).parent.glob("*.py"))
              for scope, edge in dense_edge_calls(ast.parse(path.read_text()))}
     assert calls == set()
+
+
+def attributes(cls):
+    """The attribute names a ClassDef lists in __slots__ or assigns on
+    self, in any of its methods."""
+    for node in cls.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "__slots__" for t in node.targets):
+            yield from (c.value for c in ast.walk(node.value)
+                        if isinstance(c, ast.Constant) and isinstance(c.value, str))
+    for node in ast.walk(cls):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name) and node.value.id == "self"):
+            yield node.attr
+
+
+def unread_attributes(package):
+    """Module.Class.name for every attribute of a module-level class of a
+    package that no module of it reads as .name outside the class's own
+    __init__ and __repr__."""
+    trees = {path: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    reads = collections.defaultdict(list)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads[node.attr].append(node)
+    unread = []
+    for path, tree in trees.items():
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            own = {id(node) for f in cls.body if isinstance(f, ast.FunctionDef)
+                   and f.name in ("__init__", "__repr__") for node in ast.walk(f)}
+            unread.extend("%s.%s.%s" % (path.stem, cls.name, name)
+                          for name in sorted(set(attributes(cls)))
+                          if all(id(node) in own for node in reads[name]))
+    return unread
+
+
+def test_every_attribute_is_read():
+    """Every attribute that a class of the package lists in __slots__ or
+    assigns on self is read as .name by a module of the package outside
+    that class's own __init__ and __repr__, so a field that only tests
+    read is found.  The check goes by name: a read of a same-named
+    attribute of another class, or of any object, counts as a read."""
+    unread = unread_attributes(Path(jetcalc.__file__).parent)
+    assert not unread, "unread attributes: " + ", ".join(unread)
