@@ -9,7 +9,7 @@ together for matrix families.  All arithmetic is exact; there is no floating
 point anywhere.
 """
 
-from .scalars import Scalar, ExpScalar
+from .scalars import Scalar
 from .poly import (Polynomial, ExpPoly, Covector, Vector, DiffOp,
                    diff, pairing, translate, coproduct,
                    parse_poly, parse_exppoly, parse_scalar)
@@ -34,7 +34,7 @@ from .family import (RepFamily, PWCandidate, RelationTerm, BlockLayout,
                      intertwiner_graph_check)
 
 __all__ = [
-    "Scalar", "ExpScalar",
+    "Scalar",
     "Polynomial", "ExpPoly", "Covector", "Vector", "DiffOp",
     "diff", "pairing", "translate", "coproduct",
     "parse_poly", "parse_exppoly", "parse_scalar",

@@ -15,8 +15,8 @@ the i-th generator (1-based), -i its inverse.
 
 import json
 
-from .scalars import ZERO, ONE, EXP_ZERO
-from .poly import Vector, diff, entry_parser, _inv_int
+from .scalars import ZERO, ONE
+from .poly import ExpPoly, Vector, diff, entry_parser, _inv_int
 from .linalg import (Mat, SpanBasis, CrossCheckError, mmul, mid, block_diag, dot,
                      close_span, square, json_field, json_load, _kron_into)
 from .localmod import MAX_NVARS, MAX_DIM
@@ -278,7 +278,7 @@ def term_value(term, fam):
     pt = tuple(term.point.coords)
     return sum((diff(term.u, fam.entries[r][c]).evaluate(pt) * h
                 for r, hrow in enumerate(term.psi.rows) for c, h in hrow.items()),
-               EXP_ZERO).scalar()
+               ExpPoly.zero(0)).scalar()
 
 
 class FunctionalData:

@@ -22,7 +22,7 @@ from itertools import combinations
 from math import comb, prod
 from operator import add, le, sub
 
-from .scalars import Scalar, ExpScalar, ZERO, ONE, EXP_ZERO
+from .scalars import Scalar, ZERO, ONE
 from .poly import (Polynomial, ExpPoly, Covector, Vector, DiffOp,
                    translate, coproduct, monomials_upto,
                    beta_factorial, zero_exps, exp_series, _pair, _point_coords)
@@ -156,10 +156,11 @@ class MatPolyFamily:
         return {s: Mat(v, self.cols) for s, v in acc.items() if any(v)}
 
     def evaluate(self, point):
-        """Exact evaluation; entries become formal-exponential scalars."""
+        """Exact evaluation; each entry is an ExpPoly in no variables, a
+        sum of formal units E[shift]."""
         groups = self._groups(point)
-        return tuple(tuple(ExpScalar({s: g.rows[r][c] for s, g in groups.items()
-                                      if c in g.rows[r]})
+        return tuple(tuple(ExpPoly(0, {((), s): Polynomial.const(0, g.rows[r][c])
+                                       for s, g in groups.items() if c in g.rows[r]})
                            for c in range(self.cols)) for r in range(self.rows))
 
     def evaluate_scalar(self, point):
@@ -227,17 +228,17 @@ def jet(f, E):
 
 def jet_ideal(f, ideal, mu):
     """Class of the translated germ in the quotient by the ideal:
-    coordinates over the standard monomials, as formal-exponential scalars."""
+    coordinates over the standard monomials, as ExpPolys in no variables."""
     f = _as_exppoly(f)
     if f.nvars != ideal.nvars:
         raise ValueError("arity mismatch")
     g = translate(f, mu)
-    coords = [EXP_ZERO] * ideal.codim
+    coords = [ExpPoly.zero(0)] * ideal.codim
     for (freq, unit), p in g.terms.items():
         xi = Covector(freq)
         q = (exp_series(xi, ideal.k) * p).truncate(ideal.k)
         nf = ideal.normal_form(q)
-        tag = ExpScalar.unit(unit)
+        tag = ExpPoly.exp((), unit=unit)
         for t, m in enumerate(ideal.standard_monomials):
             c = nf.terms.get(m)
             if c:
@@ -328,8 +329,6 @@ def alpha_bar_image(p, lams):
     tensored with the first factor slow."""
     n = len(lams)
     N = p.nvars
-    if n == 0:
-        return (p.terms.get(zero_exps(N), ZERO),)
     mods = [dual_number_module(lam) for lam in lams]
     # per-factor cache: class of X^beta = action applied to the class of 1,
     # which sits at index 1 of the dual-number basis

@@ -7,9 +7,13 @@ scalars._terms_add/_terms_mul.  Monomials are plain exponent tuples.
 Polynomial and DiffOp share _Terms: {exponents: Scalar}; they differ in type
 and in the printed letter (x or X).  ExpPoly keys its terms, Polynomials, by
 (frequency, unit) where frequency is a covector xi (giving a factor e^xi)
-and unit is an exact scalar a (giving a formal factor E[a], see
-scalars.ExpScalar); translation moves value into the unit slot instead of
-evaluating anything, and _pair is the one pairing xi(point).
+and unit is an exact scalar a (giving a formal factor E[a]).  The units
+live in the group algebra of (Q(i), +): E[a]*E[b] = E[a+b], and E[a] = 1
+only for a = 0; they are never evaluated numerically.  Translation moves
+value into the unit slot instead of evaluating anything, and _pair is the
+one pairing xi(point).  A value with formal units, such as an evaluation
+or a pairing, is an ExpPoly in no variables, and ExpPoly.scalar is its one
+collapse to a Scalar.
 
 One substitution, _substitute, expands sum c * prod images[j]^e_j with each
 power of each image formed once: evaluation (Scalars for the variables),
@@ -43,7 +47,7 @@ import re
 from math import factorial
 from operator import add, mul
 
-from .scalars import Scalar, ExpScalar, ZERO, ONE, _mk, _terms_add, _TermDict, _rat_str
+from .scalars import Scalar, ZERO, ONE, _mk, _terms_add, _TermDict, _rat_str
 
 
 def zero_exps(nvars):
@@ -262,7 +266,10 @@ class _Coords:
         return hash(self.coords)
 
     def __add__(self, other):
-        return type(self)(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        if len(other.coords) != len(self.coords):
+            raise ValueError("length mismatch: %d vs %d coordinates"
+                             % (len(self.coords), len(other.coords)))
+        return type(self)(tuple(map(add, self.coords, other.coords)))
 
     def __neg__(self):
         return type(self)(tuple(-a for a in self.coords))
@@ -407,12 +414,21 @@ class ExpPoly(_TermDict):
                                           p.translate(coords))
                                          for (freq, unit), p in self.terms.items())))
 
+    def scalar(self):
+        """As a Scalar; rejects formal units, frequencies and positive degree."""
+        if not self.is_polynomial():
+            raise ValueError("value carries formal exponential units: %s" % self)
+        p = self.pure()
+        if p.degree() > 0:
+            raise ValueError("expected a scalar, got %s" % p)
+        return p.terms.get(zero_exps(self.nvars), ZERO)
+
     def evaluate(self, point):
-        """Exact value at a point, as an ExpScalar: e^xi contributes the
-        formal unit E[xi(point)]."""
+        """Exact value at a point, as an ExpPoly in no variables: e^xi
+        contributes the formal unit E[xi(point)]."""
         coords = _point_coords(point, self.nvars)
-        return ExpScalar(_terms_add({}, ((_pair(freq, coords, unit), p.evaluate(coords))
-                                         for (freq, unit), p in self.terms.items())))
+        return sum((ExpPoly.exp((), unit=_pair(freq, coords, unit)) * p.evaluate(coords)
+                    for (freq, unit), p in self.terms.items()), ExpPoly.zero(0))
 
     def sorted_terms(self):
         def key(item):
@@ -461,10 +477,10 @@ def diff(u, f):
 
 
 def pairing(f, u):
-    """<f, u> = (d_u f)(0), an ExpScalar (plain scalar for polynomial f)."""
+    """<f, u> = (d_u f)(0), an ExpPoly in no variables."""
     g = diff(u, f)
     if isinstance(g, Polynomial):
-        return ExpScalar.from_scalar(g.terms.get(zero_exps(g.nvars), ZERO))
+        return ExpPoly.const(0, g.terms.get(zero_exps(g.nvars), ZERO))
     return g.evaluate(Vector.zero(g.nvars))
 
 
@@ -665,10 +681,7 @@ class _Parser:
 
     def parse_constant(self):
         """An expression of degree <= 0, as its Scalar."""
-        p = self.parse_expr().pure()
-        if p.degree() > 0:
-            raise ValueError("expected a scalar, got %s" % p)
-        return p.terms.get(zero_exps(self.nvars), ZERO)
+        return self.parse_expr().scalar()
 
 
 def parse_exppoly(text, nvars):
@@ -690,7 +703,7 @@ def scalar_parser():
     """parse_scalar for the entries of one file: all its calls share one
     MAX_PARSE_WORK budget, as entry_parser(0)'s do."""
     parse = entry_parser(0)
-    return lambda text: parse(text).pure().terms.get((), ZERO)
+    return lambda text: parse(text).scalar()
 
 
 def parse_scalar(text):

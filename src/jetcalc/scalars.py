@@ -1,25 +1,20 @@
-"""Exact Gaussian rationals and formal exponential units.
+"""Exact Gaussian rationals, and the term dicts built over them.
 
 Scalar is the base field Q(i): every value is (a + b*i)/den with integer a, b,
-den > 0 and gcd(a, b, den) = 1.  Arithmetic never rounds.
-
-ExpScalar extends Scalar by formal units E[a] ("e to the a") living in the
-group algebra of (Q(i), +):  E[a]*E[b] = E[a+b]  and  E[a] = 1 only for a = 0.
-The units are never numerically evaluated; that keeps translation of
-exponential polynomials exact.
+den > 0 and gcd(a, b, den) = 1.  Arithmetic never rounds, and a Scalar is
+built from int or Fraction parts only: text goes through poly's grammar.
 
 Every sparse object of the package is a term dict {key: coefficient} with
-no zero coefficients: ExpScalar keys by unit, and poly's polynomials,
-operators and exponential polynomials by exponents or (frequency, unit).
-_terms_add and _terms_mul are their one sum and one product; a product
-merges two keys by the caller's `combine`.  The four value types share one
+no zero coefficients: poly's polynomials and operators key by exponents,
+its exponential polynomials by (frequency, unit).  _terms_add and
+_terms_mul are their one sum and one product; a product merges two keys by
+the caller's `combine`.  The three value types of poly share one
 arithmetic body, _TermDict: its equality, hash, +, -, negation and *, and
 its one arity check.
 """
 
 from fractions import Fraction
 from math import gcd
-from operator import add
 
 
 def _mk(a, b, den):
@@ -50,27 +45,15 @@ class Scalar:
                 raise TypeError("Scalar(re, im) takes no imaginary part for a Scalar re")
             self.a, self.b, self.den = re.a, re.b, re.den
             return
-        if isinstance(re, float) or isinstance(im, float):
-            raise TypeError("Scalar parts must be exact rationals, not floats")
-        fre = Fraction(re)
-        fim = Fraction(im)
-        den = fre.denominator * fim.denominator // gcd(fre.denominator, fim.denominator)
-        a = fre.numerator * (den // fre.denominator)
-        b = fim.numerator * (den // fim.denominator)
+        for part in (re, im):
+            if not isinstance(part, (int, Fraction)):
+                raise TypeError("Scalar parts must be int or Fraction, not %s"
+                                % type(part).__name__)
+        a = re.numerator * im.denominator
+        b = im.numerator * re.denominator
+        den = re.denominator * im.denominator
         g = gcd(gcd(a, b), den)
-        if g > 1:
-            a //= g
-            b //= g
-            den //= g
-        self.a, self.b, self.den = a, b, den
-
-    @property
-    def re(self):
-        return Fraction(self.a, self.den)
-
-    @property
-    def im(self):
-        return Fraction(self.b, self.den)
+        self.a, self.b, self.den = a // g, b // g, den // g
 
     def __bool__(self):
         return self.a != 0 or self.b != 0
@@ -223,12 +206,11 @@ def _terms_mul(t1, t2, combine):
 
 class _TermDict:
     """A zero-free term dict over `nvars` variables, so equality is plain
-    dict equality: the one arithmetic body of ExpScalar, poly.Polynomial,
-    poly.DiffOp and poly.ExpPoly.  A subclass gives its key product
-    _combine and _coerce, which returns an operand as a value of the
-    subclass or None; arithmetic builds the subclass, and equality is as
-    strict as _coerce.  A Scalar (or int) operand of * scales every
-    coefficient."""
+    dict equality: the one arithmetic body of poly.Polynomial, poly.DiffOp
+    and poly.ExpPoly.  A subclass gives its key product _combine and
+    _coerce, which returns an operand as a value of the subclass or None;
+    arithmetic builds the subclass, and equality is as strict as _coerce.
+    A Scalar (or int) operand of * scales every coefficient."""
 
     __slots__ = ("nvars", "terms")
 
@@ -293,57 +275,3 @@ class _TermDict:
         return self._new(_terms_mul(self.terms, other.terms, self._combine))
 
     __rmul__ = __mul__
-
-
-class ExpScalar(_TermDict):
-    """Finite sum of c * E[a] terms, keyed by the unit a, with no
-    variables (nvars 0): the exact value ring for pairings and evaluations
-    of exponential polynomials."""
-
-    __slots__ = ()
-    _combine = staticmethod(add)  # E[a]*E[b] = E[a+b]
-
-    def __init__(self, terms=None):
-        self.nvars = 0
-        self.terms = {u: c for u, c in terms.items() if c} if terms else {}
-
-    @classmethod
-    def from_scalar(cls, c):
-        return cls({ZERO: Scalar(c) if isinstance(c, int) else c})
-
-    @classmethod
-    def unit(cls, a):
-        return cls({a: ONE})
-
-    def _coerce(self, other):
-        if isinstance(other, (int, Scalar)):
-            return ExpScalar.from_scalar(other)
-        return other if isinstance(other, ExpScalar) else None
-
-    def is_scalar(self):
-        return not self.terms or (len(self.terms) == 1 and ZERO in self.terms)
-
-    def scalar(self):
-        """Collapse to a plain Scalar; rejects genuine formal units."""
-        if not self.terms:
-            return ZERO
-        if self.is_scalar():
-            return self.terms[ZERO]
-        raise ValueError("value carries formal exponential units: %s" % self)
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for unit in sorted(self.terms, key=Scalar.key):
-            coeff = self.terms[unit]
-            if unit == ZERO:
-                parts.append("(%s)" % coeff)
-            else:
-                parts.append("(%s)*E[%s]" % (coeff, unit))
-        return " + ".join(parts)
-
-    __repr__ = __str__
-
-
-EXP_ZERO = ExpScalar()

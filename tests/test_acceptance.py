@@ -12,7 +12,7 @@ import math
 import random
 from pathlib import Path
 
-from jetcalc.scalars import Scalar, ExpScalar, ZERO, ONE, EXP_ZERO
+from jetcalc.scalars import Scalar, ZERO, ONE
 from jetcalc.poly import (Polynomial, ExpPoly, Vector, Covector, DiffOp,
                           diff, pairing, monomials_upto, monomials_of_degree)
 from jetcalc import linalg
@@ -318,12 +318,12 @@ def test_criterion_12_exponentials_reduce_to_their_taylor_classes():
         mu = gen.rand_point(rng, nv)
         f = ExpPoly.exp(tuple(xi.coords))
         cls = jf.jet_ideal(f, ideal, mu)
-        unit = ExpScalar.unit(xi(mu))
+        unit = ExpPoly.exp((), unit=xi(mu))
 
         # the pairing of the class against any annihilator functional is the
         # symbol of the functional evaluated at the frequency
         for u in lm.annihilator_dual(ideal):
-            lhs = EXP_ZERO
+            lhs = ExpPoly.zero(0)
             for t, m in enumerate(ideal.standard_monomials):
                 lhs = lhs + cls[t] * pairing(Polynomial.monomial(nv, m), u).scalar()
             u_at_xi = ZERO

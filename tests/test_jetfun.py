@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jetcalc.scalars import Scalar, ExpScalar, ZERO, ONE, EXP_ZERO, Scalar as sc
+from jetcalc.scalars import Scalar, ZERO, ONE, Scalar as sc
 from jetcalc.poly import (Polynomial, ExpPoly, Vector, Covector, DiffOp,
                           parse_poly, diff, translate, pairing,
                           monomials_upto, monomials_of_degree)
@@ -21,10 +21,10 @@ def act_germ_oracle(E, g):
     """Module action of a germ, computed summand by summand from the
     definition: exp part through exp_action, polynomial part through
     act_poly, tags carried along untouched."""
-    out = [[EXP_ZERO] * E.dim for _ in range(E.dim)]
+    out = [[ExpPoly.zero(0)] * E.dim for _ in range(E.dim)]
     for (freq, unit), p in g.terms.items():
         mat = linalg.mmul(E.exp_action(Covector(freq)), E.act_poly(p))
-        tag = ExpScalar.unit(unit)
+        tag = ExpPoly.exp((), unit=unit)
         for r, row in enumerate(mat.rows):
             for c, x in row.items():
                 out[r][c] = out[r][c] + tag * x
@@ -150,7 +150,7 @@ def test_point_jet_family_is_the_family_evaluated_at_the_point():
                              [ExpPoly.zero(1), ExpPoly.const(1, ONE)]])
     E1 = lm.dual_number_module(Vector((1,)))
     pt = Vector((sc(2),))
-    first = next(x for row in e_slow_oracle(E1, T, pt) for x in row if not x.is_scalar())
+    first = next(x for row in e_slow_oracle(E1, T, pt) for x in row if not x.is_polynomial())
     with pytest.raises(ValueError) as refused:
         jf.jet_family(T, E1).evaluate_scalar(pt)
     assert str(refused.value) == "value carries formal exponential units: %s" % first
@@ -226,7 +226,8 @@ def test_family_term_algebra_matches_the_entrywise_reference(data):
                for _ in range(nvars))
     values = tuple(tuple(a.evaluate(pt) for a in row) for row in A)
     assert F.evaluate(pt) == values
-    if all(x.is_scalar() for row in values for x in row):
+    assert all(type(x) is ExpPoly and x.nvars == 0 for row in F.evaluate(pt) for x in row)
+    if all(x.is_polynomial() for row in values for x in row):
         assert F.evaluate_scalar(pt) == linalg.Mat.of([[x.scalar() for x in row] for row in values], n)
     else:
         with pytest.raises(ValueError, match="formal exponential units"):
@@ -248,7 +249,8 @@ def test_jet_ideal_collects_taylor_data():
     I1 = lm.power_ideal(1, 1)
     coords = jf.jet_ideal(parse_poly("(1)*x1^2", 1), I1, Vector((3,)))
     # class of (x+3)^2 = 9 + 6x mod x^2
-    assert coords == (ExpScalar.from_scalar(sc(9)), ExpScalar.from_scalar(sc(6)))
+    assert coords == (ExpPoly.const(0, sc(9)), ExpPoly.const(0, sc(6)))
+    assert all(type(c) is ExpPoly and c.nvars == 0 for c in coords)
 
 
 def test_jet_ideal_pairs_with_the_dual_as_derivatives_at_the_point():
@@ -260,7 +262,7 @@ def test_jet_ideal_pairs_with_the_dual_as_derivatives_at_the_point():
         mu = rand_point(rng, 2)
         cls = jf.jet_ideal(f, I, mu)
         for u in ops:
-            lhs = EXP_ZERO
+            lhs = ExpPoly.zero(0)
             for t, m in enumerate(I.standard_monomials):
                 lhs = lhs + cls[t] * pairing(Polynomial.monomial(2, m), u).scalar()
             assert lhs == diff(u, f).evaluate(tuple(mu.coords))
@@ -277,7 +279,7 @@ def test_jet_ideal_is_the_cyclic_column_of_the_quotient_jet():
         # the class of 1: the basis element of the monomial 1
         one = tuple(ONE if m == (0, 0) else ZERO for m in cq.monomials)
         col = tuple(sum((ev[r][c] * one[c] for c in range(cq.module.dim)),
-                        EXP_ZERO) for r in range(cq.module.dim))
+                        ExpPoly.zero(0)) for r in range(cq.module.dim))
         assert col == jf.jet_ideal(f, I, mu)
 
 

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jetcalc.scalars import Scalar, ExpScalar, ZERO, ONE, Scalar as sc, _TermDict
+from jetcalc.scalars import Scalar, ZERO, ONE, Scalar as sc, _TermDict
 from jetcalc.poly import (Polynomial, ExpPoly, Vector, Covector, DiffOp,
                           diff, pairing, translate, coproduct,
                           parse_poly, parse_exppoly, parse_scalar,
@@ -78,14 +78,14 @@ def test_exp_poly_derivative_of_exponential_summand(f):
     mu = Vector((sc(1), sc(1)))
     lhs = g.evaluate(mu)
     # compare against a divided-difference-free direct formula
-    rhs = ExpScalar()
+    rhs = ExpPoly.zero(0)
     for (freq, unit), p in f.terms.items():
         shift = unit
         for a, b in zip(freq, mu.coords):
             shift = shift + a * b
         val = (p.deriv(0) + p * freq[0]).evaluate(tuple(mu.coords))
-        rhs = rhs + ExpScalar({shift: val})
-    assert lhs == rhs
+        rhs = rhs + ExpPoly.exp((), unit=shift) * val
+    assert lhs == rhs and lhs.nvars == 0
 
 
 def test_exponential_translation_picks_up_units():
@@ -103,6 +103,7 @@ def test_pairing_is_taylor_duality():
     for a in monomials_upto(2, 3):
         for b in monomials_upto(2, 3):
             val = pairing(Polynomial.monomial(2, a), DiffOp(2, {b: ONE}))
+            assert type(val) is ExpPoly and val.nvars == 0
             if a == b:
                 fact = 1
                 for e in a:
@@ -132,7 +133,7 @@ def test_pairing_against_exponential_is_evaluation_of_symbol():
     u = DiffOp(2, {(1, 1): ONE, (0, 0): sc(3)})
     val = pairing(f, u)
     symbol = sc(2) * sc(-1) + sc(3)
-    assert val == ExpScalar.from_scalar(symbol)
+    assert val == ExpPoly.const(0, symbol) and val.nvars == 0
 
 
 def test_diffop_multiplication_is_composition():
@@ -178,6 +179,21 @@ def test_coproduct_degree_blocks_match_binomials():
 @given(exp_polys())
 def test_parser_round_trips_exp_polys(f):
     assert parse_exppoly(str(f), 2) == f
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_scalar, "E[1]", "value carries formal exponential units: E[1]*((1))"),
+    (lambda t: parse_exppoly(t, 1), "exp[E[1]]",
+     "value carries formal exponential units: E[1]*((1))"),
+    (lambda t: parse_exppoly(t, 1), "exp[exp[2]]",
+     "value carries formal exponential units: exp[2]*((1))"),
+    (lambda t: parse_exppoly(t, 2), "E[x2 + 1]", "expected a scalar, got (1)*x2 + (1)")])
+def test_a_constant_slot_refuses_units_and_variables(parse, text, message):
+    """A scalar entry, an exp[] coordinate and an E[] unit are read
+    through ExpPoly.scalar, which names what it refuses."""
+    with pytest.raises(ValueError) as refused:
+        parse(text)
+    assert str(refused.value) == message
 
 
 def test_parser_rejects_malformed():
@@ -354,6 +370,17 @@ def test_vectors_and_covectors_share_arithmetic_but_never_compare_equal():
     assert Covector.basis(2, 1)(v) == sc(-2)
 
 
+def test_coordinate_sums_refuse_a_length_mismatch():
+    """+ and - refuse operands of different lengths; zip once made
+    Vector((1, 2)) + Vector((5,)) the length-1 Vector 6."""
+    short, pair = Vector((5,)), Vector((1, 2))
+    for op in (lambda: pair + short, lambda: short + pair, lambda: pair - short,
+               lambda: short - pair, lambda: Covector((1, 2)) + Covector((5,))):
+        with pytest.raises(ValueError, match="^length mismatch: [12] vs [12] coordinates$"):
+            op()
+    assert pair - Vector((1, 1)) == Vector((0, 1))
+
+
 def test_exponents_above_the_cap_are_refused():
     from jetcalc.poly import MAX_EXPONENT
     x1 = Polynomial(1, {(1,): ONE})
@@ -420,17 +447,14 @@ TERM_DICT_OPERATORS = ("__bool__", "__eq__", "__hash__", "__add__", "__radd__",
 
 
 def two_terms(cls, nvars):
-    """A value of cls with two terms over nvars variables (an ExpScalar has
-    none)."""
+    """A value of cls with two terms over nvars variables."""
     p = parse_poly("(2)*x1 + (1-1 i)", nvars)
-    if cls is ExpScalar:
-        return ExpScalar({ZERO: sc(2), sc(1): sc(0, -1)})
     if cls is ExpPoly:
         return ExpPoly.exp((ONE,) * nvars, p, unit=sc(1)) + 3
     return cls(nvars, p.terms)
 
 
-@pytest.mark.parametrize("cls", [ExpScalar, Polynomial, DiffOp, ExpPoly])
+@pytest.mark.parametrize("cls", [Polynomial, DiffOp, ExpPoly])
 def test_term_dicts_share_one_arithmetic_body(cls):
     for name in TERM_DICT_OPERATORS:
         assert getattr(cls, name) is getattr(_TermDict, name), name
@@ -444,12 +468,11 @@ def test_term_dicts_share_one_arithmetic_body(cls):
     c = a * 0 + 3  # a constant of this type
     assert c == 3 and c == sc(3) and 3 == c and sc(3) == c and c != 4
     assert 1 - a == -(a - 1) and type(1 - a) is cls
-    if cls is not ExpScalar:
-        b = two_terms(cls, 3)
-        for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: b * a):
-            with pytest.raises(ValueError, match="arity mismatch: "):
-                op()
-        assert a != b
+    b = two_terms(cls, 3)
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: b * a):
+        with pytest.raises(ValueError, match="arity mismatch: "):
+            op()
+    assert a != b
     if cls is Polynomial:
         u = DiffOp(2, a.terms)
         assert a != u and u != a
@@ -467,10 +490,10 @@ def test_equal_term_dicts_hash_alike():
     """A term dict equal to a constant, and an ExpPoly equal to its
     Polynomial, hash like it, so a set holds each equal pair once."""
     p = parse_poly("x1+1", 1)
-    pairs = [(ExpPoly.from_poly(p), p), (ExpScalar.from_scalar(sc(3)), 3),
+    pairs = [(ExpPoly.from_poly(p), p), (ExpPoly.const(0, sc(3)), 3),
              (Polynomial.const(1, 3), 3), (ExpPoly.const(2, sc(1, 2)), sc(1, 2)),
              (DiffOp.const(1, sc(0, 1)), sc(0, 1)), (ExpPoly.zero(1), 0),
-             (Polynomial.zero(2), ZERO), (ExpScalar(), 0)]
+             (Polynomial.zero(2), ZERO), (ExpPoly.zero(0), 0)]
     for x, y in pairs:
         assert x == y and y == x
         assert len({x, y}) == 1 and len({y, x}) == 1, (x, y)

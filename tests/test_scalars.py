@@ -1,12 +1,19 @@
-"""Field arithmetic in Q(i) and the formal-exponential coefficient ring."""
+"""Field arithmetic in Q(i), and the formal-exponential values: ExpPolys
+in no variables, sums of c * E[a]."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from jetcalc.poly import parse_scalar
-from jetcalc.scalars import Scalar, ExpScalar, ZERO, ONE, Scalar as sc, _mk
+from jetcalc.poly import ExpPoly, parse_exppoly, parse_scalar
+from jetcalc.scalars import Scalar, ZERO, ONE, Scalar as sc, _mk
+
+
+def unit(a):
+    """The formal unit E[a], an ExpPoly in no variables."""
+    return ExpPoly.exp((), unit=a)
 
 
 def scalars(nonzero=False):
@@ -114,40 +121,54 @@ def test_str_round_trips_through_the_parser(x):
 
 
 def test_exp_scalar_units_multiply_by_adding_exponents():
-    ea = ExpScalar.unit(sc(1))
-    eb = ExpScalar.unit(sc(2))
-    assert ea * eb == ExpScalar.unit(sc(3))
-    assert ea * ExpScalar.unit(sc(-1)) == ExpScalar.from_scalar(ONE)
+    ea = unit(sc(1))
+    eb = unit(sc(2))
+    assert ea * eb == unit(sc(3))
+    assert ea * unit(sc(-1)) == ExpPoly.const(0, ONE) == 1
+    assert type(ea * eb) is ExpPoly and (ea * eb).nvars == 0
 
 
 @given(scalars(), scalars(), scalars())
 def test_exp_scalar_bilinearity(a, b, u):
-    x = ExpScalar({u: a})
-    y = ExpScalar({u: b})
-    assert x + y == ExpScalar({u: a + b})
-    assert x * b == ExpScalar({u: a * b})
+    x = unit(u) * a
+    y = unit(u) * b
+    assert x + y == unit(u) * (a + b)
+    assert x * b == unit(u) * (a * b)
 
 
 def test_exp_scalar_mixed_with_plain():
-    x = ExpScalar({sc(1): sc(2)}) + sc(5)
-    assert x - sc(5) == ExpScalar({sc(1): sc(2)})
-    assert ZERO + ExpScalar.unit(sc(1)) == ExpScalar.unit(sc(1))
+    x = unit(sc(1)) * sc(2) + sc(5)
+    assert x - sc(5) == unit(sc(1)) * sc(2)
+    assert ZERO + unit(sc(1)) == unit(sc(1))
 
 
 def test_scalar_extraction():
-    assert ExpScalar.from_scalar(sc(7)).scalar() == sc(7)
-    try:
-        (ExpScalar.unit(sc(1)) + sc(1)).scalar()
-        assert False, "units must not silently collapse"
-    except ValueError:
-        pass
+    assert ExpPoly.const(0, sc(7)).scalar() == sc(7)
+    assert ExpPoly.zero(0).scalar() == ZERO and ExpPoly.const(2, sc(3)).scalar() == sc(3)
+    with pytest.raises(ValueError) as refused:  # units must not silently collapse
+        (unit(sc(1)) + sc(1)).scalar()
+    assert str(refused.value) == "value carries formal exponential units: (1) + E[1]*((1))"
+    with pytest.raises(ValueError, match=r"^value carries formal exponential units: exp\[1\]"):
+        ExpPoly.exp((ONE,)).scalar()
+    with pytest.raises(ValueError, match=r"^expected a scalar, got \(1\)\*x1$"):
+        parse_exppoly("x1", 1).scalar()
 
 
 @pytest.mark.parametrize("re, im", [(0.1, 0), (1, 0.5), (0.0, 0), (Fraction(1, 2), 2.0)])
 def test_floats_are_refused(re, im):
     """Every Scalar is a Gaussian rational from the start: no float part."""
-    with pytest.raises(TypeError, match="not floats"):
+    with pytest.raises(TypeError, match="^Scalar parts must be int or Fraction, not float$"):
         Scalar(re, im)
+
+
+@pytest.mark.parametrize("re, im", [("1e-3", 0), ("\u0661", 0), ("1_000", 0), (1, "2"),
+                                    (Decimal("0.1"), 0), (0, Decimal(1))])
+def test_only_int_and_fraction_parts_are_read(re, im):
+    """Scalar reads no text and no other number type: parse_scalar is the
+    one scalar grammar, and it takes ASCII digits only."""
+    with pytest.raises(TypeError, match="^Scalar parts must be int or Fraction, not "):
+        Scalar(re, im)
+    assert Scalar(True, False) == ONE and Scalar(Fraction(6, 4), 3) == sc(Fraction(3, 2), 3)
 
 
 def test_a_scalar_real_part_takes_no_imaginary_part():
