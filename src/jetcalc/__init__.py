@@ -11,15 +11,13 @@ point anywhere.
 
 from .scalars import Scalar
 from .poly import (Polynomial, ExpPoly, Covector, Vector, DiffOp,
-                   diff, pairing, translate, coproduct,
-                   parse_poly, parse_exppoly, parse_scalar)
+                   diff, translate, coproduct,
+                   parse_exppoly, parse_scalar)
 from .linalg import CrossCheckError
-from .localmod import (CofiniteIdeal, FinMod, ModuleMap, power_ideal,
-                       maximal_ideal, dual_number_ideal, cyclic_quotient,
-                       dual_number_module, annihilator_dual, direct_sum,
-                       tensor, submodule_generated, quotient_module,
-                       annihilator)
-from .jetfun import (MatPolyFamily, jet, jet_ideal, jet_family,
+from .localmod import (CofiniteIdeal, FinMod, power_ideal, maximal_ideal,
+                       dual_number_ideal, cyclic_quotient,
+                       dual_number_module, direct_sum, tensor)
+from .jetfun import (MatPolyFamily, jet, jet_family,
                      block_derivative, iterated_block_derivative,
                      functional_to_diffop, diffop_to_module,
                      kernel_alpha_bar, subquotient_certified)
@@ -30,20 +28,18 @@ from .approxalg import (ApproxAlgebra, ApproxModule, block_module,
 from .family import (RepFamily, PWCandidate, RelationTerm, BlockLayout,
                      family_to_json, family_from_json, spanned_algebra,
                      relation_to_functional, functional_to_relation,
-                     relation_check, membership_triple, invariance_check,
-                     intertwiner_graph_check)
+                     relation_check, membership_triple, invariance_check)
 
 __all__ = [
     "Scalar",
     "Polynomial", "ExpPoly", "Covector", "Vector", "DiffOp",
-    "diff", "pairing", "translate", "coproduct",
-    "parse_poly", "parse_exppoly", "parse_scalar",
+    "diff", "translate", "coproduct",
+    "parse_exppoly", "parse_scalar",
     "CrossCheckError",
-    "CofiniteIdeal", "FinMod", "ModuleMap", "power_ideal",
-    "maximal_ideal", "dual_number_ideal", "cyclic_quotient",
-    "dual_number_module", "annihilator_dual", "direct_sum", "tensor",
-    "submodule_generated", "quotient_module", "annihilator",
-    "MatPolyFamily", "jet", "jet_ideal", "jet_family",
+    "CofiniteIdeal", "FinMod", "power_ideal", "maximal_ideal",
+    "dual_number_ideal", "cyclic_quotient", "dual_number_module",
+    "direct_sum", "tensor",
+    "MatPolyFamily", "jet", "jet_family",
     "block_derivative", "iterated_block_derivative",
     "functional_to_diffop", "diffop_to_module",
     "kernel_alpha_bar", "subquotient_certified",
@@ -55,5 +51,4 @@ __all__ = [
     "family_to_json", "family_from_json", "spanned_algebra",
     "relation_to_functional", "functional_to_relation",
     "relation_check", "membership_triple", "invariance_check",
-    "intertwiner_graph_check",
 ]

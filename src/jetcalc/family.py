@@ -17,7 +17,7 @@ import json
 
 from .scalars import ZERO, ONE
 from .poly import ExpPoly, Vector, diff, entry_parser, _inv_int
-from .linalg import (Mat, SpanBasis, CrossCheckError, mmul, mid, block_diag, dot,
+from .linalg import (Mat, SpanBasis, CrossCheckError, mid, block_diag, dot,
                      close_span, square, json_field, json_load, _kron_into)
 from .localmod import MAX_NVARS, MAX_DIM
 from .jetfun import (MatPolyFamily, jet_family, iterated_block_derivative,
@@ -493,22 +493,3 @@ def invariance_check(cand, delta, reps):
 
     return not any(close_span(total, [v], gen_mats).escape(phi) for v in grid)
 
-
-def intertwiner_graph_check(cand, delta_i, delta_j, T, reps):
-    """Graph argument: when T intertwines the doubled blocks of two delta
-    components, its graph is an invariant subspace of their direct sum, and
-    a candidate preserving all invariant subspaces must commute with T."""
-    by_label = {rep.label: rep for rep in reps}
-    mats = []
-    phis = []
-    for label, point, etas in (delta_i, delta_j):
-        rep = by_label[label]
-        *gmats, pmat = delta_block(rep.generators + rep.inverses
-                                   + (cand.component(rep),), etas, point)
-        mats.append(gmats)
-        phis.append(pmat)
-    T = Mat.of(T)
-    for a, b in zip(mats[0], mats[1]):
-        if mmul(T, a) != mmul(b, T):
-            raise ValueError("the given matrix does not intertwine the blocks")
-    return mmul(T, phis[0]) == mmul(phis[1], T)

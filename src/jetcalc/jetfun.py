@@ -23,9 +23,8 @@ from math import comb, prod
 from operator import add, le, sub
 
 from .scalars import Scalar, ZERO, ONE
-from .poly import (Polynomial, ExpPoly, Covector, Vector, DiffOp,
-                   translate, coproduct, monomials_upto,
-                   beta_factorial, zero_exps, exp_series, _pair, _point_coords)
+from .poly import (Polynomial, ExpPoly, Covector, Vector, DiffOp, coproduct,
+                   monomials_upto, beta_factorial, zero_exps, _pair, _point_coords)
 from . import linalg
 from .linalg import Mat, SpanBasis, CrossCheckError, mmul, _put, _mul_into, _kron_into
 from .localmod import (PolySpace, cyclic_quotient, dual_number_module,
@@ -224,26 +223,6 @@ def jet(f, E):
     """The matrix family mu -> m_E(translate(f, mu)): jet_family of [[f]]."""
     f = _as_exppoly(f)
     return jet_family(MatPolyFamily(f.nvars, [[f]]), E)
-
-
-def jet_ideal(f, ideal, mu):
-    """Class of the translated germ in the quotient by the ideal:
-    coordinates over the standard monomials, as ExpPolys in no variables."""
-    f = _as_exppoly(f)
-    if f.nvars != ideal.nvars:
-        raise ValueError("arity mismatch")
-    g = translate(f, mu)
-    coords = [ExpPoly.zero(0)] * ideal.codim
-    for (freq, unit), p in g.terms.items():
-        xi = Covector(freq)
-        q = (exp_series(xi, ideal.k) * p).truncate(ideal.k)
-        nf = ideal.normal_form(q)
-        tag = ExpPoly.exp((), unit=unit)
-        for t, m in enumerate(ideal.standard_monomials):
-            c = nf.terms.get(m)
-            if c:
-                coords[t] = coords[t] + tag * c
-    return tuple(coords)
 
 
 def block_derivative(F, eta):

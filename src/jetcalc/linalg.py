@@ -106,12 +106,12 @@ class Mat:
         self._cols = cols
 
     @classmethod
-    def of(cls, m, ncols=0):
-        """m itself if it is a Mat, else the Mat of the nested sequence m;
-        `ncols` is the width of a matrix without rows."""
+    def of(cls, m):
+        """m itself if it is a Mat, else the Mat of the nested sequence m,
+        as wide as its first row (0 wide without rows)."""
         if isinstance(m, Mat):
             return m
-        ncols = len(m[0]) if len(m) else ncols
+        ncols = len(m[0]) if len(m) else 0
         if any(len(row) != ncols for row in m):
             raise ValueError("ragged matrix")
         return cls([sparse(row) for row in m], ncols)
@@ -282,14 +282,20 @@ def kron(a, b):
 
 def square(flat, d, parse, what):
     """The rows of the d x d matrix of parse(e) for the row-major list
-    `flat`; a ValueError naming `what` unless flat holds d*d entries."""
+    `flat`; a ValueError naming `what` unless flat holds d*d entries, and
+    naming the entry too when parse refuses it."""
     if not isinstance(flat, list):
         raise ValueError("%s must be a list of entries" % what)
     if len(flat) != d * d:
         raise ValueError("%s has %d entries; a %dx%d matrix needs %d"
                          % (what, len(flat), d, d, d * d))
-    flat = [parse(e) for e in flat]
-    return tuple(tuple(flat[r * d:(r + 1) * d]) for r in range(d))
+    out = []
+    for t, e in enumerate(flat):
+        try:
+            out.append(parse(e))
+        except ValueError as err:
+            raise ValueError("%s entry %d: %s" % (what, t, err)) from None
+    return tuple(tuple(out[r * d:(r + 1) * d]) for r in range(d))
 
 
 def json_load(text):

@@ -15,11 +15,10 @@ through truncation) follows from that.
 import json
 
 from .scalars import ONE
-from .poly import (Polynomial, DiffOp, Covector, monomials_upto,
-                   monomials_of_degree, beta_factorial, zero_exps, scalar_parser,
-                   exp_series)
+from .poly import (Polynomial, Covector, monomials_upto, monomials_of_degree,
+                   zero_exps, scalar_parser, exp_series)
 from .linalg import (Mat, SpanBasis, mmul, mid, mat_sum, block_diag, kron,
-                     close_span, square, sparse, dense, apply, json_field, json_load)
+                     close_span, square, dense, json_field, json_load)
 
 # The size ceilings: MAX_NVARS and MAX_DIM bound the CLI's --nmax and
 # --dimmax and what every loader reads; MAX_ORDER, FinMod.from_json's k, lies
@@ -256,30 +255,6 @@ class FinMod:
             for t, flat in enumerate(action)])
 
 
-class ModuleMap:
-    """Linear map between FinMods that intertwines the actions."""
-
-    __slots__ = ("source", "target", "matrix")
-
-    def __init__(self, source, target, matrix):
-        matrix = Mat.of(matrix, source.dim)
-        if matrix.nrows != target.dim or matrix.ncols != source.dim:
-            raise ValueError("matrix shape must be target.dim x source.dim")
-        for j in range(source.nvars):
-            if mmul(matrix, source.mats[j]) != mmul(target.mats[j], matrix):
-                raise ValueError("map does not intertwine the action of variable %d" % (j + 1))
-        self.source = source
-        self.target = target
-        self.matrix = matrix
-
-    def __call__(self, v):
-        """The image of a dense vector of the source, as a dense tuple."""
-        if len(v) != self.source.dim:
-            raise ValueError("a vector of length %d for a matrix of width %d"
-                             % (len(v), self.source.dim))
-        return dense(apply(self.matrix, sparse(v)), self.target.dim)
-
-
 class CyclicQuotient:
     """Quotient by a cofinite ideal: module and the standard-monomial basis
     labels; the class of 1, a cyclic vector, is the basis element of the
@@ -316,19 +291,6 @@ def dual_number_module(lam):
                   check=False)
 
 
-def annihilator_dual(ideal):
-    """Basis of the operators of order <= k annihilating the ideal under the
-    pairing <p, u> = (d_u p)(0); its size equals the codimension."""
-    gammas = ideal.space.mons_asc
-    n = len(gammas)
-    facts = [beta_factorial(g) for g in gammas]
-    # the space's coordinate i is the monomial gammas[n - 1 - i]
-    rows = [{n - 1 - i: x * facts[n - 1 - i] for i, x in row.items()}
-            for row in ideal.span.rows]
-    return [DiffOp(ideal.nvars, {gammas[t]: v[t] for t in sorted(v)})
-            for v in SpanBasis(n, rows).nullspace()]
-
-
 def direct_sum(*mods):
     if not mods:
         raise ValueError("direct sum of nothing")
@@ -359,58 +321,3 @@ def tensor(*mods):
         acc = FinMod(nvars, acc.k + nxt.k + 1, mats, check=False)
     return acc
 
-
-class Submodule:
-    __slots__ = ("module", "span")
-
-    def __init__(self, module, span):
-        self.module = module
-        self.span = span
-
-
-def submodule_generated(E, vectors):
-    """Smallest action-invariant subspace containing the vectors: the span
-    of the vectors closed under the action generators, as a Submodule
-    holding that span and the module it carries, in the coordinates of its
-    echelon rows.  Its inclusion into E is the Mat(span.rows, E.dim).T."""
-    sb = close_span(E.dim, vectors, E.mats)
-    d = sb.dim
-    # column c of each matrix: the coordinates of the image of basis row c
-    mats = [Mat([sb.coords(apply(m, b)) for b in sb.rows], d).T for m in E.mats]
-    return Submodule(FinMod(E.nvars, E.k, mats, check=False), sb)
-
-
-def quotient_module(E, sub):
-    """Quotient by an invariant subspace, a Submodule or rows spanning it,
-    with the projection map.  The complement basis is the set of
-    coordinates without a pivot."""
-    sb = sub.span if isinstance(sub, Submodule) else SpanBasis(E.dim, sub)
-    if any(sb.escape(m) for m in E.mats):
-        raise ValueError("subspace is not invariant under the action")
-    pivots = set(sb.pivots)
-    comp = [t for t in range(E.dim) if t not in pivots]
-    d = len(comp)
-    at = {t: c for c, t in enumerate(comp)}
-
-    def project(v):  # a residue is zero at every pivot
-        return {at[t]: x for t, x in sb._reduce(v).items()}
-
-    # column c of each matrix: the projected image of complement vector c
-    mats = [Mat([project(m.cols[t]) for t in comp], d).T for m in E.mats]
-    quot = FinMod(E.nvars, E.k, mats, check=False)
-    proj = ModuleMap(E, quot, Mat([project({t: ONE}) for t in range(E.dim)], d).T)
-    return quot, proj
-
-
-def annihilator(E):
-    """Polynomial trace of the annihilator of the module, as a CofiniteIdeal
-    with the module's k."""
-    nvars, k = E.nvars, E.k
-    gammas = monomials_upto(nvars, k)
-    # solve sum_g c_g * mat(g) = 0: the kernel of the rows of the matrix
-    # whose columns are the flattened mat(g)
-    rows = Mat([E.mon_mat(g).flat() for g in gammas], E.dim ** 2).cols
-    gens = [Polynomial(nvars, {gammas[t]: v[t] for t in sorted(v)})
-            for v in SpanBasis(len(gammas), rows).nullspace()]
-    gens.extend(Polynomial.monomial(nvars, m) for m in monomials_of_degree(nvars, k + 1))
-    return CofiniteIdeal(nvars, k, gens)

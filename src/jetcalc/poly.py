@@ -11,9 +11,9 @@ and unit is an exact scalar a (giving a formal factor E[a]).  The units
 live in the group algebra of (Q(i), +): E[a]*E[b] = E[a+b], and E[a] = 1
 only for a = 0; they are never evaluated numerically.  Translation moves
 value into the unit slot instead of evaluating anything, and _pair is the
-one pairing xi(point).  A value with formal units, such as an evaluation
-or a pairing, is an ExpPoly in no variables, and ExpPoly.scalar is its one
-collapse to a Scalar.
+one pairing xi(point).  A value with formal units, such as an evaluation,
+is an ExpPoly in no variables, and ExpPoly.scalar is its one collapse to a
+Scalar.
 
 One substitution, _substitute, expands sum c * prod images[j]^e_j with each
 power of each image formed once: evaluation (Scalars for the variables),
@@ -33,9 +33,10 @@ table, _TOKENS, tried in order at each position: whitespace, an operator,
 a number, ``i``, ``x<j>``/``X<j>``, ``exp`` and ``E``.  Digits are ASCII
 0-9 only, so any other character, a non-ASCII digit too, is a parse error
 at its position.  ``*`` and juxtaposition are one product, and ``exp[...]``
-and ``E[...]`` one bracket rule.  ``^<e>`` is expanded by
-repeated multiplication, so the parser bounds its work with a ValueError:
-it refuses an exponent above MAX_EXPONENT, and an input whose products
+and ``E[...]`` one bracket rule.  The parser refuses with a ValueError text
+nested deeper than MAX_NESTING, a number or index longer than MAX_DIGITS
+digits and an exponent above MAX_EXPONENT.  ``^<e>`` is expanded by
+repeated multiplication, so it also refuses an input whose products
 (``*``, juxtaposition and each step of ``^``) form more than MAX_PARSE_WORK
 term pairs in all, counted as left terms x right terms before each product
 is formed.  The entries of one file share that budget (`entry_parser`,
@@ -476,14 +477,6 @@ def diff(u, f):
     return total
 
 
-def pairing(f, u):
-    """<f, u> = (d_u f)(0), an ExpPoly in no variables."""
-    g = diff(u, f)
-    if isinstance(g, Polynomial):
-        return ExpPoly.const(0, g.terms.get(zero_exps(g.nvars), ZERO))
-    return g.evaluate(Vector.zero(g.nvars))
-
-
 def translate(f, mu):
     return f.translate(mu)
 
@@ -526,6 +519,9 @@ def beta_factorial(beta):
 # --- text grammar ----------------------------------------------------------
 
 MAX_EXPONENT = 256
+# most levels of brackets an entry may nest (the printer nests 2), and most
+# digits of a number or index, below CPython's 4,300 for converting to int
+MAX_NESTING, MAX_DIGITS = 32, 1000
 # most term pairs the products of one parse_exppoly call, or of all the
 # entries of one file, may form in all: (x1+1)^256 forms 65,792 and parses,
 # ((x1+1)^2)^256 forms 196,614
@@ -555,10 +551,12 @@ def _tokenize(text):
                              % (pos, text[pos:pos + 8]))
         if kind == "op":
             kind = val
-        elif kind == "num":
-            val = int(val)
-        elif kind == "var":
-            val = int(val[1:]) - 1
+        elif kind in ("num", "var"):
+            digits = val.lstrip("xX")
+            if len(digits) > MAX_DIGITS:
+                raise ValueError("parse error at position %d: %d digits exceed the limit %d"
+                                 % (pos, len(digits), MAX_DIGITS))
+            val = int(digits) - (kind == "var")
         if kind != "space":
             toks.append((kind, val))
     return toks
@@ -577,7 +575,7 @@ class _Parser:
         if not isinstance(text, str):
             raise ValueError("an entry must be a string, not %r" % (text,))
         self.toks = _tokenize(text)
-        self.pos = 0
+        self.pos = self.depth = 0
         out = self.parse_expr()
         if self.pos != len(self.toks):
             raise ValueError("parse error: trailing input at token %d" % self.pos)
@@ -602,7 +600,12 @@ class _Parser:
         return tok
 
     def parse_expr(self):
-        """Terms joined by + and -, with an optional leading sign."""
+        """Terms joined by + and -, with an optional leading sign; every
+        bracket descends here, at most MAX_NESTING deep."""
+        if self.depth > MAX_NESTING:
+            raise ValueError("parse error at token %d: nested deeper than the limit %d"
+                             % (self.pos, MAX_NESTING))
+        self.depth += 1
         total, sign = ExpPoly.zero(self.nvars), "+"
         if self.peek()[0] in ("+", "-"):
             sign = self.take()[0]
@@ -611,6 +614,7 @@ class _Parser:
             total = total - term if sign == "-" else total + term
             sign = self.peek()[0]
             if sign not in ("+", "-"):
+                self.depth -= 1
                 return total
             self.take()
 
@@ -693,10 +697,6 @@ def entry_parser(nvars):
     share one MAX_PARSE_WORK budget, so a file's load time stays bounded
     however many entries it holds."""
     return _Parser(nvars).parse
-
-
-def parse_poly(text, nvars):
-    return parse_exppoly(text, nvars).pure()
 
 
 def scalar_parser():

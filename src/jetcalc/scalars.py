@@ -170,7 +170,6 @@ def _imag_str(num, den):
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
-I = Scalar(0, 1)
 
 
 def _terms_add(t1, pairs):

@@ -1,13 +1,20 @@
 """Oracles and generators that only the tests read: the algebra spanned by
 a matrix basis, a random dense matrix, the pairing of a dual matrix with a
-grid of ExpPolys, such as a jet's entries, approximate unitality, and the
-corner data behind a membership verdict."""
+grid of ExpPolys, such as a jet's entries, approximate unitality, the
+corner data behind a membership verdict, jet_ideal, the annihilators of an
+ideal and of a module, the pairing of germs and operators, module maps, and
+parse_poly."""
 
 from types import SimpleNamespace
 
 from jetcalc.approxalg import ApproxModule, _membership
 from jetcalc.gen import rand_scalar
-from jetcalc.linalg import Mat, SpanBasis, mid, dense
+from jetcalc.jetfun import _as_exppoly
+from jetcalc.linalg import Mat, SpanBasis, mid, mmul, dense, sparse
+from jetcalc.localmod import CofiniteIdeal
+from jetcalc.poly import (Polynomial, ExpPoly, Vector, Covector, DiffOp, diff, translate,
+                          exp_series, beta_factorial, zero_exps, monomials_upto,
+                          monomials_of_degree, parse_exppoly)
 from jetcalc.scalars import ZERO
 
 
@@ -24,7 +31,7 @@ def algebra_from_matrix_basis(mats):
 
 
 def rand_matrix(rng, rows, cols):
-    return Mat.of([[rand_scalar(rng) for _ in range(cols)] for _ in range(rows)], cols)
+    return Mat([sparse([rand_scalar(rng) for _ in range(cols)]) for _ in range(rows)], cols)
 
 
 def frobenius_grid(H, grid):
@@ -53,3 +60,56 @@ def membership(M, phi):
     return SimpleNamespace(
         member=res.member, witness=res.witness, j=j, tuple_vec=dense(u, W.ncols),
         submodule=W, escaped=escaped and tuple(dense(v, W.ncols) for v in escaped))
+
+
+def jet_ideal(f, ideal, mu):
+    """Class of the translated germ in the quotient by the ideal:
+    coordinates over the standard monomials, as ExpPolys in no variables."""
+    coords = [ExpPoly.zero(0)] * ideal.codim
+    for (freq, unit), p in translate(_as_exppoly(f), mu).terms.items():
+        nf = ideal.normal_form((exp_series(Covector(freq), ideal.k) * p).truncate(ideal.k))
+        tag = ExpPoly.exp((), unit=unit)
+        coords = [c + tag * nf.terms.get(m, ZERO)
+                  for c, m in zip(coords, ideal.standard_monomials)]
+    return tuple(coords)
+
+
+def annihilator_dual(ideal):
+    """Basis of the operators of order <= k annihilating the ideal under the
+    pairing <p, u> = (d_u p)(0); its size equals the codimension."""
+    gammas = ideal.space.mons_asc
+    n = len(gammas)
+    # the space's coordinate i is the monomial gammas[n - 1 - i]
+    rows = [{n - 1 - i: x * beta_factorial(gammas[n - 1 - i]) for i, x in row.items()}
+            for row in ideal.span.rows]
+    return [DiffOp(ideal.nvars, {gammas[t]: v[t] for t in sorted(v)})
+            for v in SpanBasis(n, rows).nullspace()]
+
+
+def pairing(f, u):
+    """<f, u> = (d_u f)(0), an ExpPoly in no variables."""
+    g = diff(u, f)
+    if isinstance(g, Polynomial):
+        return ExpPoly.const(0, g.terms.get(zero_exps(g.nvars), ZERO))
+    return g.evaluate(Vector.zero(g.nvars))
+
+
+def annihilator(E):
+    """Polynomial trace of the annihilator of a FinMod, as a CofiniteIdeal
+    with the module's k: the kernel of the monomials' flattened actions."""
+    nvars, k = E.nvars, E.k
+    gammas = monomials_upto(nvars, k)
+    rows = Mat([E.mon_mat(g).flat() for g in gammas], E.dim ** 2).cols
+    gens = [Polynomial(nvars, {gammas[t]: v[t] for t in sorted(v)})
+            for v in SpanBasis(len(gammas), rows).nullspace()]
+    gens.extend(Polynomial.monomial(nvars, m) for m in monomials_of_degree(nvars, k + 1))
+    return CofiniteIdeal(nvars, k, gens)
+
+
+def intertwines(source, target, T):
+    """T M_j = N_j T for the actions M_j of source and N_j of target."""
+    return all(mmul(T, a) == mmul(b, T) for a, b in zip(source.mats, target.mats))
+
+
+def parse_poly(text, nvars):
+    return parse_exppoly(text, nvars).pure()

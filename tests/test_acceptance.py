@@ -14,7 +14,7 @@ from pathlib import Path
 
 from jetcalc.scalars import Scalar, ZERO, ONE
 from jetcalc.poly import (Polynomial, ExpPoly, Vector, Covector, DiffOp,
-                          diff, pairing, monomials_upto, monomials_of_degree)
+                          diff, exp_series, monomials_upto, monomials_of_degree)
 from jetcalc import linalg
 from jetcalc import localmod as lm
 from jetcalc import jetfun as jf
@@ -24,7 +24,8 @@ from jetcalc.family import (PWCandidate, spanned_algebra,
                             membership_triple, invariance_check,
                             FunctionalData, family_from_json)
 from jetcalc import gen
-from oracles import frobenius_grid, membership, rand_matrix
+from oracles import (frobenius_grid, membership, rand_matrix, jet_ideal,
+                     annihilator_dual, pairing)
 from qqi import from_qqi, to_sympy
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -317,12 +318,12 @@ def test_criterion_12_exponentials_reduce_to_their_taylor_classes():
         xi = gen.rand_covector(rng, nv)
         mu = gen.rand_point(rng, nv)
         f = ExpPoly.exp(tuple(xi.coords))
-        cls = jf.jet_ideal(f, ideal, mu)
+        cls = jet_ideal(f, ideal, mu)
         unit = ExpPoly.exp((), unit=xi(mu))
 
         # the pairing of the class against any annihilator functional is the
         # symbol of the functional evaluated at the frequency
-        for u in lm.annihilator_dual(ideal):
+        for u in annihilator_dual(ideal):
             lhs = ExpPoly.zero(0)
             for t, m in enumerate(ideal.standard_monomials):
                 lhs = lhs + cls[t] * pairing(Polynomial.monomial(nv, m), u).scalar()
@@ -338,6 +339,6 @@ def test_criterion_12_exponentials_reduce_to_their_taylor_classes():
         # the class itself is the projected truncated exponential series,
         # scaled by the formal exponential of the evaluation
         cq = lm.cyclic_quotient(ideal)
-        nf = ideal.normal_form(jf.exp_series(xi, ideal.k))
+        nf = ideal.normal_form(exp_series(xi, ideal.k))
         base = [nf.terms.get(m, ZERO) for m in cq.monomials]
         assert cls == tuple(unit * c for c in base), i

@@ -2,16 +2,17 @@
 
 import json
 import random
+import re
+import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from jetcalc.scalars import Scalar, ZERO, ONE, Scalar as sc, _TermDict
-from jetcalc.poly import (Polynomial, ExpPoly, Vector, Covector, DiffOp,
-                          diff, pairing, translate, coproduct,
-                          parse_poly, parse_exppoly, parse_scalar,
-                          monomials_upto, monomials_of_degree, zero_exps,
-                          beta_factorial)
+from jetcalc.poly import (Polynomial, ExpPoly, Vector, Covector, DiffOp, diff, translate,
+                          coproduct, parse_exppoly, parse_scalar, monomials_upto,
+                          monomials_of_degree, beta_factorial, MAX_NESTING, MAX_DIGITS)
+from oracles import pairing, parse_poly
 
 
 def small_scalars():
@@ -323,12 +324,45 @@ def test_loaders_refuse_a_non_ascii_digit_as_a_parse_error():
     from jetcalc.family import family_from_json
     from jetcalc.localmod import FinMod
     rep = {"label": "R", "dim": 1, "generators": [["1+x1\u00b2"]]}
-    with pytest.raises(ValueError, match="^parse error at position 4: unexpected"):
+    with pytest.raises(ValueError, match="^generator 0 of rep 'R' entry 0: parse error "
+                                         "at position 4: unexpected"):
         family_from_json(json.dumps({"nvars": 1, "reps": [rep]}))
     module = json.loads(FinMod(1, 1, [[[ZERO]]]).to_json())
     module["action"] = [["\u0663"]]
-    with pytest.raises(ValueError, match="^parse error at position 0: unexpected"):
+    with pytest.raises(ValueError, match="^action matrix 0 entry 0: parse error at "
+                                         "position 0: unexpected"):
         FinMod.from_json(json.dumps(module))
+
+
+# text that does not parse in one variable, most of it past MAX_NESTING or
+# MAX_DIGITS, with the start of the error it raises
+REFUSED = {
+    "1/": "parse error: '/' must be followed by an integer",
+    "(" * 33 + "1" + ")" * 33: "parse error at token 33: nested deeper than the limit 32",
+    "(" * 1000 + "1" + ")" * 1000: "parse error at token 33: nested deeper than the limit 32",
+    "exp[" * 1000 + "1" + "]" * 1000: "parse error at token 66: nested deeper",
+    "E[" * 1000 + "1" + "]" * 1000: "parse error at token 66: nested deeper",
+    "9" * 5000: "parse error at position 0: 5000 digits exceed the limit 1000",
+    "x1^" + "9" * 5000: "parse error at position 3: 5000 digits exceed",
+    "x" + "9" * 5000: "parse error at position 0: 5000 digits exceed",
+}
+
+
+def test_the_grammar_refuses_deep_nesting_and_long_numbers():
+    """Text nested 1,000 deep, or with a number, an exponent or a variable
+    index of 5,000 digits, is refused with the parser's own ValueError in
+    under 0.2 s, before recursion or int conversion fails; text at the
+    bounds parses."""
+    assert (MAX_NESTING, MAX_DIGITS) == (32, 1000)
+    assert parse_scalar("(" * 32 + "1" + ")" * 32) == ONE
+    assert parse_scalar("9" * 1000) == Scalar(int("9" * 1000))
+    assert parse_poly("x" + "0" * 999 + "1" + "^" + "0" * 999 + "2", 1) == parse_poly("x1^2", 1)
+    for text, why in REFUSED.items():
+        for parse in (parse_scalar, lambda t: parse_exppoly(t, 1)):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="^" + re.escape(why)):
+                parse(text)
+            assert time.perf_counter() - start < 0.2, why
 
 
 def test_covector_directional_derivative():

@@ -5,6 +5,7 @@ and the benchmark's tracer, which wraps them by name."""
 import ast
 import collections
 import importlib.util
+import itertools
 import json
 import re
 import sys
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import jetcalc
-from jetcalc import approxalg, cli, family, gen, linalg, localmod, poly
+from jetcalc import approxalg, cli, family, gen, jetfun, linalg, localmod, poly
 from jetcalc.approxalg import ApproxModule, block_module
 from jetcalc.family import PWCandidate, family_from_json
 from jetcalc.linalg import SpanBasis, close_span, block_diag
@@ -25,6 +26,7 @@ from jetcalc.poly import Vector, ExpPoly, MAX_PARSE_WORK
 from jetcalc.scalars import Scalar, ZERO, ONE, Scalar as sc
 from test_cli import TIERS
 from test_mutants import _everywhere
+from test_poly import REFUSED
 from oracles import is_approx_unital
 
 
@@ -77,7 +79,7 @@ def test_block_diag_places_unequal_blocks_on_the_diagonal():
         for r, row in enumerate(m):
             want = (ZERO,) * off + row + (ZERO,) * (6 - off - len(m))
             assert linalg.dense(big.rows[off + r], 6) == want
-    assert block_diag([]) == linalg.Mat.of((), 0)
+    assert block_diag([]) == linalg.Mat.of(())
 
 
 def test_block_diag_agrees_with_direct_sum():
@@ -126,6 +128,20 @@ def test_loaders_refuse_a_matrix_of_the_wrong_length(kind, extra):
     want = "%s has %d entries; a 2x2 matrix needs 4" % (what, 4 + extra)
     with pytest.raises(ValueError, match=re.escape(want)):
         load(json.dumps(data))
+
+
+@pytest.mark.parametrize("kind", ["FinMod", "ApproxModule", "family", "candidate"])
+def test_loaders_name_the_entry_they_cannot_parse(kind):
+    """An entry that does not parse, such as "1/", 1,000 brackets deep or
+    5,000 digits long, is refused in under 0.2 s by its matrix and index."""
+    load, text, flats, what = loader(kind)
+    for entry, why in REFUSED.items():
+        data = json.loads(text)
+        flats(data)[0][3] = entry
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=re.escape("%s entry 3: %s" % (what, why))):
+            load(json.dumps(data))
+        assert time.perf_counter() - start < 0.2, (kind, why)
 
 
 JUNK = st.recursive(
@@ -374,8 +390,7 @@ def test_no_module_level_import_is_unused():
 
 def names_read(tree):
     """(name, the node that reads it) for every name a module's AST reads:
-    a Name, an attribute, an imported name, or a string constant spelling a
-    dotted name, such as an __all__ entry."""
+    a Name, an attribute or an imported name."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id, node
@@ -383,9 +398,6 @@ def names_read(tree):
             yield node.attr, node
         elif isinstance(node, ast.alias):
             yield node.name.split(".")[-1], node
-        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-              and all(part.isidentifier() for part in node.value.split("."))):
-            yield from ((part, node) for part in node.value.split("."))
 
 
 def test_only_linalg_and_approxalg_name_the_fused_update():
@@ -430,6 +442,18 @@ def test_only_scalars_builds_or_changes_a_scalar():
 BENCH_ONLY = {"linalg.rref", "linalg.nullspace", "linalg.mat_vec", "linalg.SpanBasis.add"}
 
 
+# The package's input and output paths, which no module of it calls
+PUBLIC_PATHS = {
+    "localmod.FinMod.from_json": "loads a module file",
+    "approxalg.ApproxModule.from_json": "loads an approximate module file",
+    "family.PWCandidate.from_json": "loads a candidate file against its family",
+    "family.family_to_json": "writes a family file",
+    "family.family_from_json": "loads a family file",
+    "poly.parse_exppoly": "parses one germ of the text grammar",
+    "poly.parse_scalar": "parses one scalar of the text grammar",
+}
+
+
 def definitions(tree):
     """(qualified name, node) of every module-level function and class of a
     module's AST, and of every method of such a class."""
@@ -441,41 +465,52 @@ def definitions(tree):
                             if isinstance(node, ast.FunctionDef))
 
 
+def constants(tree):
+    """(name, statement) of every name a module-level assignment binds."""
+    for top in tree.body:
+        if isinstance(top, ast.Assign):
+            yield from ((t.id, top) for target in top.targets for t in ast.walk(target)
+                        if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store))
+
+
 def unread_definitions(package):
-    """The qualified names, module first, of the definitions of a package
-    that no module of it names outside the definition itself.  A method is
+    """The qualified names, module first, of the definitions and constants
+    of a package that no module of it but __init__, whose re-exports are no
+    reads, names outside the definition or assignment itself.  A method is
     named only as an attribute, .name: a bare name that a method shares,
     such as `import re` for a method re, is no read of it."""
-    trees = {path: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    trees = {path: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))
+             if path.name != "__init__.py"}
     readers = collections.defaultdict(list)
     for tree in trees.values():
         for name, node in names_read(tree):
             readers[name].append(node)
     unread = []
     for path, tree in trees.items():
-        for qualname, defined in definitions(tree):
+        for qualname, defined in itertools.chain(definitions(tree), constants(tree)):
             inside = {id(node) for node in ast.walk(defined)}
             method = "." in qualname
             if all(id(node) in inside or method and not isinstance(node, ast.Attribute)
-                   for node in readers[defined.name]):
+                   for node in readers[qualname.rpartition(".")[2]]):
                 unread.append("%s.%s" % (path.stem, qualname))
     return unread
 
 
 def test_every_module_level_name_is_read():
-    """Every module-level function and class of the package, and every
-    method of such a class, is named by a module of the package outside its
-    own definition, so a name that only tests read is found.  Exempt are
-    dunder methods, the from_json loaders, which are input paths, and the
-    BENCH_ONLY names, each of which bench/ still names by its path."""
+    """Every module-level function, class and constant of the package, and
+    every method of such a class, is named by a module of the package other
+    than __init__ outside its own definition, so a name that only tests or
+    re-exports read is found.  Exempt are dunders, the BENCH_ONLY names,
+    which bench/ names by path, and the PUBLIC_PATHS, each otherwise unread."""
     bench = set()
     for path in (FIXTURES.parent / "bench").glob("*.py"):
         bench.update(node.value for node in ast.walk(ast.parse(path.read_text()))
                      if isinstance(node, ast.Constant) and isinstance(node.value, str))
     assert {name.split(".", 1)[1] for name in BENCH_ONLY} <= bench
-    unread = [name for name in unread_definitions(Path(jetcalc.__file__).parent)
-              if name not in BENCH_ONLY and not re.search(r"\.(__\w+__|from_json)$", name)]
-    assert not unread, unread
+    unread = {name for name in unread_definitions(Path(jetcalc.__file__).parent)
+              if name not in BENCH_ONLY and not re.search(r"\.__\w+__$", name)}
+    assert unread - set(PUBLIC_PATHS) == set(), sorted(unread - set(PUBLIC_PATHS))
+    assert set(PUBLIC_PATHS) <= unread, sorted(set(PUBLIC_PATHS) - unread)
 
 
 # Parameters whose callers in the package give them one value, each kept
@@ -617,19 +652,22 @@ def test_no_module_calls_a_dense_edge_of_linalg():
     and indexing do not exist, and no module calls linalg.nullspace, rref,
     mat_vec or SpanBasis.add.  Nor do the names that only tests read exist:
     the oracles among them live in tests/oracles.py."""
-    for owner, name in ((linalg, "rank"), (SpanBasis, "frozen_rows"), (SpanBasis, "insert"),
-                        (linalg.Mat, "__len__"), (linalg.Mat, "__getitem__"),
-                        (localmod.CofiniteIdeal, "same"),
-                        (localmod.CofiniteIdeal, "reduced_basis"),
-                        (localmod.ModuleMap, "is_invertible"),
-                        (localmod.CyclicQuotient, "project_poly"), (poly.Vector, "scaled"),
-                        (Scalar, "conjugate"), (approxalg.ApproxAlgebra, "from_matrix_basis"),
-                        (gen, "rand_matrix"), (jetcalc.scalars, "sc"), (jetcalc, "sc"),
-                        (approxalg.ApproxModule, "is_approx_unital"),
-                        (localmod.Submodule, "inclusion"),
-                        (localmod.CyclicQuotient, "ideal"), (family, "MAX_REP_DIM"),
-                        (jetcalc.scalars, "ExpScalar"), (jetcalc.scalars, "EXP_ZERO"),
-                        (jetcalc, "ExpScalar"), (Scalar, "re"), (Scalar, "im")):
+    gone = [(linalg, "rank"), (SpanBasis, "frozen_rows"), (SpanBasis, "insert"),
+            (linalg.Mat, "__len__"), (linalg.Mat, "__getitem__"),
+            (localmod.CofiniteIdeal, "same"), (localmod.CofiniteIdeal, "reduced_basis"),
+            (localmod.CyclicQuotient, "project_poly"), (poly.Vector, "scaled"),
+            (Scalar, "conjugate"), (approxalg.ApproxAlgebra, "from_matrix_basis"),
+            (gen, "rand_matrix"), (jetcalc.scalars, "sc"), (jetcalc, "sc"),
+            (approxalg.ApproxModule, "is_approx_unital"),
+            (localmod.CyclicQuotient, "ideal"), (family, "MAX_REP_DIM"),
+            (jetcalc.scalars, "ExpScalar"), (jetcalc.scalars, "EXP_ZERO"),
+            (jetcalc, "ExpScalar"), (Scalar, "re"), (Scalar, "im"), (jetcalc.scalars, "I")]
+    for module, names in ((family, "intertwiner_graph_check"), (jetfun, "jet_ideal"),
+                          (poly, "parse_poly pairing"),
+                          (localmod, "Submodule ModuleMap annihilator annihilator_dual "
+                                     "submodule_generated quotient_module")):
+        gone.extend((owner, name) for name in names.split() for owner in (module, jetcalc))
+    for owner, name in gone:
         assert not hasattr(owner, name), name
     calls = {(path.name, scope, edge)
              for path in sorted(Path(jetcalc.__file__).parent.glob("*.py"))
