@@ -11,7 +11,7 @@ point anywhere.
 
 from .scalars import Scalar
 from .poly import (Polynomial, ExpPoly, Covector, Vector, DiffOp,
-                   diff, translate, coproduct,
+                   diff, coproduct,
                    parse_exppoly, parse_scalar)
 from .linalg import CrossCheckError
 from .localmod import (CofiniteIdeal, FinMod, power_ideal, maximal_ideal,
@@ -33,7 +33,7 @@ from .family import (RepFamily, PWCandidate, RelationTerm, BlockLayout,
 __all__ = [
     "Scalar",
     "Polynomial", "ExpPoly", "Covector", "Vector", "DiffOp",
-    "diff", "translate", "coproduct",
+    "diff", "coproduct",
     "parse_exppoly", "parse_scalar",
     "CrossCheckError",
     "CofiniteIdeal", "FinMod", "power_ideal", "maximal_ideal",

@@ -17,7 +17,9 @@ reduction of phi.u against the corner's action vectors on the tuple, factored
 once together with W (linalg.solver), cut down to the corner and re-verified
 exactly; only without one is W tested for invariance under phi, for the
 escape of a non-member.  phi's corner is the least chain idempotent P with
-phi P = phi = P phi, tested row by row.  Corners are spanned by the Kronecker
+phi P = phi = P phi: a caller's phi is tested row by row, and each End^# row
+against the spans of the columns and rows of every P, built once per
+double_commutant_check.  Corners are spanned by the Kronecker
 rows of RREF bases of column and row spaces, so End(V)_0, the top corner's
 span, which contains every lower corner's, needs no elimination, and End^#
 is one nullspace in it: its constraints are the pairings
@@ -44,8 +46,8 @@ from .poly import scalar_parser
 from .localmod import MAX_DIM
 from . import linalg
 from .linalg import (Mat, SpanBasis, CrossCheckError, mmul, mat_sum, close_span,
-                     kron, square, sparse, dense, dot, apply, json_field, json_load,
-                     _axpy, _mul_into)
+                     kron, square, parse_entries, sparse, dense, dot, apply, json_field,
+                     json_load, _axpy, _mul_into)
 
 # the largest module a JSON file may hold, checked before any entry is
 # parsed: what gen.rand_approx_module draws at the --dimmax ceiling MAX_DIM.
@@ -260,7 +262,9 @@ class ApproxModule:
         out of range or not spelled in canonical ASCII decimal, is refused by
         name, and so are a size above MAX_MODULE_DIM or MAX_ALGEBRA_DIM, a
         chain longer than the basis plus one, and a chain element or action
-        list whose length is not the basis size, before any entry is parsed."""
+        list whose length is not the basis size, before any entry is parsed.
+        An entry that does not parse is named with its structure constant,
+        chain element or action matrix."""
         data = json_load(text)
         n = len(json_field(data, "basis", list, "module field 'basis' is"))
         dim = json_field(data, "dim", int, "module dimension", 0, MAX_MODULE_DIM)
@@ -298,8 +302,10 @@ class ApproxModule:
             if not all(x in index for x in (*ij, *row)):
                 raise ValueError("a structure constant names a basis index outside 0 to %d"
                                  % (n - 1))
-            sc[index[ij[0]], index[ij[1]]] = {index[t]: parse(s) for t, s in row.items()}
-        chain = [[parse(s) for s in a] for a in chain]
+            sc[index[ij[0]], index[ij[1]]] = parse_entries(
+                ((index[t], s) for t, s in row.items()), parse, "structure constant %r" % key)
+        chain = [parse_entries(enumerate(a), parse, "idempotent chain element %d" % k)
+                 for k, a in enumerate(chain)]
         alg = ApproxAlgebra(n, sc, chain, data["basis"])
         mats = [square(flat, dim, parse, "action matrix %d" % t)
                 for t, flat in enumerate(action)]
@@ -363,10 +369,27 @@ def _tuple_module(M, j, tuples):
     return tuples[j]
 
 
+_NO_CORNER = "the endomorphism lies in no chain corner; it cannot be an image element"
+
+
 def end_sharp_membership(M, phi):
     """Decide whether phi lies in the image of the algebra action; see the
-    module docstring for the procedure."""
-    return _membership(M, phi, {})
+    module docstring for the procedure.  A phi in no chain corner is
+    refused with a ValueError."""
+    phi = Mat.of(phi)
+    d = M.dim
+    if (phi.nrows, phi.ncols) != (d, d):
+        raise ValueError("the endomorphism is %dx%d; the module needs %dx%d"
+                         % (phi.nrows, phi.ncols, d, d))
+    j = _corner(M, lambda j: _in_corner(M.idem_mat(j), phi))
+    if j is None:
+        raise ValueError(_NO_CORNER)
+    return _membership(M, phi, j, {})
+
+
+def _corner(M, absorbs):
+    """The least chain index j with absorbs(j), or None."""
+    return next((j for j in range(len(M.algebra.chain)) if absorbs(j)), None)
 
 
 def _in_corner(P, phi):
@@ -376,21 +399,26 @@ def _in_corner(P, phi):
     return all(apply(PT, r) == r and apply(phiT, p) == r for r, p in zip(phi.rows, P.rows))
 
 
-def _membership(M, phi, tuples, outside=ValueError):
-    """end_sharp_membership, taking the corner tuple modules and witness
-    solvers from `tuples`; a phi in no chain corner raises `outside`, and a
-    phi that preserves W but has no verified witness raises CrossCheckError."""
-    phi = Mat.of(phi)
-    d = M.dim
-    if (phi.nrows, phi.ncols) != (d, d):
-        raise ValueError("the endomorphism is %dx%d; the module needs %dx%d"
-                         % (phi.nrows, phi.ncols, d, d))
-    for corner_j in range(len(M.algebra.chain)):
-        if _in_corner(M.idem_mat(corner_j), phi):
-            break
-    else:
-        raise outside("the endomorphism lies in no chain corner; "
-                      "it cannot be an image element")
+def _idem_spans(M):
+    """The SpanBases (col(P_j), row(P_j)) of each chain idempotent P_j."""
+    return [(M.V_j(j), SpanBasis(M.dim, M.idem_mat(j).rows))
+            for j in range(len(M.algebra.chain))]
+
+
+def _in_spans(spans, phi):
+    """P phi P = phi for an idempotent P given by the spans (col(P), row(P)):
+    P y = y iff y lies in col(P), and x P = x iff x lies in row(P), so every
+    nonzero column of phi lies in the first and every nonzero row in the
+    second."""
+    cols, rows = spans
+    return (all(cols.contains(c) for c in phi.cols if c)
+            and all(rows.contains(r) for r in phi.rows if r))
+
+
+def _membership(M, phi, corner_j, tuples):
+    """Membership of the d x d Mat phi at its chain corner corner_j, taking
+    the corner tuple modules and witness solvers from `tuples`; a phi that
+    preserves W but has no verified witness raises CrossCheckError."""
     u, W, solve = _tuple_module(M, corner_j, tuples)
     # the witness first: solve phi.u = pi(a).u in the element coordinates,
     # then cut a down to the corner so the equality extends from V_j to V
@@ -485,9 +513,15 @@ def double_commutant_check(M):
             return CheckReport("double_commutant", "fail", dims,
                                witness={"kind": "image_not_in_sharp",
                                         "matrix": [str(c) for c in dense(row, d * d)]})
-    for row in sharp.rows:  # End^# lies in the top corner: none outside is a defect
-        res = _membership(M, Mat.from_flat(row, d, d), tuples, CrossCheckError)
-        if not res.member:
+    # each row's corner from the spans of the chain idempotents' columns and
+    # rows; End^# lies in the top corner, so a row in none is a defect
+    spans = _idem_spans(M)
+    for row in sharp.rows:
+        phi = Mat.from_flat(row, d, d)
+        j = _corner(M, lambda j: _in_spans(spans[j], phi))
+        if j is None:
+            raise CrossCheckError(_NO_CORNER)
+        if not _membership(M, phi, j, tuples).member:
             func = _separating_functional(image, sharp)
             return CheckReport("double_commutant", "fail", dims,
                                witness={"kind": "sharp_not_in_image",

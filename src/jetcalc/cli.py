@@ -18,7 +18,7 @@ import sys
 import time
 
 from .scalars import Scalar, ONE
-from .poly import Polynomial, ExpPoly, Vector, translate
+from .poly import Polynomial, ExpPoly, Vector
 from .linalg import CrossCheckError, Mat, SpanBasis, dense, mid
 from .localmod import (cyclic_quotient, maximal_ideal, dual_number_module, MAX_NVARS,
                        MAX_DIM)
@@ -117,7 +117,7 @@ def run_jet(cfg, suite):
         inst2 = {"i": i, "E": _estr(E), "p": str(p), "mu": str(mu)}
         suite.check("jet.eval", "jet evaluation matches the translated action",
                     inst2, lambda: (jet(p, E).evaluate_scalar(tuple(mu.coords))
-                                    == E.act_poly(translate(p, mu)), None))
+                                    == E.act_poly(p.translate(mu)), None))
 
     for i in range(10):
         nv = rng.randint(1, cfg.nmax)

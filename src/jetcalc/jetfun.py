@@ -2,7 +2,7 @@
 
 A matrix family is the sum of its terms E[a] e^xi x^e C: constant matrices
 C, each times one scalar germ.  The central map sends a family T and a
-module E to f^(E)(mu) = m_E(translate(f, mu)) for every entry f, by the
+module E to f^(E)(mu) = m_E(f.translate(mu)) for every entry f, by the
 closed Taylor formula
 
     f^(E) = sum_beta (d^beta f)/beta! . m_E(X^beta),
@@ -220,7 +220,7 @@ def jet_family(T, E):
 
 
 def jet(f, E):
-    """The matrix family mu -> m_E(translate(f, mu)): jet_family of [[f]]."""
+    """The matrix family mu -> m_E(f.translate(mu)): jet_family of [[f]]."""
     f = _as_exppoly(f)
     return jet_family(MatPolyFamily(f.nvars, [[f]]), E)
 

@@ -15,7 +15,8 @@ block of a stacked vector by its columns.  `Mat.flat` and `Mat.from_flat`
 convert to and from the sparse vector of row-major entries.  At the edges
 `Mat.of` reads a nested sequence, `sparse` a vector and `dense` writes one;
 a Mat equals only a Mat.  A `MatPolyFamily` keeps one Mat per term.
-`square`, `json_load` and `json_field` read JSON matrices, texts and fields.
+`square`, `json_load` and `json_field` read JSON matrices, texts and fields,
+and `parse_entries` names the entry that does not parse.
 
 `SpanBasis` is the one elimination: row-at-a-time Gauss-Jordan to the
 reduced row echelon form (RREF), which is unique over exact arithmetic, so
@@ -289,13 +290,20 @@ def square(flat, d, parse, what):
     if len(flat) != d * d:
         raise ValueError("%s has %d entries; a %dx%d matrix needs %d"
                          % (what, len(flat), d, d, d * d))
-    out = []
-    for t, e in enumerate(flat):
-        try:
-            out.append(parse(e))
-        except ValueError as err:
-            raise ValueError("%s entry %d: %s" % (what, t, err)) from None
+    out = list(parse_entries(enumerate(flat), parse, what).values())
     return tuple(tuple(out[r * d:(r + 1) * d]) for r in range(d))
+
+
+def parse_entries(items, parse, what):
+    """{key: parse(e)} over the (key, e) pairs `items`; when parse refuses
+    an entry, a ValueError naming `what` and the entry's key."""
+    out = {}
+    for key, e in items:
+        try:
+            out[key] = parse(e)
+        except ValueError as err:
+            raise ValueError("%s entry %s: %s" % (what, key, err)) from None
+    return out
 
 
 def json_load(text):
@@ -343,8 +351,11 @@ def solver(vecs, ncols):
     one solution x of sum_t x_t vecs[t] = v, as a zero-free dict {t: x_t},
     or to None when v lies outside their span.  It is one reduction of
     [v | 0]: its residue [r | s] has r = v - sum_t y_t vecs[t] for y = -s,
-    since each row is [sum_t c_t vecs[t] | c]."""
-    red = SpanBasis(ncols + len(vecs), [{**v, ncols + t: ONE} for t, v in enumerate(vecs)])
+    since each row is [sum_t c_t vecs[t] | c].  A zero vecs[t] is left out:
+    its row [0 | e_t] would pivot at ncols + t, a column no other row holds,
+    so the rows pivoting left of ncols and every solution stay the same."""
+    red = SpanBasis(ncols + len(vecs),
+                    [{**v, ncols + t: ONE} for t, v in enumerate(vecs) if v])
     left = [{j: x for j, x in row.items() if j < ncols}
             for row, p in zip(red.rows, red.pivots) if p < ncols]
     span = SpanBasis(ncols, left[::-1])
@@ -496,8 +507,9 @@ def subspace_intersection(rows_a, rows_b, ncols):
     zero-free sparse vectors, by Zassenhaus: reduce the rows (a|a) and
     (b|0).  The combinations with a zero left half are (c|c) - (c|0) = (0|c)
     for c in both spans, so the rows pivoting in the right half are (0|c)
-    for c an echelon basis.  The rows may be sequences or dicts."""
-    both = SpanBasis(2 * ncols, rows_b)
+    for c an echelon basis.  The rows may be sequences or dicts; rows_b are
+    inserted last first, so that RREF rows need no elimination."""
+    both = SpanBasis(2 * ncols, list(rows_b)[::-1])
     for a in map(sparse, rows_a):
         both._insert({**a, **{j + ncols: x for j, x in a.items()}})
     return [{j - ncols: x for j, x in row.items()}

@@ -39,9 +39,10 @@ digits and an exponent above MAX_EXPONENT.  ``^<e>`` is expanded by
 repeated multiplication, so it also refuses an input whose products
 (``*``, juxtaposition and each step of ``^``) form more than MAX_PARSE_WORK
 term pairs in all, counted as left terms x right terms before each product
-is formed.  The entries of one file share that budget (`entry_parser`,
-`scalar_parser`).  Nested powers, powers of sums, long products of sums and
-many large entries all stay cheap to refuse.
+is formed, and a product or a division whose operands' bits sum past
+MAX_BITS.  The entries of one file share the term-pair budget
+(`entry_parser`, `scalar_parser`).  Nested powers, powers of sums, long
+products of sums and many large entries all stay cheap to refuse.
 """
 
 import re
@@ -477,10 +478,6 @@ def diff(u, f):
     return total
 
 
-def translate(f, mu):
-    return f.translate(mu)
-
-
 def coproduct(p, n):
     """alpha_n^*(p): the pull-back of n-fold addition, as a polynomial in
     n*N variables; slot b of the tensor owns variables b*N .. b*N+N-1.
@@ -526,10 +523,27 @@ MAX_NESTING, MAX_DIGITS = 32, 1000
 # entries of one file, may form in all: (x1+1)^256 forms 65,792 and parses,
 # ((x1+1)^2)^256 forms 196,614
 MAX_PARSE_WORK = 1 << 17
+# most bits a product formed while parsing may need, bits(a) + bits(b) for
+# a b, charged before it is formed (a division by an integer n too, as
+# bits(a) + bits(n)), bits(x) being the longest numerator or denominator of
+# a coefficient of x: twice a MAX_DIGITS number's 3,322 bits, rounded up to
+# a power of two, so every canonical entry a/b+c/d*i within MAX_DIGITS parses
+MAX_BITS = 1 << 13
 
 
 def _nterms(e):
     return sum(len(p.terms) for p in e.terms.values())
+
+
+def _bits(e):
+    return max((max(abs(c.a).bit_length(), abs(c.b).bit_length(), c.den.bit_length())
+                for p in e.terms.values() for c in p.terms.values()), default=0)
+
+
+def _charge_bits(nbits):
+    if nbits > MAX_BITS:
+        raise ValueError("parsing would form a value of about %d bits, past the "
+                         "limit %d" % (nbits, MAX_BITS))
 
 
 # named token patterns, tried in order at each position (see the grammar
@@ -582,7 +596,8 @@ class _Parser:
         return out
 
     def mul(self, a, b):
-        """a * b, charged to the work budget before it is formed."""
+        """a * b, charged to the bit and work budgets before it is formed."""
+        _charge_bits(_bits(a) + _bits(b))
         self.work += _nterms(a) * _nterms(b)
         if self.work > MAX_PARSE_WORK:
             raise ValueError("parsing needs more term products than the "
@@ -632,6 +647,7 @@ class _Parser:
                 if not val:
                     raise ValueError("parse error at token %d: '/%s' divides by zero"
                                      % (self.pos - 1, val))
+                _charge_bits(_bits(total) + val.bit_length())
                 total = total * _inv_int(val)
             elif kind in ("*", "num", "imag", "var", "(", "exp", "unit"):
                 if kind == "*":

@@ -7,12 +7,12 @@ parse_poly."""
 
 from types import SimpleNamespace
 
-from jetcalc.approxalg import ApproxModule, _membership
+from jetcalc.approxalg import ApproxModule, _corner, _in_corner, _membership
 from jetcalc.gen import rand_scalar
 from jetcalc.jetfun import _as_exppoly
 from jetcalc.linalg import Mat, SpanBasis, mid, mmul, dense, sparse
 from jetcalc.localmod import CofiniteIdeal
-from jetcalc.poly import (Polynomial, ExpPoly, Vector, Covector, DiffOp, diff, translate,
+from jetcalc.poly import (Polynomial, ExpPoly, Vector, Covector, DiffOp, diff,
                           exp_series, beta_factorial, zero_exps, monomials_upto,
                           monomials_of_degree, parse_exppoly)
 from jetcalc.scalars import ZERO
@@ -53,10 +53,10 @@ def membership(M, phi):
     basis tuple as a dense vector `tuple_vec`, the corner's tuple module W
     as `submodule`, and W.escape(phi), the escaping pair (w, phi.w) as dense
     vectors, as `escaped` (None when phi preserves W)."""
-    tuples = {}
-    res = _membership(M, phi, tuples)
+    tuples, phi = {}, Mat.of(phi)
+    res = _membership(M, phi, _corner(M, lambda j: _in_corner(M.idem_mat(j), phi)), tuples)
     [(j, (u, W, _))] = tuples.items()
-    escaped = W.escape(Mat.of(phi))
+    escaped = W.escape(phi)
     return SimpleNamespace(
         member=res.member, witness=res.witness, j=j, tuple_vec=dense(u, W.ncols),
         submodule=W, escaped=escaped and tuple(dense(v, W.ncols) for v in escaped))
@@ -66,7 +66,7 @@ def jet_ideal(f, ideal, mu):
     """Class of the translated germ in the quotient by the ideal:
     coordinates over the standard monomials, as ExpPolys in no variables."""
     coords = [ExpPoly.zero(0)] * ideal.codim
-    for (freq, unit), p in translate(_as_exppoly(f), mu).terms.items():
+    for (freq, unit), p in _as_exppoly(f).translate(mu).terms.items():
         nf = ideal.normal_form((exp_series(Covector(freq), ideal.k) * p).truncate(ideal.k))
         tag = ExpPoly.exp((), unit=unit)
         coords = [c + tag * nf.terms.get(m, ZERO)

@@ -288,6 +288,24 @@ def test_module_json_refuses_a_malformed_structure_constant_key(consts, message)
         aa.ApproxModule.from_json(json.dumps(data))
 
 
+def test_module_json_names_a_chain_entry_that_does_not_parse():
+    _, M = aa.block_module([1, 2])
+    data = json.loads(M.to_json())
+    data["idempotent_chain"][1][4] = "1/"
+    with pytest.raises(ValueError, match="^idempotent chain element 1 entry 4: parse error: "
+                                         "'/' must be followed by an integer$"):
+        aa.ApproxModule.from_json(json.dumps(data))
+
+
+def test_module_json_names_a_structure_constant_entry_that_does_not_parse():
+    _, M = aa.block_module([2])
+    data = json.loads(M.to_json())
+    data["structure_constants"]["1,2"]["0"] = "1/"
+    with pytest.raises(ValueError, match="^structure constant '1,2' entry 0: parse error: "
+                                         "'/' must be followed by an integer$"):
+        aa.ApproxModule.from_json(json.dumps(data))
+
+
 def test_algebra_axioms_are_enforced():
     with pytest.raises(ValueError):
         aa.ApproxAlgebra(1, {(0, 0): {0: ONE}}, [(sc(2),)])  # not idempotent
@@ -771,15 +789,44 @@ def test_the_corner_index_is_the_least_idempotent_absorbing_phi():
     assert {None, 0, 1, 2} <= found
 
 
+def test_each_end_sharp_row_gets_the_corner_that_the_row_test_finds():
+    """double_commutant_check gives each End^# row the least j whose spans
+    col(P_j) and row(P_j) hold its nonzero columns and rows; that is the
+    least j that _in_corner accepts, on plain, skewed and junk-padded
+    modules of dimension 2 to 12.  So it is for one-sided and two-sided
+    cuts P_i X P_k of random matrices X and for the X themselves, which may
+    lie in no corner."""
+    rng = random.Random(37)
+    kinds, dims, corners = set(), set(), set()
+    for _ in range(40):
+        alg, M = gen.rand_approx_module(rng, 12, junk_ok=True)
+        kinds.add(kind(M))
+        dims.add(M.dim)
+        spans = aa._idem_spans(M)
+        sharp = as_mats(M, aa._end_sharp(M, {})[0])
+        idems = [M.idem_mat(j) for j in range(len(alg.chain))] + [mid(M.dim)]
+        X = linalg.Mat.of(rand_matrix(rng, M.dim, M.dim))
+        cuts = [linalg.mmul(linalg.mmul(rng.choice(idems), X), rng.choice(idems))
+                for _ in range(4)]
+        for phi in sharp + cuts + [X]:
+            j = aa._corner(M, lambda j: aa._in_spans(spans[j], phi))
+            assert j == aa._corner(M, lambda j: aa._in_corner(M.idem_mat(j), phi))
+            corners.add((phi in sharp, j))
+    assert kinds == {"plain", "skewed", "junk"}
+    assert min(dims) <= 3 and max(dims) >= 10
+    assert (True, None) not in corners and len({j for _, j in corners}) >= 4
+
+
 def test_an_end_sharp_element_in_no_corner_is_a_cross_check_failure(monkeypatch):
     """End^# lies in the top corner's span, so a basis element that no
-    chain idempotent absorbs is a defect: under a corner test that rejects
+    chain idempotent absorbs is a defect: under a corner search that rejects
     the top corner, double_commutant_check raises CrossCheckError, while
     end_sharp_membership still refuses a caller's phi with a ValueError."""
     _, M = aa.block_module([1, 2])
-    top = M.idem_mat(len(M.algebra.chain) - 1)
-    in_corner = aa._in_corner
-    monkeypatch.setattr(aa, "_in_corner", lambda P, phi: P is not top and in_corner(P, phi))
+    top = len(M.algebra.chain) - 1
+    corner = aa._corner
+    monkeypatch.setattr(aa, "_corner",
+                        lambda M, absorbs: corner(M, lambda j: j != top and absorbs(j)))
     with pytest.raises(linalg.CrossCheckError, match="lies in no chain corner"):
         aa.double_commutant_check(M)
     with pytest.raises(ValueError, match="lies in no chain corner"):

@@ -11,7 +11,7 @@ from jetcalc import approxalg, family, gen, linalg, poly, scalars
 from jetcalc.approxalg import ApproxModule
 from jetcalc.scalars import Scalar, ZERO, ONE, Scalar as sc
 from jetcalc.poly import (Vector, Covector, DiffOp, ExpPoly, Polynomial,
-                          parse_exppoly, monomials_upto, translate)
+                          parse_exppoly, monomials_upto)
 from jetcalc.linalg import (Mat, SpanBasis, mmul, mid, block_diag, kron,
                             close_span, sparse)
 from jetcalc.localmod import (cyclic_quotient, maximal_ideal, power_ideal,
@@ -222,7 +222,7 @@ def test_det_adj_match_the_cofactor_expansion():
     rng = random.Random(8)
     fams = list(square_families(rng, 90))
     large = list(square_families(rng, 8, dmax=6, dmin=5))
-    translated = [MatPolyFamily(F.nvars, [[translate(e, gen.rand_point(rng, F.nvars))
+    translated = [MatPolyFamily(F.nvars, [[e.translate(gen.rand_point(rng, F.nvars))
                                            for e in row] for row in F.entries])
                   for F in square_families(rng, 30)]
     sizes, dets = set(), set()

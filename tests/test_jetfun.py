@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from jetcalc.scalars import Scalar, ZERO, ONE, Scalar as sc
 from jetcalc.poly import (Polynomial, ExpPoly, Vector, Covector, DiffOp,
-                          diff, translate, monomials_upto, monomials_of_degree)
+                          diff, monomials_upto, monomials_of_degree)
 from jetcalc import localmod as lm
 from jetcalc import jetfun as jf
 from jetcalc import gen, linalg
@@ -98,14 +98,14 @@ def test_jet_evaluation_matches_the_germ_action_oracle():
             f = rand_exp_poly(rng, 2, 2)
             mu = rand_point(rng, 2)
             ev = jf.jet(f, Emod).evaluate(tuple(mu.coords))
-            assert ev == act_germ_oracle(Emod, translate(f, mu))
+            assert ev == act_germ_oracle(Emod, f.translate(mu))
 
 
 def e_slow_oracle(E, T, mu):
     """The oracle of T's jet at mu: act_germ_oracle on each translated
     entry, reassembled with the module index slow, so that entry
     (rE, rV), (cE, cV) is entry (rE, cE) of the oracle of T[rV][cV]."""
-    blocks = [[act_germ_oracle(E, translate(e, mu)) for e in row] for row in T.entries]
+    blocks = [[act_germ_oracle(E, e.translate(mu)) for e in row] for row in T.entries]
     return tuple(tuple(blocks[rV][cV][rE][cE] for cE in range(E.dim) for cV in range(T.cols))
                  for rE in range(E.dim) for rV in range(T.rows))
 
@@ -121,11 +121,11 @@ def test_point_jet_is_the_jet_evaluated_at_the_point():
     for Emod in mods:
         for _ in range(3):
             nv = Emod.nvars
-            f = translate(rand_exp_poly(rng, nv, 2), rand_point(rng, nv))
+            f = rand_exp_poly(rng, nv, 2).translate(rand_point(rng, nv))
             mu = rand_point(rng, nv)
             units += any(unit != ZERO for _, unit in f.terms)
             for pt in (mu, tuple(mu.coords)):
-                assert jf.jet(f, Emod).evaluate(pt) == act_germ_oracle(Emod, translate(f, mu))
+                assert jf.jet(f, Emod).evaluate(pt) == act_germ_oracle(Emod, f.translate(mu))
     assert units >= 20
     f = rand_exp_poly(random.Random(0), 1, 2)
     with pytest.raises(ValueError):
@@ -239,10 +239,10 @@ def test_jet_commutes_with_translation():
     for Emod in _test_modules():
         f = rand_exp_poly(rng, 2, 2)
         mu = rand_point(rng, 2)
-        Jt = jf.jet(translate(f, mu), Emod)
+        Jt = jf.jet(f.translate(mu), Emod)
         Jf = jf.jet(f, Emod)
         assert Jt == jf.MatPolyFamily(
-            2, [[translate(e, mu) for e in row] for row in Jf.entries])
+            2, [[e.translate(mu) for e in row] for row in Jf.entries])
 
 
 def test_jet_ideal_collects_taylor_data():

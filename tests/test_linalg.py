@@ -223,6 +223,31 @@ def test_solver_span_is_the_span_basis_of_its_vectors(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
+def test_the_solver_gives_the_same_rows_and_solutions_with_zero_vectors(seed):
+    """Zero vectors, which the solver leaves out of its elimination, change
+    neither the span's rows nor any solution: with empty vectors interleaved,
+    each solution is the one without them at the shifted indices."""
+    rng = random.Random(5000 + seed)
+    for rows in matrices(seed):
+        vecs = columns(rows, len(rows[0]))
+        padded, at = [], []  # at[t]: the index of vecs[t] among the padded
+        for v in vecs:
+            padded += [{}] * rng.randint(0, 2)
+            at.append(len(padded))
+            padded.append(v)
+        padded.append({})
+        span, solve = linalg.solver(vecs, len(rows))
+        pspan, psolve = linalg.solver(padded, len(rows))
+        assert (pspan.pivots, pspan.rows) == (span.pivots, span.rows)
+        for _ in range(3):
+            rhs = lincomb((rand_scalar(rng), v) for v in vecs)
+            other = linalg.sparse([rand_scalar(rng) for _ in rows])
+            for v in (rhs, other, {}):
+                x = solve(v)
+                assert psolve(v) == (None if x is None else {at[t]: c for t, c in x.items()})
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 def test_det_and_inverse_match_sympy(seed):
     for mat in square_matrices(seed):
         n = len(mat)

@@ -46,27 +46,34 @@ def skip_the_last_pivot_row(monkeypatch):
     monkeypatch.setattr(SpanBasis, "_reduce", skipping)
 
 
-def drop_a_last_entry(monkeypatch):
+def _always():
+    return True
+
+
+def drop_a_last_entry(monkeypatch, phase=0, counted=_always):
     """A: every 997th _axpy call that can change its output, one whose row
     has a key other than `skip`, drops the last entry of its row.  Calls
     that change nothing are not counted, so adding or removing them moves
-    no corruption."""
+    no corruption.  At a phase p the calls counted p modulo 997 are
+    dropped, and only calls made while counted() holds are counted."""
     axpy, calls = linalg._axpy, itertools.count(1)
 
     def dropping(out, c, row, off=0, skip=None):
-        if any(j != skip for j in row) and next(calls) % 997 == 0:
+        if counted() and any(j != skip for j in row) and next(calls) % 997 == phase:
             row = dict(list(row.items())[:-1])
         return axpy(out, c, row, off, skip)
 
     _everywhere(monkeypatch, "_axpy", dropping)
 
 
-def transpose_a_square_apply(monkeypatch):
-    """T: every 101st apply of a square Mat applies its transpose."""
+def transpose_a_square_apply(monkeypatch, phase=0, counted=_always):
+    """T: every 101st apply of a square Mat applies its transpose; at a
+    phase p the applies counted p modulo 101, counting only those made
+    while counted() holds."""
     apply, calls = linalg.apply, itertools.count(1)
 
     def transposing(m, v):
-        if m.nrows == m.ncols and next(calls) % 101 == 0:
+        if m.nrows == m.ncols and counted() and next(calls) % 101 == phase:
             m = m.T
         return apply(m, v)
 
@@ -126,3 +133,83 @@ def test_a_mutant_ends_in_failing_records_or_the_internal_error_status(
     # a failing record is the better catch: it names the check and its witness
     assert rc in FLOOR[CATCH_TABLE[mutant][cli.SUITES.index(suite)]], (
         "%s under %s fell below its pinned exit status" % (suite, mutant))
+
+
+# --- the pw sweep ---------------------------------------------------------------
+#
+# The table above pins one schedule per mutant: which call it corrupts moves
+# whenever a change adds or removes work.  The sweep runs `jetcalc pw --seed
+# 0` under A and T at many phases, corrupting only calls made inside
+# Suite.check, so that instance generation is never hit.  Each run records
+# the verdict values the checks compare: every membership_triple's three
+# verdicts and every invariance_check's bool, as the CLI calls them.
+# Gate 1: a run that exits 0 records the clean run's verdicts (no silent
+# change).  Gate 2: the phases that end in failing records are at least the
+# floor, the count measured when the sweep was added.
+SWEEP_PHASES = {"A": range(0, 997, 10), "T": range(101)}
+SWEEP_FLOOR = {"A": 52, "T": 53}
+# tier-1 runs every STRIDE-th phase of the sweep, with its own floor
+STRIDE = 4
+STRIDE_FLOOR = {"A": 13, "T": 13}
+
+
+def _pw_run(mutant=None, phase=0):
+    """(exit status, verdicts) of `jetcalc pw --seed 0`, under the sweep
+    mutant `mutant` at `phase` when given."""
+    verdicts, inside = [], [False]
+    check, triple, invariance = cli.Suite.check, cli.membership_triple, cli.invariance_check
+
+    def checking(self, *args):
+        inside[0] = True
+        try:
+            return check(self, *args)
+        finally:
+            inside[0] = False
+
+    def recorded_triple(*args):
+        t = triple(*args)
+        verdicts.append((t.double_annihilator, t.span_membership, t.sharp))
+        return t
+
+    def recorded_invariance(*args):
+        verdicts.append(invariance(*args))
+        return verdicts[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli.Suite, "check", checking)
+        mp.setattr(cli, "membership_triple", recorded_triple)
+        mp.setattr(cli, "invariance_check", recorded_invariance)
+        if mutant is not None:
+            MUTANTS[mutant](mp, phase, lambda: inside[0])
+        rc = cli.main(["pw", "--seed", "0"])
+    return rc, verdicts
+
+
+def _sweep(mutant, phases):
+    """(number of phases exiting 1, the phases that exit 0 with verdicts
+    other than the clean run's)."""
+    rc, clean = _pw_run()
+    assert rc == 0 and clean
+    caught, silent = 0, []
+    for phase in phases:
+        rc, verdicts = _pw_run(mutant, phase)
+        assert rc in (0, 1)
+        caught += rc == 1
+        if rc == 0 and verdicts != clean:
+            silent.append(phase)
+    return caught, silent
+
+
+@pytest.mark.parametrize("mutant", sorted(SWEEP_PHASES))
+def test_a_stride_of_the_pw_sweep_makes_no_silent_change(mutant):
+    caught, silent = _sweep(mutant, SWEEP_PHASES[mutant][::STRIDE])
+    assert silent == []
+    assert caught >= STRIDE_FLOOR[mutant], "%s caught at %d phases" % (mutant, caught)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("mutant", sorted(SWEEP_PHASES))
+def test_every_phase_of_the_pw_sweep_makes_no_silent_change(mutant):
+    caught, silent = _sweep(mutant, SWEEP_PHASES[mutant])
+    assert silent == []
+    assert caught >= SWEEP_FLOOR[mutant], "%s caught at %d phases" % (mutant, caught)

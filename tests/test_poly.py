@@ -4,12 +4,13 @@ import json
 import random
 import re
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from jetcalc.scalars import Scalar, ZERO, ONE, Scalar as sc, _TermDict
-from jetcalc.poly import (Polynomial, ExpPoly, Vector, Covector, DiffOp, diff, translate,
+from jetcalc.poly import (Polynomial, ExpPoly, Vector, Covector, DiffOp, diff,
                           coproduct, parse_exppoly, parse_scalar, monomials_upto,
                           monomials_of_degree, beta_factorial, MAX_NESTING, MAX_DIGITS)
 from oracles import pairing, parse_poly
@@ -60,15 +61,15 @@ def test_translate_composes(p):
     mu = Vector((sc(1), sc(-2)))
     nu = Vector((sc(3), sc(1)))
     both = Vector((sc(4), sc(-1)))
-    assert translate(translate(p, mu), nu) == translate(p, both)
-    assert translate(p, Vector((ZERO, ZERO))) == p
+    assert p.translate(mu).translate(nu) == p.translate(both)
+    assert p.translate(Vector((ZERO, ZERO))) == p
 
 
 @given(exp_polys(), exp_polys())
 def test_exp_poly_multiplication_is_commutative_and_translates(f, g):
     assert f * g == g * f
     mu = Vector((sc(2), sc(0)))
-    assert translate(f * g, mu) == translate(f, mu) * translate(g, mu)
+    assert (f * g).translate(mu) == f.translate(mu) * g.translate(mu)
 
 
 @given(exp_polys())
@@ -93,7 +94,7 @@ def test_exponential_translation_picks_up_units():
     xi = Covector((ONE, sc(2)))
     f = ExpPoly.exp(xi)
     mu = Vector((sc(3), sc(-1)))
-    g = translate(f, mu)
+    g = f.translate(mu)
     ((freq, unit),) = g.terms.keys()
     assert freq == xi.coords
     assert unit == xi(mu)
@@ -150,7 +151,7 @@ def test_coproduct_evaluates_to_sum_of_arguments(p, mus, mu, nu):
     p(mu_1 + ... + mu_n) three ways."""
     point = tuple(c for m in mus for c in m.coords)
     assert coproduct(p, len(mus)).evaluate(point) == p.evaluate(sum(mus[1:], mus[0]))
-    assert translate(p, mu).evaluate(nu) == p.evaluate(mu + nu)
+    assert p.translate(mu).evaluate(nu) == p.evaluate(mu + nu)
 
 
 def test_evaluate_forms_each_power_once(monkeypatch):
@@ -363,6 +364,48 @@ def test_the_grammar_refuses_deep_nesting_and_long_numbers():
             with pytest.raises(ValueError, match="^" + re.escape(why)):
                 parse(text)
             assert time.perf_counter() - start < 0.2, why
+
+
+# text whose value would pass MAX_BITS: a power of a power, a power and a
+# product of 1,000-digit numbers, and a chain of divisions by them
+NINES = "9" * 1000
+TOO_MANY_BITS = ["((9^256)^256)^256", "(%s)^256" % NINES, "%s*%s*%s" % ((NINES,) * 3),
+                 "1/%s/%s/%s" % ((NINES,) * 3)]
+
+
+@pytest.mark.parametrize("text", TOO_MANY_BITS)
+def test_products_and_powers_are_charged_their_bits(text):
+    """A product is refused when bits(a) + bits(b) would pass MAX_BITS,
+    so is each step of a power: a text of 17 characters whose value has
+    about 53M bits is refused in under 0.2 s, through parse_scalar and as
+    an entry of FinMod.from_json, whose error names the entry."""
+    from jetcalc.localmod import FinMod
+    from jetcalc.poly import MAX_BITS
+    module = json.loads(FinMod(1, 1, [[[ZERO]]]).to_json())
+    module["action"] = [[text]]
+    why = "parsing would form a value of about [0-9]+ bits, past the limit %d$" % MAX_BITS
+    for parse, where in ((parse_scalar, ""), (lambda t: FinMod.from_json(json.dumps(module)),
+                                              "action matrix 0 entry 0: ")):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^" + where + why):
+            parse(text)
+        assert time.perf_counter() - start < 0.2
+
+
+def test_the_bit_budget_admits_every_canonical_entry_within_the_digit_bound():
+    """MAX_BITS is twice a MAX_DIGITS number's bits rounded up, so the
+    canonical a/d+b/d*i of parts with 1,000-digit numerators and denominator
+    parses, and so do powers up to the budget."""
+    from jetcalc.poly import MAX_BITS
+    assert MAX_BITS == 8192 >= 2 * int("9" * MAX_DIGITS).bit_length()
+    den = 10 ** 999 + 9
+    x = Scalar(Fraction(-(10 ** 999) + 7, den), Fraction(int(NINES), den))
+    assert parse_scalar(x.json_str()) == x
+    assert parse_scalar("(2^256)^2") == Scalar(2 ** 512)
+    # 2^4095 has 4,096 bits and 2^4096 one more
+    assert parse_scalar("((2^63)^65)*((2^63)^65)") == Scalar(2 ** 8190)
+    with pytest.raises(ValueError, match="about 8193 bits"):
+        parse_scalar("((2^64)^64)*((2^63)^65)")
 
 
 def test_covector_directional_derivative():
