@@ -135,29 +135,43 @@ def test_a_mutant_ends_in_failing_records_or_the_internal_error_status(
         "%s under %s fell below its pinned exit status" % (suite, mutant))
 
 
-# --- the pw sweep ---------------------------------------------------------------
+# --- the sweeps ------------------------------------------------------------------
 #
 # The table above pins one schedule per mutant: which call it corrupts moves
-# whenever a change adds or removes work.  The sweep runs `jetcalc pw --seed
-# 0` under A and T at many phases, corrupting only calls made inside
+# whenever a change adds or removes work.  A sweep runs `jetcalc <suite>
+# --seed 0` under A and T at many phases, corrupting only calls made inside
 # Suite.check, so that instance generation is never hit.  Each run records
-# the verdict values the checks compare: every membership_triple's three
-# verdicts and every invariance_check's bool, as the CLI calls them.
-# Gate 1: a run that exits 0 records the clean run's verdicts (no silent
+# the values the suite's checks compare, as the CLI calls them (RECORDED):
+# on pw every membership_triple's three verdicts and every invariance_check's
+# bool; on dcomm every double_commutant_check's status and dims, every
+# end_sharp_membership's member and witness, every submodule_grid_check
+# result and every corner_identity_check's status and dims.
+# Gate 1: a run that exits 0 records the clean run's values (no silent
 # change).  Gate 2: the phases that end in failing records are at least the
-# floor, the count measured when the sweep was added.
+# floor, the count measured when the sweep was added.  On dcomm every phase
+# but T's phase 89 ends in failing records; that one records the clean values.
+RECORDED = {
+    "pw": {"membership_triple": lambda t: (t.double_annihilator, t.span_membership, t.sharp),
+           "invariance_check": lambda ok: ok},
+    "dcomm": {"double_commutant_check": lambda rep: (rep.status, rep.dims),
+              "end_sharp_membership": lambda res: (res.member, res.witness),
+              "submodule_grid_check": lambda bad: bad,
+              "corner_identity_check": lambda rep: (rep.status, rep.dims)},
+}
 SWEEP_PHASES = {"A": range(0, 997, 10), "T": range(101)}
 SWEEP_FLOOR = {"A": 52, "T": 53}
-# tier-1 runs every STRIDE-th phase of the sweep, with its own floor
+DCOMM_SWEEP_FLOOR = {"A": 100, "T": 100}
+# tier-1 runs every STRIDE-th phase of each sweep, with its own floor
 STRIDE = 4
 STRIDE_FLOOR = {"A": 13, "T": 13}
+DCOMM_STRIDE_FLOOR = {"A": 25, "T": 26}
 
 
-def _pw_run(mutant=None, phase=0):
-    """(exit status, verdicts) of `jetcalc pw --seed 0`, under the sweep
-    mutant `mutant` at `phase` when given."""
-    verdicts, inside = [], [False]
-    check, triple, invariance = cli.Suite.check, cli.membership_triple, cli.invariance_check
+def _run(suite, mutant=None, phase=0):
+    """(exit status, recorded values) of `jetcalc <suite> --seed 0`, under
+    the sweep mutant `mutant` at `phase` when given."""
+    values, inside = [], [False]
+    check = cli.Suite.check
 
     def checking(self, *args):
         inside[0] = True
@@ -166,43 +180,41 @@ def _pw_run(mutant=None, phase=0):
         finally:
             inside[0] = False
 
-    def recorded_triple(*args):
-        t = triple(*args)
-        verdicts.append((t.double_annihilator, t.span_membership, t.sharp))
-        return t
-
-    def recorded_invariance(*args):
-        verdicts.append(invariance(*args))
-        return verdicts[-1]
+    def recorded(fn, value):
+        def call(*args):
+            out = fn(*args)
+            values.append((fn.__name__, value(out)))
+            return out
+        return call
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli.Suite, "check", checking)
-        mp.setattr(cli, "membership_triple", recorded_triple)
-        mp.setattr(cli, "invariance_check", recorded_invariance)
+        for name, value in RECORDED[suite].items():
+            mp.setattr(cli, name, recorded(getattr(cli, name), value))
         if mutant is not None:
             MUTANTS[mutant](mp, phase, lambda: inside[0])
-        rc = cli.main(["pw", "--seed", "0"])
-    return rc, verdicts
+        rc = cli.main([suite, "--seed", "0"])
+    return rc, values
 
 
-def _sweep(mutant, phases):
-    """(number of phases exiting 1, the phases that exit 0 with verdicts
+def _sweep(suite, mutant, phases):
+    """(number of phases exiting 1, the phases that exit 0 with values
     other than the clean run's)."""
-    rc, clean = _pw_run()
+    rc, clean = _run(suite)
     assert rc == 0 and clean
     caught, silent = 0, []
     for phase in phases:
-        rc, verdicts = _pw_run(mutant, phase)
+        rc, values = _run(suite, mutant, phase)
         assert rc in (0, 1)
         caught += rc == 1
-        if rc == 0 and verdicts != clean:
+        if rc == 0 and values != clean:
             silent.append(phase)
     return caught, silent
 
 
 @pytest.mark.parametrize("mutant", sorted(SWEEP_PHASES))
 def test_a_stride_of_the_pw_sweep_makes_no_silent_change(mutant):
-    caught, silent = _sweep(mutant, SWEEP_PHASES[mutant][::STRIDE])
+    caught, silent = _sweep("pw", mutant, SWEEP_PHASES[mutant][::STRIDE])
     assert silent == []
     assert caught >= STRIDE_FLOOR[mutant], "%s caught at %d phases" % (mutant, caught)
 
@@ -210,6 +222,21 @@ def test_a_stride_of_the_pw_sweep_makes_no_silent_change(mutant):
 @pytest.mark.slow
 @pytest.mark.parametrize("mutant", sorted(SWEEP_PHASES))
 def test_every_phase_of_the_pw_sweep_makes_no_silent_change(mutant):
-    caught, silent = _sweep(mutant, SWEEP_PHASES[mutant])
+    caught, silent = _sweep("pw", mutant, SWEEP_PHASES[mutant])
     assert silent == []
     assert caught >= SWEEP_FLOOR[mutant], "%s caught at %d phases" % (mutant, caught)
+
+
+@pytest.mark.parametrize("mutant", sorted(SWEEP_PHASES))
+def test_a_stride_of_the_dcomm_sweep_makes_no_silent_change(mutant):
+    caught, silent = _sweep("dcomm", mutant, SWEEP_PHASES[mutant][::STRIDE])
+    assert silent == []
+    assert caught >= DCOMM_STRIDE_FLOOR[mutant], "%s caught at %d phases" % (mutant, caught)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("mutant", sorted(SWEEP_PHASES))
+def test_every_phase_of_the_dcomm_sweep_makes_no_silent_change(mutant):
+    caught, silent = _sweep("dcomm", mutant, SWEEP_PHASES[mutant])
+    assert silent == []
+    assert caught >= DCOMM_SWEEP_FLOOR[mutant], "%s caught at %d phases" % (mutant, caught)
