@@ -18,11 +18,11 @@ once together with W (linalg.solver), cut down to the corner and re-verified
 exactly; only without one is W tested for invariance under phi, for the
 escape of a non-member.  phi's corner is the least chain idempotent P with
 phi P = phi = P phi: a caller's phi is tested row by row, and each End^# row
-against the spans of the columns and rows of every P, built once per
-double_commutant_check.  Corners are spanned by the Kronecker
-rows of RREF bases of column and row spaces, so End(V)_0, the top corner's
-span, which contains every lower corner's, needs no elimination, and End^#
-is one nullspace in it: its constraints are the pairings
+against the spans col(P) and row(P) of every P, which double_commutant_check
+builds once (_idem_spans) for all its steps.  Corners are spanned by the
+Kronecker rows of RREF bases of column and row spaces, so End(V)_0, the top
+corner's span, which contains every lower corner's, needs no elimination,
+and End^# is one nullspace in it: its constraints are the pairings
 <C_i, sum_b f_b w_b^T> with its basis C_i, built block by block from the
 top corner's W (echelon rows w, nullspace functionals f).
 Algebra elements and vectors of V^n are zero-free sparse dicts (linalg's
@@ -214,10 +214,6 @@ class ApproxModule:
             self._image = SpanBasis(self.dim * self.dim, [m.flat() for m in self.mats])
         return self._image
 
-    def V_j(self, j):
-        """Column space of the j-th chain idempotent."""
-        return SpanBasis(self.dim, self.idem_mat(j).cols)
-
     def to_json(self):
         A = self.algebra
         sc_obj = {}
@@ -315,26 +311,32 @@ class ApproxModule:
         return "ApproxModule(algebra dim=%d, dim=%d)" % (self.algebra.dim, self.dim)
 
 
-def _corner_gens(M, j1, j2):
+def _idem_spans(M, col_js, row_js):
+    """The lists of SpanBases col(P_j), j in col_js, and row(P_j), j in
+    row_js, of the chain idempotents' actions P_j: the only place a span is
+    built from an idempotent's columns or rows."""
+    return ([SpanBasis(M.dim, M.idem_mat(j).cols) for j in col_js],
+            [SpanBasis(M.dim, M.idem_mat(j).rows) for j in row_js])
+
+
+def _corner_gens(cols, rows):
     """Flattened generators of P_{j1} . End(V) . P_{j2}, the outer products
     c r^T: the Kronecker rows c (x) r of the RREF bases c of col(P_{j1})
     and r of row(P_{j2}), rank^2 rows in RREF with ascending pivots, since
     c (x) r is 1 at (pivot c, pivot r) and zero at every other such pair."""
-    d = M.dim
-    cols = M.V_j(j1).rows
-    rows = SpanBasis(d, M.idem_mat(j2).rows).rows
-    return list(kron(Mat(cols, d), Mat(rows, d)).rows)
+    d = cols.ncols
+    return list(kron(Mat(cols.rows, d), Mat(rows.rows, d)).rows)
 
 
-def end_zero_basis(M):
+def end_zero_basis(cols, rows):
     """End(V)_0, the reachable part of End(V), as the SpanBasis of
-    flattened matrices that spans all chain corners P_j F P_j: the top
-    corner's, since the chain increases.  The top corner's generators are
-    its RREF rows, inserted last pivot first so that none eliminates, and
-    every lower corner's generators are checked against them."""
-    top_j = len(M.algebra.chain) - 1
-    top = SpanBasis(M.dim * M.dim, _corner_gens(M, top_j, top_j)[::-1])
-    if not all(top.contains(g) for j in range(top_j) for g in _corner_gens(M, j, j)):
+    flattened matrices that spans all chain corners P_j F P_j, from the
+    chain's spans col(P_j) and row(P_j): the top corner's, since the chain
+    increases.  The top corner's generators are its RREF rows, inserted
+    last pivot first so that none eliminates, and every lower corner's
+    generators are checked against them."""
+    top = SpanBasis(cols[-1].ncols ** 2, _corner_gens(cols[-1], rows[-1])[::-1])
+    if not all(top.contains(g) for c, r in zip(cols[:-1], rows[:-1]) for g in _corner_gens(c, r)):
         raise CrossCheckError("corner span computations disagree")
     return top
 
@@ -349,20 +351,17 @@ class SharpResult:
         self.member = member
         self.witness = witness
 
-    def __bool__(self):
-        return self.member
 
-
-def _tuple_module(M, j, tuples):
-    """The stacked basis tuple u of V_j (a zero-free sparse vector in V^n,
-    n the rank of V_j), the module W inside V^n spanned by the
-    basis-element actions on u (W contains u because the corner idempotent
+def _tuple_module(M, V_j, j, tuples):
+    """The stacked basis tuple u of the span V_j = col(P_j) (a zero-free
+    sparse vector in V^n, n the rank of V_j), the module W inside V^n
+    spanned by the basis-element actions on u (W contains u because P_j
     fixes every u_i), and the witness solver of those actions; W and the
     solver come from one elimination (linalg.solver).  Built once per corner
     index j and kept in `tuples`."""
     if j not in tuples:
         d = M.dim
-        basis = M.V_j(j).rows
+        basis = V_j.rows
         u = {i * d + k: x for i, b in enumerate(basis) for k, x in b.items()}
         W, solve = linalg.solver([apply(m, u) for m in M.mats], len(basis) * d)
         tuples[j] = (u, W, solve)
@@ -384,7 +383,7 @@ def end_sharp_membership(M, phi):
     j = _corner(M, lambda j: _in_corner(M.idem_mat(j), phi))
     if j is None:
         raise ValueError(_NO_CORNER)
-    return _membership(M, phi, j, {})
+    return _membership(M, phi, _idem_spans(M, [j], ())[0][0], j, {})
 
 
 def _corner(M, absorbs):
@@ -399,27 +398,21 @@ def _in_corner(P, phi):
     return all(apply(PT, r) == r and apply(phiT, p) == r for r, p in zip(phi.rows, P.rows))
 
 
-def _idem_spans(M):
-    """The SpanBases (col(P_j), row(P_j)) of each chain idempotent P_j."""
-    return [(M.V_j(j), SpanBasis(M.dim, M.idem_mat(j).rows))
-            for j in range(len(M.algebra.chain))]
-
-
-def _in_spans(spans, phi):
-    """P phi P = phi for an idempotent P given by the spans (col(P), row(P)):
-    P y = y iff y lies in col(P), and x P = x iff x lies in row(P), so every
-    nonzero column of phi lies in the first and every nonzero row in the
-    second."""
-    cols, rows = spans
+def _in_spans(cols, rows, phi):
+    """P phi P = phi for an idempotent P given by the spans cols = col(P)
+    and rows = row(P): P y = y iff y lies in col(P), and x P = x iff x lies
+    in row(P), so every nonzero column of phi lies in the first and every
+    nonzero row in the second."""
     return (all(cols.contains(c) for c in phi.cols if c)
             and all(rows.contains(r) for r in phi.rows if r))
 
 
-def _membership(M, phi, corner_j, tuples):
-    """Membership of the d x d Mat phi at its chain corner corner_j, taking
-    the corner tuple modules and witness solvers from `tuples`; a phi that
-    preserves W but has no verified witness raises CrossCheckError."""
-    u, W, solve = _tuple_module(M, corner_j, tuples)
+def _membership(M, phi, V_j, corner_j, tuples):
+    """Membership of the d x d Mat phi at its chain corner corner_j, of
+    span V_j, taking the corner tuple modules and witness solvers from
+    `tuples`; a phi that preserves W but has no verified witness raises
+    CrossCheckError."""
+    u, W, solve = _tuple_module(M, V_j, corner_j, tuples)
     # the witness first: solve phi.u = pi(a).u in the element coordinates,
     # then cut a down to the corner so the equality extends from V_j to V
     a = solve(apply(phi, u))
@@ -435,7 +428,7 @@ def _membership(M, phi, corner_j, tuples):
                           else "witness verification failed")
 
 
-def _end_sharp(M, tuples):
+def _end_sharp(M, cols, rows, tuples):
     """End^# in End(V): the x with f(C w) = 0 for C = sum_i x_i C_i over the
     End(V)_0 basis C_i (its echelon rows), every echelon row w and
     nullspace functional f of the top tuple module W.  f(C w) = <C, G> for
@@ -443,11 +436,11 @@ def _end_sharp(M, tuples):
     A) vec X), so a constraint row pairs one G with the C_i.  The pairing
     and the combination read one Mat, ZT, the transpose of the C_i's: its
     row s holds entry s of each C_i, and apply(ZT, x) is C.  Returns the
-    spans (End^#, End(V)_0) of flattened matrices, taking the top tuple
-    module from `tuples`."""
-    end_zero = end_zero_basis(M)
+    spans (End^#, End(V)_0) of flattened matrices, from the chain's spans,
+    taking the top tuple module from `tuples`."""
+    end_zero = end_zero_basis(cols, rows)
     d = M.dim
-    _, W, _ = _tuple_module(M, len(M.algebra.chain) - 1, tuples)
+    _, W, _ = _tuple_module(M, cols[-1], len(cols) - 1, tuples)
     ZT = Mat(end_zero.rows, d * d).T
     by_block = {}  # block b -> {index r of an echelon row w of W: w_b}
     for r, w in enumerate(W.rows):
@@ -499,8 +492,10 @@ def double_commutant_check(M):
     element of a basis of End^#, which also recovers explicit witnesses.
     On failure the report carries a separating functional."""
     image = M.image_span()
+    chain = range(len(M.algebra.chain))
+    cols, rows = _idem_spans(M, chain, chain)
     tuples = {}
-    sharp, end_zero = _end_sharp(M, tuples)
+    sharp, end_zero = _end_sharp(M, cols, rows, tuples)
     d = M.dim
     dims = {
         "dim_V": d,
@@ -515,13 +510,12 @@ def double_commutant_check(M):
                                         "matrix": [str(c) for c in dense(row, d * d)]})
     # each row's corner from the spans of the chain idempotents' columns and
     # rows; End^# lies in the top corner, so a row in none is a defect
-    spans = _idem_spans(M)
     for row in sharp.rows:
         phi = Mat.from_flat(row, d, d)
-        j = _corner(M, lambda j: _in_spans(spans[j], phi))
+        j = _corner(M, lambda j: _in_spans(cols[j], rows[j], phi))
         if j is None:
             raise CrossCheckError(_NO_CORNER)
-        if not _membership(M, phi, j, tuples).member:
+        if not _membership(M, phi, cols[j], j, tuples).member:
             func = _separating_functional(image, sharp)
             return CheckReport("double_commutant", "fail", dims,
                                witness={"kind": "sharp_not_in_image",
@@ -556,8 +550,9 @@ def corner_identity_check(M, j1, j2):
     acts = [{} for _ in elems]  # the flattened action of each alpha_{j1} e_t alpha_{j2}
     _mul_into(acts, elems, flats)
     left = SpanBasis(d * d, acts)
+    [col], [row] = _idem_spans(M, [j1], [j2])
     right = SpanBasis(d * d, linalg.subspace_intersection(
-        M.image_span().rows, _corner_gens(M, j1, j2), d * d))
+        M.image_span().rows, _corner_gens(col, row), d * d))
     ok = left.same_span(right)
     dims = {"dim_left": len(left.rows), "dim_right": len(right.rows)}
     return CheckReport("corner_identity", "pass" if ok else "fail", dims)

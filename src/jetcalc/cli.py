@@ -26,7 +26,7 @@ from .jetfun import (jet, jet_family, block_derivative,
                      functional_to_diffop, diffop_to_module, kernel_alpha_bar,
                      subquotient_certified, alpha_bar_image)
 from .approxalg import (double_commutant_check, corner_identity_check,
-                        submodule_grid_check, end_sharp_membership)
+                        submodule_grid_check, end_sharp_membership, _idem_spans)
 from .family import (PWCandidate, FunctionalData, membership_triple,
                      invariance_check, relation_check, RelationTerm,
                      functional_to_relation, spanned_algebra)
@@ -205,7 +205,7 @@ def run_dcomm(cfg, suite):
                     "action elements pass membership with a checked witness",
                     {"i": i, "phi": _mstr(phi), "dim": M.dim}, member_check)
 
-        n = max(1, len(M.V_j(len(alg.chain) - 1).rows))
+        n = max(1, len(_idem_spans(M, [len(alg.chain) - 1], ())[0][0].rows))
         if M.dim * n <= 8:
             def grid_check():
                 bad = submodule_grid_check(M, phi, n)

@@ -39,9 +39,10 @@ digits and an exponent above MAX_EXPONENT.  ``^<e>`` is expanded by
 repeated multiplication, so it also refuses an input whose products
 (``*``, juxtaposition and each step of ``^``) form more than MAX_PARSE_WORK
 term pairs in all, counted as left terms x right terms before each product
-is formed, and a product or a division whose operands' bits sum past
-MAX_BITS.  The entries of one file share the term-pair budget
-(`entry_parser`, `scalar_parser`).  Nested powers, powers of sums, long
+is formed, a product or a division whose operands' bits sum past
+MAX_BITS, and a sum whose coefficients at one shared term key do.  The
+entries of one file share the term-pair budget (`entry_parser`,
+`scalar_parser`).  Nested powers, powers of sums, long
 products of sums and many large entries all stay cheap to refuse.
 """
 
@@ -525,9 +526,11 @@ MAX_NESTING, MAX_DIGITS = 32, 1000
 MAX_PARSE_WORK = 1 << 17
 # most bits a product formed while parsing may need, bits(a) + bits(b) for
 # a b, charged before it is formed (a division by an integer n too, as
-# bits(a) + bits(n)), bits(x) being the longest numerator or denominator of
-# a coefficient of x: twice a MAX_DIGITS number's 3,322 bits, rounded up to
-# a power of two, so every canonical entry a/b+c/d*i within MAX_DIGITS parses
+# bits(a) + bits(n), and a sum a + b as bits(x) + bits(y) for the
+# coefficients x of a and y of b at each term key both hold), bits(x) being
+# the longest numerator or denominator of a coefficient of x: twice a
+# MAX_DIGITS number's 3,322 bits, rounded up to a power of two, so every
+# canonical entry a/b+c/d*i within MAX_DIGITS parses
 MAX_BITS = 1 << 13
 
 
@@ -535,9 +538,20 @@ def _nterms(e):
     return sum(len(p.terms) for p in e.terms.values())
 
 
+def _scalar_bits(c):
+    return max(abs(c.a).bit_length(), abs(c.b).bit_length(), c.den.bit_length())
+
+
 def _bits(e):
-    return max((max(abs(c.a).bit_length(), abs(c.b).bit_length(), c.den.bit_length())
-                for p in e.terms.values() for c in p.terms.values()), default=0)
+    return max((_scalar_bits(c) for p in e.terms.values() for c in p.terms.values()), default=0)
+
+
+def _sum_bits(a, b):
+    """The most bits(x) + bits(y) over the term keys where a holds x and b
+    holds y; 0 when they share none."""
+    return max((_scalar_bits(p.terms[m]) + _scalar_bits(c) for k, q in b.terms.items()
+                if (p := a.terms.get(k)) for m, c in q.terms.items() if m in p.terms),
+               default=0)
 
 
 def _charge_bits(nbits):
@@ -626,6 +640,7 @@ class _Parser:
             sign = self.take()[0]
         while True:
             term = self.parse_term()
+            _charge_bits(_sum_bits(total, term))
             total = total - term if sign == "-" else total + term
             sign = self.peek()[0]
             if sign not in ("+", "-"):

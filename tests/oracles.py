@@ -7,7 +7,7 @@ parse_poly."""
 
 from types import SimpleNamespace
 
-from jetcalc.approxalg import ApproxModule, _corner, _in_corner, _membership
+from jetcalc.approxalg import ApproxModule, _corner, _idem_spans, _in_corner, _membership
 from jetcalc.gen import rand_scalar
 from jetcalc.jetfun import _as_exppoly
 from jetcalc.linalg import Mat, SpanBasis, mid, mmul, dense, sparse
@@ -48,14 +48,15 @@ def is_approx_unital(M):
 
 def membership(M, phi):
     """end_sharp_membership(M, phi) with the corner data it does not report,
-    read from the tuple-module cache that _membership fills (one entry, the
-    corner index j): the verdict `member` and `witness`, `j`, the stacked
+    read from the tuple-module cache that _membership fills (one entry, at
+    the corner index j): the verdict `member` and `witness`, `j`, the stacked
     basis tuple as a dense vector `tuple_vec`, the corner's tuple module W
     as `submodule`, and W.escape(phi), the escaping pair (w, phi.w) as dense
     vectors, as `escaped` (None when phi preserves W)."""
     tuples, phi = {}, Mat.of(phi)
-    res = _membership(M, phi, _corner(M, lambda j: _in_corner(M.idem_mat(j), phi)), tuples)
-    [(j, (u, W, _))] = tuples.items()
+    j = _corner(M, lambda j: _in_corner(M.idem_mat(j), phi))
+    res = _membership(M, phi, _idem_spans(M, [j], ())[0][0], j, tuples)
+    [(u, W, _)] = tuples.values()
     escaped = W.escape(phi)
     return SimpleNamespace(
         member=res.member, witness=res.witness, j=j, tuple_vec=dense(u, W.ncols),

@@ -12,11 +12,19 @@ from jetcalc import approxalg as aa, gen, linalg
 from jetcalc.linalg import mid, sparse
 from jetcalc.poly import parse_scalar
 from oracles import algebra_from_matrix_basis, is_approx_unital, membership, rand_matrix
+from test_shared_routines import load_bench
 
 
 def as_mats(M, span):
     """The rows of a span of flattened endomorphisms of M's space, as Mats."""
     return [linalg.Mat.from_flat(row, M.dim, M.dim) for row in span.rows]
+
+
+def chain_spans(M):
+    """The spans (cols, rows) of every chain idempotent of M, by chain index,
+    as double_commutant_check builds them."""
+    chain = range(len(M.algebra.chain))
+    return aa._idem_spans(M, chain, chain)
 
 
 def test_full_matrix_block_has_commutant_scalars():
@@ -91,7 +99,7 @@ def test_image_span_is_built_once_and_checks_leave_it_unchanged():
 
 def test_end_zero_of_a_direct_sum_counts_blockwise_maps():
     _, M3 = aa.block_module([1, 2])
-    assert aa.end_zero_basis(M3).dim == 9  # 1x1 + 2x2 blocks commute freely: 1 + 4 + 2*2
+    assert aa.end_zero_basis(*chain_spans(M3)).dim == 9  # 1x1 + 2x2 blocks commute freely: 1 + 4 + 2*2
 
 
 def test_a_non_unital_module_is_valid_and_reads_as_not_unital():
@@ -104,7 +112,7 @@ def test_a_non_unital_module_is_valid_and_reads_as_not_unital():
     MJ.validate()
     assert not is_approx_unital(MJ)
     # the dead coordinate forces strict smallness of everything in sight
-    assert aa.end_zero_basis(MJ).dim == 1
+    assert aa.end_zero_basis(*chain_spans(MJ)).dim == 1
     repJ = aa.double_commutant_check(MJ)
     assert repJ.ok and repJ.dims["dim_image"] == 1 and repJ.dims["dim_sharp"] == 1
 
@@ -433,7 +441,7 @@ def test_witness_solver_factors_each_corner_once(monkeypatch):
     for _ in range(12):
         _, M = gen.rand_approx_module(rng, 6, junk_ok=True)
         kinds.add(kind(M))
-        sharp, _ = aa._end_sharp(M, {})
+        sharp, _ = aa._end_sharp(M, *chain_spans(M), {})
         corners = set()
         for mat in as_mats(M, sharp):
             res = membership(M, mat)
@@ -464,7 +472,7 @@ def test_end_zero_is_the_union_of_all_corner_spans():
                 for c in range(d):
                     unit = linalg.Mat([{c: ONE} if i == r else {} for i in range(d)], d)
                     union.add(linalg.mmul(linalg.mmul(P, unit), P).flat())
-        span = aa.end_zero_basis(M)
+        span = aa.end_zero_basis(*chain_spans(M))
         assert (span.pivots, span.rows) == (union.pivots, union.rows)
     assert kinds == {"plain", "skewed", "junk"}
 
@@ -473,11 +481,12 @@ def test_a_lower_corner_escaping_the_top_corner_is_a_cross_check_failure(monkeyp
     """When the top corner's span misses a lower corner's generator,
     end_zero_basis refuses to return it."""
     _, M = aa.block_module([1, 2])
+    cols, rows = chain_spans(M)
     gens = aa._corner_gens
     monkeypatch.setattr(aa, "_corner_gens",
-                        lambda M, j1, j2: gens(M, j1, j2)[1:] if j1 else gens(M, j1, j2))
+                        lambda c, r: gens(c, r)[1:] if c is cols[1] else gens(c, r))
     with pytest.raises(linalg.CrossCheckError, match="corner span computations disagree"):
-        aa.end_zero_basis(M)
+        aa.end_zero_basis(cols, rows)
 
 
 def products_corner(M, j1, j2):
@@ -502,9 +511,10 @@ def test_corner_generators_are_rref_rows_of_the_corner():
         alg, M = gen.rand_approx_module(rng, 7, junk_ok=True)
         kinds.add(kind(M))
         d = M.dim
+        cols, rows = chain_spans(M)
         for j1 in range(len(alg.chain)):
             for j2 in range(len(alg.chain)):
-                gens = aa._corner_gens(M, j1, j2)
+                gens = aa._corner_gens(cols[j1], rows[j2])
                 pivots = [min(g) for g in gens]
                 assert pivots == sorted(set(pivots))
                 for g, p in zip(gens, pivots):
@@ -555,9 +565,9 @@ def test_the_top_corner_costs_no_elimination(monkeypatch):
                 linalg.mmul(linalg.mmul(T, linalg.Mat(m.rows + ({},) * e, d + e)), Ti)
                 for m in M.mats])
             N.idem_mat(0)
-            assert aa.end_zero_basis(N).dim == d * d
-            assert updates(lambda: aa.end_zero_basis(N)) == updates(
-                lambda: aa._corner_gens(N, 0, 0))
+            assert aa.end_zero_basis(*chain_spans(N)).dim == d * d
+            assert updates(lambda: aa.end_zero_basis(*chain_spans(N))) == updates(
+                lambda: aa._corner_gens(*(s[0] for s in chain_spans(N))))
 
 
 def test_a_non_member_reports_its_submodule_and_escape():
@@ -691,8 +701,9 @@ def reference_end_sharp(M):
     columns, gives one constraint row per free column; End^# is their
     nullspace mapped back through the C_i."""
     d = M.dim
-    corner_mats = as_mats(M, aa.end_zero_basis(M))
-    _, W, _ = aa._tuple_module(M, len(M.algebra.chain) - 1, {})
+    cols, rows = chain_spans(M)
+    corner_mats = as_mats(M, aa.end_zero_basis(cols, rows))
+    _, W, _ = aa._tuple_module(M, cols[-1], len(cols) - 1, {})
     rows = []
     for wrow in W.rows:
         by_key = {}
@@ -717,7 +728,7 @@ def test_blockwise_end_sharp_matches_the_per_matrix_residue_loop():
         kinds.add(kind(M))
         dims.add(M.dim)
         want = reference_end_sharp(M)
-        sharp, _ = aa._end_sharp(M, {})
+        sharp, _ = aa._end_sharp(M, *chain_spans(M), {})
         assert (sharp.pivots, sharp.rows) == (want.pivots, want.rows)
     assert kinds == {"plain", "skewed", "junk"}
     assert min(dims) <= 2 and max(dims) >= 12
@@ -747,7 +758,7 @@ def test_end_sharp_maps_no_corner_matrix_through_the_tuple_module(monkeypatch):
     for mod in bound:
         monkeypatch.setattr(mod, "apply", counted_apply)
     monkeypatch.setattr(linalg.SpanBasis, "_reduce", counted_reduce)
-    sharp, end_zero = aa._end_sharp(M, {})
+    sharp, end_zero = aa._end_sharp(M, *chain_spans(M), {})
     monkeypatch.undo()
     assert sharp.dim == 36 and end_zero.dim == 144
     assert 0 < counts["apply"] <= 100, counts
@@ -767,7 +778,7 @@ def test_the_corner_index_is_the_least_idempotent_absorbing_phi():
         kinds.add(kind(M))
         d = M.dim
         idems = [M.idem_mat(j) for j in range(len(alg.chain))]
-        members = as_mats(M, aa._end_sharp(M, {})[0]) + [gen.rand_member_phi(rng, M)]
+        members = as_mats(M, aa._end_sharp(M, *chain_spans(M), {})[0]) + [gen.rand_member_phi(rng, M)]
         cuts = []
         for P in idems:
             X = rand_matrix(rng, d, d)
@@ -802,14 +813,14 @@ def test_each_end_sharp_row_gets_the_corner_that_the_row_test_finds():
         alg, M = gen.rand_approx_module(rng, 12, junk_ok=True)
         kinds.add(kind(M))
         dims.add(M.dim)
-        spans = aa._idem_spans(M)
-        sharp = as_mats(M, aa._end_sharp(M, {})[0])
+        cols, rows = chain_spans(M)
+        sharp = as_mats(M, aa._end_sharp(M, cols, rows, {})[0])
         idems = [M.idem_mat(j) for j in range(len(alg.chain))] + [mid(M.dim)]
         X = linalg.Mat.of(rand_matrix(rng, M.dim, M.dim))
         cuts = [linalg.mmul(linalg.mmul(rng.choice(idems), X), rng.choice(idems))
                 for _ in range(4)]
         for phi in sharp + cuts + [X]:
-            j = aa._corner(M, lambda j: aa._in_spans(spans[j], phi))
+            j = aa._corner(M, lambda j: aa._in_spans(cols[j], rows[j], phi))
             assert j == aa._corner(M, lambda j: aa._in_corner(M.idem_mat(j), phi))
             corners.add((phi in sharp, j))
     assert kinds == {"plain", "skewed", "junk"}
@@ -831,3 +842,34 @@ def test_an_end_sharp_element_in_no_corner_is_a_cross_check_failure(monkeypatch)
         aa.double_commutant_check(M)
     with pytest.raises(ValueError, match="lies in no chain corner"):
         aa.end_sharp_membership(M, mid(3))
+
+
+def test_a_double_commutant_check_builds_each_idempotent_span_once(monkeypatch):
+    """Over the dcomm.main checks of six benchmark rounds at seed 0 (222
+    chain idempotents), each double_commutant_check builds a SpanBasis from
+    each chain idempotent's columns and from its rows once: 444 builds.
+    End(V)_0, the End^# corner search and the tuple modules read those."""
+    rounds = load_bench("workloads").WORKLOADS["dcomm"].rounds(0, 6)
+    span, check = aa.SpanBasis, aa.double_commutant_check
+    sides, builds, idems = [], [], []
+
+    def counted_span(ncols, rows=()):
+        builds[-1] += any(rows is side for side in sides)
+        return span(ncols, rows)
+
+    def counted_check(M):
+        P = [M.idem_mat(j) for j in range(len(M.algebra.chain))]
+        sides[:] = [side for p in P for side in (p.cols, p.rows)]
+        builds.append(0)
+        idems.append(len(P))
+        return check(M)
+
+    monkeypatch.setattr(aa, "SpanBasis", counted_span)
+    monkeypatch.setattr(aa, "double_commutant_check", counted_check)
+    for instances in rounds:
+        for inst in instances:
+            for check_id, thunk in inst.checks:
+                if check_id == "dcomm.main":
+                    assert thunk() is True
+    assert builds == [2 * n for n in idems]
+    assert (sum(idems), sum(builds)) == (222, 444)

@@ -177,15 +177,13 @@ def _plus_one(fn):
 _end_zero_basis = approxalg.end_zero_basis
 
 
-def _top_corner_misses_the_lower_ones(M):
-    """end_zero_basis with the top corner's generators dropped whenever a
-    lower corner exists, so the lower corners' generators escape its span."""
-    gens, top = approxalg._corner_gens, len(M.algebra.chain) - 1
-    approxalg._corner_gens = lambda M, j1, j2: [] if j1 == top > 0 else gens(M, j1, j2)
-    try:
-        return _end_zero_basis(M)
-    finally:
-        approxalg._corner_gens = gens
+def _top_corner_misses_the_lower_ones(cols, rows):
+    """end_zero_basis with the top idempotent's column span emptied whenever
+    a lower corner exists, so the lower corners' generators escape the top
+    corner's span."""
+    if len(cols) > 1:
+        cols = cols[:-1] + [linalg.SpanBasis(cols[-1].ncols)]
+    return _end_zero_basis(cols, rows)
 
 
 # (command, owner, name, wrong, message): a wrong route patched in as

@@ -366,19 +366,32 @@ def test_the_grammar_refuses_deep_nesting_and_long_numbers():
             assert time.perf_counter() - start < 0.2, why
 
 
+def _reciprocal_sum(n):
+    """1/n_1 + ... + 1/n_n over distinct odd 1,000-digit n_k, seeded."""
+    rng = random.Random(n)
+    return "+".join("1/%d" % (rng.randrange(10 ** 999, 10 ** 1000) | 1) for _ in range(n))
+
+
 # text whose value would pass MAX_BITS: a power of a power, a power and a
-# product of 1,000-digit numbers, and a chain of divisions by them
+# product of 1,000-digit numbers, a chain of divisions by them, and sums of
+# 10 and 100 of their reciprocals
 NINES = "9" * 1000
 TOO_MANY_BITS = ["((9^256)^256)^256", "(%s)^256" % NINES, "%s*%s*%s" % ((NINES,) * 3),
-                 "1/%s/%s/%s" % ((NINES,) * 3)]
+                 "1/%s/%s/%s" % ((NINES,) * 3),
+                 *(pytest.param(_reciprocal_sum(n), id="sum of %d reciprocals" % n)
+                   for n in (10, 100))]
 
 
 @pytest.mark.parametrize("text", TOO_MANY_BITS)
 def test_products_and_powers_are_charged_their_bits(text):
     """A product is refused when bits(a) + bits(b) would pass MAX_BITS,
-    so is each step of a power: a text of 17 characters whose value has
-    about 53M bits is refused in under 0.2 s, through parse_scalar and as
-    an entry of FinMod.from_json, whose error names the entry."""
+    so is each step of a power, and so is a sum when bits(x) + bits(y)
+    would for the coefficients x and y its operands hold at one term key:
+    a text of 17 characters whose value has about 53M bits, and a sum of
+    reciprocals of distinct 1,000-digit numbers, whose denominator would
+    grow by 3,322 bits a term, are refused in under 0.2 s, through
+    parse_scalar and as an entry of FinMod.from_json, whose error names
+    the entry."""
     from jetcalc.localmod import FinMod
     from jetcalc.poly import MAX_BITS
     module = json.loads(FinMod(1, 1, [[[ZERO]]]).to_json())
@@ -406,6 +419,20 @@ def test_the_bit_budget_admits_every_canonical_entry_within_the_digit_bound():
     assert parse_scalar("((2^63)^65)*((2^63)^65)") == Scalar(2 ** 8190)
     with pytest.raises(ValueError, match="about 8193 bits"):
         parse_scalar("((2^64)^64)*((2^63)^65)")
+
+
+def test_sums_of_distinct_terms_and_canonical_entries_fit_the_bit_budget():
+    """A sum of distinct terms adds no bits, so 200 distinct monomials with
+    3,000-bit coefficients parse; a/b+c/d*i with four 1,000-digit parts,
+    whose two terms share a key, parses to its value, and so do the first
+    two terms of a refused sum of reciprocals."""
+    parse_scalar("+".join(_reciprocal_sum(10).split("+")[:2]))
+    rng = random.Random(5)
+    coeffs = [rng.getrandbits(3000) | 1 << 2999 for _ in range(200)]
+    text = " + ".join("(%d)*x1^%d" % (c, k) for k, c in enumerate(coeffs))
+    assert parse_poly(text, 1) == Polynomial(1, {(k,): Scalar(c) for k, c in enumerate(coeffs)})
+    a, b, c, d = (rng.randrange(10 ** 999, 10 ** 1000) for _ in range(4))
+    assert parse_scalar("%d/%d+%d/%d*i" % (a, b, c, d)) == Scalar(Fraction(a, b), Fraction(c, d))
 
 
 def test_covector_directional_derivative():

@@ -661,7 +661,8 @@ def test_no_module_calls_a_dense_edge_of_linalg():
             (approxalg.ApproxModule, "is_approx_unital"),
             (localmod.CyclicQuotient, "ideal"), (family, "MAX_REP_DIM"),
             (jetcalc.scalars, "ExpScalar"), (jetcalc.scalars, "EXP_ZERO"),
-            (jetcalc, "ExpScalar"), (Scalar, "re"), (Scalar, "im"), (jetcalc.scalars, "I")]
+            (jetcalc, "ExpScalar"), (Scalar, "re"), (Scalar, "im"), (jetcalc.scalars, "I"),
+            (approxalg.ApproxModule, "V_j"), (approxalg.SharpResult, "__bool__")]
     for module, names in ((family, "intertwiner_graph_check"), (jetfun, "jet_ideal"),
                           (poly, "parse_poly pairing"),
                           (localmod, "Submodule ModuleMap annihilator annihilator_dual "
@@ -673,6 +674,22 @@ def test_no_module_calls_a_dense_edge_of_linalg():
              for path in sorted(Path(jetcalc.__file__).parent.glob("*.py"))
              for scope, edge in dense_edge_calls(ast.parse(path.read_text()))}
     assert calls == set()
+
+
+def test_only_the_builder_spans_an_idempotent():
+    """A span of a chain idempotent's columns or rows is built in one place,
+    approxalg._idem_spans: no other function of the package passes an
+    idem_mat to SpanBasis."""
+    found = set()
+    for path in sorted(Path(jetcalc.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef):
+                found.update((path.stem, fn.name) for call in ast.walk(fn)
+                             if isinstance(call, ast.Call)
+                             and getattr(call.func, "id", None) == "SpanBasis"
+                             and any(getattr(n, "attr", None) == "idem_mat"
+                                     for n in ast.walk(call)))
+    assert found == {("approxalg", "_idem_spans")}
 
 
 def attributes(cls):
