@@ -11,8 +11,7 @@ point anywhere.
 
 from .scalars import Scalar
 from .poly import (Polynomial, ExpPoly, Covector, Vector, DiffOp,
-                   diff, coproduct,
-                   parse_exppoly, parse_scalar)
+                   diff, parse_exppoly, parse_scalar)
 from .linalg import CrossCheckError
 from .localmod import (CofiniteIdeal, FinMod, power_ideal, maximal_ideal,
                        dual_number_ideal, cyclic_quotient,
@@ -33,8 +32,7 @@ from .family import (RepFamily, PWCandidate, RelationTerm, BlockLayout,
 __all__ = [
     "Scalar",
     "Polynomial", "ExpPoly", "Covector", "Vector", "DiffOp",
-    "diff", "coproduct",
-    "parse_exppoly", "parse_scalar",
+    "diff", "parse_exppoly", "parse_scalar",
     "CrossCheckError",
     "CofiniteIdeal", "FinMod", "power_ideal", "maximal_ideal",
     "dual_number_ideal", "cyclic_quotient", "dual_number_module",

@@ -14,8 +14,10 @@ as a block of the family layer's assemblies, is the jet evaluated there.
 
 Everything downstream (doubled-space derivative data, the correspondence
 between functionals on End(E) and constant-coefficient operators, kernels of
-the evaluation-and-derivative maps) reduces to this one map plus exact
-linear algebra.
+the evaluation-and-derivative maps) reduces to module actions plus exact
+linear algebra.  The evaluation-and-derivative map of directions lam_1..n is
+the action on the tensor product of their dual-number modules, read on the
+class of 1: a linear form acts there by the Leibniz sum, the coproduct.
 """
 
 from itertools import combinations
@@ -23,12 +25,12 @@ from math import comb, prod
 from operator import add, le, sub
 
 from .scalars import Scalar, ZERO, ONE
-from .poly import (Polynomial, ExpPoly, Covector, Vector, DiffOp, coproduct,
-                   monomials_upto, beta_factorial, zero_exps, _pair, _point_coords)
+from .poly import (Polynomial, ExpPoly, Covector, Vector, DiffOp, monomials_upto,
+                   beta_factorial, zero_exps, _pair, _point_coords)
 from . import linalg
 from .linalg import Mat, SpanBasis, CrossCheckError, mmul, _put, _mul_into, _kron_into
 from .localmod import (PolySpace, cyclic_quotient, dual_number_module,
-                       power_ideal, direct_sum)
+                       power_ideal, direct_sum, tensor)
 
 
 def _rows(acc, key, nrows):
@@ -304,31 +306,12 @@ def diffop_to_module(ops):
 
 def alpha_bar_image(p, lams):
     """Image of a polynomial under the combined evaluation-and-derivative
-    map: coproduct into n blocks, then the dual-number class in each factor,
-    tensored with the first factor slow."""
-    n = len(lams)
-    N = p.nvars
-    mods = [dual_number_module(lam) for lam in lams]
-    # per-factor cache: class of X^beta = action applied to the class of 1,
-    # which sits at index 1 of the dual-number basis
-    cols = [{} for _ in mods]
-    out = [ZERO] * (2 ** n)
-    cp = coproduct(p, n)
-    for e, c in cp.terms.items():
-        acc = [c]
-        for j in range(n):
-            beta = e[j * N:(j + 1) * N]
-            cache = cols[j]
-            v = cache.get(beta)
-            if v is None:
-                mat = mods[j].mon_mat(beta)
-                v = (mat.rows[0].get(1, ZERO), mat.rows[1].get(1, ZERO))
-                cache[beta] = v
-            acc = [a * x for a in acc for x in v]
-        for t in range(len(out)):
-            if acc[t]:
-                out[t] = out[t] + acc[t]
-    return tuple(out)
+    map: p acting on the tensor product of the directions' dual-number
+    modules, where a linear form acts by the Leibniz sum, the coproduct.
+    The image is the last column of that action, the class of 1 in every
+    factor, with the first factor slow."""
+    m = tensor(*map(dual_number_module, lams)).act_poly(p)
+    return tuple(row.get(m.ncols - 1, ZERO) for row in m.rows)
 
 
 class KernelResult:
@@ -347,8 +330,9 @@ class KernelResult:
 
 def kernel_alpha_bar(lams, d):
     """Kernel of the evaluation-and-derivative map inside degrees <= d,
-    computed two independent ways (vanishing conditions over index subsets,
-    and the coproduct route) which must agree."""
+    computed two independent ways which must agree: vanishing conditions
+    over index subsets, and the action of each monomial on the class of 1
+    in the tensor product of the dual-number modules (alpha_bar_image)."""
     lams = [lam if isinstance(lam, Vector) else Vector(lam) for lam in lams]
     if not lams:
         raise ValueError("need at least one direction")
@@ -373,9 +357,14 @@ def kernel_alpha_bar(lams, d):
                 u = u * lams[j].as_diffop()
             rows_a.append({at[m]: c * beta_factorial(m) for m, c in u.terms.items() if m in at})
 
-    # route two: kernel of the coproduct-then-classes map
-    images = [alpha_bar_image(Polynomial.monomial(N, m), lams) for m in space.mons]
-    rows_b = [{i: v[t] for i, v in enumerate(images) if v[t]} for t in range(2 ** n)]
+    # route two: the column of the class of 1 in each monomial's action on
+    # the tensor of dual-number modules, as alpha_bar_image reads it
+    T = tensor(*map(dual_number_module, lams))
+    one, rows_b = T.dim - 1, [{} for _ in range(T.dim)]
+    for i, m in enumerate(space.mons):
+        for t, row in enumerate(T.mon_mat(m).rows):
+            if one in row:
+                rows_b[t][i] = row[one]
 
     # each kernel is canonical: reduced rows in descending-grlex coordinates
     kernel_a, kernel_b = (SpanBasis(space.dim, SpanBasis(space.dim, rows).nullspace())

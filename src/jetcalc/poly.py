@@ -17,8 +17,8 @@ Scalar.
 
 One substitution, _substitute, expands sum c * prod images[j]^e_j with each
 power of each image formed once: evaluation (Scalars for the variables),
-translation (x_j + mu_j), the coproduct (sums of block variables) and the
-exponential series (the linear form xi in the Taylor polynomial of exp).
+translation (x_j + mu_j) and the exponential series (the linear form xi in
+the Taylor polynomial of exp).
 
 Text grammar (printer output round-trips through parse_exppoly bit-exactly):
 
@@ -477,23 +477,6 @@ def diff(u, f):
                 g = g.deriv(j)
         total = total + g * c
     return total
-
-
-def coproduct(p, n):
-    """alpha_n^*(p): the pull-back of n-fold addition, as a polynomial in
-    n*N variables; slot b of the tensor owns variables b*N .. b*N+N-1.
-    Evaluating at (mu_1, ..., mu_n) gives p(mu_1 + ... + mu_n)."""
-    if not isinstance(p, Polynomial):
-        raise TypeError("coproduct is defined on pure polynomials")
-    if n <= 0:
-        raise ValueError("coproduct needs n >= 1")
-    N = p.nvars
-    big = n * N
-    # x_j goes to the sum of the j-th variables of the n blocks
-    sums = [Polynomial(big, _linear_terms([ONE if t % N == j else ZERO
-                                           for t in range(big)]))
-            for j in range(N)]
-    return _substitute(p, sums, Polynomial.zero(big))
 
 
 def exp_series(xi, k):

@@ -2,8 +2,9 @@
 a matrix basis, a random dense matrix, the pairing of a dual matrix with a
 grid of ExpPolys, such as a jet's entries, approximate unitality, the
 corner data behind a membership verdict, jet_ideal, the annihilators of an
-ideal and of a module, the pairing of germs and operators, module maps, and
-parse_poly."""
+ideal and of a module, the pairing of germs and operators, module maps,
+parse_poly, and the coproduct with the evaluation-and-derivative map read
+through it."""
 
 from types import SimpleNamespace
 
@@ -11,11 +12,11 @@ from jetcalc.approxalg import ApproxModule, _corner, _idem_spans, _in_corner, _m
 from jetcalc.gen import rand_scalar
 from jetcalc.jetfun import _as_exppoly
 from jetcalc.linalg import Mat, SpanBasis, mid, mmul, dense, sparse
-from jetcalc.localmod import CofiniteIdeal
+from jetcalc.localmod import CofiniteIdeal, dual_number_module
 from jetcalc.poly import (Polynomial, ExpPoly, Vector, Covector, DiffOp, diff,
                           exp_series, beta_factorial, zero_exps, monomials_upto,
-                          monomials_of_degree, parse_exppoly)
-from jetcalc.scalars import ZERO
+                          monomials_of_degree, parse_exppoly, _linear_terms, _substitute)
+from jetcalc.scalars import ZERO, ONE
 
 
 def algebra_from_matrix_basis(mats):
@@ -114,3 +115,48 @@ def intertwines(source, target, T):
 
 def parse_poly(text, nvars):
     return parse_exppoly(text, nvars).pure()
+
+
+def coproduct(p, n):
+    """alpha_n^*(p): the pull-back of n-fold addition, as a polynomial in
+    n*N variables; slot b of the tensor owns variables b*N .. b*N+N-1.
+    Evaluating at (mu_1, ..., mu_n) gives p(mu_1 + ... + mu_n)."""
+    if not isinstance(p, Polynomial):
+        raise TypeError("coproduct is defined on pure polynomials")
+    if n <= 0:
+        raise ValueError("coproduct needs n >= 1")
+    N = p.nvars
+    big = n * N
+    # x_j goes to the sum of the j-th variables of the n blocks
+    sums = [Polynomial(big, _linear_terms([ONE if t % N == j else ZERO
+                                           for t in range(big)]))
+            for j in range(N)]
+    return _substitute(p, sums, Polynomial.zero(big))
+
+
+def alpha_bar_by_coproduct(p, lams):
+    """alpha_bar_image by hand: the coproduct into n blocks, then the
+    dual-number class in each factor, tensored with the first factor slow."""
+    n = len(lams)
+    N = p.nvars
+    mods = [dual_number_module(lam) for lam in lams]
+    # per-factor cache: class of X^beta = action applied to the class of 1,
+    # which sits at index 1 of the dual-number basis
+    cols = [{} for _ in mods]
+    out = [ZERO] * (2 ** n)
+    cp = coproduct(p, n)
+    for e, c in cp.terms.items():
+        acc = [c]
+        for j in range(n):
+            beta = e[j * N:(j + 1) * N]
+            cache = cols[j]
+            v = cache.get(beta)
+            if v is None:
+                mat = mods[j].mon_mat(beta)
+                v = (mat.rows[0].get(1, ZERO), mat.rows[1].get(1, ZERO))
+                cache[beta] = v
+            acc = [a * x for a in acc for x in v]
+        for t in range(len(out)):
+            if acc[t]:
+                out[t] = out[t] + acc[t]
+    return tuple(out)

@@ -2,6 +2,7 @@
 
 import operator
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,7 @@ from jetcalc import jetfun as jf
 from jetcalc import gen, linalg
 from jetcalc.gen import rand_poly, rand_exp_poly, rand_point
 from oracles import (frobenius_grid, jet_ideal, annihilator_dual, intertwines,
-                     pairing, parse_poly)
+                     pairing, parse_poly, alpha_bar_by_coproduct)
 
 
 def act_germ_oracle(E, g):
@@ -395,6 +396,39 @@ def test_kernel_contains_everything_above_the_direction_count():
     for deg in (3, 4):
         for m in monomials_of_degree(2, deg):
             assert ksb.contains(sp4.to_vec(Polynomial.monomial(2, m)))
+
+
+def test_alpha_bar_image_matches_the_coproduct_then_classes():
+    """The action on the tensor of dual-number modules gives the image that
+    the coproduct followed by the class in each factor gives, for N = 1..3
+    variables, n = 1..4 directions, one with fractional coordinates, and
+    degrees <= 5; the zero polynomial maps to zero."""
+    rng = random.Random(39)
+    for N in (1, 2, 3):
+        frac = Vector(tuple(sc(Fraction(j + 1, 3), Fraction(-1, j + 2)) for j in range(N)))
+        for n in range(1, 5):
+            for _ in range(3):
+                lams = [frac] + [rand_point(rng, N, zero_ok=False) for _ in range(n - 1)]
+                rng.shuffle(lams)
+                zero = jf.alpha_bar_image(Polynomial.zero(N), lams)
+                assert zero == alpha_bar_by_coproduct(Polynomial.zero(N), lams)
+                assert zero == (ZERO,) * 2 ** n
+                p = rand_poly(rng, N, 5)
+                assert jf.alpha_bar_image(p, lams) == alpha_bar_by_coproduct(p, lams)
+
+
+@pytest.mark.parametrize("nvars, lams, message", [
+    (2, [(1,)], "arity mismatch"),
+    (2, [(1,), (1,)], "arity mismatch"),
+    (1, [(1,), (1, 2)], "arity mismatch in tensor product"),
+    (1, [], "tensor product of nothing"),
+])
+def test_alpha_bar_image_refuses_an_arity_mismatch(nvars, lams, message):
+    """Directions of another arity than p's, or of two arities, or none at
+    all, are refused rather than read as an image."""
+    p = Polynomial.monomial(nvars, (1,) * nvars)
+    with pytest.raises(ValueError, match="^%s$" % message):
+        jf.alpha_bar_image(p, [Vector(lam) for lam in lams])
 
 
 def test_kernel_rejects_zero_directions():

@@ -92,14 +92,20 @@ MUTANTS = {"R": skip_the_last_pivot_row, "A": drop_a_last_entry,
 # Exit status of `jetcalc <suite> --seed 0` under each mutant: 1 for failing
 # records, 3 for a defect met while generating instances, 0 for a run that
 # passes.  A route fault reads 0 on the suites that never take its route.
-# The zeros of A and T hide no wrong verdict, counted at seed 0: kernel makes
-# 373 _axpy calls that can change their output, so A's 997th never comes;
-# T's one transpose that changes a result, in jet and in kernel alike, falls
-# in the closure of a CofiniteIdeal that gen draws (a dual-number ideal in
-# jet, power_ideal(2, 2) in kernel).  That ideal comes out larger but still
-# an ideal, closed under the shifts, holding its generators and with its k
-# certified, so every check runs on a valid instance and its verdicts hold.
-# kernel_alpha_bar calls no apply.  tests/test_oracle.py holds the oracles that T fails.
+# The zeros of A and T hide no wrong verdict, counted at seed 0.  kernel
+# makes 1,290 _axpy calls that can change their output, so A corrupts one,
+# the 997th.  It falls in a monomial matrix product of kernel_alpha_bar's
+# route two inside subquotient_certified (n = 4) and drops an entry of
+# column 13.  Route two reads only column 15, the class of 1, and a left
+# multiplication never mixes columns, so the run exits 0 with the clean
+# run's records.  kernel's 156 square applies all come from CofiniteIdeal
+# closures; kernel_alpha_bar calls no apply.  T's one transpose that changes
+# a result, in jet and in kernel alike, falls in the closure of a
+# CofiniteIdeal that gen draws (a dual-number ideal in jet, power_ideal(2, 2)
+# in kernel).  That ideal comes out larger but still an ideal, closed under
+# the shifts, holding its generators and with its k certified, so every
+# check runs on a valid instance and its verdicts hold.
+# tests/test_oracle.py holds the oracles that T fails.
 CATCH_TABLE = {
     #                 jet kernel dcomm pw
     "R":              (3, 3, 3, 1),

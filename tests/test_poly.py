@@ -11,9 +11,9 @@ from hypothesis import given, strategies as st
 
 from jetcalc.scalars import Scalar, ZERO, ONE, Scalar as sc, _TermDict
 from jetcalc.poly import (Polynomial, ExpPoly, Vector, Covector, DiffOp, diff,
-                          coproduct, parse_exppoly, parse_scalar, monomials_upto,
+                          parse_exppoly, parse_scalar, monomials_upto,
                           monomials_of_degree, beta_factorial, MAX_NESTING, MAX_DIGITS)
-from oracles import pairing, parse_poly
+from oracles import coproduct, pairing, parse_poly
 
 
 def small_scalars():
