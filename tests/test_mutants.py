@@ -9,6 +9,7 @@ by one.  This is mutation analysis in the sense of DeMillo, Lipton and
 Sayward, "Hints on test data selection", IEEE Computer 11(4), 1978.
 """
 
+import hashlib
 import itertools
 import json
 import sys
@@ -171,6 +172,63 @@ DCOMM_SWEEP_FLOOR = {"A": 100, "T": 100}
 STRIDE = 4
 STRIDE_FLOOR = {"A": 13, "T": 13}
 DCOMM_STRIDE_FLOOR = {"A": 25, "T": 26}
+
+
+def _entries(d):
+    return [(j, x.a, x.b, x.den) for j, x in d.items()]
+
+
+def _schedule(suite):
+    """(output-changing _axpy calls, square applies, sha256 of their kinds
+    and arguments in order) made inside Suite.check by `jetcalc <suite>
+    --seed 0`: the calls that A and T count in a sweep."""
+    counts, digest, inside = {"axpy": 0, "apply": 0}, hashlib.sha256(), [False]
+    axpy, apply, check = linalg._axpy, linalg.apply, cli.Suite.check
+
+    def note(kind, *args):
+        counts[kind] += 1
+        digest.update(repr((kind,) + args).encode())
+
+    def checking(self, *args):
+        inside[0] = True
+        try:
+            return check(self, *args)
+        finally:
+            inside[0] = False
+
+    def noting_axpy(out, c, row, off=0, skip=None):
+        if inside[0] and any(j != skip for j in row):
+            note("axpy", (c.a, c.b, c.den), _entries(row), off, skip)
+        return axpy(out, c, row, off, skip)
+
+    def noting_apply(m, v):
+        if m.nrows == m.ncols and inside[0]:
+            note("apply", [_entries(row) for row in m.rows], _entries(v))
+        return apply(m, v)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli.Suite, "check", checking)
+        _everywhere(mp, "_axpy", noting_axpy)
+        _everywhere(mp, "apply", noting_apply)
+        assert cli.main([suite, "--seed", "0"]) == 0
+    return counts["axpy"], counts["apply"], digest.hexdigest()
+
+
+# A sweep's phase p corrupts the calls counted p modulo 997 (A) or 101 (T)
+# among those above, so its floors were measured on exactly these sequences.
+# A change that moves either sequence moves every corruption and must
+# re-measure SWEEP_FLOOR, STRIDE_FLOOR and the dcomm floors, then re-pin here.
+SCHEDULES = {
+    "dcomm": (7086, 1025, "4fa83d88cb40cd426a2a5140c7493b20"
+              "a4903ee9c3189e9c40d415d9acc67dbc"),
+    "pw": (3061, 816, "7bc839f5ba54314914ca7400dc8b3b7c"
+           "3827f70a60ec3862c79e00c21d4970f3"),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(SCHEDULES))
+def test_the_calls_a_sweep_indexes_are_pinned(suite):
+    assert _schedule(suite) == SCHEDULES[suite]
 
 
 def _run(suite, mutant=None, phase=0):
