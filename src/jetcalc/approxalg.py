@@ -558,11 +558,6 @@ def corner_identity_check(M, j1, j2):
     return CheckReport("corner_identity", "pass" if ok else "fail", dims)
 
 
-def generated_tuple_module(M, w, n):
-    """Smallest action-invariant subspace of V^n containing w."""
-    return close_span(n * M.dim, [w], M.mats)
-
-
 def submodule_grid_check(M, phi, n, extra=()):
     """Spot-check of the universal quantifier behind End^#: when phi passes
     the membership test, the module generated by each grid vector of V^n
@@ -573,8 +568,7 @@ def submodule_grid_check(M, phi, n, extra=()):
         return None
     phi = Mat.of(phi)
     grid = [{i: ONE} for i in range(n * d)] + [sparse(w) for w in extra]
-    for w in grid:
-        W = generated_tuple_module(M, w, n)
-        if W.escape(phi):
+    for w in grid:  # the module w generates: the least invariant span holding it
+        if close_span(n * d, [w], M.mats).escape(phi):
             return dense(w, n * d)
     return None

@@ -134,14 +134,19 @@ def family_to_json(reps):
 
 
 def family_from_json(text):
-    """The reps of a family_to_json text; a malformed field, or a size above
-    MAX_NVARS or MAX_DIM, is refused by name before any entry is parsed."""
+    """The reps of a family_to_json text; a malformed field, a repeated
+    label, or a size above MAX_NVARS or MAX_DIM, is refused by name before
+    any entry is parsed."""
     data = json_load(text)
     nvars = json_field(data, "nvars", int, "family field 'nvars' is", 1, MAX_NVARS)
     if not json_field(data, "reps", list, "family field 'reps' is"):
         raise ValueError("a family needs at least one rep")
+    labels = []
     for rd in data["reps"]:
         label = json_field(rd, "label", str, "a rep label is")
+        if label in labels:
+            raise ValueError("rep label %r is repeated" % label)
+        labels.append(label)
         json_field(rd, "dim", int, "rep %r has dimension" % label, 1, MAX_DIM)
         json_field(rd, "generators", list, "rep %r field 'generators' is" % label)
     parse = entry_parser(nvars)

@@ -119,7 +119,7 @@ def rand_unimodular(rng, n):
 def conjugate_module(E, T, Tinv):
     """Same module in a different basis."""
     mats = [mmul(mmul(T, m), Tinv) for m in E.mats]
-    return FinMod(E.nvars, E.k, mats, check=False)
+    return FinMod(mats, check=False)
 
 
 def rand_finmod(rng, nvars, kmax, dimmax, depth=2):

@@ -197,11 +197,11 @@ def jet_family(T, E):
     """The jet of every entry of T, with the module index slow: the output
     acts on E tensor V with the E coordinate owning the outer (block)
     index, so each term's coefficient is a Kronecker product.  Over the
-    evaluation module (order 0, dimension 1) only beta = 0 enters and
+    evaluation module (dimension 1, so order 0) only beta = 0 enters and
     m_E(e^xi) = m_E(1) = [[1]], so the jet is T itself."""
     if T.nvars != E.nvars:
         raise ValueError("arity mismatch")
-    if E.k == 0 and E.dim == 1:
+    if E.dim == 1:
         return T
     R, C = T.rows, T.cols
     betas = monomials_upto(T.nvars, E.k)

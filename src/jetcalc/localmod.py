@@ -8,8 +8,8 @@ I then happen inside the finite-dimensional space of polynomials of degree
 at most k.
 
 A FinMod is a tuple of commuting nilpotent matrices, the action of the
-coordinate linear forms; the action of any polynomial (and of any germ,
-through truncation) follows from that.
+coordinate linear forms; its order and the action of any polynomial (and
+of any germ, through truncation) follow from that.
 """
 
 import json
@@ -21,10 +21,10 @@ from .linalg import (Mat, SpanBasis, mmul, mid, mat_sum, block_diag, kron,
                      close_span, square, dense, json_field, json_load)
 
 # The size ceilings: MAX_NVARS and MAX_DIM bound the CLI's --nmax and
-# --dimmax and what every loader reads; MAX_ORDER, FinMod.from_json's k, lies
-# above the 11 that tensor products reach at --kmax 4.  Validating a FinMod
-# then costs at most C(nvars + dim - 1, dim) matrix products
-MAX_NVARS, MAX_ORDER, MAX_DIM = 3, 16, 12
+# --dimmax and what every loader reads.  Reading a FinMod's order then costs
+# at most one matrix product per monomial of degree 2 to dim, fewer than
+# C(nvars + dim, dim)
+MAX_NVARS, MAX_DIM = 3, 12
 
 
 class PolySpace:
@@ -149,40 +149,54 @@ def dual_number_ideal(lam):
 
 
 class FinMod:
-    """Finite-dimensional module over the germ ring: commuting matrices
-    M_1..M_N (action of the coordinate linear forms, as Mats) with every
-    product of k+1 of them equal to zero."""
+    """Finite-dimensional module over the germ ring: commuting nilpotent
+    matrices M_1..M_N (action of the coordinate linear forms, as Mats).
+    Its order k, the least k with every product of k+1 of them zero, is
+    read off the matrices on first use."""
 
-    __slots__ = ("nvars", "k", "dim", "mats", "_moncache")
+    __slots__ = ("nvars", "dim", "mats", "_moncache", "_k")
 
-    def __init__(self, nvars, k, mats, check=True):
+    def __init__(self, mats, check=True):
         mats = tuple(map(Mat.of, mats))
-        if len(mats) != nvars:
-            raise ValueError("need one action matrix per variable")
-        dim = mats[0].nrows if nvars else 0
+        dim = mats[0].nrows if mats else 0
         if any(m.nrows != dim or m.ncols != dim for m in mats):
             raise ValueError("action matrices must be square of equal size")
-        self.nvars = nvars
-        self.k = k
+        self.nvars = len(mats)
         self.dim = dim
         self.mats = mats
-        self._moncache = {zero_exps(nvars): mid(dim)}
+        self._moncache = {zero_exps(self.nvars): mid(dim)}
+        self._k = None
         if check:
             self.validate()
 
     def validate(self):
-        """The matrices commute and every product of k+1 of them is 0.
-        Commuting nilpotent d x d matrices generate a nilpotent algebra, so
-        it is decided in degree min(k, d-1)+1."""
+        """Refuse matrices that do not commute or are not nilpotent, and
+        return the order.  Commuting nilpotent d x d matrices multiply to 0
+        in degree d, so reading k decides nilpotency."""
         for i in range(self.nvars):
             for j in range(i + 1, self.nvars):
                 if mmul(self.mats[i], self.mats[j]) != mmul(self.mats[j], self.mats[i]):
                     raise ValueError("action matrices %d and %d do not commute" % (i + 1, j + 1))
-        deg = min(self.k, self.dim - 1) + 1
-        for beta in monomials_of_degree(self.nvars, deg):
-            if any(self._raw_mon_mat(beta).rows):
-                raise ValueError("monomial %r of degree %d does not act by zero, "
-                                 "so the order is not k=%d" % (beta, deg, self.k))
+        return self.k
+
+    @property
+    def k(self):
+        """The order: the highest degree of a nonzero monomial product.
+        Degree 1 is the matrices themselves, and each monomial of the next
+        degree is x_j times the one that its first variable x_j peels off.
+        This loop keeps its products apart from mon_mat's cache."""
+        if self._k is None:
+            # (index of the first variable, product) of each nonzero monomial
+            level, k = [(j, m) for j, m in enumerate(self.mats) if any(m.rows)], 0
+            while level:
+                k += 1
+                if k == self.dim:
+                    raise ValueError("the action is not nilpotent: a product of "
+                                     "%d action matrices is nonzero" % k)
+                level = [(j, out) for i, m in level for j in range(i + 1)
+                         if any((out := mmul(self.mats[j], m)).rows)]
+            self._k = k
+        return self._k
 
     def _raw_mon_mat(self, beta):
         """The matrix of beta, peeling first-variable factors to a cached one."""
@@ -197,8 +211,8 @@ class FinMod:
         return out
 
     def mon_mat(self, beta):
-        """Action of the monomial with exponents beta."""
-        if sum(beta) > self.k:
+        """Action of the monomial with exponents beta, zero from degree dim."""
+        if sum(beta) >= self.dim:
             return Mat(({},) * self.dim, self.dim)
         return self._raw_mon_mat(beta)
 
@@ -207,7 +221,7 @@ class FinMod:
         if p.nvars != self.nvars:
             raise ValueError("arity mismatch")
         return mat_sum(((self.mon_mat(e), c) for e, c in p.terms.items()
-                        if sum(e) <= self.k), self.dim, self.dim)
+                        if sum(e) < self.dim), self.dim, self.dim)
 
     def exp_action(self, xi):
         """Action of the germ e^xi: m_E of its exponential series, which
@@ -217,11 +231,10 @@ class FinMod:
     def __eq__(self, other):
         if not isinstance(other, FinMod):
             return NotImplemented
-        return (self.nvars == other.nvars and self.k == other.k
-                and self.mats == other.mats)
+        return self.mats == other.mats
 
     def __hash__(self):
-        return hash((self.nvars, self.k, self.mats))
+        return hash(self.mats)
 
     def __repr__(self):
         return "FinMod(nvars=%d, k=%d, dim=%d)" % (self.nvars, self.k, self.dim)
@@ -229,7 +242,6 @@ class FinMod:
     def to_json(self):
         return json.dumps({
             "nvars": self.nvars,
-            "k": self.k,
             "dim": self.dim,
             "action": [[c.json_str() for c in dense(m.flat(), self.dim * self.dim)]
                        for m in self.mats],
@@ -239,18 +251,17 @@ class FinMod:
     def from_json(cls, text):
         """The module of a to_json text.  Before it parses an entry it
         refuses, with a ValueError naming the field, anything but an object
-        with integers nvars, k and dim from 1, 0 and 0 to MAX_NVARS,
-        MAX_ORDER and MAX_DIM and an `action` list of nvars matrices."""
+        with integers nvars and dim from 1 and 0 to MAX_NVARS and MAX_DIM
+        and an `action` list of nvars matrices.  Other keys are ignored."""
         data = json_load(text)
-        for key, lo, hi in (("nvars", 1, MAX_NVARS), ("k", 0, MAX_ORDER),
-                            ("dim", 0, MAX_DIM)):
+        for key, lo, hi in (("nvars", 1, MAX_NVARS), ("dim", 0, MAX_DIM)):
             json_field(data, key, int, "module field %r is" % key, lo, hi)
         action = data.get("action")
         if not isinstance(action, list) or len(action) != data["nvars"]:
             raise ValueError("module field 'action' must be a list of %d matrices"
                              % data["nvars"])
         parse = scalar_parser()
-        return cls(data["nvars"], data["k"], [
+        return cls([
             square(flat, data["dim"], parse, "action matrix %d" % t)
             for t, flat in enumerate(action)])
 
@@ -277,7 +288,7 @@ def cyclic_quotient(ideal):
     # column c of x_j's matrix: the residue of x_j mons[c], on the standard monomials
     mats = [Mat([{at[i]: x for i, x in ideal.span._reduce(shift.cols[space.index[m]]).items()}
                  for m in mons], d).T for shift in space.shifts]
-    return CyclicQuotient(FinMod(ideal.nvars, ideal.k, mats, check=False), tuple(mons))
+    return CyclicQuotient(FinMod(mats, check=False), tuple(mons))
 
 
 def dual_number_module(lam):
@@ -287,8 +298,7 @@ def dual_number_module(lam):
     [[phi(0), d_lam phi(0)], [0, phi(0)]]."""
     if lam.is_zero():
         raise ValueError("the direction must be nonzero")
-    return FinMod(lam.nvars, 1, [Mat([{1: c} if c else {}, {}], 2) for c in lam.coords],
-                  check=False)
+    return FinMod([Mat([{1: c} if c else {}, {}], 2) for c in lam.coords], check=False)
 
 
 def direct_sum(*mods):
@@ -297,9 +307,8 @@ def direct_sum(*mods):
     nvars = mods[0].nvars
     if any(m.nvars != nvars for m in mods):
         raise ValueError("arity mismatch in direct sum")
-    k = max(m.k for m in mods)
-    mats = [block_diag([m.mats[j] for m in mods]) for j in range(nvars)]
-    return FinMod(nvars, k, mats, check=False)
+    return FinMod([block_diag([m.mats[j] for m in mods]) for j in range(nvars)],
+                  check=False)
 
 
 def tensor(*mods):
@@ -318,6 +327,6 @@ def tensor(*mods):
             left = kron(acc.mats[j], mid(nxt.dim))
             right = kron(mid(acc.dim), nxt.mats[j])
             mats.append(mat_sum(((left, ONE), (right, ONE)), left.nrows, left.ncols))
-        acc = FinMod(nvars, acc.k + nxt.k + 1, mats, check=False)
+        acc = FinMod(mats, check=False)
     return acc
 

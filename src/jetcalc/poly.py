@@ -201,18 +201,6 @@ class Polynomial(_Terms):
         e[j] = 1
         return cls(nvars, {tuple(e): ONE})
 
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = Polynomial.const(self.nvars, ONE)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
     def truncate(self, k):
         """Drop all terms of total degree > k."""
         return Polynomial(self.nvars, {e: c for e, c in self.terms.items() if sum(e) <= k})

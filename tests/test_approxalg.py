@@ -158,7 +158,7 @@ def test_rejection_comes_with_an_escape_certificate():
     assert not res.member
     row, moved = res.escaped
     # the cyclic tuple module contains the row but loses its image under E12
-    W = aa.generated_tuple_module(M2, res.tuple_vec, len(res.tuple_vec) // 2)
+    W = linalg.close_span(len(res.tuple_vec), [res.tuple_vec], M2.mats)
     assert W.contains(list(row))
     assert not W.contains(list(moved))
 

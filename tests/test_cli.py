@@ -33,11 +33,11 @@ def test_verify_is_byte_identical_for_a_fixed_seed(tmp_path, capsys):
 # report is pinned byte for byte: a change that moves a digest changes what
 # the verifier says and must state why.
 VERIFY_DIGESTS = {
-    0: "25b0464e7e7eee38b9e2c272fc75e18fba826fa3bcc2e0adefb5da9caed0f4c0",
-    1: "f3a948566e884d292e5540cfbdb4b56941de541ea3f2b7ac45f26ca323527400",
-    2: "6ddc687a8392f324b24752ed1c6db6d38344317c25ca2bc4ba07cb0186987af0",
-    3: "0b5e2370da9f04762ee65da9cb6588fc0a7bb318b2860a2fc4103d2b6fa89210",
-    4: "71290a15e2519ba5da9f6ebd3855126194ff822c5f5bfbff18e56c7f81092502",
+    0: "4ab62967bd3f4aa64c3e6c20eff1aa4d654900fc2e89bebb6935e99fdac3eee1",
+    1: "0f73f5027a28cb4516575a6920c00a201d182f2d52c3e99e8ac90294c9e52e0e",
+    2: "7a4b74d4b6bd8703d2bbdb4bc6bed825f4ab3829d904c69e4807098578169317",
+    3: "7b39bd2fa2e2980c5c48870d319da7377ece0bd491c050e2aa370c0473a5487f",
+    4: "195e73f391ebe4e6e5de859db3a07c52e0293f0cd7c448c9ff12954f67b0e053",
 }
 
 
@@ -55,16 +55,16 @@ def test_verify_report_matches_its_pinned_digest(tmp_path, capsys, seed):
 TIERS = {"second": ["--kmax", "3", "--dimmax", "8"],
          "third": ["--kmax", "4", "--nmax", "3", "--dimmax", "12", "--words", "8"]}
 TIER_DIGESTS = {
-    ("second", 0): "79e66e98082092144a1ec1af32382c80354545c8a57418dd214cd1d9e995e5de",
-    ("second", 1): "860578b15c9c9acec9effb1c40ccad163df5759eaa3b236b1a65371a6b7d9536",
-    ("second", 2): "1d410ae1097fae5b30508ed87c320b2aa800c175febb068aac5c339e15822f03",
-    ("second", 3): "28fc7dcd13b075601394fcfef405b44814646934bc8b25799719ee94189d8869",
-    ("second", 4): "75f20303bb62b076d3b3042029caf4db82fbc82f0b75ddbb7b2b9eeff360ef37",
-    ("third", 0): "5b84fd67ba68eb0ea9b669c031101dbc1cdbb5cb0911cc7d86f554c11469d5e7",
-    ("third", 1): "1a74ee3e0772a6264be038f28eb56c4824cc1e9156c0aab9b859fb175011c528",
-    ("third", 2): "8de2822f644164266686e6c3085b5e2542ec6c915f65a24c56c01e13f63cd22f",
-    ("third", 3): "d7ac8663d9f4b862136a9608eab89d927673f4a3e5ae7d9a27151b571b88fdcd",
-    ("third", 4): "d197f0a5828300216588c00ff060322a091e23a296959c7e9eb6053aa41405ba",
+    ("second", 0): "53471cce31ff421de7395bfcc8b5c19281e85d4e20780592f1a95b4fb57ac765",
+    ("second", 1): "90a9ac82f70ae77871dda88fabbeb912288524d6769ee23c81a2ada67ed651fc",
+    ("second", 2): "8ad4083181657a6ee7f7205420516242300c834e5edc24b3915d8029366bffe0",
+    ("second", 3): "3bd88fb8b268a6edc250817504091cec8dfbc66a0b2bd4a595b72c960a79fd08",
+    ("second", 4): "9227d0eb33d58ee57cd566dc6b7c290e37f82d02ce098fe1bd4437418edb63fc",
+    ("third", 0): "fd64f4fea0812e39056d859d4f7a1d2b885c66733097a4b42e3ba52276421bd1",
+    ("third", 1): "170bf108457903820f4fc5e3049f4c787dd63d23f6cdf05e6919f3d71634e906",
+    ("third", 2): "ff9a18d99017169cdc881f9d32e94123f12c66ab85017febd637a1698656536e",
+    ("third", 3): "467b496b9cac2eb8e715db97ca8aa4f0abf7bab8957cc05f7dee2f4a6f18d6e9",
+    ("third", 4): "0dc15dcc6a78475087288a501a239b32aa598cdf573684c6256b3b512f9e2c88",
 }
 
 

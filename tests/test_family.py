@@ -140,6 +140,21 @@ def test_family_json_rejects_a_zero_dimensional_rep():
         family_from_json(text)
 
 
+def test_family_json_refuses_a_repeated_label_before_parsing(monkeypatch):
+    """Labels key a candidate's components, so two reps labelled "a", of
+    dimensions 1 and 2, would let a component be read at the wrong one."""
+    text = family_to_json([RepFamily("a", [fam(1, [["2"]])]), RepFamily("a", [UP])])
+
+    def no_parse(nvars):
+        def parse(s):
+            raise AssertionError("an entry was parsed")
+        return parse
+
+    monkeypatch.setattr(family, "entry_parser", no_parse)
+    with pytest.raises(ValueError, match="rep label 'a' is repeated"):
+        family_from_json(text)
+
+
 GOOD_REP = '{"label": "r", "dim": 1, "generators": [["2"]]}'
 
 
@@ -774,7 +789,7 @@ def test_tuple_modules_match_a_reference_closure(monkeypatch):
             grid = [{i: ONE} for i in range(n * M.dim)]
             grid.append([gen.rand_scalar(rng) for _ in range(n * M.dim)])
             for w in grid:
-                assert approxalg.generated_tuple_module(M, w, n) is spans[-1]
+                assert approxalg.close_span(n * M.dim, [w], M.mats) is spans[-1]
     assert max(s.dim for s in spans) > 3
 
 

@@ -41,9 +41,9 @@ def test_jet_over_the_scalar_module_is_the_function_itself():
 
 def test_jet_family_over_the_evaluation_module_is_the_family_itself():
     """Over C[x]/m (order 0, dimension 1) jet_family returns T itself,
-    after its arity check, and T is what the Taylor loop gives over a
-    dimension-1 module of order 1 with zero action, exponential terms and
-    a formal unit included."""
+    after its arity check, and so over any dimension-1 module, whose order
+    is 0.  The Taylor loop over the order-0 module of dimension 2 gives T
+    in each diagonal block, exponential terms and a formal unit included."""
     rng = random.Random(5)
     for nvars in (1, 2):
         unit = ExpPoly.exp((Scalar(1),) * nvars, unit=Scalar(2))
@@ -54,7 +54,11 @@ def test_jet_family_over_the_evaluation_module_is_the_family_itself():
         evaluation = lm.cyclic_quotient(lm.maximal_ideal(nvars)).module
         assert (evaluation.k, evaluation.dim) == (0, 1)
         assert jf.jet_family(T, evaluation) is T
-        assert jf.jet_family(T, lm.FinMod(nvars, 1, [linalg.Mat([{}], 1)] * nvars)) == T
+        assert jf.jet_family(T, lm.FinMod([linalg.Mat([{}], 1)] * nvars)) is T
+        pair = lm.direct_sum(evaluation, evaluation)
+        assert pair.k == 0
+        assert jf.jet_family(T, pair).terms == {
+            key: linalg.kron(linalg.mid(2), m) for key, m in T.terms.items()}
         with pytest.raises(ValueError, match="arity"):
             jf.jet_family(T, lm.cyclic_quotient(lm.maximal_ideal(nvars + 1)).module)
 

@@ -174,20 +174,10 @@ STRIDE_FLOOR = {"A": 13, "T": 13}
 DCOMM_STRIDE_FLOOR = {"A": 25, "T": 26}
 
 
-def _entries(d):
-    return [(j, x.a, x.b, x.den) for j, x in d.items()]
-
-
-def _schedule(suite):
-    """(output-changing _axpy calls, square applies, sha256 of their kinds
-    and arguments in order) made inside Suite.check by `jetcalc <suite>
-    --seed 0`: the calls that A and T count in a sweep."""
-    counts, digest, inside = {"axpy": 0, "apply": 0}, hashlib.sha256(), [False]
-    axpy, apply, check = linalg._axpy, linalg.apply, cli.Suite.check
-
-    def note(kind, *args):
-        counts[kind] += 1
-        digest.update(repr((kind,) + args).encode())
+def _inside_check(mp):
+    """Patch Suite.check to raise a flag while it runs; return the flag's
+    reader."""
+    inside, check = [False], cli.Suite.check
 
     def checking(self, *args):
         inside[0] = True
@@ -196,18 +186,37 @@ def _schedule(suite):
         finally:
             inside[0] = False
 
+    mp.setattr(cli.Suite, "check", checking)
+    return lambda: inside[0]
+
+
+def _entries(d):
+    return [(j, x.a, x.b, x.den) for j, x in d.items()]
+
+
+def _schedule(suite):
+    """(output-changing _axpy calls, square applies, sha256 of their kinds
+    and arguments in order) made inside Suite.check by `jetcalc <suite>
+    --seed 0`: the calls that A and T count in a sweep."""
+    counts, digest = {"axpy": 0, "apply": 0}, hashlib.sha256()
+    axpy, apply = linalg._axpy, linalg.apply
+
+    def note(kind, *args):
+        counts[kind] += 1
+        digest.update(repr((kind,) + args).encode())
+
     def noting_axpy(out, c, row, off=0, skip=None):
-        if inside[0] and any(j != skip for j in row):
+        if inside() and any(j != skip for j in row):
             note("axpy", (c.a, c.b, c.den), _entries(row), off, skip)
         return axpy(out, c, row, off, skip)
 
     def noting_apply(m, v):
-        if m.nrows == m.ncols and inside[0]:
+        if m.nrows == m.ncols and inside():
             note("apply", [_entries(row) for row in m.rows], _entries(v))
         return apply(m, v)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli.Suite, "check", checking)
+        inside = _inside_check(mp)
         _everywhere(mp, "_axpy", noting_axpy)
         _everywhere(mp, "apply", noting_apply)
         assert cli.main([suite, "--seed", "0"]) == 0
@@ -234,15 +243,7 @@ def test_the_calls_a_sweep_indexes_are_pinned(suite):
 def _run(suite, mutant=None, phase=0):
     """(exit status, recorded values) of `jetcalc <suite> --seed 0`, under
     the sweep mutant `mutant` at `phase` when given."""
-    values, inside = [], [False]
-    check = cli.Suite.check
-
-    def checking(self, *args):
-        inside[0] = True
-        try:
-            return check(self, *args)
-        finally:
-            inside[0] = False
+    values = []
 
     def recorded(fn, value):
         def call(*args):
@@ -252,11 +253,11 @@ def _run(suite, mutant=None, phase=0):
         return call
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli.Suite, "check", checking)
+        inside = _inside_check(mp)
         for name, value in RECORDED[suite].items():
             mp.setattr(cli, name, recorded(getattr(cli, name), value))
         if mutant is not None:
-            MUTANTS[mutant](mp, phase, lambda: inside[0])
+            MUTANTS[mutant](mp, phase, inside)
         rc = cli.main([suite, "--seed", "0"])
     return rc, values
 

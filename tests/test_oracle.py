@@ -26,7 +26,11 @@ at 0.
 The jet of `jetfun.jet_family`, evaluated at a point p, is recomputed as
 the Taylor sum over |beta| <= k of kron(m_E(X^beta), (d^beta F)(p) / beta!),
 with d^beta taken by sympy.diff and m_E(X^beta) multiplied out from the
-module's action matrices."""
+module's action matrices.
+
+The order of a `localmod.FinMod` is recomputed as the least k at which
+every product of k+1 of its action matrices, multiplied out by sympy, is
+zero."""
 
 import functools
 import itertools
@@ -39,7 +43,8 @@ from jetcalc.approxalg import double_commutant_check
 from jetcalc.family import BlockLayout, membership_triple, spanned_algebra
 from jetcalc.linalg import Mat, SpanBasis, CrossCheckError, dense, mid
 from jetcalc.jetfun import MatPolyFamily, jet_family, kernel_alpha_bar
-from jetcalc.localmod import FinMod, cyclic_quotient, maximal_ideal, dual_number_module
+from jetcalc.localmod import (FinMod, cyclic_quotient, maximal_ideal, dual_number_module,
+                              tensor)
 from jetcalc.poly import ExpPoly, Vector, monomials_upto
 from jetcalc.scalars import ZERO
 from test_mutants import transpose_a_square_apply
@@ -466,6 +471,42 @@ def test_jet_family_matches_the_sympy_taylor_sum():
 def test_a_jet_that_takes_a_dual_number_module_as_order_0_fails_the_oracle():
     """Mutant: jet_family over a module of order 1 drops the beta != 0
     terms of the Taylor sum, as over the evaluation module."""
+    class Order0(FinMod):
+        __slots__ = ()
+        k = 0
+
     def order_0(F, E):
-        return jet_family(F, FinMod(E.nvars, 0, E.mats, check=False) if E.k == 1 else E)
+        return jet_family(F, Order0(E.mats, check=False) if E.k == 1 else E)
     assert jet_disagreements(29, order_0).count("dual") == 4
+
+
+def order_oracle(E):
+    """The least k at which sympy finds every product of k+1 of E's action
+    matrices zero, the products taken over every multiset of variables."""
+    acts = [mat_to_sympy(m) for m in E.mats]
+    k = 0
+    while any(not functools.reduce(lambda m, j: m * acts[j], js,
+                                   DomainMatrix.eye(E.dim, QQ_I)).is_zero_matrix
+              for js in itertools.combinations_with_replacement(range(E.nvars), k + 1)):
+        k += 1
+        assert k <= E.dim, "the action is not nilpotent"
+    return k
+
+
+def test_the_order_of_a_module_matches_the_sympy_products():
+    """Seeded gen.rand_finmod draws in 1-3 variables and tensors of 1-4
+    dual-number modules: a tensor of n of them has order n, every order is
+    below the dimension, and equal matrices make equal modules."""
+    rng = random.Random(40)
+    mods = [gen.rand_finmod(rng, N, 3, 8) for N in (1, 2, 3) for _ in range(12)]
+    for n in (1, 2, 3, 4):
+        N = rng.randint(1, 3)
+        T = tensor(*(dual_number_module(gen.rand_point(rng, N, zero_ok=False))
+                     for _ in range(n)))
+        assert T.k == n
+        mods.append(T)
+    assert {E.k for E in mods} >= {0, 1, 2, 3, 4}
+    for E in mods:
+        assert E.k == order_oracle(E) and E.k < max(E.dim, 1)
+        F = FinMod(E.mats)
+        assert F == E and hash(F) == hash(E) and F.k == E.k

@@ -5,6 +5,7 @@ import random
 import re
 import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +15,11 @@ from jetcalc.poly import (Polynomial, ExpPoly, Vector, Covector, DiffOp, diff,
                           parse_exppoly, parse_scalar, monomials_upto,
                           monomials_of_degree, beta_factorial, MAX_NESTING, MAX_DIGITS)
 from oracles import coproduct, pairing, parse_poly
+
+
+def x1_plus_1_to(n):
+    """(x1 + 1)^n in one variable, by the binomial theorem."""
+    return Polynomial(1, {(j,): sc(comb(n, j)) for j in range(n + 1)})
 
 
 def small_scalars():
@@ -157,8 +163,8 @@ def test_coproduct_evaluates_to_sum_of_arguments(p, mus, mu, nu):
 def test_evaluate_forms_each_power_once(monkeypatch):
     """x1^40 + x1^39 + 3*x1^20 needs x1^2 .. x1^40 (39 products) and one
     product per term, not one product per unit of exponent."""
-    x1 = Polynomial.variable(1, 0)
-    p = x1 ** 40 + x1 ** 39 + x1 ** 20 * 3
+    p = (Polynomial.monomial(1, (40,)) + Polynomial.monomial(1, (39,))
+         + Polynomial.monomial(1, (20,)) * 3)
     products = []
     mul = Scalar.__mul__
 
@@ -328,7 +334,7 @@ def test_loaders_refuse_a_non_ascii_digit_as_a_parse_error():
     with pytest.raises(ValueError, match="^generator 0 of rep 'R' entry 0: parse error "
                                          "at position 4: unexpected"):
         family_from_json(json.dumps({"nvars": 1, "reps": [rep]}))
-    module = json.loads(FinMod(1, 1, [[[ZERO]]]).to_json())
+    module = json.loads(FinMod([[[ZERO]]]).to_json())
     module["action"] = [["\u0663"]]
     with pytest.raises(ValueError, match="^action matrix 0 entry 0: parse error at "
                                          "position 0: unexpected"):
@@ -394,7 +400,7 @@ def test_products_and_powers_are_charged_their_bits(text):
     the entry."""
     from jetcalc.localmod import FinMod
     from jetcalc.poly import MAX_BITS
-    module = json.loads(FinMod(1, 1, [[[ZERO]]]).to_json())
+    module = json.loads(FinMod([[[ZERO]]]).to_json())
     module["action"] = [[text]]
     why = "parsing would form a value of about [0-9]+ bits, past the limit %d$" % MAX_BITS
     for parse, where in ((parse_scalar, ""), (lambda t: FinMod.from_json(json.dumps(module)),
@@ -487,8 +493,7 @@ def test_coordinate_sums_refuse_a_length_mismatch():
 
 def test_exponents_above_the_cap_are_refused():
     from jetcalc.poly import MAX_EXPONENT
-    x1 = Polynomial(1, {(1,): ONE})
-    assert parse_poly("x1^%d" % MAX_EXPONENT, 1) == x1 ** MAX_EXPONENT
+    assert parse_poly("x1^%d" % MAX_EXPONENT, 1) == Polynomial.monomial(1, (MAX_EXPONENT,))
     for text in ("(x1 + 1)^%d" % (MAX_EXPONENT + 1), "x1^200000"):
         with pytest.raises(ValueError):
             parse_exppoly(text, 1)
@@ -497,9 +502,8 @@ def test_exponents_above_the_cap_are_refused():
 def test_powers_are_bounded_by_their_work(monkeypatch):
     from jetcalc import poly
     from jetcalc.poly import MAX_PARSE_WORK
-    x1 = Polynomial(1, {(1,): ONE})
-    assert parse_poly("x1^256", 1) == x1 ** 256
-    assert parse_poly("(x1+1)^256", 1) == (x1 + Polynomial.const(1, ONE)) ** 256
+    assert parse_poly("x1^256", 1) == Polynomial.monomial(1, (256,))
+    assert parse_poly("(x1+1)^256", 1) == x1_plus_1_to(256)
     # every product the parser forms stays within the bound, so the refused
     # inputs fail before anything runs at their size
     largest = []
@@ -533,8 +537,7 @@ def test_one_parse_budget_covers_every_product(monkeypatch):
         return mul(a, b)
 
     monkeypatch.setattr(poly.ExpPoly, "__mul__", counted)
-    x1 = Polynomial(1, {(1,): ONE})
-    power = (x1 + Polynomial.const(1, ONE)) ** 256
+    power = x1_plus_1_to(256)
     assert parse_poly("(x1+1)^256", 1) == power
     assert sum(pairs) == 65792
     sum4 = "(x1+x2+x3+1)"

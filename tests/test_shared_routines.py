@@ -662,7 +662,9 @@ def test_no_module_calls_a_dense_edge_of_linalg():
             (localmod.CyclicQuotient, "ideal"), (family, "MAX_REP_DIM"),
             (jetcalc.scalars, "ExpScalar"), (jetcalc.scalars, "EXP_ZERO"),
             (jetcalc, "ExpScalar"), (Scalar, "re"), (Scalar, "im"), (jetcalc.scalars, "I"),
-            (approxalg.ApproxModule, "V_j"), (approxalg.SharpResult, "__bool__")]
+            (approxalg.ApproxModule, "V_j"), (approxalg.SharpResult, "__bool__"),
+            (poly.Polynomial, "__pow__"), (localmod, "MAX_ORDER"),
+            (approxalg, "generated_tuple_module")]
     for module, names in ((family, "intertwiner_graph_check"), (jetfun, "jet_ideal"),
                           (poly, "parse_poly pairing"),
                           (localmod, "Submodule ModuleMap annihilator annihilator_dual "
