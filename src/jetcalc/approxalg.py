@@ -332,13 +332,13 @@ def end_zero_basis(cols, rows):
     """End(V)_0, the reachable part of End(V), as the SpanBasis of
     flattened matrices that spans all chain corners P_j F P_j, from the
     chain's spans col(P_j) and row(P_j): the top corner's, since the chain
-    increases.  The top corner's generators are its RREF rows, inserted
-    last pivot first so that none eliminates, and every lower corner's
-    generators are checked against them."""
-    top = SpanBasis(cols[-1].ncols ** 2, _corner_gens(cols[-1], rows[-1])[::-1])
-    if not all(top.contains(g) for c, r in zip(cols[:-1], rows[:-1]) for g in _corner_gens(c, r)):
+    increases, whose RREF generators go in last pivot first so that none
+    eliminates.  A lower corner's c (x) r, c and r nonzero, lies in it iff
+    c lies in the top col and r in the top row, which is checked."""
+    if not all(all(map(cols[-1].contains, c.rows)) and all(map(rows[-1].contains, r.rows))
+               for c, r in zip(cols[:-1], rows[:-1])):
         raise CrossCheckError("corner span computations disagree")
-    return top
+    return SpanBasis(cols[-1].ncols ** 2, _corner_gens(cols[-1], rows[-1])[::-1])
 
 
 class SharpResult:

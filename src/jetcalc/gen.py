@@ -83,9 +83,8 @@ def rand_diffop(rng, nvars, max_order):
 
 
 def rand_cofinite_ideal(rng, nvars, kmax):
-    """A genuinely cofinite ideal with a certified power bound: a power
-    ideal, a dual-number ideal, or a power ideal enlarged by random
-    constant-free polynomials."""
+    """A genuinely cofinite ideal: a power ideal, a dual-number ideal, or a
+    power ideal enlarged by random constant-free polynomials."""
     style = rng.randrange(3) if kmax >= 1 else rng.randrange(2)
     if style == 0:
         return power_ideal(nvars, rng.randint(0, max(0, kmax)))
@@ -97,7 +96,7 @@ def rand_cofinite_ideal(rng, nvars, kmax):
         p = rand_poly(rng, nvars, k, nterms=(1, 3), min_deg=1)
         if p:
             gens.append(p)
-    return CofiniteIdeal(nvars, k, gens)
+    return CofiniteIdeal(nvars, gens)
 
 
 def rand_unimodular(rng, n):

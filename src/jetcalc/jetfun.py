@@ -358,11 +358,11 @@ def kernel_alpha_bar(lams, d):
             rows_a.append({at[m]: c * beta_factorial(m) for m, c in u.terms.items() if m in at})
 
     # route two: the column of the class of 1 in each monomial's action on
-    # the tensor of dual-number modules, as alpha_bar_image reads it
+    # the tensor of dual-number modules, as alpha_bar_image reads it, 0 past T.k
     T = tensor(*map(dual_number_module, lams))
     one, rows_b = T.dim - 1, [{} for _ in range(T.dim)]
     for i, m in enumerate(space.mons):
-        for t, row in enumerate(T.mon_mat(m).rows):
+        for t, row in enumerate(T.mon_mat(m).rows if sum(m) <= T.k else ()):
             if one in row:
                 rows_b[t][i] = row[one]
 

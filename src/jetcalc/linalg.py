@@ -426,13 +426,13 @@ class SpanBasis:
         if pivot in self._row:  # a correct _reduce clears every pivot
             raise CrossCheckError("a reduced row keeps the pivot %d" % pivot)
         # scale the pivot p = (pa + pb i)/pd to 1: negate at -1, else take
-        # x / p = pd (pa - pb i) x / (pa^2 + pb^2) with one _mk per entry
+        # x / p = pd (pa - pb i) x / (pa^2 + pb^2), one _mk per other entry
         p = v[pivot]
         pa, pb, pd = p.a, p.b, p.den
         if pb or pd != 1 or (pa != 1 and pa != -1):
             n = pa * pa + pb * pb
             v = {j: _mk(pd * (x.a * pa + x.b * pb), pd * (x.b * pa - x.a * pb), x.den * n)
-                 for j, x in v.items()}
+                 if j != pivot else ONE for j, x in v.items()}
         elif pa == -1:
             v = {j: -x for j, x in v.items()}
         # keep existing rows reduced against the new one: only a row whose

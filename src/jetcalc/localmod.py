@@ -1,11 +1,11 @@
 """Cofinite ideals of the local ring of germs at 0, their quotient modules,
 and the category of finite-dimensional modules with nilpotent action.
 
-A cofinite ideal I is handled entirely through its polynomial trace: the
-declared nilpotency degree k certifies that every monomial of degree k+1
-lies in I, which the constructor verifies by reduction.  All questions about
-I then happen inside the finite-dimensional space of polynomials of degree
-at most k.
+A cofinite ideal I is handled entirely through its polynomial trace: its
+order k, the least k with every monomial of degree k+1 in I, is read off
+the generators' closure at a bound above it.  All questions about I then
+happen inside the finite-dimensional space of polynomials of degree at
+most k.
 
 A FinMod is a tuple of commuting nilpotent matrices, the action of the
 coordinate linear forms; its order and the action of any polynomial (and
@@ -58,40 +58,41 @@ class PolySpace:
 
 
 class CofiniteIdeal:
-    """Ideal of germs given by polynomial generators plus a certified k with
-    every degree-(k+1) monomial inside the ideal.
+    """Ideal of germs given by polynomial generators.  Its order k, the
+    least k with every degree-(k+1) monomial inside it, is read off them;
+    an ideal without m^MAX_DIM, which every quotient of dimension at most
+    MAX_DIM holds, is refused as not cofinite.
 
     Membership and normal forms reduce against the row-reduced image of the
     ideal in degrees <= k.  A generator with nonzero constant term makes
-    this the unit ideal (codimension 0).
-    """
+    this the unit ideal (codimension 0)."""
 
-    def __init__(self, nvars, k, generators):
-        if k < 0:
-            raise ValueError("nilpotency degree must be >= 0")
-        gens = []
-        for g in generators:
-            if g.nvars != nvars:
-                raise ValueError("generator arity mismatch")
-            if g:
-                gens.append(g)
-        self.nvars = nvars
+    def __init__(self, nvars, generators):
+        generators = tuple(generators)
+        if any(g.nvars != nvars for g in generators):
+            raise ValueError("generator arity mismatch")
+        self.nvars, self.generators = nvars, tuple(filter(None, generators))
+        # close at B, from the largest lowest degree of a generator: the
+        # monomials of degrees b..B lead the coordinates, and if they are
+        # unit rows of the span for some b <= B, then m^b lies in I + m^(B+1),
+        # so in I by Nakayama.  k is the degree of the first coordinate that
+        # is not, and the other rows, shifted back past the c unit rows of
+        # degrees k+1..B, are the image in degrees <= k: truncation commutes
+        # with the shifts, and RREF is unique
+        bound = max([1] + [min(map(sum, g.terms)) for g in self.generators])
+        while True:
+            span, mons = self.image_span(bound), monomials_upto(nvars, bound)[::-1]
+            lead = next((t for t, row in enumerate(span.rows) if row != {t: ONE}), span.dim)
+            k = sum(mons[min(lead, len(mons) - 1)])
+            if k < bound:
+                break
+            if bound >= MAX_DIM:
+                raise ValueError("the ideal is not cofinite: m^%d does not lie inside it"
+                                 % bound)
+            bound = min(2 * bound, MAX_DIM)
+        c = len(mons) - len(monomials_upto(nvars, k))
         self.k = k
-        self.generators = tuple(gens)
         self.space = PolySpace(nvars, k)
-        # one closure, at k + 1; its first coordinates are the degree-(k+1)
-        # monomials, highest first, and each must lie in the span, which
-        # certifies k.  They are then echelon rows of their own, and the
-        # other rows, shifted back by their count, are the image in degrees
-        # <= k: truncation commutes with the shifts, and RREF is unique
-        top = monomials_of_degree(nvars, k + 1)
-        c, span = len(top), self.image_span(k + 1)
-        for t, m in enumerate(top):
-            if not span.contains({c - 1 - t: ONE}):  # m's coordinate
-                raise ValueError(
-                    "degree-%d monomial %r does not reduce to 0: "
-                    "the declared nilpotency degree k=%d is not certified"
-                    % (k + 1, m, k))
         self.span = SpanBasis(self.space.dim, [{j - c: x for j, x in row.items()}
                                                for row in span.rows[c:]])
         pivots = set(self.span.pivots)
@@ -128,11 +129,11 @@ class CofiniteIdeal:
 def power_ideal(nvars, k):
     """The (k+1)-st power of the maximal ideal, as a CofiniteIdeal."""
     gens = [Polynomial.monomial(nvars, m) for m in monomials_of_degree(nvars, k + 1)]
-    return CofiniteIdeal(nvars, k, gens)
+    return CofiniteIdeal(nvars, gens)
 
 
 def maximal_ideal(nvars):
-    return CofiniteIdeal(nvars, 0, [Polynomial.variable(nvars, j) for j in range(nvars)])
+    return CofiniteIdeal(nvars, [Polynomial.variable(nvars, j) for j in range(nvars)])
 
 
 def dual_number_ideal(lam):
@@ -145,7 +146,7 @@ def dual_number_ideal(lam):
     gens = [Covector(dense(v, nvars)).as_polynomial()
             for v in SpanBasis(nvars, [lam.coords]).nullspace()]
     gens.extend(Polynomial.monomial(nvars, m) for m in monomials_of_degree(nvars, 2))
-    return CofiniteIdeal(nvars, 1, gens)
+    return CofiniteIdeal(nvars, gens)
 
 
 class FinMod:

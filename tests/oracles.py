@@ -97,15 +97,16 @@ def pairing(f, u):
 
 
 def annihilator(E):
-    """Polynomial trace of the annihilator of a FinMod, as a CofiniteIdeal
-    with the module's k: the kernel of the monomials' flattened actions."""
+    """Polynomial trace of the annihilator of a FinMod, as a CofiniteIdeal:
+    the kernel of the monomials' flattened actions in degrees <= k, and the
+    monomials of degree k + 1."""
     nvars, k = E.nvars, E.k
     gammas = monomials_upto(nvars, k)
     rows = Mat([E.mon_mat(g).flat() for g in gammas], E.dim ** 2).cols
     gens = [Polynomial(nvars, {gammas[t]: v[t] for t in sorted(v)})
             for v in SpanBasis(len(gammas), rows).nullspace()]
     gens.extend(Polynomial.monomial(nvars, m) for m in monomials_of_degree(nvars, k + 1))
-    return CofiniteIdeal(nvars, k, gens)
+    return CofiniteIdeal(nvars, gens)
 
 
 def intertwines(source, target, T):

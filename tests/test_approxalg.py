@@ -477,16 +477,18 @@ def test_end_zero_is_the_union_of_all_corner_spans():
     assert kinds == {"plain", "skewed", "junk"}
 
 
-def test_a_lower_corner_escaping_the_top_corner_is_a_cross_check_failure(monkeypatch):
-    """When the top corner's span misses a lower corner's generator,
-    end_zero_basis refuses to return it."""
+def test_a_lower_corner_escaping_the_top_corner_is_a_cross_check_failure():
+    """When the top corner's column or row span misses a row of the lower
+    corner's, so that a lower corner generator c (x) r escapes the top
+    corner, end_zero_basis refuses to return it."""
     _, M = aa.block_module([1, 2])
-    cols, rows = chain_spans(M)
-    gens = aa._corner_gens
-    monkeypatch.setattr(aa, "_corner_gens",
-                        lambda c, r: gens(c, r)[1:] if c is cols[1] else gens(c, r))
-    with pytest.raises(linalg.CrossCheckError, match="corner span computations disagree"):
-        aa.end_zero_basis(cols, rows)
+    for side in (0, 1):
+        spans = chain_spans(M)
+        top, low = spans[side][-1], spans[side][0]
+        spans[side][-1] = linalg.SpanBasis(top.ncols, [r for r in top.rows if r not in low.rows])
+        assert spans[side][-1].dim == 2
+        with pytest.raises(linalg.CrossCheckError, match="corner span computations disagree"):
+            aa.end_zero_basis(*spans)
 
 
 def products_corner(M, j1, j2):

@@ -1,7 +1,10 @@
 """The jet construction f -> f^(E) and the maps derived from it."""
 
+import contextlib
+import io
 import operator
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,7 +15,7 @@ from jetcalc.poly import (Polynomial, ExpPoly, Vector, Covector, DiffOp,
                           diff, monomials_upto, monomials_of_degree)
 from jetcalc import localmod as lm
 from jetcalc import jetfun as jf
-from jetcalc import gen, linalg
+from jetcalc import cli, gen, linalg
 from jetcalc.gen import rand_poly, rand_exp_poly, rand_point
 from oracles import (frobenius_grid, jet_ideal, annihilator_dual, intertwines,
                      pairing, parse_poly, alpha_bar_by_coproduct)
@@ -433,6 +436,24 @@ def test_alpha_bar_image_refuses_an_arity_mismatch(nvars, lams, message):
     p = Polynomial.monomial(nvars, (1,) * nvars)
     with pytest.raises(ValueError, match="^%s$" % message):
         jf.alpha_bar_image(p, [Vector(lam) for lam in lams])
+
+
+def test_route_two_forms_no_monomial_product_above_the_tensor_order(monkeypatch):
+    """Over `jetcalc kernel` at seeds 0-4, kernel_alpha_bar asks the
+    tensor of dual-number modules for no monomial above its order T.k,
+    since those act by zero."""
+    mon_mat, asked = lm.FinMod.mon_mat, []
+
+    def noting(self, beta):
+        if sys._getframe(1).f_code is jf.kernel_alpha_bar.__code__:
+            asked.append(sum(beta) - self.k)
+        return mon_mat(self, beta)
+
+    monkeypatch.setattr(lm.FinMod, "mon_mat", noting)
+    for seed in range(5):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["kernel", "--seed", str(seed)]) == 0
+    assert len(asked) > 400 and max(asked) == 0
 
 
 def test_kernel_rejects_zero_directions():

@@ -758,8 +758,9 @@ def test_a_product_by_a_signed_identity_builds_no_scalar(monkeypatch, sign):
 
 def test_a_pivot_row_is_negated_at_minus_one_and_else_scaled_by_one_mk_per_entry(monkeypatch):
     """Inserting a row whose pivot entry is -1 negates it with no _mk.  A
-    row whose pivot is 2i is scaled by one _mk per entry, and one more
-    updates the earlier row that holds an entry at its pivot."""
+    row whose pivot is 2i is scaled by one _mk per entry past the pivot,
+    which becomes ONE, and one more updates the earlier row that holds an
+    entry at its pivot."""
     half = Scalar(Fraction(1, 2), 3)
     span = SpanBasis(4, [[ZERO, ONE, ZERO, Scalar(5)]])
     calls = count_mk(monkeypatch)
@@ -767,7 +768,7 @@ def test_a_pivot_row_is_negated_at_minus_one_and_else_scaled_by_one_mk_per_entry
     assert calls["_mk"] == 0
     assert row == {0: ONE, 2: -half, 3: Scalar(0, -7)}
     row = span._insert({2: Scalar(0, 2), 3: half})
-    assert calls["_mk"] == 2 + 1
+    assert calls["_mk"] == 1 + 1
     monkeypatch.undo()
     assert row == {2: ONE, 3: half / Scalar(0, 2)}
     assert echelon(span) == sympy_rref([[ZERO, ONE, ZERO, Scalar(5)],

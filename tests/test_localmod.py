@@ -1,9 +1,14 @@
 """Cofinite ideals, quotient modules, duals, sums, tensors, annihilators."""
 
+import ast
+import inspect
 import random
+import time
+from pathlib import Path
 
 import pytest
 
+import jetcalc
 from jetcalc import gen
 from jetcalc.scalars import ZERO, ONE, Scalar as sc
 from jetcalc.poly import Polynomial, Vector, Covector, monomials_upto, monomials_of_degree
@@ -47,21 +52,44 @@ def test_membership_respects_ideal_structure():
     assert not I.contains(parse_poly("(1)*x1", 2))
 
 
-def test_declared_power_bound_is_verified():
-    x2 = parse_poly("(1)*x1^2", 1)
-    with pytest.raises(ValueError):
-        CofiniteIdeal(1, 0, [x2])  # x^2 does not kill degree 1
-    CofiniteIdeal(1, 1, [x2])
+def test_the_power_bound_is_derived():
+    """(x1^2) has order 1, and (x1 - x2^2, x1 x2), whose quotient has the
+    basis 1, x2, x1 with x1 = x2^2 nonzero, has order 2 though no
+    generator's lowest degree passes 2, so its first closure, at 2, holds
+    no whole degree."""
+    assert CofiniteIdeal(1, [parse_poly("(1)*x1^2", 1)]).k == 1
+    I = CofiniteIdeal(2, [parse_poly("(1)*x1 + (-1)*x2^2", 2), parse_poly("(1)*x1*x2", 2)])
+    assert (I.k, I.standard_monomials) == (2, [(0, 0), (0, 1), (1, 0)])
 
 
 def test_non_cofinite_generators_are_rejected():
-    with pytest.raises(ValueError):
-        CofiniteIdeal(2, 2, [parse_poly("(1)*x1", 2)])  # misses x2 powers
+    """(x1) in two and three variables misses the powers of the others,
+    and the zero ideal misses everything: each is refused by name in under
+    a second."""
+    for nvars, gens in ((2, [Polynomial.variable(2, 0)]), (3, [Polynomial.variable(3, 0)]),
+                        (1, [Polynomial.zero(1)])):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^the ideal is not cofinite: m\^12 does not "
+                                             r"lie inside it$"):
+            CofiniteIdeal(nvars, gens)
+        assert time.perf_counter() - t0 < 1
+
+
+def test_no_call_in_the_package_passes_an_order_to_an_ideal():
+    """CofiniteIdeal takes the arity and the generators only, and every
+    call of it in the package passes just those two."""
+    assert list(inspect.signature(CofiniteIdeal).parameters) == ["nvars", "generators"]
+    calls = [node for path in sorted(Path(jetcalc.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and "CofiniteIdeal" in (
+                 getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert len(calls) == 4  # power, maximal and dual-number ideals, and gen's
+    assert all(len(call.args) == 2 and not call.keywords for call in calls)
 
 
 def test_unit_ideal_has_codimension_zero():
-    I = CofiniteIdeal(1, 0, [parse_poly("(1) + (1)*x1", 1)])
-    assert I.codim == 0
+    I = CofiniteIdeal(1, [parse_poly("(1) + (1)*x1", 1)])
+    assert (I.codim, I.k) == (0, 0)
     assert annihilator_dual(I) == []
     assert cyclic_quotient(I).module.dim == 0
 
@@ -269,14 +297,14 @@ def two_closure_span(nvars, k, gens):
 
 
 def test_one_closure_gives_the_span_of_two():
-    """A CofiniteIdeal closes its generators once, at k + 1, and its span
+    """A CofiniteIdeal closes its generators at a bound B > k, and its span
     is the two-closure span on power, maximal, dual-number, enlarged,
-    annihilator and unit ideals; an uncertified k names its first degree-
-    (k+1) monomial outside the ideal, in ascending order."""
+    annihilator and unit ideals, whose k is the least that the two-closure
+    route certifies; (x1^2) in two variables is refused as not cofinite."""
     rng = random.Random(25)
     x1 = Polynomial.variable(2, 0)
     ideals = [power_ideal(2, 2), power_ideal(3, 1), maximal_ideal(1), maximal_ideal(3),
-              CofiniteIdeal(2, 2, [x1 + 1]), CofiniteIdeal(1, 0, [Polynomial.const(1, 3)])]
+              CofiniteIdeal(2, [x1 + 1]), CofiniteIdeal(1, [Polynomial.const(1, 3)])]
     for _ in range(30):
         nv = rng.randint(1, 3)
         ideals.append(gen.rand_cofinite_ideal(rng, nv, 3 if nv < 3 else 2))
@@ -284,12 +312,11 @@ def test_one_closure_gives_the_span_of_two():
         ideals.append(annihilator(gen.rand_finmod(rng, nv, 2, 4)))
     for I in ideals:
         assert (I.span.rows, I.span.pivots) == two_closure_span(I.nvars, I.k, I.generators)
+        assert I.k == 0 or two_closure_span(I.nvars, I.k - 1, I.generators) is None
     assert {I.codim for I in ideals} >= {0, 1, 2, 3}
     assert two_closure_span(2, 1, [x1 * x1]) is None
-    with pytest.raises(ValueError, match=r"^degree-2 monomial \(0, 2\) does not reduce "
-                                         r"to 0: the declared nilpotency degree k=1 is "
-                                         r"not certified$"):
-        CofiniteIdeal(2, 1, [x1 * x1])
+    with pytest.raises(ValueError, match="^the ideal is not cofinite"):
+        CofiniteIdeal(2, [x1 * x1])
 
 
 def normal_form_matrices(ideal):

@@ -94,18 +94,22 @@ MUTANTS = {"R": skip_the_last_pivot_row, "A": drop_a_last_entry,
 # records, 3 for a defect met while generating instances, 0 for a run that
 # passes.  A route fault reads 0 on the suites that never take its route.
 # The zeros of A and T hide no wrong verdict, counted at seed 0.  kernel
-# makes 1,290 _axpy calls that can change their output, so A corrupts one,
-# the 997th.  It falls in a monomial matrix product of kernel_alpha_bar's
-# route two inside subquotient_certified (n = 4) and drops an entry of
-# column 13.  Route two reads only column 15, the class of 1, and a left
-# multiplication never mixes columns, so the run exits 0 with the clean
-# run's records.  kernel's 156 square applies all come from CofiniteIdeal
-# closures; kernel_alpha_bar calls no apply.  T's one transpose that changes
-# a result, in jet and in kernel alike, falls in the closure of a
-# CofiniteIdeal that gen draws (a dual-number ideal in jet, power_ideal(2, 2)
-# in kernel).  That ideal comes out larger but still an ideal, closed under
-# the shifts, holding its generators and with its k certified, so every
-# check runs on a valid instance and its verdicts hold.
+# makes 1,419 _axpy calls that can change their output, so A corrupts one,
+# the 997th.  It falls in the Kronecker product by which `tensor` builds
+# route two's module in subquotient_certified (directions e1, e1, e2, e2)
+# and drops entry (0, 1) of x2's matrix, which lowers the last factor of
+# the class with the other three lowered.  Route two reads column 15, the
+# class of 1, of products M_x1^a M_x2^b, where x2 acts before x1 has lowered
+# any factor, so no product meets that entry; the order still reads 4, and
+# the run exits 0 with the clean run's records.  kernel's 151 square applies
+# all come from CofiniteIdeal closures; kernel_alpha_bar calls no apply.
+# T's one transpose that changes a result, in jet and in kernel alike, falls
+# in the closure of a CofiniteIdeal that gen draws (the dual-number ideal
+# (x1^2) in jet, power_ideal(2, 2) in kernel).  That ideal comes out larger
+# but still an ideal, closed under the shifts and holding its generators,
+# and its k is read off the larger span (jet's becomes the maximal ideal,
+# k = 0; kernel's keeps k = 2 at codimension 5), so every check runs on a
+# valid instance and its verdicts hold.
 # tests/test_oracle.py holds the oracles that T fails.
 CATCH_TABLE = {
     #                 jet kernel dcomm pw
@@ -226,10 +230,11 @@ def _schedule(suite):
 # A sweep's phase p corrupts the calls counted p modulo 997 (A) or 101 (T)
 # among those above, so its floors were measured on exactly these sequences.
 # A change that moves either sequence moves every corruption and must
-# re-measure SWEEP_FLOOR, STRIDE_FLOOR and the dcomm floors, then re-pin here.
+# re-measure SWEEP_FLOOR, STRIDE_FLOOR and the dcomm floors, then re-pin here:
+# `PYTHONPATH=src python tests/test_mutants.py` prints all of them.
 SCHEDULES = {
-    "dcomm": (7086, 1025, "4fa83d88cb40cd426a2a5140c7493b20"
-              "a4903ee9c3189e9c40d415d9acc67dbc"),
+    "dcomm": (6876, 1025, "5e0ae9b5ddceb574f5084aa3b23e06a9"
+              "c47f18377e0ce75c527f00a6b09fd8f4"),
     "pw": (3061, 816, "7bc839f5ba54314914ca7400dc8b3b7c"
            "3827f70a60ec3862c79e00c21d4970f3"),
 }
@@ -305,3 +310,26 @@ def test_every_phase_of_the_dcomm_sweep_makes_no_silent_change(mutant):
     caught, silent = _sweep("dcomm", mutant, SWEEP_PHASES[mutant])
     assert silent == []
     assert caught >= DCOMM_SWEEP_FLOOR[mutant], "%s caught at %d phases" % (mutant, caught)
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python tests/test_mutants.py: re-measure after a change
+    # that moves a schedule, printing the SCHEDULES tuples, then per suite
+    # and mutant the phases caught and the silent phases of the stride and
+    # of the every-phase sweep.  The CLI's own output is discarded.
+    import contextlib
+    import io
+
+    def quiet(fn, *args):
+        with contextlib.redirect_stdout(io.StringIO()):
+            return fn(*args)
+
+    for suite in sorted(SCHEDULES):
+        print("SCHEDULES[%r] = %r" % (suite, quiet(_schedule, suite)), flush=True)
+    for suite in ("pw", "dcomm"):
+        for mutant in sorted(SWEEP_PHASES):
+            for sweep, phases in (("stride", SWEEP_PHASES[mutant][::STRIDE]),
+                                  ("every phase", SWEEP_PHASES[mutant])):
+                caught, silent = quiet(_sweep, suite, mutant, phases)
+                print("%s %s %s: caught %d of %d, silent %s"
+                      % (suite, mutant, sweep, caught, len(phases), silent), flush=True)

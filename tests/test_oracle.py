@@ -30,23 +30,31 @@ module's action matrices.
 
 The order of a `localmod.FinMod` is recomputed as the least k at which
 every product of k+1 of its action matrices, multiplied out by sympy, is
-zero."""
+zero.
 
+The order of a `localmod.CofiniteIdeal` is recomputed as one less than the
+least b at which the degree-b monomials add nothing to the rank of the
+truncated multiples x^gamma g, |gamma| <= b, of its generators in degrees
+<= b: then m^b lies in I + m^(b+1), so in I by Nakayama."""
+
+import contextlib
 import functools
+import io
 import itertools
 import random
 
 import pytest
 
-from jetcalc import gen
+from jetcalc import cli, gen, localmod
 from jetcalc.approxalg import double_commutant_check
 from jetcalc.family import BlockLayout, membership_triple, spanned_algebra
 from jetcalc.linalg import Mat, SpanBasis, CrossCheckError, dense, mid
 from jetcalc.jetfun import MatPolyFamily, jet_family, kernel_alpha_bar
 from jetcalc.localmod import (FinMod, cyclic_quotient, maximal_ideal, dual_number_module,
                               tensor)
-from jetcalc.poly import ExpPoly, Vector, monomials_upto
+from jetcalc.poly import ExpPoly, Vector, monomials_upto, monomials_of_degree
 from jetcalc.scalars import ZERO
+from test_cli import TIERS
 from test_mutants import transpose_a_square_apply
 from oracles import is_approx_unital
 
@@ -510,3 +518,51 @@ def test_the_order_of_a_module_matches_the_sympy_products():
         assert E.k == order_oracle(E) and E.k < max(E.dim, 1)
         F = FinMod(E.mats)
         assert F == E and hash(F) == hash(E) and F.k == E.k
+
+
+def ideal_order_oracle(nvars, gens):
+    """One less than the least b >= 1 at which sympy finds the degree-b
+    monomials inside the span of the truncated multiples x^gamma g,
+    |gamma| <= b, in the coordinates of the monomials of degree <= b."""
+    for b in itertools.count(1):
+        mons = monomials_upto(nvars, b)
+        at = {m: t for t, m in enumerate(mons)}
+        rows = [[to_qqi(row[m]) if m in row else QQ_I(0) for m in mons]
+                for g in gens for gamma in mons
+                if (row := {e: c for e0, c in g.terms.items()
+                            if sum(e := tuple(map(sum, zip(e0, gamma)))) <= b})]
+        units = [[QQ_I(int(t == at[m])) for t in range(len(mons))]
+                 for m in monomials_of_degree(nvars, b)]
+        rank = DomainMatrix(rows, (len(rows), len(mons)), QQ_I).rank() if rows else 0
+        if DomainMatrix(rows + units, (len(rows) + len(units), len(mons)), QQ_I).rank() == rank:
+            return b - 1
+
+
+def test_the_order_of_every_drawn_ideal_matches_the_sympy_ranks(monkeypatch):
+    """Every CofiniteIdeal that `jetcalc jet` and `jetcalc kernel` build at
+    seeds 0-4 on the three verify tiers has the oracle's order.  Among those
+    gen.rand_cofinite_ideal draws, the loose ones, of order below one less
+    than their generators' largest lowest degree (which gen's enlarged
+    ideals took as their order), are counted per suite and tier."""
+    built, drawn, init, draw = [], [], localmod.CofiniteIdeal.__init__, gen.rand_cofinite_ideal
+    monkeypatch.setattr(localmod.CofiniteIdeal, "__init__",
+                        lambda self, *args: (init(self, *args), built.append(self))[0])
+    monkeypatch.setattr(gen, "rand_cofinite_ideal",
+                        lambda *args: drawn.append(draw(*args)) or drawn[-1])
+    loose = {}
+    for suite in ("jet", "kernel"):
+        for tier in ("default", "second", "third"):
+            drawn.clear()
+            for seed in range(5):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert cli.main([suite, "--seed", str(seed)] + TIERS.get(tier, [])) == 0
+            loose[suite, tier] = sum(
+                I.k < max(min(map(sum, g.terms)) for g in I.generators) - 1 for I in drawn)
+    assert loose == {("jet", "default"): 14, ("jet", "second"): 22, ("jet", "third"): 25,
+                     ("kernel", "default"): 13, ("kernel", "second"): 13,
+                     ("kernel", "third"): 13}
+    ideals = {(I.nvars, tuple(map(str, I.generators))): I for I in built}
+    assert len(ideals) == 161  # of 932 built
+    assert {I.k for I in ideals.values()} == {0, 1, 2, 3, 4}
+    for I in ideals.values():
+        assert I.k == ideal_order_oracle(I.nvars, I.generators), I
