@@ -46,7 +46,7 @@ def _mstr(mat):
 
 
 def _estr(E):
-    return {"nvars": E.nvars, "k": E.k, "mats": [_mstr(m) for m in E.mats]}
+    return {"nvars": E.nvars, "mats": [_mstr(m) for m in E.mats]}
 
 
 class Suite:
@@ -166,13 +166,13 @@ def run_kernel(cfg, suite):
         suite.check("kernel.flag", "partial flag set exactly when d < n+1",
                     inst, lambda: (res.partial == (d < n + 1), None))
         suite.check("kernel.member", "kernel basis maps to zero", inst,
-                    lambda: (all(not any(alpha_bar_image(b, lams))
-                                 for b in res.basis), None))
+                    lambda: (not any(map(any, alpha_bar_image(res.basis, lams))),
+                             None))
 
     for i in range(10):
         nv = rng.randint(1, min(2, cfg.nmax))
         ideal = gen.rand_cofinite_ideal(rng, nv, min(cfg.kmax, 2))
-        inst = {"i": i, "nvars": nv, "k": ideal.k,
+        inst = {"i": i, "nvars": nv,
                 "gens": [str(g) for g in ideal.generators]}
         suite.check("kernel.subquotient",
                     "direction-sequence kernel lies inside the ideal",

@@ -304,14 +304,15 @@ def diffop_to_module(ops):
     return E, funcs
 
 
-def alpha_bar_image(p, lams):
-    """Image of a polynomial under the combined evaluation-and-derivative
-    map: p acting on the tensor product of the directions' dual-number
-    modules, where a linear form acts by the Leibniz sum, the coproduct.
-    The image is the last column of that action, the class of 1 in every
-    factor, with the first factor slow."""
-    m = tensor(*map(dual_number_module, lams)).act_poly(p)
-    return tuple(row.get(m.ncols - 1, ZERO) for row in m.rows)
+def alpha_bar_image(ps, lams):
+    """Images of polynomials under the combined evaluation-and-derivative
+    map: each p acting on the tensor product of the directions'
+    dual-number modules, where a linear form acts by the Leibniz sum, the
+    coproduct.  An image is the last column of that action, the class of 1
+    in every factor, with the first factor slow; one tensor serves them
+    all."""
+    T = tensor(*map(dual_number_module, lams))
+    return [tuple(row.get(T.dim - 1, ZERO) for row in T.act_poly(p).rows) for p in ps]
 
 
 class KernelResult:

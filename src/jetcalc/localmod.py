@@ -185,44 +185,42 @@ class FinMod:
         """The order: the highest degree of a nonzero monomial product.
         Degree 1 is the matrices themselves, and each monomial of the next
         degree is x_j times the one that its first variable x_j peels off.
-        This loop keeps its products apart from mon_mat's cache."""
+        Each nonzero product it forms is kept for mon_mat by its exponents."""
         if self._k is None:
-            # (index of the first variable, product) of each nonzero monomial
-            level, k = [(j, m) for j, m in enumerate(self.mats) if any(m.rows)], 0
+            def up(beta, j):  # the exponents of x_j times x^beta
+                return beta[:j] + (beta[j] + 1,) + beta[j + 1:]
+            # (index of the first variable, exponents, product) of each nonzero monomial
+            zero, k = zero_exps(self.nvars), 0
+            level = [(j, up(zero, j), m) for j, m in enumerate(self.mats) if any(m.rows)]
             while level:
                 k += 1
                 if k == self.dim:
                     raise ValueError("the action is not nilpotent: a product of "
                                      "%d action matrices is nonzero" % k)
-                level = [(j, out) for i, m in level for j in range(i + 1)
+                level = [(j, up(beta, j), out) for i, beta, m in level for j in range(i + 1)
                          if any((out := mmul(self.mats[j], m)).rows)]
+                self._moncache.update((beta, m) for _, beta, m in level)
             self._k = k
         return self._k
 
-    def _raw_mon_mat(self, beta):
-        """The matrix of beta, peeling first-variable factors to a cached one."""
-        peeled = []
-        while beta not in self._moncache:
-            j = next(j for j, b in enumerate(beta) if b)
-            peeled.append((beta, j))
-            beta = beta[:j] + (beta[j] - 1,) + beta[j + 1:]
-        out = self._moncache[beta]
-        for beta, j in reversed(peeled):
-            out = self._moncache[beta] = mmul(self.mats[j], out)
-        return out
-
     def mon_mat(self, beta):
-        """Action of the monomial with exponents beta, zero from degree dim."""
-        if sum(beta) >= self.dim:
+        """Action of the monomial with exponents beta: the identity at
+        degree 0, x_j times it at degree 1 (formed on first use), the order
+        loop's product from degree 2 to k, and zero above k."""
+        k = self.k  # reading the order fills the cache from degree 2 to k
+        if sum(beta) == 1 and k and beta not in self._moncache:
+            self._moncache[beta] = mmul(self.mats[beta.index(1)],
+                                        self._moncache[zero_exps(self.nvars)])
+        if beta not in self._moncache:
             return Mat(({},) * self.dim, self.dim)
-        return self._raw_mon_mat(beta)
+        return self._moncache[beta]
 
     def act_poly(self, p):
         """m_E(p), the action of a polynomial."""
         if p.nvars != self.nvars:
             raise ValueError("arity mismatch")
-        return mat_sum(((self.mon_mat(e), c) for e, c in p.terms.items()
-                        if sum(e) < self.dim), self.dim, self.dim)
+        return mat_sum(((self.mon_mat(e), c) for e, c in p.terms.items()),
+                       self.dim, self.dim)
 
     def exp_action(self, xi):
         """Action of the germ e^xi: m_E of its exponential series, which

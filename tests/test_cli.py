@@ -31,15 +31,15 @@ def test_verify_is_byte_identical_for_a_fixed_seed(tmp_path, capsys):
 
 # SHA-256 of the `verify --seed N --json` report at the default tier.  The
 # report is pinned byte for byte: a change that moves a digest changes what
-# the verifier says and must state why.  The kernel.subquotient instances
-# print the ideal's order k, derived from its generators: 13 per tier at
-# seeds 0-4 are enlarged power ideals whose order is below the power's.
+# the verifier says and must state why.  An instance record names only the
+# check's inputs (a module by its matrices, an ideal by its generators), not
+# the orders derived from them, which are first read inside the check.
 VERIFY_DIGESTS = {
-    0: "51d79de4356323d72e7b34ea8f0cd3b3f4c929e194f9eaaa2f4e369a109a3062",
-    1: "07b8c510b4cb798a24267b0bdc3e409b4017f3d530e39b3f62a9345e948c88e6",
-    2: "9ab701f3a069f2803e9756cff509c7abb6c41139e1e0b229a39a9114a0329767",
-    3: "d04e27c8fc3757bd7eca0c14b393c2c1279e6c445227aad0ca4ff76c8cd1ae4d",
-    4: "c150bbb5c7913647910aad0715840525dc22f750a396fa95efdae8efe95ec5c9",
+    0: "77be864ee3ad83a48a30b41f457bdd832e62503e070bcd38bf559bc376aeaea3",
+    1: "8a52e2055687c5fc9c84e0698964ae2efa79b64a9955a654bb742b8e74b24867",
+    2: "1da8848b2dc29fd2cafa85e1cf584fb0de0ee3c3160be4947a61e17541b2c5d1",
+    3: "29c863ab66f429a64a9ddc1c0a6c2dc4eccffe6757982b29a8c3d6531eabdbde",
+    4: "9cad276928d159d1d159d3f9a0bad1a96863d191a4689d7a0e19180a9f6a8ecc",
 }
 
 
@@ -57,16 +57,16 @@ def test_verify_report_matches_its_pinned_digest(tmp_path, capsys, seed):
 TIERS = {"second": ["--kmax", "3", "--dimmax", "8"],
          "third": ["--kmax", "4", "--nmax", "3", "--dimmax", "12", "--words", "8"]}
 TIER_DIGESTS = {
-    ("second", 0): "ae47d647082e5efc81910ad7dee6e0ec5b7f6722fd769033ef9187e444872b75",
-    ("second", 1): "0caa1f369f598a2f14c323bb8cbf23de21854e6800b4d0bb7f7a24d42e5af5b9",
-    ("second", 2): "9cf0dc1a25c207f05d679c20487890f737527c40a5416ae7aa5097f7af695cf6",
-    ("second", 3): "ce6c41886f5b5ae1c83c9d43ec79de4f796996e8e64380f7e12b5eca0a1f4e22",
-    ("second", 4): "cc2cfdfee81d353a5fc1ac3712801bab22ba0bce34135530d1c408d7392cd24e",
-    ("third", 0): "217850b6c10a914cf8611b357c486551b5fe2a4077a9f7c77feae83533c3bbec",
-    ("third", 1): "1e9d60df279484fb6006801196e5ffcfbed8b42083d4f23dbbabd2e44b20ed2d",
-    ("third", 2): "7e0aa3055d997b5aa8327d289be261e337f85b6266b5c2856defbf03cc3fe6df",
-    ("third", 3): "ded68d3e1e1399467ca7b34a466803c51fb5fd5ca976d99688f3561d053f6b30",
-    ("third", 4): "e750ae240ee9ad445d7c5b6bce30aab55d1fdc27e043e6782ce6ad90af3b7828",
+    ("second", 0): "3a182f02ec510001ea27bfaef36fb013d336a940fa563fd566d78aa0cd92a814",
+    ("second", 1): "6eb05f75f4d9156a0abed9014dc078d46bfae1bfe6c6fffdf035326e38cd2383",
+    ("second", 2): "9ac103039188b9dc8781d3cfd75d52171c8e3d9a214aebbd032a5720b84df324",
+    ("second", 3): "805159c6307ce840ff8d336738fd23e9e8ca20542a4f16acdebf1a636921b87b",
+    ("second", 4): "67de99c4c866d9fd4400387641aaece85fe481391e75ad072aef3000e2985278",
+    ("third", 0): "7ac82f76766c71921dba1bea7e1e48a369147c188ef19354a765dc53534262c0",
+    ("third", 1): "210d8b89e5e10cf7d2a92ce898c0be9b0916224e1a2de5f0a72f0cfa438da962",
+    ("third", 2): "23b2dcb932d359b8a5d2bc862f4196eaaabc692758b893a44b14a9aa151a97eb",
+    ("third", 3): "d9735ccd66df0b0a473229cb6c5962a67ea682ea3d85bf4a5ac052af1904b0a9",
+    ("third", 4): "439049d7b7425b03551d94f25ab863d64dae517851e612871ae5d9eadb182ea4",
 }
 
 

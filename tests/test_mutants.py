@@ -18,7 +18,8 @@ import pytest
 
 from jetcalc import cli, linalg
 from jetcalc.linalg import SpanBasis
-from test_cli import ROUTE_FAULTS
+from jetcalc.localmod import FinMod
+from test_cli import ROUTE_FAULTS, TIERS
 
 
 def _everywhere(monkeypatch, name, fake):
@@ -94,15 +95,16 @@ MUTANTS = {"R": skip_the_last_pivot_row, "A": drop_a_last_entry,
 # records, 3 for a defect met while generating instances, 0 for a run that
 # passes.  A route fault reads 0 on the suites that never take its route.
 # The zeros of A and T hide no wrong verdict, counted at seed 0.  kernel
-# makes 1,419 _axpy calls that can change their output, so A corrupts one,
-# the 997th.  It falls in the Kronecker product by which `tensor` builds
-# route two's module in subquotient_certified (directions e1, e1, e2, e2)
-# and drops entry (0, 1) of x2's matrix, which lowers the last factor of
-# the class with the other three lowered.  Route two reads column 15, the
-# class of 1, of products M_x1^a M_x2^b, where x2 acts before x1 has lowered
-# any factor, so no product meets that entry; the order still reads 4, and
-# the run exits 0 with the clean run's records.  kernel's 151 square applies
-# all come from CofiniteIdeal closures; kernel_alpha_bar calls no apply.
+# makes 1,007 _axpy calls that can change their output, so A corrupts one,
+# the 997th.  It falls in the Leibniz sum by which `tensor` builds route
+# two's module in subquotient_certified for instance 8, the ideal
+# (x2 - 4 x1, x1^2, x1 x2, x2^2) of order 1 (directions e1, e2), and drops
+# entry (1, 3) of x1's matrix, which takes the class of 1 to the class of X
+# in the first factor.  Route two then reads x1's image as zero, the two
+# kernel routes disagree, and the run exits 1 on that record's cross-check
+# failure; its pinned 0 stays, which FLOOR reads as any status.  kernel's
+# 151 square applies all come from CofiniteIdeal closures; kernel_alpha_bar
+# calls no apply.
 # T's one transpose that changes a result, in jet and in kernel alike, falls
 # in the closure of a CofiniteIdeal that gen draws (the dual-number ideal
 # (x1^2) in jet, power_ideal(2, 2) in kernel).  That ideal comes out larger
@@ -192,6 +194,25 @@ def _inside_check(mp):
 
     mp.setattr(cli.Suite, "check", checking)
     return lambda: inside[0]
+
+
+def test_an_order_is_first_read_inside_a_check(monkeypatch, capsys):
+    """During `jetcalc verify --seed 0` on the three tiers no FinMod.k is
+    first read outside Suite.check: generating an instance reads no order,
+    so a defect in the loop that reads it ends in a failing record, not in
+    the internal-error status."""
+    inside, k, outside = _inside_check(monkeypatch), FinMod.k.fget, []
+
+    def reading(self):
+        if self._k is None and not inside():
+            outside.append(self)
+        return k(self)
+
+    monkeypatch.setattr(FinMod, "k", property(reading))
+    for flags in ([], *TIERS.values()):
+        assert cli.main(["verify", "--seed", "0", *flags]) == 0
+    capsys.readouterr()
+    assert outside == []
 
 
 def _entries(d):
