@@ -363,7 +363,7 @@ def kernel_alpha_bar(lams, d):
     T = tensor(*map(dual_number_module, lams))
     one, rows_b = T.dim - 1, [{} for _ in range(T.dim)]
     for i, m in enumerate(space.mons):
-        for t, row in enumerate(T.mon_mat(m).rows if sum(m) <= T.k else ()):
+        for t, row in enumerate(T.mon_mat(m).rows):
             if one in row:
                 rows_b[t][i] = row[one]
 

@@ -18,14 +18,15 @@ a Mat equals only a Mat.  A `MatPolyFamily` keeps one Mat per term.
 `square`, `json_load` and `json_field` read JSON matrices, texts and fields,
 and `parse_entries` names the entry that does not parse.
 
-`SpanBasis` is the one elimination: row-at-a-time Gauss-Jordan to the
-reduced row echelon form (RREF), which is unique over exact arithmetic, so
-no pivoting heuristics are needed and every result is canonical.  `solver`,
-`mat_inverse` and `subspace_intersection` each read one SpanBasis.  Beside
-it, `close_span` closes a span under a list of Mats (submodules, tuple
-modules, word algebras, invariance grids, ideal images), mapping each new
-echelon row, which is sparser than the vector inserted (a Meat-Axe spin),
-and `SpanBasis.escape` is the one invariance test.
+`SpanBasis` is the one elimination: Gauss-Jordan to the reduced row echelon
+form (RREF), one row at a time after placing the leading rows that need
+none, and RREF is unique over exact arithmetic, so no pivoting heuristics
+are needed and every result is canonical.  `solver`, `mat_inverse` and
+`subspace_intersection` each read one SpanBasis.  Beside it, `close_span`
+closes a span under a list of Mats (submodules, tuple modules, word
+algebras, invariance grids, ideal images), mapping each new echelon row,
+which is sparser than the vector inserted (a Meat-Axe spin), and
+`SpanBasis.escape` is the one invariance test.
 
 Every update y += c x is one fused `_axpy` on the Scalars' integer parts.
 A unit factor (c or x = +-1) forms no product: a new entry is the other
@@ -346,14 +347,15 @@ def solver(vecs, ncols):
     """Factor the zero-free sparse vectors `vecs` of length ncols once, as
     the RREF of the rows [vecs[t] | e_t], and return (span, solve).  `span`
     is the SpanBasis of the vecs: the left halves of the rows pivoting left
-    of ncols, which are already its RREF rows, inserted last pivot first so
-    that no insert eliminates.  `solve` maps a zero-free sparse vector v to
-    one solution x of sum_t x_t vecs[t] = v, as a zero-free dict {t: x_t},
-    or to None when v lies outside their span.  It is one reduction of
-    [v | 0]: its residue [r | s] has r = v - sum_t y_t vecs[t] for y = -s,
-    since each row is [sum_t c_t vecs[t] | c].  A zero vecs[t] is left out:
-    its row [0 | e_t] would pivot at ncols + t, a column no other row holds,
-    so the rows pivoting left of ncols and every solution stay the same."""
+    of ncols, its RREF rows, which need no elimination; they go in last
+    pivot first, the order the mutation sweeps' pins were measured on.
+    `solve` maps a zero-free sparse vector v to one solution x of
+    sum_t x_t vecs[t] = v, as a zero-free dict {t: x_t}, or to None when v
+    lies outside their span.  It is one reduction of [v | 0]: its residue
+    [r | s] has r = v - sum_t y_t vecs[t] for y = -s, since each row is
+    [sum_t c_t vecs[t] | c].  A zero vecs[t] is left out: its row [0 | e_t]
+    would pivot at ncols + t, a column no other row holds, so the rows
+    pivoting left of ncols and every solution stay the same."""
     red = SpanBasis(ncols + len(vecs),
                     [{**v, ncols + t: ONE} for t, v in enumerate(vecs) if v])
     left = [{j: x for j, x in row.items() if j < ncols}
@@ -385,15 +387,30 @@ class SpanBasis:
     annihilator off them.  In RREF a row is zero at every other pivot, so
     reducing a vector clears each of its pivot entries with that pivot's row
     alone, in any order.  _insert() replaces a row it changes by a new dict,
-    so a row once read is never modified.  The initial rows are read as
-    _reduce reads them."""
+    so a row once read is never modified.  The initial rows go in as
+    _insert() reads them, in order, but their leading rows that need no
+    elimination are placed in one pass, as the copies _insert() keeps:
+    dicts whose pivot entry is 1, with no key at an earlier pivot and a
+    pivot that no earlier row holds (empty dicts are skipped)."""
 
     def __init__(self, ncols, rows=()):
         self.ncols = ncols
-        self.rows = []
-        self.pivots = []
-        self._row = {}  # pivot -> echelon row
+        self._row = placed = {}  # pivot -> echelon row
+        rows, held, n = list(rows), set(), 0  # held: the keys placed
         for r in rows:
+            if not isinstance(r, dict):
+                break
+            if r:
+                p = min(r)
+                if (r[p] is not ONE and r[p] != ONE or p in held
+                        or not placed.keys().isdisjoint(r.keys())):
+                    break
+                placed[p] = dict(r)
+                held.update(r)
+            n += 1
+        self.pivots = sorted(placed)
+        self.rows = [placed[p] for p in self.pivots]
+        for r in rows[n:]:
             self._insert(r)
 
     @property
@@ -507,8 +524,9 @@ def subspace_intersection(rows_a, rows_b, ncols):
     zero-free sparse vectors, by Zassenhaus: reduce the rows (a|a) and
     (b|0).  The combinations with a zero left half are (c|c) - (c|0) = (0|c)
     for c in both spans, so the rows pivoting in the right half are (0|c)
-    for c an echelon basis.  The rows may be sequences or dicts; rows_b are
-    inserted last first, so that RREF rows need no elimination."""
+    for c an echelon basis.  The rows may be sequences or dicts; RREF rows_b
+    need no elimination, and go in last first, as the mutation sweeps' pins
+    were measured."""
     both = SpanBasis(2 * ncols, list(rows_b)[::-1])
     for a in map(sparse, rows_a):
         both._insert({**a, **{j + ncols: x for j, x in a.items()}})
