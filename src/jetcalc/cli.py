@@ -29,7 +29,7 @@ from .approxalg import (double_commutant_check, corner_identity_check,
                         submodule_grid_check, end_sharp_membership, _idem_spans)
 from .family import (PWCandidate, FunctionalData, membership_triple,
                      invariance_check, relation_check, RelationTerm,
-                     functional_to_relation, spanned_algebra)
+                     functional_to_relation, spanned_algebra, _entry_strs)
 from . import gen
 
 
@@ -50,11 +50,10 @@ def _estr(E):
 
 
 class Suite:
-    """Collects per-instance records and per-check tallies."""
+    """Collects per-instance records."""
 
     def __init__(self):
         self.records = []
-        self.tally = {}
 
     def check(self, check_id, statement, instance, fn):
         """Record the verdict of fn(), which returns (ok, witness), and
@@ -77,8 +76,6 @@ class Suite:
         if witness is not None:
             rec["witness"] = witness
         self.records.append(rec)
-        p, t = self.tally.get(check_id, (0, 0))
-        self.tally[check_id] = (p + (1 if ok else 0), t + 1)
         return ok
 
     @property
@@ -123,11 +120,10 @@ def run_jet(cfg, suite):
         nv = rng.randint(1, cfg.nmax)
         F = gen.rand_elementary_family(rng, nv, 2)
         eta = gen.rand_covector(rng, nv)
-        inst = {"i": i, "F": [str(e) for r in F.entries for e in r],
-                "eta": str(eta)}
+        inst = {"i": i, "F": _entry_strs(F), "eta": str(eta)}
         suite.check("jet.kappa", "doubled-space derivative is the dual-number jet",
                     inst, lambda: (block_derivative(F, eta) == jet_family(
-                        F, dual_number_module(Vector(eta.coords))), None))
+                        F, dual_number_module(eta)), None))
 
     for i in range(10):
         nv = rng.randint(1, cfg.nmax)
@@ -250,8 +246,7 @@ def _rand_layout(rng, cfg):
 
 def _inst_layout(reps, pts, E, extra=None):
     inst = {"reps": [{ "label": r.label,
-                       "gens": [[str(e) for row in g.entries for e in row]
-                                for g in r.generators]} for r in reps],
+                       "gens": [_entry_strs(g) for g in r.generators]} for r in reps],
             "pts": [str(p) for p in pts], "E": _estr(E)}
     if extra:
         inst.update(extra)
@@ -460,10 +455,10 @@ def main(argv=None):
         if args.command == "verify":
             print("suite %-6s done in %.2fs" % (name, time.monotonic() - t1))
 
-    for check_id in sorted(suite.tally):
-        p, t = suite.tally[check_id]
-        status = "pass" if p == t else "FAIL"
-        print("[%s] %-20s %d/%d" % (status, check_id, p, t))
+    for check_id in sorted({r["check_id"] for r in suite.records}):
+        statuses = [r["status"] for r in suite.records if r["check_id"] == check_id]
+        p, t = statuses.count("pass"), len(statuses)
+        print("[%s] %-20s %d/%d" % ("pass" if p == t else "FAIL", check_id, p, t))
     print("total %.2fs, seed %d" % (time.monotonic() - t0, args.seed))
 
     if args.json:

@@ -26,7 +26,7 @@ from operator import add, le, sub
 
 from .scalars import Scalar, ZERO, ONE
 from .poly import (Polynomial, ExpPoly, Covector, Vector, DiffOp, monomials_upto,
-                   beta_factorial, zero_exps, _pair, _point_coords)
+                   beta_factorial, zero_exps, diff, _pair, _point_coords)
 from . import linalg
 from .linalg import Mat, SpanBasis, CrossCheckError, mmul, _put, _mul_into, _kron_into
 from .localmod import (PolySpace, cyclic_quotient, dual_number_module,
@@ -157,12 +157,9 @@ class MatPolyFamily:
         return {s: Mat(v, self.cols) for s, v in acc.items() if any(v)}
 
     def evaluate(self, point):
-        """Exact evaluation; each entry is an ExpPoly in no variables, a
-        sum of formal units E[shift]."""
-        groups = self._groups(point)
-        return tuple(tuple(ExpPoly(0, {((), s): Polynomial.const(0, g.rows[r][c])
-                                       for s, g in groups.items() if c in g.rows[r]})
-                           for c in range(self.cols)) for r in range(self.rows))
+        """Exact evaluation, entry by entry: each entry's ExpPoly.evaluate,
+        an ExpPoly in no variables, a sum of formal units E[shift]."""
+        return tuple(tuple(e.evaluate(point) for e in row) for row in self.entries)
 
     def evaluate_scalar(self, point):
         """The value as a Mat, for a family whose value carries no formal
@@ -228,25 +225,16 @@ def jet(f, E):
 
 
 def block_derivative(F, eta):
-    """Doubled-space derivative datum [[F, d_eta F],[0, F]].  d_eta sends
-    the term E[a] e^xi x^e C to eta(xi) times itself plus, for each j,
-    e_j eta_j E[a] e^xi x^(e - 1_j) C."""
+    """Doubled-space derivative datum [[F, d_eta F],[0, F]], entry by entry:
+    d_eta is diff along eta's first-order operator."""
     if F.nvars != eta.nvars:
         raise ValueError("arity mismatch")
-    R, C = F.rows, F.cols
-    acc = {}
-    for (freq, unit, exps), m in F.terms.items():
-        rows = _rows(acc, (freq, unit, exps), 2 * R)
-        _put(rows, m)
-        _put(rows, m, ONE, R, C)
-        slope = _pair(freq, eta.coords)
-        if slope:
-            _put(rows, m, slope, 0, C)
-        for j, (e, h) in enumerate(zip(exps, eta.coords)):
-            if e and h:
-                lower = exps[:j] + (e - 1,) + exps[j + 1:]
-                _put(_rows(acc, (freq, unit, lower), 2 * R), m, h * e, 0, C)
-    return F._new(2 * R, 2 * C, acc)
+    if not F.rows:  # a grid with no rows reads as 0 x 0
+        return MatPolyFamily.zero(F.nvars, 0, 2 * F.cols)
+    d_eta, zero = eta.as_diffop(), (ExpPoly.zero(F.nvars),) * F.cols
+    return MatPolyFamily(F.nvars, [*(row + tuple(diff(d_eta, e) for e in row)
+                                     for row in F.entries),
+                                   *(zero + row for row in F.entries)])
 
 
 def iterated_block_derivative(F, etas):
@@ -358,14 +346,9 @@ def kernel_alpha_bar(lams, d):
                 u = u * lams[j].as_diffop()
             rows_a.append({at[m]: c * beta_factorial(m) for m, c in u.terms.items() if m in at})
 
-    # route two: the column of the class of 1 in each monomial's action on
-    # the tensor of dual-number modules, as alpha_bar_image reads it, 0 past T.k
-    T = tensor(*map(dual_number_module, lams))
-    one, rows_b = T.dim - 1, [{} for _ in range(T.dim)]
-    for i, m in enumerate(space.mons):
-        for t, row in enumerate(T.mon_mat(m).rows):
-            if one in row:
-                rows_b[t][i] = row[one]
+    # route two: alpha_bar_image of each monomial, one column per monomial
+    images = alpha_bar_image([Polynomial.monomial(N, m) for m in space.mons], lams)
+    rows_b = [{i: x for i, x in enumerate(row) if x} for row in zip(*images)]
 
     # each kernel is canonical: reduced rows in descending-grlex coordinates
     kernel_a, kernel_b = (SpanBasis(space.dim, SpanBasis(space.dim, rows).nullspace())

@@ -307,6 +307,43 @@ def test_block_derivative_of_constants_has_zero_offdiagonal():
     assert [row[:2] for row in DC[:2]] == list(C.entries)
 
 
+def test_block_derivative_along_the_zero_direction_repeats_the_family():
+    """[[F, 0], [0, F]]: the dual-number module refuses a zero direction,
+    so this case is checked against the blocks themselves."""
+    rng = random.Random(15)
+    F = jf.MatPolyFamily(2, [[rand_exp_poly(rng, 2, 2) for _ in range(3)] for _ in range(2)])
+    zero = (ExpPoly.zero(2),) * 3
+    assert jf.block_derivative(F, Vector.zero(2)) == jf.MatPolyFamily(
+        2, [row + zero for row in F.entries] + [zero + row for row in F.entries])
+    with pytest.raises(ValueError):
+        lm.dual_number_module(Vector.zero(2))
+
+
+def test_block_derivative_of_exponential_entries_with_units():
+    """d_eta(E[a] e^xi p) = E[a] e^xi (eta(xi) p + d_eta p), written out by
+    hand for eta = (2, -1): eta(1, -2) = 4 and eta(0, 2) = -2."""
+    u, v = sc(3), sc(0, 1)
+    F = jf.MatPolyFamily(2, [[ExpPoly.exp((1, -2), parse_poly("x1^2*x2", 2), unit=u),
+                              ExpPoly.exp((0, 2), unit=v)]])
+    dF = ExpPoly.exp((1, -2), parse_poly("4*x1^2*x2 + 4*x1*x2 - x1^2", 2), unit=u)
+    dG = ExpPoly.exp((0, 2), unit=v) * -2
+    D = jf.block_derivative(F, Vector((2, -1)))
+    (f, g), zero = F.entries[0], ExpPoly.zero(2)
+    assert D.entries == ((f, g, dF, dG), (zero, zero, f, g))
+    assert D == jf.jet_family(F, lm.dual_number_module(Vector((2, -1))))
+
+
+def test_block_derivative_refuses_an_arity_mismatch():
+    F = family(2, [[sc(1)]])
+    with pytest.raises(ValueError, match="arity mismatch"):
+        jf.block_derivative(F, Vector((1,)))
+
+
+def test_block_derivative_of_a_family_with_no_rows_doubles_its_columns():
+    D = jf.block_derivative(jf.MatPolyFamily.zero(1, 0, 3), Vector((1,)))
+    assert (D.rows, D.cols) == (0, 6)
+
+
 def test_iterated_block_derivative_is_the_tensor_module_jet():
     rng = random.Random(13)
     F = family(2, [[rand_poly(rng, 2, 2), rand_poly(rng, 2, 1)],
@@ -441,17 +478,21 @@ def test_alpha_bar_image_refuses_an_arity_mismatch(nvars, lams, message):
 
 def test_route_two_forms_no_monomial_product_above_the_tensor_order(monkeypatch):
     """Over `jetcalc kernel` at seeds 0-4, kernel_alpha_bar asks the tensor
-    of dual-number modules for 139 monomials above its order T.k, which act
-    by zero, and forms no product for them: its 531 products, as many as
-    when route two skipped those monomials itself, are 391 of the order
-    loop and 140 of mon_mat at degrees up to T.k."""
+    of dual-number modules, through alpha_bar_image, for 139 monomials
+    above its order T.k, which act by zero, and forms no product for them:
+    its 531 products, as many as when route two skipped those monomials
+    itself, are 391 of the order loop and 140 of mon_mat at degrees up to
+    T.k.  Route two is found by walking the stack to kernel_alpha_bar."""
     mmul, mon_mat, made, above = lm.mmul, lm.FinMod.mon_mat, [], []
 
+    def in_route_two(frame):
+        while frame and frame.f_code is not jf.kernel_alpha_bar.__code__:
+            frame = frame.f_back
+        return frame is not None
+
     def counted(a, b):
-        frame = route_two = sys._getframe(1)
-        while route_two and route_two.f_code is not jf.kernel_alpha_bar.__code__:
-            route_two = route_two.f_back
-        if route_two:
+        frame = sys._getframe(1)
+        if in_route_two(frame):
             if frame.f_code is mon_mat.__code__:
                 made.append(sum(frame.f_locals["beta"]) - frame.f_locals["self"].k)
             else:
@@ -459,7 +500,7 @@ def test_route_two_forms_no_monomial_product_above_the_tensor_order(monkeypatch)
         return mmul(a, b)
 
     def noting(self, beta):
-        if sys._getframe(1).f_code is jf.kernel_alpha_bar.__code__ and sum(beta) > self.k:
+        if in_route_two(sys._getframe(1)) and sum(beta) > self.k:
             above.append(beta)
         return mon_mat(self, beta)
 

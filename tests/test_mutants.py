@@ -95,16 +95,16 @@ MUTANTS = {"R": skip_the_last_pivot_row, "A": drop_a_last_entry,
 # records, 3 for a defect met while generating instances, 0 for a run that
 # passes.  A route fault reads 0 on the suites that never take its route.
 # The zeros of A and T hide no wrong verdict, counted at seed 0.  kernel
-# makes 1,007 _axpy calls that can change their output, so A corrupts one,
-# the 997th.  It falls in the Leibniz sum by which `tensor` builds route
-# two's module in subquotient_certified for instance 8, the ideal
-# (x2 - 4 x1, x1^2, x1 x2, x2^2) of order 1 (directions e1, e2), and drops
-# entry (1, 3) of x1's matrix, which takes the class of 1 to the class of X
-# in the first factor.  Route two then reads x1's image as zero, the two
-# kernel routes disagree, and the run exits 1 on that record's cross-check
-# failure; its pinned 0 stays, which FLOOR reads as any status.  kernel's
-# 151 square applies all come from CofiniteIdeal closures; kernel_alpha_bar
-# calls no apply.
+# makes 1,305 _axpy calls that can change their output (jet 15,299), so A
+# corrupts one, the 997th.  It falls in the copy of the identity that
+# act_poly makes for the monomial 1, when alpha_bar_image reads route two
+# of kernel_alpha_bar in subquotient_certified for instance 3, the ideal
+# (3/2 x2 - 3 x1, x1^2, x1 x2, x2^2) of order 1 (directions e1, e2), and it
+# drops the identity's entry (0, 0).  Route two reads only the last column,
+# the class of 1, so its rows, the kernel and every verdict are the clean
+# run's, and the run exits 0.  kernel's 151 square applies all come from
+# CofiniteIdeal closures; kernel_alpha_bar calls no apply.  The main block
+# below prints these whole-run counts.
 # T's one transpose that changes a result, in jet and in kernel alike, falls
 # in the closure of a CofiniteIdeal that gen draws (the dual-number ideal
 # (x1^2) in jet, power_ideal(2, 2) in kernel).  That ideal comes out larger
@@ -219,10 +219,12 @@ def _entries(d):
     return [(j, x.a, x.b, x.den) for j, x in d.items()]
 
 
-def _schedule(suite):
+def _schedule(suite, counted=None):
     """(output-changing _axpy calls, square applies, sha256 of their kinds
-    and arguments in order) made inside Suite.check by `jetcalc <suite>
-    --seed 0`: the calls that A and T count in a sweep."""
+    and arguments in order) made by `jetcalc <suite> --seed 0` while
+    counted() holds, by default inside Suite.check: the calls that A and T
+    count in a sweep.  With _always they are the whole run's, which A and T
+    count at their phase 0 in CATCH_TABLE."""
     counts, digest = {"axpy": 0, "apply": 0}, hashlib.sha256()
     axpy, apply = linalg._axpy, linalg.apply
 
@@ -231,17 +233,17 @@ def _schedule(suite):
         digest.update(repr((kind,) + args).encode())
 
     def noting_axpy(out, c, row, off=0, skip=None):
-        if inside() and any(j != skip for j in row):
+        if counted() and any(j != skip for j in row):
             note("axpy", (c.a, c.b, c.den), _entries(row), off, skip)
         return axpy(out, c, row, off, skip)
 
     def noting_apply(m, v):
-        if m.nrows == m.ncols and inside():
+        if m.nrows == m.ncols and counted():
             note("apply", [_entries(row) for row in m.rows], _entries(v))
         return apply(m, v)
 
     with pytest.MonkeyPatch.context() as mp:
-        inside = _inside_check(mp)
+        counted = counted or _inside_check(mp)
         _everywhere(mp, "_axpy", noting_axpy)
         _everywhere(mp, "apply", noting_apply)
         assert cli.main([suite, "--seed", "0"]) == 0
@@ -335,9 +337,11 @@ def test_every_phase_of_the_dcomm_sweep_makes_no_silent_change(mutant):
 
 if __name__ == "__main__":
     # PYTHONPATH=src python tests/test_mutants.py: re-measure after a change
-    # that moves a schedule, printing the SCHEDULES tuples, then per suite
-    # and mutant the phases caught and the silent phases of the stride and
-    # of the every-phase sweep.  The CLI's own output is discarded.
+    # that moves a schedule, printing the SCHEDULES tuples, the whole-run
+    # counts of output-changing _axpy calls and square applies on jet and
+    # kernel that the CATCH_TABLE comment cites, then per suite and mutant
+    # the phases caught and the silent phases of the stride and of the
+    # every-phase sweep.  The CLI's own output is discarded.
     import contextlib
     import io
 
@@ -347,6 +351,9 @@ if __name__ == "__main__":
 
     for suite in sorted(SCHEDULES):
         print("SCHEDULES[%r] = %r" % (suite, quiet(_schedule, suite)), flush=True)
+    for suite in ("jet", "kernel"):
+        print("%s, whole run: %d _axpy, %d square applies"
+              % ((suite,) + quiet(_schedule, suite, _always)[:2]), flush=True)
     for suite in ("pw", "dcomm"):
         for mutant in sorted(SWEEP_PHASES):
             for sweep, phases in (("stride", SWEEP_PHASES[mutant][::STRIDE]),

@@ -694,6 +694,21 @@ def test_only_the_builder_spans_an_idempotent():
     assert found == {("approxalg", "_idem_spans")}
 
 
+def test_jetfun_reuses_diff_evaluate_and_alpha_bar_image():
+    """Three ideas of jetfun have one routine each: block_derivative reads
+    diff and calls no _put, MatPolyFamily.evaluate reads each entry's
+    evaluate and no term dict, and kernel_alpha_bar reads alpha_bar_image
+    and no mon_mat."""
+    reads = {fn.name: {name for name, _ in names_read(fn)}
+             for fn in ast.walk(ast.parse(Path(jetfun.__file__).read_text()))
+             if isinstance(fn, ast.FunctionDef)}
+    assert "diff" in reads["block_derivative"]
+    assert not {"_put", "terms"} & reads["block_derivative"]
+    assert "entries" in reads["evaluate"] and not {"terms", "_groups"} & reads["evaluate"]
+    assert "alpha_bar_image" in reads["kernel_alpha_bar"]
+    assert "mon_mat" not in reads["kernel_alpha_bar"]
+
+
 def attributes(cls):
     """The attribute names a ClassDef lists in __slots__ or assigns on
     self, in any of its methods."""
