@@ -5,8 +5,8 @@ Every subcommand draws its instances from the --seed (or the JETCALC_SEED
 environment variable), so two runs with the same seed test the same
 instances and, with --json, write byte-identical report files.  Timing is
 printed to the console only.  Exit status: 0 when every check passed, 1 when
-any failed, 2 for usage errors, 3 when generating or shaping an instance
-failed outside any check.
+any failed, 2 for usage errors and a --json path that cannot be written, 3
+when generating or shaping an instance failed outside any check.
 """
 
 import argparse
@@ -27,7 +27,7 @@ from .jetfun import (jet, jet_family, block_derivative,
                      subquotient_certified, alpha_bar_image)
 from .approxalg import (double_commutant_check, corner_identity_check,
                         submodule_grid_check, end_sharp_membership, _idem_spans)
-from .family import (PWCandidate, FunctionalData, membership_triple,
+from .family import (PWCandidate, membership_triple,
                      invariance_check, relation_check, RelationTerm,
                      functional_to_relation, spanned_algebra, _entry_strs)
 from . import gen
@@ -145,24 +145,21 @@ def run_kernel(cfg, suite):
     rng = _rng(cfg, "kernel")
     for i in range(12):
         nv = rng.randint(1, min(2, cfg.nmax))
-        n = rng.randint(1, 3)
-        lams = [gen.rand_point(rng, nv, zero_ok=False) for _ in range(n)]
+        lams = [gen.rand_point(rng, nv, zero_ok=False) for _ in range(rng.randint(1, 3))]
         d = rng.randint(0, 4)
         inst = {"i": i, "lams": [str(l) for l in lams], "d": d}
-        res = None
+        basis = None
 
         def routes():
-            nonlocal res
-            res = kernel_alpha_bar(lams, d)
+            nonlocal basis
+            basis = kernel_alpha_bar(lams, d)
             return True, None
 
         if not suite.check("kernel.routes", "both kernel computations agree",
                            inst, routes):
             continue
-        suite.check("kernel.flag", "partial flag set exactly when d < n+1",
-                    inst, lambda: (res.partial == (d < n + 1), None))
         suite.check("kernel.member", "kernel basis maps to zero", inst,
-                    lambda: (not any(map(any, alpha_bar_image(res.basis, lams))),
+                    lambda: (not any(map(any, alpha_bar_image(basis, lams))),
                              None))
 
     for i in range(10):
@@ -317,7 +314,7 @@ def run_pw(cfg, suite):
             if not null:
                 return True, None
             psi = {flat[k]: x for k, x in null[0].items()}
-            terms = functional_to_relation(FunctionalData(Mat.from_flat(psi, n, n), layout))
+            terms = functional_to_relation(Mat.from_flat(psi, n, n), layout)
             if not terms:
                 return True, None
             word_cand = PWCandidate.from_word(
@@ -377,7 +374,7 @@ def run_demo(cfg, suite):
     lams = [Vector([ONE]), Vector([Scalar(2)])]
 
     def kernel():
-        basis = kernel_alpha_bar(lams, 3).basis
+        basis = kernel_alpha_bar(lams, 3)
         print("kernel for two directions through degree 3: "
               + "; ".join(str(b) for b in basis))
         return len(basis) == 1, None
@@ -462,9 +459,12 @@ def main(argv=None):
     print("total %.2fs, seed %d" % (time.monotonic() - t0, args.seed))
 
     if args.json:
-        with open(args.json, "w") as fh:
-            for rec in suite.sorted_records():
-                fh.write(_canon(rec) + "\n")
+        try:
+            with open(args.json, "w") as fh:
+                for rec in suite.sorted_records():
+                    fh.write(_canon(rec) + "\n")
+        except OSError as exc:
+            ap.exit(2, "jetcalc: cannot write --json %s: %s\n" % (args.json, exc.strerror or exc))
 
     return 1 if suite.failed else 0
 

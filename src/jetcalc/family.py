@@ -286,22 +286,11 @@ def term_value(term, fam):
                ExpPoly.zero(0)).scalar()
 
 
-class FunctionalData:
-    """A functional on the block-diagonal endomorphism space of a layout,
-    which records the module, reps and points it lives over."""
-
-    __slots__ = ("psi", "layout")
-
-    def __init__(self, psi, layout):
-        self.psi = Mat.of(psi)
-        self.layout = layout
-
-
 def relation_to_functional(terms, reps):
-    """Package relation terms as one functional: the module collects one
-    power-quotient block per operator, and each term contributes the tensor
-    of its module functional with its dual matrix, embedded in the diagonal
-    block belonging to the term's (rep, point)."""
+    """Package relation terms as one functional (psi, layout), psi a Mat:
+    the module collects one power-quotient block per operator, and each
+    term contributes the tensor of its module functional with its dual
+    matrix, in the diagonal block of the term's (rep, point)."""
     terms = list(terms)
     if not terms:
         raise ValueError("need at least one term")
@@ -319,17 +308,15 @@ def relation_to_functional(terms, reps):
         off = next(off for rep, p, off, _ in layout.blocks
                    if rep.label == t.label and p.coords == t.point.coords)
         _kron_into(psi, eta, t.psi, 1, off, off)
-    return FunctionalData(Mat(psi, layout.total), layout)
+    return Mat(psi, layout.total), layout
 
 
-def functional_to_relation(data):
-    """Back-translation to a list of relation terms: split the functional
-    along diagonal blocks, discard cross components (they annihilate every
-    block-diagonal assembly), and decompose each diagonal block into
-    rank-one tensors, converting the module side into an operator."""
-    layout = data.layout
+def functional_to_relation(psi, layout):
+    """Back-translation of a functional (psi, layout) to a list of relation
+    terms: split psi along diagonal blocks, discard cross components (they
+    annihilate every block-diagonal assembly), and decompose each diagonal
+    block into rank-one tensors, converting the module side into an operator."""
     E = layout.E
-    psi = data.psi.rows
     terms = []
     for rep, p, off, size in layout.blocks:
         d = rep.dim
@@ -337,7 +324,7 @@ def functional_to_relation(data):
         # (off + rE d + rV, off + cE d + cV) is G[rE E.dim + cE][rV d + cV]
         G = [{} for _ in range(E.dim * E.dim)]
         for r in range(size):
-            for col, x in psi[off + r].items():
+            for col, x in psi.rows[off + r].items():
                 if off <= col < off + size:
                     (rE, rV), (cE, cV) = divmod(r, d), divmod(col - off, d)
                     G[rE * E.dim + cE][rV * d + cV] = x
@@ -364,11 +351,11 @@ class RelationVerdict:
         self.witness = witness
 
 
-def relation_certify(data, span):
-    """A functional is an annihilating relation iff it kills the span of
-    all word images; the first span row it pairs with, as a Mat, or None."""
-    psi, total = data.psi.flat(), data.layout.total
-    bad = next((row for row in span.rows if dot(psi, row)), None)
+def relation_certify(psi, span):
+    """A functional psi (a Mat) is an annihilating relation iff it kills the
+    span of all word images; the first span row it pairs with, as a Mat, or None."""
+    flat, total = psi.flat(), psi.nrows
+    bad = next((row for row in span.rows if dot(flat, row)), None)
     return None if bad is None else Mat.from_flat(bad, total, total)
 
 
@@ -376,17 +363,16 @@ def relation_check(cand, terms, reps):
     """Certify the terms as an annihilating relation, then evaluate the
     candidate against them, both directly (term by term) and through the
     packaged functional; the two routes must agree."""
-    data = relation_to_functional(terms, reps)
-    layout = data.layout
+    psi, layout = relation_to_functional(terms, reps)
     span, _ = spanned_algebra(layout.reps, layout.points, layout.E)
-    bad = relation_certify(data, span)
+    bad = relation_certify(psi, span)
     if bad is not None:
         return RelationVerdict(witness=bad)
     direct = ZERO
     by_label = {rep.label: rep for rep in reps}
     for t in terms:
         direct = direct + term_value(t, cand.component(by_label[t.label]))
-    packaged = frobenius(data.psi, layout.assemble(cand.component))
+    packaged = frobenius(psi, layout.assemble(cand.component))
     if direct != packaged:
         raise CrossCheckError("relation evaluation routes disagree")
     return RelationVerdict(holds=not direct)

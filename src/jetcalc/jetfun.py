@@ -303,28 +303,17 @@ def alpha_bar_image(ps, lams):
     return [tuple(row.get(T.dim - 1, ZERO) for row in T.act_poly(p).rows) for p in ps]
 
 
-class KernelResult:
-    """Canonical basis of the kernel through the degree bound, with a flag
-    for bounds too small to capture the generating degree."""
-
-    __slots__ = ("basis", "partial")
-
-    def __init__(self, basis, partial):
-        self.basis = basis
-        self.partial = partial
-
-    def __repr__(self):
-        return "KernelResult(dim=%d%s)" % (len(self.basis), ", partial" if self.partial else "")
-
-
 def kernel_alpha_bar(lams, d):
-    """Kernel of the evaluation-and-derivative map inside degrees <= d,
-    computed two independent ways which must agree: vanishing conditions
-    over index subsets, and the action of each monomial on the class of 1
-    in the tensor product of the dual-number modules (alpha_bar_image)."""
+    """The canonical basis (a list of polynomials) of the kernel of the
+    evaluation-and-derivative map in degrees <= d, computed two independent
+    ways which must agree: vanishing conditions over index subsets, and
+    alpha_bar_image of each monomial.  The kernel of n directions is
+    generated in degree n + 1, so a bound d <= n gives only its low part."""
     lams = [lam if isinstance(lam, Vector) else Vector(lam) for lam in lams]
     if not lams:
         raise ValueError("need at least one direction")
+    if d < 0:
+        raise ValueError("the degree bound d must be nonnegative, got %d" % d)
     N = lams[0].nvars
     n = len(lams)
     for lam in lams:
@@ -355,8 +344,7 @@ def kernel_alpha_bar(lams, d):
                           for rows in (rows_a, rows_b))
     if not kernel_a.same_span(kernel_b):
         raise CrossCheckError("kernel computations disagree")
-    basis = [space.from_vec(r) for r in kernel_a.rows]
-    return KernelResult(basis, d < n + 1)
+    return [space.from_vec(r) for r in kernel_a.rows]
 
 
 def subquotient_certified(ideal):
@@ -370,4 +358,4 @@ def subquotient_certified(ideal):
     n = len(lams)
     space = PolySpace(N, n)
     ideal_span = ideal.image_span(n)
-    return all(ideal_span.contains(space.to_vec(p)) for p in kernel_alpha_bar(lams, n).basis)
+    return all(ideal_span.contains(space.to_vec(p)) for p in kernel_alpha_bar(lams, n))

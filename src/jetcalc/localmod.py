@@ -236,7 +236,7 @@ class FinMod:
         return hash(self.mats)
 
     def __repr__(self):
-        return "FinMod(nvars=%d, k=%d, dim=%d)" % (self.nvars, self.k, self.dim)
+        return "FinMod(nvars=%d, dim=%d)" % (self.nvars, self.dim)
 
     def to_json(self):
         return json.dumps({

@@ -35,11 +35,11 @@ def test_verify_is_byte_identical_for_a_fixed_seed(tmp_path, capsys):
 # check's inputs (a module by its matrices, an ideal by its generators), not
 # the orders derived from them, which are first read inside the check.
 VERIFY_DIGESTS = {
-    0: "77be864ee3ad83a48a30b41f457bdd832e62503e070bcd38bf559bc376aeaea3",
-    1: "8a52e2055687c5fc9c84e0698964ae2efa79b64a9955a654bb742b8e74b24867",
-    2: "1da8848b2dc29fd2cafa85e1cf584fb0de0ee3c3160be4947a61e17541b2c5d1",
-    3: "29c863ab66f429a64a9ddc1c0a6c2dc4eccffe6757982b29a8c3d6531eabdbde",
-    4: "9cad276928d159d1d159d3f9a0bad1a96863d191a4689d7a0e19180a9f6a8ecc",
+    0: "f2bb5dfb31d93aff09f37c27d745e7124d785815e992fa1487cd4064ce1ca300",
+    1: "cb550201e2972828793d4c85d33907eb4caa525cff77f77483f93c943860adb3",
+    2: "346cfe451e7290a2dd25a33709956cc902c8c6e1e129bfac5ec6579600d46960",
+    3: "6990e925e45b827bb8840e8fbdd0ce2077543becaf330af952fffefcd14bfb8e",
+    4: "cc5c4a73c654501a61297e1e89e923dd9b5b8e846affe56afa05a19f09bc373e",
 }
 
 
@@ -57,16 +57,16 @@ def test_verify_report_matches_its_pinned_digest(tmp_path, capsys, seed):
 TIERS = {"second": ["--kmax", "3", "--dimmax", "8"],
          "third": ["--kmax", "4", "--nmax", "3", "--dimmax", "12", "--words", "8"]}
 TIER_DIGESTS = {
-    ("second", 0): "3a182f02ec510001ea27bfaef36fb013d336a940fa563fd566d78aa0cd92a814",
-    ("second", 1): "6eb05f75f4d9156a0abed9014dc078d46bfae1bfe6c6fffdf035326e38cd2383",
-    ("second", 2): "9ac103039188b9dc8781d3cfd75d52171c8e3d9a214aebbd032a5720b84df324",
-    ("second", 3): "805159c6307ce840ff8d336738fd23e9e8ca20542a4f16acdebf1a636921b87b",
-    ("second", 4): "67de99c4c866d9fd4400387641aaece85fe481391e75ad072aef3000e2985278",
-    ("third", 0): "7ac82f76766c71921dba1bea7e1e48a369147c188ef19354a765dc53534262c0",
-    ("third", 1): "210d8b89e5e10cf7d2a92ce898c0be9b0916224e1a2de5f0a72f0cfa438da962",
-    ("third", 2): "23b2dcb932d359b8a5d2bc862f4196eaaabc692758b893a44b14a9aa151a97eb",
-    ("third", 3): "d9735ccd66df0b0a473229cb6c5962a67ea682ea3d85bf4a5ac052af1904b0a9",
-    ("third", 4): "439049d7b7425b03551d94f25ab863d64dae517851e612871ae5d9eadb182ea4",
+    ("second", 0): "465aadfff00de0e8ea636bc92c19386730a7b98f20200c8b6c0259138d3aefc8",
+    ("second", 1): "6499263bef7d7b8e0c4211dc9ae824263426a949a4e665c5d45ee7e16fd298cd",
+    ("second", 2): "b3d34ff9db56ae9222be7bd185a96da252a2d182ed84f9b70f17e8812ef46033",
+    ("second", 3): "f1a4beba51700c23f401131cf10e262af37ef1b1d6ca105eac8fa8ef6d58d354",
+    ("second", 4): "cacd2ea90ecdc67d27dfe3e928815b57fcf8de9a70fce7aa227d4a17cd92fc6f",
+    ("third", 0): "bfc6ff72404c3e06b5571e6c73bbd00714e79b7bfb7a55d88c28269bec3d6873",
+    ("third", 1): "10bd927fa54e0839ee9e550ae026e97a7e84f9f5dae54aa81ca809cf19a5c795",
+    ("third", 2): "b9c5e41e7db49d60094765312f7fa0a2cdf758f15e14ba3413a740ddcac316a7",
+    ("third", 3): "ccca685c6be2385089eed3fa4fc3d839ac8f0ae714a033be30113d562ae2bb52",
+    ("third", 4): "c19f82dea3f4958d98c820e022ddb930c50e08ee8c36ced39e80ae9e17256603",
 }
 
 
@@ -289,6 +289,33 @@ def test_a_failure_while_generating_instances_exits_with_status_three(
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
     assert "suite dcomm at seed 2" in proc.stderr
     assert not out.exists()
+
+
+def test_an_unwritable_json_path_is_a_usage_error(tmp_path):
+    out = tmp_path / "missing" / "v.jsonl"
+    proc = subprocess.run([sys.executable, "-m", "jetcalc.cli", "kernel", "--seed", "0",
+                           "--json", str(out)], capture_output=True, text=True,
+                          env=_child_env())
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("jetcalc: cannot write --json %s: " % out)
+    assert not out.exists()
+
+
+def _readme_check_ids():
+    """The check ids that README's "Check ids" list names, one per line."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = text.split("### Check ids\n", 1)[1].split("\n#", 1)[0]
+    return [line.split("`")[1] for line in section.splitlines() if line.startswith("- `")]
+
+
+def test_the_readme_lists_every_check_id_that_verify_records(tmp_path, capsys):
+    rc, blob = run_verify(tmp_path, "v.jsonl", ["verify", "--seed", "0"])
+    capsys.readouterr()
+    assert rc == 0
+    listed = _readme_check_ids()
+    assert len(listed) == len(set(listed))
+    assert set(listed) == {json.loads(l)["check_id"] for l in blob.splitlines()}
 
 
 def test_console_script_matches_in_process_output(tmp_path):

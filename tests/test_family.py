@@ -22,8 +22,7 @@ from jetcalc.family import (RepFamily, PWCandidate, family_det_adj,
                             BlockLayout, spanned_algebra,
                             RelationTerm, term_value, relation_to_functional,
                             functional_to_relation, relation_check,
-                            membership_triple, invariance_check, FunctionalData,
-                            delta_block)
+                            membership_triple, invariance_check, delta_block)
 from oracles import algebra_from_matrix_basis
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -543,12 +542,13 @@ def test_relation_data_packages_into_one_functional():
     psi10 = [[ZERO, ZERO], [ONE, ZERO]]
     t_a = RelationTerm("u", psi10, Vector([sc(0)]), DiffOp.one(1))
     t_b = RelationTerm("u", psi10, Vector([sc(3)]), DiffOp(1, {(1,): ONE}))
-    data = relation_to_functional([t_a, t_b], [upo])
+    psi, layout = relation_to_functional([t_a, t_b], [upo])
+    assert isinstance(psi, Mat) and psi.nrows == psi.ncols == layout.total
     for w in ([], [1], [1, 1], [-1], [1, -1, 1, 1]):
-        phi = data.layout.assemble(PWCandidate.from_word([upo], w).component)
+        phi = layout.assemble(PWCandidate.from_word([upo], w).component)
         direct = (term_value(t_a, upo.word_family(w))
                   + term_value(t_b, upo.word_family(w)))
-        assert frobenius(data.psi, phi) == direct
+        assert frobenius(psi, phi) == direct
 
 
 def test_functionals_translate_back_to_relation_data():
@@ -556,11 +556,11 @@ def test_functionals_translate_back_to_relation_data():
     psi10 = [[ZERO, ZERO], [ONE, ZERO]]
     t_a = RelationTerm("u", psi10, Vector([sc(0)]), DiffOp.one(1))
     t_b = RelationTerm("u", psi10, Vector([sc(3)]), DiffOp(1, {(1,): ONE}))
-    data = relation_to_functional([t_a, t_b], [upo])
+    psi, layout = relation_to_functional([t_a, t_b], [upo])
     # every entry of the packaged functional lies in a diagonal block
-    block = [off for _, _, off, size in data.layout.blocks for _ in range(size)]
-    assert all(block[r] == block[c] for r, row in enumerate(data.psi.rows) for c in row)
-    terms = functional_to_relation(data)
+    block = [off for _, _, off, size in layout.blocks for _ in range(size)]
+    assert all(block[r] == block[c] for r, row in enumerate(psi.rows) for c in row)
+    terms = functional_to_relation(psi, layout)
     for w in ([], [1, 1], [-1, 1, 1]):
         famw = upo.word_family(w)
         lhs = sum((term_value(t, famw) for t in terms), ZERO)
@@ -575,12 +575,13 @@ def test_cross_block_entries_are_reported_as_discarded():
     psi10 = [[ZERO, ZERO], [ONE, ZERO]]
     t_a = RelationTerm("u", psi10, Vector([sc(0)]), DiffOp.one(1))
     t_b = RelationTerm("u", psi10, Vector([sc(3)]), DiffOp(1, {(1,): ONE}))
-    data = relation_to_functional([t_a, t_b], [upo])
-    psi_cross = [list(linalg.dense(r, data.psi.ncols)) for r in data.psi.rows]
-    psi_cross[0][data.layout.blocks[1][2]] = ONE
-    data_cross = FunctionalData(Mat.of(psi_cross), data.layout)
-    assert data_cross.psi != data.psi
-    terms, cross_terms = functional_to_relation(data), functional_to_relation(data_cross)
+    psi, layout = relation_to_functional([t_a, t_b], [upo])
+    psi_cross = [list(linalg.dense(r, psi.ncols)) for r in psi.rows]
+    psi_cross[0][layout.blocks[1][2]] = ONE
+    psi_cross = Mat.of(psi_cross)
+    assert psi_cross != psi
+    terms = functional_to_relation(psi, layout)
+    cross_terms = functional_to_relation(psi_cross, layout)
     assert len(terms) == len(cross_terms) > 0
     for w in ([], [1], [1, 1], [-1, 1, 1]):
         famw = upo.word_family(w)

@@ -133,6 +133,14 @@ def test_validation_rejects_noncommuting_or_unbounded_actions():
     assert FinMod([a]).k == 1
 
 
+def test_a_module_repr_reads_no_order():
+    """repr prints the shape only, so it neither forms the order loop's
+    products nor raises on a module whose action is not nilpotent."""
+    E = FinMod([((ZERO, ONE), (ONE, ZERO))], check=False)
+    assert repr(E) == "FinMod(nvars=1, dim=2)"
+    assert E._k is None
+
+
 def test_exp_action_is_truncated_exponential():
     E = dual_number_module(Vector((1, 2)))
     xi = Covector((sc(3), sc(1)))

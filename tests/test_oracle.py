@@ -382,7 +382,7 @@ def kernel_oracle(lams, d):
 
 def test_kernel_alpha_bar_matches_the_sympy_kernel():
     """On 20 seeded instances (N <= 2 variables, n <= 3 Gaussian rational
-    directions, degree bound d <= 4) the KernelResult basis is linearly
+    directions, degree bound d <= 4) the kernel basis is linearly
     independent, killed by the oracle's map and as large as its
     nullspace, so it spans the oracle's kernel."""
     rng = random.Random(23)
@@ -391,7 +391,7 @@ def test_kernel_alpha_bar_matches_the_sympy_kernel():
         N, n, d = rng.randint(1, 2), rng.randint(1, 3), rng.randint(0, 4)
         lams = [rand_direction(rng, N) for _ in range(n)]
         mons, A = kernel_oracle(lams, d)
-        basis = kernel_alpha_bar(lams, d).basis
+        basis = kernel_alpha_bar(lams, d)
         assert len(basis) == len(mons) - A.rank()
         if basis:
             B = to_sympy([[p.terms.get(m, ZERO) for m in mons] for p in basis], len(mons))
