@@ -321,12 +321,12 @@ def run_pw(cfg, suite):
                 reps, gen.rand_word(rng, len(reps[0].generators), cfg.words))
             ident_term = RelationTerm(reps[0].label, mid(reps[0].dim), pts[0],
                                       gen.rand_diffop(rng, 1, 0))
-            verdict = relation_check(word_cand, terms, reps)
-            return verdict.holds is True, None
+            holds, _ = relation_check(word_cand, terms, reps)
+            return holds is True, None
 
         def nonrelation():
-            bad = relation_check(word_cand, [ident_term], reps)
-            return bad.witness is not None, None
+            _, witness = relation_check(word_cand, [ident_term], reps)
+            return witness is not None, None
 
         suite.check("pw.relation",
                     "relations certify and annihilate word candidates",

@@ -338,36 +338,19 @@ def functional_to_relation(psi, layout):
     return terms
 
 
-class RelationVerdict:
-    """Outcome of a relation check: `holds` says whether the candidate
-    passes, for terms that annihilate every word image.  A non-relation
-    gets a witness word (a span row the terms do not kill) instead, and
-    `holds` None; the terms are certified iff `witness` is None."""
-
-    __slots__ = ("holds", "witness")
-
-    def __init__(self, holds=None, witness=None):
-        self.holds = holds
-        self.witness = witness
-
-
-def relation_certify(psi, span):
-    """A functional psi (a Mat) is an annihilating relation iff it kills the
-    span of all word images; the first span row it pairs with, as a Mat, or None."""
-    flat, total = psi.flat(), psi.nrows
-    bad = next((row for row in span.rows if dot(flat, row)), None)
-    return None if bad is None else Mat.from_flat(bad, total, total)
-
-
 def relation_check(cand, terms, reps):
     """Certify the terms as an annihilating relation, then evaluate the
     candidate against them, both directly (term by term) and through the
-    packaged functional; the two routes must agree."""
+    packaged functional psi; the two routes must agree.  The pair (holds,
+    witness): for terms that annihilate every word image, (whether the
+    candidate passes, None); otherwise (None, the first word-span row that
+    psi pairs with nonzero, as a Mat)."""
     psi, layout = relation_to_functional(terms, reps)
     span, _ = spanned_algebra(layout.reps, layout.points, layout.E)
-    bad = relation_certify(psi, span)
+    flat = psi.flat()
+    bad = next((row for row in span.rows if dot(flat, row)), None)
     if bad is not None:
-        return RelationVerdict(witness=bad)
+        return None, Mat.from_flat(bad, psi.nrows, psi.nrows)
     direct = ZERO
     by_label = {rep.label: rep for rep in reps}
     for t in terms:
@@ -375,7 +358,7 @@ def relation_check(cand, terms, reps):
     packaged = frobenius(psi, layout.assemble(cand.component))
     if direct != packaged:
         raise CrossCheckError("relation evaluation routes disagree")
-    return RelationVerdict(holds=not direct)
+    return not direct, None
 
 
 class TripleResult:

@@ -21,12 +21,14 @@ and `parse_entries` names the entry that does not parse.
 `SpanBasis` is the one elimination: Gauss-Jordan to the reduced row echelon
 form (RREF), one row at a time after placing the leading rows that need
 none, and RREF is unique over exact arithmetic, so no pivoting heuristics
-are needed and every result is canonical.  `solver`, `mat_inverse` and
-`subspace_intersection` each read one SpanBasis.  Beside it, `close_span`
-closes a span under a list of Mats (submodules, tuple modules, word
-algebras, invariance grids, ideal images), mapping each new echelon row,
-which is sparser than the vector inserted (a Meat-Axe spin), and
-`SpanBasis.escape` is the one invariance test.
+are needed and every result is canonical: a span's pivots and rows run in
+pivot order and its nullspace is read in it, so they, and the key order of
+each nullspace vector, depend on the span alone, not on the order its rows
+came in.  `solver`, `mat_inverse` and `subspace_intersection` each read one
+SpanBasis.  Beside it, `close_span` closes a span under a list of Mats
+(submodules, tuple modules, word algebras, invariance grids, ideal images),
+mapping each new echelon row, which is sparser than the vector inserted
+(a Meat-Axe spin), and `SpanBasis.escape` is the one invariance test.
 
 Every update y += c x is one fused `_axpy` on the Scalars' integer parts.
 A unit factor (c or x = +-1) forms no product: a new entry is the other
@@ -347,8 +349,7 @@ def solver(vecs, ncols):
     """Factor the zero-free sparse vectors `vecs` of length ncols once, as
     the RREF of the rows [vecs[t] | e_t], and return (span, solve).  `span`
     is the SpanBasis of the vecs: the left halves of the rows pivoting left
-    of ncols, its RREF rows, which need no elimination; they go in last
-    pivot first, the order the mutation sweeps' pins were measured on.
+    of ncols, its RREF rows, which need no elimination.
     `solve` maps a zero-free sparse vector v to one solution x of
     sum_t x_t vecs[t] = v, as a zero-free dict {t: x_t}, or to None when v
     lies outside their span.  It is one reduction of [v | 0]: its residue
@@ -360,7 +361,7 @@ def solver(vecs, ncols):
                     [{**v, ncols + t: ONE} for t, v in enumerate(vecs) if v])
     left = [{j: x for j, x in row.items() if j < ncols}
             for row, p in zip(red.rows, red.pivots) if p < ncols]
-    span = SpanBasis(ncols, left[::-1])
+    span = SpanBasis(ncols, left)
 
     def solve(v):
         res = red._reduce(v)
@@ -382,14 +383,15 @@ class SpanBasis:
     """Incrementally maintained RREF basis of a span of row vectors.
 
     Each echelon row is a zero-free dict {column: Scalar} whose least key is
-    its pivot.  _insert() returns the new echelon row, if the span grew;
-    coords() expresses a member in the echelon rows; nullspace() reads the
-    annihilator off them.  In RREF a row is zero at every other pivot, so
-    reducing a vector clears each of its pivot entries with that pivot's row
-    alone, in any order.  _insert() replaces a row it changes by a new dict,
-    so a row once read is never modified.  The initial rows go in as
-    _insert() reads them, in order, but their leading rows that need no
-    elimination are placed in one pass, as the copies _insert() keeps:
+    its pivot; `rows` and `pivots` run in pivot order, and `_row` only looks
+    a row up by its pivot.  _insert() returns the new echelon row, if the
+    span grew; coords() expresses a member in the echelon rows; nullspace()
+    reads the annihilator off them.  In RREF a row is zero at every other
+    pivot, so reducing a vector clears each of its pivot entries with that
+    pivot's row alone, in any order.  _insert() replaces a row it changes by
+    a new dict, so a row once read is never modified.  The initial rows go
+    in as _insert() reads them, in order, but their leading rows that need
+    no elimination are placed in one pass, as the copies _insert() keeps:
     dicts whose pivot entry is 1, with no key at an earlier pivot and a
     pivot that no earlier row holds (empty dicts are skipped)."""
 
@@ -492,10 +494,11 @@ class SpanBasis:
 
     def nullspace(self):
         """Basis of {x : row . x = 0 for every row}, as zero-free dicts: for
-        each free (non-pivot) column f ascending, 1 at f and -row[f] at the
-        pivot of each row.  In RREF a row's keys off its pivot are all free."""
+        each free (non-pivot) column f ascending, 1 at f, then -row[f] at the
+        pivot of each row, in pivot order.  In RREF a row's keys off its pivot
+        are all free."""
         vecs = {f: {f: ONE} for f in range(self.ncols) if f not in self._row}
-        for p, row in self._row.items():
+        for p, row in zip(self.pivots, self.rows):
             for j, x in row.items():
                 if j != p:
                     vecs[j][p] = -x
@@ -525,9 +528,8 @@ def subspace_intersection(rows_a, rows_b, ncols):
     (b|0).  The combinations with a zero left half are (c|c) - (c|0) = (0|c)
     for c in both spans, so the rows pivoting in the right half are (0|c)
     for c an echelon basis.  The rows may be sequences or dicts; RREF rows_b
-    need no elimination, and go in last first, as the mutation sweeps' pins
-    were measured."""
-    both = SpanBasis(2 * ncols, list(rows_b)[::-1])
+    need no elimination, in any order."""
+    both = SpanBasis(2 * ncols, rows_b)
     for a in map(sparse, rows_a):
         both._insert({**a, **{j + ncols: x for j, x in a.items()}})
     return [{j - ncols: x for j, x in row.items()}

@@ -512,20 +512,20 @@ def test_relation_checks_certify_then_evaluate():
     upo = upper_only_rep()
     psi10 = [[ZERO, ZERO], [ONE, ZERO]]
     t_eval = RelationTerm("u", psi10, Vector([sc(2)]), DiffOp.one(1))
-    v = relation_check(PWCandidate.from_word([upo], [1, -1, 1]), [t_eval], [upo])
-    assert v.witness is None and v.holds
+    holds, witness = relation_check(PWCandidate.from_word([upo], [1, -1, 1]), [t_eval], [upo])
+    assert witness is None and holds
     escape = PWCandidate(1, {"u": LOW})
-    v2 = relation_check(escape, [t_eval], [upo])
-    assert v2.witness is None and not v2.holds
+    holds, witness = relation_check(escape, [t_eval], [upo])
+    assert witness is None and not holds
 
     psi00 = [[ONE, ZERO], [ZERO, ZERO]]
     t_der = RelationTerm("u", psi00, Vector([sc(2)]), DiffOp(1, {(1,): ONE}))
-    v3 = relation_check(PWCandidate.from_word([upo], [1]), [t_der], [upo])
-    assert v3.witness is None and v3.holds
+    holds, witness = relation_check(PWCandidate.from_word([upo], [1]), [t_der], [upo])
+    assert witness is None and holds
 
     t_bad = RelationTerm("u", psi00, Vector([sc(2)]), DiffOp.one(1))
-    v4 = relation_check(escape, [t_bad], [upo])
-    assert v4.witness is not None and v4.holds is None
+    holds, witness = relation_check(escape, [t_bad], [upo])
+    assert witness is not None and holds is None
 
 
 def test_two_term_relations_mix_points_and_orders():
@@ -533,8 +533,8 @@ def test_two_term_relations_mix_points_and_orders():
     psi10 = [[ZERO, ZERO], [ONE, ZERO]]
     t_a = RelationTerm("u", psi10, Vector([sc(0)]), DiffOp.one(1))
     t_b = RelationTerm("u", psi10, Vector([sc(3)]), DiffOp(1, {(1,): ONE}))
-    v = relation_check(PWCandidate.from_word([upo], [1, 1]), [t_a, t_b], [upo])
-    assert v.witness is None and v.holds
+    holds, witness = relation_check(PWCandidate.from_word([upo], [1, 1]), [t_a, t_b], [upo])
+    assert witness is None and holds
 
 
 def test_relation_data_packages_into_one_functional():

@@ -12,7 +12,7 @@ from math import gcd
 
 import pytest
 
-from jetcalc import cli, linalg
+from jetcalc import approxalg, cli, gen, linalg
 from jetcalc.linalg import Mat, SpanBasis, CrossCheckError
 from jetcalc.scalars import Scalar, ZERO, ONE
 
@@ -933,6 +933,51 @@ def test_mutually_reduced_rows_need_no_insert_or_reduction(monkeypatch):
         monkeypatch.setattr(SpanBasis, name, lambda self, *args, name=name: calls.append(name))
     span = SpanBasis(9, rows)
     assert calls == [] and echelon(span) == want and len(want) >= 4
+
+
+def row_lists(seed):
+    """(ncols, rows, echelon) triples drawn from seed: the End(V) corner
+    generators _corner_gens of a drawn module's chain spans and a solver's
+    span rows, which are echelon rows, and general sparse rows."""
+    rng = random.Random(9000 + seed)
+    _, M = gen.rand_approx_module(rng, 8, junk_ok=True)
+    chain = range(len(M.algebra.chain))
+    cols, rows = approxalg._idem_spans(M, chain, chain)
+    j1, j2 = rng.choice(chain), rng.choice(chain)
+    out = [(M.dim ** 2, approxalg._corner_gens(cols[-1], rows[-1]), True),
+           (M.dim ** 2, approxalg._corner_gens(cols[j1], rows[j2]), True)]
+    for kind in (dense_matrix, sparse_matrix):
+        ncols = rng.randint(2, 8)
+        vecs = [linalg.sparse(r) for r in kind(rng, rng.randint(2, 7), ncols)]
+        out += [(ncols, linalg.solver(vecs, ncols)[0].rows, True), (ncols, vecs, False)]
+    return out
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_a_span_does_not_depend_on_the_order_of_its_rows(monkeypatch, seed):
+    """Spans built from shuffles of one list of rows have the same pivots,
+    rows and nullspace, the key order of each nullspace vector included,
+    and echelon rows make no _insert call in any order."""
+    insert, calls = SpanBasis._insert, []
+
+    def counted(self, v):
+        calls.append(v)
+        return insert(self, v)
+
+    monkeypatch.setattr(SpanBasis, "_insert", counted)
+    rng = random.Random(seed)
+    for ncols, rows, echelon_rows in row_lists(seed):
+        rows, spans = list(rows), []
+        for _ in range(4):
+            rng.shuffle(rows)
+            calls.clear()
+            spans.append(SpanBasis(ncols, rows))
+            assert not (echelon_rows and calls)
+        first = spans[0]
+        for span in spans[1:]:
+            assert span.pivots == first.pivots and span.rows == first.rows
+            assert ([list(v.items()) for v in span.nullspace()]
+                    == [list(v.items()) for v in first.nullspace()])
 
 
 @pytest.mark.parametrize("suite, inserts", [("dcomm", 847), ("pw", 624)])

@@ -256,8 +256,8 @@ def _schedule(suite, counted=None):
 # re-measure SWEEP_FLOOR, STRIDE_FLOOR and the dcomm floors, then re-pin here:
 # `PYTHONPATH=src python tests/test_mutants.py` prints all of them.
 SCHEDULES = {
-    "dcomm": (6876, 1025, "5e0ae9b5ddceb574f5084aa3b23e06a9"
-              "c47f18377e0ce75c527f00a6b09fd8f4"),
+    "dcomm": (6876, 1025, "2aac7b22bf5b3d26291af1563b51032b"
+              "4b4ce2cbb8c96af0b5d2834991edbfc3"),
     "pw": (3061, 816, "7bc839f5ba54314914ca7400dc8b3b7c"
            "3827f70a60ec3862c79e00c21d4970f3"),
 }

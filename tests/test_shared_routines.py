@@ -665,7 +665,8 @@ def test_no_module_calls_a_dense_edge_of_linalg():
             (approxalg.ApproxModule, "V_j"), (approxalg.SharpResult, "__bool__"),
             (poly.Polynomial, "__pow__"), (localmod, "MAX_ORDER"),
             (approxalg, "generated_tuple_module"), (jetfun, "KernelResult"),
-            (family, "FunctionalData")]
+            (family, "FunctionalData"), (family, "RelationVerdict"),
+            (family, "relation_certify")]
     for module, names in ((family, "intertwiner_graph_check"), (jetfun, "jet_ideal"),
                           (poly, "parse_poly pairing"),
                           (localmod, "Submodule ModuleMap annihilator annihilator_dual "
