@@ -465,10 +465,9 @@ class CheckReport:
     """Uniform pass/fail report with dimension bookkeeping and an optional
     failure witness."""
 
-    __slots__ = ("check", "status", "dims", "witness")
+    __slots__ = ("status", "dims", "witness")
 
-    def __init__(self, check, status, dims, witness=None):
-        self.check = check
+    def __init__(self, status, dims, witness=None):
         self.status = status
         self.dims = dims
         self.witness = witness
@@ -478,7 +477,7 @@ class CheckReport:
         return self.status == "pass"
 
     def to_dict(self):
-        out = {"check": self.check, "status": self.status, "dims": dict(self.dims)}
+        out = {"status": self.status, "dims": dict(self.dims)}
         if self.witness is not None:
             out["witness"] = self.witness
         return out
@@ -505,7 +504,7 @@ def double_commutant_check(M):
     }
     for row in image.rows:
         if not sharp.contains(row):
-            return CheckReport("double_commutant", "fail", dims,
+            return CheckReport("fail", dims,
                                witness={"kind": "image_not_in_sharp",
                                         "matrix": [str(c) for c in dense(row, d * d)]})
     # each row's corner from the spans of the chain idempotents' columns and
@@ -517,13 +516,13 @@ def double_commutant_check(M):
             raise CrossCheckError(_NO_CORNER)
         if not _membership(M, phi, cols[j], j, tuples).member:
             func = _separating_functional(image, sharp)
-            return CheckReport("double_commutant", "fail", dims,
+            return CheckReport("fail", dims,
                                witness={"kind": "sharp_not_in_image",
                                         "separating_functional": func})
     if len(image.rows) != len(sharp.rows):
-        return CheckReport("double_commutant", "fail", dims,
+        return CheckReport("fail", dims,
                            witness={"kind": "dimension_mismatch"})
-    return CheckReport("double_commutant", "pass", dims)
+    return CheckReport("pass", dims)
 
 
 def _separating_functional(image, sharp):
@@ -555,7 +554,7 @@ def corner_identity_check(M, j1, j2):
         M.image_span().rows, _corner_gens(col, row), d * d))
     ok = left.same_span(right)
     dims = {"dim_left": len(left.rows), "dim_right": len(right.rows)}
-    return CheckReport("corner_identity", "pass" if ok else "fail", dims)
+    return CheckReport("pass" if ok else "fail", dims)
 
 
 def submodule_grid_check(M, phi, n, extra=()):

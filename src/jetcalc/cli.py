@@ -34,7 +34,7 @@ from . import gen
 
 
 def _canon(obj):
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=str)
 
 
 def _digest(obj):
@@ -56,35 +56,42 @@ class Suite:
         self.records = []
 
     def check(self, check_id, statement, instance, fn):
-        """Record the verdict of fn(), which returns (ok, witness), and
-        return ok.  The instances are generated, so an exception inside fn
-        is a defect: the check fails with it as its witness and the run goes
-        on.  A disagreement of two internal routes reads {"cross_check":
+        """Record the verdict of fn(), which returns (ok, values): whether
+        the check holds, and a dict of the named results that verdict is
+        read from.  Return ok.  Only a failing record has a witness, its
+        values, each written as str() where JSON cannot hold it.  The
+        instances are generated, so an exception inside fn is a defect: the
+        check fails with it as its witness and the run goes on.  A
+        disagreement of two internal routes reads {"cross_check":
         "<message>"}, any other exception {"error": "<Type>: <message>"}."""
         try:
-            ok, witness = fn()
+            ok, values = fn()
         except CrossCheckError as exc:
-            ok, witness = False, {"cross_check": str(exc)}
+            ok, values = False, {"cross_check": str(exc)}
         except Exception as exc:
-            ok, witness = False, {"error": "%s: %s" % (type(exc).__name__, exc)}
+            ok, values = False, {"error": "%s: %s" % (type(exc).__name__, exc)}
         rec = {
             "check_id": check_id,
             "statement": statement,
             "instance_digest": _digest(instance),
             "status": "pass" if ok else "fail",
         }
-        if witness is not None:
-            rec["witness"] = witness
+        if not ok:
+            rec["witness"] = values
         self.records.append(rec)
         return ok
 
-    @property
-    def failed(self):
-        return any(r["status"] == "fail" for r in self.records)
 
-    def sorted_records(self):
-        return sorted(self.records,
-                      key=lambda r: (r["check_id"], r["instance_digest"]))
+def _equal(**values):
+    """(whether the two named values are equal, the values): the check of
+    a value against another route's value or against its expected one."""
+    a, b = values.values()
+    return a == b, values
+
+
+def _report(rep):
+    """(ok, values) of a CheckReport: its status, dims and witness."""
+    return rep.ok, rep.to_dict()
 
 
 def _rng(cfg, tag):
@@ -104,7 +111,7 @@ def run_jet(cfg, suite):
 
         def hom():
             jf, jg = jet(f, E), jet(g, E)
-            return jet(f * g, E) == jf * jg, None
+            return _equal(product=jet(f * g, E), jets=jf * jg)
 
         suite.check("jet.hom", "jet of a product equals the product of jets",
                     inst, hom)
@@ -113,8 +120,8 @@ def run_jet(cfg, suite):
         mu = gen.rand_point(rng, nv)
         inst2 = {"i": i, "E": _estr(E), "p": str(p), "mu": str(mu)}
         suite.check("jet.eval", "jet evaluation matches the translated action",
-                    inst2, lambda: (jet(p, E).evaluate_scalar(tuple(mu.coords))
-                                    == E.act_poly(p.translate(mu)), None))
+                    inst2, lambda: _equal(jet=jet(p, E).evaluate_scalar(tuple(mu.coords)),
+                                          action=E.act_poly(p.translate(mu))))
 
     for i in range(10):
         nv = rng.randint(1, cfg.nmax)
@@ -122,8 +129,8 @@ def run_jet(cfg, suite):
         eta = gen.rand_covector(rng, nv)
         inst = {"i": i, "F": _entry_strs(F), "eta": str(eta)}
         suite.check("jet.kappa", "doubled-space derivative is the dual-number jet",
-                    inst, lambda: (block_derivative(F, eta) == jet_family(
-                        F, dual_number_module(eta)), None))
+                    inst, lambda: _equal(block=block_derivative(F, eta),
+                                         jet=jet_family(F, dual_number_module(eta))))
 
     for i in range(10):
         nv = rng.randint(1, cfg.nmax)
@@ -132,7 +139,7 @@ def run_jet(cfg, suite):
 
         def round_trip():
             E, funcs = diffop_to_module(ops)
-            return all(functional_to_diffop(E, H) == u for u, H in zip(ops, funcs)), None
+            return _equal(ops=ops, read_back=[functional_to_diffop(E, H) for H in funcs])
 
         suite.check("jet.functional",
                     "operators survive the round trip through module functionals",
@@ -153,14 +160,16 @@ def run_kernel(cfg, suite):
         def routes():
             nonlocal basis
             basis = kernel_alpha_bar(lams, d)
-            return True, None
+            return True, {"basis": basis}
+
+        def member():
+            image = alpha_bar_image(basis, lams)
+            return not any(map(any, image)), {"image": image}
 
         if not suite.check("kernel.routes", "both kernel computations agree",
                            inst, routes):
             continue
-        suite.check("kernel.member", "kernel basis maps to zero", inst,
-                    lambda: (not any(map(any, alpha_bar_image(basis, lams))),
-                             None))
+        suite.check("kernel.member", "kernel basis maps to zero", inst, member)
 
     for i in range(10):
         nv = rng.randint(1, min(2, cfg.nmax))
@@ -169,7 +178,8 @@ def run_kernel(cfg, suite):
                 "gens": [str(g) for g in ideal.generators]}
         suite.check("kernel.subquotient",
                     "direction-sequence kernel lies inside the ideal",
-                    inst, lambda: (subquotient_certified(ideal), None))
+                    inst, lambda: _equal(certified=subquotient_certified(ideal),
+                                         expected=True))
 
 
 # --- double commutant checks --------------------------------------------------
@@ -181,18 +191,15 @@ def run_dcomm(cfg, suite):
         inst = {"i": i, "alg_dim": alg.dim, "dim": M.dim,
                 "mats": [_mstr(m) for m in M.mats]}
 
-        def main_check():
-            rep = double_commutant_check(M)
-            return rep.ok, None if rep.ok else rep.to_dict()
-
         suite.check("dcomm.main", "action image equals its double commutant",
-                    inst, main_check)
+                    inst, lambda: _report(double_commutant_check(M)))
 
         phi = gen.rand_member_phi(rng, M)
 
         def member_check():
             res = end_sharp_membership(M, phi)
-            return res.member and M.act(res.witness) == phi, None
+            action = M.act(res.witness) if res.member else None
+            return res.member and action == phi, {"member": res.member, "action": action}
 
         suite.check("dcomm.member",
                     "action elements pass membership with a checked witness",
@@ -200,21 +207,18 @@ def run_dcomm(cfg, suite):
 
         n = max(1, len(_idem_spans(M, [len(alg.chain) - 1], ())[0][0].rows))
         if M.dim * n <= 8:
-            def grid_check():
-                bad = submodule_grid_check(M, phi, n)
-                return bad is None, (None if bad is None
-                                     else {"vector": [str(x) for x in bad]})
-
             suite.check("dcomm.grid",
                         "members preserve every grid-generated submodule",
-                        {"i": i, "phi": _mstr(phi), "n": n}, grid_check)
+                        {"i": i, "phi": _mstr(phi), "n": n},
+                        lambda: _equal(vector=submodule_grid_check(M, phi, n),
+                                       expected=None))
 
         j1 = rng.randrange(len(alg.chain))
         j2 = rng.randrange(len(alg.chain))
         suite.check("dcomm.corner",
                     "abstract corners act onto the concrete corners",
                     {"i": i, "j1": j1, "j2": j2, "dim": M.dim},
-                    lambda: (corner_identity_check(M, j1, j2).ok, None))
+                    lambda: _report(corner_identity_check(M, j1, j2)))
 
 
 # --- membership / relation checks ---------------------------------------------
@@ -263,8 +267,7 @@ def run_pw(cfg, suite):
 
         def triple():
             t = membership_triple(cand, reps, pts, E)
-            ok = t.unanimous and (t.member or not is_member)
-            return ok, None if ok else t.to_dict()
+            return t.unanimous and (t.member or not is_member), t.verdicts
 
         suite.check("pw.triple", "the three membership tests agree",
                     _inst_layout(reps, pts, E, {"i": i,
@@ -281,9 +284,7 @@ def run_pw(cfg, suite):
         def invariance():
             tv = membership_triple(cand, reps, pts, Ev)
             inv = invariance_check(cand, delta, reps)
-            ok = tv.unanimous and inv == tv.member
-            return ok, (None if ok else
-                        {"invariance": inv, "triple": tv.to_dict()})
+            return tv.unanimous and inv == tv.member, {**tv.verdicts, "invariance": inv}
 
         suite.check("pw.invariance",
                     "delta-data invariance matches the membership verdict",
@@ -312,21 +313,21 @@ def run_pw(cfg, suite):
             null = SpanBasis(len(flat), [{col[s]: x for s, x in row.items() if s in col}
                                          for row in span.rows]).nullspace()
             if not null:
-                return True, None
+                return True, {}
             psi = {flat[k]: x for k, x in null[0].items()}
             terms = functional_to_relation(Mat.from_flat(psi, n, n), layout)
             if not terms:
-                return True, None
+                return True, {}
             word_cand = PWCandidate.from_word(
                 reps, gen.rand_word(rng, len(reps[0].generators), cfg.words))
             ident_term = RelationTerm(reps[0].label, mid(reps[0].dim), pts[0],
                                       gen.rand_diffop(rng, 1, 0))
             holds, _ = relation_check(word_cand, terms, reps)
-            return holds is True, None
+            return _equal(holds=holds, expected=True)
 
         def nonrelation():
-            _, witness = relation_check(word_cand, [ident_term], reps)
-            return witness is not None, None
+            holds, _ = relation_check(word_cand, [ident_term], reps)
+            return _equal(holds=holds, expected=None)
 
         suite.check("pw.relation",
                     "relations certify and annihilate word candidates",
@@ -347,20 +348,14 @@ def run_pw(cfg, suite):
         t = membership_triple(cand, [rf], [pt], E1)
         return t.unanimous, t.member, invariance_check(cand, delta, [rf])
 
-    def rejects():
-        unanimous, member, inv = verdicts(ec)
-        return unanimous and not member and not inv, None
-
-    def accepts():
-        unanimous, member, inv = verdicts(good)
-        return unanimous and member and inv, None
-
     suite.check("pw.fixture",
                 "the reducible fixture rejects the escaping candidate",
-                {"family": "reducible", "cand": ec.to_json()}, rejects)
+                {"family": "reducible", "cand": ec.to_json()},
+                lambda: _equal(verdicts=verdicts(ec), expected=(True, False, False)))
     suite.check("pw.fixture",
                 "the reducible fixture accepts word candidates",
-                {"family": "reducible", "cand": good.to_json()}, accepts)
+                {"family": "reducible", "cand": good.to_json()},
+                lambda: _equal(verdicts=verdicts(good), expected=(True, True, True)))
 
 
 def run_demo(cfg, suite):
@@ -377,7 +372,7 @@ def run_demo(cfg, suite):
         basis = kernel_alpha_bar(lams, 3)
         print("kernel for two directions through degree 3: "
               + "; ".join(str(b) for b in basis))
-        return len(basis) == 1, None
+        return _equal(dim=len(basis), expected=1)
 
     suite.check("demo.kernel", "demo kernel has the expected dimension",
                 {"lams": [str(l) for l in lams]}, kernel)
@@ -389,7 +384,7 @@ def run_demo(cfg, suite):
         print("escaping candidate against the reducible family: "
               + ("member" if t.member else "rejected")
               + " (unanimous=%s)" % t.unanimous)
-        return t.unanimous and not t.member, None
+        return _equal(verdicts=(t.unanimous, t.member), expected=(True, False))
 
     suite.check("demo.fixture", "demo fixture rejects the escaping candidate",
                 {"cand": ec.to_json()}, fixture)
@@ -461,12 +456,13 @@ def main(argv=None):
     if args.json:
         try:
             with open(args.json, "w") as fh:
-                for rec in suite.sorted_records():
+                for rec in sorted(suite.records,
+                                  key=lambda r: (r["check_id"], r["instance_digest"])):
                     fh.write(_canon(rec) + "\n")
         except OSError as exc:
             ap.exit(2, "jetcalc: cannot write --json %s: %s\n" % (args.json, exc.strerror or exc))
 
-    return 1 if suite.failed else 0
+    return 1 if any(r["status"] == "fail" for r in suite.records) else 0
 
 
 if __name__ == "__main__":

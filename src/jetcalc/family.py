@@ -364,13 +364,12 @@ def relation_check(cand, terms, reps):
 class TripleResult:
     """Three membership verdicts that the theory says must coincide."""
 
-    __slots__ = ("double_annihilator", "span_membership", "sharp", "dims")
+    __slots__ = ("double_annihilator", "span_membership", "sharp")
 
-    def __init__(self, double_annihilator, span_membership, sharp, dims):
+    def __init__(self, double_annihilator, span_membership, sharp):
         self.double_annihilator = double_annihilator
         self.span_membership = span_membership
         self.sharp = sharp
-        self.dims = dims
 
     @property
     def unanimous(self):
@@ -380,12 +379,9 @@ class TripleResult:
     def member(self):
         return self.double_annihilator
 
-    def to_dict(self):
-        return {"double_annihilator": self.double_annihilator,
-                "span_membership": self.span_membership,
-                "sharp": self.sharp,
-                "unanimous": self.unanimous,
-                "dims": dict(self.dims)}
+    @property
+    def verdicts(self):
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 def membership_triple(cand, reps, points, E):
@@ -406,8 +402,7 @@ def membership_triple(cand, reps, points, E):
 
     verdict_iii = end_sharp_membership(ApproxModule.from_span(span, total), phi).member
 
-    dims = {"total": total, "dim_span": len(span.rows)}
-    return TripleResult(verdict_i, verdict_ii, verdict_iii, dims)
+    return TripleResult(verdict_i, verdict_ii, verdict_iii)
 
 
 def delta_block(fams, etas, point):

@@ -12,7 +12,8 @@ import pytest
 import jetcalc
 from jetcalc import approxalg, cli, family, gen, linalg
 from jetcalc.cli import main
-from jetcalc.scalars import ONE
+from jetcalc.poly import Polynomial
+from jetcalc.scalars import ONE, Scalar
 
 
 def run_verify(tmp_path, name, argv):
@@ -251,6 +252,40 @@ def test_an_exception_inside_a_check_is_a_failing_record(tmp_path, capsys, monke
     assert failed and {r["check_id"] for r in failed} == {"dcomm.corner"}
     assert all(r["witness"] == {"error": "ValueError: no corner"} for r in failed)
     assert len(failed) == sum(r["check_id"] == "dcomm.corner" for r in recs)
+
+
+def test_a_failing_record_carries_the_values_its_check_compared(
+        tmp_path, capsys, monkeypatch):
+    """A check returns (ok, values).  Only a failing record has a witness:
+    its values, each written through str() where JSON cannot hold it.  An
+    exception inside the check keeps its own witness."""
+    mat = linalg.Mat([{0: ONE}, {1: Scalar(1, 2)}], 2)
+    pair = (ONE, Scalar(0, -1))
+    p = Polynomial(1, {(0,): ONE, (2,): Scalar(3)})
+    values = {"mat": mat, "pair": pair, "poly": p, "n": 3, "ok": None}
+
+    def raising(exc):
+        def fn():
+            raise exc
+        return fn
+
+    def run(cfg, suite):
+        suite.check("t.fail", "fails", {"i": 0}, lambda: (False, values))
+        suite.check("t.pass", "passes", {"i": 1}, lambda: (True, values))
+        suite.check("t.cross", "disagrees", {"i": 2},
+                    raising(linalg.CrossCheckError("routes disagree")))
+        suite.check("t.error", "raises", {"i": 3}, raising(ValueError("bad")))
+
+    monkeypatch.setitem(cli.RUNNERS, "demo", run)
+    rc, blob = run_verify(tmp_path, "v.jsonl", ["demo"])
+    capsys.readouterr()
+    assert rc == 1
+    recs = {r["check_id"]: r for r in map(json.loads, blob.splitlines())}
+    assert recs["t.fail"]["witness"] == {"mat": str(mat), "pair": [str(x) for x in pair],
+                                         "poly": str(p), "n": 3, "ok": None}
+    assert recs["t.pass"]["status"] == "pass" and "witness" not in recs["t.pass"]
+    assert recs["t.cross"]["witness"] == {"cross_check": "routes disagree"}
+    assert recs["t.error"]["witness"] == {"error": "ValueError: bad"}
 
 
 def _child_env():

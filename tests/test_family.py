@@ -467,7 +467,7 @@ def test_verdict_iii_forms_no_basis_products(monkeypatch):
     assert not hasattr(family, "mmul")
     rep = RepFamily("r", [UP, LOW])
     res = membership_triple(PWCandidate.from_word([rep], [1, -2]), [rep], [PT], E2)
-    dim = res.dims["dim_span"]
+    dim = len(spanned_algebra([rep], [PT], E2)[0].rows)
     assert res.unanimous and res.member and dim >= 4
     assert calls == []
 

@@ -154,41 +154,40 @@ def test_a_mutant_ends_in_failing_records_or_the_internal_error_status(
 # whenever a change adds or removes work.  A sweep runs `jetcalc <suite>
 # --seed 0` under A and T at many phases, corrupting only calls made inside
 # Suite.check, so that instance generation is never hit.  Each run records
-# the values the suite's checks compare, as the CLI calls them (RECORDED):
-# on pw every membership_triple's three verdicts and every invariance_check's
-# bool; on dcomm every double_commutant_check's status and dims, every
-# end_sharp_membership's member and witness, every submodule_grid_check
-# result and every corner_identity_check's status and dims.
+# every check's (check_id, values), the named results its verdict is read
+# from, as its function returns them to Suite.check.
 # Gate 1: a run that exits 0 records the clean run's values (no silent
 # change).  Gate 2: the phases that end in failing records are at least the
-# floor, the count measured when the sweep was added.  On dcomm every phase
-# but T's phase 89 ends in failing records; that one records the clean values.
-RECORDED = {
-    "pw": {"membership_triple": lambda t: (t.double_annihilator, t.span_membership, t.sharp),
-           "invariance_check": lambda ok: ok},
-    "dcomm": {"double_commutant_check": lambda rep: (rep.status, rep.dims),
-              "end_sharp_membership": lambda res: (res.member, res.witness),
-              "submodule_grid_check": lambda bad: bad,
-              "corner_identity_check": lambda rep: (rep.status, rep.dims)},
-}
+# floor, the count measured when the sweep was added: SWEEP_FLOORS holds it
+# for every phase, which runs under `slow`, and for every STRIDE-th phase,
+# which tier-1 runs.  On dcomm every phase but T's phase 89 ends in failing
+# records; that one records the clean values.
 SWEEP_PHASES = {"A": range(0, 997, 10), "T": range(101)}
-SWEEP_FLOOR = {"A": 52, "T": 53}
-DCOMM_SWEEP_FLOOR = {"A": 100, "T": 100}
-# tier-1 runs every STRIDE-th phase of each sweep, with its own floor
 STRIDE = 4
-STRIDE_FLOOR = {"A": 13, "T": 13}
-DCOMM_STRIDE_FLOOR = {"A": 25, "T": 26}
+SWEEP_FLOORS = {  # (every phase, every STRIDE-th phase)
+    ("jet", "A"): (100, 25), ("jet", "T"): (28, 6),
+    ("kernel", "A"): (24, 6), ("kernel", "T"): (4, 0),
+    ("dcomm", "A"): (100, 25), ("dcomm", "T"): (100, 26),
+    ("pw", "A"): (52, 13), ("pw", "T"): (53, 13),
+}
 
 
-def _inside_check(mp):
-    """Patch Suite.check to raise a flag while it runs; return the flag's
-    reader."""
+def _inside_check(mp, values=None):
+    """Patch Suite.check to raise a flag while it runs, and to append each
+    check's (check_id, values) to the list `values` when one is given;
+    return the flag's reader."""
     inside, check = [False], cli.Suite.check
 
-    def checking(self, *args):
+    def checking(self, check_id, statement, instance, fn):
+        def noting():
+            out = fn()
+            if values is not None:
+                values.append((check_id, out[1]))
+            return out
+
         inside[0] = True
         try:
-            return check(self, *args)
+            return check(self, check_id, statement, instance, noting)
         finally:
             inside[0] = False
 
@@ -253,11 +252,15 @@ def _schedule(suite, counted=None):
 # A sweep's phase p corrupts the calls counted p modulo 997 (A) or 101 (T)
 # among those above, so its floors were measured on exactly these sequences.
 # A change that moves either sequence moves every corruption and must
-# re-measure SWEEP_FLOOR, STRIDE_FLOOR and the dcomm floors, then re-pin here:
+# re-measure SWEEP_FLOORS, then re-pin here:
 # `PYTHONPATH=src python tests/test_mutants.py` prints all of them.
 SCHEDULES = {
     "dcomm": (6876, 1025, "2aac7b22bf5b3d26291af1563b51032b"
               "4b4ce2cbb8c96af0b5d2834991edbfc3"),
+    "jet": (15045, 70, "5163ad3960fe1c129de27f59c65b2277"
+            "8659cf7c2738ccf0dafab3fa5eb3ae6c"),
+    "kernel": (1277, 68, "23225bab7f820a455ba509e79caab51a"
+               "f359241c260603d5b9f1e8511adfd0e5"),
     "pw": (3061, 816, "7bc839f5ba54314914ca7400dc8b3b7c"
            "3827f70a60ec3862c79e00c21d4970f3"),
 }
@@ -272,18 +275,8 @@ def _run(suite, mutant=None, phase=0):
     """(exit status, recorded values) of `jetcalc <suite> --seed 0`, under
     the sweep mutant `mutant` at `phase` when given."""
     values = []
-
-    def recorded(fn, value):
-        def call(*args):
-            out = fn(*args)
-            values.append((fn.__name__, value(out)))
-            return out
-        return call
-
     with pytest.MonkeyPatch.context() as mp:
-        inside = _inside_check(mp)
-        for name, value in RECORDED[suite].items():
-            mp.setattr(cli, name, recorded(getattr(cli, name), value))
+        inside = _inside_check(mp, values)
         if mutant is not None:
             MUTANTS[mutant](mp, phase, inside)
         rc = cli.main([suite, "--seed", "0"])
@@ -305,34 +298,19 @@ def _sweep(suite, mutant, phases):
     return caught, silent
 
 
-@pytest.mark.parametrize("mutant", sorted(SWEEP_PHASES))
-def test_a_stride_of_the_pw_sweep_makes_no_silent_change(mutant):
-    caught, silent = _sweep("pw", mutant, SWEEP_PHASES[mutant][::STRIDE])
+@pytest.mark.parametrize("suite, mutant", sorted(SWEEP_FLOORS))
+def test_a_stride_of_each_sweep_makes_no_silent_change(suite, mutant):
+    caught, silent = _sweep(suite, mutant, SWEEP_PHASES[mutant][::STRIDE])
     assert silent == []
-    assert caught >= STRIDE_FLOOR[mutant], "%s caught at %d phases" % (mutant, caught)
+    assert caught >= SWEEP_FLOORS[suite, mutant][1], "caught at %d phases" % caught
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("mutant", sorted(SWEEP_PHASES))
-def test_every_phase_of_the_pw_sweep_makes_no_silent_change(mutant):
-    caught, silent = _sweep("pw", mutant, SWEEP_PHASES[mutant])
+@pytest.mark.parametrize("suite, mutant", sorted(SWEEP_FLOORS))
+def test_every_phase_of_each_sweep_makes_no_silent_change(suite, mutant):
+    caught, silent = _sweep(suite, mutant, SWEEP_PHASES[mutant])
     assert silent == []
-    assert caught >= SWEEP_FLOOR[mutant], "%s caught at %d phases" % (mutant, caught)
-
-
-@pytest.mark.parametrize("mutant", sorted(SWEEP_PHASES))
-def test_a_stride_of_the_dcomm_sweep_makes_no_silent_change(mutant):
-    caught, silent = _sweep("dcomm", mutant, SWEEP_PHASES[mutant][::STRIDE])
-    assert silent == []
-    assert caught >= DCOMM_STRIDE_FLOOR[mutant], "%s caught at %d phases" % (mutant, caught)
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("mutant", sorted(SWEEP_PHASES))
-def test_every_phase_of_the_dcomm_sweep_makes_no_silent_change(mutant):
-    caught, silent = _sweep("dcomm", mutant, SWEEP_PHASES[mutant])
-    assert silent == []
-    assert caught >= DCOMM_SWEEP_FLOOR[mutant], "%s caught at %d phases" % (mutant, caught)
+    assert caught >= SWEEP_FLOORS[suite, mutant][0], "caught at %d phases" % caught
 
 
 if __name__ == "__main__":
@@ -354,10 +332,9 @@ if __name__ == "__main__":
     for suite in ("jet", "kernel"):
         print("%s, whole run: %d _axpy, %d square applies"
               % ((suite,) + quiet(_schedule, suite, _always)[:2]), flush=True)
-    for suite in ("pw", "dcomm"):
-        for mutant in sorted(SWEEP_PHASES):
-            for sweep, phases in (("stride", SWEEP_PHASES[mutant][::STRIDE]),
-                                  ("every phase", SWEEP_PHASES[mutant])):
-                caught, silent = quiet(_sweep, suite, mutant, phases)
-                print("%s %s %s: caught %d of %d, silent %s"
-                      % (suite, mutant, sweep, caught, len(phases), silent), flush=True)
+    for suite, mutant in sorted(SWEEP_FLOORS):
+        for sweep, phases in (("stride", SWEEP_PHASES[mutant][::STRIDE]),
+                              ("every phase", SWEEP_PHASES[mutant])):
+            caught, silent = quiet(_sweep, suite, mutant, phases)
+            print("%s %s %s: caught %d of %d, silent %s"
+                  % (suite, mutant, sweep, caught, len(phases), silent), flush=True)

@@ -666,7 +666,9 @@ def test_no_module_calls_a_dense_edge_of_linalg():
             (poly.Polynomial, "__pow__"), (localmod, "MAX_ORDER"),
             (approxalg, "generated_tuple_module"), (jetfun, "KernelResult"),
             (family, "FunctionalData"), (family, "RelationVerdict"),
-            (family, "relation_certify")]
+            (family, "relation_certify"), (family.TripleResult, "dims"),
+            (family.TripleResult, "to_dict"), (approxalg.CheckReport, "check"),
+            (cli.Suite, "failed"), (cli.Suite, "sorted_records")]
     for module, names in ((family, "intertwiner_graph_check"), (jetfun, "jet_ideal"),
                           (poly, "parse_poly pairing"),
                           (localmod, "Submodule ModuleMap annihilator annihilator_dual "
