@@ -22,9 +22,9 @@ against the spans col(P) and row(P) of every P, which double_commutant_check
 builds once (_idem_spans) for all its steps.  Corners are spanned by the
 Kronecker rows of RREF bases of column and row spaces, so End(V)_0, the top
 corner's span, which contains every lower corner's, needs no elimination,
-and End^# is one nullspace in it: its constraints are the pairings
-<C_i, sum_b f_b w_b^T> with its basis C_i, built block by block from the
-top corner's W (echelon rows w, nullspace functionals f).
+and End^# is one nullspace in End(V): its constraints are End(V)_0's
+annihilator and the Gram matrices sum_b f_b w_b^T, built block by block
+from the top corner's W (echelon rows w, nullspace functionals f).
 Algebra elements and vectors of V^n are zero-free sparse dicts (linalg's
 one vector type), End(V)_0 and End^# are SpanBasis spans of flattened
 matrices, action matrices are linalg.Mats, and a matrix acts on each
@@ -429,35 +429,30 @@ def _membership(M, phi, V_j, corner_j, tuples):
 
 
 def _end_sharp(M, cols, rows, tuples):
-    """End^# in End(V): the x with f(C w) = 0 for C = sum_i x_i C_i over the
-    End(V)_0 basis C_i (its echelon rows), every echelon row w and
-    nullspace functional f of the top tuple module W.  f(C w) = <C, G> for
-    G = sum_b f_b w_b^T over the length-d blocks b (vec(A X B) = (B^T kron
-    A) vec X), so a constraint row pairs one G with the C_i.  The pairing
-    and the combination read one Mat, ZT, the transpose of the C_i's: its
-    row s holds entry s of each C_i, and apply(ZT, x) is C.  Returns the
-    spans (End^#, End(V)_0) of flattened matrices, from the chain's spans,
-    taking the top tuple module from `tuples`."""
+    """End^# in End(V): the C in End(V)_0 with f(C w) = 0 for every echelon
+    row w and nullspace functional f of the top tuple module W.  f(C w) =
+    <C, G> for G = sum_b f_b w_b^T over the length-d blocks b (vec(A X B) =
+    (B^T kron A) vec X), and C lies in End(V)_0 iff it kills End(V)_0's
+    annihilator: End^# is the nullspace in End(V) of those rows and the G.
+    Returns the spans (End^#, End(V)_0) of flattened matrices, from the
+    chain's spans, taking the top tuple module from `tuples`."""
     end_zero = end_zero_basis(cols, rows)
     d = M.dim
     _, W, _ = _tuple_module(M, cols[-1], len(cols) - 1, tuples)
-    ZT = Mat(end_zero.rows, d * d).T
     by_block = {}  # block b -> {index r of an echelon row w of W: w_b}
     for r, w in enumerate(W.rows):
         for s, x in w.items():
             b, k = divmod(s, d)
             by_block.setdefault(b, {}).setdefault(r, {})[k] = x
-    rows = []
+    constraints = end_zero.nullspace()
     for f in W.nullspace():
         grams = {}  # r -> G for f and echelon row r, flattened row-major
         for s, x in f.items():
             b, i = divmod(s, d)
             for r, wb in by_block.get(b, {}).items():
                 _axpy(grams.setdefault(r, {}), x, wb, i * d)
-        prods = [{} for _ in grams]
-        _mul_into(prods, grams.values(), ZT.rows)
-        rows.extend(filter(None, prods))
-    sharp = SpanBasis(d * d, [apply(ZT, x) for x in SpanBasis(end_zero.dim, rows).nullspace()])
+        constraints.extend(filter(None, grams.values()))
+    sharp = SpanBasis(d * d, SpanBasis(d * d, constraints).nullspace())
     return sharp, end_zero
 
 

@@ -81,7 +81,8 @@ class RepFamily:
                 raise ValueError("generators must be square of equal size")
             d, adj = family_det_adj(g)
             if not d.is_polynomial():
-                raise ValueError("generator determinant must be polynomial")
+                raise ValueError("generator %d of rep %r is not unimodular: its "
+                                 "determinant is not a polynomial" % (i, label))
             dp = d.pure()
             if dp.degree() != 0:  # dp's degree and size, never its text
                 size = ("has degree %d and %d terms" % (dp.degree(), len(dp.terms))
@@ -119,6 +120,18 @@ class RepFamily:
                                                    len(self.generators))
 
 
+def generator_count(reps):
+    """The number of generators shared by the reps, given as (label,
+    generators) pairs, 0 for none; a ValueError names the first rep whose
+    count differs from the first rep's, and both counts."""
+    reps = [(label, len(gens)) for label, gens in reps]
+    for label, n in reps:
+        if n != reps[0][1]:
+            raise ValueError("rep %r has %d generators and rep %r has %d; reps must share "
+                             "the generator alphabet" % (label, n, *reps[0]))
+    return reps[0][1] if reps else 0
+
+
 def _entry_strs(F):
     """The entries of a family in row-major order, as JSON strings."""
     return [str(e) for row in F.entries for e in row]
@@ -135,8 +148,8 @@ def family_to_json(reps):
 
 def family_from_json(text):
     """The reps of a family_to_json text; a malformed field, a repeated
-    label, or a size above MAX_NVARS or MAX_DIM, is refused by name before
-    any entry is parsed."""
+    label, unequal generator counts, or a size above MAX_NVARS or MAX_DIM,
+    is refused by name before any entry is parsed."""
     data = json_load(text)
     nvars = json_field(data, "nvars", int, "family field 'nvars' is", 1, MAX_NVARS)
     if not json_field(data, "reps", list, "family field 'reps' is"):
@@ -149,6 +162,7 @@ def family_from_json(text):
         labels.append(label)
         json_field(rd, "dim", int, "rep %r has dimension" % label, 1, MAX_DIM)
         json_field(rd, "generators", list, "rep %r field 'generators' is" % label)
+    generator_count((rd["label"], rd["generators"]) for rd in data["reps"])
     parse = entry_parser(nvars)
     reps = []
     for rd in data["reps"]:
@@ -251,9 +265,7 @@ def spanned_algebra(reps, points, E):
     all words, and its echelon basis is the same."""
     layout = BlockLayout(reps, points, E)
     total = layout.total
-    ngens = len(reps[0].generators) if reps else 0
-    if any(len(rep.generators) != ngens for rep in reps):
-        raise ValueError("reps must share the generator alphabet")
+    ngens = generator_count((rep.label, rep.generators) for rep in reps)
     # X g maps each row of X by g^T
     transposed = [layout.assemble(lambda rep: rep.letter(k)).T
                   for k in range(1, ngens + 1)]
@@ -420,29 +432,22 @@ def invariance_check(cand, delta, reps):
     alone: the doubled blocks are invertible, so (as in spanned_algebra)
     their inverses lie in the unital algebra A the generators span, and v
     generates A.v under either alphabet."""
+    ngens = generator_count((rep.label, rep.generators) for rep in reps)
     by_label = {rep.label: rep for rep in reps}
     key = lambda item: (item[0], tuple(item[1].coords),
                         tuple(tuple(e.coords) for e in item[2]))
-    evaluated = {}  # each distinct component is evaluated once
-    blocks = []
-    phis = []
-    sizes = []
+    evaluated = {}  # each distinct component is evaluated once: its generators, then phi
     for item in delta:
-        label, point, etas = item
-        rep = by_label[label]
-        comp = key(item)
-        if comp not in evaluated:
+        if (comp := key(item)) not in evaluated:
+            label, point, etas = item
+            rep = by_label[label]
             evaluated[comp] = delta_block(rep.generators + (cand.component(rep),),
                                           etas, point)
-        *gmats, pmat = evaluated[comp]
-        blocks.append(gmats)
-        phis.append(pmat)
-        sizes.append(rep.dim * (2 ** len(etas)))
-    total = sum(sizes)
+    blocks = [evaluated[key(item)] for item in delta]
+    gen_mats = [block_diag([mats[k] for mats in blocks]) for k in range(ngens)]
+    phi = block_diag([mats[-1] for mats in blocks])
+    sizes, total = [mats[-1].nrows for mats in blocks], phi.nrows
     offs = [sum(sizes[:b]) for b in range(len(sizes))]
-    ngens = len(reps[0].generators)
-    gen_mats = [block_diag([gm[k] for gm in blocks]) for k in range(ngens)]
-    phi = block_diag(phis)
 
     grid = [{s: ONE} for s in range(total)]
     # one stacked tuple per run of identical components (the per-block

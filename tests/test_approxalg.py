@@ -741,7 +741,9 @@ def test_end_sharp_maps_no_corner_matrix_through_the_tuple_module(monkeypatch):
     reductions, counted through every module that binds `apply`: the tuple
     module's 36 actions and the span inserts.  Applying and reducing each
     of the 144 corner matrices against each of W's 36 rows took 5,220 and
-    6,168."""
+    6,168.  The `apply` calls are exactly the tuple module's 36: End^# is a
+    nullspace in End(V) itself, so no End(V)_0 coordinates are mapped back
+    (that took 36 more)."""
     _, M = aa.block_module([3, 3, 3, 3])
     counts = {"apply": 0, "reduce": 0}
     apply, reduce = linalg.apply, linalg.SpanBasis._reduce
@@ -765,6 +767,7 @@ def test_end_sharp_maps_no_corner_matrix_through_the_tuple_module(monkeypatch):
     assert sharp.dim == 36 and end_zero.dim == 144
     assert 0 < counts["apply"] <= 100, counts
     assert 0 < counts["reduce"] <= 1500, counts
+    assert counts["apply"] == 36, counts
 
 
 def test_the_corner_index_is_the_least_idempotent_absorbing_phi():

@@ -74,6 +74,15 @@ def test_the_non_unimodular_refusal_gives_the_determinant_s_size_not_its_text():
                                "has degree %d and %d terms" % (det.degree(), len(det.terms)))
 
 
+def test_a_generator_whose_determinant_is_not_a_polynomial_is_named():
+    text = ('{"nvars": 1, "reps": [{"label": "e", "dim": 1, '
+            '"generators": [["2"], ["exp[1]"]]}]}')  # exp[1] is e^x1
+    with pytest.raises(ValueError) as info:
+        family_from_json(text)
+    assert str(info.value) == ("generator 2 of rep 'e' is not unimodular: its "
+                               "determinant is not a polynomial")
+
+
 def test_constant_generators_invert_to_constants():
     rep1 = RepFamily("s", [fam(1, [["2"]]), fam(1, [["1"]])])
     assert rep1.inverses[0].entries[0][0] == ExpPoly.const(1, Scalar(1) / Scalar(2))
@@ -89,10 +98,11 @@ def test_family_json_round_trip():
 
 @st.composite
 def unimodular_families(draw):
-    """One to three reps sharing nvars, of dimension 1 to 5, each with one or
-    two generators that are products of up to four elementary families:
-    I + p E_ij off the diagonal, or I with one diagonal entry a unit."""
-    nvars = draw(st.integers(1, 2))
+    """One to three reps sharing nvars and a generator alphabet of one or
+    two letters, of dimension 1 to 5, each generator a product of up to four
+    elementary families: I + p E_ij off the diagonal, or I with one diagonal
+    entry a unit."""
+    nvars, ngens = draw(st.integers(1, 2)), draw(st.integers(1, 2))
     mons = monomials_upto(nvars, 2)
     polys = st.builds(lambda pairs: ExpPoly.from_poly(Polynomial(nvars, dict(pairs))),
                       st.lists(st.tuples(st.sampled_from(mons),
@@ -103,7 +113,7 @@ def unimodular_families(draw):
     for label in "abc"[:draw(st.integers(1, 3))]:
         d = draw(st.integers(1, 5))
         gens = []
-        for _ in range(draw(st.integers(1, 2))):
+        for _ in range(ngens):
             g = MatPolyFamily.identity(nvars, d)
             for _ in range(draw(st.integers(0, 4))):
                 i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
@@ -131,6 +141,18 @@ def test_family_json_rejects_an_empty_family():
         family_from_json('{"nvars":1,"reps":[]}')
     with pytest.raises(ValueError, match="at least one rep"):
         family_to_json([])
+
+
+def test_family_json_refuses_reps_with_different_generator_counts(monkeypatch):
+    """By name, before any entry is parsed, as spanned_algebra and
+    invariance_check would refuse the reps."""
+    text = ('{"nvars": 1, "reps": [{"label": "a", "dim": 1, "generators": [["2"], ["3"]]},'
+            ' {"label": "b", "dim": 1, "generators": [["2"]]}]}')
+    monkeypatch.setattr(family, "entry_parser", None)
+    with pytest.raises(ValueError) as info:
+        family_from_json(text)
+    assert str(info.value) == ("rep 'b' has 1 generators and rep 'a' has 2; reps must "
+                               "share the generator alphabet")
 
 
 def test_family_json_rejects_a_zero_dimensional_rep():
@@ -599,6 +621,17 @@ def test_invariance_over_decision_data():
     delta0 = [("u", PT, []), ("u", PT, [])]
     assert invariance_check(PWCandidate.from_word([upo], [-1]), delta0, [upo])
     assert not invariance_check(escape, delta0, [upo])
+
+
+def test_invariance_refuses_reps_with_different_generator_counts():
+    """As spanned_algebra does, rather than index a generator that the
+    second rep lacks."""
+    reps = [RepFamily("a", [UP, LOW]), RepFamily("b", [UP])]
+    delta = [("a", PT, []), ("b", PT, [])]
+    with pytest.raises(ValueError, match="rep 'b' has 1 generators and rep 'a' has 2"):
+        invariance_check(PWCandidate(1, {}), delta, reps)
+    with pytest.raises(ValueError, match="rep 'b' has 1 generators and rep 'a' has 2"):
+        spanned_algebra(reps, [PT], E1)
 
 
 def test_invariance_agrees_with_membership_at_evaluation_level():
