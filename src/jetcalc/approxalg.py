@@ -23,8 +23,9 @@ builds once (_idem_spans) for all its steps.  Corners are spanned by the
 Kronecker rows of RREF bases of column and row spaces, so End(V)_0, the top
 corner's span, which contains every lower corner's, needs no elimination,
 and End^# is one nullspace in End(V): its constraints are End(V)_0's
-annihilator and the Gram matrices sum_b f_b w_b^T, built block by block
-from the top corner's W (echelon rows w, nullspace functionals f).
+annihilator and one Gram matrix sum_b f_b u_b^T per nullspace functional f
+of the top corner's W, u_b the blocks of its one tuple u (C u in W makes C
+act on u, and so on V, as an image element; see _end_sharp).
 Algebra elements and vectors of V^n are zero-free sparse dicts (linalg's
 one vector type), End(V)_0 and End^# are SpanBasis spans of flattened
 matrices, action matrices are linalg.Mats, and a matrix acts on each
@@ -429,29 +430,25 @@ def _membership(M, phi, V_j, corner_j, tuples):
 
 
 def _end_sharp(M, cols, rows, tuples):
-    """End^# in End(V): the C in End(V)_0 with f(C w) = 0 for every echelon
-    row w and nullspace functional f of the top tuple module W.  f(C w) =
-    <C, G> for G = sum_b f_b w_b^T over the length-d blocks b (vec(A X B) =
+    """End^# in End(V): the C in End(V)_0 with f(C u) = 0 for the top tuple
+    u and every nullspace functional f of its module W.  f(C u) = <C, G>
+    for G = sum_b f_b u_b^T over the length-d blocks b (vec(A X B) =
     (B^T kron A) vec X), and C lies in End(V)_0 iff it kills End(V)_0's
     annihilator: End^# is the nullspace in End(V) of those rows and the G.
-    Returns the spans (End^#, End(V)_0) of flattened matrices, from the
-    chain's spans, taking the top tuple module from `tuples`."""
+    u alone suffices: C u in W gives C u_i = pi(b) u_i for some b, C and
+    pi(b) vanish on ker P_top (the top idempotent is the unit), so C =
+    pi(b) maps W into itself; conversely u lies in W.  Returns the spans
+    (End^#, End(V)_0) of flattened matrices, from the chain's spans, taking
+    the top tuple module from `tuples`."""
     end_zero = end_zero_basis(cols, rows)
-    d = M.dim
+    d, u = M.dim, cols[-1].rows  # u_b is the b-th basis row of col(P_top)
     _, W, _ = _tuple_module(M, cols[-1], len(cols) - 1, tuples)
-    by_block = {}  # block b -> {index r of an echelon row w of W: w_b}
-    for r, w in enumerate(W.rows):
-        for s, x in w.items():
-            b, k = divmod(s, d)
-            by_block.setdefault(b, {}).setdefault(r, {})[k] = x
     constraints = end_zero.nullspace()
     for f in W.nullspace():
-        grams = {}  # r -> G for f and echelon row r, flattened row-major
+        gram = {}  # G for f, flattened row-major
         for s, x in f.items():
-            b, i = divmod(s, d)
-            for r, wb in by_block.get(b, {}).items():
-                _axpy(grams.setdefault(r, {}), x, wb, i * d)
-        constraints.extend(filter(None, grams.values()))
+            _axpy(gram, x, u[s // d], (s % d) * d)
+        constraints.append(gram)
     sharp = SpanBasis(d * d, SpanBasis(d * d, constraints).nullspace())
     return sharp, end_zero
 

@@ -14,6 +14,7 @@ the i-th generator (1-based), -i its inverse.
 """
 
 import json
+from itertools import groupby
 
 from .scalars import ZERO, ONE
 from .poly import ExpPoly, Vector, diff, entry_parser, _inv_int
@@ -168,7 +169,7 @@ def family_from_json(text):
     for rd in data["reps"]:
         gens = [MatPolyFamily(nvars, square(
                     flat, rd["dim"], parse, "generator %d of rep %r" % (g, rd["label"])))
-                for g, flat in enumerate(rd["generators"])]
+                for g, flat in enumerate(rd["generators"], 1)]
         reps.append(RepFamily(rd["label"], gens))
     return reps
 
@@ -434,34 +435,27 @@ def invariance_check(cand, delta, reps):
     generates A.v under either alphabet."""
     ngens = generator_count((rep.label, rep.generators) for rep in reps)
     by_label = {rep.label: rep for rep in reps}
-    key = lambda item: (item[0], tuple(item[1].coords),
-                        tuple(tuple(e.coords) for e in item[2]))
+    keys = [(label, tuple(point.coords), tuple(tuple(e.coords) for e in etas))
+            for label, point, etas in delta]
     evaluated = {}  # each distinct component is evaluated once: its generators, then phi
-    for item in delta:
-        if (comp := key(item)) not in evaluated:
-            label, point, etas = item
+    for comp, (label, point, etas) in zip(keys, delta):
+        if comp not in evaluated:
             rep = by_label[label]
             evaluated[comp] = delta_block(rep.generators + (cand.component(rep),),
                                           etas, point)
-    blocks = [evaluated[key(item)] for item in delta]
+    blocks = [evaluated[comp] for comp in keys]
     gen_mats = [block_diag([mats[k] for mats in blocks]) for k in range(ngens)]
     phi = block_diag([mats[-1] for mats in blocks])
     sizes, total = [mats[-1].nrows for mats in blocks], phi.nrows
     offs = [sum(sizes[:b]) for b in range(len(sizes))]
 
-    grid = [{s: ONE} for s in range(total)]
     # one stacked tuple per run of identical components (the per-block
     # decision vector), plus their concatenation, which correlates blocks
-    run_start = 0
     run_vecs = []
-    for i in range(len(delta) + 1):
-        if i == len(delta) or (i > run_start and key(delta[i]) != key(delta[run_start])):
-            g = i - run_start
-            b = sizes[run_start]
-            v = {offs[run_start + s] + s: ONE for s in range(min(g, b))}
-            grid.append(v)
-            run_vecs.append(v)
-            run_start = i
+    for _, run in groupby(range(len(delta)), keys.__getitem__):
+        run = list(run)  # the s-th copy's block gets its s-th basis vector
+        run_vecs.append({offs[i] + s: ONE for s, i in enumerate(run[:sizes[run[0]]])})
+    grid = [{s: ONE} for s in range(total)] + run_vecs
     if len(run_vecs) > 1:  # the runs lie in disjoint blocks
         grid.append({s: x for v in run_vecs for s, x in v.items()})
 

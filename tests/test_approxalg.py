@@ -671,21 +671,31 @@ def test_double_commutant_check_builds_each_span_once(monkeypatch):
     """On the same module, one check inserts at most 750 vectors into
     spans: End(V)_0 comes from the top corner alone, and each corner's
     witnesses from one factorization.  Eliminating every corner and a fresh
-    witness system per End^# element inserted 1,499."""
+    witness system per End^# element inserted 1,499; constraining End^# at
+    every echelon row of W, not at the one tuple u, inserted 174.  It now
+    inserts none, since each of its spans starts from rows that need no
+    elimination, so the rows handed to SpanBasis are counted too: 426."""
     _, M = gen.rand_approx_module(random.Random(5), 12, junk_ok=True)
     assert (M.dim, M.algebra.dim) == (10, 26)
-    count = [0]
-    insert = linalg.SpanBasis._insert
+    count = {"insert": 0, "handed": 0}
+    insert, init = linalg.SpanBasis._insert, linalg.SpanBasis.__init__
 
     def counted(self, v):
-        count[0] += 1
+        count["insert"] += 1
         return insert(self, v)
 
+    def counted_init(self, ncols, rows=()):
+        rows = list(rows)
+        count["handed"] += len(rows)
+        init(self, ncols, rows)
+
     monkeypatch.setattr(linalg.SpanBasis, "_insert", counted)
+    monkeypatch.setattr(linalg.SpanBasis, "__init__", counted_init)
     rep = aa.double_commutant_check(M)
     monkeypatch.undo()
     assert rep.ok
-    assert 0 < count[0] <= 750, count[0]
+    assert count["insert"] <= 750, count
+    assert 0 < count["handed"] <= 750, count
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (3, 3), (2, 3)])
@@ -743,10 +753,13 @@ def test_end_sharp_maps_no_corner_matrix_through_the_tuple_module(monkeypatch):
     of the 144 corner matrices against each of W's 36 rows took 5,220 and
     6,168.  The `apply` calls are exactly the tuple module's 36: End^# is a
     nullspace in End(V) itself, so no End(V)_0 coordinates are mapped back
-    (that took 36 more)."""
+    (that took 36 more).  The reductions are exactly 36 and no row is
+    inserted: End^# is constrained at the one tuple u, not at every echelon
+    row of W (that took 333 reductions and 297 inserts)."""
     _, M = aa.block_module([3, 3, 3, 3])
-    counts = {"apply": 0, "reduce": 0}
+    counts = {"apply": 0, "reduce": 0, "insert": 0}
     apply, reduce = linalg.apply, linalg.SpanBasis._reduce
+    insert = linalg.SpanBasis._insert
 
     def counted_apply(m, v):
         counts["apply"] += 1
@@ -756,18 +769,23 @@ def test_end_sharp_maps_no_corner_matrix_through_the_tuple_module(monkeypatch):
         counts["reduce"] += 1
         return reduce(self, v, record)
 
+    def counted_insert(self, v):
+        counts["insert"] += 1
+        return insert(self, v)
+
     bound = [mod for name, mod in sys.modules.items()
              if name.startswith("jetcalc") and getattr(mod, "apply", None) is apply]
     assert linalg in bound and aa in bound
     for mod in bound:
         monkeypatch.setattr(mod, "apply", counted_apply)
     monkeypatch.setattr(linalg.SpanBasis, "_reduce", counted_reduce)
+    monkeypatch.setattr(linalg.SpanBasis, "_insert", counted_insert)
     sharp, end_zero = aa._end_sharp(M, *chain_spans(M), {})
     monkeypatch.undo()
     assert sharp.dim == 36 and end_zero.dim == 144
     assert 0 < counts["apply"] <= 100, counts
     assert 0 < counts["reduce"] <= 1500, counts
-    assert counts["apply"] == 36, counts
+    assert counts == {"apply": 36, "reduce": 36, "insert": 0}, counts
 
 
 def test_the_corner_index_is_the_least_idempotent_absorbing_phi():

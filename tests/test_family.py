@@ -83,6 +83,17 @@ def test_a_generator_whose_determinant_is_not_a_polynomial_is_named():
                                "determinant is not a polynomial")
 
 
+def test_a_rep_s_first_generator_is_generator_1_in_every_refusal():
+    """A parse error and a unimodularity refusal number a rep's
+    generators alike, from 1, as words do."""
+    rep = {"label": "e", "dim": 1, "generators": [["x1 +"]]}
+    with pytest.raises(ValueError, match="^generator 1 of rep 'e' entry 0: parse error"):
+        family_from_json(json.dumps({"nvars": 1, "reps": [rep]}))
+    rep["generators"] = [["exp[1]"]]
+    with pytest.raises(ValueError, match="^generator 1 of rep 'e' is not unimodular"):
+        family_from_json(json.dumps({"nvars": 1, "reps": [rep]}))
+
+
 def test_constant_generators_invert_to_constants():
     rep1 = RepFamily("s", [fam(1, [["2"]]), fam(1, [["1"]])])
     assert rep1.inverses[0].entries[0][0] == ExpPoly.const(1, Scalar(1) / Scalar(2))
@@ -621,6 +632,14 @@ def test_invariance_over_decision_data():
     delta0 = [("u", PT, []), ("u", PT, [])]
     assert invariance_check(PWCandidate.from_word([upo], [-1]), delta0, [upo])
     assert not invariance_check(escape, delta0, [upo])
+
+
+def test_invariance_over_empty_decision_data_holds():
+    """No component, no grid vector: the condition holds trivially, for a
+    candidate that escapes at every point too."""
+    upo = upper_only_rep()
+    for cand in (PWCandidate.from_word([upo], [1]), PWCandidate(1, {"u": LOW})):
+        assert invariance_check(cand, [], [upo]) is True
 
 
 def test_invariance_refuses_reps_with_different_generator_counts():

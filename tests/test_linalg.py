@@ -980,15 +980,15 @@ def test_a_span_does_not_depend_on_the_order_of_its_rows(monkeypatch, seed):
                     == [list(v.items()) for v in first.nullspace()])
 
 
-@pytest.mark.parametrize("suite, inserts", [("dcomm", 962), ("pw", 624)])
+@pytest.mark.parametrize("suite, inserts", [("dcomm", 598), ("pw", 624)])
 def test_the_inserts_of_a_suite_are_pinned(monkeypatch, capsys, suite, inserts):
-    """`jetcalc dcomm --seed 0` and `jetcalc pw --seed 0` call _insert 962
+    """`jetcalc dcomm --seed 0` and `jetcalc pw --seed 0` call _insert 598
     and 624 times: the rows that start a span and need no elimination are
-    placed without it (3,201 and 888 calls when every row is inserted).
-    dcomm's counts were 847 and 2,963 while End^# was solved in End(V)_0's
-    coordinates: its Gram rows are now inserted in End(V) after End(V)_0's
-    annihilator, and those the pairing with End(V)_0's basis zeroed reduce
-    to zero."""
+    placed without it (2,826 and 888 calls when every row is inserted).
+    dcomm's counts were 962 and 3,201 while End^# took one Gram row per
+    echelon row of the tuple module W and nullspace functional of W: it
+    now takes one per functional, at the one tuple u, and most of the rows
+    it no longer takes reduced to zero."""
     insert, calls = SpanBasis._insert, []
 
     def counted(self, v):

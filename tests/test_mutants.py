@@ -161,7 +161,8 @@ def test_a_mutant_ends_in_failing_records_or_the_internal_error_status(
 # floor, the count measured when the sweep was added: SWEEP_FLOORS holds it
 # for every phase, which runs under `slow`, and for every STRIDE-th phase,
 # which tier-1 runs.  On dcomm every phase but T's phase 83 ends in failing
-# records; that one records the clean values.
+# records; that one records the clean values (the script at the end of this
+# file prints each sweep's clean phases).
 SWEEP_PHASES = {"A": range(0, 997, 10), "T": range(101)}
 STRIDE = 4
 SWEEP_FLOORS = {  # (every phase, every STRIDE-th phase)
@@ -255,8 +256,8 @@ def _schedule(suite, counted=None):
 # re-measure SWEEP_FLOORS, then re-pin here:
 # `PYTHONPATH=src python tests/test_mutants.py` prints all of them.
 SCHEDULES = {
-    "dcomm": (5299, 963, "7516ab832a3480b1c144d0240ee0430a"
-              "704cbf57817244952e6ea0771708f75a"),
+    "dcomm": (4088, 963, "4a5b27603b25749051cd400311153fcf"
+              "862d6bb210994956c9c71653b34d1c7a"),
     "jet": (15045, 70, "5163ad3960fe1c129de27f59c65b2277"
             "8659cf7c2738ccf0dafab3fa5eb3ae6c"),
     "kernel": (1277, 68, "23225bab7f820a455ba509e79caab51a"
@@ -284,33 +285,31 @@ def _run(suite, mutant=None, phase=0):
 
 
 def _sweep(suite, mutant, phases):
-    """(number of phases exiting 1, the phases that exit 0 with values
-    other than the clean run's)."""
+    """(the phases exiting 1, the phases that exit 0 with the clean run's
+    values, the phases that exit 0 with other values)."""
     rc, clean = _run(suite)
     assert rc == 0 and clean
-    caught, silent = 0, []
+    caught, same, silent = [], [], []
     for phase in phases:
         rc, values = _run(suite, mutant, phase)
         assert rc in (0, 1)
-        caught += rc == 1
-        if rc == 0 and values != clean:
-            silent.append(phase)
-    return caught, silent
+        (caught if rc else same if values == clean else silent).append(phase)
+    return caught, same, silent
 
 
 @pytest.mark.parametrize("suite, mutant", sorted(SWEEP_FLOORS))
 def test_a_stride_of_each_sweep_makes_no_silent_change(suite, mutant):
-    caught, silent = _sweep(suite, mutant, SWEEP_PHASES[mutant][::STRIDE])
+    caught, _, silent = _sweep(suite, mutant, SWEEP_PHASES[mutant][::STRIDE])
     assert silent == []
-    assert caught >= SWEEP_FLOORS[suite, mutant][1], "caught at %d phases" % caught
+    assert len(caught) >= SWEEP_FLOORS[suite, mutant][1], "caught at %d phases" % len(caught)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("suite, mutant", sorted(SWEEP_FLOORS))
 def test_every_phase_of_each_sweep_makes_no_silent_change(suite, mutant):
-    caught, silent = _sweep(suite, mutant, SWEEP_PHASES[mutant])
+    caught, _, silent = _sweep(suite, mutant, SWEEP_PHASES[mutant])
     assert silent == []
-    assert caught >= SWEEP_FLOORS[suite, mutant][0], "caught at %d phases" % caught
+    assert len(caught) >= SWEEP_FLOORS[suite, mutant][0], "caught at %d phases" % len(caught)
 
 
 if __name__ == "__main__":
@@ -318,8 +317,9 @@ if __name__ == "__main__":
     # that moves a schedule, printing the SCHEDULES tuples, the whole-run
     # counts of output-changing _axpy calls and square applies on jet and
     # kernel that the CATCH_TABLE comment cites, then per suite and mutant
-    # the phases caught and the silent phases of the stride and of the
-    # every-phase sweep.  The CLI's own output is discarded.
+    # the phases caught, the phases that exit 0 with the clean values and
+    # the silent phases of the stride and of the every-phase sweep.  The
+    # CLI's own output is discarded.
     import contextlib
     import io
 
@@ -335,6 +335,7 @@ if __name__ == "__main__":
     for suite, mutant in sorted(SWEEP_FLOORS):
         for sweep, phases in (("stride", SWEEP_PHASES[mutant][::STRIDE]),
                               ("every phase", SWEEP_PHASES[mutant])):
-            caught, silent = quiet(_sweep, suite, mutant, phases)
-            print("%s %s %s: caught %d of %d, silent %s"
-                  % (suite, mutant, sweep, caught, len(phases), silent), flush=True)
+            caught, same, silent = quiet(_sweep, suite, mutant, phases)
+            print("%s %s %s: caught %d of %d, clean %s, silent %s"
+                  % (suite, mutant, sweep, len(caught), len(phases), same, silent),
+                  flush=True)

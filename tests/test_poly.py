@@ -331,7 +331,7 @@ def test_loaders_refuse_a_non_ascii_digit_as_a_parse_error():
     from jetcalc.family import family_from_json
     from jetcalc.localmod import FinMod
     rep = {"label": "R", "dim": 1, "generators": [["1+x1\u00b2"]]}
-    with pytest.raises(ValueError, match="^generator 0 of rep 'R' entry 0: parse error "
+    with pytest.raises(ValueError, match="^generator 1 of rep 'R' entry 0: parse error "
                                          "at position 4: unexpected"):
         family_from_json(json.dumps({"nvars": 1, "reps": [rep]}))
     module = json.loads(FinMod([[[ZERO]]]).to_json())

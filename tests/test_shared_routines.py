@@ -106,7 +106,7 @@ def loader(kind):
                 lambda d: d["action"], "action matrix 0")
     if kind == "family":
         return (family_from_json, family_text,
-                lambda d: d["reps"][0]["generators"], "generator 0 of rep 'R'")
+                lambda d: d["reps"][0]["generators"], "generator 1 of rep 'R'")
     reps = family_from_json(family_text)
     return (lambda text: PWCandidate.from_json(text, reps),
             (FIXTURES / "escaping_candidate.json").read_text(),
