@@ -42,11 +42,11 @@ first use (by mul, validate or to_json).
 import json
 import re
 
-from .scalars import ZERO, ONE
+from .scalars import Scalar, ONE
 from .poly import scalar_parser
 from .localmod import MAX_DIM
 from . import linalg
-from .linalg import (Mat, SpanBasis, CrossCheckError, mmul, mat_sum, close_span,
+from .linalg import (Mat, SpanBasis, CrossCheckError, EMPTY, mmul, mat_sum, close_span,
                      kron, square, parse_entries, sparse, dense, dot, apply, json_field,
                      json_load, _axpy, _mul_into)
 
@@ -64,12 +64,22 @@ MAX_ALGEBRA_DIM = 3 * MAX_DIM
 _canonical = re.compile("0|[1-9][0-9]*").fullmatch
 
 
+def _held(v):
+    """v itself when it is a zero-free dict of Scalars, which is held as
+    given, else sparse(v)."""
+    if isinstance(v, dict) and all(type(x) is Scalar and x for x in v.values()):
+        return v
+    return sparse(v)
+
+
 class ApproxAlgebra:
     """Associative algebra on a finite basis with sparse structure constants
     and a distinguished increasing idempotent chain.  An element is the
     zero-free dict {t: c} of its coordinates; `sc` maps (i, j) to that of
     e_i e_j and, given as a function returning the map, runs on the first
-    read of `sc`.  The chain is given as sequences or dicts, kept as dicts."""
+    read of `sc`.  The chain is given as sequences or dicts, kept as dicts:
+    a zero-free dict of Scalars, as a chain element or a structure-constant
+    row, is held as given (see linalg on held dicts)."""
 
     __slots__ = ("dim", "_sc", "chain", "labels")
 
@@ -83,14 +93,14 @@ class ApproxAlgebra:
             raise ValueError("the idempotent chain must be nonempty")
         if any(not isinstance(a, dict) and len(a) != dim for a in chain):
             raise ValueError("chain element has wrong length")
-        self.chain = tuple(map(sparse, chain))
+        self.chain = tuple(map(_held, chain))
         if check:
             self.validate()
 
     @property
     def sc(self):
         if callable(self._sc):
-            self._sc = {key: r for key, row in self._sc().items() if (r := sparse(row))}
+            self._sc = {key: r for key, row in self._sc().items() if (r := _held(row))}
         return self._sc
 
     def mul(self, x, y):
@@ -126,23 +136,23 @@ class ApproxAlgebra:
     @classmethod
     def from_blocks(cls, sizes):
         """Direct sum of full matrix algebras; basis = matrix units, chain =
-        partial sums of the block identities.  Unchecked: it is valid by
-        construction."""
+        partial sums of the block identities.  Every product that is e_t
+        holds the one dict {t: 1}.  Unchecked: it is valid by construction."""
         sizes = list(sizes)
         if not sizes:
             raise ValueError("need at least one block")
         dim = sum(d * d for d in sizes)
-        labels, sc, chain = [], {}, []
-        acc = [ZERO] * dim
+        units = [{t: ONE} for t in range(dim)]
+        labels, sc, chain, acc = [], {}, [], {}
         base = 0  # unit (r, c) of block b is basis element base + r*d + c
         for b, d in enumerate(sizes):
             for r in range(d):
                 for c in range(d):
                     labels.append("b%d:%d%d" % (b, r, c))
                     for c2 in range(d):
-                        sc[(base + r * d + c, base + c * d + c2)] = {base + r * d + c2: ONE}
+                        sc[(base + r * d + c, base + c * d + c2)] = units[base + r * d + c2]
                 acc[base + r * d + r] = ONE
-            chain.append(tuple(acc))
+            chain.append(dict(acc))
             base += d * d
         return cls(dim, sc, chain, labels, check=False)
 
@@ -152,13 +162,14 @@ class ApproxAlgebra:
 
 def block_module(sizes):
     """Block matrix algebra acting on the direct sum of its column spaces;
-    returns (algebra, module), unchecked: both are valid by construction."""
+    returns (algebra, module), unchecked: both are valid by construction.
+    Each matrix unit holds linalg.EMPTY for its empty rows."""
     alg = ApproxAlgebra.from_blocks(sizes)
     dim = sum(sizes)
     mats = []
     off = 0
     for d in sizes:
-        mats += [Mat([{c: ONE} if i == r else {} for i in range(dim)], dim)
+        mats += [Mat([{c: ONE} if i == r else EMPTY for i in range(dim)], dim)
                  for r in range(off, off + d) for c in range(off, off + d)]
         off += d
     return alg, ApproxModule(alg, dim, mats, check=False)
@@ -533,8 +544,13 @@ def _separating_functional(image, sharp):
 def corner_identity_check(M, j1, j2):
     """The image of the abstract corner alpha_{j1} A alpha_{j2} must equal
     the intersection of the action image with the concrete corner
-    {X : P_{j1} X P_{j2} = X}; both sides computed independently."""
+    {X : P_{j1} X P_{j2} = X}; both sides computed independently.  A chain
+    index outside 0 to len(chain) - 1 is refused with a ValueError."""
     A = M.algebra
+    for j in (j1, j2):
+        if not 0 <= j < len(A.chain):
+            raise ValueError("chain index %d is outside 0 to %d: the chain has %d elements"
+                             % (j, len(A.chain) - 1, len(A.chain)))
     d = M.dim
     flats = [m.flat() for m in M.mats]
     elems = [A.mul(A.mul(A.chain[j1], {t: ONE}), A.chain[j2]) for t in range(A.dim)]
@@ -553,7 +569,10 @@ def submodule_grid_check(M, phi, n, extra=()):
     """Spot-check of the universal quantifier behind End^#: when phi passes
     the membership test, the module generated by each grid vector of V^n
     (standard basis tuples plus any extras) must be preserved by the
-    diagonal action of phi.  Returns None, or the offending generator."""
+    diagonal action of phi.  Returns None, or the offending generator.  A
+    tuple length n below 1 is refused with a ValueError."""
+    if n < 1:
+        raise ValueError("the tuple length n is %d; it must be at least 1" % n)
     d = M.dim
     if not end_sharp_membership(M, phi).member:
         return None

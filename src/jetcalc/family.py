@@ -432,9 +432,14 @@ def invariance_check(cand, delta, reps):
     preserve every one of them.  Each module is closed under the generators
     alone: the doubled blocks are invertible, so (as in spanned_algebra)
     their inverses lie in the unital algebra A the generators span, and v
-    generates A.v under either alphabet."""
+    generates A.v under either alphabet.  A delta entry whose label names
+    no rep is refused with a ValueError."""
     ngens = generator_count((rep.label, rep.generators) for rep in reps)
     by_label = {rep.label: rep for rep in reps}
+    for label, _, _ in delta:
+        if label not in by_label:
+            raise ValueError("a delta entry names the rep %r, which is not among the reps"
+                             % (label,))
     keys = [(label, tuple(point.coords), tuple(tuple(e.coords) for e in etas))
             for label, point, etas in delta]
     evaluated = {}  # each distinct component is evaluated once: its generators, then phi

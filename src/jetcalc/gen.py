@@ -7,7 +7,7 @@ point is coverage of shapes, not bulk.
 
 from .scalars import Scalar, ZERO, ONE, _mk
 from .poly import Polynomial, ExpPoly, Vector, Covector, DiffOp
-from .linalg import Mat, mmul, mat_inverse
+from .linalg import Mat, EMPTY, mmul, mat_inverse
 from .localmod import (CofiniteIdeal, power_ideal, dual_number_ideal,
                        cyclic_quotient, dual_number_module, direct_sum,
                        tensor, FinMod)
@@ -170,7 +170,7 @@ def rand_approx_module(rng, dimmax, junk_ok=False):
     d = M.dim
     if junk_ok and rng.random() < 0.5:
         e = rng.randint(1, 2)
-        mats = [Mat(m.rows + ({},) * e, d + e) for m in M.mats]
+        mats = [Mat(m.rows + (EMPTY,) * e, d + e) for m in M.mats]
         return alg, ApproxModule(alg, d + e, mats, check=False)
     if d <= 6 and rng.random() < 0.5:
         T = rand_unimodular(rng, d)

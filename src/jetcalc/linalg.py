@@ -18,6 +18,13 @@ a Mat equals only a Mat.  A `MatPolyFamily` keeps one Mat per term.
 `square`, `json_load` and `json_field` read JSON matrices, texts and fields,
 and `parse_entries` names the entry that does not parse.
 
+Held dicts are never modified: once a zero-free dict is handed to a Mat
+(as a row or column), a SpanBasis (as a row) or an approxalg.ApproxAlgebra
+(as a chain element or structure-constant row), nothing changes it.  So
+equal dicts may be shared and none is copied on the way in: every empty
+row or column may be the one module-level `EMPTY`, and a dict handed in
+is held as it is.
+
 `SpanBasis` is the one elimination: Gauss-Jordan to the reduced row echelon
 form (RREF), one row at a time after placing the leading rows that need
 none, and RREF is unique over exact arithmetic, so no pivoting heuristics
@@ -46,6 +53,8 @@ import json
 from bisect import bisect_left
 
 from .scalars import Scalar, ZERO, ONE, _mk
+
+EMPTY = {}  # the shared empty row or column; held, so never modified
 
 
 class CrossCheckError(AssertionError):
@@ -99,7 +108,7 @@ def dense(v, n):
 class Mat:
     """Immutable exact matrix: its shape and one zero-free {column: Scalar}
     dict per row; its columns, zero-free {row: Scalar} dicts, are built on
-    first read and kept.  No dict is modified once a Mat holds it."""
+    first read and kept, every empty one as EMPTY."""
 
     __slots__ = ("rows", "nrows", "ncols", "_cols")
 
@@ -137,10 +146,15 @@ class Mat:
     @property
     def cols(self):
         if self._cols is None:
-            self._cols = [{} for _ in range(self.ncols)]
+            cols = {}
             for r, row in enumerate(self.rows):
                 for c, x in row.items():
-                    self._cols[c][r] = x
+                    col = cols.get(c)
+                    if col is None:
+                        cols[c] = {r: x}
+                    else:
+                        col[r] = x
+            self._cols = [cols.get(c, EMPTY) for c in range(self.ncols)]
         return self._cols
 
     @property
@@ -391,9 +405,9 @@ class SpanBasis:
     pivot's row alone, in any order.  _insert() replaces a row it changes by
     a new dict, so a row once read is never modified.  The initial rows go
     in as _insert() reads them, in order, but their leading rows that need
-    no elimination are placed in one pass, as the copies _insert() keeps:
-    dicts whose pivot entry is 1, with no key at an earlier pivot and a
-    pivot that no earlier row holds (empty dicts are skipped)."""
+    no elimination are placed in one pass and held as handed: dicts whose
+    pivot entry is 1, with no key at an earlier pivot and a pivot that no
+    earlier row holds (empty dicts are skipped)."""
 
     def __init__(self, ncols, rows=()):
         self.ncols = ncols
@@ -407,7 +421,7 @@ class SpanBasis:
                 if (r[p] is not ONE and r[p] != ONE or p in held
                         or not placed.keys().isdisjoint(r.keys())):
                     break
-                placed[p] = dict(r)
+                placed[p] = r
                 held.update(r)
             n += 1
         self.pivots = sorted(placed)

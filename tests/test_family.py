@@ -653,6 +653,14 @@ def test_invariance_refuses_reps_with_different_generator_counts():
         spanned_algebra(reps, [PT], E1)
 
 
+def test_invariance_refuses_a_delta_label_that_names_no_rep(monkeypatch):
+    """Named, not a bare KeyError, and before any block is evaluated."""
+    monkeypatch.setattr(family, "delta_block", None)
+    delta = [("u", PT, []), ("zz", PT, [])]
+    with pytest.raises(ValueError, match="names the rep 'zz', which is not among the reps"):
+        invariance_check(PWCandidate(1, {}), delta, [upper_only_rep()])
+
+
 def test_invariance_agrees_with_membership_at_evaluation_level():
     upo = upper_only_rep()
     pts = [Vector([sc(1)]), Vector([sc(2)])]

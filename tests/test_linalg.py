@@ -882,23 +882,29 @@ def span_inputs(draw):
 
 
 def built(ncols, rows, one_at_a_time):
-    """(the SpanBasis of rows, the _axpy calls it made, by their arguments),
-    built from its rows or by _insert, one row at a time."""
-    calls, axpy = [], linalg._axpy
+    """(the SpanBasis of rows, the _axpy calls it made, by their arguments,
+    the vectors handed to _insert), built from its rows or by _insert, one
+    row at a time."""
+    calls, inserted, axpy, insert = [], [], linalg._axpy, SpanBasis._insert
 
     def noting(out, c, row, off=0, skip=None):
         calls.append((c, list(row.items()), off, skip))
         return axpy(out, c, row, off, skip)
 
+    def inserting(span, v):
+        inserted.append(v)
+        return insert(span, v)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "_axpy", noting)
+        mp.setattr(SpanBasis, "_insert", inserting)
         if one_at_a_time:
             span = SpanBasis(ncols)
             for r in rows:
                 span._insert(r)
         else:
             span = SpanBasis(ncols, iter(rows))
-    return span, calls
+    return span, calls, inserted
 
 
 @settings(max_examples=300, deadline=None)
@@ -908,14 +914,19 @@ def built(ncols, rows, one_at_a_time):
 def test_a_span_of_rows_is_inserting_them_one_at_a_time(case):
     """SpanBasis(ncols, rows), which places its leading rows that need no
     elimination, has the pivots, the rows (with their key order) and the
-    _axpy calls of inserting the rows one at a time, holds none of the row
-    dicts given, and is sympy's RREF."""
+    _axpy calls of inserting the rows one at a time, holds the rows it
+    places as the dicts given, modifies no dict given, and is sympy's RREF."""
     ncols, rows = case
-    span, calls = built(ncols, rows, False)
-    by_insert, insert_calls = built(ncols, rows, True)
+    given = [list(r.items()) if isinstance(r, dict) else r for r in rows]
+    span, calls, inserted = built(ncols, rows, False)
+    by_insert, insert_calls, _ = built(ncols, rows, True)
     assert span.pivots == by_insert.pivots and calls == insert_calls
     assert [list(r.items()) for r in span.rows] == [list(r.items()) for r in by_insert.rows]
-    assert not any(row is r for row in span.rows for r in rows)  # copies, as _insert keeps
+    # a placed row is held as given until an insert clears an entry at a new pivot
+    placed = [r for r in rows if isinstance(r, dict) and r
+              and not any(r is v for v in inserted)]
+    assert all(span._row[min(r)] is r for r in placed if by_insert._row[min(r)] == r)
+    assert [list(r.items()) if isinstance(r, dict) else r for r in rows] == given
     assert_rows_are_sparse(span)
     dense_rows = [linalg.dense(r, ncols) if isinstance(r, dict) else r for r in rows]
     assert (echelon(span), span.pivots) == sympy_rref(dense_rows, ncols)

@@ -373,6 +373,59 @@ def test_no_axpy_call_of_a_workload_round_leaves_its_output_unchanged(monkeypatc
         assert {(kind, caller) for kind, caller in calls if kind != "useful"} == set(), name
 
 
+def test_no_held_dict_is_modified_over_a_verify_run(monkeypatch, capsys):
+    """Over `jetcalc verify --seed 0`, every dict held by a Mat (its rows
+    and any columns built), a SpanBasis (its rows) or an ApproxAlgebra (its
+    chain and structure constants) keeps the items it had when first held,
+    and the shared linalg.EMPTY stays empty: the rule that lets held dicts
+    be shared and never copied."""
+    held = {}  # id -> (the dict, kept alive so no id is reused; its items when held)
+
+    def hold(dicts):
+        for d in dicts:
+            if id(d) not in held:
+                held[id(d)] = (d, list(d.items()))
+        return dicts
+
+    Mat, Span, Alg = linalg.Mat, linalg.SpanBasis, approxalg.ApproxAlgebra
+    mat_init, cols, span_init, insert, alg_init, sc = (
+        Mat.__init__, Mat.cols.fget, Span.__init__, Span._insert, Alg.__init__, Alg.sc.fget)
+
+    def holding_mat(self, rows, ncols, cols=None):
+        mat_init(self, rows, ncols, cols)
+        hold(self.rows)
+        hold(cols or ())
+
+    def holding_span(self, ncols, rows=()):
+        span_init(self, ncols, rows)
+        hold(self.rows)
+
+    def holding_insert(self, v):
+        row = insert(self, v)
+        hold(self.rows)
+        return row
+
+    def holding_alg(self, *args, **kwargs):
+        alg_init(self, *args, **kwargs)
+        hold(self.chain)
+
+    def holding_sc(self):
+        hold(sc(self).values())
+        return sc(self)
+
+    monkeypatch.setattr(Mat, "__init__", holding_mat)
+    monkeypatch.setattr(Mat, "cols", property(lambda self: hold(cols(self))))
+    monkeypatch.setattr(Span, "__init__", holding_span)
+    monkeypatch.setattr(Span, "_insert", holding_insert)
+    monkeypatch.setattr(Alg, "__init__", holding_alg)
+    monkeypatch.setattr(Alg, "sc", property(holding_sc))
+    assert cli.main(["verify", "--seed", "0"]) == 0
+    capsys.readouterr()
+    assert len(held) > 10000 and id(linalg.EMPTY) in held
+    changed = [items for d, items in held.values() if list(d.items()) != items]
+    assert changed == [] and linalg.EMPTY == {}
+
+
 def test_no_module_level_import_is_unused():
     """Every name a module of the package (other than __init__) imports at
     module level is read somewhere in that module: an AST check, since no
