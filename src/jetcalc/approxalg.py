@@ -331,6 +331,15 @@ def _idem_spans(M, col_js, row_js):
             [SpanBasis(M.dim, M.idem_mat(j).rows) for j in row_js])
 
 
+def _ranks_are_traces(M, col_js, row_js, cols, rows):
+    """Raise CrossCheckError unless each col(P_j) and row(P_j) has tr(P_j) rows."""
+    for side, js, spans in (("col", col_js, cols), ("row", row_js, rows)):
+        for j, span in zip(js, spans):
+            diag = {i: r[i] for i, r in enumerate(M.idem_mat(j).rows) if i in r}
+            if dot(diag, dict.fromkeys(diag, ONE)) != span.dim:
+                raise CrossCheckError("%s(P_%d) has %d rows, not tr(P_%d)" % (side, j, span.dim, j))
+
+
 def _corner_gens(cols, rows):
     """Flattened generators of P_{j1} . End(V) . P_{j2}, the outer products
     c r^T: the Kronecker rows c (x) r of the RREF bases c of col(P_{j1})
@@ -492,12 +501,17 @@ def double_commutant_check(M):
     One containment (image inside End^#) is checked directly; the other is
     established constructively by running the membership test on every
     element of a basis of End^#, which also recovers explicit witnesses.
-    On failure the report carries a separating functional."""
+    On failure the report carries a separating functional.  An idempotent's
+    rank is its trace: CrossCheckError names a span col(P_j) or row(P_j)
+    without tr(P_j) rows, or an End(V)_0 without tr(P_top)^2."""
     image = M.image_span()
     chain = range(len(M.algebra.chain))
     cols, rows = _idem_spans(M, chain, chain)
+    _ranks_are_traces(M, chain, chain, cols, rows)
     tuples = {}
     sharp, end_zero = _end_sharp(M, cols, rows, tuples)
+    if end_zero.dim != cols[-1].dim ** 2:
+        raise CrossCheckError("End(V)_0 has %d rows, not tr(P_top)^2" % end_zero.dim)
     d = M.dim
     dims = {
         "dim_V": d,
@@ -558,6 +572,7 @@ def corner_identity_check(M, j1, j2):
     _mul_into(acts, elems, flats)
     left = SpanBasis(d * d, acts)
     [col], [row] = _idem_spans(M, [j1], [j2])
+    _ranks_are_traces(M, [j1], [j2], [col], [row])
     right = SpanBasis(d * d, linalg.subspace_intersection(
         M.image_span().rows, _corner_gens(col, row), d * d))
     ok = left.same_span(right)

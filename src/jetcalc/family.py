@@ -303,11 +303,18 @@ def relation_to_functional(terms, reps):
     """Package relation terms as one functional (psi, layout), psi a Mat:
     the module collects one power-quotient block per operator, and each
     term contributes the tensor of its module functional with its dual
-    matrix, in the diagonal block of the term's (rep, point)."""
+    matrix, in the diagonal block of the term's (rep, point).  A term that
+    names no rep, or whose psi is not rep.dim x rep.dim, is refused first."""
     terms = list(terms)
     if not terms:
         raise ValueError("need at least one term")
     by_label = {rep.label: rep for rep in reps}
+    for t in terms:
+        if (rep := by_label.get(t.label)) is None:
+            raise ValueError("a relation term names the rep %r, not among the reps" % (t.label,))
+        if (t.psi.nrows, t.psi.ncols) != (rep.dim, rep.dim):
+            raise ValueError("the psi of a relation term on rep %r is %dx%d; the rep needs %dx%d"
+                             % (t.label, t.psi.nrows, t.psi.ncols, rep.dim, rep.dim))
     E, funcs = diffop_to_module([t.u for t in terms])
     used_labels = sorted({t.label for t in terms})
     sel_reps = [by_label[lb] for lb in used_labels]
@@ -364,10 +371,8 @@ def relation_check(cand, terms, reps):
     bad = next((row for row in span.rows if dot(flat, row)), None)
     if bad is not None:
         return None, Mat.from_flat(bad, psi.nrows, psi.nrows)
-    direct = ZERO
     by_label = {rep.label: rep for rep in reps}
-    for t in terms:
-        direct = direct + term_value(t, cand.component(by_label[t.label]))
+    direct = sum((term_value(t, cand.component(by_label[t.label])) for t in terms), ZERO)
     packaged = frobenius(psi, layout.assemble(cand.component))
     if direct != packaged:
         raise CrossCheckError("relation evaluation routes disagree")

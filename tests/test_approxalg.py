@@ -4,16 +4,17 @@ import gc
 import json
 import random
 import re
-import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
 from jetcalc.scalars import Scalar, ZERO, ONE, Scalar as sc
-from jetcalc import approxalg as aa, gen, linalg
+from jetcalc import approxalg as aa, cli, gen, linalg
 from jetcalc.linalg import mid, sparse
 from jetcalc.poly import parse_scalar
 from oracles import algebra_from_matrix_basis, is_approx_unital, membership, rand_matrix
+from probe import probe
 from test_shared_routines import load_bench
 
 
@@ -427,18 +428,14 @@ def test_the_largest_admitted_module_loads_in_few_truth_tests(monkeypatch):
     _, M = aa.block_module([3, 3, 3, 3])
     assert (M.dim, M.algebra.dim) == (12, aa.MAX_ALGEBRA_DIM)
     text = M.to_json()
-    count = [0]
-    truth = Scalar.__bool__
 
-    def counted(x):
-        count[0] += 1
-        assert count[0] <= 100000, "tested more than 100,000 Scalars for zero"
-        return truth(x)
+    def within_budget(x):
+        assert truths.calls <= 100000, "tested more than 100,000 Scalars for zero"
 
-    monkeypatch.setattr(Scalar, "__bool__", counted)
+    truths = probe(monkeypatch, Scalar, "__bool__", within_budget)
     N = aa.ApproxModule.from_json(text)
     monkeypatch.undo()
-    assert count[0] > 0
+    assert truths.calls > 0
     assert N.mats == M.mats and N.algebra.sc == M.algebra.sc and is_approx_unital(N)
 
 
@@ -455,13 +452,6 @@ def test_witness_solver_factors_each_corner_once(monkeypatch):
     corner it is, on plain, skewed and junk-padded modules; each witness
     acts as its element."""
     rng = random.Random(1)
-    factored = []
-    solver = linalg.solver
-
-    def counted(vecs, ncols):
-        factored.append(ncols)
-        return solver(vecs, ncols)
-
     kinds = set()
     for _ in range(12):
         _, M = gen.rand_approx_module(rng, 6, junk_ok=True)
@@ -472,11 +462,10 @@ def test_witness_solver_factors_each_corner_once(monkeypatch):
             res = membership(M, mat)
             assert res.member and M.act(res.witness) == mat
             corners.add(res.j)
-        factored.clear()
-        monkeypatch.setattr(linalg, "solver", counted)
+        factored = probe(monkeypatch, linalg, "solver")
         assert aa.double_commutant_check(M).ok
         monkeypatch.undo()
-        assert len(factored) == len(corners)
+        assert factored.calls == len(corners)
     assert kinds == {"plain", "skewed", "junk"}
 
 
@@ -569,19 +558,12 @@ def test_the_top_corner_costs_no_elimination(monkeypatch):
     projection (a junk summand, then a change of basis).  Its d^2 products
     P E_rc P took eliminations there."""
     rng = random.Random(26)
-    axpy = linalg._axpy
 
     def updates(fn):
-        calls = [0]
-
-        def counted(*args, **kwargs):
-            calls[0] += 1
-            return axpy(*args, **kwargs)
-
-        monkeypatch.setattr(linalg, "_axpy", counted)
+        axpy = probe(monkeypatch, linalg, "_axpy")
         fn()
         monkeypatch.undo()
-        return calls[0]
+        return axpy.calls
 
     for d in (1, 2, 3):
         alg, M = aa.block_module([d])
@@ -678,18 +660,11 @@ def test_double_commutant_check_tests_few_entries_for_zero(monkeypatch):
     once was, tested 42,057."""
     alg, M = gen.rand_approx_module(random.Random(5), 12, junk_ok=True)
     assert (M.dim, alg.dim) == (10, 26)
-    count = [0]
-    truth = Scalar.__bool__
-
-    def counted(x):
-        count[0] += 1
-        return truth(x)
-
-    monkeypatch.setattr(Scalar, "__bool__", counted)
+    truths = probe(monkeypatch, Scalar, "__bool__")
     rep = aa.double_commutant_check(M)
     monkeypatch.undo()
     assert rep.ok
-    assert 0 < count[0] <= 14000, count[0]
+    assert 0 < truths.calls <= 14000, truths.calls
 
 
 def test_double_commutant_check_builds_each_span_once(monkeypatch):
@@ -702,25 +677,20 @@ def test_double_commutant_check_builds_each_span_once(monkeypatch):
     elimination, so the rows handed to SpanBasis are counted too: 426."""
     _, M = gen.rand_approx_module(random.Random(5), 12, junk_ok=True)
     assert (M.dim, M.algebra.dim) == (10, 26)
-    count = {"insert": 0, "handed": 0}
-    insert, init = linalg.SpanBasis._insert, linalg.SpanBasis.__init__
+    handed = [0]
 
-    def counted(self, v):
-        count["insert"] += 1
-        return insert(self, v)
-
-    def counted_init(self, ncols, rows=()):
+    def hand(span, ncols, rows=()):
         rows = list(rows)
-        count["handed"] += len(rows)
-        init(self, ncols, rows)
+        handed[0] += len(rows)
+        return span, ncols, rows
 
-    monkeypatch.setattr(linalg.SpanBasis, "_insert", counted)
-    monkeypatch.setattr(linalg.SpanBasis, "__init__", counted_init)
+    inserts = probe(monkeypatch, linalg.SpanBasis, "_insert")
+    probe(monkeypatch, linalg.SpanBasis, "__init__", hand)
     rep = aa.double_commutant_check(M)
     monkeypatch.undo()
     assert rep.ok
-    assert count["insert"] <= 750, count
-    assert 0 < count["handed"] <= 750, count
+    assert inserts.calls <= 750, inserts.calls
+    assert 0 < handed[0] <= 750, handed
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (3, 3), (2, 3)])
@@ -782,31 +752,14 @@ def test_end_sharp_maps_no_corner_matrix_through_the_tuple_module(monkeypatch):
     inserted: End^# is constrained at the one tuple u, not at every echelon
     row of W (that took 333 reductions and 297 inserts)."""
     _, M = aa.block_module([3, 3, 3, 3])
-    counts = {"apply": 0, "reduce": 0, "insert": 0}
-    apply, reduce = linalg.apply, linalg.SpanBasis._reduce
-    insert = linalg.SpanBasis._insert
-
-    def counted_apply(m, v):
-        counts["apply"] += 1
-        return apply(m, v)
-
-    def counted_reduce(self, v, record=None):
-        counts["reduce"] += 1
-        return reduce(self, v, record)
-
-    def counted_insert(self, v):
-        counts["insert"] += 1
-        return insert(self, v)
-
-    bound = [mod for name, mod in sys.modules.items()
-             if name.startswith("jetcalc") and getattr(mod, "apply", None) is apply]
-    assert linalg in bound and aa in bound
-    for mod in bound:
-        monkeypatch.setattr(mod, "apply", counted_apply)
-    monkeypatch.setattr(linalg.SpanBasis, "_reduce", counted_reduce)
-    monkeypatch.setattr(linalg.SpanBasis, "_insert", counted_insert)
+    apply = aa.apply
+    probes = {"apply": probe(monkeypatch, linalg, "apply"),
+              "reduce": probe(monkeypatch, linalg.SpanBasis, "_reduce"),
+              "insert": probe(monkeypatch, linalg.SpanBasis, "_insert")}
+    assert aa.apply is linalg.apply is not apply
     sharp, end_zero = aa._end_sharp(M, *chain_spans(M), {})
     monkeypatch.undo()
+    counts = {name: p.calls for name, p in probes.items()}
     assert sharp.dim == 36 and end_zero.dim == 144
     assert 0 < counts["apply"] <= 100, counts
     assert 0 < counts["reduce"] <= 1500, counts
@@ -892,28 +845,50 @@ def test_an_end_sharp_element_in_no_corner_is_a_cross_check_failure(monkeypatch)
         aa.end_sharp_membership(M, mid(3))
 
 
+def test_a_span_without_its_idempotents_trace_as_rank_is_a_cross_check_failure(
+        monkeypatch, capsys, tmp_path):
+    """An idempotent's rank is its trace.  When _idem_spans, in approxalg
+    and in cli alike, reads each chain idempotent's action with its first
+    nonzero row dropped, `jetcalc dcomm --seed 0` ends in failing dcomm.main
+    records whose witness names the identity that failed."""
+    def drop_a_row(M, col_js, row_js):
+        def idem_mat(j):
+            rows = list(M.idem_mat(j).rows)
+            rows[next(i for i, r in enumerate(rows) if r)] = {}
+            return linalg.Mat(rows, M.dim)
+        return SimpleNamespace(dim=M.dim, idem_mat=idem_mat), col_js, row_js
+
+    spans, out = aa._idem_spans, tmp_path / "v.jsonl"
+    probe(monkeypatch, aa, "_idem_spans", drop_a_row)
+    assert cli._idem_spans is aa._idem_spans is not spans
+    assert cli.main(["dcomm", "--seed", "0", "--json", str(out)]) == 1
+    capsys.readouterr()
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    main = [r for r in records if r["check_id"] == "dcomm.main"]
+    identity = r"(col|row)\(P_\d+\) has \d+ rows, not tr\(P_\d+\)"
+    assert main and all(r["status"] == "fail"
+                        and re.fullmatch(identity, r["witness"]["cross_check"]) for r in main)
+
+
 def test_a_double_commutant_check_builds_each_idempotent_span_once(monkeypatch):
     """Over the dcomm.main checks of six benchmark rounds at seed 0 (222
     chain idempotents), each double_commutant_check builds a SpanBasis from
     each chain idempotent's columns and from its rows once: 444 builds.
     End(V)_0, the End^# corner search and the tuple modules read those."""
     rounds = load_bench("workloads").WORKLOADS["dcomm"].rounds(0, 6)
-    span, check = aa.SpanBasis, aa.double_commutant_check
     sides, builds, idems = [], [], []
 
-    def counted_span(ncols, rows=()):
+    def build(span, ncols, rows=()):
         builds[-1] += any(rows is side for side in sides)
-        return span(ncols, rows)
 
-    def counted_check(M):
+    def check(M):
         P = [M.idem_mat(j) for j in range(len(M.algebra.chain))]
         sides[:] = [side for p in P for side in (p.cols, p.rows)]
         builds.append(0)
         idems.append(len(P))
-        return check(M)
 
-    monkeypatch.setattr(aa, "SpanBasis", counted_span)
-    monkeypatch.setattr(aa, "double_commutant_check", counted_check)
+    probe(monkeypatch, aa.SpanBasis, "__init__", build)
+    probe(monkeypatch, aa, "double_commutant_check", check)
     for instances in rounds:
         for inst in instances:
             for check_id, thunk in inst.checks:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jetcalc import approxalg, family, gen, linalg, poly, scalars
+from jetcalc import approxalg, family, gen, linalg, scalars
 from jetcalc.approxalg import ApproxModule
 from jetcalc.scalars import Scalar, ZERO, ONE, Scalar as sc
 from jetcalc.poly import (Vector, Covector, DiffOp, ExpPoly, Polynomial,
@@ -24,6 +24,7 @@ from jetcalc.family import (RepFamily, PWCandidate, family_det_adj,
                             functional_to_relation, relation_check,
                             membership_triple, invariance_check, delta_block)
 from oracles import algebra_from_matrix_basis
+from probe import probe
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -296,18 +297,14 @@ def test_det_adj_of_size_n_makes_n_minus_2_family_products(monkeypatch):
     coefficient products, so a family of size n costs max(n - 2, 0)
     products of two families (scaling by a number is not counted)."""
     rng = random.Random(22)
-    mul, count = MatPolyFamily.__mul__, [0]
-
-    def counted(self, other):
-        count[0] += isinstance(other, MatPolyFamily)
-        return mul(self, other)
-
-    monkeypatch.setattr(MatPolyFamily, "__mul__", counted)
+    products = []
+    probe(monkeypatch, MatPolyFamily, "__mul__",
+          lambda F, other: isinstance(other, MatPolyFamily) and products.append(other))
     for n in range(1, 7):
         for F in square_families(rng, 3, dmax=n, dmin=n):
-            count[0] = 0
+            products.clear()
             family_det_adj(F)
-            assert count[0] == max(n - 2, 0), (n, count[0])
+            assert len(products) == max(n - 2, 0), (n, len(products))
 
 
 def test_det_adj_refuses_a_non_square_family():
@@ -316,20 +313,13 @@ def test_det_adj_refuses_a_non_square_family():
 
 
 def product_budget(monkeypatch, budget):
-    """Count the Scalars built through scalars._mk, at every module binding
-    of it, from here on, failing at once when more than `budget` are built;
-    returns the one-item count list."""
-    count = [0]
-    mk = scalars._mk
+    """Probe scalars._mk, counting the Scalars built from here on and
+    failing at once when more than `budget` are built."""
+    def within_budget(*args):
+        assert built.calls <= budget, "built more than %d Scalars" % budget
 
-    def counted(*args):
-        count[0] += 1
-        assert count[0] <= budget, "built more than %d Scalars" % budget
-        return mk(*args)
-
-    for module in (scalars, poly, linalg):
-        monkeypatch.setattr(module, "_mk", counted)
-    return count
+    built = probe(monkeypatch, scalars, "_mk", within_budget)
+    return built
 
 
 def elementary_products(seed, d, factors, ngens=2):
@@ -348,9 +338,9 @@ def test_a_d7_rep_is_built_in_few_products(monkeypatch):
     cofactor expansion formed tens of thousands of entry products."""
     for seed in range(3):
         gens = elementary_products(seed, 7, 4)
-        count = product_budget(monkeypatch, 2 * 7 ** 4)
+        built = product_budget(monkeypatch, 2 * 7 ** 4)
         rep = RepFamily("w", gens)
-        assert 0 < count[0] <= 2 * 7 ** 4
+        assert 0 < built.calls <= 2 * 7 ** 4
         monkeypatch.undo()
         assert all(g * gi == MatPolyFamily.identity(1, 7)
                    for g, gi in zip(rep.generators, rep.inverses))
@@ -361,9 +351,9 @@ def test_a_wide_rep_loads_in_few_products(monkeypatch):
     are products of fourteen elementary families (elementary_products(10,
     10, 14)); it loads building at most 2 * 10^4 Scalars."""
     text = (FIXTURES / "wide_family.json").read_text()
-    count = product_budget(monkeypatch, 2 * 10 ** 4)
+    built = product_budget(monkeypatch, 2 * 10 ** 4)
     (rep,) = family_from_json(text)
-    assert count[0] > 0
+    assert built.calls > 0
     monkeypatch.undo()
     assert rep.dim == 10
     assert list(rep.generators) == elementary_products(10, 10, 14)
@@ -436,12 +426,7 @@ def test_an_assembly_forms_one_jet_per_rep(monkeypatch):
     """Each rep's jet does not depend on the point, so an assembly forms it
     once and evaluates it at each of the rep's points."""
     calls = []
-
-    def counted(F, E):
-        calls.append(F)
-        return jet_family(F, E)
-
-    monkeypatch.setattr(family, "jet_family", counted)
+    probe(monkeypatch, family, "jet_family", lambda F, E: calls.append(F), alone=True)
     rep = RepFamily("r", [UP, LOW])
     rep1 = RepFamily("s", [fam(1, [["2"]]), fam(1, [["1"]])])
     layout = BlockLayout([rep, rep1], [PT, Vector([sc(-2)])], E2)
@@ -495,14 +480,13 @@ def test_verdict_iii_forms_no_basis_products(monkeypatch):
     closure maps span vectors by the generators' columns, and none of the
     dim_span^2 products of basis matrices is formed.  family imports no
     matrix product at all."""
-    calls = []
-    monkeypatch.setattr(approxalg, "mmul", lambda a, b: calls.append(a) or linalg.mmul(a, b))
+    products = probe(monkeypatch, approxalg, "mmul", alone=True)
     assert not hasattr(family, "mmul")
     rep = RepFamily("r", [UP, LOW])
     res = membership_triple(PWCandidate.from_word([rep], [1, -2]), [rep], [PT], E2)
     dim = len(spanned_algebra([rep], [PT], E2)[0].rows)
     assert res.unanimous and res.member and dim >= 4
-    assert calls == []
+    assert products.calls == 0
 
 
 def test_verdict_iii_module_matches_the_checked_matrix_basis_module():
@@ -661,6 +645,23 @@ def test_invariance_refuses_a_delta_label_that_names_no_rep(monkeypatch):
         invariance_check(PWCandidate(1, {}), delta, [upper_only_rep()])
 
 
+@pytest.mark.parametrize("label, n, message", [
+    ("zz", 2, "names the rep 'zz', not among the reps"),
+    ("u", 3, "on rep 'u' is 3x3; the rep needs 2x2"),
+    ("u", 1, "on rep 'u' is 1x1; the rep needs 2x2")], ids=["label", "wide", "narrow"])
+def test_relation_terms_refuse_a_label_naming_no_rep_and_a_psi_of_the_wrong_shape(
+        monkeypatch, label, n, message):
+    """Named, not a bare KeyError or a functional read off part of psi, and
+    before any computation."""
+    monkeypatch.setattr(family, "diffop_to_module", None)
+    upo = upper_only_rep()
+    term = RelationTerm(label, [[ONE] * n] * n, PT, DiffOp.one(1))
+    with pytest.raises(ValueError, match=message):
+        relation_to_functional([term], [upo])
+    with pytest.raises(ValueError, match=message):
+        relation_check(PWCandidate(1, {}), [term], [upo])
+
+
 def test_invariance_agrees_with_membership_at_evaluation_level():
     upo = upper_only_rep()
     pts = [Vector([sc(1)]), Vector([sc(2)])]
@@ -693,21 +694,15 @@ def test_invariance_evaluates_each_distinct_component_once(monkeypatch):
     """The CLI and the benchmark repeat each delta component rep.dim times;
     invariance_check evaluates each distinct (label, point, etas) once, and
     its verdicts still agree with membership."""
-    calls = []
-
-    def counted(fams, etas, point):
-        calls.append((fams, etas, point))
-        return delta_block(fams, etas, point)
-
-    monkeypatch.setattr(family, "delta_block", counted)
+    blocks = probe(monkeypatch, family, "delta_block")
     for rng, reps, pts, _ in random_layouts(13, 8):
         delta = [(rep.label, p, []) for rep in reps for p in pts
                  for _ in range(rep.dim)]
         for member in (True, False):
             cand, _ = gen.rand_candidate(rng, reps, maxlen=4, member=member)
-            del calls[:]
+            blocks.calls = 0
             verdict = invariance_check(cand, delta, reps)
-            assert len(calls) == len(reps) * len(pts)
+            assert blocks.calls == len(reps) * len(pts)
             t = membership_triple(cand, reps, pts, E1)
             assert t.unanimous and verdict == t.member
     # at the jet level, where a constant translation passes pointwise only
@@ -716,9 +711,9 @@ def test_invariance_evaluates_each_distinct_component_once(monkeypatch):
     delta = [("u", PT, [Covector([ONE])])] * 4
     for c in (PWCandidate.from_word([upo], [1, 1]), PWCandidate(1, {"u": LOW}),
               PWCandidate(1, {"u": fam(1, [["1", "2"], ["0", "1"]])})):
-        del calls[:]
+        blocks.calls = 0
         verdict = invariance_check(c, delta, [upo])
-        assert len(calls) == 1
+        assert blocks.calls == 1
         assert verdict == membership_triple(c, [upo], [PT], E_eta).member
 
 
@@ -859,16 +854,10 @@ def test_word_algebras_insert_few_entries(monkeypatch):
     SpanBasis._insert at most 1,911 entries (1,738 measured, plus 10%):
     close_span steps each new echelon row.  Stepping the raw word images,
     dense in their blocks, inserted 3,673."""
-    entries = [0]
-    insert = SpanBasis._insert
-
-    def counted(self, v):
-        entries[0] += len(v)
-        return insert(self, v)
-
-    monkeypatch.setattr(SpanBasis, "_insert", counted)
+    entries = []
+    probe(monkeypatch, SpanBasis, "_insert", lambda span, v: entries.append(len(v)))
     for seed in (11, 12):
         for _, reps, pts, E in random_layouts(seed, 12):
             spanned_algebra(reps, pts, E)
     monkeypatch.undo()
-    assert 0 < entries[0] <= 1911, entries[0]
+    assert 0 < sum(entries) <= 1911, sum(entries)

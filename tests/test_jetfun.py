@@ -17,6 +17,7 @@ from jetcalc import localmod as lm
 from jetcalc import jetfun as jf
 from jetcalc import cli, gen, linalg
 from jetcalc.gen import rand_poly, rand_exp_poly, rand_point
+from probe import probe
 from oracles import (frobenius_grid, jet_ideal, annihilator_dual, intertwines,
                      pairing, parse_poly, alpha_bar_by_coproduct)
 
@@ -480,30 +481,29 @@ def test_route_two_forms_no_monomial_product_above_the_tensor_order(monkeypatch)
     above its order T.k, which act by zero, and forms no product for them:
     its 531 products, as many as when route two skipped those monomials
     itself, are 391 of the order loop and 140 of mon_mat at degrees up to
-    T.k.  Route two is found by walking the stack to kernel_alpha_bar."""
-    mmul, mon_mat, made, above = lm.mmul, lm.FinMod.mon_mat, [], []
+    T.k.  Route two is found by walking the stack to kernel_alpha_bar; a
+    note's caller is two frames up, past the probe."""
+    mon_mat, made, above = lm.FinMod.mon_mat, [], []
 
     def in_route_two(frame):
         while frame and frame.f_code is not jf.kernel_alpha_bar.__code__:
             frame = frame.f_back
         return frame is not None
 
-    def counted(a, b):
-        frame = sys._getframe(1)
+    def product(a, b):
+        frame = sys._getframe(2)
         if in_route_two(frame):
             if frame.f_code is mon_mat.__code__:
                 made.append(sum(frame.f_locals["beta"]) - frame.f_locals["self"].k)
             else:
                 made.append(None)
-        return mmul(a, b)
 
-    def noting(self, beta):
-        if in_route_two(sys._getframe(1)) and sum(beta) > self.k:
+    def monomial(self, beta):
+        if in_route_two(sys._getframe(2)) and sum(beta) > self.k:
             above.append(beta)
-        return mon_mat(self, beta)
 
-    monkeypatch.setattr(lm, "mmul", counted)
-    monkeypatch.setattr(lm.FinMod, "mon_mat", noting)
+    probe(monkeypatch, lm, "mmul", product, alone=True)
+    probe(monkeypatch, lm.FinMod, "mon_mat", monomial)
     for seed in range(5):
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["kernel", "--seed", str(seed)]) == 0
@@ -516,10 +516,10 @@ def test_a_module_forms_its_products_in_the_order_loop(monkeypatch):
     of module matrices comes from the loop that reads the order FinMod.k,
     which keeps them for mon_mat, or from mon_mat at degree 1, x_j times
     the identity.  They number 734 on jet and 730 on kernel."""
-    mmul, made = lm.mmul, {}
+    made = {}
 
-    def counted(a, b):
-        frame = sys._getframe(1)
+    def product(a, b):
+        frame = sys._getframe(2)  # the caller, past the probe
         if frame.f_code.co_name == "<listcomp>":  # the loop's own frame before Python 3.12
             frame = frame.f_back
         if frame.f_code is lm.FinMod.mon_mat.__code__:
@@ -527,9 +527,8 @@ def test_a_module_forms_its_products_in_the_order_loop(monkeypatch):
         else:
             key = frame.f_code.co_name
         made[key] = made.get(key, 0) + 1
-        return mmul(a, b)
 
-    monkeypatch.setattr(lm, "mmul", counted)
+    probe(monkeypatch, lm, "mmul", product, alone=True)
     for suite in ("jet", "kernel"):
         for seed in range(5):
             with contextlib.redirect_stdout(io.StringIO()):

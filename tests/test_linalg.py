@@ -12,7 +12,7 @@ from math import gcd
 
 import pytest
 
-from jetcalc import approxalg, cli, gen, linalg
+from jetcalc import approxalg, gen, linalg, scalars
 from jetcalc.linalg import Mat, SpanBasis, CrossCheckError
 from jetcalc.scalars import Scalar, ZERO, ONE
 
@@ -20,6 +20,7 @@ sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from qqi import QQ_I, from_qqi, to_qqi, to_sympy  # noqa: E402
+from probe import probe, work  # noqa: E402
 
 SEEDS = range(12)
 
@@ -726,22 +727,6 @@ def test_dot_is_the_sum_of_products(case):
     assert type(got) is Scalar and got.den > 0 and gcd(gcd(got.a, got.b), got.den) == 1
 
 
-def count_mk(monkeypatch):
-    """A dict whose "_mk" counts the calls of _mk from linalg and from
-    Scalar arithmetic alike."""
-    from jetcalc import scalars
-    calls = {"_mk": 0}
-
-    def counted(*args):
-        calls["_mk"] += 1
-        return mk(*args)
-
-    mk = scalars._mk
-    monkeypatch.setattr(linalg, "_mk", counted)
-    monkeypatch.setattr(scalars, "_mk", counted)
-    return calls
-
-
 @pytest.mark.parametrize("sign", [1, -1])
 def test_a_product_by_a_signed_identity_builds_no_scalar(monkeypatch, sign):
     """mmul by +-I on either side only shares or negates entries: _mk is
@@ -749,9 +734,9 @@ def test_a_product_by_a_signed_identity_builds_no_scalar(monkeypatch, sign):
     rows = dense_matrix(random.Random(sign), 4, 4)
     b, eye = Mat.of(rows), Mat([{i: Scalar(sign)} for i in range(4)], 4)
     want = as_scalars(to_sympy(rows, 4) * sign)
-    calls = count_mk(monkeypatch)
+    built = probe(monkeypatch, scalars, "_mk")
     left, right = linalg.mmul(eye, b), linalg.mmul(b, eye)
-    assert calls["_mk"] == 0
+    assert built.calls == 0
     monkeypatch.undo()
     assert left == right == want
 
@@ -763,12 +748,12 @@ def test_a_pivot_row_is_negated_at_minus_one_and_else_scaled_by_one_mk_per_entry
     entry at its pivot."""
     half = Scalar(Fraction(1, 2), 3)
     span = SpanBasis(4, [[ZERO, ONE, ZERO, Scalar(5)]])
-    calls = count_mk(monkeypatch)
+    built = probe(monkeypatch, scalars, "_mk")
     row = span._insert({0: Scalar(-1), 2: half, 3: Scalar(0, 7)})
-    assert calls["_mk"] == 0
+    assert built.calls == 0
     assert row == {0: ONE, 2: -half, 3: Scalar(0, -7)}
     row = span._insert({2: Scalar(0, 2), 3: half})
-    assert calls["_mk"] == 1 + 1
+    assert built.calls == 1 + 1
     monkeypatch.undo()
     assert row == {2: ONE, 3: half / Scalar(0, 2)}
     assert echelon(span) == sympy_rref([[ZERO, ONE, ZERO, Scalar(5)],
@@ -784,21 +769,12 @@ def test_a_dense_product_builds_one_scalar_per_update(monkeypatch):
     b = [[Scalar(Fraction(j + 3, i + 2), Fraction(2, i + 1)) for j in range(4)]
          for i in range(4)]
     want = as_scalars(to_sympy(a, 4) * to_sympy(b, 4))
-    calls = {"_mk": 0, "__mul__": 0, "__add__": 0}
-
-    def counted(name, f):
-        def g(*args):
-            calls[name] += 1
-            return f(*args)
-        return g
-
-    monkeypatch.setattr(linalg, "_mk", counted("_mk", linalg._mk))
-    for name in ("__mul__", "__add__"):
-        monkeypatch.setattr(Scalar, name, counted(name, getattr(Scalar, name)))
+    probes = {"_mk": probe(monkeypatch, scalars, "_mk"),
+              **{name: probe(monkeypatch, Scalar, name) for name in ("__mul__", "__add__")}}
     got = linalg.mmul(a, b)
     monkeypatch.undo()
     assert got == want
-    assert calls == {"_mk": 64, "__mul__": 0, "__add__": 0}
+    assert {name: p.calls for name, p in probes.items()} == {"_mk": 64, "__mul__": 0, "__add__": 0}
 
 
 def all_scalars(m):
@@ -885,19 +861,14 @@ def built(ncols, rows, one_at_a_time):
     """(the SpanBasis of rows, the _axpy calls it made, by their arguments,
     the vectors handed to _insert), built from its rows or by _insert, one
     row at a time."""
-    calls, inserted, axpy, insert = [], [], linalg._axpy, SpanBasis._insert
+    calls, inserted = [], []
 
-    def noting(out, c, row, off=0, skip=None):
+    def axpy(out, c, row, off=0, skip=None):
         calls.append((c, list(row.items()), off, skip))
-        return axpy(out, c, row, off, skip)
-
-    def inserting(span, v):
-        inserted.append(v)
-        return insert(span, v)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "_axpy", noting)
-        mp.setattr(SpanBasis, "_insert", inserting)
+        probe(mp, linalg, "_axpy", axpy)
+        probe(mp, SpanBasis, "_insert", lambda span, v: inserted.append(v))
         if one_at_a_time:
             span = SpanBasis(ncols)
             for r in rows:
@@ -939,11 +910,9 @@ def test_mutually_reduced_rows_need_no_insert_or_reduction(monkeypatch):
     want, _ = sympy_rref(sparse_matrix(rng, 6, 9), 9)
     rows = [linalg.sparse(r) for r in want] + [{}, {}]
     rng.shuffle(rows)
-    calls = []
-    for name in ("_insert", "_reduce"):
-        monkeypatch.setattr(SpanBasis, name, lambda self, *args, name=name: calls.append(name))
+    probes = [probe(monkeypatch, SpanBasis, name) for name in ("_insert", "_reduce")]
     span = SpanBasis(9, rows)
-    assert calls == [] and echelon(span) == want and len(want) >= 4
+    assert [p.calls for p in probes] == [0, 0] and echelon(span) == want and len(want) >= 4
 
 
 def row_lists(seed):
@@ -969,21 +938,15 @@ def test_a_span_does_not_depend_on_the_order_of_its_rows(monkeypatch, seed):
     """Spans built from shuffles of one list of rows have the same pivots,
     rows and nullspace, the key order of each nullspace vector included,
     and echelon rows make no _insert call in any order."""
-    insert, calls = SpanBasis._insert, []
-
-    def counted(self, v):
-        calls.append(v)
-        return insert(self, v)
-
-    monkeypatch.setattr(SpanBasis, "_insert", counted)
+    inserts = probe(monkeypatch, SpanBasis, "_insert")
     rng = random.Random(seed)
     for ncols, rows, echelon_rows in row_lists(seed):
         rows, spans = list(rows), []
         for _ in range(4):
             rng.shuffle(rows)
-            calls.clear()
+            inserts.calls = 0
             spans.append(SpanBasis(ncols, rows))
-            assert not (echelon_rows and calls)
+            assert not (echelon_rows and inserts.calls)
         first = spans[0]
         for span in spans[1:]:
             assert span.pivots == first.pivots and span.rows == first.rows
@@ -992,7 +955,7 @@ def test_a_span_does_not_depend_on_the_order_of_its_rows(monkeypatch, seed):
 
 
 @pytest.mark.parametrize("suite, inserts", [("dcomm", 598), ("pw", 624)])
-def test_the_inserts_of_a_suite_are_pinned(monkeypatch, capsys, suite, inserts):
+def test_the_inserts_of_a_suite_are_pinned(suite, inserts):
     """`jetcalc dcomm --seed 0` and `jetcalc pw --seed 0` call _insert 598
     and 624 times: the rows that start a span and need no elimination are
     placed without it (2,826 and 888 calls when every row is inserted).
@@ -1000,13 +963,5 @@ def test_the_inserts_of_a_suite_are_pinned(monkeypatch, capsys, suite, inserts):
     echelon row of the tuple module W and nullspace functional of W: it
     now takes one per functional, at the one tuple u, and most of the rows
     it no longer takes reduced to zero."""
-    insert, calls = SpanBasis._insert, []
-
-    def counted(self, v):
-        calls.append(v)
-        return insert(self, v)
-
-    monkeypatch.setattr(SpanBasis, "_insert", counted)
-    assert cli.main([suite, "--seed", "0"]) == 0
-    capsys.readouterr()
-    assert len(calls) == inserts
+    rc, counts = work(suite)
+    assert rc == 0 and counts["_insert"][0] == inserts

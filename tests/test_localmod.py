@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import jetcalc
-from jetcalc import gen
+from jetcalc import gen, localmod
 from jetcalc.scalars import ZERO, ONE, Scalar as sc
 from jetcalc.poly import Polynomial, Vector, Covector, monomials_upto, monomials_of_degree
 from jetcalc import linalg
@@ -18,6 +18,7 @@ from jetcalc.localmod import (PolySpace, CofiniteIdeal, power_ideal,
                               maximal_ideal, dual_number_ideal, FinMod,
                               cyclic_quotient, dual_number_module, direct_sum,
                               tensor)
+from probe import probe
 from oracles import annihilator, annihilator_dual, intertwines, pairing, parse_poly
 
 
@@ -232,22 +233,15 @@ def test_module_order_is_validated_in_degree_at_most_the_dimension(monkeypatch):
     reading the order forms no product past degree d, and a file's stale
     "k" is ignored; monomial matrices of any degree are formed by a loop,
     not recursion."""
-    calls = [0]
-    mmul = linalg.mmul
-
-    def counted(a, b):
-        calls[0] += 1
-        return mmul(a, b)
-
-    monkeypatch.setattr("jetcalc.localmod.mmul", counted)
+    products = probe(monkeypatch, localmod, "mmul", alone=True)
     zero = FinMod.from_json('{"nvars": 3, "k": 16, "dim": 1, '
                             '"action": [["0"], ["0"], ["0"]]}')
-    assert calls[0] == 2 * 3  # both orders of 3 pairs; degree 1 is zero
+    assert products.calls == 2 * 3  # both orders of 3 pairs; degree 1 is zero
     assert zero.k == 0
     shift = ((ZERO, ONE, ZERO), (ZERO, ZERO, ONE), (ZERO, ZERO, ZERO))
-    calls[0] = 0
+    products.calls = 0
     E = FinMod([shift])
-    assert calls[0] == 2  # x^2, x^3
+    assert products.calls == 2  # x^2, x^3
     monkeypatch.undo()
     assert not any(E.mon_mat((3000,)).rows)
     assert E.mon_mat((2,)) == Mat.of(((ZERO, ZERO, ONE), (ZERO,) * 3, (ZERO,) * 3))

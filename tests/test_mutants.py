@@ -12,22 +12,14 @@ Sayward, "Hints on test data selection", IEEE Computer 11(4), 1978.
 import hashlib
 import itertools
 import json
-import sys
 
 import pytest
 
 from jetcalc import cli, linalg
 from jetcalc.linalg import SpanBasis
 from jetcalc.localmod import FinMod
+from probe import probe, work
 from test_cli import ROUTE_FAULTS, TIERS
-
-
-def _everywhere(monkeypatch, name, fake):
-    """Patch linalg.<name> on every jetcalc module that binds it."""
-    orig = getattr(linalg, name)
-    for modname, mod in list(sys.modules.items()):
-        if modname.split(".")[0] == "jetcalc" and getattr(mod, name, None) is orig:
-            monkeypatch.setattr(mod, name, fake)
 
 
 def skip_the_last_pivot_row(monkeypatch):
@@ -58,28 +50,26 @@ def drop_a_last_entry(monkeypatch, phase=0, counted=_always):
     that change nothing are not counted, so adding or removing them moves
     no corruption.  At a phase p the calls counted p modulo 997 are
     dropped, and only calls made while counted() holds are counted."""
-    axpy, calls = linalg._axpy, itertools.count(1)
+    calls = itertools.count(1)
 
-    def dropping(out, c, row, off=0, skip=None):
+    def drop(out, c, row, off=0, skip=None):
         if counted() and any(j != skip for j in row) and next(calls) % 997 == phase:
-            row = dict(list(row.items())[:-1])
-        return axpy(out, c, row, off, skip)
+            return out, c, dict(list(row.items())[:-1]), off, skip
 
-    _everywhere(monkeypatch, "_axpy", dropping)
+    probe(monkeypatch, linalg, "_axpy", drop)
 
 
 def transpose_a_square_apply(monkeypatch, phase=0, counted=_always):
     """T: every 101st apply of a square Mat applies its transpose; at a
     phase p the applies counted p modulo 101, counting only those made
     while counted() holds."""
-    apply, calls = linalg.apply, itertools.count(1)
+    calls = itertools.count(1)
 
-    def transposing(m, v):
+    def transpose(m, v):
         if m.nrows == m.ncols and counted() and next(calls) % 101 == phase:
-            m = m.T
-        return apply(m, v)
+            return m.T, v
 
-    _everywhere(monkeypatch, "apply", transposing)
+    probe(monkeypatch, linalg, "apply", transpose)
 
 
 def _route_fault(owner, name, wrong):
@@ -174,26 +164,18 @@ SWEEP_FLOORS = {  # (every phase, every STRIDE-th phase)
 
 
 def _inside_check(mp, values=None):
-    """Patch Suite.check to raise a flag while it runs, and to append each
-    check's (check_id, values) to the list `values` when one is given;
-    return the flag's reader."""
-    inside, check = [False], cli.Suite.check
-
-    def checking(self, check_id, statement, instance, fn):
-        def noting():
+    """Probe Suite.check, appending each check's (check_id, values) to the
+    list `values` when one is given; return the reader of whether a check
+    is running."""
+    def record(self, check_id, statement, instance, fn):
+        def noted():
             out = fn()
-            if values is not None:
-                values.append((check_id, out[1]))
+            values.append((check_id, out[1]))
             return out
+        return self, check_id, statement, instance, noted
 
-        inside[0] = True
-        try:
-            return check(self, check_id, statement, instance, noting)
-        finally:
-            inside[0] = False
-
-    mp.setattr(cli.Suite, "check", checking)
-    return lambda: inside[0]
+    checks = probe(mp, cli.Suite, "check", None if values is None else record)
+    return lambda: checks.running > 0
 
 
 def test_an_order_is_first_read_inside_a_check(monkeypatch, capsys):
@@ -201,14 +183,9 @@ def test_an_order_is_first_read_inside_a_check(monkeypatch, capsys):
     first read outside Suite.check: generating an instance reads no order,
     so a defect in the loop that reads it ends in a failing record, not in
     the internal-error status."""
-    inside, k, outside = _inside_check(monkeypatch), FinMod.k.fget, []
-
-    def reading(self):
-        if self._k is None and not inside():
-            outside.append(self)
-        return k(self)
-
-    monkeypatch.setattr(FinMod, "k", property(reading))
+    inside, outside = _inside_check(monkeypatch), []
+    probe(monkeypatch, FinMod, "k",
+          lambda m: m._k is None and not inside() and outside.append(m))
     for flags in ([], *TIERS.values()):
         assert cli.main(["verify", "--seed", "0", *flags]) == 0
     capsys.readouterr()
@@ -226,26 +203,23 @@ def _schedule(suite, counted=None):
     count in a sweep.  With _always they are the whole run's, which A and T
     count at their phase 0 in CATCH_TABLE."""
     counts, digest = {"axpy": 0, "apply": 0}, hashlib.sha256()
-    axpy, apply = linalg._axpy, linalg.apply
 
     def note(kind, *args):
         counts[kind] += 1
         digest.update(repr((kind,) + args).encode())
 
-    def noting_axpy(out, c, row, off=0, skip=None):
+    def axpy(out, c, row, off=0, skip=None):
         if counted() and any(j != skip for j in row):
             note("axpy", (c.a, c.b, c.den), _entries(row), off, skip)
-        return axpy(out, c, row, off, skip)
 
-    def noting_apply(m, v):
+    def apply(m, v):
         if m.nrows == m.ncols and counted():
             note("apply", [_entries(row) for row in m.rows], _entries(v))
-        return apply(m, v)
 
     with pytest.MonkeyPatch.context() as mp:
         counted = counted or _inside_check(mp)
-        _everywhere(mp, "_axpy", noting_axpy)
-        _everywhere(mp, "apply", noting_apply)
+        probe(mp, linalg, "_axpy", axpy)
+        probe(mp, linalg, "apply", apply)
         assert cli.main([suite, "--seed", "0"]) == 0
     return counts["axpy"], counts["apply"], digest.hexdigest()
 
@@ -270,6 +244,8 @@ SCHEDULES = {
 @pytest.mark.parametrize("suite", sorted(SCHEDULES))
 def test_the_calls_a_sweep_indexes_are_pinned(suite):
     assert _schedule(suite) == SCHEDULES[suite]
+    counts = work(suite)[1]  # tests/probe.py counts the same calls inside checks
+    assert (counts["output-changing _axpy"][1], counts["square apply"][1]) == SCHEDULES[suite][:2]
 
 
 def _run(suite, mutant=None, phase=0):

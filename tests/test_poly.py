@@ -15,6 +15,7 @@ from jetcalc.poly import (Polynomial, ExpPoly, Vector, Covector, DiffOp, diff,
                           parse_exppoly, parse_scalar, monomials_upto,
                           monomials_of_degree, beta_factorial, MAX_NESTING, MAX_DIGITS)
 from oracles import coproduct, pairing, parse_poly
+from probe import probe
 
 
 def x1_plus_1_to(n):
@@ -165,16 +166,9 @@ def test_evaluate_forms_each_power_once(monkeypatch):
     product per term, not one product per unit of exponent."""
     p = (Polynomial.monomial(1, (40,)) + Polynomial.monomial(1, (39,))
          + Polynomial.monomial(1, (20,)) * 3)
-    products = []
-    mul = Scalar.__mul__
-
-    def counted(a, b):
-        products.append(1)
-        return mul(a, b)
-
-    monkeypatch.setattr(Scalar, "__mul__", counted)
+    products = probe(monkeypatch, Scalar, "__mul__")
     assert p.evaluate((sc(2),)) == sc(2 ** 40 + 2 ** 39 + 3 * 2 ** 20)
-    assert len(products) <= 43
+    assert products.calls <= 43
 
 
 def test_coproduct_degree_blocks_match_binomials():
@@ -507,14 +501,8 @@ def test_powers_are_bounded_by_their_work(monkeypatch):
     # every product the parser forms stays within the bound, so the refused
     # inputs fail before anything runs at their size
     largest = []
-    mul = poly.ExpPoly.__mul__
-
-    def counted(a, b):
-        if isinstance(b, poly.ExpPoly):
-            largest.append(poly._nterms(a) * poly._nterms(b))
-        return mul(a, b)
-
-    monkeypatch.setattr(poly.ExpPoly, "__mul__", counted)
+    probe(monkeypatch, poly.ExpPoly, "__mul__", lambda a, b: isinstance(b, poly.ExpPoly)
+          and largest.append(poly._nterms(a) * poly._nterms(b)))
     for text in ("((x1+1)^256)^256", "(x1+x2+x3+1)^256"):
         with pytest.raises(ValueError, match="limit %d" % MAX_PARSE_WORK):
             parse_exppoly(text, 3)
@@ -528,15 +516,13 @@ def test_one_parse_budget_covers_every_product(monkeypatch):
     from jetcalc import poly
     from jetcalc.poly import MAX_PARSE_WORK
     pairs = []
-    mul = poly.ExpPoly.__mul__
 
-    def counted(a, b):
+    def within_budget(a, b):
         if isinstance(b, poly.ExpPoly):
             pairs.append(poly._nterms(a) * poly._nterms(b))
             assert sum(pairs) <= MAX_PARSE_WORK, "parsed past the budget"
-        return mul(a, b)
 
-    monkeypatch.setattr(poly.ExpPoly, "__mul__", counted)
+    probe(monkeypatch, poly.ExpPoly, "__mul__", within_budget)
     power = x1_plus_1_to(256)
     assert parse_poly("(x1+1)^256", 1) == power
     assert sum(pairs) == 65792

@@ -1,9 +1,10 @@
 """The routines every module shares: span closure, block-diagonal
 assembly, and the square reshape and parse budget behind the JSON loaders;
-and the benchmark's tracer, which wraps them by name."""
+the benchmark's tracer, which wraps them by name, and the tests' probe."""
 
 import ast
 import collections
+import cProfile
 import importlib.util
 import itertools
 import json
@@ -25,9 +26,9 @@ from jetcalc.localmod import (FinMod, cyclic_quotient, power_ideal,
 from jetcalc.poly import Vector, ExpPoly, MAX_PARSE_WORK
 from jetcalc.scalars import Scalar, ZERO, ONE, Scalar as sc
 from test_cli import TIERS
-from test_mutants import _everywhere
 from test_poly import REFUSED
 from oracles import is_approx_unital
+from probe import probe
 
 
 def unit(n, j):
@@ -42,31 +43,23 @@ def jordan(n):
 
 def test_close_span_of_a_jordan_block_is_its_krylov_span(monkeypatch):
     J = linalg.Mat.of(jordan(4))
-    calls = []
-    apply = linalg.apply
-
-    def counted(m, v):
-        calls.append(v)
-        return apply(m, v)
-
-    monkeypatch.setattr(linalg, "apply", counted)
+    applies = probe(monkeypatch, linalg, "apply")
     span = close_span(4, [unit(4, 2), unit(4, 2)], [J])
     assert isinstance(span, SpanBasis) and span.ncols == 4
     # e_2, J e_2 = e_1, J^2 e_2 = e_0
     assert span.same_span(SpanBasis(4, [unit(4, 0), unit(4, 1), unit(4, 2)]))
     # J maps each vector that grew the span once, never the repeat
-    assert len(calls) == 3
+    assert applies.calls == 3
 
     full = close_span(4, [unit(4, 3)], [J])
     assert full.dim == 4
 
 
 def test_close_span_of_a_zero_seed_is_empty(monkeypatch):
-    calls = []
-    monkeypatch.setattr(linalg, "apply", lambda m, v: calls.append(v) or {0: ONE})
+    applies = probe(monkeypatch, linalg, "apply")
     span = close_span(3, [[ZERO] * 3], [linalg.mid(3)])
     assert span.dim == 0
-    assert calls == []
+    assert applies.calls == 0
 
 
 def test_block_diag_places_unequal_blocks_on_the_diagonal():
@@ -190,20 +183,16 @@ def test_loaders_refuse_mutated_json_with_a_value_error(kind, monkeypatch):
     """Every loader returns or raises a ValueError on mutated JSON, and
     forms no more Scalar products than a small budget allows."""
     load, text, _, _ = loader(kind)
-    products = [0]
-    mul = Scalar.__mul__
 
-    def counted(a, b):
-        products[0] += 1
-        assert products[0] <= 20000, "formed more than 20000 products"
-        return mul(a, b)
+    def within_budget(a, b):
+        assert products.calls <= 20000, "formed more than 20000 products"
 
-    monkeypatch.setattr(Scalar, "__mul__", counted)
+    products = probe(monkeypatch, Scalar, "__mul__", within_budget)
 
     @settings(max_examples=150, deadline=None)
     @given(mutated_json(text))
     def check(bad):
-        products[0] = 0
+        products.calls = 0
         try:
             load(bad)
         except ValueError:
@@ -219,15 +208,13 @@ def test_a_loaded_file_has_one_parse_budget(monkeypatch):
     reps = family_from_json((FIXTURES / "reducible_family.json").read_text())
     PWCandidate.from_json((FIXTURES / "escaping_candidate.json").read_text(), reps)
     pairs = []
-    mul = ExpPoly.__mul__
 
-    def counted(a, b):
+    def within_budget(a, b):
         if isinstance(b, ExpPoly):
             pairs.append(poly._nterms(a) * poly._nterms(b))
             assert sum(pairs) <= MAX_PARSE_WORK, "parsed past the budget"
-        return mul(a, b)
 
-    monkeypatch.setattr(ExpPoly, "__mul__", counted)
+    probe(monkeypatch, ExpPoly, "__mul__", within_budget)
     # parsing only: the generators' determinants form products of their own
     monkeypatch.setattr(family, "RepFamily", lambda label, gens: gens)
     big = "(x1+1)^256"  # 65,792 term pairs: one fits the budget, two do not
@@ -329,6 +316,24 @@ def test_bench_tracer_wraps_the_library():
     assert linalg.SpanBasis.add.__name__ == "add"  # the original is back
 
 
+def test_the_probe_counts_what_the_profiler_counts(monkeypatch, capsys):
+    """Over `jetcalc dcomm --seed 0` the probe's counts of apply, _axpy and
+    _mk equal cProfile's counts of those functions, the check that
+    bench/layers.self_test makes on its tracer: a binding the probe missed
+    would show as a shortfall.  A name no jetcalc module binds is refused."""
+    layers = load_bench("layers")
+    fns = (linalg.apply, linalg._axpy, jetcalc.scalars._mk)
+    probes = [probe(monkeypatch, sys.modules[fn.__module__], fn.__name__) for fn in fns]
+    profile = cProfile.Profile(builtins=False)
+    assert profile.runcall(cli.main, ["dcomm", "--seed", "0"]) == 0
+    capsys.readouterr()
+    _, profiled = layers.profile_layers(profile)
+    assert [p.calls for p in probes] == [profiled[layers._code_key(fn)] for fn in fns]
+    assert min(p.calls for p in probes) > 900
+    with pytest.raises(ValueError, match="no jetcalc module or class binds 'nothing'"):
+        probe(monkeypatch, linalg, "nothing")
+
+
 def test_bench_workloads_build_and_pass_one_round():
     """One round of each benchmark workload builds at seed 0, every
     instance describes itself as JSON for the verdict pin, and every check
@@ -349,12 +354,11 @@ def test_no_axpy_call_of_a_workload_round_leaves_its_output_unchanged(monkeypatc
     receives an empty row, or a unit row {p: 1} whose only key is `skip`:
     the kernels and the elimination of linalg skip such rows."""
     workloads = load_bench("workloads").WORKLOADS
-    axpy, calls = linalg._axpy, collections.Counter()
+    calls = collections.Counter()
 
-    def counting(out, c, row, off=0, skip=None):
+    def note(out, c, row, off=0, skip=None):  # its caller is two frames up, past the probe
         kind = "empty" if not row else "unit" if row.keys() == {skip} else "useful"
-        calls[kind, sys._getframe(1).f_code.co_name] += 1
-        return axpy(out, c, row, off, skip)
+        calls[kind, sys._getframe(2).f_code.co_name] += 1
 
     def third_tier():
         rc = cli.main(["verify", "--seed", "0"] + TIERS["third"])
@@ -364,7 +368,7 @@ def test_no_axpy_call_of_a_workload_round_leaves_its_output_unchanged(monkeypatc
     runs = {name: [check for inst in workloads[name].rounds(0, 1)[0]
                    for _, check in inst.checks] for name in ("dcomm", "pw")}
     runs["verify"] = [third_tier]
-    _everywhere(monkeypatch, "_axpy", counting)
+    probe(monkeypatch, linalg, "_axpy", note)
     for name, checks in runs.items():
         calls.clear()
         for check in checks:
