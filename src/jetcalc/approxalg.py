@@ -395,7 +395,8 @@ _NO_CORNER = "the endomorphism lies in no chain corner; it cannot be an image el
 def end_sharp_membership(M, phi):
     """Decide whether phi lies in the image of the algebra action; see the
     module docstring for the procedure.  A phi in no chain corner is
-    refused with a ValueError."""
+    refused with a ValueError, and a span col(P_j) of its corner without
+    tr(P_j) rows raises CrossCheckError."""
     phi = Mat.of(phi)
     d = M.dim
     if (phi.nrows, phi.ncols) != (d, d):
@@ -404,7 +405,9 @@ def end_sharp_membership(M, phi):
     j = _corner(M, lambda j: _in_corner(M.idem_mat(j), phi))
     if j is None:
         raise ValueError(_NO_CORNER)
-    return _membership(M, phi, _idem_spans(M, [j], ())[0][0], j, {})
+    [col], _ = _idem_spans(M, [j], ())
+    _ranks_are_traces(M, [j], (), [col], ())
+    return _membership(M, phi, col, j, {})
 
 
 def _corner(M, absorbs):

@@ -227,7 +227,7 @@ def _eval_module(nv):
     return cyclic_quotient(maximal_ideal(nv)).module
 
 
-def _rand_layout(rng, cfg):
+def _rand_layout(rng):
     nv = 1
     reps = [gen.rand_repfamily(rng, "a", nv, rng.randint(1, 2))]
     if rng.random() < 0.4:
@@ -257,7 +257,7 @@ def _inst_layout(reps, pts, E, extra=None):
 def run_pw(cfg, suite):
     rng = _rng(cfg, "pw")
     for i in range(10):
-        reps, pts, E, total = _rand_layout(rng, cfg)
+        reps, pts, E, total = _rand_layout(rng)
         if total > 8:
             pts = pts[:1]
             total = E.dim * sum(r.dim for r in reps)
@@ -293,7 +293,7 @@ def run_pw(cfg, suite):
                     invariance)
 
     for i in range(8):
-        reps, pts, E, total = _rand_layout(rng, cfg)
+        reps, pts, E, total = _rand_layout(rng)
         if total > 6:
             pts = pts[:1]
             reps = reps[:1]

@@ -423,12 +423,6 @@ def membership_triple(cand, reps, points, E):
     return TripleResult(verdict_i, verdict_ii, verdict_iii)
 
 
-def delta_block(fams, etas, point):
-    """The iterated doubled-space matrices of the given families for one
-    delta component (directions etas), evaluated at its point."""
-    return [iterated_block_derivative(f, etas).evaluate_scalar(point) for f in fams]
-
-
 def invariance_check(cand, delta, reps):
     """Delta-data invariance condition: assemble the block-diagonal doubled
     representation over the data, generate a module from each grid vector
@@ -451,8 +445,8 @@ def invariance_check(cand, delta, reps):
     for comp, (label, point, etas) in zip(keys, delta):
         if comp not in evaluated:
             rep = by_label[label]
-            evaluated[comp] = delta_block(rep.generators + (cand.component(rep),),
-                                          etas, point)
+            evaluated[comp] = [iterated_block_derivative(f, etas).evaluate_scalar(point)
+                               for f in rep.generators + (cand.component(rep),)]
     blocks = [evaluated[comp] for comp in keys]
     gen_mats = [block_diag([mats[k] for mats in blocks]) for k in range(ngens)]
     phi = block_diag([mats[-1] for mats in blocks])

@@ -845,19 +845,21 @@ def test_an_end_sharp_element_in_no_corner_is_a_cross_check_failure(monkeypatch)
         aa.end_sharp_membership(M, mid(3))
 
 
+def drop_a_row(M, col_js, row_js):
+    """_idem_spans's arguments, each idempotent read without its first nonzero row."""
+    def idem_mat(j):
+        rows = list(M.idem_mat(j).rows)
+        rows[next(i for i, r in enumerate(rows) if r)] = {}
+        return linalg.Mat(rows, M.dim)
+    return SimpleNamespace(dim=M.dim, idem_mat=idem_mat), col_js, row_js
+
+
 def test_a_span_without_its_idempotents_trace_as_rank_is_a_cross_check_failure(
         monkeypatch, capsys, tmp_path):
     """An idempotent's rank is its trace.  When _idem_spans, in approxalg
     and in cli alike, reads each chain idempotent's action with its first
     nonzero row dropped, `jetcalc dcomm --seed 0` ends in failing dcomm.main
     records whose witness names the identity that failed."""
-    def drop_a_row(M, col_js, row_js):
-        def idem_mat(j):
-            rows = list(M.idem_mat(j).rows)
-            rows[next(i for i, r in enumerate(rows) if r)] = {}
-            return linalg.Mat(rows, M.dim)
-        return SimpleNamespace(dim=M.dim, idem_mat=idem_mat), col_js, row_js
-
     spans, out = aa._idem_spans, tmp_path / "v.jsonl"
     probe(monkeypatch, aa, "_idem_spans", drop_a_row)
     assert cli._idem_spans is aa._idem_spans is not spans
@@ -868,6 +870,17 @@ def test_a_span_without_its_idempotents_trace_as_rank_is_a_cross_check_failure(
     identity = r"(col|row)\(P_\d+\) has \d+ rows, not tr\(P_\d+\)"
     assert main and all(r["status"] == "fail"
                         and re.fullmatch(identity, r["witness"]["cross_check"]) for r in main)
+
+
+def test_a_membership_corner_of_the_wrong_rank_is_a_cross_check_failure(monkeypatch):
+    """end_sharp_membership checks the span col(P_j) of its corner as
+    double_commutant_check does: with a row of P_j dropped, a member phi
+    raises CrossCheckError naming col(P_j)."""
+    _, M = aa.block_module([1, 2])
+    assert aa.end_sharp_membership(M, mid(3)).member
+    probe(monkeypatch, aa, "_idem_spans", drop_a_row)
+    with pytest.raises(linalg.CrossCheckError, match=r"^col\(P_\d+\) has \d+ rows, not tr"):
+        aa.end_sharp_membership(M, mid(3))
 
 
 def test_a_double_commutant_check_builds_each_idempotent_span_once(monkeypatch):

@@ -16,13 +16,13 @@ from jetcalc.linalg import (Mat, SpanBasis, mmul, mid, block_diag, kron,
                             close_span, sparse)
 from jetcalc.localmod import (cyclic_quotient, maximal_ideal, power_ideal,
                               dual_number_module, MAX_DIM)
-from jetcalc.jetfun import jet_family, frobenius, MatPolyFamily
+from jetcalc.jetfun import jet_family, frobenius, iterated_block_derivative, MatPolyFamily
 from jetcalc.family import (RepFamily, PWCandidate, family_det_adj,
                             family_to_json, family_from_json,
                             BlockLayout, spanned_algebra,
                             RelationTerm, term_value, relation_to_functional,
                             functional_to_relation, relation_check,
-                            membership_triple, invariance_check, delta_block)
+                            membership_triple, invariance_check)
 from oracles import algebra_from_matrix_basis
 from probe import probe
 
@@ -639,7 +639,7 @@ def test_invariance_refuses_reps_with_different_generator_counts():
 
 def test_invariance_refuses_a_delta_label_that_names_no_rep(monkeypatch):
     """Named, not a bare KeyError, and before any block is evaluated."""
-    monkeypatch.setattr(family, "delta_block", None)
+    monkeypatch.setattr(family, "iterated_block_derivative", None)
     delta = [("u", PT, []), ("zz", PT, [])]
     with pytest.raises(ValueError, match="names the rep 'zz', which is not among the reps"):
         invariance_check(PWCandidate(1, {}), delta, [upper_only_rep()])
@@ -694,7 +694,7 @@ def test_invariance_evaluates_each_distinct_component_once(monkeypatch):
     """The CLI and the benchmark repeat each delta component rep.dim times;
     invariance_check evaluates each distinct (label, point, etas) once, and
     its verdicts still agree with membership."""
-    blocks = probe(monkeypatch, family, "delta_block")
+    blocks = probe(monkeypatch, family, "iterated_block_derivative")
     for rng, reps, pts, _ in random_layouts(13, 8):
         delta = [(rep.label, p, []) for rep in reps for p in pts
                  for _ in range(rep.dim)]
@@ -702,7 +702,7 @@ def test_invariance_evaluates_each_distinct_component_once(monkeypatch):
             cand, _ = gen.rand_candidate(rng, reps, maxlen=4, member=member)
             blocks.calls = 0
             verdict = invariance_check(cand, delta, reps)
-            assert blocks.calls == len(reps) * len(pts)
+            assert blocks.calls == sum(len(rep.generators) + 1 for rep in reps) * len(pts)
             t = membership_triple(cand, reps, pts, E1)
             assert t.unanimous and verdict == t.member
     # at the jet level, where a constant translation passes pointwise only
@@ -713,7 +713,7 @@ def test_invariance_evaluates_each_distinct_component_once(monkeypatch):
               PWCandidate(1, {"u": fam(1, [["1", "2"], ["0", "1"]])})):
         blocks.calls = 0
         verdict = invariance_check(c, delta, [upo])
-        assert blocks.calls == 1
+        assert blocks.calls == len(upo.generators) + 1
         assert verdict == membership_triple(c, [upo], [PT], E_eta).member
 
 
@@ -752,8 +752,8 @@ def test_forward_letters_generate_the_invariance_modules():
         fwd, inv = [], []
         for rep in reps:
             for p in pts:
-                fwd.append(delta_block(rep.generators, etas, p))
-                inv.append(delta_block(rep.inverses, etas, p))
+                for fams, out in ((rep.generators, fwd), (rep.inverses, inv)):
+                    out.append([iterated_block_derivative(f, etas).evaluate_scalar(p) for f in fams])
         ngens = len(reps[0].generators)
         gens = [block_diag([b[k] for b in fwd]) for k in range(ngens)]
         letters = gens + [block_diag([b[k] for b in inv]) for k in range(ngens)]

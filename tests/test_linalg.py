@@ -963,5 +963,5 @@ def test_the_inserts_of_a_suite_are_pinned(suite, inserts):
     echelon row of the tuple module W and nullspace functional of W: it
     now takes one per functional, at the one tuple u, and most of the rows
     it no longer takes reduced to zero."""
-    rc, counts = work(suite)
+    rc, counts, _ = work(suite)
     assert rc == 0 and counts["_insert"][0] == inserts

@@ -4,11 +4,9 @@ import ast
 import inspect
 import random
 import time
-from pathlib import Path
 
 import pytest
 
-import jetcalc
 from jetcalc import gen, localmod
 from jetcalc.scalars import ZERO, ONE, Scalar as sc
 from jetcalc.poly import Polynomial, Vector, Covector, monomials_upto, monomials_of_degree
@@ -20,6 +18,7 @@ from jetcalc.localmod import (PolySpace, CofiniteIdeal, power_ideal,
                               tensor)
 from probe import probe
 from oracles import annihilator, annihilator_dual, intertwines, pairing, parse_poly
+from test_shared_routines import TREES
 
 
 def test_power_ideal_codimension_counts_low_monomials():
@@ -80,8 +79,7 @@ def test_no_call_in_the_package_passes_an_order_to_an_ideal():
     """CofiniteIdeal takes the arity and the generators only, and every
     call of it in the package passes just those two."""
     assert list(inspect.signature(CofiniteIdeal).parameters) == ["nvars", "generators"]
-    calls = [node for path in sorted(Path(jetcalc.__file__).parent.glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text()))
+    calls = [node for tree in TREES.values() for node in ast.walk(tree)
              if isinstance(node, ast.Call) and "CofiniteIdeal" in (
                  getattr(node.func, "id", None), getattr(node.func, "attr", None))]
     assert len(calls) == 4  # power, maximal and dual-number ideals, and gen's

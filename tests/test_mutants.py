@@ -9,16 +9,15 @@ by one.  This is mutation analysis in the sense of DeMillo, Lipton and
 Sayward, "Hints on test data selection", IEEE Computer 11(4), 1978.
 """
 
-import hashlib
 import itertools
 import json
 
 import pytest
 
-from jetcalc import cli, linalg
+from jetcalc import cli
 from jetcalc.linalg import SpanBasis
 from jetcalc.localmod import FinMod
-from probe import probe, work
+from probe import indexed, inside_check, probe, work
 from test_cli import ROUTE_FAULTS, TIERS
 
 
@@ -40,36 +39,34 @@ def skip_the_last_pivot_row(monkeypatch):
     monkeypatch.setattr(SpanBasis, "_reduce", skipping)
 
 
-def _always():
-    return True
-
-
-def drop_a_last_entry(monkeypatch, phase=0, counted=_always):
-    """A: every 997th _axpy call that can change its output, one whose row
-    has a key other than `skip`, drops the last entry of its row.  Calls
-    that change nothing are not counted, so adding or removing them moves
-    no corruption.  At a phase p the calls counted p modulo 997 are
-    dropped, and only calls made while counted() holds are counted."""
+def drop_a_last_entry(monkeypatch, phase=0, counted=lambda: True):
+    """A: every 997th _axpy call that can change its output (see
+    probe.indexed) drops the last entry of its row.  Calls that change
+    nothing are not counted, so adding or removing them moves no
+    corruption.  At a phase p the calls counted p modulo 997 are dropped,
+    and only calls made while counted() holds are counted."""
     calls = itertools.count(1)
 
-    def drop(out, c, row, off=0, skip=None):
-        if counted() and any(j != skip for j in row) and next(calls) % 997 == phase:
+    def drop(kind, args):
+        if kind == "axpy" and counted() and next(calls) % 997 == phase:
+            out, c, row, off, skip = args
             return out, c, dict(list(row.items())[:-1]), off, skip
 
-    probe(monkeypatch, linalg, "_axpy", drop)
+    indexed(monkeypatch, drop)
 
 
-def transpose_a_square_apply(monkeypatch, phase=0, counted=_always):
+def transpose_a_square_apply(monkeypatch, phase=0, counted=lambda: True):
     """T: every 101st apply of a square Mat applies its transpose; at a
     phase p the applies counted p modulo 101, counting only those made
     while counted() holds."""
     calls = itertools.count(1)
 
-    def transpose(m, v):
-        if m.nrows == m.ncols and counted() and next(calls) % 101 == phase:
+    def transpose(kind, args):
+        if kind == "apply" and counted() and next(calls) % 101 == phase:
+            m, v = args
             return m.T, v
 
-    probe(monkeypatch, linalg, "apply", transpose)
+    indexed(monkeypatch, transpose)
 
 
 def _route_fault(owner, name, wrong):
@@ -93,8 +90,8 @@ MUTANTS = {"R": skip_the_last_pivot_row, "A": drop_a_last_entry,
 # drops the identity's entry (0, 0).  Route two reads only the last column,
 # the class of 1, so its rows, the kernel and every verdict are the clean
 # run's, and the run exits 0.  kernel's 151 square applies all come from
-# CofiniteIdeal closures; kernel_alpha_bar calls no apply.  The main block
-# below prints these whole-run counts.
+# CofiniteIdeal closures; kernel_alpha_bar calls no apply.  tests/probe.py
+# prints these whole-run counts.
 # T's one transpose that changes a result, in jet and in kernel alike, falls
 # in the closure of a CofiniteIdeal that gen draws (the dual-number ideal
 # (x1^2) in jet, power_ideal(2, 2) in kernel).  That ideal comes out larger
@@ -163,27 +160,12 @@ SWEEP_FLOORS = {  # (every phase, every STRIDE-th phase)
 }
 
 
-def _inside_check(mp, values=None):
-    """Probe Suite.check, appending each check's (check_id, values) to the
-    list `values` when one is given; return the reader of whether a check
-    is running."""
-    def record(self, check_id, statement, instance, fn):
-        def noted():
-            out = fn()
-            values.append((check_id, out[1]))
-            return out
-        return self, check_id, statement, instance, noted
-
-    checks = probe(mp, cli.Suite, "check", None if values is None else record)
-    return lambda: checks.running > 0
-
-
 def test_an_order_is_first_read_inside_a_check(monkeypatch, capsys):
     """During `jetcalc verify --seed 0` on the three tiers no FinMod.k is
     first read outside Suite.check: generating an instance reads no order,
     so a defect in the loop that reads it ends in a failing record, not in
     the internal-error status."""
-    inside, outside = _inside_check(monkeypatch), []
+    inside, outside = inside_check(monkeypatch), []
     probe(monkeypatch, FinMod, "k",
           lambda m: m._k is None and not inside() and outside.append(m))
     for flags in ([], *TIERS.values()):
@@ -192,43 +174,12 @@ def test_an_order_is_first_read_inside_a_check(monkeypatch, capsys):
     assert outside == []
 
 
-def _entries(d):
-    return [(j, x.a, x.b, x.den) for j, x in d.items()]
-
-
-def _schedule(suite, counted=None):
-    """(output-changing _axpy calls, square applies, sha256 of their kinds
-    and arguments in order) made by `jetcalc <suite> --seed 0` while
-    counted() holds, by default inside Suite.check: the calls that A and T
-    count in a sweep.  With _always they are the whole run's, which A and T
-    count at their phase 0 in CATCH_TABLE."""
-    counts, digest = {"axpy": 0, "apply": 0}, hashlib.sha256()
-
-    def note(kind, *args):
-        counts[kind] += 1
-        digest.update(repr((kind,) + args).encode())
-
-    def axpy(out, c, row, off=0, skip=None):
-        if counted() and any(j != skip for j in row):
-            note("axpy", (c.a, c.b, c.den), _entries(row), off, skip)
-
-    def apply(m, v):
-        if m.nrows == m.ncols and counted():
-            note("apply", [_entries(row) for row in m.rows], _entries(v))
-
-    with pytest.MonkeyPatch.context() as mp:
-        counted = counted or _inside_check(mp)
-        probe(mp, linalg, "_axpy", axpy)
-        probe(mp, linalg, "apply", apply)
-        assert cli.main([suite, "--seed", "0"]) == 0
-    return counts["axpy"], counts["apply"], digest.hexdigest()
-
-
-# A sweep's phase p corrupts the calls counted p modulo 997 (A) or 101 (T)
-# among those above, so its floors were measured on exactly these sequences.
-# A change that moves either sequence moves every corruption and must
-# re-measure SWEEP_FLOORS, then re-pin here:
-# `PYTHONPATH=src python tests/test_mutants.py` prints all of them.
+# The calls a sweep indexes (see probe.indexed) made inside Suite.check:
+# their _axpy and apply counts and the SHA-256 of their kinds and arguments
+# in order.  A phase p corrupts the calls counted p modulo 997 (A) or 101
+# (T) among these, so a change that moves either sequence moves every
+# corruption and must re-measure SWEEP_FLOORS, then re-pin here:
+# `PYTHONPATH=src python tests/probe.py SUITE` prints a suite's tuple.
 SCHEDULES = {
     "dcomm": (4088, 963, "4a5b27603b25749051cd400311153fcf"
               "862d6bb210994956c9c71653b34d1c7a"),
@@ -243,9 +194,8 @@ SCHEDULES = {
 
 @pytest.mark.parametrize("suite", sorted(SCHEDULES))
 def test_the_calls_a_sweep_indexes_are_pinned(suite):
-    assert _schedule(suite) == SCHEDULES[suite]
-    counts = work(suite)[1]  # tests/probe.py counts the same calls inside checks
-    assert (counts["output-changing _axpy"][1], counts["square apply"][1]) == SCHEDULES[suite][:2]
+    rc, _, schedule = work(suite)
+    assert rc == 0 and schedule == SCHEDULES[suite]
 
 
 def _run(suite, mutant=None, phase=0):
@@ -253,7 +203,7 @@ def _run(suite, mutant=None, phase=0):
     the sweep mutant `mutant` at `phase` when given."""
     values = []
     with pytest.MonkeyPatch.context() as mp:
-        inside = _inside_check(mp, values)
+        inside = inside_check(mp, values)
         if mutant is not None:
             MUTANTS[mutant](mp, phase, inside)
         rc = cli.main([suite, "--seed", "0"])
@@ -290,28 +240,18 @@ def test_every_phase_of_each_sweep_makes_no_silent_change(suite, mutant):
 
 if __name__ == "__main__":
     # PYTHONPATH=src python tests/test_mutants.py: re-measure after a change
-    # that moves a schedule, printing the SCHEDULES tuples, the whole-run
-    # counts of output-changing _axpy calls and square applies on jet and
-    # kernel that the CATCH_TABLE comment cites, then per suite and mutant
-    # the phases caught, the phases that exit 0 with the clean values and
-    # the silent phases of the stride and of the every-phase sweep.  The
-    # CLI's own output is discarded.
+    # that moves a schedule, printing per suite and mutant the phases
+    # caught, the phases that exit 0 with the clean values and the silent
+    # phases of the stride and of the every-phase sweep.  The CLI's own
+    # output is discarded.
     import contextlib
     import io
 
-    def quiet(fn, *args):
-        with contextlib.redirect_stdout(io.StringIO()):
-            return fn(*args)
-
-    for suite in sorted(SCHEDULES):
-        print("SCHEDULES[%r] = %r" % (suite, quiet(_schedule, suite)), flush=True)
-    for suite in ("jet", "kernel"):
-        print("%s, whole run: %d _axpy, %d square applies"
-              % ((suite,) + quiet(_schedule, suite, _always)[:2]), flush=True)
     for suite, mutant in sorted(SWEEP_FLOORS):
         for sweep, phases in (("stride", SWEEP_PHASES[mutant][::STRIDE]),
                               ("every phase", SWEEP_PHASES[mutant])):
-            caught, same, silent = quiet(_sweep, suite, mutant, phases)
+            with contextlib.redirect_stdout(io.StringIO()):
+                caught, same, silent = _sweep(suite, mutant, phases)
             print("%s %s %s: caught %d of %d, clean %s, silent %s"
                   % (suite, mutant, sweep, len(caught), len(phases), same, silent),
                   flush=True)

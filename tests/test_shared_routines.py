@@ -28,7 +28,7 @@ from jetcalc.scalars import Scalar, ZERO, ONE, Scalar as sc
 from test_cli import TIERS
 from test_poly import REFUSED
 from oracles import is_approx_unital
-from probe import probe
+from probe import indexed, probe
 
 
 def unit(n, j):
@@ -350,15 +350,10 @@ def test_bench_workloads_build_and_pass_one_round():
 
 def test_no_axpy_call_of_a_workload_round_leaves_its_output_unchanged(monkeypatch, capsys):
     """Over the checks of one round of each benchmark workload at seed 0,
-    and over `jetcalc verify --seed 0` at the third tier, no _axpy call
-    receives an empty row, or a unit row {p: 1} whose only key is `skip`:
-    the kernels and the elimination of linalg skip such rows."""
+    and over `jetcalc verify --seed 0` at the third tier, probe.indexed hands
+    on every _axpy call: none gets an empty row or a unit row {p: 1} whose
+    only key is `skip`, as linalg's kernels and elimination skip them."""
     workloads = load_bench("workloads").WORKLOADS
-    calls = collections.Counter()
-
-    def note(out, c, row, off=0, skip=None):  # its caller is two frames up, past the probe
-        kind = "empty" if not row else "unit" if row.keys() == {skip} else "useful"
-        calls[kind, sys._getframe(2).f_code.co_name] += 1
 
     def third_tier():
         rc = cli.main(["verify", "--seed", "0"] + TIERS["third"])
@@ -368,13 +363,13 @@ def test_no_axpy_call_of_a_workload_round_leaves_its_output_unchanged(monkeypatc
     runs = {name: [check for inst in workloads[name].rounds(0, 1)[0]
                    for _, check in inst.checks] for name in ("dcomm", "pw")}
     runs["verify"] = [third_tier]
-    probe(monkeypatch, linalg, "_axpy", note)
+    axpys, changing = probe(monkeypatch, linalg, "_axpy"), collections.Counter()
+    indexed(monkeypatch, lambda kind, args: changing.update([kind]))
     for name, checks in runs.items():
-        calls.clear()
+        axpys.calls = changing["axpy"] = 0
         for check in checks:
             assert check() is True
-        assert sum(n for (kind, _), n in calls.items() if kind == "useful") > 1000
-        assert {(kind, caller) for kind, caller in calls if kind != "useful"} == set(), name
+        assert axpys.calls == changing["axpy"] > 1000, name
 
 
 def test_no_held_dict_is_modified_over_a_verify_run(monkeypatch, capsys):
@@ -430,19 +425,23 @@ def test_no_held_dict_is_modified_over_a_verify_run(monkeypatch, capsys):
     assert changed == [] and linalg.EMPTY == {}
 
 
+# {module stem: its AST} for every module of the package, parsed once
+TREES = {path.stem: ast.parse(path.read_text())
+         for path in sorted(Path(jetcalc.__file__).parent.glob("*.py"))}
+
+
 def test_no_module_level_import_is_unused():
     """Every name a module of the package (other than __init__) imports at
     module level is read somewhere in that module: an AST check, since no
     linter is installed."""
-    for path in sorted(Path(jetcalc.__file__).parent.glob("*.py")):
-        if path.name == "__init__.py":
+    for stem, tree in TREES.items():
+        if stem == "__init__":
             continue
-        tree = ast.parse(path.read_text())
         imported = {(alias.asname or alias.name).split(".")[0]
                     for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
                     for alias in node.names}
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        assert imported <= read, (path.name, sorted(imported - read))
+        assert imported <= read, (stem, sorted(imported - read))
 
 
 def names_read(tree):
@@ -462,8 +461,8 @@ def test_only_linalg_and_approxalg_name_the_fused_update():
     _kron_into), which decide which rows reach _axpy: of the package's
     modules only linalg, which defines it, and approxalg, which sums
     algebra elements and End^# Gram rows with it, name _axpy."""
-    users = {path.stem for path in Path(jetcalc.__file__).parent.glob("*.py")
-             if any(name == "_axpy" for name, _ in names_read(ast.parse(path.read_text())))}
+    users = {stem for stem, tree in TREES.items()
+             if any(name == "_axpy" for name, _ in names_read(tree))}
     assert users == {"linalg", "approxalg"}
 
 
@@ -473,25 +472,25 @@ def test_only_scalars_builds_or_changes_a_scalar():
     the package but scalars assigns an attribute a, b or den, by statement
     or by setattr, or calls object.__new__ on Scalar."""
     parts = {"a", "b", "den"}
-    for path in sorted(Path(jetcalc.__file__).parent.glob("*.py")):
-        if path.name == "scalars.py":
+    for stem, tree in TREES.items():
+        if stem == "scalars":
             continue
-        for node in ast.walk(ast.parse(path.read_text())):
+        for node in ast.walk(tree):
             targets = (node.targets if isinstance(node, ast.Assign)
                        else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign))
                        else [])
             for target in targets:
                 for t in ast.walk(target):
                     assert not (isinstance(t, ast.Attribute) and t.attr in parts), (
-                        path.name, t.lineno)
+                        stem, t.lineno)
             if isinstance(node, ast.Call):
                 f, args = node.func, node.args
                 name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
                 assert not (name == "setattr" and len(args) > 1
                             and isinstance(args[1], ast.Constant) and args[1].value in parts), (
-                    path.name, node.lineno)
+                    stem, node.lineno)
                 assert not (name == "__new__" and args and isinstance(args[0], ast.Name)
-                            and args[0].id == "Scalar"), (path.name, node.lineno)
+                            and args[0].id == "Scalar"), (stem, node.lineno)
 
 
 # The names that only the benchmark's tracer reads (bench/layers.py wraps
@@ -530,26 +529,25 @@ def constants(tree):
                         if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store))
 
 
-def unread_definitions(package):
+def unread_definitions():
     """The qualified names, module first, of the definitions and constants
-    of a package that no module of it but __init__, whose re-exports are no
-    reads, names outside the definition or assignment itself.  A method is
-    named only as an attribute, .name: a bare name that a method shares,
+    of the package that no module of it but __init__, whose re-exports are
+    no reads, names outside the definition or assignment itself.  A method
+    is named only as an attribute, .name: a bare name that a method shares,
     such as `import re` for a method re, is no read of it."""
-    trees = {path: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))
-             if path.name != "__init__.py"}
+    trees = {stem: tree for stem, tree in TREES.items() if stem != "__init__"}
     readers = collections.defaultdict(list)
     for tree in trees.values():
         for name, node in names_read(tree):
             readers[name].append(node)
     unread = []
-    for path, tree in trees.items():
+    for stem, tree in trees.items():
         for qualname, defined in itertools.chain(definitions(tree), constants(tree)):
             inside = {id(node) for node in ast.walk(defined)}
             method = "." in qualname
             if all(id(node) in inside or method and not isinstance(node, ast.Attribute)
                    for node in readers[qualname.rpartition(".")[2]]):
-                unread.append("%s.%s" % (path.stem, qualname))
+                unread.append("%s.%s" % (stem, qualname))
     return unread
 
 
@@ -564,7 +562,7 @@ def test_every_module_level_name_is_read():
         bench.update(node.value for node in ast.walk(ast.parse(path.read_text()))
                      if isinstance(node, ast.Constant) and isinstance(node.value, str))
     assert {name.split(".", 1)[1] for name in BENCH_ONLY} <= bench
-    unread = {name for name in unread_definitions(Path(jetcalc.__file__).parent)
+    unread = {name for name in unread_definitions()
               if name not in BENCH_ONLY and not re.search(r"\.__\w+__$", name)}
     assert unread - set(PUBLIC_PATHS) == set(), sorted(unread - set(PUBLIC_PATHS))
     assert set(PUBLIC_PATHS) <= unread, sorted(set(PUBLIC_PATHS) - unread)
@@ -589,7 +587,7 @@ def defaults_of(fn):
     return out
 
 
-def default_values(package):
+def default_values():
     """{module.[Class.]function.parameter: the values the calls in the
     package give it} for every parameter with a default of a module-level
     function or of a method of a module-level class.  A value is the dump of
@@ -599,10 +597,9 @@ def default_values(package):
     __init__ the class defines or inherits; f(...) and module.f(...) to the
     module-level functions named f; Class.m(...) to the method m the class
     defines or inherits; any other x.m(...) to every method named m."""
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
     functions, methods = collections.defaultdict(list), collections.defaultdict(list)
     classes, values = {}, {}
-    for stem, tree in trees.items():
+    for stem, tree in TREES.items():
         for qualname, node in definitions(tree):
             if isinstance(node, ast.ClassDef):
                 classes[node.name] = ([getattr(b, "id", None) for b in node.bases], {})
@@ -631,12 +628,12 @@ def default_values(package):
         if not isinstance(func, ast.Attribute):
             return []
         owner = getattr(func.value, "id", None)
-        if owner in trees:
+        if owner in TREES:
             return ([t for t in functions[func.attr] if t[0].startswith(owner + ".")]
                     or inherited(func.attr, "__init__"))
         return inherited(owner, func.attr) if owner in classes else methods[func.attr]
 
-    for tree in trees.values():
+    for tree in TREES.values():
         for top in tree.body:
             scope = top.name if isinstance(top, ast.ClassDef) else None
             for call in (node for node in ast.walk(top) if isinstance(node, ast.Call)):
@@ -667,7 +664,7 @@ def test_every_default_is_given_two_values():
     package (see default_values), outside the ONE_VALUE table.  Each entry
     of that table still names a parameter that the package gives one
     value."""
-    values = default_values(Path(jetcalc.__file__).parent)
+    values = default_values()
     single = {name for name, seen in values.items() if len(seen) < 2}
     assert single - set(ONE_VALUE) == set(), sorted(single - set(ONE_VALUE))
     assert set(ONE_VALUE) <= single, sorted(set(ONE_VALUE) - single)
@@ -733,9 +730,8 @@ def test_no_module_calls_a_dense_edge_of_linalg():
         gone.extend((owner, name) for name in names.split() for owner in (module, jetcalc))
     for owner, name in gone:
         assert not hasattr(owner, name), name
-    calls = {(path.name, scope, edge)
-             for path in sorted(Path(jetcalc.__file__).parent.glob("*.py"))
-             for scope, edge in dense_edge_calls(ast.parse(path.read_text()))}
+    calls = {(stem, scope, edge)
+             for stem, tree in TREES.items() for scope, edge in dense_edge_calls(tree)}
     assert calls == set()
 
 
@@ -744,10 +740,10 @@ def test_only_the_builder_spans_an_idempotent():
     approxalg._idem_spans: no other function of the package passes an
     idem_mat to SpanBasis."""
     found = set()
-    for path in sorted(Path(jetcalc.__file__).parent.glob("*.py")):
-        for fn in ast.walk(ast.parse(path.read_text())):
+    for stem, tree in TREES.items():
+        for fn in ast.walk(tree):
             if isinstance(fn, ast.FunctionDef):
-                found.update((path.stem, fn.name) for call in ast.walk(fn)
+                found.update((stem, fn.name) for call in ast.walk(fn)
                              if isinstance(call, ast.Call)
                              and getattr(call.func, "id", None) == "SpanBasis"
                              and any(getattr(n, "attr", None) == "idem_mat"
@@ -761,7 +757,7 @@ def test_jetfun_reuses_diff_evaluate_and_alpha_bar_image():
     evaluate and no term dict, and kernel_alpha_bar reads alpha_bar_image
     and no mon_mat."""
     reads = {fn.name: {name for name, _ in names_read(fn)}
-             for fn in ast.walk(ast.parse(Path(jetfun.__file__).read_text()))
+             for fn in ast.walk(TREES["jetfun"])
              if isinstance(fn, ast.FunctionDef)}
     assert "diff" in reads["block_derivative"]
     assert not {"_put", "terms"} & reads["block_derivative"]
@@ -784,22 +780,21 @@ def attributes(cls):
             yield node.attr
 
 
-def unread_attributes(package):
-    """Module.Class.name for every attribute of a module-level class of a
+def unread_attributes():
+    """Module.Class.name for every attribute of a module-level class of the
     package that no module of it reads as .name outside the class's own
     __init__ and __repr__."""
-    trees = {path: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
     reads = collections.defaultdict(list)
-    for tree in trees.values():
+    for tree in TREES.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 reads[node.attr].append(node)
     unread = []
-    for path, tree in trees.items():
+    for stem, tree in TREES.items():
         for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
             own = {id(node) for f in cls.body if isinstance(f, ast.FunctionDef)
                    and f.name in ("__init__", "__repr__") for node in ast.walk(f)}
-            unread.extend("%s.%s.%s" % (path.stem, cls.name, name)
+            unread.extend("%s.%s.%s" % (stem, cls.name, name)
                           for name in sorted(set(attributes(cls)))
                           if all(id(node) in own for node in reads[name]))
     return unread
@@ -811,5 +806,5 @@ def test_every_attribute_is_read():
     that class's own __init__ and __repr__, so a field that only tests
     read is found.  The check goes by name: a read of a same-named
     attribute of another class, or of any object, counts as a read."""
-    unread = unread_attributes(Path(jetcalc.__file__).parent)
+    unread = unread_attributes()
     assert not unread, "unread attributes: " + ", ".join(unread)
