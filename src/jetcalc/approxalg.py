@@ -12,20 +12,22 @@ The membership test for End^# is the constructive one: take a chain
 idempotent absorbing phi, a basis u_1..u_n of its image, the module W
 generated by the single stacked tuple (u_1,..,u_n) inside V^n, and ask
 whether the diagonal action of phi preserves W.  That one module decides
-membership in the image of the algebra.  A witness is tried first: one
-reduction of phi.u against the corner's action vectors on the tuple, factored
-once together with W (linalg.solver), cut down to the corner and re-verified
-exactly; only without one is W tested for invariance under phi, for the
-escape of a non-member.  phi's corner is the least chain idempotent P with
-phi P = phi = P phi: a caller's phi is tested row by row, and each End^# row
-against the spans col(P) and row(P) of every P, which double_commutant_check
-builds once (_idem_spans) for all its steps.  Corners are spanned by the
+membership in the image of the algebra, for any absorbing idempotent; the
+top one, P_top, absorbs every phi that lies in some corner, since every
+lower corner lies in the top one, so membership is decided there alone: a
+phi outside the top corner is refused, tested row by row.  A witness is tried
+first: one reduction of phi.u against the action vectors on the top tuple,
+factored once together with W (linalg.solver), and re-verified exactly;
+only without one is W tested for invariance under phi, for the escape of a
+non-member.  double_commutant_check builds the chain's spans col(P) and
+row(P) once (_idem_spans), and the top W and its solver once, for End^#
+and for the membership of each of its rows.  Corners are spanned by the
 Kronecker rows of RREF bases of column and row spaces, so End(V)_0, the top
 corner's span, which contains every lower corner's, needs no elimination,
 and End^# is one nullspace in End(V): its constraints are End(V)_0's
 annihilator and one Gram matrix sum_b f_b u_b^T per nullspace functional f
-of the top corner's W, u_b the blocks of its one tuple u (C u in W makes C
-act on u, and so on V, as an image element; see _end_sharp).
+of the top W, u_b the blocks of its one tuple u (C u in W makes C act on
+u, and so on V, as an image element; see _end_sharp).
 Algebra elements and vectors of V^n are zero-free sparse dicts (linalg's
 one vector type), End(V)_0 and End^# are SpanBasis spans of flattened
 matrices, action matrices are linalg.Mats, and a matrix acts on each
@@ -34,9 +36,9 @@ length-d block by linalg.apply; dense tuples appear only at the edges.
 The top idempotent alpha_m is the unit: each basis element e has some
 alpha_j e = e = e alpha_j, and alpha_j <= alpha_m gives alpha_m alpha_j =
 alpha_j, so alpha_m e = alpha_m alpha_j e = alpha_j e = e; alike on the
-right.  A top-corner witness therefore needs no cutting down by alpha_m, and
-the membership test reads no structure constants there; they are computed on
-first use (by mul, validate or to_json).
+right.  A witness therefore needs no cutting down by alpha_m, and the
+membership test reads no structure constants; they are computed on first
+use (by mul, validate or to_json).
 """
 
 import json
@@ -373,46 +375,35 @@ class SharpResult:
         self.witness = witness
 
 
-def _tuple_module(M, V_j, j, tuples):
-    """The stacked basis tuple u of the span V_j = col(P_j) (a zero-free
-    sparse vector in V^n, n the rank of V_j), the module W inside V^n
-    spanned by the basis-element actions on u (W contains u because P_j
-    fixes every u_i), and the witness solver of those actions; W and the
-    solver come from one elimination (linalg.solver).  Built once per corner
-    index j and kept in `tuples`."""
-    if j not in tuples:
-        d = M.dim
-        basis = V_j.rows
-        u = {i * d + k: x for i, b in enumerate(basis) for k, x in b.items()}
-        W, solve = linalg.solver([apply(m, u) for m in M.mats], len(basis) * d)
-        tuples[j] = (u, W, solve)
-    return tuples[j]
-
-
-_NO_CORNER = "the endomorphism lies in no chain corner; it cannot be an image element"
+def _tuple_module(M, V):
+    """The stacked basis tuple u of the span V = col(P) of a chain
+    idempotent P (a zero-free sparse vector in V^n, n the rank of V), the
+    module W inside V^n spanned by the basis-element actions on u (W
+    contains u because P fixes every u_i), and the witness solver of those
+    actions; W and the solver come from one elimination (linalg.solver)."""
+    d = M.dim
+    u = {i * d + k: x for i, b in enumerate(V.rows) for k, x in b.items()}
+    W, solve = linalg.solver([apply(m, u) for m in M.mats], len(V.rows) * d)
+    return u, W, solve
 
 
 def end_sharp_membership(M, phi):
     """Decide whether phi lies in the image of the algebra action; see the
-    module docstring for the procedure.  A phi in no chain corner is
-    refused with a ValueError, and a span col(P_j) of its corner without
-    tr(P_j) rows raises CrossCheckError."""
+    module docstring for the procedure.  A phi outside the top corner, and
+    so in no chain corner, is refused with a ValueError, and a span
+    col(P_top) without tr(P_top) rows raises CrossCheckError."""
     phi = Mat.of(phi)
     d = M.dim
     if (phi.nrows, phi.ncols) != (d, d):
         raise ValueError("the endomorphism is %dx%d; the module needs %dx%d"
                          % (phi.nrows, phi.ncols, d, d))
-    j = _corner(M, lambda j: _in_corner(M.idem_mat(j), phi))
-    if j is None:
-        raise ValueError(_NO_CORNER)
-    [col], _ = _idem_spans(M, [j], ())
-    _ranks_are_traces(M, [j], (), [col], ())
-    return _membership(M, phi, col, j, {})
-
-
-def _corner(M, absorbs):
-    """The least chain index j with absorbs(j), or None."""
-    return next((j for j in range(len(M.algebra.chain)) if absorbs(j)), None)
+    top = len(M.algebra.chain) - 1
+    if not _in_corner(M.idem_mat(top), phi):
+        raise ValueError("the endomorphism lies in no chain corner; it cannot be an "
+                         "image element")
+    [col], _ = _idem_spans(M, [top], ())
+    _ranks_are_traces(M, [top], (), [col], ())
+    return _membership(M, phi, _tuple_module(M, col))
 
 
 def _in_corner(P, phi):
@@ -422,37 +413,23 @@ def _in_corner(P, phi):
     return all(apply(PT, r) == r and apply(phiT, p) == r for r, p in zip(phi.rows, P.rows))
 
 
-def _in_spans(cols, rows, phi):
-    """P phi P = phi for an idempotent P given by the spans cols = col(P)
-    and rows = row(P): P y = y iff y lies in col(P), and x P = x iff x lies
-    in row(P), so every nonzero column of phi lies in the first and every
-    nonzero row in the second."""
-    return (all(cols.contains(c) for c in phi.cols if c)
-            and all(rows.contains(r) for r in phi.rows if r))
-
-
-def _membership(M, phi, V_j, corner_j, tuples):
-    """Membership of the d x d Mat phi at its chain corner corner_j, of
-    span V_j, taking the corner tuple modules and witness solvers from
-    `tuples`; a phi that preserves W but has no verified witness raises
-    CrossCheckError."""
-    u, W, solve = _tuple_module(M, V_j, corner_j, tuples)
-    # the witness first: solve phi.u = pi(a).u in the element coordinates,
-    # then cut a down to the corner so the equality extends from V_j to V
+def _membership(M, phi, top_tuple):
+    """Membership of the d x d Mat phi, given the top tuple module
+    top_tuple = (u, W, solve) of _tuple_module; a phi that preserves W but
+    has no verified witness raises CrossCheckError."""
+    u, W, solve = top_tuple
+    # the witness first: solve phi.u = pi(a).u in the element coordinates;
+    # the top idempotent is the unit, so a is checked with no cutting down
     a = solve(apply(phi, u))
-    if a is not None:
-        if corner_j < len(M.algebra.chain) - 1:  # the top idempotent is the unit
-            alpha = M.algebra.chain[corner_j]
-            a = M.algebra.mul(M.algebra.mul(alpha, a), alpha)
-        if M.act(a) == phi:
-            return SharpResult(True, dense(a, M.algebra.dim))
+    if a is not None and M.act(a) == phi:
+        return SharpResult(True, dense(a, M.algebra.dim))
     if W.escape(phi):
         return SharpResult(False, None)
     raise CrossCheckError("invariance held but no witness solves the system" if a is None
                           else "witness verification failed")
 
 
-def _end_sharp(M, cols, rows, tuples):
+def _end_sharp(M, cols, rows):
     """End^# in End(V): the C in End(V)_0 with f(C u) = 0 for the top tuple
     u and every nullspace functional f of its module W.  f(C u) = <C, G>
     for G = sum_b f_b u_b^T over the length-d blocks b (vec(A X B) =
@@ -461,19 +438,19 @@ def _end_sharp(M, cols, rows, tuples):
     u alone suffices: C u in W gives C u_i = pi(b) u_i for some b, C and
     pi(b) vanish on ker P_top (the top idempotent is the unit), so C =
     pi(b) maps W into itself; conversely u lies in W.  Returns the spans
-    (End^#, End(V)_0) of flattened matrices, from the chain's spans, taking
-    the top tuple module from `tuples`."""
+    (End^#, End(V)_0) of flattened matrices, from the chain's spans, and
+    the top tuple module (u, W, solve) of _tuple_module."""
     end_zero = end_zero_basis(cols, rows)
     d, u = M.dim, cols[-1].rows  # u_b is the b-th basis row of col(P_top)
-    _, W, _ = _tuple_module(M, cols[-1], len(cols) - 1, tuples)
+    top_tuple = _tuple_module(M, cols[-1])
     constraints = end_zero.nullspace()
-    for f in W.nullspace():
+    for f in top_tuple[1].nullspace():
         gram = {}  # G for f, flattened row-major
         for s, x in f.items():
             _axpy(gram, x, u[s // d], (s % d) * d)
         constraints.append(gram)
     sharp = SpanBasis(d * d, SpanBasis(d * d, constraints).nullspace())
-    return sharp, end_zero
+    return sharp, end_zero, top_tuple
 
 
 class CheckReport:
@@ -511,8 +488,7 @@ def double_commutant_check(M):
     chain = range(len(M.algebra.chain))
     cols, rows = _idem_spans(M, chain, chain)
     _ranks_are_traces(M, chain, chain, cols, rows)
-    tuples = {}
-    sharp, end_zero = _end_sharp(M, cols, rows, tuples)
+    sharp, end_zero, top_tuple = _end_sharp(M, cols, rows)
     if end_zero.dim != cols[-1].dim ** 2:
         raise CrossCheckError("End(V)_0 has %d rows, not tr(P_top)^2" % end_zero.dim)
     d = M.dim
@@ -527,14 +503,10 @@ def double_commutant_check(M):
             return CheckReport("fail", dims,
                                witness={"kind": "image_not_in_sharp",
                                         "matrix": [str(c) for c in dense(row, d * d)]})
-    # each row's corner from the spans of the chain idempotents' columns and
-    # rows; End^# lies in the top corner, so a row in none is a defect
+    # every End^# row at the top corner, which holds every lower one: a row
+    # outside End(V)_0 has no witness acting as it, so it never passes
     for row in sharp.rows:
-        phi = Mat.from_flat(row, d, d)
-        j = _corner(M, lambda j: _in_spans(cols[j], rows[j], phi))
-        if j is None:
-            raise CrossCheckError(_NO_CORNER)
-        if not _membership(M, phi, cols[j], j, tuples).member:
+        if not _membership(M, Mat.from_flat(row, d, d), top_tuple).member:
             func = _separating_functional(image, sharp)
             return CheckReport("fail", dims,
                                witness={"kind": "sharp_not_in_image",

@@ -22,8 +22,8 @@ Held dicts are never modified: once a zero-free dict is handed to a Mat
 (as a row or column), a SpanBasis (as a row) or an approxalg.ApproxAlgebra
 (as a chain element or structure-constant row), nothing changes it.  So
 equal dicts may be shared and none is copied on the way in: every empty
-row or column may be the one module-level `EMPTY`, and a dict handed in
-is held as it is.
+row or column may be the one module-level `EMPTY` (every row that `mmul`
+or `mat_sum` leaves empty is), and a dict handed in is held as it is.
 
 `SpanBasis` is the one elimination: Gauss-Jordan to the reduced row echelon
 form (RREF), one row at a time after placing the leading rows that need
@@ -59,8 +59,9 @@ EMPTY = {}  # the shared empty row or column; held, so never modified
 
 class CrossCheckError(AssertionError):
     """Two independent computations of one exact result disagree (kernel
-    routes, End(V)_0 corner spans, relation evaluations, an End^# element
-    in no corner, or a recovered End^# witness), or a reduction leaves a
+    routes, End(V)_0 corner spans, an idempotent's rank and trace, relation
+    evaluations, or a membership witness: an endomorphism that preserves
+    its tuple module with no witness acting as it), or a reduction leaves a
     residue under an existing pivot: a defect, never a verdict about the input."""
 
 
@@ -262,22 +263,22 @@ def _kron_into(rows, a, b, coef=1, roff=0, coff=0):
 
 
 def mmul(a, b):
-    """The product a b, by _mul_into on fresh rows."""
+    """The product a b, by _mul_into on fresh rows; a row left empty is EMPTY."""
     a, b = Mat.of(a), Mat.of(b)
     if a.ncols != b.nrows:
         raise ValueError("inner dimensions %d and %d do not match" % (a.ncols, b.nrows))
     rows = [{} for _ in range(a.nrows)]
     _mul_into(rows, a.rows, b.rows)
-    return Mat(rows, b.ncols)
+    return Mat([r or EMPTY for r in rows], b.ncols)
 
 
 def mat_sum(terms, nrows, ncols):
     """The nrows x ncols Mat sum of c M over the pairs (M, c), c a nonzero
-    Scalar or int."""
+    Scalar or int; a row left empty is EMPTY."""
     rows = [{} for _ in range(nrows)]
     for m, c in terms:
         _put(rows, m, Scalar(c) if isinstance(c, int) else c)
-    return Mat(rows, ncols)
+    return Mat([r or EMPTY for r in rows], ncols)
 
 
 def block_diag(mats):

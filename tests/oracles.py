@@ -1,17 +1,17 @@
 """Oracles and generators that only the tests read: the algebra spanned by
 a matrix basis, a random dense matrix, the pairing of a dual matrix with a
 grid of ExpPolys, such as a jet's entries, approximate unitality, the
-corner data behind a membership verdict, jet_ideal, the annihilators of an
-ideal and of a module, the pairing of germs and operators, module maps,
-parse_poly, and the coproduct with the evaluation-and-derivative map read
-through it."""
+tuple module behind a membership verdict, membership at the least corner,
+jet_ideal, the annihilators of an ideal and of a module, the pairing of
+germs and operators, module maps, parse_poly, and the coproduct with the
+evaluation-and-derivative map read through it."""
 
 from types import SimpleNamespace
 
-from jetcalc.approxalg import ApproxModule, _corner, _idem_spans, _in_corner, _membership
+from jetcalc.approxalg import ApproxModule, end_sharp_membership, _idem_spans, _tuple_module
 from jetcalc.gen import rand_scalar
 from jetcalc.jetfun import _as_exppoly
-from jetcalc.linalg import Mat, SpanBasis, mid, mmul, dense, sparse
+from jetcalc.linalg import Mat, SpanBasis, CrossCheckError, apply, mid, mmul, dense, sparse
 from jetcalc.localmod import CofiniteIdeal, dual_number_module
 from jetcalc.poly import (Polynomial, ExpPoly, Vector, Covector, DiffOp, diff,
                           exp_series, beta_factorial, zero_exps, monomials_upto,
@@ -48,20 +48,43 @@ def is_approx_unital(M):
 
 
 def membership(M, phi):
-    """end_sharp_membership(M, phi) with the corner data it does not report,
-    read from the tuple-module cache that _membership fills (one entry, at
-    the corner index j): the verdict `member` and `witness`, `j`, the stacked
-    basis tuple as a dense vector `tuple_vec`, the corner's tuple module W
-    as `submodule`, and W.escape(phi), the escaping pair (w, phi.w) as dense
-    vectors, as `escaped` (None when phi preserves W)."""
-    tuples, phi = {}, Mat.of(phi)
-    j = _corner(M, lambda j: _in_corner(M.idem_mat(j), phi))
-    res = _membership(M, phi, _idem_spans(M, [j], ())[0][0], j, tuples)
-    [(u, W, _)] = tuples.values()
+    """end_sharp_membership(M, phi) with the data it does not report, read
+    off the top tuple module, where the package decides membership: the
+    verdict `member` and `witness`, the stacked basis tuple of col(P_top)
+    as a dense vector `tuple_vec`, its tuple module W as `submodule`, and
+    W.escape(phi), the escaping pair (w, phi.w) as dense vectors, as
+    `escaped` (None when phi preserves W)."""
+    res, phi = end_sharp_membership(M, phi), Mat.of(phi)
+    u, W, _ = _tuple_module(M, _idem_spans(M, [len(M.algebra.chain) - 1], ())[0][0])
     escaped = W.escape(phi)
     return SimpleNamespace(
-        member=res.member, witness=res.witness, j=j, tuple_vec=dense(u, W.ncols),
+        member=res.member, witness=res.witness, tuple_vec=dense(u, W.ncols),
         submodule=W, escaped=escaped and tuple(dense(v, W.ncols) for v in escaped))
+
+
+def least_corner_membership(M, phi):
+    """Membership decided at phi's least corner, the reference for the
+    package's top-corner test: the least chain index j with P_j phi P_j =
+    phi, formed as two products (a ValueError when there is none), the tuple
+    module of col(P_j), and a witness solved there, cut down to alpha_j a
+    alpha_j and verified by its action; without one, phi is a non-member
+    when it moves W.  Returns the verdict `member`, the dense `witness` (or
+    None) and `j`."""
+    phi, A = Mat.of(phi), M.algebra
+    corners = [j for j in range(len(A.chain))
+               if mmul(mmul(M.idem_mat(j), phi), M.idem_mat(j)) == phi]
+    if not corners:
+        raise ValueError("phi lies in no chain corner")
+    j = corners[0]
+    u, W, solve = _tuple_module(M, _idem_spans(M, [j], ())[0][0])
+    a = solve(apply(phi, u))
+    if a is not None:
+        a = A.mul(A.mul(A.chain[j], a), A.chain[j])
+        if M.act(a) == phi:
+            return SimpleNamespace(member=True, witness=dense(a, A.dim), j=j)
+    if W.escape(phi) is None:
+        raise CrossCheckError("phi preserves W but no witness acts as it")
+    return SimpleNamespace(member=False, witness=None, j=j)
 
 
 def jet_ideal(f, ideal, mu):

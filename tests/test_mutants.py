@@ -147,9 +147,9 @@ def test_a_mutant_ends_in_failing_records_or_the_internal_error_status(
 # change).  Gate 2: the phases that end in failing records are at least the
 # floor, the count measured when the sweep was added: SWEEP_FLOORS holds it
 # for every phase, which runs under `slow`, and for every STRIDE-th phase,
-# which tier-1 runs.  On dcomm every phase but T's phase 83 ends in failing
+# which tier-1 runs.  On dcomm every phase but T's phase 42 ends in failing
 # records; that one records the clean values (the script at the end of this
-# file prints each sweep's clean phases).
+# file prints the clean phases of each sweep of the suites it is given).
 SWEEP_PHASES = {"A": range(0, 997, 10), "T": range(101)}
 STRIDE = 4
 SWEEP_FLOORS = {  # (every phase, every STRIDE-th phase)
@@ -181,8 +181,8 @@ def test_an_order_is_first_read_inside_a_check(monkeypatch, capsys):
 # corruption and must re-measure SWEEP_FLOORS, then re-pin here:
 # `PYTHONPATH=src python tests/probe.py SUITE` prints a suite's tuple.
 SCHEDULES = {
-    "dcomm": (4088, 963, "4a5b27603b25749051cd400311153fcf"
-              "862d6bb210994956c9c71653b34d1c7a"),
+    "dcomm": (3450, 709, "8c73e5be2054b14fc8787a930bc0eb91"
+              "461937fd1c24b82b3563ed6b2404dd37"),
     "jet": (15045, 70, "5163ad3960fe1c129de27f59c65b2277"
             "8659cf7c2738ccf0dafab3fa5eb3ae6c"),
     "kernel": (1277, 68, "23225bab7f820a455ba509e79caab51a"
@@ -239,15 +239,21 @@ def test_every_phase_of_each_sweep_makes_no_silent_change(suite, mutant):
 
 
 if __name__ == "__main__":
-    # PYTHONPATH=src python tests/test_mutants.py: re-measure after a change
-    # that moves a schedule, printing per suite and mutant the phases
-    # caught, the phases that exit 0 with the clean values and the silent
-    # phases of the stride and of the every-phase sweep.  The CLI's own
-    # output is discarded.
+    # PYTHONPATH=src python tests/test_mutants.py [SUITE ...]: re-measure
+    # after a change that moves a schedule, printing per suite and mutant
+    # the phases caught, the phases that exit 0 with the clean values and
+    # the silent phases of the stride and of the every-phase sweep, for the
+    # named suites (all four without one).  The CLI's own output is
+    # discarded.
     import contextlib
     import io
+    import sys
 
-    for suite, mutant in sorted(SWEEP_FLOORS):
+    suites = sys.argv[1:] or cli.SUITES
+    if unknown := [s for s in suites if s not in cli.SUITES]:
+        sys.exit("no suite is named %s; the suites are %s"
+                 % (", ".join(unknown), ", ".join(cli.SUITES)))
+    for suite, mutant in sorted(k for k in SWEEP_FLOORS if k[0] in suites):
         for sweep, phases in (("stride", SWEEP_PHASES[mutant][::STRIDE]),
                               ("every phase", SWEEP_PHASES[mutant])):
             with contextlib.redirect_stdout(io.StringIO()):
